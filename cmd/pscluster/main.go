@@ -54,7 +54,7 @@ func main() {
 		killShard   = flag.Int("kill-shard", 0, "shard index the kill steps target")
 		satStep     = flag.Int("saturate-step", 0, "in the -shards drill, raise -saturate-shard's demand to nameplate at this 1-based interval (0: never); headroom must flow to it")
 		satShard    = flag.Int("saturate-shard", 0, "shard index the saturation targets")
-		leaseIv     = flag.Int("lease-iv", 0, "in the -shards drill, run the whole tree on protocol-clock leases: shard coordinators grant this many own-interval agent leases and the global grants one interval longer to the shards (0: seconds-based leases)")
+		leaseIv     = flag.Int("lease-iv", 2, "in the -shards drill, the draw lease in control intervals: shard coordinators grant this many own-interval agent leases and the global grants one interval longer to the shards")
 		restartG    = flag.Int("restart-global-step", 0, "in the -shards drill, crash-restart the global apportioner at this 1-based interval (0: never); with -lease-iv the replacement rehydrates its interval counter from shard scrapes and the drill flags any duplicate interval number")
 
 		version = flag.Bool("version", false, "print version and exit")
@@ -277,9 +277,10 @@ func runAgents(servers int, strategyName, transportName, capFile string, shavePc
 	coord, err := ctrlplane.New(ctrlplane.Config{
 		Agents:   flt.Refs(),
 		Strategy: strat,
-		// Half the control interval: every lease is renewed before it
-		// can lapse as long as the coordinator keeps stepping.
-		LeaseS: interval * 0.5,
+		// One interval of lease: a grant the coordinator does not refresh
+		// at its next step is fenced by then.
+		LeaseIv:   1,
+		IntervalS: interval,
 	})
 	if err != nil {
 		return err
@@ -395,7 +396,8 @@ func runHADrill(ev *cluster.Evaluator, flt *ctrlplane.SimFleet, caps []trace.Poi
 			// Exactly one interval: whatever grant a dead leader left
 			// behind lapses before the next interval's cap could shrink
 			// under it, so the blackout is fenced, not over-budget.
-			LeaseS: interval,
+			LeaseIv:   1,
+			IntervalS: interval,
 		})
 		if err != nil {
 			return err

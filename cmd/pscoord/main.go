@@ -10,7 +10,7 @@
 //	psd -listen 127.0.0.1:8082 -ctrl-server 1 &
 //	psd -listen 127.0.0.1:8083 -ctrl-server 2 &
 //	pscoord -agents http://127.0.0.1:8081,http://127.0.0.1:8082,http://127.0.0.1:8083 \
-//	        -cap 240 -interval 2s -lease 4
+//	        -cap 240 -interval 2s -lease-iv 2
 //
 // Replay a peak-shaving cap schedule instead of a constant cap:
 //
@@ -66,8 +66,7 @@ func main() {
 		capW       = flag.Float64("cap", 240, "cluster power cap in watts (constant-cap mode)")
 		capFile    = flag.String("capfile", "", "replay a cluster cap schedule from this CSV (seconds,value) instead of a constant cap")
 		interval   = flag.Duration("interval", 2*time.Second, "control interval between fan-outs")
-		lease      = flag.Float64("lease", 0, "draw lease granted with each assignment, in trace seconds (0: 2x the control interval)")
-		leaseIv    = flag.Int("lease-iv", 0, "grant protocol-clock leases valid this many control intervals instead of -lease seconds; every grant carries the minting interval counter and the -interval length, and a restarted coordinator rehydrates the counter from fleet scrapes before granting (0: seconds-based leases)")
+		leaseIv    = flag.Int("lease-iv", 2, "draw lease granted with each assignment, in control intervals: short enough that a partitioned agent fences within that many intervals, long enough (at 2) that one dropped fan-out does not fence the whole fleet; every grant carries the minting interval counter and the -interval length, and a restarted coordinator rehydrates the counter from fleet scrapes before granting")
 		missK      = flag.Int("missk", 3, "consecutive failed scrapes before an agent's membership lease expires")
 		inflight   = flag.Int("max-inflight", 8, "fan-out concurrency bound")
 		timeout    = flag.Duration("timeout", 2*time.Second, "per-RPC attempt timeout")
@@ -100,7 +99,7 @@ func main() {
 		if *shardID >= 0 {
 			log.Fatal("-shard and -global are mutually exclusive (one tier per process)")
 		}
-		if err := runGlobal(*globalSet, *capW, *capFile, *interval, *lease, *leaseIv, *reclaim, *missK,
+		if err := runGlobal(*globalSet, *capW, *capFile, *interval, *leaseIv, *reclaim, *missK,
 			*inflight, *timeout, *retries, *verbose); err != nil {
 			log.Fatal(err)
 		}
@@ -132,20 +131,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	leaseS := *lease
-	if leaseS == 0 {
-		// Default the draw lease to twice the control interval: short
-		// enough that a partitioned agent fences within two intervals,
-		// long enough that one dropped fan-out does not fence the
-		// whole fleet.
-		leaseS = 2 * interval.Seconds()
+	if *leaseIv < 1 {
+		log.Fatalf("-lease-iv %d: a lease is at least one control interval", *leaseIv)
 	}
 	hub := telemetry.New(0)
 	ccfg := ctrlplane.Config{
 		Agents:               refs,
 		Dynamic:              *listen != "" || *binListen != "",
 		Strategy:             strat,
-		LeaseS:               leaseS,
+		LeaseIv:              *leaseIv,
+		IntervalS:            interval.Seconds(),
 		MissK:                *missK,
 		MaxInFlight:          *inflight,
 		RPCTimeout:           *timeout,
@@ -155,10 +150,6 @@ func main() {
 		FloorW:               *floorW,
 		CurveConfFloor:       *confFloor,
 		Telemetry:            hub,
-	}
-	if *leaseIv > 0 {
-		ccfg.LeaseIv = *leaseIv
-		ccfg.IntervalS = interval.Seconds()
 	}
 	coord, err := ctrlplane.New(ccfg)
 	if err != nil {
@@ -280,12 +271,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("replaying %d cap steps over %d agents (%v, lease %.1fs)", len(caps), len(refs), strat, leaseS)
+		log.Printf("replaying %d cap steps over %d agents (%v, lease %d intervals)", len(caps), len(refs), strat, *leaseIv)
 	} else if sc != nil {
-		log.Printf("shard %d driving %d agents under the granted budget (bootstrap %.0f W) every %v (%v, lease %.1fs)",
-			*shardID, len(refs), *capW, *interval, strat, leaseS)
+		log.Printf("shard %d driving %d agents under the granted budget (bootstrap %.0f W) every %v (%v, lease %d intervals)",
+			*shardID, len(refs), *capW, *interval, strat, *leaseIv)
 	} else {
-		log.Printf("driving %d agents at %.0f W cluster cap every %v (%v, lease %.1fs)", len(refs), *capW, *interval, strat, leaseS)
+		log.Printf("driving %d agents at %.0f W cluster cap every %v (%v, lease %d intervals)", len(refs), *capW, *interval, strat, *leaseIv)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -410,33 +401,27 @@ func summarize(coord *ctrlplane.Coordinator, ha *ctrlplane.HA, sc *ctrlplane.Sha
 // splits the cluster cap across the live shards, rebalances unused
 // headroom, and fans the budgets out as epoch-fenced leased grants.
 func runGlobal(set string, capW float64, capFile string, interval time.Duration,
-	lease float64, leaseIv int, reclaim float64, missK, inflight int,
+	leaseIv int, reclaim float64, missK, inflight int,
 	timeout time.Duration, retries int, verbose bool) error {
 
 	shards, err := parseShardRefs(set)
 	if err != nil {
 		return err
 	}
-	leaseS := lease
-	if leaseS == 0 {
-		// Same default as the flat coordinator: two intervals of lease,
-		// so one dropped trunk fan-out does not starve a shard.
-		leaseS = 2 * interval.Seconds()
+	if leaseIv < 1 {
+		return fmt.Errorf("-lease-iv %d: a lease is at least one control interval", leaseIv)
 	}
 	hub := telemetry.New(0)
 	gcfg := ctrlplane.GlobalConfig{
 		Shards:      shards,
-		LeaseS:      leaseS,
+		LeaseIv:     leaseIv,
+		IntervalS:   interval.Seconds(),
 		MissK:       missK,
 		ReclaimS:    reclaim,
 		MaxInFlight: inflight,
 		RPCTimeout:  timeout,
 		Retries:     retries,
 		Telemetry:   hub,
-	}
-	if leaseIv > 0 {
-		gcfg.LeaseIv = leaseIv
-		gcfg.IntervalS = interval.Seconds()
 	}
 	global, err := ctrlplane.NewGlobal(gcfg)
 	if err != nil {
@@ -455,10 +440,10 @@ func runGlobal(set string, capW float64, capFile string, interval time.Duration,
 		if err != nil {
 			return err
 		}
-		log.Printf("global: replaying %d cap steps over %d shards (lease %.1fs)", len(caps), len(shards), leaseS)
+		log.Printf("global: replaying %d cap steps over %d shards (lease %d intervals)", len(caps), len(shards), leaseIv)
 	} else {
-		log.Printf("global: driving %d shards at %.0f W cluster cap every %v (lease %.1fs)",
-			len(shards), capW, interval, leaseS)
+		log.Printf("global: driving %d shards at %.0f W cluster cap every %v (lease %d intervals)",
+			len(shards), capW, interval, leaseIv)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

@@ -63,9 +63,9 @@ func main() {
 		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 
 		ctrlServer    = flag.Int("ctrl-server", -1, "join a pscoord control plane as this fleet index (-1: standalone); serves /ctrl/assign, /ctrl/report, /ctrl/lease")
-		ctrlFence     = flag.Float64("ctrl-fence", 0, "cap to clamp to when the coordinator's draw lease lapses (0: the platform idle floor)")
+		ctrlFence     = flag.Float64("ctrl-fence", 0, "cap to boot at, and to clamp to when the coordinator's draw lease lapses (0: the platform idle floor)")
 		ctrlDecay     = flag.Float64("ctrl-safemode-decay", 0, "leaderless safe mode: watts per second to decay the held cap after lease lapse (0: cliff straight to the fence cap)")
-		ctrlHold      = flag.Float64("ctrl-safemode-hold", 0, "leaderless safe mode: seconds to hold the last granted cap before decaying")
+		ctrlHold      = flag.Float64("ctrl-safemode-hold", 0, "leaderless safe mode: seconds to hold the last granted cap before decaying (aged in whole coordinator intervals)")
 		ctrlFloor     = flag.Float64("ctrl-safemode-floor", 0, "leaderless safe mode: decay target in watts (0: the fence cap)")
 		ctrlLearn     = flag.Float64("ctrl-learn", 0, "online utility learning: epsilon-greedy probe fraction in (0,1]; the daemon joins curveless, self-caps at or below its grants to sample its cap-utility curve, and reports the learned curve with its coverage (0: report the pre-characterized curve)")
 		ctrlLearnSeed = flag.Int64("ctrl-learn-seed", 1, "probe-sequence seed for -ctrl-learn: the same seed replays the same probe order")

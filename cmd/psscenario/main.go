@@ -88,7 +88,7 @@ func main() {
 			res.LeaseExpiries, res.Rejoins, res.FinalEpoch)
 	}
 	if res.Rehydrations > 0 {
-		log.Printf("  %d interval-counter rehydrations across coordinator restarts", res.Rehydrations)
+		log.Printf("  %d interval-counter rehydrations (one per coordinator boot or restart)", res.Rehydrations)
 	}
 	if res.DischargedJ+res.ChargedJ > 0 {
 		log.Printf("  fleet moved %.0f J out, %.0f J in; %.0f J shortfall",

@@ -321,6 +321,15 @@ func (s *Sim) Events() []Event { return append([]Event(nil), s.events...) }
 // Samples returns the recorded timeline.
 func (s *Sim) Samples() []AppSample { return append([]AppSample(nil), s.samples...) }
 
+// LastSample returns the newest telemetry sample without copying the
+// timeline (the zero sample before the first one is taken).
+func (s *Sim) LastSample() AppSample {
+	if len(s.samples) == 0 {
+		return AppSample{}
+	}
+	return s.samples[len(s.samples)-1]
+}
+
 // replan runs the policy over the active applications and installs the
 // new schedule. It plans against each application's *effective*
 // (phase-resolved) profile — the re-calibration of utility curves the

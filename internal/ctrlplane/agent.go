@@ -54,6 +54,11 @@ type AgentConfig struct {
 	Learn *cf.OnlineConfig
 	// Version is reported to the coordinator (build audit).
 	Version string
+	// Clock, when non-nil, is the agent's own clock in seconds — a live
+	// daemon's wall clock. The agent then ages leases and safe-mode decay
+	// against it and ignores the coordinator's trace time T on grants,
+	// renewals and scrapes. Nil (trace replay) adopts T as it arrives.
+	Clock func() float64
 }
 
 // SafeModeConfig parameterizes leaderless degradation. The invariant
@@ -63,8 +68,9 @@ type AgentConfig struct {
 // the sum — a leaderless fleet drifts toward its floors instead of
 // cliffing to them the instant a lease lapses.
 type SafeModeConfig struct {
-	// HoldS holds the last granted cap for this many trace seconds
-	// past lease expiry before decay begins.
+	// HoldS holds the last granted cap for this many seconds of
+	// protocol-clock time (whole intervals × the nominal interval
+	// length) past lease expiry before decay begins.
 	HoldS float64
 	// DecayWPerS is the linear ramp-down rate after the hold window.
 	// Safe mode is enabled iff DecayWPerS > 0.
@@ -92,15 +98,15 @@ func (c SafeModeConfig) Validate() error {
 	return nil
 }
 
-// CapAt computes the safe-mode cap at trace time t for a lease that
-// expired at expireT holding heldW: the held cap through the hold
-// window, then a linear decay clamped at the floor. A held cap already
-// at or below the floor just stays put.
-func (c SafeModeConfig) CapAt(t, expireT, heldW float64) float64 {
+// CapAt computes the safe-mode cap lapsedS seconds past the lease
+// boundary for a lease that lapsed holding heldW: the held cap through
+// the hold window, then a linear decay clamped at the floor. A held cap
+// already at or below the floor just stays put.
+func (c SafeModeConfig) CapAt(lapsedS, heldW float64) float64 {
 	if heldW <= c.FloorW {
 		return heldW
 	}
-	over := t - expireT - c.HoldS
+	over := lapsedS - c.HoldS
 	if over <= 0 {
 		return heldW
 	}
@@ -118,32 +124,18 @@ func (c SafeModeConfig) CapAt(t, expireT, heldW float64) float64 {
 type Agent struct {
 	cfg AgentConfig
 
-	mu         sync.Mutex
-	capW       float64
-	perfN      float64
-	gridW      float64
-	lastEpoch  uint64
-	lastSeq    uint64
-	lastGrantT float64
-	leaseS     float64
-	// Protocol-clock state (docs/CONTROL_PLANE.md "Protocol clock").
-	// grantIv/leaseIv/ivS are the in-force grant's clock triple: the
-	// lease lapses once the effective interval reaches grantIv+leaseIv.
-	// lastSeenIv is the highest interval observed from any grant or
-	// renewal; lastSeenT anchors it on the local clock so the effective
-	// interval keeps counting at ivS when the coordinator stalls.
-	grantIv    uint64
-	leaseIv    uint64
-	ivS        float64
-	lastSeenIv uint64
-	lastSeenT  float64
+	mu        sync.Mutex
+	capW      float64
+	perfN     float64
+	gridW     float64
+	lastEpoch uint64
+	lastSeq   uint64
+	// clk is the draw lease and the agent's reading of the coordinator's
+	// protocol clock.
+	clk leaseClock
 	// localT is the agent's own clock high-water mark (trace time for
-	// replay agents, injected wall seconds for daemons).
+	// replay agents, cfg.Clock seconds for daemons).
 	localT float64
-	// skewIv is the last measured coordinator skew in intervals:
-	// locally elapsed intervals minus coordinator-minted intervals over
-	// the same span (positive = the coordinator runs slow).
-	skewIv float64
 	fenced bool
 	// safeMode is a flavor of fenced: the lease lapsed, but instead of
 	// the fence cap the agent enforces heldW decaying per SafeMode.
@@ -151,7 +143,6 @@ type Agent struct {
 	safeMode    bool
 	safeEntries int
 	heldW       float64
-	expireT     float64
 	curve       []cluster.CapPoint
 	curveBuilt  bool
 	// Online-learning state (cfg.Learn): est learns the cap→utility
@@ -227,6 +218,9 @@ func (a *Agent) Assign(req AssignRequest) (AssignResponse, error) {
 	if req.Server != a.cfg.ID {
 		return AssignResponse{}, fmt.Errorf("ctrlplane: assign for server %d reached agent %d", req.Server, a.cfg.ID)
 	}
+	if err := validateClockFields(req.Iv, req.LeaseIv, req.IvS); err != nil {
+		return AssignResponse{}, fmt.Errorf("ctrlplane: assign %w", err)
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if req.Epoch < a.lastEpoch {
@@ -253,15 +247,8 @@ func (a *Agent) Assign(req AssignRequest) (AssignResponse, error) {
 	a.capW, a.perfN, a.gridW = capW, perf, grid
 	a.lastEpoch = req.Epoch
 	a.lastSeq = req.Seq
-	a.lastGrantT = req.T
-	a.leaseS = req.LeaseS
-	if req.T > a.localT {
-		a.localT = req.T
-	}
-	a.noteIvLocked(req.Iv, req.IvS)
-	a.grantIv = req.Iv
-	a.leaseIv = req.LeaseIv
-	a.ivS = req.IvS
+	a.clk.observe(req.Iv, req.IvS, a.nowLocked(req.T))
+	a.clk.grant(req.Iv, req.LeaseIv, req.IvS)
 	a.fenced = false
 	a.safeMode = false
 	a.assigns++
@@ -272,17 +259,19 @@ func (a *Agent) Assign(req AssignRequest) (AssignResponse, error) {
 }
 
 // Renew extends the draw lease without changing the budget. A fenced
-// agent stays fenced and its lease clock stays dead — only a fresh
-// Assign restores a budget (the daemon's ctrlRenew has the same
-// semantics). A delayed or duplicated renewal carrying a T older than
-// the last grant is ignored: moving the lease clock backward would
-// spuriously fence a healthy agent on its next Tick. Only the epoch
-// that granted the in-force budget may renew it — a deposed leader
-// must not keep a budget it no longer owns alive, and a new leader has
-// nothing to renew before its first assign.
+// agent stays fenced and its lease stays dead — only a fresh Assign
+// restores a budget. A delayed or duplicated renewal minted in an
+// interval before the in-force lease's anchor is ignored: moving the
+// boundary backward would spuriously fence a healthy agent on its next
+// Tick. Only the epoch that granted the in-force budget may renew it —
+// a deposed leader must not keep a budget it no longer owns alive, and
+// a new leader has nothing to renew before its first assign.
 func (a *Agent) Renew(req LeaseRequest) (LeaseResponse, error) {
 	if req.Server != a.cfg.ID {
 		return LeaseResponse{}, fmt.Errorf("ctrlplane: lease for server %d reached agent %d", req.Server, a.cfg.ID)
+	}
+	if err := validateClockFields(req.Iv, req.LeaseIv, req.IvS); err != nil {
+		return LeaseResponse{}, fmt.Errorf("ctrlplane: lease %w", err)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -293,103 +282,62 @@ func (a *Agent) Renew(req LeaseRequest) (LeaseResponse, error) {
 		// clock observation, even when it cannot move the lease: a fenced
 		// or safe-mode agent keeps counting the coordinator's intervals,
 		// which is what ages its decay correctly.
-		if req.T > a.localT {
-			a.localT = req.T
-		}
-		a.noteIvLocked(req.Iv, req.IvS)
-		if req.Epoch == a.lastEpoch && !a.fenced && req.T >= a.lastGrantT {
-			a.lastGrantT = req.T
-			a.leaseS = req.LeaseS
-			a.grantIv = req.Iv
-			a.leaseIv = req.LeaseIv
-			a.ivS = req.IvS
+		a.clk.observe(req.Iv, req.IvS, a.nowLocked(req.T))
+		if req.Epoch == a.lastEpoch && !a.fenced && req.Iv >= a.clk.grantIv {
+			a.clk.grant(req.Iv, req.LeaseIv, req.IvS)
 		}
 	}
-	resp := LeaseResponse{V: ProtocolV, Epoch: a.lastEpoch, Server: a.cfg.ID, CapW: a.capW, Fenced: a.fenced, Iv: a.lastSeenIv}
-	if !a.fenced && a.leaseS > 0 {
-		resp.ExpiresT = a.lastGrantT + a.leaseS
+	resp := LeaseResponse{V: ProtocolV, Epoch: a.lastEpoch, Server: a.cfg.ID, CapW: a.capW, Fenced: a.fenced, Iv: a.clk.seenIv}
+	if !a.fenced {
+		resp.ExpiresIv = a.clk.boundary()
 	}
 	return resp, nil
 }
 
-// noteIvLocked folds one observed coordinator interval into the
-// protocol clock: measure skew against the locally elapsed span, then
-// advance the high-water mark. Zero ivs (clockless peers) are ignored.
-func (a *Agent) noteIvLocked(iv uint64, ivS float64) {
-	if iv == 0 || iv <= a.lastSeenIv {
-		return
+// nowLocked advances the agent's clock and returns the reading. An
+// agent with its own clock (cfg.Clock — a live daemon) reads that;
+// otherwise it adopts t, the coordinator time carried by whatever
+// message or tick got it here. Either way the reading never runs
+// backward.
+func (a *Agent) nowLocked(t float64) float64 {
+	if a.cfg.Clock != nil {
+		t = a.cfg.Clock()
 	}
-	if a.lastSeenIv > 0 && ivS > 0 {
-		a.skewIv = (a.localT-a.lastSeenT)/ivS - float64(iv-a.lastSeenIv)
+	if t > a.localT {
+		a.localT = t
 	}
-	a.lastSeenIv = iv
-	a.lastSeenT = a.localT
+	return a.localT
 }
 
-// clockModeLocked reports whether the in-force grant carries an
-// interval lease — the protocol clock then replaces seconds-based
-// lease aging entirely.
-func (a *Agent) clockModeLocked() bool { return a.leaseIv > 0 && a.ivS > 0 }
-
-// effectiveIvLocked is the agent's protocol-clock reading: the highest
-// observed interval, advanced by whole nominal intervals of local time
-// elapsed since that observation. While the coordinator mints on
-// schedule the local extrapolation stays at zero; when it stalls, the
-// effective interval keeps counting at ivS — which is exactly what
-// lapses the lease on time without wall-vs-trace ambiguity.
-func (a *Agent) effectiveIvLocked() uint64 {
-	if a.ivS <= 0 {
-		return a.lastSeenIv
-	}
-	dt := a.localT - a.lastSeenT
-	if dt <= 0 {
-		return a.lastSeenIv
-	}
-	return a.lastSeenIv + uint64(dt/a.ivS)
-}
-
-// Tick advances the agent's clock to trace time t and fences the server
-// if its draw lease has lapsed. The daemon calls this from its
-// wall-clock loop; the replay harness and handler call it with
+// Tick advances the agent's clock (to t, unless it has its own) and
+// fences the server if its draw lease has lapsed. The daemon calls this
+// from its wall-clock loop; the replay harness and handler call it with
 // coordinator time.
 func (a *Agent) Tick(t float64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.tickLocked(t)
-}
-
-func (a *Agent) tickLocked(t float64) error {
-	if t > a.localT {
-		a.localT = t
-	}
+	now := a.nowLocked(t)
 	if a.safeMode {
 		// Already degrading leaderless: continue the decay.
-		return a.applySafeCapLocked(t)
+		return a.applySafeCapLocked(now)
 	}
 	if a.fenced {
 		return nil
 	}
-	if a.clockModeLocked() {
-		// Interval lease: lapse once the effective interval reaches the
-		// grant's boundary — seconds play no part.
-		if a.effectiveIvLocked() < a.grantIv+a.leaseIv {
-			return a.learnTickLocked()
-		}
-	} else if a.leaseS <= 0 || t < a.lastGrantT+a.leaseS {
-		return a.learnTickLocked()
+	if !a.clk.lapsed(now) {
+		return a.learnTickLocked(now)
 	}
 	if a.cfg.SafeMode.Enabled() {
 		// Lease lapsed with safe mode on: hold the last granted cap
 		// (fleet sum still bounded by the last cluster cap a leader
-		// apportioned) and start the decay clock at the expiry instant,
-		// not at whenever the next tick happened to land.
+		// apportioned); the decay ages from the lease boundary, not from
+		// whenever the next tick happened to land.
 		a.safeMode = true
 		a.fenced = true
 		a.fences++
 		a.safeEntries++
 		a.heldW = a.capW
-		a.expireT = a.lastGrantT + a.leaseS
-		return a.applySafeCapLocked(t)
+		return a.applySafeCapLocked(now)
 	}
 	perf, grid, err := a.cfg.Backend.Apply(a.cfg.FenceCapW)
 	if err != nil {
@@ -406,16 +354,14 @@ func (a *Agent) tickLocked(t float64) error {
 // protocol interval — move the probe to the estimator's next choice.
 // Rate-limiting probe moves to interval boundaries keeps the cap from
 // flapping within an interval; a converged estimator's probe is the
-// full grant, so learning agents settle back onto their grants. In
-// clockless (seconds-lease) deployments the interval counter never
-// advances, so probes move only on fresh assigns.
-func (a *Agent) learnTickLocked() error {
+// full grant, so learning agents settle back onto their grants.
+func (a *Agent) learnTickLocked(now float64) error {
 	if a.est == nil || a.fenced {
 		return nil
 	}
 	a.est.Observe(a.capW, a.perfN)
 	target := a.capW
-	if iv := a.effectiveIvLocked(); iv > a.lastProbeIv {
+	if iv := a.clk.effective(now); iv > a.lastProbeIv {
 		a.lastProbeIv = iv
 		target = a.est.ProbeCap(a.grantW)
 	}
@@ -430,23 +376,13 @@ func (a *Agent) learnTickLocked() error {
 	return nil
 }
 
-// applySafeCapLocked enforces the safe-mode cap for trace time t. In
-// clock mode the decay ages by whole protocol intervals past the lapse
-// boundary — an integer count times the nominal interval length — so a
-// trace-replay fleet and a wall-clock fleet walking the same interval
-// sequence enforce bit-identical caps.
-func (a *Agent) applySafeCapLocked(t float64) error {
-	var target float64
-	if a.clockModeLocked() {
-		boundary := a.grantIv + a.leaseIv
-		var over uint64
-		if eff := a.effectiveIvLocked(); eff > boundary {
-			over = eff - boundary
-		}
-		target = a.cfg.SafeMode.CapAt(float64(over)*a.ivS, 0, a.heldW)
-	} else {
-		target = a.cfg.SafeMode.CapAt(t, a.expireT, a.heldW)
-	}
+// applySafeCapLocked enforces the safe-mode cap at local time now. The
+// decay ages by whole protocol intervals past the lapse boundary — an
+// integer count times the nominal interval length — so a trace-replay
+// fleet and a wall-clock fleet walking the same interval sequence
+// enforce bit-identical caps.
+func (a *Agent) applySafeCapLocked(now float64) error {
+	target := a.cfg.SafeMode.CapAt(float64(a.clk.overdueIv(now))*a.clk.ivS, a.heldW)
 	if target == a.capW {
 		return nil
 	}
@@ -520,7 +456,7 @@ func (a *Agent) reportLocked() Report {
 		IdleFloorW: a.cfg.Backend.IdleFloorW(),
 		NameplateW: a.cfg.Backend.NameplateW(),
 		Version:    a.cfg.Version,
-		Iv:         a.lastSeenIv,
+		Iv:         a.clk.seenIv,
 	}
 }
 
@@ -543,8 +479,55 @@ func (a *Agent) stateLocked(applied bool) AssignResponse {
 		V: ProtocolV, Server: a.cfg.ID, Epoch: a.lastEpoch, Seq: a.lastSeq, Applied: applied,
 		CapW: a.capW, PerfN: a.perfN, GridW: a.gridW,
 		SoC: a.cfg.Backend.SoC(), Fenced: a.fenced, SafeMode: a.safeMode,
-		Iv: a.lastSeenIv,
+		Iv: a.clk.seenIv,
 	}
+}
+
+// AgentStatus is one consistent snapshot of an agent's protocol state:
+// what a daemon serves on /healthz.
+type AgentStatus struct {
+	CapW     float64
+	Epoch    uint64
+	Fenced   bool
+	SafeMode bool
+	// Leased reports an unlapsed draw lease; LeaseExpiresInS is the local
+	// clock time left on it at the nominal interval length (0 once the
+	// boundary has passed); LeaseExpired reports a lease that was held
+	// and has lapsed, as opposed to none granted yet.
+	Leased          bool
+	LeaseExpiresInS float64
+	LeaseExpired    bool
+	Iv              uint64
+	ClockSkewIv     float64
+	Fences          int
+	SafeModeEntries int
+	StaleDrops      int
+	EpochDrops      int
+	// Learning, CurveConf and CurveCells describe the online estimator
+	// (zero without one).
+	Learning   bool
+	CurveConf  float64
+	CurveCells int
+}
+
+// Status snapshots the agent under one lock acquisition.
+func (a *Agent) Status() AgentStatus {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	st := AgentStatus{
+		CapW: a.capW, Epoch: a.lastEpoch, Fenced: a.fenced, SafeMode: a.safeMode,
+		Leased: !a.fenced, LeaseExpired: a.fenced && a.clk.leaseIv > 0,
+		Iv: a.clk.seenIv, ClockSkewIv: a.clk.skewIv,
+		Fences: a.fences, SafeModeEntries: a.safeEntries,
+		StaleDrops: a.staleDrops, EpochDrops: a.epochDrops,
+	}
+	if st.Leased {
+		st.LeaseExpiresInS = a.clk.remainingS(a.nowLocked(a.localT))
+	}
+	if a.est != nil {
+		st.Learning, st.CurveConf, st.CurveCells = true, a.est.Confidence(), a.est.ObservedCells()
+	}
+	return st
 }
 
 // CapW returns the cap the agent currently enforces.
@@ -632,11 +615,11 @@ func (a *Agent) LastEpoch() uint64 {
 }
 
 // LastIv is the highest protocol-clock interval the agent has observed
-// from any grant or renewal (0 while clockless).
+// from any grant or renewal (0 before the first).
 func (a *Agent) LastIv() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.lastSeenIv
+	return a.clk.seenIv
 }
 
 // Learning reports whether the agent characterizes its utility curve
@@ -669,5 +652,5 @@ func (a *Agent) LearnConfidence() float64 {
 func (a *Agent) ClockSkewIv() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.skewIv
+	return a.clk.skewIv
 }

@@ -43,8 +43,18 @@ func (f *fakeBackend) applyCount() int {
 	return len(f.applied)
 }
 
-func assign(seq uint64, t, capW, leaseS float64) AssignRequest {
-	return AssignRequest{V: ProtocolV, Epoch: 1, Seq: seq, Server: 0, T: t, CapW: capW, LeaseS: leaseS}
+// assign builds an epoch-1 grant minted at trace time t on a protocol
+// clock of ivS seconds per interval, with one interval of lease: it
+// lapses ivS seconds after t unless renewed.
+func assign(seq uint64, t, capW, ivS float64) AssignRequest {
+	return AssignRequest{V: ProtocolV, Epoch: 1, Seq: seq, Server: 0, T: t, CapW: capW,
+		Iv: uint64(t/ivS) + 1, LeaseIv: 1, IvS: ivS}
+}
+
+// renew builds an epoch-1 one-interval renewal minted in interval iv,
+// arriving at trace time t.
+func renew(iv uint64, t, ivS float64) LeaseRequest {
+	return LeaseRequest{V: ProtocolV, Epoch: 1, Server: 0, T: t, Iv: iv, LeaseIv: 1, IvS: ivS}
 }
 
 // A duplicated or reordered assign (Seq not newer) must be acknowledged
@@ -113,18 +123,19 @@ func TestAgentLeaseFence(t *testing.T) {
 	if a.Fenced() {
 		t.Fatal("fenced before the lease lapsed")
 	}
-	// A renewal extends the lease past the original expiry.
-	if _, err := a.Renew(LeaseRequest{V: ProtocolV, Epoch: 1, Server: 0, T: 105, LeaseS: 10}); err != nil {
+	// A renewal from the next interval extends the lease past the
+	// original expiry.
+	if _, err := a.Renew(renew(12, 110, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Tick(112); err != nil {
+	if err := a.Tick(119.9); err != nil {
 		t.Fatal(err)
 	}
 	if a.Fenced() {
 		t.Fatal("fenced despite renewal")
 	}
 	// Lapse: fence to the zero-watt fail-safe.
-	if err := a.Tick(115); err != nil {
+	if err := a.Tick(120); err != nil {
 		t.Fatal(err)
 	}
 	if !a.Fenced() || a.CapW() != 0 || a.GridW() != 0 {
@@ -134,7 +145,7 @@ func TestAgentLeaseFence(t *testing.T) {
 		t.Fatalf("fences = %d, want 1", a.Fences())
 	}
 	// A renewal cannot resurrect a fenced agent.
-	resp, err := a.Renew(LeaseRequest{V: ProtocolV, Epoch: 1, Server: 0, T: 116, LeaseS: 10})
+	resp, err := a.Renew(renew(13, 121, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +167,9 @@ func TestAgentLeaseFence(t *testing.T) {
 	}
 }
 
-// A delayed or duplicated renewal carrying an older T must not move the
-// lease clock backward — that would spuriously fence a healthy agent on
-// its next Tick.
+// A delayed or duplicated renewal minted in an older interval must not
+// move the lease boundary backward — that would spuriously fence a
+// healthy agent on its next Tick.
 func TestAgentStaleRenewalIgnored(t *testing.T) {
 	a, err := NewAgent(AgentConfig{ID: 0, Backend: &fakeBackend{}})
 	if err != nil {
@@ -167,40 +178,23 @@ func TestAgentStaleRenewalIgnored(t *testing.T) {
 	if _, err := a.Assign(assign(1, 100, 80, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Renew(LeaseRequest{V: ProtocolV, Epoch: 1, Server: 0, T: 105, LeaseS: 10}); err != nil {
+	if _, err := a.Renew(renew(12, 105, 10)); err != nil {
 		t.Fatal(err)
 	}
-	// A duplicate of an earlier renewal arrives late; the lease still
-	// runs to 115, not back to 105.
-	resp, err := a.Renew(LeaseRequest{V: ProtocolV, Epoch: 1, Server: 0, T: 95, LeaseS: 10})
+	// A renewal from interval 10 arrives late; the lease still runs to
+	// interval 13, not back to 11.
+	resp, err := a.Renew(renew(10, 95, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ExpiresT != 115 {
-		t.Fatalf("stale renewal moved expiry to %g, want 115", resp.ExpiresT)
+	if resp.ExpiresIv != 13 {
+		t.Fatalf("stale renewal moved expiry to interval %d, want 13", resp.ExpiresIv)
 	}
 	if err := a.Tick(108); err != nil {
 		t.Fatal(err)
 	}
 	if a.Fenced() {
 		t.Fatal("stale renewal rewound the lease clock and fenced a healthy agent")
-	}
-}
-
-// A zero-length lease never lapses.
-func TestAgentZeroLeaseNeverFences(t *testing.T) {
-	a, err := NewAgent(AgentConfig{ID: 0, Backend: &fakeBackend{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Assign(assign(1, 0, 60, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Tick(1e12); err != nil {
-		t.Fatal(err)
-	}
-	if a.Fenced() {
-		t.Fatal("zero-lease agent fenced")
 	}
 }
 

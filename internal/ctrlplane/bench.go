@@ -191,7 +191,8 @@ func RunWireBench(opts WireBenchOptions) (WireBenchCell, error) {
 	coord, err := New(Config{
 		Agents:      flt.Refs(),
 		Strategy:    StrategyEqual,
-		LeaseS:      700, // longer than the 300 s control interval: steady state renews
+		LeaseIv:     3, // longer than the control interval: steady state renews
+		IntervalS:   300,
 		MaxInFlight: opts.MaxInFlight,
 	})
 	if err != nil {

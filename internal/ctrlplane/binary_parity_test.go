@@ -32,9 +32,10 @@ func TestCtrlPlaneParityBinary(t *testing.T) {
 			}
 			defer flt.Close()
 			coord, err := New(Config{
-				Agents:   flt.Refs(),
-				Strategy: strat,
-				LeaseS:   150,
+				Agents:    flt.Refs(),
+				Strategy:  strat,
+				LeaseIv:   1,
+				IntervalS: 300,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +112,7 @@ func TestCrossTransportParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer flt.Close()
-		coord, err := New(Config{Agents: flt.Refs(), Strategy: StrategyUtility, LeaseS: 150})
+		coord, err := New(Config{Agents: flt.Refs(), Strategy: StrategyUtility, LeaseIv: 1, IntervalS: 300})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func TestBinaryCoalescedRenewals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer flt.Close()
-	coord, err := New(Config{Agents: flt.Refs(), Strategy: StrategyEqual, LeaseS: 700})
+	coord, err := New(Config{Agents: flt.Refs(), Strategy: StrategyEqual, LeaseIv: 3, IntervalS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +231,10 @@ func TestJSONFanOutReusesConns(t *testing.T) {
 	defer srv.Close()
 
 	coord, err := New(Config{
-		Agents:   []AgentRef{{ID: 0, URL: "http://" + ln.Addr().String()}},
-		Strategy: StrategyEqual,
-		LeaseS:   150,
+		Agents:    []AgentRef{{ID: 0, URL: "http://" + ln.Addr().String()}},
+		Strategy:  StrategyEqual,
+		LeaseIv:   1,
+		IntervalS: 300,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +277,7 @@ func TestBinaryChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer flt.Close()
-	coord, err := New(Config{Agents: flt.Refs(), Strategy: StrategyEqual, LeaseS: 150})
+	coord, err := New(Config{Agents: flt.Refs(), Strategy: StrategyEqual, LeaseIv: 1, IntervalS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

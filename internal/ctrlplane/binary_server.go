@@ -344,7 +344,7 @@ func (s *BinaryServer) grantOne(req BatchGrantRequest, e GrantEntry) GrantResult
 		return GrantResult{Server: e.Server, Err: err.Error()}
 	}
 	if e.Renew {
-		lr := LeaseRequest{V: ProtocolV, Epoch: req.Epoch, Server: e.Server, T: req.T, LeaseS: req.LeaseS,
+		lr := LeaseRequest{V: ProtocolV, Epoch: req.Epoch, Server: e.Server, T: req.T,
 			Iv: req.Iv, LeaseIv: req.LeaseIv, IvS: req.IvS}
 		resp, err := ep.Renew(lr)
 		if err == nil && !resp.Fenced && resp.Epoch == req.Epoch && resp.CapW == e.CapW {
@@ -353,7 +353,7 @@ func (s *BinaryServer) grantOne(req BatchGrantRequest, e GrantEntry) GrantResult
 			}}
 		}
 	}
-	ar := AssignRequest{V: ProtocolV, Epoch: req.Epoch, Seq: req.Seq, Server: e.Server, T: req.T, CapW: e.CapW, LeaseS: req.LeaseS,
+	ar := AssignRequest{V: ProtocolV, Epoch: req.Epoch, Seq: req.Seq, Server: e.Server, T: req.T, CapW: e.CapW,
 		Iv: req.Iv, LeaseIv: req.LeaseIv, IvS: req.IvS}
 	resp, err := ep.Assign(ar)
 	if err != nil {

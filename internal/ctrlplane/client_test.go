@@ -28,7 +28,7 @@ func TestClientRetries(t *testing.T) {
 			http.Error(w, "not yet", http.StatusInternalServerError)
 			return
 		}
-		w.Write([]byte(`{"v":2,"server":0,"epoch":1,"capW":50,"expiresT":10,"fenced":false}`))
+		w.Write([]byte(`{"v":3,"server":0,"epoch":1,"capW":50,"expiresIv":10,"fenced":false}`))
 	}))
 	defer srv.Close()
 
@@ -114,7 +114,7 @@ func TestJitterConcurrentFanout(t *testing.T) {
 // RPC failure, not bad data handed to the apportioning DP.
 func TestClientRejectsInvalidReport(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"v":2,"server":0,"soc":7}`))
+		w.Write([]byte(`{"v":3,"server":0,"soc":7}`))
 	}))
 	defer srv.Close()
 	var rep Report
@@ -141,25 +141,25 @@ func TestHandlerRouting(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := post(PathAssign, `{"v":2,"seq":1,"server":3,"t":0,"capW":40,"leaseS":5,"epoch":1}`); code != http.StatusOK {
+	if code := post(PathAssign, `{"v":3,"seq":1,"server":3,"t":0,"capW":40,"iv":1,"leaseIv":1,"ivS":5,"epoch":1}`); code != http.StatusOK {
 		t.Fatalf("good assign: %d", code)
 	}
 	if got := a.CapW(); got != 40 {
 		t.Fatalf("cap %g after assign", got)
 	}
-	if code := post(PathAssign, `{"v":2,"seq":2,"server":9,"t":0,"capW":40,"leaseS":5,"epoch":1}`); code != http.StatusBadRequest {
+	if code := post(PathAssign, `{"v":3,"seq":2,"server":9,"t":0,"capW":40,"iv":1,"leaseIv":1,"ivS":5,"epoch":1}`); code != http.StatusBadRequest {
 		t.Fatalf("misdirected assign: %d", code)
 	}
-	if code := post(PathAssign, `{"v":9,"seq":3,"server":3,"t":0,"capW":40,"leaseS":5,"epoch":1}`); code != http.StatusBadRequest {
+	if code := post(PathAssign, `{"v":9,"seq":3,"server":3,"t":0,"capW":40,"iv":1,"leaseIv":1,"ivS":5,"epoch":1}`); code != http.StatusBadRequest {
 		t.Fatalf("wrong protocol version: %d", code)
 	}
-	if code := post(PathAssign, `{"v":2,"seq":4,"server":3,"t":0,"capW":40,"leaseS":5}`); code != http.StatusBadRequest {
+	if code := post(PathAssign, `{"v":3,"seq":4,"server":3,"t":0,"capW":40,"iv":1,"leaseIv":1,"ivS":5}`); code != http.StatusBadRequest {
 		t.Fatalf("epochless assign: %d", code)
 	}
 	if code := post(PathAssign, `garbage`); code != http.StatusBadRequest {
 		t.Fatalf("garbage assign: %d", code)
 	}
-	if code := post(PathLease, `{"v":2,"server":3,"t":1,"leaseS":5,"epoch":1}`); code != http.StatusOK {
+	if code := post(PathLease, `{"v":3,"server":3,"t":1,"iv":1,"leaseIv":1,"ivS":5,"epoch":1}`); code != http.StatusOK {
 		t.Fatalf("good lease: %d", code)
 	}
 

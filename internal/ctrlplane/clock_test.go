@@ -22,8 +22,8 @@ func clockAgent(t *testing.T, safe SafeModeConfig) *Agent {
 
 // TestAgentClockLeaseLapse: an interval lease lapses when the agent's
 // effective interval — the highest observed plus locally elapsed
-// nominal intervals — reaches the grant boundary, regardless of what
-// LeaseS says. A renewal carrying a newer interval moves the boundary.
+// nominal intervals — reaches the grant boundary. A renewal carrying a
+// newer interval moves the boundary.
 func TestAgentClockLeaseLapse(t *testing.T) {
 	a := clockAgent(t, SafeModeConfig{})
 	// Grant at interval 1 with a 2-interval lease at 10 s per interval:
@@ -31,15 +31,14 @@ func TestAgentClockLeaseLapse(t *testing.T) {
 	// effective interval reaches 3 — local time 20 s with no further
 	// observations.
 	if _, err := a.Assign(AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0,
-		CapW: 80, LeaseS: 1, Iv: 1, LeaseIv: 2, IvS: 10}); err != nil {
+		CapW: 80, Iv: 1, LeaseIv: 2, IvS: 10}); err != nil {
 		t.Fatal(err)
 	}
-	// LeaseS = 1 s would have fenced a seconds-aged agent long ago.
 	if err := a.Tick(19.9); err != nil {
 		t.Fatal(err)
 	}
 	if a.Fenced() {
-		t.Fatal("interval lease lapsed before the boundary (seconds aging leaked in)")
+		t.Fatal("interval lease lapsed before the boundary")
 	}
 	if err := a.Tick(20); err != nil {
 		t.Fatal(err)
@@ -104,50 +103,39 @@ func TestAgentClockSkew(t *testing.T) {
 	}
 }
 
-// TestSafeModeDecayIntervalBoundaries: protocol-clock decay quantizes
-// on interval boundaries — at exact multiples of the interval length it
-// is bit-identical with a wall-clock agent decaying the same lease, and
+// TestSafeModeDecayIntervalBoundaries: safe-mode decay quantizes on
+// interval boundaries — at exact multiples of the interval length it is
+// bit-identical with the continuous decay law read at that instant, and
 // between boundaries it holds the last boundary's value instead of
-// drifting. This is the off-by-one surface between quantized wall-clock
-// and interval decay: the lapse instant, the hold window's end, and
-// every decay step must land on the same values.
+// drifting. This is the off-by-one surface of interval decay: the lapse
+// instant, the hold window's end, and every decay step must land on the
+// same values.
 func TestSafeModeDecayIntervalBoundaries(t *testing.T) {
 	safe := SafeModeConfig{HoldS: 10, DecayWPerS: 1, FloorW: 50}
 	clock := clockAgent(t, safe)
-	wall := clockAgent(t, safe)
-	// Same lease, two aging rules: 2 intervals of 10 s for the clock
-	// agent, 20 s for the wall agent. Both lapse at t=20 holding 100 W.
+	// 2 intervals of 10 s: the lease lapses at t=20 holding 100 W.
 	if _, err := clock.Assign(AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0,
 		CapW: 100, Iv: 1, LeaseIv: 2, IvS: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wall.Assign(AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0,
-		CapW: 100, LeaseS: 20}); err != nil {
-		t.Fatal(err)
-	}
-	// At every exact interval boundary the two decays must agree to the
-	// bit; the wall values are 100 W held through t=30 (lapse 20 + hold
-	// 10) then 1 W/s down to the 50 W floor at t=80.
-	for _, ts := range []float64{19, 20, 25, 30, 40, 50, 60, 70, 80, 100} {
+	// At every exact interval boundary the quantized decay must agree
+	// with the continuous law to the bit: 100 W held through t=30 (lapse
+	// 20 + hold 10) then 1 W/s down to the 50 W floor at t=80.
+	for _, ts := range []float64{20, 25, 30, 40, 50, 60, 70, 80, 100} {
 		if err := clock.Tick(ts); err != nil {
 			t.Fatal(err)
 		}
-		if err := wall.Tick(ts); err != nil {
-			t.Fatal(err)
-		}
+		want := safe.CapAt(ts-20, 100)
 		if ts == 25 {
-			// Mid-interval: the clock agent holds the boundary value.
-			if clock.CapW() != 100 {
-				t.Fatalf("t=25: clock-mode cap %g W mid-interval, want the held 100 W", clock.CapW())
-			}
-			continue
+			// Mid-interval: the agent holds the boundary value.
+			want = 100
 		}
-		if clock.CapW() != wall.CapW() {
-			t.Fatalf("t=%g: clock-mode cap %g W != wall-mode cap %g W", ts, clock.CapW(), wall.CapW())
+		if clock.CapW() != want {
+			t.Fatalf("t=%g: cap %g W, continuous decay law %g W", ts, clock.CapW(), want)
 		}
 	}
-	if clock.CapW() != 50 || wall.CapW() != 50 {
-		t.Fatalf("decay did not reach the floor: clock %g W, wall %g W", clock.CapW(), wall.CapW())
+	if clock.CapW() != 50 {
+		t.Fatalf("decay did not reach the floor: %g W", clock.CapW())
 	}
 
 	// Between-boundary quantization, one interval at a time: from t=30
@@ -192,7 +180,6 @@ func TestCoordinatorClockRestartRehydration(t *testing.T) {
 	cfg := Config{
 		Agents:    flt.Refs(),
 		Strategy:  StrategyUtility,
-		LeaseS:    2 * interval,
 		LeaseIv:   2,
 		IntervalS: interval,
 		Seed:      7,
@@ -310,7 +297,6 @@ func TestClockChaosKillRestartSoak(t *testing.T) {
 	cfg := Config{
 		Agents:    flt.Refs(),
 		Strategy:  StrategyUtility,
-		LeaseS:    2 * interval,
 		LeaseIv:   2,
 		IntervalS: interval,
 		Seed:      23,

@@ -9,7 +9,7 @@ import (
 	"powerstruggle/internal/cluster"
 )
 
-// Binary framing of the v2 control protocol (see docs/WIRE.md).
+// Binary framing of the v3 control protocol (see docs/WIRE.md).
 //
 // Every frame is:
 //
@@ -415,7 +415,6 @@ func appendAssignReq(b []byte, req AssignRequest) []byte {
 	w.i64(int64(req.Server))
 	w.f64(req.T)
 	w.f64(req.CapW)
-	w.f64(req.LeaseS)
 	w.u64(req.Iv)
 	w.u64(req.LeaseIv)
 	w.f64(req.IvS)
@@ -431,7 +430,6 @@ func decodeAssignReqPayload(p []byte) (AssignRequest, error) {
 	req.Server = r.integer()
 	req.T = r.f64()
 	req.CapW = r.f64()
-	req.LeaseS = r.f64()
 	req.Iv = r.u64()
 	req.LeaseIv = r.u64()
 	req.IvS = r.f64()
@@ -497,7 +495,6 @@ func appendLeaseReq(b []byte, req LeaseRequest) []byte {
 	w.u64(req.Epoch)
 	w.i64(int64(req.Server))
 	w.f64(req.T)
-	w.f64(req.LeaseS)
 	w.u64(req.Iv)
 	w.u64(req.LeaseIv)
 	w.f64(req.IvS)
@@ -511,7 +508,6 @@ func decodeLeaseReqPayload(p []byte) (LeaseRequest, error) {
 	req.Epoch = r.u64()
 	req.Server = r.integer()
 	req.T = r.f64()
-	req.LeaseS = r.f64()
 	req.Iv = r.u64()
 	req.LeaseIv = r.u64()
 	req.IvS = r.f64()
@@ -529,7 +525,7 @@ func appendLeaseRespPayload(b []byte, resp LeaseResponse) []byte {
 	w.u64(resp.Epoch)
 	w.i64(int64(resp.Server))
 	w.f64(resp.CapW)
-	w.f64(resp.ExpiresT)
+	w.u64(resp.ExpiresIv)
 	w.boolean(resp.Fenced)
 	w.u64(resp.Iv)
 	return w.b
@@ -542,7 +538,7 @@ func decodeLeaseRespPayload(p []byte) (LeaseResponse, error) {
 	resp.Epoch = r.u64()
 	resp.Server = r.integer()
 	resp.CapW = r.f64()
-	resp.ExpiresT = r.f64()
+	resp.ExpiresIv = r.u64()
 	resp.Fenced = r.boolean()
 	resp.Iv = r.u64()
 	if err := r.done(); err != nil {
@@ -779,14 +775,12 @@ type BatchScrapeResponse struct {
 // frame's (Epoch, Seq) when it did not — exactly the coordinator's
 // unary renew-else-assign sequence, one hop shorter.
 type BatchGrantRequest struct {
-	V      int
-	Epoch  uint64
-	Seq    uint64
-	T      float64
-	LeaseS float64
+	V     int
+	Epoch uint64
+	Seq   uint64
+	T     float64
 	// Iv/LeaseIv/IvS carry the protocol-clock triple shared by every
-	// entry in the frame (one mint interval per fan-out); all zero when
-	// the coordinator runs clockless.
+	// entry in the frame (one mint interval per fan-out).
 	Iv      uint64
 	LeaseIv uint64
 	IvS     float64
@@ -815,9 +809,6 @@ func (r BatchGrantRequest) Validate() error {
 	}
 	if !finite(r.T) || r.T < 0 {
 		return fmt.Errorf("ctrlplane: batch grant time %g", r.T)
-	}
-	if !finite(r.LeaseS) || r.LeaseS < 0 {
-		return fmt.Errorf("ctrlplane: batch grant lease %g s", r.LeaseS)
 	}
 	if err := validateClockFields(r.Iv, r.LeaseIv, r.IvS); err != nil {
 		return fmt.Errorf("ctrlplane: batch grant %w", err)
@@ -935,7 +926,6 @@ func appendBatchGrantReq(b []byte, req BatchGrantRequest) []byte {
 	w.u64(req.Epoch)
 	w.u64(req.Seq)
 	w.f64(req.T)
-	w.f64(req.LeaseS)
 	w.u64(req.Iv)
 	w.u64(req.LeaseIv)
 	w.f64(req.IvS)
@@ -955,7 +945,6 @@ func decodeBatchGrantReqPayload(p []byte) (BatchGrantRequest, error) {
 	req.Epoch = r.u64()
 	req.Seq = r.u64()
 	req.T = r.f64()
-	req.LeaseS = r.f64()
 	req.Iv = r.u64()
 	req.LeaseIv = r.u64()
 	req.IvS = r.f64()
@@ -1115,7 +1104,6 @@ func appendShardBudgetReq(b []byte, req ShardBudgetRequest) []byte {
 	w.i64(int64(req.Shard))
 	w.f64(req.T)
 	w.f64(req.CapW)
-	w.f64(req.LeaseS)
 	w.u64(req.Iv)
 	w.u64(req.LeaseIv)
 	w.f64(req.IvS)
@@ -1131,7 +1119,6 @@ func decodeShardBudgetReqPayload(p []byte) (ShardBudgetRequest, error) {
 	req.Shard = r.integer()
 	req.T = r.f64()
 	req.CapW = r.f64()
-	req.LeaseS = r.f64()
 	req.Iv = r.u64()
 	req.LeaseIv = r.u64()
 	req.IvS = r.f64()

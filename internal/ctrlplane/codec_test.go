@@ -3,6 +3,7 @@ package ctrlplane
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func canonicalMessages() map[byte][]byte {
 		FrameScrapeReq:  appendScrapeReq(nil, 3, 1200.5, true),
 		FrameReportResp: appendReportPayload(nil, rep),
 		FrameAssignReq: appendAssignReq(nil, AssignRequest{
-			V: ProtocolV, Epoch: 2, Seq: 9, Server: 3, T: 1200.5, CapW: 85.5, LeaseS: 150,
+			V: ProtocolV, Epoch: 2, Seq: 9, Server: 3, T: 1200.5, CapW: 85.5,
 			Iv: 42, LeaseIv: 3, IvS: 1.5,
 		}),
 		FrameAssignResp: appendAssignRespPayload(nil, AssignResponse{
@@ -45,11 +46,11 @@ func canonicalMessages() map[byte][]byte {
 			Iv: 42,
 		}),
 		FrameLeaseReq: appendLeaseReq(nil, LeaseRequest{
-			V: ProtocolV, Epoch: 2, Server: 3, T: 1200.5, LeaseS: 150,
+			V: ProtocolV, Epoch: 2, Server: 3, T: 1200.5,
 			Iv: 42, LeaseIv: 3, IvS: 1.5,
 		}),
 		FrameLeaseResp: appendLeaseRespPayload(nil, LeaseResponse{
-			V: ProtocolV, Epoch: 2, Server: 3, CapW: 85.5, ExpiresT: 1350.5, Fenced: false,
+			V: ProtocolV, Epoch: 2, Server: 3, CapW: 85.5, ExpiresIv: 45, Fenced: false,
 			Iv: 42,
 		}),
 		FrameRegisterReq: appendRegisterReq(nil, RegisterRequest{
@@ -78,7 +79,7 @@ func canonicalMessages() map[byte][]byte {
 			},
 		}),
 		FrameBatchGrantReq: appendBatchGrantReq(nil, BatchGrantRequest{
-			V: ProtocolV, Epoch: 2, Seq: 9, T: 1200.5, LeaseS: 150,
+			V: ProtocolV, Epoch: 2, Seq: 9, T: 1200.5,
 			Iv: 42, LeaseIv: 3, IvS: 1.5,
 			Entries: []GrantEntry{
 				{Server: 0, CapW: 80, Renew: true},
@@ -106,7 +107,7 @@ func canonicalMessages() map[byte][]byte {
 			GEpoch: 3, GSeq: 11, GIv: 42,
 		}),
 		FrameShardBudgetReq: appendShardBudgetReq(nil, ShardBudgetRequest{
-			V: ProtocolV, Epoch: 2, Seq: 9, Shard: 2, T: 1200.5, CapW: 6500, LeaseS: 900,
+			V: ProtocolV, Epoch: 2, Seq: 9, Shard: 2, T: 1200.5, CapW: 6500,
 			Iv: 42, LeaseIv: 3, IvS: 1.5,
 		}),
 		FrameShardBudgetResp: appendShardBudgetRespPayload(nil, ShardBudgetResponse{
@@ -316,7 +317,7 @@ func TestTypedRoundTrips(t *testing.T) {
 		t.Fatalf("learned report round trip:\n got %+v\nwant %+v", got, rep)
 	}
 
-	areq := AssignRequest{V: ProtocolV, Epoch: 1, Seq: 4, Server: 0, T: 300, CapW: 75, LeaseS: 150,
+	areq := AssignRequest{V: ProtocolV, Epoch: 1, Seq: 4, Server: 0, T: 300, CapW: 75,
 		Iv: 7, LeaseIv: 2, IvS: 0.5}
 	gotA, err := decodeAssignReqPayload(appendAssignReq(nil, areq))
 	if err != nil {
@@ -350,7 +351,7 @@ func TestTypedRoundTrips(t *testing.T) {
 		t.Fatalf("shard report round trip:\n got %+v\nwant %+v", gotS, srep)
 	}
 
-	sbud := ShardBudgetRequest{V: ProtocolV, Epoch: 3, Seq: 5, Shard: 1, T: 600, CapW: 512.5, LeaseS: 900,
+	sbud := ShardBudgetRequest{V: ProtocolV, Epoch: 3, Seq: 5, Shard: 1, T: 600, CapW: 512.5,
 		Iv: 7, LeaseIv: 2, IvS: 0.5}
 	gotSB, err := decodeShardBudgetReqPayload(appendShardBudgetReq(nil, sbud))
 	if err != nil {
@@ -361,7 +362,7 @@ func TestTypedRoundTrips(t *testing.T) {
 	}
 
 	breq := BatchGrantRequest{
-		V: ProtocolV, Epoch: 2, Seq: 7, T: 600, LeaseS: 300,
+		V: ProtocolV, Epoch: 2, Seq: 7, T: 600,
 		Iv: 7, LeaseIv: 2, IvS: 0.5,
 		Entries: []GrantEntry{{Server: 0, CapW: 50, Renew: true}, {Server: 9, CapW: 0}},
 	}
@@ -378,7 +379,7 @@ func TestTypedRoundTrips(t *testing.T) {
 // garbage, oversize, and foreign versions must all be refused.
 func TestDecodeFrameErrors(t *testing.T) {
 	ok := EncodeFrame(FrameLeaseReq, appendLeaseReq(nil, LeaseRequest{
-		V: ProtocolV, Epoch: 1, Server: 0, T: 0, LeaseS: 0,
+		V: ProtocolV, Epoch: 1, Server: 0, T: 0, Iv: 1, LeaseIv: 1, IvS: 1,
 	}))
 	oversize := make([]byte, frameHeaderLen)
 	oversize[0], oversize[1], oversize[2], oversize[3] = frameMagic0, frameMagic1, ProtocolV, FrameAssignReq
@@ -392,7 +393,7 @@ func TestDecodeFrameErrors(t *testing.T) {
 		{"short header", ok[:frameHeaderLen-1], "truncated"},
 		{"bad magic", append([]byte("XX"), ok[2:]...), "bad frame magic"},
 		{"garbage", []byte("GET /ctrl/report HTTP/1.1\r\n"), "bad frame magic"},
-		{"foreign version", mutate(ok, 2, ProtocolV+1), "protocol v3"},
+		{"foreign version", mutate(ok, 2, ProtocolV+1), "protocol v4"},
 		{"zero version", mutate(ok, 2, 0), "protocol v0"},
 		{"unknown type 0x00", mutate(ok, 3, 0x00), "unknown frame type"},
 		{"unknown type 0x15", mutate(ok, 3, 0x15), "unknown frame type"},
@@ -424,7 +425,7 @@ func mutate(frame []byte, i int, v byte) []byte {
 // counts inside a well-formed frame must be refused by the message
 // decoders.
 func TestPayloadStrictness(t *testing.T) {
-	lease := appendLeaseReq(nil, LeaseRequest{V: ProtocolV, Epoch: 1, Server: 0, T: 0, LeaseS: 0})
+	lease := appendLeaseReq(nil, LeaseRequest{V: ProtocolV, Epoch: 1, Server: 0, T: 0, Iv: 1, LeaseIv: 1, IvS: 1})
 	if _, err := decodeLeaseReqPayload(append(lease, 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("trailing byte: got %v", err)
 	}
@@ -483,8 +484,40 @@ func TestPayloadStrictness(t *testing.T) {
 
 	// Semantic validation runs behind structural decode: epoch 0 is a
 	// clean payload but an invalid request.
-	bad := appendAssignReq(nil, AssignRequest{V: ProtocolV, Epoch: 0, Seq: 1, Server: 0, T: 0, CapW: 1, LeaseS: 0})
-	if _, err := decodeAssignReqPayload(bad); err == nil || !strings.Contains(err.Error(), "epoch 0") {
+	good := AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0, CapW: 1, Iv: 1, LeaseIv: 1, IvS: 300}
+	bad := good
+	bad.Epoch = 0
+	if _, err := decodeAssignReqPayload(appendAssignReq(nil, bad)); err == nil || !strings.Contains(err.Error(), "epoch 0") {
 		t.Errorf("epoch 0 assign: got %v", err)
+	}
+
+	// Every grant carries a whole lease clock: a zero mint interval,
+	// lease length, or interval length would mint a budget that never
+	// lapses, and both framings refuse it.
+	for name, mut := range map[string]func(*AssignRequest){
+		"leaseIv 0": func(r *AssignRequest) { r.LeaseIv = 0 },
+		"iv 0":      func(r *AssignRequest) { r.Iv = 0 },
+		"ivS 0":     func(r *AssignRequest) { r.IvS = 0 },
+		"all zero":  func(r *AssignRequest) { r.Iv, r.LeaseIv, r.IvS = 0, 0, 0 },
+	} {
+		bad := good
+		mut(&bad)
+		if _, err := decodeAssignReqPayload(appendAssignReq(nil, bad)); err == nil || !strings.Contains(err.Error(), "lease clock") {
+			t.Errorf("binary assign with %s: got %v", name, err)
+		}
+		js, _ := json.Marshal(bad)
+		if _, err := DecodeAssign(js); err == nil || !strings.Contains(err.Error(), "lease clock") {
+			t.Errorf("JSON assign with %s: got %v", name, err)
+		}
+	}
+	if _, err := decodeLeaseReqPayload(appendLeaseReq(nil, LeaseRequest{V: ProtocolV, Epoch: 1, Iv: 1, IvS: 300})); err == nil || !strings.Contains(err.Error(), "lease clock") {
+		t.Errorf("renewal with leaseIv 0: got %v", err)
+	}
+	if _, err := decodeShardBudgetReqPayload(appendShardBudgetReq(nil, ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 1, CapW: 1, Iv: 1, IvS: 300})); err == nil || !strings.Contains(err.Error(), "lease clock") {
+		t.Errorf("shard budget with leaseIv 0: got %v", err)
+	}
+	if _, err := decodeBatchGrantReqPayload(appendBatchGrantReq(nil, BatchGrantRequest{V: ProtocolV, Epoch: 1, Seq: 1, Iv: 1, IvS: 300,
+		Entries: []GrantEntry{{Server: 0, CapW: 1}}})); err == nil || !strings.Contains(err.Error(), "lease clock") {
+		t.Errorf("batch grant with leaseIv 0: got %v", err)
 	}
 }

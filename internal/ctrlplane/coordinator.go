@@ -73,25 +73,19 @@ type Config struct {
 	Dynamic bool
 	// Strategy picks the apportioning scheme (default equal).
 	Strategy Strategy
-	// LeaseS is the draw lease granted with every assignment, in trace
-	// seconds. A lease no longer than the control interval gives the
-	// hard cap guarantee (a stale agent fences before it can draw
-	// against an old budget); longer leases bound any breach by their
-	// length. Zero grants non-lapsing budgets.
-	LeaseS float64
-	// LeaseIv, when positive, switches the fleet to protocol-clock
-	// leases: every grant carries the minting interval and is valid for
-	// LeaseIv intervals of the granting epoch, identically for
-	// trace-replay agents and wall-clock daemons (LeaseS still rides
-	// along for mixed fleets with clockless agents). A coordinator in
-	// this mode refuses to grant until it has rehydrated its interval
-	// counter from a majority of scrape responses, so a crash–restart
-	// cannot re-issue interval numbers.
+	// LeaseIv is the draw lease granted with every assignment, in
+	// control intervals (default 2): every grant carries the minting
+	// interval and is valid for LeaseIv intervals, identically for
+	// trace-replay agents and wall-clock daemons. A lease of one
+	// interval gives the hard cap guarantee (a stale agent fences before
+	// it can draw against an old budget); longer leases bound any breach
+	// by their length. A coordinator refuses to grant until it has
+	// rehydrated its interval counter from a majority of scrape
+	// responses, so a crash–restart cannot re-issue interval numbers.
 	LeaseIv int
-	// IntervalS is the nominal control-interval length in seconds,
-	// stamped on every clock-mode grant so agents can age the protocol
-	// clock locally when the coordinator stalls. Required when LeaseIv
-	// is set.
+	// IntervalS is the nominal control-interval length in seconds
+	// (required), stamped on every grant so agents can age the protocol
+	// clock locally when the coordinator stalls.
 	IntervalS float64
 	// MissK is how many consecutive failed scrapes expire an agent's
 	// membership lease (default 3; the parity tests use 1 so expiry
@@ -149,6 +143,13 @@ func (c Config) curveConfFloor() float64 {
 		return c.CurveConfFloor
 	}
 	return DefaultCurveConfFloor
+}
+
+func (c Config) leaseIv() uint64 {
+	if c.LeaseIv > 0 {
+		return uint64(c.LeaseIv)
+	}
+	return 2
 }
 
 func (c Config) missK() int {
@@ -239,7 +240,7 @@ type Stats struct {
 	BreakerTrips int
 	BreakerSkips int
 	// Rehydrations counts interval-counter rehydrations from a scrape
-	// majority — once per (re)start in clock mode.
+	// majority — once per (re)start.
 	Rehydrations int
 	// BatchFrames counts batch frames exchanged on the binary
 	// transport; BatchedOps counts the per-agent operations they
@@ -260,11 +261,11 @@ type StepResult struct {
 	// but nothing was granted.
 	Leading bool
 	// Iv is the protocol-clock interval minted for this interval's
-	// grants (0 on observe intervals and clockless coordinators).
+	// grants (0 on observe and rehydrating intervals).
 	Iv uint64
-	// Rehydrating reports a clock-mode leader that skipped granting
-	// because it has not yet recovered its interval counter from a
-	// majority of agent scrapes (a restart in progress).
+	// Rehydrating reports a leader that skipped granting because it has
+	// not yet recovered its interval counter from a majority of agent
+	// scrapes (a restart in progress).
 	Rehydrating bool
 	// Deposed reports that some response carried an epoch above this
 	// coordinator's — another leader has taken over and this one's
@@ -320,14 +321,14 @@ type Coordinator struct {
 	epoch     atomic.Uint64
 	seenEpoch atomic.Uint64
 
-	// iv is the protocol-clock interval counter (clock mode only; 0
-	// until the first mint). Atomic because the registration handler and
-	// tests read it concurrently with the control loop. rehydrated,
-	// maxSeenIv, and maxSeenSeq only move on the control loop: a fresh
-	// clock-mode coordinator must see a majority of agent reports — and
-	// adopt the highest interval and same-epoch sequence among them —
-	// before it may mint, so a crash–restart cannot re-issue interval or
-	// sequence numbers another grant already used.
+	// iv is the protocol-clock interval counter (0 until the first
+	// mint). Atomic because the registration handler and tests read it
+	// concurrently with the control loop. rehydrated, maxSeenIv, and
+	// maxSeenSeq only move on the control loop: a fresh coordinator
+	// must see a majority of agent reports — and adopt the highest
+	// interval and same-epoch sequence among them — before it may mint,
+	// so a crash–restart cannot re-issue interval or sequence numbers
+	// another grant already used.
 	iv         atomic.Uint64
 	rehydrated bool
 	maxSeenIv  uint64
@@ -354,14 +355,11 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		seen[ref.ID] = true
 	}
-	if cfg.LeaseS < 0 || !finite(cfg.LeaseS) {
-		return nil, fmt.Errorf("ctrlplane: lease %g s", cfg.LeaseS)
-	}
 	if cfg.LeaseIv < 0 {
 		return nil, fmt.Errorf("ctrlplane: lease of %d intervals", cfg.LeaseIv)
 	}
-	if cfg.LeaseIv > 0 && (!finite(cfg.IntervalS) || cfg.IntervalS <= 0) {
-		return nil, fmt.Errorf("ctrlplane: interval leases need IntervalS > 0, got %g", cfg.IntervalS)
+	if !finite(cfg.IntervalS) || cfg.IntervalS <= 0 {
+		return nil, fmt.Errorf("ctrlplane: coordinator needs IntervalS > 0, got %g", cfg.IntervalS)
 	}
 	tel := newCtrlTel(cfg.Telemetry)
 	c := &Coordinator{
@@ -369,10 +367,6 @@ func New(cfg Config) (*Coordinator, error) {
 		tel:    tel,
 		client: newRPCClient(cfg, tel),
 		flog:   faults.NewLog(0),
-		// A clockless coordinator has nothing to recover; a clock-mode
-		// one starts unrehydrated and earns the right to mint from its
-		// first majority scrape.
-		rehydrated: cfg.LeaseIv == 0,
 	}
 	for _, ref := range cfg.Agents {
 		// Members start alive — the in-process oracle starts every
@@ -392,10 +386,9 @@ func (c *Coordinator) Epoch() uint64 { return c.epoch.Load() }
 func (c *Coordinator) PeakEpoch() uint64 { return c.seenEpoch.Load() }
 
 // Iv returns the protocol-clock interval counter: the last interval
-// minted (0 before the first mint, and always 0 for a clockless
-// coordinator). Unlike the epoch it is monotonic across elections —
-// SetEpoch does not reset it — which is what makes interval numbers
-// unique for the life of the fleet.
+// minted (0 before the first mint). Unlike the epoch it is monotonic
+// across elections — SetEpoch does not reset it — which is what makes
+// interval numbers unique for the life of the fleet.
 func (c *Coordinator) Iv() uint64 { return c.iv.Load() }
 
 // SetEpoch moves the coordinator to a new leadership epoch. Bumping it
@@ -652,59 +645,57 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 		}
 	}
 
-	// Protocol-clock harvest (clock mode only). Every scraped report
-	// carries the agent's highest observed interval; fold them into the
-	// skew gauge and — until a majority has answered — the rehydration
-	// ledger. Observe intervals harvest too, so a warm standby is
-	// already rehydrated when it wins an election.
-	if c.cfg.LeaseIv > 0 {
-		scrapedOK := 0
-		cur := c.iv.Load()
-		for i := range c.members {
-			rep := reports[i]
-			if rep == nil {
-				continue
-			}
-			scrapedOK++
-			if rep.Iv > c.maxSeenIv {
-				c.maxSeenIv = rep.Iv
-			}
-			if rep.Epoch == epoch && rep.Seq > c.maxSeenSeq {
-				c.maxSeenSeq = rep.Seq
-			}
-			if c.tel.enabled {
-				// Per-member lag series; the fleet max the old scalar gauge
-				// carried is max() over these.
-				var lag float64
-				if cur > rep.Iv {
-					lag = float64(cur - rep.Iv)
-				}
-				c.tel.clockSkewIv.With(strconv.Itoa(i)).Set(lag)
-			}
+	// Protocol-clock harvest. Every scraped report carries the agent's
+	// highest observed interval; fold them into the skew gauge and —
+	// until a majority has answered — the rehydration ledger. Observe
+	// intervals harvest too, so a warm standby is already rehydrated
+	// when it wins an election.
+	scrapedOK := 0
+	cur := c.iv.Load()
+	for i := range c.members {
+		rep := reports[i]
+		if rep == nil {
+			continue
 		}
-		// Keep the counter at least as high as anything the fleet has
-		// echoed — for the active leader this is a no-op (reports echo
-		// its own mints), but it keeps a warm standby's counter tracking
-		// the leader interval by interval, so a promotion mints above
-		// everything its predecessor issued, not above a boot-time
-		// snapshot.
-		if c.maxSeenIv > c.iv.Load() {
-			c.iv.Store(c.maxSeenIv)
+		scrapedOK++
+		if rep.Iv > c.maxSeenIv {
+			c.maxSeenIv = rep.Iv
 		}
-		if !c.rehydrated && scrapedOK >= len(c.members)/2+1 {
-			// Majority heard: no interval or same-epoch sequence above
-			// these can have been granted (a grant needs the same
-			// majority's listeners reachable), so minting past them is
-			// safe.
-			if c.maxSeenSeq > c.seq {
-				c.seq = c.maxSeenSeq
+		if rep.Epoch == epoch && rep.Seq > c.maxSeenSeq {
+			c.maxSeenSeq = rep.Seq
+		}
+		if c.tel.enabled {
+			// Per-member lag series; the fleet max the old scalar gauge
+			// carried is max() over these.
+			var lag float64
+			if cur > rep.Iv {
+				lag = float64(cur - rep.Iv)
 			}
-			c.rehydrated = true
-			c.stats.Rehydrations++
-			c.tel.rehydrations.Inc()
-			c.flog.Append(faults.Event{T: t, Kind: "clock-rehydrate", Target: "coordinator",
-				Detail: fmt.Sprintf("interval counter recovered from %d/%d agents: iv=%d seq=%d", scrapedOK, len(c.members), c.iv.Load(), c.seq)})
+			c.tel.clockSkewIv.With(strconv.Itoa(i)).Set(lag)
 		}
+	}
+	// Keep the counter at least as high as anything the fleet has
+	// echoed — for the active leader this is a no-op (reports echo
+	// its own mints), but it keeps a warm standby's counter tracking
+	// the leader interval by interval, so a promotion mints above
+	// everything its predecessor issued, not above a boot-time
+	// snapshot.
+	if c.maxSeenIv > c.iv.Load() {
+		c.iv.Store(c.maxSeenIv)
+	}
+	if !c.rehydrated && scrapedOK >= len(c.members)/2+1 {
+		// Majority heard: no interval or same-epoch sequence above
+		// these can have been granted (a grant needs the same
+		// majority's listeners reachable), so minting past them is
+		// safe.
+		if c.maxSeenSeq > c.seq {
+			c.seq = c.maxSeenSeq
+		}
+		c.rehydrated = true
+		c.stats.Rehydrations++
+		c.tel.rehydrations.Inc()
+		c.flog.Append(faults.Event{T: t, Kind: "clock-rehydrate", Target: "coordinator",
+			Detail: fmt.Sprintf("interval counter recovered from %d/%d agents: iv=%d seq=%d", scrapedOK, len(c.members), c.iv.Load(), c.seq)})
 	}
 
 	// Phase 2 — membership: expire after MissK consecutive misses,
@@ -760,34 +751,19 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 	// leadership epoch, and every response reports the agent's highest
 	// applied epoch — one above ours anywhere means we are deposed and
 	// our grants are being refused.
-	if !lead {
+	if !lead || !c.rehydrated {
+		// A leader that has not yet heard a majority holds its grants
+		// like a standby: minting now could re-issue an interval number
+		// a pre-restart grant already used, double-committing budget
+		// within one lease window. Agents ride their leases (or safe
+		// mode) until the counter is recovered.
 		for _, m := range c.members {
 			if m.scraped {
 				res.FleetGridW += m.gridW
 				res.FleetPerfN += m.perfN
 			}
 		}
-		res.Deposed = c.seenEpoch.Load() > epoch
-		c.stats.Observes++
-		c.stats.BatchFrames += int(batchFrames.Load())
-		c.stats.BatchedOps += int(batchOps.Load())
-		c.tel.batchedOps.Add(uint64(batchOps.Load()))
-		c.tel.noteStep(res)
-		return res, nil
-	}
-	if !c.rehydrated {
-		// Clock-mode leader that has not yet heard a majority: minting
-		// now could re-issue an interval number a pre-restart grant
-		// already used, double-committing budget within one lease
-		// window. Hold grants; agents ride their leases (or safe mode)
-		// until the counter is recovered.
-		for _, m := range c.members {
-			if m.scraped {
-				res.FleetGridW += m.gridW
-				res.FleetPerfN += m.perfN
-			}
-		}
-		res.Rehydrating = true
+		res.Rehydrating = lead
 		res.Deposed = c.seenEpoch.Load() > epoch
 		c.stats.Observes++
 		c.stats.BatchFrames += int(batchFrames.Load())
@@ -799,15 +775,9 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 	c.seq++
 	seq := c.seq
 	// Mint this interval's protocol-clock reading and the lease triple
-	// every grant carries (all zero when clockless).
-	var mintIv, leaseIv uint64
-	var ivS float64
-	if c.cfg.LeaseIv > 0 {
-		mintIv = c.iv.Add(1)
-		leaseIv = uint64(c.cfg.LeaseIv)
-		ivS = c.cfg.IntervalS
-		res.Iv = mintIv
-	}
+	// every grant carries.
+	mintIv, leaseIv, ivS := c.iv.Add(1), c.cfg.leaseIv(), c.cfg.IntervalS
+	res.Iv = mintIv
 	renewFailed := make([]bool, n)
 	grantSkipped := make([]bool, n)
 	// Recompute breaker states: the scrape accounting above moved them
@@ -833,7 +803,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 				return
 			}
 			if m.granted && m.grantedW == res.Budgets[i] && m.scraped && !m.fenced {
-				req := LeaseRequest{V: ProtocolV, Epoch: epoch, Server: m.ref.ID, T: t, LeaseS: c.cfg.LeaseS,
+				req := LeaseRequest{V: ProtocolV, Epoch: epoch, Server: m.ref.ID, T: t,
 					Iv: mintIv, LeaseIv: leaseIv, IvS: ivS}
 				resp, err := c.client.renew(ctx, m.ref.URL, req)
 				if err == nil {
@@ -853,7 +823,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 				// the lease.
 			}
 			req := AssignRequest{V: ProtocolV, Epoch: epoch, Seq: seq, Server: m.ref.ID, T: t,
-				CapW: res.Budgets[i], LeaseS: c.cfg.LeaseS, Iv: mintIv, LeaseIv: leaseIv, IvS: ivS}
+				CapW: res.Budgets[i], Iv: mintIv, LeaseIv: leaseIv, IvS: ivS}
 			retries := c.cfg.rpcRetries()
 			if states[i] == breakerHalfOpen {
 				retries = 0
@@ -883,7 +853,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 			// assigns for the rest. The server applies the same
 			// renew-else-assign sequence per entry that the unary path
 			// runs client-side, so semantics are transport-independent.
-			req := BatchGrantRequest{V: ProtocolV, Epoch: epoch, Seq: seq, T: t, LeaseS: c.cfg.LeaseS,
+			req := BatchGrantRequest{V: ProtocolV, Epoch: epoch, Seq: seq, T: t,
 				Iv: mintIv, LeaseIv: leaseIv, IvS: ivS}
 			for _, i := range g.idx {
 				m := c.members[i]

@@ -49,7 +49,7 @@ func TestUtilityEvenShareForCurvelessMembers(t *testing.T) {
 	refs := startBackendFleet(t, []Backend{
 		&fakeBackend{}, &fakeBackend{}, &curvelessBackend{},
 	})
-	coord, err := New(Config{Agents: refs, Strategy: StrategyUtility, LeaseS: 150})
+	coord, err := New(Config{Agents: refs, Strategy: StrategyUtility, LeaseIv: 1, IntervalS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestUtilityHeterogeneousFloorsRejected(t *testing.T) {
 	refs := startBackendFleet(t, []Backend{
 		&floorBackend{floor: 10}, &floorBackend{floor: 25},
 	})
-	coord, err := New(Config{Agents: refs, Strategy: StrategyUtility, LeaseS: 150})
+	coord, err := New(Config{Agents: refs, Strategy: StrategyUtility, LeaseIv: 1, IntervalS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestUtilityHeterogeneousFloorsRejected(t *testing.T) {
 		t.Fatal("heterogeneous idle floors apportioned silently")
 	}
 
-	override, err := New(Config{Agents: refs, Strategy: StrategyUtility, LeaseS: 150, FloorW: 10})
+	override, err := New(Config{Agents: refs, Strategy: StrategyUtility, LeaseIv: 1, IntervalS: 300, FloorW: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,8 @@ func TestRenewalOfFencedAgentFallsThroughToAssign(t *testing.T) {
 	coord, err := New(Config{
 		Agents:    []AgentRef{{ID: 0, URL: srv.URL}},
 		Strategy:  StrategyEqual,
-		LeaseS:    150,
+		LeaseIv:   1,
+		IntervalS: 300,
 		Transport: &fenceOnLease{agent: a, fenceT: 250},
 	})
 	if err != nil {

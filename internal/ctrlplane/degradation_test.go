@@ -23,8 +23,8 @@ func TestAgentSafeModeHoldAndDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Grant 100 W at t=0 with a 300 s lease: expiry at 300, decay
-	// starts at 600.
+	// Grant 100 W at t=0 with one 300 s interval of lease: expiry at
+	// 300, decay starts at 600 and moves on interval boundaries.
 	if _, err := a.Assign(assign(1, 0, 100, 300)); err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,19 @@ func TestAgentSafeModeHoldAndDecay(t *testing.T) {
 	if got := a.CapW(); got != 100 {
 		t.Fatalf("cap %g W in the hold window, want the held 100 W", got)
 	}
-	// 650 is 50 s past the hold window: 100 − 0.1·50 = 95 W.
+	// 650 is still inside the first whole interval past the hold window.
 	if err := a.Tick(650); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.CapW(); math.Abs(got-95) > 1e-9 {
-		t.Fatalf("cap %g W mid-decay, want 95 W", got)
+	if got := a.CapW(); got != 100 {
+		t.Fatalf("cap %g W before the next interval boundary, want the held 100 W", got)
+	}
+	// 900 is one whole interval past the hold window: 100 − 0.1·300 = 70 W.
+	if err := a.Tick(900); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.CapW(); math.Abs(got-70) > 1e-9 {
+		t.Fatalf("cap %g W mid-decay, want 70 W", got)
 	}
 	// Deep into the decay the cap pins at the floor (FenceCapW, the
 	// default FloorW).
@@ -120,11 +127,11 @@ func TestAgentSafeModeRefusesRenewal(t *testing.T) {
 	if !a.SafeMode() {
 		t.Fatal("not in safe mode after lapse")
 	}
-	resp, err := a.Renew(LeaseRequest{V: ProtocolV, Epoch: 1, Server: 0, T: 60, LeaseS: 10})
+	resp, err := a.Renew(renew(7, 60, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Fenced || resp.ExpiresT != 0 {
+	if !resp.Fenced || resp.ExpiresIv != 0 {
 		t.Fatalf("renewal of a safe-mode agent answered %+v", resp)
 	}
 	if err := a.Tick(70); err != nil {
@@ -150,7 +157,7 @@ func TestBreakerSkipsBlackholedAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, err := New(Config{
-		Agents: flt.Refs(), LeaseS: 150,
+		Agents: flt.Refs(), LeaseIv: 1, IntervalS: 300,
 		MissK: 2, Retries: 1, RPCTimeout: time.Second,
 		BreakerFails: 2, BreakerOpenIntervals: 3,
 		Transport: inj,
@@ -233,7 +240,7 @@ func TestStepCancellationPromptness(t *testing.T) {
 	}
 	defer flt.Close()
 	coord, err := New(Config{
-		Agents: flt.Refs(), LeaseS: 150,
+		Agents: flt.Refs(), LeaseIv: 1, IntervalS: 300,
 		MaxInFlight: 1, Retries: 5, RPCTimeout: 10 * time.Second,
 		Transport: hangingTransport{},
 	})

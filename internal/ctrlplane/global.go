@@ -25,29 +25,24 @@ type ShardRef struct {
 type GlobalConfig struct {
 	// Shards is the static shard set.
 	Shards []ShardRef
-	// LeaseS is the budget lease granted with every ShardBudget, in
-	// trace seconds. It must be at least the shard's control interval;
-	// anything longer bounds how long a partitioned shard keeps its
-	// stale budget. Zero grants non-lapsing budgets.
-	LeaseS float64
-	// LeaseIv, when positive, switches shard budget leases to
-	// protocol-clock units: each grant is valid for LeaseIv global
-	// intervals and carries the global interval counter, which shards
-	// age by IntervalS regardless of their local clock rate. Zero keeps
-	// LeaseS wall/trace-second semantics.
+	// LeaseIv is the budget lease granted with every ShardBudget, in
+	// global intervals (default 2): each grant carries the global
+	// interval counter, which shards age by IntervalS regardless of
+	// their local clock rate. Anything past one interval bounds how long
+	// a partitioned shard keeps its stale budget.
 	LeaseIv int
 	// IntervalS is the nominal length of one global interval in trace
-	// seconds. Required (positive) when LeaseIv > 0.
+	// seconds (required).
 	IntervalS float64
 	// MissK is how many consecutive failed trunk scrapes expire a
 	// shard's membership (default 3).
 	MissK int
 	// ReclaimS is how long a silent shard's last budget stays reserved
-	// after its membership expires (default LeaseS). It must cover the
-	// shard's own agent-lease length: only after budget lease plus
-	// agent leases have all lapsed can the silent shard's fleet slice
-	// be drawing nothing above its floors, making the watts safe to
-	// re-apportion.
+	// after its membership expires (default the budget lease, LeaseIv ×
+	// IntervalS). It must cover the shard's own agent-lease length: only
+	// after budget lease plus agent leases have all lapsed can the
+	// silent shard's fleet slice be drawing nothing above its floors,
+	// making the watts safe to re-apportion.
 	ReclaimS float64
 	// GuardFrac is the slack a donor shard keeps above its own
 	// max(used, demand) when headroom is rebalanced (default 0.05).
@@ -75,11 +70,18 @@ func (c GlobalConfig) missK() int {
 	return 3
 }
 
+func (c GlobalConfig) leaseIv() uint64 {
+	if c.LeaseIv > 0 {
+		return uint64(c.LeaseIv)
+	}
+	return 2
+}
+
 func (c GlobalConfig) reclaimS() float64 {
 	if c.ReclaimS > 0 {
 		return c.ReclaimS
 	}
-	return c.LeaseS
+	return float64(c.leaseIv()) * c.IntervalS
 }
 
 func (c GlobalConfig) guardFrac() float64 {
@@ -142,7 +144,7 @@ type GlobalStats struct {
 	ScrapeFailures int
 	GrantFailures  int
 	// Rehydrations counts interval-counter recoveries from a majority
-	// of shard scrapes (one per clock-mode apportioner (re)start).
+	// of shard scrapes (one per apportioner (re)start).
 	Rehydrations int
 }
 
@@ -174,9 +176,9 @@ type GlobalStepResult struct {
 	ScrapeErrs int
 	GrantErrs  int
 	// Iv is the global protocol-clock interval this step's grants were
-	// minted under (0 in wall/trace-second lease mode).
+	// minted under (0 on observe and rehydrating intervals).
 	Iv uint64
-	// Rehydrating reports that a leading clock-mode apportioner skipped
+	// Rehydrating reports that a leading apportioner skipped
 	// granting because its interval counter is not yet recovered from a
 	// majority of shard scrapes.
 	Rehydrating bool
@@ -212,7 +214,7 @@ type Global struct {
 	// rewinds iv, which is what keeps interval numbers unique for the
 	// apportioner's lifetime.
 	iv atomic.Uint64
-	// rehydrated gates granting in clock mode: a restarted apportioner
+	// rehydrated gates granting: a restarted apportioner
 	// refuses to mint intervals until a majority of shard scrapes have
 	// answered, so it adopts an interval counter at least as high as
 	// any its predecessor's grants reached.
@@ -236,20 +238,16 @@ func NewGlobal(cfg GlobalConfig) (*Global, error) {
 		}
 		seen[ref.ID] = true
 	}
-	if cfg.LeaseS < 0 || !finite(cfg.LeaseS) {
-		return nil, fmt.Errorf("ctrlplane: shard budget lease %g s", cfg.LeaseS)
-	}
 	if cfg.LeaseIv < 0 {
 		return nil, fmt.Errorf("ctrlplane: shard budget lease %d intervals", cfg.LeaseIv)
 	}
-	if cfg.LeaseIv > 0 && (!finite(cfg.IntervalS) || cfg.IntervalS <= 0) {
-		return nil, fmt.Errorf("ctrlplane: interval leases need a positive interval length, got %g s", cfg.IntervalS)
+	if !finite(cfg.IntervalS) || cfg.IntervalS <= 0 {
+		return nil, fmt.Errorf("ctrlplane: global apportioner needs IntervalS > 0, got %g s", cfg.IntervalS)
 	}
 	tel := newCtrlTel(cfg.Telemetry)
 	g := &Global{
-		cfg:        cfg,
-		tel:        tel,
-		rehydrated: cfg.LeaseIv == 0,
+		cfg: cfg,
+		tel: tel,
 		client: newRPCClient(Config{
 			RPCTimeout:  cfg.RPCTimeout,
 			Retries:     cfg.Retries,
@@ -400,45 +398,43 @@ func (g *Global) step(ctx context.Context, t, capW float64, lead bool) (GlobalSt
 	// sequence any shard has seen, and rehydrate the counter from a
 	// majority of scrapes after a restart. Runs while observing too, so
 	// a warm standby is already rehydrated when promoted.
-	if g.cfg.LeaseIv > 0 {
-		scrapedOK := 0
-		cur := g.iv.Load()
-		for i := range g.shards {
-			rep := reports[i]
-			if rep == nil {
-				continue
-			}
-			scrapedOK++
-			if rep.GIv > g.maxSeenIv {
-				g.maxSeenIv = rep.GIv
-			}
-			if rep.GEpoch == epoch && rep.GSeq > g.maxSeenSeq {
-				g.maxSeenSeq = rep.GSeq
-			}
-			if g.tel.enabled {
-				var lag float64
-				if cur > rep.GIv {
-					lag = float64(cur - rep.GIv)
-				}
-				g.tel.clockSkewIv.With("shard-" + strconv.Itoa(i)).Set(lag)
-			}
+	scrapedOK := 0
+	cur := g.iv.Load()
+	for i := range g.shards {
+		rep := reports[i]
+		if rep == nil {
+			continue
 		}
-		// Track the fleet's echo continuously (see Coordinator.step): a
-		// warm standby apportioner follows the leader's mints interval
-		// by interval, so promotion never re-issues one.
-		if g.maxSeenIv > g.iv.Load() {
-			g.iv.Store(g.maxSeenIv)
+		scrapedOK++
+		if rep.GIv > g.maxSeenIv {
+			g.maxSeenIv = rep.GIv
 		}
-		if !g.rehydrated && scrapedOK >= len(g.shards)/2+1 {
-			if g.maxSeenSeq > g.seq {
-				g.seq = g.maxSeenSeq
+		if rep.GEpoch == epoch && rep.GSeq > g.maxSeenSeq {
+			g.maxSeenSeq = rep.GSeq
+		}
+		if g.tel.enabled {
+			var lag float64
+			if cur > rep.GIv {
+				lag = float64(cur - rep.GIv)
 			}
-			g.rehydrated = true
-			g.stats.Rehydrations++
-			g.tel.rehydrations.Inc()
-			g.flog.Append(faults.Event{T: t, Kind: "clock-rehydrate", Target: "global",
-				Detail: fmt.Sprintf("interval counter recovered from %d/%d shards: iv=%d seq=%d", scrapedOK, len(g.shards), g.iv.Load(), g.seq)})
+			g.tel.clockSkewIv.With("shard-" + strconv.Itoa(i)).Set(lag)
 		}
+	}
+	// Track the fleet's echo continuously (see Coordinator.step): a
+	// warm standby apportioner follows the leader's mints interval
+	// by interval, so promotion never re-issues one.
+	if g.maxSeenIv > g.iv.Load() {
+		g.iv.Store(g.maxSeenIv)
+	}
+	if !g.rehydrated && scrapedOK >= len(g.shards)/2+1 {
+		if g.maxSeenSeq > g.seq {
+			g.seq = g.maxSeenSeq
+		}
+		g.rehydrated = true
+		g.stats.Rehydrations++
+		g.tel.rehydrations.Inc()
+		g.flog.Append(faults.Event{T: t, Kind: "clock-rehydrate", Target: "global",
+			Detail: fmt.Sprintf("interval counter recovered from %d/%d shards: iv=%d seq=%d", scrapedOK, len(g.shards), g.iv.Load(), g.seq)})
 	}
 
 	// Phase 2 — shard membership: expire after MissK consecutive
@@ -554,19 +550,13 @@ func (g *Global) step(ctx context.Context, t, capW float64, lead bool) (GlobalSt
 	}
 
 	// Phase 4 — fan the grants out (leader only).
-	if !lead {
-		res.Deposed = g.seenEpoch.Load() > epoch
-		g.stats.Observes++
-		g.tel.noteGlobalStep(res)
-		return res, nil
-	}
-	if !g.rehydrated {
-		// A leading clock-mode apportioner that has not recovered its
-		// interval counter from a shard majority must not mint: a lower
-		// counter would duplicate interval numbers its predecessor's
-		// grants already carry. Shards keep enforcing (and aging) their
-		// last budgets, so skipping the grant round is safe.
-		res.Rehydrating = true
+	if !lead || !g.rehydrated {
+		// A leading apportioner that has not recovered its interval
+		// counter from a shard majority must not mint: a lower counter
+		// would duplicate interval numbers its predecessor's grants
+		// already carry. Shards keep enforcing (and aging) their last
+		// budgets, so skipping the grant round is safe.
+		res.Rehydrating = lead
 		res.Deposed = g.seenEpoch.Load() > epoch
 		g.stats.Observes++
 		g.tel.noteGlobalStep(res)
@@ -574,19 +564,13 @@ func (g *Global) step(ctx context.Context, t, capW float64, lead bool) (GlobalSt
 	}
 	g.seq++
 	seq := g.seq
-	var mintIv, leaseIv uint64
-	var ivS float64
-	if g.cfg.LeaseIv > 0 {
-		mintIv = g.iv.Add(1)
-		leaseIv = uint64(g.cfg.LeaseIv)
-		ivS = g.cfg.IntervalS
-		res.Iv = mintIv
-	}
+	mintIv, leaseIv, ivS := g.iv.Add(1), g.cfg.leaseIv(), g.cfg.IntervalS
+	res.Iv = mintIv
 	fanOut(ctx, len(aliveIdx), g.cfg.maxInFlight(), func(k int) {
 		i := aliveIdx[k]
 		s := g.shards[i]
 		req := ShardBudgetRequest{V: ProtocolV, Epoch: epoch, Seq: seq, Shard: s.ref.ID,
-			T: t, CapW: res.Budgets[i], LeaseS: g.cfg.LeaseS,
+			T: t, CapW: res.Budgets[i],
 			Iv: mintIv, LeaseIv: leaseIv, IvS: ivS}
 		// Grant to the whole coordinator set, not just the leader —
 		// the trunk mirror of agents announcing to every coordinator. A

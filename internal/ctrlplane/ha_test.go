@@ -102,8 +102,9 @@ func TestHAFailoverSoak(t *testing.T) {
 		// The lease equals the control interval: the longest lease that
 		// still guarantees the cap structurally, and what bounds the
 		// failover blackout to one interval of fenced (zero-draw) fleet.
-		LeaseS: interval,
-		Seed:   7,
+		LeaseIv:   1,
+		IntervalS: interval,
+		Seed:      7,
 	})
 
 	leadEpochs := make(map[uint64]string) // epoch → coordinator that granted under it
@@ -232,7 +233,7 @@ func TestSplitBrainEpochFencing(t *testing.T) {
 	}
 	defer flt.Close()
 	mk := func() *Coordinator {
-		c, err := New(Config{Agents: flt.Refs(), Strategy: StrategyEqual, LeaseS: interval})
+		c, err := New(Config{Agents: flt.Refs(), Strategy: StrategyEqual, LeaseIv: 1, IntervalS: interval})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,8 +328,9 @@ func TestClockSkewTakeover(t *testing.T) {
 	store := NewMemElection()
 	ttl := time.Duration(1.5 * interval * float64(time.Second))
 	a, b, clkA, clkB := haPair(t, flt.Refs(), store, ttl, Config{
-		Strategy: StrategyEqual,
-		LeaseS:   interval,
+		Strategy:  StrategyEqual,
+		LeaseIv:   1,
+		IntervalS: interval,
 	})
 	skew := 2 * ttl
 
@@ -411,7 +413,7 @@ func TestPartitionedLeaderKeepsCapSafe(t *testing.T) {
 	ttl := time.Duration(1.5 * interval * float64(time.Second))
 
 	coordA, err := New(Config{
-		Agents: refs, Strategy: StrategyEqual, LeaseS: interval,
+		Agents: refs, Strategy: StrategyEqual, LeaseIv: 1, IntervalS: interval,
 		MissK: 2, Retries: 0, RPCTimeout: 200 * time.Millisecond,
 		Transport: net,
 	})
@@ -423,7 +425,7 @@ func TestPartitionedLeaderKeepsCapSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coordB, err := New(Config{Agents: refs, Strategy: StrategyEqual, LeaseS: interval})
+	coordB, err := New(Config{Agents: refs, Strategy: StrategyEqual, LeaseIv: 1, IntervalS: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +541,7 @@ func TestStorePartitionFailsOver(t *testing.T) {
 	ttl := time.Duration(1.5 * interval * float64(time.Second))
 
 	mk := func(id string, e Election) (*HA, *fakeClock) {
-		c, err := New(Config{Agents: flt.Refs(), Strategy: StrategyEqual, LeaseS: interval})
+		c, err := New(Config{Agents: flt.Refs(), Strategy: StrategyEqual, LeaseIv: 1, IntervalS: interval})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,7 +611,7 @@ func TestRegisterGrowsFleet(t *testing.T) {
 	defer flt.Close()
 	refs := flt.Refs()
 
-	coord, err := New(Config{Agents: refs[:2], Dynamic: true, Strategy: StrategyEqual, LeaseS: interval})
+	coord, err := New(Config{Agents: refs[:2], Dynamic: true, Strategy: StrategyEqual, LeaseIv: 1, IntervalS: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +685,7 @@ func TestRegisterGrowsFleet(t *testing.T) {
 	}
 
 	// A static fleet refuses registrations.
-	static, err := New(Config{Agents: refs[:2], Strategy: StrategyEqual, LeaseS: interval})
+	static, err := New(Config{Agents: refs[:2], Strategy: StrategyEqual, LeaseIv: 1, IntervalS: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,7 +711,7 @@ func TestAnnounceReachesEveryCoordinator(t *testing.T) {
 	refs := flt.Refs()
 
 	mk := func() (*Coordinator, *httptest.Server) {
-		c, err := New(Config{Agents: refs[:1], Dynamic: true, Strategy: StrategyEqual, LeaseS: interval})
+		c, err := New(Config{Agents: refs[:1], Dynamic: true, Strategy: StrategyEqual, LeaseIv: 1, IntervalS: interval})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -775,7 +777,8 @@ func TestRenewalUnderDelayDuplication(t *testing.T) {
 		Strategy: StrategyEqual,
 		// A lease spanning two intervals plus slack: the steady state
 		// is renewals, which is the path under test.
-		LeaseS:    2.5 * interval,
+		LeaseIv:   3,
+		IntervalS: interval,
 		Transport: net,
 		Seed:      5,
 	})
@@ -823,7 +826,8 @@ func TestAgentEpochFencingRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	grant := func(epoch, seq uint64, t6, capW float64) AssignResponse {
-		resp, err := a.Assign(AssignRequest{V: ProtocolV, Epoch: epoch, Seq: seq, Server: 0, T: t6, CapW: capW, LeaseS: 100})
+		resp, err := a.Assign(AssignRequest{V: ProtocolV, Epoch: epoch, Seq: seq, Server: 0, T: t6, CapW: capW,
+			Iv: uint64(t6/10) + 1, LeaseIv: 10, IvS: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -861,29 +865,31 @@ func TestAgentEpochFencingRules(t *testing.T) {
 	// epoch's renewal is refused (and counted); a FUTURE epoch's
 	// renewal — a new leader renewing before its first assign — must
 	// not extend a lease it never granted, though it is not an error.
-	if resp, err := a.Renew(LeaseRequest{V: ProtocolV, Epoch: 1, Server: 0, T: 30, LeaseS: 100}); err != nil || resp.Epoch != 2 {
-		t.Fatalf("old-epoch renewal: %+v %v", resp, err)
+	// Renewals, like the grants above, are minted one interval per 10 s
+	// of trace time with a 10-interval lease.
+	renewAt := func(epoch uint64, t6 float64) LeaseResponse {
+		resp, err := a.Renew(LeaseRequest{V: ProtocolV, Epoch: epoch, Server: 0, T: t6,
+			Iv: uint64(t6/10) + 1, LeaseIv: 10, IvS: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := renewAt(1, 30); resp.Epoch != 2 {
+		t.Fatalf("old-epoch renewal: %+v", resp)
 	}
 	if a.EpochDrops() != 2 {
 		t.Fatalf("old-epoch renewal not counted: %d", a.EpochDrops())
 	}
-	before, err := a.Renew(LeaseRequest{V: ProtocolV, Epoch: 2, Server: 0, T: 40, LeaseS: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := a.Renew(LeaseRequest{V: ProtocolV, Epoch: 3, Server: 0, T: 90, LeaseS: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.ExpiresT != before.ExpiresT {
-		t.Fatalf("a future epoch's renewal moved the lease: %g → %g", before.ExpiresT, after.ExpiresT)
+	before := renewAt(2, 40)
+	after := renewAt(3, 90)
+	if before.ExpiresIv == 0 || after.ExpiresIv != before.ExpiresIv {
+		t.Fatalf("a future epoch's renewal moved the lease: interval %d → %d", before.ExpiresIv, after.ExpiresIv)
 	}
 
-	// A reordered renewal carrying an older T must not pull the lease
-	// backward (it would spuriously fence the agent).
-	if _, err := a.Renew(LeaseRequest{V: ProtocolV, Epoch: 2, Server: 0, T: 35, LeaseS: 100}); err != nil {
-		t.Fatal(err)
-	}
+	// A reordered renewal minted in an older interval must not pull the
+	// lease backward (it would spuriously fence the agent).
+	renewAt(2, 35)
 	if err := a.Tick(139); err != nil {
 		t.Fatal(err)
 	}

@@ -128,10 +128,6 @@ type TwoTierOptions struct {
 	// ClusterCapW defaults to 52 W per agent — between the 45 W idle
 	// floor and the 61 W nameplate, so the cap binds.
 	ClusterCapW float64
-	// AgentLeaseS is the draw lease shard coordinators grant (default
-	// 2 intervals); the shard budget lease is 3 intervals and the
-	// reclaim window covers both.
-	AgentLeaseS float64
 	Seed        int64
 	// KillLeaderStep, when > 0, crashes the leading coordinator node of
 	// KillShard at the start of that interval (1-based): the shard's
@@ -147,16 +143,16 @@ type TwoTierOptions struct {
 	// must move headroom toward it.
 	SaturateStep  int
 	SaturateShard int
-	// LeaseIv, when > 0, switches both tiers to protocol-clock leases:
-	// shard coordinators grant agent leases of LeaseIv of their own
-	// intervals, the global grants shard budget leases of LeaseIv+1
-	// global intervals, and everything ages at IntervalS.
+	// LeaseIv is the draw lease shard coordinators grant, in their own
+	// intervals (default 2); the global grants shard budget leases of
+	// LeaseIv+1 global intervals, the reclaim window covers both, and
+	// everything ages at IntervalS.
 	LeaseIv int
 	// RestartGlobalStep, when > 0, discards the global apportioner at
 	// the start of that interval (1-based) and boots a fresh one with a
-	// zero interval counter: in clock mode it must rehydrate from a
-	// shard majority before it may grant again, and the intervals it
-	// then mints must never duplicate its predecessor's.
+	// zero interval counter: it must rehydrate from a shard majority
+	// before it may grant again, and the intervals it then mints must
+	// never duplicate its predecessor's.
 	RestartGlobalStep int
 }
 
@@ -170,8 +166,8 @@ func (o *TwoTierOptions) defaults() error {
 	if o.ClusterCapW <= 0 {
 		o.ClusterCapW = 52 * float64(o.Shards*o.AgentsPerShard)
 	}
-	if o.AgentLeaseS <= 0 {
-		o.AgentLeaseS = 2 * o.IntervalS
+	if o.LeaseIv <= 0 {
+		o.LeaseIv = 2
 	}
 	if o.KillShard < 0 || o.KillShard >= o.Shards || o.SaturateShard < 0 || o.SaturateShard >= o.Shards {
 		return fmt.Errorf("ctrlplane: drill shard target out of range")
@@ -281,7 +277,6 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 				Agents:    agentRefs,
 				Strategy:  StrategyUtility,
 				FloorW:    45,
-				LeaseS:    opts.AgentLeaseS,
 				LeaseIv:   opts.LeaseIv,
 				IntervalS: opts.IntervalS,
 				Seed:      opts.Seed + int64(s*2+r),
@@ -313,15 +308,13 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 		refs[s] = ref
 	}
 
+	// The default reclaim window is the budget lease, LeaseIv+1
+	// intervals: it covers the agents' own LeaseIv-interval leases.
 	gcfg := GlobalConfig{
-		Shards:   refs,
-		LeaseS:   3 * opts.IntervalS,
-		ReclaimS: opts.AgentLeaseS + opts.IntervalS,
-		Seed:     opts.Seed,
-	}
-	if opts.LeaseIv > 0 {
-		gcfg.LeaseIv = opts.LeaseIv + 1
-		gcfg.IntervalS = opts.IntervalS
+		Shards:    refs,
+		LeaseIv:   opts.LeaseIv + 1,
+		IntervalS: opts.IntervalS,
+		Seed:      opts.Seed,
 	}
 	global, err := NewGlobal(gcfg)
 	if err != nil {
@@ -392,7 +385,7 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 		}
 		wall := time.Since(start)
 		if gres.Iv > 0 {
-			// Interval-number uniqueness across the restart: a duplicate
+			// Interval-number uniqueness across a restart: a duplicate
 			// would let two different budget fan-outs share one lease
 			// window.
 			if gres.Iv <= lastGIv {

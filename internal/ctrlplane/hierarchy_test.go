@@ -200,7 +200,7 @@ func TestShardBudgetFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: srv.URL()}}, LeaseS: 600})
+	coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: srv.URL()}}, IntervalS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,8 @@ func TestShardBudgetFencing(t *testing.T) {
 
 	grant := func(epoch, seq uint64, capW float64) ShardBudgetResponse {
 		resp, err := sc.ApplyBudget(ShardBudgetRequest{
-			V: ProtocolV, Epoch: epoch, Seq: seq, Shard: 4, T: 300, CapW: capW, LeaseS: 900,
+			V: ProtocolV, Epoch: epoch, Seq: seq, Shard: 4, T: 300, CapW: capW,
+			Iv: seq, LeaseIv: 3, IvS: 300,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +245,7 @@ func TestShardBudgetFencing(t *testing.T) {
 	}
 
 	// A mismatched shard id is an error, not a silent ack.
-	if _, err := sc.ApplyBudget(ShardBudgetRequest{V: ProtocolV, Epoch: 9, Seq: 9, Shard: 0, T: 1, CapW: 1, LeaseS: 1}); err == nil {
+	if _, err := sc.ApplyBudget(ShardBudgetRequest{V: ProtocolV, Epoch: 9, Seq: 9, Shard: 0, T: 1, CapW: 1, Iv: 9, LeaseIv: 1, IvS: 1}); err == nil {
 		t.Fatal("grant for another shard accepted")
 	}
 	// Report before the first step is refused (nothing to summarize).
@@ -266,7 +267,7 @@ func TestShardBudgetLeaseLapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: srv.URL()}}, LeaseS: 6000})
+	coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: srv.URL()}}, LeaseIv: 20, IntervalS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestShardBudgetLeaseLapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.ApplyBudget(ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 1, Shard: 0, T: 300, CapW: 90, LeaseS: 600}); err != nil {
+	if _, err := sc.ApplyBudget(ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 1, Shard: 0, T: 300, CapW: 90, Iv: 1, LeaseIv: 2, IvS: 300}); err != nil {
 		t.Fatal(err)
 	}
 	ctx := t.Context()
@@ -285,7 +286,8 @@ func TestShardBudgetLeaseLapse(t *testing.T) {
 	if sc.Starved() {
 		t.Fatal("starved inside the lease window")
 	}
-	// Past T+LeaseS with no fresh grant: starved, budget held.
+	// Two whole intervals past the grant with no fresh one: starved,
+	// budget held.
 	if _, err := sc.Step(ctx, 1200); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +305,7 @@ func TestShardBudgetLeaseLapse(t *testing.T) {
 		t.Fatal("trunk report does not carry the starved flag")
 	}
 	// A fresh grant clears starvation.
-	if _, err := sc.ApplyBudget(ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 2, Shard: 0, T: 1200, CapW: 95, LeaseS: 600}); err != nil {
+	if _, err := sc.ApplyBudget(ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 2, Shard: 0, T: 1200, CapW: 95, Iv: 4, LeaseIv: 2, IvS: 300}); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Starved() || sc.BudgetW() != 95 {

@@ -94,7 +94,7 @@ func TestLearningProbeNoFlapWithinInterval(t *testing.T) {
 		t.Fatal("agent with Learn config reports Learning() == false")
 	}
 	_, err = a.Assign(AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0,
-		CapW: 600, LeaseS: 600, Iv: 1, LeaseIv: 2, IvS: 300})
+		CapW: 600, Iv: 1, LeaseIv: 2, IvS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

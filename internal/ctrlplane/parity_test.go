@@ -70,11 +70,10 @@ func TestCtrlPlaneParity(t *testing.T) {
 			}
 			defer flt.Close()
 			coord, err := New(Config{
-				Agents:   flt.Refs(),
-				Strategy: strat,
-				// Half the control interval: renewed leases never sit on
-				// the t == lastGrant+leaseS float-equality edge.
-				LeaseS: 150,
+				Agents:    flt.Refs(),
+				Strategy:  strat,
+				LeaseIv:   1,
+				IntervalS: 300,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -150,9 +149,10 @@ func TestDropoutLeaseExpiryParity(t *testing.T) {
 			refs := flt.Refs()
 			lostHost := refs[lost].URL[len("http://"):]
 			coord, err := New(Config{
-				Agents:   refs,
-				Strategy: strat,
-				LeaseS:   150,
+				Agents:    refs,
+				Strategy:  strat,
+				LeaseIv:   1,
+				IntervalS: 300,
 				// One missed scrape expires the membership lease, so the
 				// re-apportioning lands in the same control interval as
 				// the outage — the simulation's dropout detection is
@@ -208,7 +208,7 @@ func TestCoordinatorRenewsUnchangedBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer flt.Close()
-	coord, err := New(Config{Agents: flt.Refs(), Strategy: StrategyEqual, LeaseS: 700})
+	coord, err := New(Config{Agents: flt.Refs(), Strategy: StrategyEqual, LeaseIv: 3, IntervalS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,12 +66,12 @@ func TestVoterHandlerRejectsBadTraffic(t *testing.T) {
 	for _, body := range []string{
 		``,
 		`{`,
-		`{"v":2,"phase":"prepare","ballot":0}`,
-		`{"v":2,"phase":"veto","ballot":1}`,
-		`{"v":2,"phase":"prepare","ballot":1,"term":{"epoch":1,"leader":"x"}}`,
-		`{"v":2,"phase":"accept","ballot":1}`,
-		`{"v":2,"phase":"accept","ballot":1,"term":{"epoch":0,"leader":"x"}}`,
-		`{"v":2,"phase":"prepare","ballot":1,"bogus":true}`,
+		`{"v":3,"phase":"prepare","ballot":0}`,
+		`{"v":3,"phase":"veto","ballot":1}`,
+		`{"v":3,"phase":"prepare","ballot":1,"term":{"epoch":1,"leader":"x"}}`,
+		`{"v":3,"phase":"accept","ballot":1}`,
+		`{"v":3,"phase":"accept","ballot":1,"term":{"epoch":0,"leader":"x"}}`,
+		`{"v":3,"phase":"prepare","ballot":1,"bogus":true}`,
 	} {
 		resp, err := http.Post(srv.URL+PathVote, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -244,7 +244,7 @@ func TestQuorumFailoverSoak(t *testing.T) {
 	has := make([]*HA, len(ids))
 	clks := make([]*fakeClock, len(ids))
 	for i, id := range ids {
-		coord, err := New(Config{Agents: flt.Refs(), Strategy: StrategyUtility, LeaseS: interval, Seed: 7})
+		coord, err := New(Config{Agents: flt.Refs(), Strategy: StrategyUtility, LeaseIv: 1, IntervalS: interval, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,32 +54,23 @@ type ShardCoordinator struct {
 	ha  *HA
 
 	mu sync.Mutex
-	// budgetW is the shard budget in force; budgetExpiry is the trace
-	// time it lapses (0: non-lapsing). Past expiry the shard holds the
-	// budget — never grows it — and reports itself starved; this is
-	// cap-safe because the silent global has reserved the shard's last
-	// grant until its reclaim window passes.
-	budgetW      float64
-	budgetExpiry float64
-	starved      bool
+	// budgetW is the shard budget in force. Once its lease lapses the
+	// shard holds the budget — never grows it — and reports itself
+	// starved; this is cap-safe because the silent global has reserved
+	// the shard's last grant until its reclaim window passes. The
+	// bootstrap budget, granted by nobody, carries no lease.
+	budgetW float64
+	starved bool
 	// lastEpoch/lastSeq fence budget grants: the shard's mirror of
 	// Agent.Assign's (epoch, seq) ledger, holding the GLOBAL epoch.
 	lastEpoch uint64
 	lastSeq   uint64
-	// Global protocol-clock state, the shard's mirror of the agent's:
-	// gGrantIv/gLeaseIv/gIvS are the in-force budget grant's clock
-	// triple (the budget starves once the effective global interval
-	// reaches gGrantIv+gLeaseIv); lastGIv/lastGIvT track the highest
-	// global interval observed from any trunk scrape or grant, anchored
-	// on the shard clock so the effective interval keeps counting when
-	// the global stalls.
-	gGrantIv uint64
-	gLeaseIv uint64
-	gIvS     float64
-	lastGIv  uint64
-	lastGIvT float64
-	stepped  bool
-	report   ShardReport
+	// clk is the budget lease and the shard's reading of the global
+	// protocol clock, fed by trunk scrapes and grants and read at the
+	// shard's own step time.
+	clk     leaseClock
+	stepped bool
+	report  ShardReport
 }
 
 // NewShardCoordinator wraps a coordinator as one shard of the tree.
@@ -134,18 +125,7 @@ func (s *ShardCoordinator) Starved() bool {
 // refresh the trunk report snapshot from the post-step member state.
 func (s *ShardCoordinator) Step(ctx context.Context, t float64) (StepResult, error) {
 	s.mu.Lock()
-	if s.gLeaseIv > 0 && s.gIvS > 0 {
-		// Interval budget lease: starve once the effective global
-		// interval — last observed, aged by the shard clock at the
-		// nominal interval length — reaches the grant's boundary.
-		eff := s.lastGIv
-		if dt := t - s.lastGIvT; dt > 0 {
-			eff += uint64(dt / s.gIvS)
-		}
-		if eff >= s.gGrantIv+s.gLeaseIv && !s.starved {
-			s.starved = true
-		}
-	} else if s.budgetExpiry > 0 && t > s.budgetExpiry && !s.starved {
+	if s.clk.lapsed(t) {
 		// The budget lease lapsed without a fresh grant: hold the last
 		// budget (never grow it) and say so in the next report.
 		s.starved = true
@@ -246,19 +226,10 @@ func (s *ShardCoordinator) refreshReport(t, budget float64) {
 	rep.Starved = s.starved
 	rep.GEpoch = s.lastEpoch
 	rep.GSeq = s.lastSeq
-	rep.GIv = s.lastGIv
+	rep.GIv = s.clk.seenIv
 	s.report = rep
 	s.stepped = true
 	s.mu.Unlock()
-}
-
-// noteGIvLocked folds one observed global interval into the shard's
-// protocol clock, anchored at shard time t.
-func (s *ShardCoordinator) noteGIvLocked(iv uint64, t float64) {
-	if iv > s.lastGIv {
-		s.lastGIv = iv
-		s.lastGIvT = t
-	}
 }
 
 // Report answers the global apportioner's trunk scrape with the last
@@ -275,14 +246,14 @@ func (s *ShardCoordinator) Report(req ShardReportRequest) (ShardReport, error) {
 	defer s.mu.Unlock()
 	// The trunk scrape broadcasts the global clock even when the grant
 	// deadband skips a re-grant, so the shard keeps counting intervals.
-	if req.Iv > 0 && req.HasT {
-		s.noteGIvLocked(req.Iv, req.T)
+	if req.HasT {
+		s.clk.observe(req.Iv, s.clk.ivS, req.T)
 	}
 	if !s.stepped {
 		return ShardReport{}, fmt.Errorf("ctrlplane: shard %d has not completed a control interval yet", s.cfg.Shard)
 	}
 	rep := s.report
-	rep.GIv = s.lastGIv
+	rep.GIv = s.clk.seenIv
 	return rep, nil
 }
 
@@ -302,19 +273,15 @@ func (s *ShardCoordinator) ApplyBudget(req ShardBudgetRequest) (ShardBudgetRespo
 	defer s.mu.Unlock()
 	resp := ShardBudgetResponse{V: ProtocolV, Shard: s.cfg.Shard}
 	if req.Epoch < s.lastEpoch || (req.Epoch == s.lastEpoch && req.Seq <= s.lastSeq) {
-		resp.Epoch, resp.Seq, resp.CapW, resp.Iv = s.lastEpoch, s.lastSeq, s.budgetW, s.lastGIv
+		resp.Epoch, resp.Seq, resp.CapW, resp.Iv = s.lastEpoch, s.lastSeq, s.budgetW, s.clk.seenIv
 		return resp, nil
 	}
 	s.lastEpoch, s.lastSeq = req.Epoch, req.Seq
 	s.budgetW = req.CapW
-	s.budgetExpiry = 0
-	if req.LeaseS > 0 {
-		s.budgetExpiry = req.T + req.LeaseS
-	}
-	s.noteGIvLocked(req.Iv, req.T)
-	s.gGrantIv, s.gLeaseIv, s.gIvS = req.Iv, req.LeaseIv, req.IvS
+	s.clk.observe(req.Iv, req.IvS, req.T)
+	s.clk.grant(req.Iv, req.LeaseIv, req.IvS)
 	s.starved = false
-	resp.Epoch, resp.Seq, resp.Applied, resp.CapW, resp.Iv = req.Epoch, req.Seq, true, req.CapW, s.lastGIv
+	resp.Epoch, resp.Seq, resp.Applied, resp.CapW, resp.Iv = req.Epoch, req.Seq, true, req.CapW, s.clk.seenIv
 	return resp, nil
 }
 

@@ -109,7 +109,7 @@ type ShardReportRequest struct {
 	T     float64 `json:"t"`
 	HasT  bool    `json:"hasT,omitempty"`
 	// Iv broadcasts the global protocol clock on every trunk scrape (0
-	// when the global runs clockless). Scrapes reach every shard each
+	// before the global's first mint). Scrapes reach every shard each
 	// interval even when the grant deadband skips a re-grant, so the
 	// shard's clock keeps advancing.
 	Iv uint64 `json:"iv,omitempty"`
@@ -142,16 +142,13 @@ type ShardBudgetRequest struct {
 	Shard int     `json:"shard"`
 	T     float64 `json:"t"`
 	CapW  float64 `json:"capW"`
-	// LeaseS is the budget lease: past it the shard holds its last
-	// budget and reports itself starved. Zero grants a non-lapsing
-	// budget.
-	LeaseS float64 `json:"leaseS"`
 	// Iv/LeaseIv/IvS mirror AssignRequest's protocol-clock triple: the
 	// shard's budget lease lapses once its effective global interval
-	// reaches Iv+LeaseIv, instead of at T+LeaseS.
-	Iv      uint64  `json:"iv,omitempty"`
-	LeaseIv uint64  `json:"leaseIv,omitempty"`
-	IvS     float64 `json:"ivS,omitempty"`
+	// reaches Iv+LeaseIv; past that the shard holds its last budget and
+	// reports itself starved.
+	Iv      uint64  `json:"iv"`
+	LeaseIv uint64  `json:"leaseIv"`
+	IvS     float64 `json:"ivS"`
 }
 
 // Validate enforces the budget-grant invariants.
@@ -174,9 +171,6 @@ func (r ShardBudgetRequest) Validate() error {
 	if !finite(r.CapW) || r.CapW < 0 {
 		return fmt.Errorf("ctrlplane: shard budget cap %g W", r.CapW)
 	}
-	if !finite(r.LeaseS) || r.LeaseS < 0 {
-		return fmt.Errorf("ctrlplane: shard budget lease %g s", r.LeaseS)
-	}
 	if err := validateClockFields(r.Iv, r.LeaseIv, r.IvS); err != nil {
 		return fmt.Errorf("ctrlplane: shard budget %w", err)
 	}
@@ -196,6 +190,6 @@ type ShardBudgetResponse struct {
 	Applied bool    `json:"applied"`
 	CapW    float64 `json:"capW"`
 	// Iv is the highest global protocol-clock interval the shard has
-	// observed (0 while clockless).
+	// observed.
 	Iv uint64 `json:"iv,omitempty"`
 }

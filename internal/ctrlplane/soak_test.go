@@ -50,7 +50,8 @@ func TestCtrlPlaneSoak(t *testing.T) {
 				Strategy: StrategyUtility,
 				// The lease equals the control interval — the longest
 				// lease that still guarantees the cap invariant.
-				LeaseS:      interval,
+				LeaseIv:     1,
+				IntervalS:   interval,
 				MissK:       2,
 				RPCTimeout:  250 * time.Millisecond,
 				Retries:     1,

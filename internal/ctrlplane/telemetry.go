@@ -106,7 +106,7 @@ func newCtrlTel(h *telemetry.Hub) *ctrlTel {
 		clockSkewIv: reg.GaugeVec("ps_ctrl_clock_skew_intervals",
 			"Per-member protocol-clock lag at the last scrape: coordinator interval counter minus the member's observed interval (the old fleet max is max() over the series; shard members are labeled shard-N).", "member"),
 		rehydrations: reg.Counter("ps_ctrl_restart_rehydrations_total",
-			"Interval-counter rehydrations from a majority of agent scrapes (one per clock-mode coordinator (re)start)."),
+			"Interval-counter rehydrations from a majority of agent scrapes (one per coordinator (re)start)."),
 		wireFrames: reg.CounterVec("ps_ctrl_wire_frames_total",
 			"Wire messages by transport and direction.", "transport", "dir"),
 		wireBytes: reg.CounterVec("ps_ctrl_wire_bytes_total",

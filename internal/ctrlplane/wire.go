@@ -15,8 +15,10 @@ import (
 // anything else, so a mixed-version fleet fails loudly instead of
 // misinterpreting budgets. v2 added coordinator epochs (leader-election
 // fencing) and agent registration; the strict decoders mean a v1 peer
-// rejects the new fields rather than silently ignoring them.
-const ProtocolV = 2
+// rejects the new fields rather than silently ignoring them. v3 made
+// the protocol clock the only lease: grants lost their seconds lease
+// and LeaseResponse reports the lapse boundary in intervals.
+const ProtocolV = 3
 
 // Agent endpoint paths.
 const (
@@ -53,8 +55,9 @@ const (
 const maxBodyBytes = 1 << 20
 
 // AssignRequest grants one server a power budget. The grant is also a
-// lease renewal: the agent may draw up to CapW until T+LeaseS, after
-// which it fences itself.
+// lease renewal: the agent may draw up to CapW until its effective
+// protocol-clock interval reaches Iv+LeaseIv, after which it fences
+// itself.
 type AssignRequest struct {
 	V int `json:"v"`
 	// Epoch is the granting coordinator's leadership epoch. Agents
@@ -68,23 +71,20 @@ type AssignRequest struct {
 	Server int     `json:"server"`
 	T      float64 `json:"t"`
 	CapW   float64 `json:"capW"`
-	// LeaseS extends the agent's draw lease through T+LeaseS. Zero
-	// means the lease never lapses (a daemon configured with its own
-	// wall-clock TTL still applies that).
-	LeaseS float64 `json:"leaseS"`
 	// Iv is the protocol-clock interval this grant was minted in —
-	// the coordinator's (epoch, interval-counter) clock, monotonic
-	// across epochs (docs/WIRE.md §8). Zero means the coordinator runs
-	// without a protocol clock and the lease ages in seconds above.
-	Iv uint64 `json:"iv,omitempty"`
-	// LeaseIv is the lease length in protocol intervals: the lease
-	// lapses once the agent's effective interval reaches Iv+LeaseIv —
-	// identically for trace-replay agents and wall-clock daemons.
-	LeaseIv uint64 `json:"leaseIv,omitempty"`
-	// IvS is the nominal interval length in seconds, which agents use
-	// to age the protocol clock locally when the coordinator stalls
-	// (no new interval observed ⇒ the clock keeps counting at IvS).
-	IvS float64 `json:"ivS,omitempty"`
+	// the coordinator's interval counter, monotonic across epochs and
+	// at least 1.
+	Iv uint64 `json:"iv"`
+	// LeaseIv is the lease length in protocol intervals (at least 1):
+	// the lease lapses once the agent's effective interval reaches
+	// Iv+LeaseIv — identically for trace-replay agents and wall-clock
+	// daemons.
+	LeaseIv uint64 `json:"leaseIv"`
+	// IvS is the nominal interval length in seconds (positive), which
+	// agents use to age the protocol clock locally when the coordinator
+	// stalls (no new interval observed ⇒ the clock keeps counting at
+	// IvS).
+	IvS float64 `json:"ivS"`
 }
 
 // Validate enforces the assign invariants the replay depends on.
@@ -107,28 +107,19 @@ func (r AssignRequest) Validate() error {
 	if !finite(r.CapW) || r.CapW < 0 {
 		return fmt.Errorf("ctrlplane: assign cap %g W", r.CapW)
 	}
-	if !finite(r.LeaseS) || r.LeaseS < 0 {
-		return fmt.Errorf("ctrlplane: assign lease %g s", r.LeaseS)
-	}
 	if err := validateClockFields(r.Iv, r.LeaseIv, r.IvS); err != nil {
 		return fmt.Errorf("ctrlplane: assign %w", err)
 	}
 	return nil
 }
 
-// validateClockFields enforces the protocol-clock triple carried by
-// grants and renewals: the fields travel together (an interval lease
-// needs a mint interval and a nominal interval length to age against),
-// and a clockless message carries all zeros.
+// validateClockFields enforces the protocol-clock triple every grant,
+// renewal and shard budget carries: a mint interval, a lease length in
+// intervals, and a nominal interval length to age the lease against. A
+// message without all three would mint a budget that never lapses.
 func validateClockFields(iv, leaseIv uint64, ivS float64) error {
-	if !finite(ivS) || ivS < 0 {
-		return fmt.Errorf("interval length %g s", ivS)
-	}
-	if leaseIv > 0 && (iv == 0 || ivS <= 0) {
-		return fmt.Errorf("interval lease %d with iv=%d ivS=%g (a protocol-clock lease needs iv >= 1 and ivS > 0)", leaseIv, iv, ivS)
-	}
-	if leaseIv == 0 && (iv != 0 || ivS != 0) {
-		return fmt.Errorf("clock fields iv=%d ivS=%g without an interval lease", iv, ivS)
+	if iv == 0 || leaseIv == 0 || !finite(ivS) || ivS <= 0 {
+		return fmt.Errorf("lease clock iv=%d leaseIv=%d ivS=%g (need iv >= 1, leaseIv >= 1, ivS > 0)", iv, leaseIv, ivS)
 	}
 	return nil
 }
@@ -157,7 +148,7 @@ type AssignResponse struct {
 	// cliffing to the fence cap.
 	SafeMode bool `json:"safeMode,omitempty"`
 	// Iv is the highest protocol-clock interval the agent has observed
-	// (0 while clockless).
+	// (0 before its first grant or renewal).
 	Iv uint64 `json:"iv,omitempty"`
 }
 
@@ -200,9 +191,9 @@ type Report struct {
 	// upgrade can be audited from the coordinator.
 	Version string `json:"version,omitempty"`
 	// Iv is the highest protocol-clock interval the agent has observed
-	// (0 while clockless). A restarting coordinator rehydrates its
-	// interval counter from a majority of these before granting, so a
-	// crash–restart cannot re-issue interval numbers.
+	// (0 before its first grant or renewal). A restarting coordinator
+	// rehydrates its interval counter from a majority of these before
+	// granting, so a crash–restart cannot re-issue interval numbers.
 	Iv uint64 `json:"iv,omitempty"`
 }
 
@@ -262,12 +253,11 @@ type LeaseRequest struct {
 	Epoch  uint64  `json:"epoch"`
 	Server int     `json:"server"`
 	T      float64 `json:"t"`
-	LeaseS float64 `json:"leaseS"`
 	// Iv/LeaseIv/IvS mirror AssignRequest's protocol-clock triple: a
-	// renewal re-anchors the interval lease at the renewing interval.
-	Iv      uint64  `json:"iv,omitempty"`
-	LeaseIv uint64  `json:"leaseIv,omitempty"`
-	IvS     float64 `json:"ivS,omitempty"`
+	// renewal re-anchors the lease at the renewing interval.
+	Iv      uint64  `json:"iv"`
+	LeaseIv uint64  `json:"leaseIv"`
+	IvS     float64 `json:"ivS"`
 }
 
 // Validate enforces the lease-renewal invariants.
@@ -284,9 +274,6 @@ func (r LeaseRequest) Validate() error {
 	if !finite(r.T) || r.T < 0 {
 		return fmt.Errorf("ctrlplane: lease time %g", r.T)
 	}
-	if !finite(r.LeaseS) || r.LeaseS < 0 {
-		return fmt.Errorf("ctrlplane: lease length %g s", r.LeaseS)
-	}
 	if err := validateClockFields(r.Iv, r.LeaseIv, r.IvS); err != nil {
 		return fmt.Errorf("ctrlplane: lease %w", err)
 	}
@@ -301,12 +288,12 @@ type LeaseResponse struct {
 	Epoch  uint64  `json:"epoch"`
 	Server int     `json:"server"`
 	CapW   float64 `json:"capW"`
-	// ExpiresT is the trace time the renewed lease lapses (0 when the
-	// lease never lapses).
-	ExpiresT float64 `json:"expiresT"`
-	Fenced   bool    `json:"fenced"`
-	// Iv is the highest protocol-clock interval the agent has observed
-	// (0 while clockless).
+	// ExpiresIv is the interval at which the in-force lease lapses —
+	// the grant's Iv+LeaseIv as last moved by an accepted renewal — and
+	// 0 while the agent is fenced.
+	ExpiresIv uint64 `json:"expiresIv"`
+	Fenced    bool   `json:"fenced"`
+	// Iv is the highest protocol-clock interval the agent has observed.
 	Iv uint64 `json:"iv,omitempty"`
 }
 
@@ -556,11 +543,6 @@ func DecodeVoteResponse(data []byte) (VoteResponse, error) {
 	}
 	return r, nil
 }
-
-// ReadBody drains a bounded control-plane request or response body —
-// exported so the daemon's /ctrl handlers apply the same bound as the
-// replay agent's.
-func ReadBody(r io.Reader) ([]byte, error) { return readBody(r) }
 
 // readBody drains a bounded request or response body.
 func readBody(r io.Reader) ([]byte, error) {

@@ -9,16 +9,16 @@ import (
 // must never panic, and anything it accepts must satisfy the validated
 // invariants and survive a marshal/decode round trip.
 func FuzzDecodeAssign(f *testing.F) {
-	seed, _ := json.Marshal(AssignRequest{V: ProtocolV, Epoch: 7, Seq: 3, Server: 1, T: 600, CapW: 85.5, LeaseS: 300})
+	seed, _ := json.Marshal(AssignRequest{V: ProtocolV, Epoch: 7, Seq: 3, Server: 1, T: 600, CapW: 85.5, Iv: 12, LeaseIv: 2, IvS: 300})
 	f.Add(seed)
-	f.Add([]byte(`{"v":2,"epoch":1,"seq":1,"server":0,"t":0,"capW":0,"leaseS":0}`))
-	f.Add([]byte(`{"v":2,"epoch":0,"seq":1,"server":0,"t":0,"capW":1,"leaseS":1}`))
-	f.Add([]byte(`{"v":1,"seq":1,"server":0,"t":0,"capW":1,"leaseS":1}`))
-	f.Add([]byte(`{"v":2,"epoch":1,"seq":0,"server":-1,"t":-5,"capW":-1,"leaseS":-1}`))
-	f.Add([]byte(`{"v":2,"epoch":1,"seq":1,"server":0,"t":1e309,"capW":1,"leaseS":1}`))
-	f.Add([]byte(`{"v":2}`))
-	f.Add([]byte(`{"v":2,"epoch":1,"seq":1,"server":0,"t":0,"capW":1,"leaseS":0}{"trailing":1}`))
-	f.Add([]byte(`{"v":2,"unknown":true}`))
+	f.Add([]byte(`{"v":3,"epoch":1,"seq":1,"server":0,"t":0,"capW":0,"iv":1,"leaseIv":0,"ivS":300}`))
+	f.Add([]byte(`{"v":3,"epoch":0,"seq":1,"server":0,"t":0,"capW":1,"iv":1,"leaseIv":1,"ivS":1}`))
+	f.Add([]byte(`{"v":1,"seq":1,"server":0,"t":0,"capW":1,"iv":1,"leaseIv":1,"ivS":1}`))
+	f.Add([]byte(`{"v":3,"epoch":1,"seq":0,"server":-1,"t":-5,"capW":-1,"iv":1,"leaseIv":1,"ivS":-1}`))
+	f.Add([]byte(`{"v":3,"epoch":1,"seq":1,"server":0,"t":1e309,"capW":1,"iv":1,"leaseIv":1,"ivS":1}`))
+	f.Add([]byte(`{"v":3}`))
+	f.Add([]byte(`{"v":3,"epoch":1,"seq":1,"server":0,"t":0,"capW":1,"iv":1,"leaseIv":0,"ivS":300}{"trailing":1}`))
+	f.Add([]byte(`{"v":3,"unknown":true}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -62,10 +62,10 @@ func FuzzDecodeReport(f *testing.F) {
 	f.Add([]byte(`{"v":1,"server":0,"soc":-0.1}`))
 	// Learned-curve meta: valid coverage, out-of-range confidence, and
 	// meta dangling without a curve.
-	f.Add([]byte(`{"v":2,"server":0,"seq":1,"capW":1,"perfN":1,"gridW":1,"soc":0.5,"idleFloorW":1,"nameplateW":2,"utilityCurve":[{"capW":2,"perf":0.1,"gridW":1}],"curveConf":0.5,"curveCells":3}`))
-	f.Add([]byte(`{"v":2,"server":0,"seq":1,"capW":1,"perfN":1,"gridW":1,"soc":0.5,"idleFloorW":1,"nameplateW":2,"utilityCurve":[{"capW":2,"perf":0.1,"gridW":1}],"curveConf":1.5,"curveCells":3}`))
-	f.Add([]byte(`{"v":2,"server":0,"seq":1,"capW":1,"perfN":1,"gridW":1,"soc":0.5,"idleFloorW":1,"nameplateW":2,"curveConf":0.5,"curveCells":3}`))
-	f.Add([]byte(`{"v":2,"server":0,"soc":0.5,"curveCells":-1}`))
+	f.Add([]byte(`{"v":3,"server":0,"seq":1,"capW":1,"perfN":1,"gridW":1,"soc":0.5,"idleFloorW":1,"nameplateW":2,"utilityCurve":[{"capW":2,"perf":0.1,"gridW":1}],"curveConf":0.5,"curveCells":3}`))
+	f.Add([]byte(`{"v":3,"server":0,"seq":1,"capW":1,"perfN":1,"gridW":1,"soc":0.5,"idleFloorW":1,"nameplateW":2,"utilityCurve":[{"capW":2,"perf":0.1,"gridW":1}],"curveConf":1.5,"curveCells":3}`))
+	f.Add([]byte(`{"v":3,"server":0,"seq":1,"capW":1,"perfN":1,"gridW":1,"soc":0.5,"idleFloorW":1,"nameplateW":2,"curveConf":0.5,"curveCells":3}`))
+	f.Add([]byte(`{"v":3,"server":0,"soc":0.5,"curveCells":-1}`))
 	f.Add([]byte(`[]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := DecodeReport(data)
@@ -105,13 +105,13 @@ func FuzzDecodeReport(f *testing.F) {
 // permission, so an accepted message must carry a live epoch and sane
 // horizon.
 func FuzzDecodeLease(f *testing.F) {
-	seed, _ := json.Marshal(LeaseRequest{V: ProtocolV, Epoch: 2, Server: 1, T: 600, LeaseS: 300})
+	seed, _ := json.Marshal(LeaseRequest{V: ProtocolV, Epoch: 2, Server: 1, T: 600, Iv: 12, LeaseIv: 2, IvS: 300})
 	f.Add(seed)
-	f.Add([]byte(`{"v":2,"epoch":1,"server":0,"t":0,"leaseS":5}`))
-	f.Add([]byte(`{"v":2,"epoch":0,"server":0,"t":0,"leaseS":5}`))
-	f.Add([]byte(`{"v":1,"server":0,"t":0,"leaseS":5}`))
-	f.Add([]byte(`{"v":2,"epoch":1,"server":0,"t":0,"leaseS":-1}`))
-	f.Add([]byte(`{"v":2,"epoch":1,"server":0,"t":0,"leaseS":5}trailing`))
+	f.Add([]byte(`{"v":3,"epoch":1,"server":0,"t":0,"iv":1,"leaseIv":2,"ivS":5}`))
+	f.Add([]byte(`{"v":3,"epoch":0,"server":0,"t":0,"iv":1,"leaseIv":2,"ivS":5}`))
+	f.Add([]byte(`{"v":1,"server":0,"t":0,"iv":1,"leaseIv":2,"ivS":5}`))
+	f.Add([]byte(`{"v":3,"epoch":1,"server":0,"t":0,"iv":1,"leaseIv":1,"ivS":-1}`))
+	f.Add([]byte(`{"v":3,"epoch":1,"server":0,"t":0,"iv":1,"leaseIv":2,"ivS":5}trailing`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeLease(data)
@@ -158,16 +158,16 @@ func FuzzDecodeVote(f *testing.F) {
 	acc, _ := json.Marshal(VoteRequest{V: ProtocolV, Phase: VoteAccept, Ballot: 7, Term: &w})
 	f.Add(prep)
 	f.Add(acc)
-	f.Add([]byte(`{"v":2,"phase":"prepare","ballot":0}`))
-	f.Add([]byte(`{"v":2,"phase":"prepare","ballot":1,"term":{"epoch":1,"leader":"x"}}`))
-	f.Add([]byte(`{"v":2,"phase":"accept","ballot":1}`))
-	f.Add([]byte(`{"v":2,"phase":"accept","ballot":1,"term":{"epoch":0,"leader":"x"}}`))
-	f.Add([]byte(`{"v":2,"phase":"accept","ballot":1,"term":{"epoch":1,"leader":""}}`))
-	f.Add([]byte(`{"v":2,"phase":"accept","ballot":1,"term":{"epoch":1,"leader":"x","expiresUnixNano":-1}}`))
-	f.Add([]byte(`{"v":2,"phase":"veto","ballot":1}`))
+	f.Add([]byte(`{"v":3,"phase":"prepare","ballot":0}`))
+	f.Add([]byte(`{"v":3,"phase":"prepare","ballot":1,"term":{"epoch":1,"leader":"x"}}`))
+	f.Add([]byte(`{"v":3,"phase":"accept","ballot":1}`))
+	f.Add([]byte(`{"v":3,"phase":"accept","ballot":1,"term":{"epoch":0,"leader":"x"}}`))
+	f.Add([]byte(`{"v":3,"phase":"accept","ballot":1,"term":{"epoch":1,"leader":""}}`))
+	f.Add([]byte(`{"v":3,"phase":"accept","ballot":1,"term":{"epoch":1,"leader":"x","expiresUnixNano":-1}}`))
+	f.Add([]byte(`{"v":3,"phase":"veto","ballot":1}`))
 	f.Add([]byte(`{"v":1,"phase":"prepare","ballot":1}`))
-	f.Add([]byte(`{"v":2,"phase":"prepare","ballot":1,"bogus":true}`))
-	f.Add([]byte(`{"v":2,"phase":"prepare","ballot":1}{}`))
+	f.Add([]byte(`{"v":3,"phase":"prepare","ballot":1,"bogus":true}`))
+	f.Add([]byte(`{"v":3,"phase":"prepare","ballot":1}{}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -251,11 +251,11 @@ func FuzzDecodeVoteReply(f *testing.F) {
 func FuzzDecodeRegister(f *testing.F) {
 	seed, _ := json.Marshal(RegisterRequest{V: ProtocolV, Server: 4, URL: "http://10.0.0.4:7077", NameplateW: 120})
 	f.Add(seed)
-	f.Add([]byte(`{"v":2,"server":0,"url":"http://localhost:1","nameplateW":100}`))
-	f.Add([]byte(`{"v":2,"server":0,"url":"ftp://x","nameplateW":100}`))
-	f.Add([]byte(`{"v":2,"server":0,"url":"/relative","nameplateW":100}`))
-	f.Add([]byte(`{"v":2,"server":-1,"url":"http://x","nameplateW":100}`))
-	f.Add([]byte(`{"v":2,"server":0,"url":"http://x","nameplateW":-1}`))
+	f.Add([]byte(`{"v":3,"server":0,"url":"http://localhost:1","nameplateW":100}`))
+	f.Add([]byte(`{"v":3,"server":0,"url":"ftp://x","nameplateW":100}`))
+	f.Add([]byte(`{"v":3,"server":0,"url":"/relative","nameplateW":100}`))
+	f.Add([]byte(`{"v":3,"server":-1,"url":"http://x","nameplateW":100}`))
+	f.Add([]byte(`{"v":3,"server":0,"url":"http://x","nameplateW":-1}`))
 	f.Add([]byte(`{"v":1,"server":0,"url":"http://x","nameplateW":100}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

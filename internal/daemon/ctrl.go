@@ -2,46 +2,39 @@ package daemon
 
 import (
 	"fmt"
-	"net/http"
-	"strconv"
-	"sync"
 	"time"
 
 	"powerstruggle/internal/cf"
+	"powerstruggle/internal/cluster"
 	"powerstruggle/internal/ctrlplane"
 )
 
-// CtrlConfig joins the daemon to a cluster control plane: the daemon
-// serves /ctrl/assign, /ctrl/report, and /ctrl/lease, and fences its
-// cap when a granted draw lease lapses without renewal.
+// CtrlConfig joins the daemon to a cluster control plane. A joined
+// daemon is a ctrlplane.Agent whose backend is the live simulation and
+// whose clock is the wall clock: the agent serves /ctrl/assign,
+// /ctrl/report and /ctrl/lease, orders grants by (epoch, seq), and
+// fences the cap when a granted draw lease lapses without renewal —
+// the same state machine, line for line, as a trace-replay agent.
 //
-// The daemon runs in wall-clock time, so unlike the replay agent its
-// lease TTL is measured against time.Now at each ticker advance, not
-// against the coordinator's trace clock. A live daemon's mix churns as
-// jobs arrive and finish, so it cannot pre-characterize cap → utility
-// the way the replay evaluator can; by default it reports no utility
-// curve and the coordinator apportions evenly for curveless members.
-// With Learn set it characterizes the running mix online instead,
-// reporting the learned curve with confidence meta — the coordinator
-// still treats it as curveless until the confidence clears its floor.
+// A live daemon's mix churns as jobs arrive and finish, so it cannot
+// pre-characterize cap → utility the way the replay evaluator can; by
+// default it reports no utility curve and the coordinator apportions
+// evenly for curveless members. With Learn set it characterizes the
+// running mix online instead, reporting the learned curve with
+// confidence meta — the coordinator still treats it as curveless until
+// the confidence clears its floor.
 type CtrlConfig struct {
 	// ServerID is the daemon's fleet index; assigns addressed to any
 	// other ID are rejected.
 	ServerID int
-	// FenceCapW is the cap the daemon clamps itself to when its draw
-	// lease lapses (default: the platform idle floor — a powered-on
-	// server cannot draw less without host power-off, which the
-	// simulated platform does not model).
+	// FenceCapW is the cap the daemon boots at and clamps itself to when
+	// its draw lease lapses (default: the platform idle floor — a
+	// powered-on server cannot draw less without host power-off, which
+	// the simulated platform does not model).
 	FenceCapW float64
 	// SafeMode, when enabled (DecayWPerS > 0), replaces the fence cliff
 	// with graceful leaderless degradation: hold the cap in force at
-	// lease lapse, then decay it toward FloorW (default: the fence
-	// cap). Hold and decay run on the daemon's wall clock, like its
-	// lease TTL — unless the grants carry a protocol-clock lease, in
-	// which case both lapse and decay age by observed coordinator
-	// intervals (the nominal interval length stands in for wall time
-	// while the coordinator is stalled), bit-identical with the replay
-	// agent's aging.
+	// lease lapse, then decay it toward FloorW (default: the fence cap).
 	SafeMode ctrlplane.SafeModeConfig
 	// Clock is the daemon's wall-clock source (default time.Now) —
 	// injectable so mixed trace+wall drills run deterministically.
@@ -60,484 +53,108 @@ type CtrlConfig struct {
 	LearnRateHz func() float64
 }
 
-// safeModeQuantumW batches wall-clock decay into steps the event log
-// can carry: re-clamping on every ticker advance for sub-watt deltas
-// would flood the cap-change history without changing behavior.
-const safeModeQuantumW = 0.5
-
-// ctrlState is the daemon's lease ledger, guarded by its own mutex so
-// the /ctrl handlers never contend with the simulation advance for
-// longer than a field read.
-type ctrlState struct {
-	mu         sync.Mutex
-	cfg        CtrlConfig
-	fenceCapW  float64
-	lastEpoch  uint64
-	lastSeq    uint64
-	leaseS     float64
-	leaseStart time.Time
-	leased     bool
-	fenced     bool
-	fences     int
-	staleDrops int
-	epochDrops int
-	// Safe-mode ledger: heldW is the cap in force at lease lapse,
-	// lapsedAt the wall-clock lapse instant, safeCapW the last decay
-	// target actually clamped.
-	safeMode    bool
-	safeEntries int
-	heldW       float64
-	lapsedAt    time.Time
-	safeCapW    float64
-	// Protocol-clock mirror of ctrlplane.Agent: the grant's interval
-	// stamp and interval lease, the highest interval observed with the
-	// wall instant it arrived, and the skew between the coordinator's
-	// interval cadence and this daemon's clock.
-	grantIv    uint64
-	leaseIv    uint64
-	ivS        float64
-	lastSeenIv uint64
-	lastSeenAt time.Time
-	skewIv     float64
-	// Online-learning state (cfg.Learn): est learns the cap→rate curve,
-	// grantW remembers the full grant so a probing daemon can restore
-	// it, and lastProbeIv rate-limits probe moves to one per coordinator
-	// interval — the cap never flaps within an interval.
-	est         *cf.OnlineEstimator
-	grantW      float64
-	lastProbeIv uint64
-}
-
-func (c *ctrlState) clockModeLocked() bool { return c.leaseIv > 0 && c.ivS > 0 }
-
-// noteIvLocked records a higher observed coordinator interval and the
-// skew of the local clock against the coordinator's cadence.
-func (c *ctrlState) noteIvLocked(iv uint64, ivS float64) {
-	if iv == 0 || iv <= c.lastSeenIv {
-		return
-	}
-	now := c.cfg.Clock()
-	if c.lastSeenIv > 0 && ivS > 0 {
-		c.skewIv = now.Sub(c.lastSeenAt).Seconds()/ivS - float64(iv-c.lastSeenIv)
-	}
-	c.lastSeenIv = iv
-	c.lastSeenAt = now
-}
-
-// effectiveIvLocked extrapolates the coordinator's interval counter
-// from the last observed value at the nominal interval length — a
-// stalled coordinator's leases keep aging at the rate it advertised.
-func (c *ctrlState) effectiveIvLocked() uint64 {
-	if c.ivS <= 0 {
-		return c.lastSeenIv
-	}
-	dt := c.cfg.Clock().Sub(c.lastSeenAt).Seconds()
-	if dt <= 0 {
-		return c.lastSeenIv
-	}
-	return c.lastSeenIv + uint64(dt/c.ivS)
-}
-
-// EnableCtrl attaches control-plane state to the daemon. Call before
-// Handler; the daemon boots unfenced at its configured cap and only
-// starts fencing once the first lease-carrying assign arrives.
+// EnableCtrl puts the daemon behind a control-plane agent. Call before
+// Handler. Like every fleet member the daemon boots fenced, at
+// FenceCapW, and only a grant lifts it — a daemon joining a capped
+// fleet draws nothing the coordinator has not apportioned.
 func (d *Daemon) EnableCtrl(cfg CtrlConfig) error {
-	if cfg.ServerID < 0 {
-		return fmt.Errorf("daemon: ctrl server id %d", cfg.ServerID)
-	}
 	fence := cfg.FenceCapW
 	if fence <= 0 {
 		fence = d.hw.PIdleWatts
 	}
-	if err := cfg.SafeMode.Validate(); err != nil {
+	clock := cfg.Clock
+	if clock == nil {
+		clock = time.Now
+	}
+	base := clock()
+	a, err := ctrlplane.NewAgent(ctrlplane.AgentConfig{
+		ID:        cfg.ServerID,
+		Backend:   &simBackend{d: d, rateHz: cfg.LearnRateHz},
+		FenceCapW: fence,
+		SafeMode:  cfg.SafeMode,
+		Learn:     cfg.Learn,
+		Version:   d.version,
+		// Seconds since boot, not since 1970: lease arithmetic subtracts
+		// readings an interval apart, and small magnitudes keep that exact.
+		Clock: func() float64 { return clock().Sub(base).Seconds() },
+	})
+	if err != nil {
 		return fmt.Errorf("daemon: %w", err)
 	}
-	if cfg.SafeMode.Enabled() && cfg.SafeMode.FloorW == 0 {
-		cfg.SafeMode.FloorW = fence
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	st := &ctrlState{cfg: cfg, fenceCapW: fence}
-	if cfg.Learn != nil {
-		lc := *cfg.Learn
-		if lc.FloorW == 0 {
-			lc.FloorW = d.hw.PIdleWatts
-		}
-		if lc.NameplateW == 0 {
-			lc.NameplateW = d.hw.MaxServerWatts()
-		}
-		est, err := cf.NewOnlineEstimator(lc)
-		if err != nil {
-			return fmt.Errorf("daemon: %w", err)
-		}
-		st.est = est
-	}
-	d.ctrl = st
+	d.ctrl = a
 	return nil
 }
 
-// ctrlFenceCheck fences the cap if the draw lease has lapsed. Called
-// from Advance under d.mu, so it applies the clamp through the
-// simulation directly.
-func (d *Daemon) ctrlFenceCheck() error {
-	c := d.ctrl
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	if c.safeMode {
-		if c.clockModeLocked() {
-			// Protocol-clock decay: age by whole coordinator intervals
-			// past the lease boundary. The targets move in interval-sized
-			// steps already, so every change is worth clamping — no
-			// wall-quantum batching, and the step sequence is
-			// bit-identical with a replay agent decaying the same lease.
-			boundary := c.grantIv + c.leaseIv
-			var over uint64
-			if eff := c.effectiveIvLocked(); eff > boundary {
-				over = eff - boundary
-			}
-			target := c.cfg.SafeMode.CapAt(float64(over)*c.ivS, 0, c.heldW)
-			if c.safeCapW != target {
-				c.safeCapW = target
-				c.mu.Unlock()
-				return d.sim.AddCapChange(d.simTime, target)
-			}
-			c.mu.Unlock()
-			return nil
-		}
-		// Leaderless degradation in progress: walk the cap down on the
-		// wall clock, re-clamping only in quantum-sized steps.
-		target := c.cfg.SafeMode.CapAt(c.cfg.Clock().Sub(c.lapsedAt).Seconds(), 0, c.heldW)
-		if c.safeCapW-target >= safeModeQuantumW ||
-			(target <= c.cfg.SafeMode.FloorW && c.safeCapW != target) {
-			c.safeCapW = target
-			c.mu.Unlock()
-			return d.sim.AddCapChange(d.simTime, target)
-		}
-		c.mu.Unlock()
-		return nil
-	}
-	var lapse bool
-	if c.clockModeLocked() {
-		lapse = c.leased && !c.fenced && c.effectiveIvLocked() >= c.grantIv+c.leaseIv
-	} else {
-		lapse = c.leased && !c.fenced && c.leaseS > 0 &&
-			c.cfg.Clock().Sub(c.leaseStart).Seconds() >= c.leaseS
-	}
-	if !lapse {
-		c.mu.Unlock()
-		return nil
-	}
-	c.fenced = true
-	c.fences++
-	if c.cfg.SafeMode.Enabled() {
-		// Enter safe mode holding the cap in force — it is the last cap
-		// a leader granted, so the fleet-wide sum of held caps stays
-		// bounded by that leader's cluster cap. The decay clock starts
-		// at the lapse instant, not at this ticker advance.
-		c.safeMode = true
-		c.safeEntries++
-		c.lapsedAt = c.leaseStart.Add(time.Duration(c.leaseS * float64(time.Second)))
-		c.heldW = d.sim.Executor().Cap()
-		c.safeCapW = c.heldW
-		c.mu.Unlock()
-		return nil
-	}
-	fence := c.fenceCapW
-	c.mu.Unlock()
-	return d.sim.AddCapChange(d.simTime, fence)
+// simBackend is the live simulation as a ctrlplane.Backend. The agent
+// calls it holding its own lock, and it takes d.mu — so daemon code
+// never calls into the agent while holding d.mu.
+type simBackend struct {
+	d      *Daemon
+	rateHz func() float64
 }
 
-// ctrlLearnStep feeds the online estimator one (enforced cap, observed
-// heartbeat rate) sample and — at most once per coordinator interval —
-// moves the probe to the estimator's next choice. Rate-limiting probe
-// moves to interval boundaries keeps the cap from flapping within an
-// interval; a converged estimator's probe is the full grant, so a
-// learned-out daemon settles back onto its grants. Called from Advance
-// under d.mu, after the fence check.
-func (d *Daemon) ctrlLearnStep() error {
-	c := d.ctrl
-	if c == nil || c.est == nil {
-		return nil
-	}
-	c.mu.Lock()
-	if c.fenced || c.safeMode || !c.leased {
-		c.mu.Unlock()
-		return nil
-	}
-	capW := d.sim.Executor().Cap()
-	var rate float64
-	if c.cfg.LearnRateHz != nil {
-		rate = c.cfg.LearnRateHz()
-	} else {
-		rate = d.rateHzLocked()
-	}
-	c.est.Observe(capW, rate)
-	target := capW
-	if iv := c.effectiveIvLocked(); iv > c.lastProbeIv {
-		c.lastProbeIv = iv
-		target = c.est.ProbeCap(c.grantW)
-	}
-	c.mu.Unlock()
-	if target == capW {
-		return nil
-	}
-	return d.sim.AddCapChange(d.simTime, target)
-}
-
-// rateHzLocked sums the hosted applications' heartbeat rates from the
-// latest accountant sample — the learning observable. Called under
-// d.mu.
-func (d *Daemon) rateHzLocked() float64 {
-	samples := d.sim.Samples()
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, a := range samples[len(samples)-1].Apps {
-		sum += a.RateHz
-	}
-	return sum
-}
-
-// ctrlAssign applies a budget grant from the coordinator. The sequence
-// check, the cap application, and the ledger update are one atomic
-// section under d.mu then c.mu (the lock order Advance establishes,
-// holding d.mu when it checks the lease): a failed cap application must
-// not consume the sequence number — the coordinator's retry of the same
-// seq would be dropped as stale while the wrong cap persists — and two
-// in-flight assigns must serialize seq-check-plus-application as a
-// unit, or the older (possibly higher) cap could land after the newer
-// one while lastSeq says otherwise, a sustained breach that lease
-// renewals would then keep alive. Mirrors ctrlplane.Agent.Assign.
-func (d *Daemon) ctrlAssign(req ctrlplane.AssignRequest) (ctrlplane.AssignResponse, error) {
-	c := d.ctrl
+// Apply schedules capW as a cap-change event at the current sim time
+// unless it is already in force or already scheduled, and returns the
+// learning observable and the latest grid draw. The observable is only
+// meaningful for the cap it was measured under: while capW is still
+// pending (the simulation has not stepped past the event) the returned
+// performance is 0, which the online estimator drops as a sample.
+func (b *simBackend) Apply(capW float64) (perfN, gridW float64, err error) {
+	d := b.d
 	d.mu.Lock()
-	c.mu.Lock()
-	if req.Epoch < c.lastEpoch {
-		c.epochDrops++
-		c.mu.Unlock()
-		d.mu.Unlock()
-		return d.ctrlAck(false), nil
-	}
-	if req.Epoch == c.lastEpoch && req.Seq <= c.lastSeq {
-		c.staleDrops++
-		c.mu.Unlock()
-		d.mu.Unlock()
-		return d.ctrlAck(false), nil
-	}
-	capW := req.CapW
-	if c.est != nil {
-		// A learning daemon may self-cap below its grant to probe an
-		// unsampled cell; a probe never exceeds the grant, so the
-		// cluster cap holds while the curve is partial.
-		c.grantW = req.CapW
-		capW = c.est.ProbeCap(req.CapW)
-		c.lastProbeIv = req.Iv
-	}
-	if err := d.sim.AddCapChange(d.simTime, capW); err != nil {
-		c.mu.Unlock()
-		d.mu.Unlock()
-		return ctrlplane.AssignResponse{}, err
-	}
-	c.lastEpoch = req.Epoch
-	c.lastSeq = req.Seq
-	c.leaseS = req.LeaseS
-	c.leaseStart = c.cfg.Clock()
-	c.noteIvLocked(req.Iv, req.IvS)
-	c.grantIv, c.leaseIv, c.ivS = req.Iv, req.LeaseIv, req.IvS
-	c.leased = req.LeaseS > 0 || req.LeaseIv > 0
-	c.fenced = false
-	c.safeMode = false
-	c.mu.Unlock()
-	d.mu.Unlock()
-	return d.ctrlAck(true), nil
-}
-
-// ctrlAck snapshots the assign-response view.
-func (d *Daemon) ctrlAck(applied bool) ctrlplane.AssignResponse {
-	st := d.status()
-	c := d.ctrl
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ctrlplane.AssignResponse{
-		V: ctrlplane.ProtocolV, Server: c.cfg.ServerID,
-		Epoch: c.lastEpoch, Seq: c.lastSeq, Applied: applied,
-		CapW: st.CapW, GridW: st.GridW, SoC: st.SoC,
-		Fenced: c.fenced, SafeMode: c.safeMode, Iv: c.lastSeenIv,
-	}
-}
-
-// ctrlReport builds a telemetry scrape response.
-func (d *Daemon) ctrlReport() ctrlplane.Report {
-	c := d.ctrl
-	st := d.status()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rep := ctrlplane.Report{
-		V: ctrlplane.ProtocolV, Server: c.cfg.ServerID,
-		Epoch: c.lastEpoch, Seq: c.lastSeq,
-		CapW: st.CapW, GridW: st.GridW, SoC: st.SoC,
-		Fenced:     c.fenced,
-		SafeMode:   c.safeMode,
-		IdleFloorW: d.hw.PIdleWatts,
-		NameplateW: d.hw.MaxServerWatts(),
-		Version:    d.version,
-		Iv:         c.lastSeenIv,
-	}
-	// A live mix is not pre-characterizable, so without a learner the
-	// report stays curveless and the coordinator apportions evenly.
-	// With one, the learned curve ships with its confidence meta.
-	if c.est != nil {
-		if curve, ok := c.est.Curve(); ok {
-			rep.UtilityCurve = curve
-			rep.CurveConf = c.est.Confidence()
-			rep.CurveCells = c.est.ObservedCells()
+	defer d.mu.Unlock()
+	if d.upcomingCapLocked() != capW {
+		if err := d.scheduleCapLocked(capW); err != nil {
+			return 0, 0, err
 		}
 	}
-	return rep
+	last := d.sim.LastSample()
+	if d.pendingCapW != 0 {
+		return 0, last.GridW, nil
+	}
+	if b.rateHz != nil {
+		return b.rateHz(), last.GridW, nil
+	}
+	var rate float64
+	for _, a := range last.Apps {
+		rate += a.RateHz
+	}
+	return rate, last.GridW, nil
 }
 
-// ctrlRenew extends the draw lease without changing the budget. A
-// fenced daemon stays fenced: only a fresh assign restores its cap.
-// Only the epoch that granted the in-force budget may renew it — a
-// deposed coordinator's renewals are answered but extend nothing.
-func (d *Daemon) ctrlRenew(req ctrlplane.LeaseRequest) ctrlplane.LeaseResponse {
-	c := d.ctrl
-	st := d.status()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if req.Epoch < c.lastEpoch {
-		c.epochDrops++
-	} else {
-		c.noteIvLocked(req.Iv, req.IvS)
-		if req.Epoch == c.lastEpoch && !c.fenced {
-			c.leaseS = req.LeaseS
-			c.leaseStart = c.cfg.Clock()
-			c.leased = req.LeaseS > 0 || req.LeaseIv > 0
-			c.grantIv, c.leaseIv, c.ivS = req.Iv, req.LeaseIv, req.IvS
-		}
-	}
-	var expires float64
-	if c.leased {
-		expires = req.T + c.leaseS
-	}
-	return ctrlplane.LeaseResponse{
-		V: ctrlplane.ProtocolV, Epoch: c.lastEpoch, Server: c.cfg.ServerID,
-		CapW: st.CapW, ExpiresT: expires, Fenced: c.fenced, Iv: c.lastSeenIv,
-	}
+func (b *simBackend) SoC() float64 {
+	b.d.mu.Lock()
+	defer b.d.mu.Unlock()
+	return b.d.sim.LastSample().SoC
 }
 
-// ctrlEndpoint adapts the daemon to ctrlplane.CtrlEndpoint so it can
-// sit behind a BinaryServer listener — same checks as the HTTP routes:
-// grants addressed to another server are refused, and the scrape
-// ignores the coordinator's trace clock (a daemon lives on the wall
-// clock).
-type ctrlEndpoint struct{ d *Daemon }
+func (b *simBackend) IdleFloorW() float64 { return b.d.hw.PIdleWatts }
+func (b *simBackend) NameplateW() float64 { return b.d.hw.MaxServerWatts() }
 
-func (e ctrlEndpoint) Assign(req ctrlplane.AssignRequest) (ctrlplane.AssignResponse, error) {
-	if req.Server != e.d.ctrl.cfg.ServerID {
-		return ctrlplane.AssignResponse{}, fmt.Errorf("assign for server %d reached daemon %d", req.Server, e.d.ctrl.cfg.ServerID)
+// UtilityCurve reports none: a live mix is not pre-characterizable.
+func (b *simBackend) UtilityCurve() ([]cluster.CapPoint, error) { return nil, nil }
+
+// ctrlTick is the control-plane half of Advance: refresh the agent's
+// view of the draw under its enforced cap, then tick its lease, decay
+// and learning on the wall clock. Runs after the sim step, outside
+// d.mu.
+func (d *Daemon) ctrlTick() error {
+	if d.ctrl == nil {
+		return nil
 	}
-	return e.d.ctrlAssign(req)
-}
-
-func (e ctrlEndpoint) Renew(req ctrlplane.LeaseRequest) (ctrlplane.LeaseResponse, error) {
-	if req.Server != e.d.ctrl.cfg.ServerID {
-		return ctrlplane.LeaseResponse{}, fmt.Errorf("lease for server %d reached daemon %d", req.Server, e.d.ctrl.cfg.ServerID)
+	if err := d.ctrl.Refresh(); err != nil {
+		return err
 	}
-	return e.d.ctrlRenew(req), nil
+	// The argument is unused: the agent reads its own clock.
+	return d.ctrl.Tick(0)
 }
 
-func (e ctrlEndpoint) Scrape(t float64, hasT bool) (ctrlplane.Report, error) {
-	return e.d.ctrlReport(), nil
-}
-
-// CtrlEndpoint returns the daemon's binary-transport surface, or an
-// error if EnableCtrl has not run. psd hosts it on a BinaryServer when
-// started with -transport binary.
+// CtrlEndpoint returns the daemon's agent — the surface psd hosts on a
+// BinaryServer when started with -transport binary — or an error if
+// EnableCtrl has not run.
 func (d *Daemon) CtrlEndpoint() (ctrlplane.CtrlEndpoint, error) {
 	if d.ctrl == nil {
 		return nil, fmt.Errorf("daemon: control plane not enabled")
 	}
-	return ctrlEndpoint{d: d}, nil
-}
-
-// ctrlRoutes mounts the control-plane endpoints on the daemon's mux.
-func (d *Daemon) ctrlRoutes(mux *http.ServeMux) {
-	c := d.ctrl
-	if c == nil {
-		return
-	}
-	mux.HandleFunc(ctrlplane.PathAssign, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := readCtrlBody(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		req, err := ctrlplane.DecodeAssign(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if req.Server != c.cfg.ServerID {
-			http.Error(w, fmt.Sprintf("assign for server %d reached daemon %d", req.Server, c.cfg.ServerID), http.StatusBadRequest)
-			return
-		}
-		resp, err := d.ctrlAssign(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc(ctrlplane.PathReport, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		// The coordinator's trace clock means nothing to a wall-clock
-		// daemon; accept and ignore a ?t= so one coordinator can drive
-		// mixed fleets.
-		if ts := r.URL.Query().Get("t"); ts != "" {
-			if _, err := strconv.ParseFloat(ts, 64); err != nil {
-				http.Error(w, fmt.Sprintf("bad t %q", ts), http.StatusBadRequest)
-				return
-			}
-		}
-		writeJSON(w, d.ctrlReport())
-	})
-	mux.HandleFunc(ctrlplane.PathLease, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := readCtrlBody(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		req, err := ctrlplane.DecodeLease(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if req.Server != c.cfg.ServerID {
-			http.Error(w, fmt.Sprintf("lease for server %d reached daemon %d", req.Server, c.cfg.ServerID), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, d.ctrlRenew(req))
-	})
-}
-
-// readCtrlBody bounds a control-plane request body the same way the
-// replay agent does.
-func readCtrlBody(r *http.Request) ([]byte, error) {
-	return ctrlplane.ReadBody(r.Body)
+	return d.ctrl, nil
 }

@@ -3,26 +3,45 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"powerstruggle/internal/ctrlplane"
 )
 
-func ctrlDaemon(t *testing.T) (*Daemon, *httptest.Server) {
+// ctrlDaemon boots a control-plane daemon on an injected wall clock
+// (drillClock.set moves it), so lease arithmetic in these tests is
+// exact instead of sleep-and-hope.
+func ctrlDaemon(t *testing.T, cfg CtrlConfig) (*Daemon, *httptest.Server, *drillClock) {
 	t.Helper()
 	d, err := New(Config{Version: "test-build"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.EnableCtrl(CtrlConfig{ServerID: 0}); err != nil {
+	clk := &drillClock{}
+	cfg.Clock = clk.now
+	if err := d.EnableCtrl(cfg); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(d.Handler())
 	t.Cleanup(srv.Close)
-	return d, srv
+	return d, srv, clk
+}
+
+// grant builds an epoch-1 assign minted in interval iv on a 10 s
+// protocol clock.
+func grant(seq, iv, leaseIv uint64, capW float64) ctrlplane.AssignRequest {
+	return ctrlplane.AssignRequest{V: ctrlplane.ProtocolV, Epoch: 1, Seq: seq, Server: 0,
+		CapW: capW, Iv: iv, LeaseIv: leaseIv, IvS: 10}
+}
+
+// renewal builds the matching epoch-1 renewal.
+func renewal(iv, leaseIv uint64) ctrlplane.LeaseRequest {
+	return ctrlplane.LeaseRequest{V: ctrlplane.ProtocolV, Epoch: 1, Server: 0, Iv: iv, LeaseIv: leaseIv, IvS: 10}
 }
 
 func postCtrl(t *testing.T, url string, v any, out any) int {
@@ -48,10 +67,10 @@ func postCtrl(t *testing.T, url string, v any, out any) int {
 // sequence, scrapes report the wire schema with the build version, and
 // misdirected messages bounce with 400.
 func TestDaemonCtrlEndpoints(t *testing.T) {
-	d, srv := ctrlDaemon(t)
+	d, srv, _ := ctrlDaemon(t, CtrlConfig{})
 
 	var ack ctrlplane.AssignResponse
-	req := ctrlplane.AssignRequest{V: ctrlplane.ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0, CapW: 70}
+	req := grant(1, 1, 2, 70)
 	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, &ack); code != http.StatusOK {
 		t.Fatalf("assign: %d", code)
 	}
@@ -79,7 +98,8 @@ func TestDaemonCtrlEndpoints(t *testing.T) {
 	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, nil); code != http.StatusBadRequest {
 		t.Fatalf("misdirected assign: %d", code)
 	}
-	lease := ctrlplane.LeaseRequest{V: ctrlplane.ProtocolV, Epoch: 1, Server: 5, T: 1}
+	lease := renewal(1, 2)
+	lease.Server = 5
 	if code := postCtrl(t, srv.URL+ctrlplane.PathLease, lease, nil); code != http.StatusBadRequest {
 		t.Fatalf("misdirected lease: %d", code)
 	}
@@ -90,7 +110,7 @@ func TestDaemonCtrlEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := ctrlplane.ReadBody(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("scrape: %d %v", resp.StatusCode, err)
@@ -116,8 +136,8 @@ func TestDaemonCtrlEndpoints(t *testing.T) {
 // same seq — and the retry must apply rather than be dropped as stale,
 // or the wrong cap would persist for the rest of the run.
 func TestDaemonCtrlFailedAssignKeepsSeq(t *testing.T) {
-	d, srv := ctrlDaemon(t)
-	req := ctrlplane.AssignRequest{V: ctrlplane.ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0, CapW: 0, LeaseS: 10}
+	d, srv, _ := ctrlDaemon(t, CtrlConfig{})
+	req := grant(1, 1, 1, 0)
 	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, nil); code != http.StatusInternalServerError {
 		t.Fatalf("0 W assign: %d, want 500", code)
 	}
@@ -149,16 +169,17 @@ func TestDaemonCtrlFailedAssignKeepsSeq(t *testing.T) {
 // including renewals, which must not keep a deposed leader's budget
 // alive.
 func TestDaemonCtrlEpochFencing(t *testing.T) {
-	d, srv := ctrlDaemon(t)
+	d, srv, _ := ctrlDaemon(t, CtrlConfig{})
 
 	var ack ctrlplane.AssignResponse
-	req := ctrlplane.AssignRequest{V: ctrlplane.ProtocolV, Epoch: 2, Seq: 9, Server: 0, T: 0, CapW: 70, LeaseS: 100}
+	req := grant(9, 1, 10, 70)
+	req.Epoch = 2
 	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, &ack); code != http.StatusOK || !ack.Applied {
 		t.Fatalf("epoch-2 grant: %d %+v", code, ack)
 	}
 
 	// A delayed epoch-1 grant with a huge seq bounces.
-	stale := ctrlplane.AssignRequest{V: ctrlplane.ProtocolV, Epoch: 1, Seq: 999, Server: 0, T: 1, CapW: 95, LeaseS: 100}
+	stale := grant(999, 1, 10, 95)
 	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, stale, &ack); code != http.StatusOK {
 		t.Fatalf("stale-epoch grant: %d", code)
 	}
@@ -172,7 +193,7 @@ func TestDaemonCtrlEpochFencing(t *testing.T) {
 
 	// An old epoch's renewal answers with the live epoch and extends
 	// nothing.
-	lease := ctrlplane.LeaseRequest{V: ctrlplane.ProtocolV, Epoch: 1, Server: 0, T: 2, LeaseS: 100}
+	lease := renewal(2, 10)
 	var lr ctrlplane.LeaseResponse
 	if code := postCtrl(t, srv.URL+ctrlplane.PathLease, lease, &lr); code != http.StatusOK {
 		t.Fatalf("stale renewal: %d", code)
@@ -186,7 +207,8 @@ func TestDaemonCtrlEpochFencing(t *testing.T) {
 
 	// The next leader's first grant carries a lower seq — (epoch, seq)
 	// ordering applies it anyway.
-	next := ctrlplane.AssignRequest{V: ctrlplane.ProtocolV, Epoch: 3, Seq: 1, Server: 0, T: 3, CapW: 60, LeaseS: 100}
+	next := grant(1, 3, 10, 60)
+	next.Epoch = 3
 	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, next, &ack); code != http.StatusOK || !ack.Applied {
 		t.Fatalf("epoch-3 grant: %d %+v", code, ack)
 	}
@@ -198,93 +220,86 @@ func TestDaemonCtrlEpochFencing(t *testing.T) {
 	}
 }
 
-// A wall-clock lease that lapses without renewal must fence the daemon
-// to its fail-safe cap on the next advance.
+// A lease that lapses on the daemon's wall clock without renewal must
+// fence it to its fail-safe cap on the next advance.
 func TestDaemonCtrlLeaseFence(t *testing.T) {
-	d, srv := ctrlDaemon(t)
-	req := ctrlplane.AssignRequest{V: ctrlplane.ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0, CapW: 90, LeaseS: 0.05}
+	d, srv, clk := ctrlDaemon(t, CtrlConfig{})
+	advance := func(ts float64) Health {
+		t.Helper()
+		clk.set(ts)
+		if err := d.Advance(0.1); err != nil {
+			t.Fatal(err)
+		}
+		return d.health()
+	}
+	// One 10 s interval of lease, minted in interval 1 at wall time 0.
+	req := grant(1, 1, 1, 90)
 	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, nil); code != http.StatusOK {
 		t.Fatalf("assign: %d", code)
 	}
-	if err := d.Advance(0.1); err != nil {
-		t.Fatal(err)
-	}
-	if h := d.health(); h.CtrlFenced {
+	if h := advance(9.9); h.CtrlFenced {
 		t.Fatal("fenced before the lease lapsed")
 	}
 
-	// A renewal pushes the lapse out.
-	lease := ctrlplane.LeaseRequest{V: ctrlplane.ProtocolV, Epoch: 1, Server: 0, T: 1, LeaseS: 0.05}
+	// A renewal from interval 2 pushes the lapse out to interval 3.
+	clk.set(10)
 	var lr ctrlplane.LeaseResponse
-	if code := postCtrl(t, srv.URL+ctrlplane.PathLease, lease, &lr); code != http.StatusOK || lr.Fenced {
+	if code := postCtrl(t, srv.URL+ctrlplane.PathLease, renewal(2, 1), &lr); code != http.StatusOK || lr.Fenced || lr.ExpiresIv != 3 {
 		t.Fatalf("renew: %d %+v", code, lr)
 	}
-
-	time.Sleep(80 * time.Millisecond)
-	if err := d.Advance(0.1); err != nil {
-		t.Fatal(err)
+	if h := advance(19.9); h.CtrlFenced {
+		t.Fatal("fenced despite the renewal")
 	}
-	h := d.health()
-	if !h.CtrlFenced || h.CtrlFences != 1 {
+	if h := advance(20); !h.CtrlFenced || h.CtrlFences != 1 {
 		t.Fatalf("after lapse: %+v", h)
 	}
 	// The fence is queued like any cap-change event and lands on the
 	// next simulation tick.
-	if err := d.Advance(0.1); err != nil {
-		t.Fatal(err)
-	}
-	if h := d.health(); h.CapW != d.hw.PIdleWatts {
+	if h := advance(20); h.CapW != d.hw.PIdleWatts {
 		t.Fatalf("fence cap %g, want the idle floor %g", h.CapW, d.hw.PIdleWatts)
 	}
 
 	// Only a fresh assign unfences.
-	req.Seq, req.CapW, req.LeaseS = 2, 80, 10
 	var ack ctrlplane.AssignResponse
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, &ack); code != http.StatusOK || !ack.Applied {
+	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, grant(2, 3, 1, 80), &ack); code != http.StatusOK || !ack.Applied {
 		t.Fatalf("re-assign: %d %+v", code, ack)
 	}
-	if err := d.Advance(0.1); err != nil {
-		t.Fatal(err)
-	}
-	if h := d.health(); h.CtrlFenced || h.CapW != 80 {
+	if h := advance(20); h.CtrlFenced || h.CapW != 80 {
 		t.Fatalf("after re-assign: %+v", h)
 	}
 }
 
 // A lapsed lease with safe mode enabled must hold the granted cap,
-// decay it toward the configured floor on the wall clock, surface the
-// degradation on /healthz, and clear on a fresh assign — never cliff
-// to the fence cap.
+// decay it toward the configured floor on interval boundaries of the
+// wall clock, surface the degradation on /healthz, and clear on a fresh
+// assign — never cliff to the fence cap.
 func TestDaemonCtrlSafeModeDecay(t *testing.T) {
-	d, err := New(Config{Version: "test-build"})
-	if err != nil {
-		t.Fatal(err)
+	d, srv, clk := ctrlDaemon(t, CtrlConfig{
+		SafeMode: ctrlplane.SafeModeConfig{HoldS: 10, DecayWPerS: 1, FloorW: 66},
+	})
+	// Two advances per instant: the tick at the end of the first
+	// schedules any decay clamp, the second runs the simulation past it.
+	advance := func(ts float64) Health {
+		t.Helper()
+		clk.set(ts)
+		for k := 0; k < 2; k++ {
+			if err := d.Advance(0.1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d.health()
 	}
-	if err := d.EnableCtrl(CtrlConfig{
-		ServerID: 0,
-		SafeMode: ctrlplane.SafeModeConfig{HoldS: 0.05, DecayWPerS: 200, FloorW: 66},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(d.Handler())
-	t.Cleanup(srv.Close)
-
-	req := ctrlplane.AssignRequest{V: ctrlplane.ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0, CapW: 90, LeaseS: 0.05}
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, nil); code != http.StatusOK {
+	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, grant(1, 1, 1, 90), nil); code != http.StatusOK {
 		t.Fatalf("assign: %d", code)
 	}
-	h := d.health()
-	if !h.CtrlLeased || h.CtrlLeaseExpiresInS <= 0 || h.CtrlLeaseExpiresInS > 0.05 {
-		t.Fatalf("lease freshness after grant: leased=%v expiresIn=%g", h.CtrlLeased, h.CtrlLeaseExpiresInS)
+	h := advance(0)
+	if !h.CtrlLeased || h.CtrlLeaseExpiresInS != 10 || h.CapW != 90 {
+		t.Fatalf("lease freshness after grant: leased=%v expiresIn=%g cap=%g", h.CtrlLeased, h.CtrlLeaseExpiresInS, h.CapW)
 	}
 
 	// Lapse: the daemon enters safe mode holding the 90 W grant — the
 	// cap must not cliff to the idle-floor fence.
-	time.Sleep(60 * time.Millisecond)
-	if err := d.Advance(0.1); err != nil {
-		t.Fatal(err)
-	}
-	h = d.health()
+	h = advance(10)
 	if !h.CtrlSafeMode || !h.CtrlFenced || h.CtrlSafeModeEntries != 1 {
 		t.Fatalf("after lapse: %+v", h)
 	}
@@ -295,16 +310,16 @@ func TestDaemonCtrlSafeModeDecay(t *testing.T) {
 		t.Fatalf("lease reported fresh (expired=%v expiresIn=%g) after lapsing", h.CtrlLeaseExpired, h.CtrlLeaseExpiresInS)
 	}
 
-	// Past the hold window the decay walks the cap to the floor (200
-	// W/s closes the 24 W gap in ~0.12 s; 400 ms is deep inside the
-	// pinned-at-floor regime).
-	time.Sleep(400 * time.Millisecond)
-	for i := 0; i < 3; i++ {
-		if err := d.Advance(0.1); err != nil {
-			t.Fatal(err)
-		}
+	// Two whole intervals past the boundary, one past the hold window:
+	// 90 − 1·10 = 80 W, and nothing moves mid-interval.
+	if h = advance(30); h.CapW != 80 || h.CtrlSafeModeCapW != 80 {
+		t.Fatalf("decayed cap %g W (ledger %g), want 80", h.CapW, h.CtrlSafeModeCapW)
 	}
-	h = d.health()
+	if h = advance(39.9); h.CapW != 80 {
+		t.Fatalf("cap %g W drifted mid-interval, want 80", h.CapW)
+	}
+	// Deep inside the pinned-at-floor regime.
+	h = advance(200)
 	if h.CapW != 66 || h.CtrlSafeModeCapW != 66 {
 		t.Fatalf("decayed cap %g W (ledger %g), want the 66 W floor", h.CapW, h.CtrlSafeModeCapW)
 	}
@@ -313,22 +328,192 @@ func TestDaemonCtrlSafeModeDecay(t *testing.T) {
 	}
 
 	// A fresh assign restores normal operation and re-arms the lease.
-	req.Seq, req.CapW, req.LeaseS = 2, 80, 10
 	var ack ctrlplane.AssignResponse
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, &ack); code != http.StatusOK || !ack.Applied {
+	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, grant(2, 21, 1, 80), &ack); code != http.StatusOK || !ack.Applied {
 		t.Fatalf("re-assign: %d %+v", code, ack)
 	}
 	if ack.SafeMode {
 		t.Fatal("assign ack still flags safe mode")
 	}
-	if err := d.Advance(0.1); err != nil {
-		t.Fatal(err)
-	}
-	h = d.health()
+	h = advance(200)
 	if h.CtrlSafeMode || h.CtrlFenced || h.CapW != 80 {
 		t.Fatalf("after re-assign: %+v", h)
 	}
 	if !h.CtrlLeased || h.CtrlLeaseExpiresInS <= 0 {
 		t.Fatalf("lease freshness after re-assign: %+v", h)
+	}
+}
+
+// A control-plane daemon boots fenced, like every other member: it
+// enforces the fence cap — counted by nobody's apportioning, so it must
+// be the floor — until the first grant lifts it.
+func TestDaemonCtrlBootsFenced(t *testing.T) {
+	d, srv, _ := ctrlDaemon(t, CtrlConfig{})
+	if err := d.Advance(0.1); err != nil {
+		t.Fatal(err)
+	}
+	h := d.health()
+	if !h.CtrlFenced || h.CtrlLeased || h.CtrlLeaseExpired {
+		t.Fatalf("fresh daemon: fenced=%v leased=%v expired=%v, want fenced and never leased", h.CtrlFenced, h.CtrlLeased, h.CtrlLeaseExpired)
+	}
+	if h.CapW != d.hw.PIdleWatts {
+		t.Fatalf("fresh daemon enforces %g W, want the %g W fence cap", h.CapW, d.hw.PIdleWatts)
+	}
+	resp, err := http.Get(srv.URL + ctrlplane.PathReport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := ctrlplane.DecodeReport(body); err != nil || !rep.Fenced || rep.CapW != d.hw.PIdleWatts {
+		t.Fatalf("fresh daemon's report: %+v, %v", rep, err)
+	}
+
+	var ack ctrlplane.AssignResponse
+	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, grant(1, 1, 2, 85), &ack); code != http.StatusOK || !ack.Applied || ack.Fenced {
+		t.Fatalf("first grant: %d %+v", code, ack)
+	}
+	if err := d.Advance(0.1); err != nil {
+		t.Fatal(err)
+	}
+	if h := d.health(); h.CtrlFenced || !h.CtrlLeased || h.CapW != 85 {
+		t.Fatalf("after the first grant: %+v", h)
+	}
+}
+
+// A delayed or duplicated renewal must never move a lease boundary
+// backward, whatever the member is made of: a renewal minted in an
+// interval before the in-force lease's anchor still counts as a clock
+// observation but leaves the lease where it was.
+func TestStaleIvRenewalKeepsLeaseBoundary(t *testing.T) {
+	replay, err := ctrlplane.NewAgent(ctrlplane.AgentConfig{
+		ID: 0, Backend: ctrlplane.NewSimBackend(drillEvaluator(t, 1), 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, clk := ctrlDaemon(t, CtrlConfig{})
+	live, err := d.CtrlEndpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		name string
+		ep   ctrlplane.CtrlEndpoint
+	}{
+		{"replay backend", replay},
+		{"daemon backend", live},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			// Every message carries the trace time the replay agent
+			// adopts; the daemon reads the same instant off its own clock.
+			at := func(ts float64) float64 { clk.set(ts); return ts }
+			req := grant(1, 5, 2, 80)
+			req.T = at(0)
+			if _, err := m.ep.Assign(req); err != nil {
+				t.Fatal(err)
+			}
+			fresh := renewal(6, 2)
+			fresh.T = at(10)
+			moved, err := m.ep.Renew(fresh)
+			if err != nil || moved.ExpiresIv != 8 {
+				t.Fatalf("renewal from interval 6: %+v, %v (want the boundary at 8)", moved, err)
+			}
+			// The reordered renewal from interval 5 arrives last.
+			late := renewal(5, 2)
+			late.T = at(10)
+			stale, err := m.ep.Renew(late)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stale.ExpiresIv != 8 {
+				t.Fatalf("stale renewal moved the lease boundary to interval %d, want 8", stale.ExpiresIv)
+			}
+			// 15 s on, the effective interval is 7: inside the lease that
+			// runs to 8, past the one the stale renewal would have left.
+			rep, err := m.ep.Scrape(at(25), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Fenced {
+				t.Fatal("stale renewal shortened a live lease and fenced the member")
+			}
+			if rep, err = m.ep.Scrape(at(30), true); err != nil || !rep.Fenced {
+				t.Fatalf("lease outlived its boundary: %+v, %v", rep, err)
+			}
+		})
+	}
+}
+
+// Concurrent assigns, renewals, scrapes and /healthz reads against a
+// ticking Advance must neither deadlock (agent lock → daemon lock is
+// the only order) nor lose the (epoch, seq) ordering: whatever the
+// interleaving, the cap left in force is the highest pair's.
+func TestDaemonCtrlConcurrentGrantsWhileAdvancing(t *testing.T) {
+	d, srv, _ := ctrlDaemon(t, CtrlConfig{})
+	ep, err := d.CtrlEndpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const grants = 40
+	capFor := func(epoch, seq uint64) float64 { return 60 + 10*float64(epoch) + float64(seq%7) }
+	var wg sync.WaitGroup
+	run := func(n int, f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= n; i++ {
+				f(i)
+			}
+		}()
+	}
+	for _, epoch := range []uint64{1, 2} {
+		run(grants, func(i int) {
+			req := grant(uint64(i), uint64(i), 1000, capFor(epoch, uint64(i)))
+			req.Epoch = epoch
+			if _, err := ep.Assign(req); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	run(grants, func(i int) {
+		req := renewal(uint64(i), 1000)
+		req.Epoch = 2
+		if _, err := ep.Renew(req); err != nil {
+			t.Error(err)
+		}
+	})
+	run(grants, func(int) {
+		if _, err := ep.Scrape(0, true); err != nil {
+			t.Error(err)
+		}
+	})
+	run(grants, func(int) {
+		var h Health
+		get(t, srv.URL+"/healthz", &h)
+	})
+	run(grants, func(int) {
+		if err := d.Advance(0.05); err != nil {
+			t.Error(err)
+		}
+	})
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("deadlock: concurrent control-plane traffic and Advance did not finish")
+	}
+	for k := 0; k < 2; k++ {
+		if err := d.Advance(0.05); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := d.health()
+	if want := capFor(2, grants); h.CapW != want || h.CtrlEpoch != 2 || h.CtrlFenced {
+		t.Fatalf("final cap %g W epoch %d fenced=%v, want grant (2, %d)'s %g W", h.CapW, h.CtrlEpoch, h.CtrlFenced, grants, want)
 	}
 }

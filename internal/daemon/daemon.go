@@ -17,6 +17,7 @@ import (
 	"powerstruggle/internal/accountant"
 	"powerstruggle/internal/allocator"
 	"powerstruggle/internal/buildinfo"
+	"powerstruggle/internal/ctrlplane"
 	"powerstruggle/internal/esd"
 	"powerstruggle/internal/faults"
 	"powerstruggle/internal/policy"
@@ -61,6 +62,9 @@ type Daemon struct {
 	hw  simhw.Config
 	// simTime tracks how much simulated time has been consumed.
 	simTime float64
+	// pendingCapW is the last cap scheduled since the simulation last
+	// stepped (0: none) — the cap the next step will put in force.
+	pendingCapW float64
 	// lastAdvance is the wall-clock time the simulation last moved — a
 	// stalled ticker shows up on /healthz.
 	lastAdvance time.Time
@@ -69,9 +73,10 @@ type Daemon struct {
 	advErr  error
 	hub     *telemetry.Hub
 	version string
-	// ctrl, when non-nil, is the cluster control-plane lease state
-	// (EnableCtrl).
-	ctrl *ctrlState
+	// ctrl, when non-nil, is the control-plane agent in front of the
+	// simulation (EnableCtrl). Lock order is agent → d.mu: never call
+	// into it holding d.mu.
+	ctrl *ctrlplane.Agent
 }
 
 // New builds a daemon.
@@ -121,6 +126,13 @@ func New(cfg Config) (*Daemon, error) {
 // command loop calls this from a wall-clock ticker; tests call it
 // directly.
 func (d *Daemon) Advance(dt float64) error {
+	if err := d.step(dt); err != nil {
+		return err
+	}
+	return d.ctrlTick()
+}
+
+func (d *Daemon) step(dt float64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if dt <= 0 {
@@ -133,11 +145,9 @@ func (d *Daemon) Advance(dt float64) error {
 		return err
 	}
 	d.simTime += dt
+	d.pendingCapW = 0
 	d.lastAdvance = time.Now()
-	if err := d.ctrlFenceCheck(); err != nil {
-		return err
-	}
-	return d.ctrlLearnStep()
+	return nil
 }
 
 // AdmitRequest is the POST /admit body.
@@ -181,11 +191,7 @@ func (d *Daemon) status() Status {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := Status{SimSeconds: d.simTime}
-	samples := d.sim.Samples()
-	if len(samples) == 0 {
-		return st
-	}
-	last := samples[len(samples)-1]
+	last := d.sim.LastSample()
 	st.CapW = last.CapW
 	st.GridW = last.GridW
 	st.SoC = last.SoC
@@ -241,16 +247,15 @@ type Health struct {
 	CtrlEpochDrops int    `json:"ctrlEpochDrops"`
 	// Lease freshness, so external drills can assert degradation
 	// without scraping /ctrl: CtrlLeased reports a live draw lease,
-	// CtrlLeaseExpiresInS the wall-clock seconds until it lapses
-	// (clamped to 0 once lapsed; 0 when no lease is held), and
-	// CtrlLeaseExpired distinguishes a lapsed lease from a fresh or
-	// absent one — the old negative-seconds encoding conflated "just
-	// granted" rounding with "long expired".
+	// CtrlLeaseExpiresInS the wall-clock seconds until it lapses at the
+	// coordinator's nominal cadence (0 when no live lease is held), and
+	// CtrlLeaseExpired distinguishes a lapsed lease from one never
+	// granted.
 	CtrlLeased          bool    `json:"ctrlLeased"`
 	CtrlLeaseExpiresInS float64 `json:"ctrlLeaseExpiresInS"`
 	CtrlLeaseExpired    bool    `json:"ctrlLeaseExpired"`
-	// Protocol-clock state, present when grants carry interval leases:
-	// the highest coordinator interval observed and the skew between
+	// Protocol-clock state: the highest coordinator interval observed
+	// and the skew between
 	// the coordinator's cadence and this daemon's clock, in intervals.
 	CtrlIv          uint64  `json:"ctrlIv,omitempty"`
 	CtrlClockSkewIv float64 `json:"ctrlClockSkewIv,omitempty"`
@@ -272,6 +277,11 @@ type Health struct {
 
 // health snapshots liveness and robustness state.
 func (d *Daemon) health() Health {
+	// The agent snapshot comes first: its lock orders before d.mu.
+	var cs ctrlplane.AgentStatus
+	if d.ctrl != nil {
+		cs = d.ctrl.Status()
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ex := d.sim.Executor()
@@ -297,50 +307,26 @@ func (d *Daemon) health() Health {
 		h.Err = d.advErr.Error()
 	}
 	h.Version = d.version
-	if c := d.ctrl; c != nil {
-		c.mu.Lock()
+	if d.ctrl != nil {
 		h.CtrlEnabled = true
-		h.CtrlFenced = c.fenced
-		h.CtrlFences = c.fences
-		h.CtrlStaleDrops = c.staleDrops
-		h.CtrlEpoch = c.lastEpoch
-		h.CtrlEpochDrops = c.epochDrops
-		h.CtrlLeased = c.leased
-		switch {
-		case c.leased && c.clockModeLocked():
-			// Interval lease: remaining wall time at the coordinator's
-			// nominal cadence.
-			boundary := c.grantIv + c.leaseIv
-			var remaining float64
-			if boundary > c.lastSeenIv {
-				remaining = float64(boundary-c.lastSeenIv)*c.ivS - c.cfg.Clock().Sub(c.lastSeenAt).Seconds()
-			}
-			if remaining <= 0 {
-				remaining = 0
-				h.CtrlLeaseExpired = true
-			}
-			h.CtrlLeaseExpiresInS = remaining
-		case c.leased && c.leaseS > 0:
-			expiry := c.leaseStart.Add(time.Duration(c.leaseS * float64(time.Second)))
-			if rem := c.cfg.Clock().Sub(expiry).Seconds(); rem >= 0 {
-				h.CtrlLeaseExpired = true
-			} else {
-				h.CtrlLeaseExpiresInS = -rem
-			}
+		h.CtrlFenced = cs.Fenced
+		h.CtrlFences = cs.Fences
+		h.CtrlStaleDrops = cs.StaleDrops
+		h.CtrlEpoch = cs.Epoch
+		h.CtrlEpochDrops = cs.EpochDrops
+		h.CtrlLeased = cs.Leased
+		h.CtrlLeaseExpiresInS = cs.LeaseExpiresInS
+		h.CtrlLeaseExpired = cs.LeaseExpired
+		h.CtrlIv = cs.Iv
+		h.CtrlClockSkewIv = cs.ClockSkewIv
+		h.CtrlSafeMode = cs.SafeMode
+		h.CtrlSafeModeEntries = cs.SafeModeEntries
+		if cs.SafeMode {
+			h.CtrlSafeModeCapW = cs.CapW
 		}
-		h.CtrlIv = c.lastSeenIv
-		h.CtrlClockSkewIv = c.skewIv
-		h.CtrlSafeMode = c.safeMode
-		h.CtrlSafeModeEntries = c.safeEntries
-		if c.safeMode {
-			h.CtrlSafeModeCapW = c.safeCapW
-		}
-		if c.est != nil {
-			h.CtrlLearning = true
-			h.CtrlCurveConf = c.est.Confidence()
-			h.CtrlCurveCells = c.est.ObservedCells()
-		}
-		c.mu.Unlock()
+		h.CtrlLearning = cs.Learning
+		h.CtrlCurveConf = cs.CurveConf
+		h.CtrlCurveCells = cs.CurveCells
 	}
 	return h
 }
@@ -494,7 +480,12 @@ func (d *Daemon) Handler() http.Handler {
 			_ = reg.WritePrometheus(w)
 		}
 	})
-	d.ctrlRoutes(mux)
+	if d.ctrl != nil {
+		ctrl := ctrlplane.NewHandler(d.ctrl)
+		mux.Handle(ctrlplane.PathAssign, ctrl)
+		mux.Handle(ctrlplane.PathReport, ctrl)
+		mux.Handle(ctrlplane.PathLease, ctrl)
+	}
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -544,7 +535,26 @@ func (d *Daemon) Admit(req AdmitRequest) error {
 func (d *Daemon) SetCap(watts float64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.sim.AddCapChange(d.simTime, watts)
+	return d.scheduleCapLocked(watts)
+}
+
+// scheduleCapLocked queues a cap change at the current sim time; the
+// next simulation step puts it in force.
+func (d *Daemon) scheduleCapLocked(watts float64) error {
+	if err := d.sim.AddCapChange(d.simTime, watts); err != nil {
+		return err
+	}
+	d.pendingCapW = watts
+	return nil
+}
+
+// upcomingCapLocked is the cap in force once the simulation next steps:
+// the last one scheduled since it stepped, else the executor's.
+func (d *Daemon) upcomingCapLocked() float64 {
+	if d.pendingCapW != 0 {
+		return d.pendingCapW
+	}
+	return d.sim.Executor().Cap()
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {

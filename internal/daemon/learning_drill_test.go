@@ -199,7 +199,6 @@ func TestLearningConvergenceWelfare(t *testing.T) {
 		coord, err := ctrlplane.New(ctrlplane.Config{
 			Agents:    f.refs,
 			Strategy:  ctrlplane.StrategyUtility,
-			LeaseS:    interval / 2,
 			LeaseIv:   2,
 			IntervalS: interval,
 			// Admit a learned curve early: the grant bounds the reachable
@@ -245,8 +244,12 @@ func TestLearningConvergenceWelfare(t *testing.T) {
 				t.Fatalf("daemon %d reports learning=%v cells=%d after %d intervals",
 					2+j, h.CtrlLearning, h.CtrlCurveCells, steps)
 			}
-			curve, ok := d.ctrl.est.Curve()
-			if !ok || len(curve) != len(grid) {
+			rep, err := d.ctrl.Report()
+			if err != nil {
+				t.Fatal(err)
+			}
+			curve := rep.UtilityCurve
+			if len(curve) != len(grid) {
 				t.Fatalf("daemon %d learned %d curve cells, want %d", 2+j, len(curve), len(grid))
 			}
 			for k := range curve {
@@ -369,7 +372,6 @@ func TestMixedFleetLearnedCurveParity(t *testing.T) {
 		c, err := ctrlplane.New(ctrlplane.Config{
 			Agents:    refs,
 			Strategy:  ctrlplane.StrategyUtility,
-			LeaseS:    interval / 2,
 			LeaseIv:   2,
 			IntervalS: interval,
 			// Admit learned curves only at full coverage: a partially

@@ -113,14 +113,10 @@ func TestMixedFleetClockParity(t *testing.T) {
 		refs[i] = ctrlplane.AgentRef{ID: i, URL: bsrv.URL()}
 	}
 
-	// LeaseS deliberately shorter than the control interval: if
-	// seconds-based aging leaked into clock mode, every member would
-	// fence between consecutive grants.
 	mkCoord := func(agents []ctrlplane.AgentRef) *ctrlplane.Coordinator {
 		c, err := ctrlplane.New(ctrlplane.Config{
 			Agents:    agents,
 			Strategy:  ctrlplane.StrategyEqual,
-			LeaseS:    interval / 2,
 			LeaseIv:   leaseIv,
 			IntervalS: interval,
 		})

@@ -81,11 +81,10 @@ type ctrlChecker struct {
 	prevCapW     float64
 	lastLeadCapW float64
 	lastEpoch    uint64
-	// clock marks a protocol-clock campaign; lastIv is then the highest
-	// interval any coordinator incarnation has minted — a mint at or
-	// below it means a restarted coordinator re-issued an interval
-	// number, the exact duplication rehydration exists to prevent.
-	clock  bool
+	// lastIv is the highest interval any coordinator incarnation has
+	// minted — a mint at or below it means a restarted coordinator
+	// re-issued an interval number, the exact duplication rehydration
+	// exists to prevent.
 	lastIv uint64
 	// learn marks an online-learning campaign: the checker then audits
 	// that no probing member enforces more than its granted budget while
@@ -178,20 +177,15 @@ func (ck *ctrlChecker) check(r *Result, step int, t, capW float64, led bool,
 		}
 		learn = fmt.Sprintf(" unconv=%d minconf=%.3f", unconv, minConf)
 	}
-	if ck.clock {
-		if led && res.Iv > 0 {
-			if res.Iv <= ck.lastIv {
-				r.violatef("step=%03d coordinator minted interval %d, already used through %d",
-					step, res.Iv, ck.lastIv)
-			}
-			ck.lastIv = res.Iv
+	if led && res.Iv > 0 {
+		if res.Iv <= ck.lastIv {
+			r.violatef("step=%03d coordinator minted interval %d, already used through %d",
+				step, res.Iv, ck.lastIv)
 		}
-		r.logf("step=%03d t=%.0f cap=%.3f capsum=%.3f grid=%.3f granted=%d safe=%d fenced=%d epoch=%d led=%d iv=%d rehydrating=%d%s",
-			step, t, capW, capSum, gridSum, granted, safe, fenced, epoch, b2i(led), res.Iv, b2i(res.Rehydrating), learn)
-	} else {
-		r.logf("step=%03d t=%.0f cap=%.3f capsum=%.3f grid=%.3f granted=%d safe=%d fenced=%d epoch=%d led=%d%s",
-			step, t, capW, capSum, gridSum, granted, safe, fenced, epoch, b2i(led), learn)
+		ck.lastIv = res.Iv
 	}
+	r.logf("step=%03d t=%.0f cap=%.3f capsum=%.3f grid=%.3f granted=%d safe=%d fenced=%d epoch=%d led=%d iv=%d rehydrating=%d%s",
+		step, t, capW, capSum, gridSum, granted, safe, fenced, epoch, b2i(led), res.Iv, b2i(res.Rehydrating), learn)
 	ck.prevCapW = capW
 	ck.lastEpoch = epoch
 }

@@ -117,21 +117,17 @@ func runCtrl(c Campaign) (*Result, error) {
 	}
 	ccfg := ctrlplane.Config{
 		Agents: flt.Refs(),
-		// One step of lease: a partitioned agent fences (or enters safe
-		// mode) within the interval after its last grant, and MissK=1
-		// expires its membership in the same interval the outage lands.
-		LeaseS:     c.Config.StepS,
+		// The legacy families run on one step of lease: a partitioned
+		// agent fences (or enters safe mode) within the interval after
+		// its last grant, and MissK=1 expires its membership in the same
+		// interval the outage lands.
+		LeaseIv:    max(c.LeaseIv, 1),
+		IntervalS:  c.Config.StepS,
 		MissK:      1,
 		Retries:    1,
 		RPCTimeout: 5 * time.Second,
 		Transport:  inj,
 		Seed:       c.Config.Seed,
-	}
-	if c.LeaseIv > 0 {
-		// Protocol-clock leases: LeaseIv intervals at the nominal step
-		// length replace LeaseS seconds for every member.
-		ccfg.LeaseIv = c.LeaseIv
-		ccfg.IntervalS = c.Config.StepS
 	}
 	if c.Learn != nil {
 		// A learning fleet is apportioned by utility: learned curves
@@ -157,7 +153,7 @@ func runCtrl(c Campaign) (*Result, error) {
 	}
 
 	r := &Result{Campaign: c, LeaderlessMinCapW: math.Inf(1)}
-	ck := ctrlChecker{clock: c.LeaseIv > 0, learn: c.Learn != nil}
+	ck := ctrlChecker{learn: c.Learn != nil}
 	ctx := context.Background()
 	leaderDown := false
 	skew := make([]float64, c.Config.Servers)
@@ -226,16 +222,14 @@ func runCtrl(c Campaign) (*Result, error) {
 	r.LeaseExpiries, r.Rejoins = accExpiries+st.LeaseExpiries, accRejoins+st.Rejoins
 	r.Rehydrations = accRehyd + st.Rehydrations
 	r.FinalEpoch = coord.Epoch()
-	if ck.clock {
-		maxSkew := 0.0
-		for _, a := range flt.Agents {
-			if sk := math.Abs(a.ClockSkewIv()); sk > maxSkew {
-				maxSkew = sk
-			}
+	maxSkew := 0.0
+	for _, a := range flt.Agents {
+		if sk := math.Abs(a.ClockSkewIv()); sk > maxSkew {
+			maxSkew = sk
 		}
-		r.logf("clock summary lastIv=%d rehydrations=%d maxSkewIv=%.3f",
-			ck.lastIv, r.Rehydrations, maxSkew)
 	}
+	r.logf("clock summary lastIv=%d rehydrations=%d maxSkewIv=%.3f",
+		ck.lastIv, r.Rehydrations, maxSkew)
 	if c.Learn != nil {
 		unconv := 0
 		minConf := 1.0

@@ -232,9 +232,9 @@ type Campaign struct {
 	// SafeMode configures leaderless degradation for the fleet's agents
 	// (zero: agents fence to 0 W on lease lapse).
 	SafeMode ctrlplane.SafeModeConfig
-	// LeaseIv, when positive, runs the control plane on protocol-clock
-	// leases: grants are valid LeaseIv coordinator intervals (aged at
-	// StepS per interval) instead of LeaseS seconds.
+	// LeaseIv is the draw lease in coordinator intervals, aged at StepS
+	// per interval. Zero means one interval: a partitioned agent fences
+	// (or enters safe mode) within the interval after its last grant.
 	LeaseIv int
 	// Learn, when non-nil, boots every fleet member curveless: agents
 	// characterize their cap→utility curves online from this config

@@ -168,15 +168,15 @@ func TestCampaignHierarchyShardLoss(t *testing.T) {
 }
 
 // Clock chaos: skewed agent clocks, a coordinator stall across a cap
-// emergency, and a crash-restart — all under protocol-clock leases.
+// emergency, and a crash-restart — all under two-interval leases.
 // The stall must put the fleet through interval-aged safe mode, the
 // restarted coordinator must rehydrate its counter from fleet scrapes
 // (the duplicate-mint invariant runs every leading step), and the run
 // must end with everyone re-granted under the original epoch.
 func TestCampaignClockChaos(t *testing.T) {
 	r := mustRun(t, Config{Family: FamilyClockChaos, Seed: 7})
-	if r.Campaign.LeaseIv == 0 {
-		t.Fatal("campaign did not select protocol-clock leases")
+	if r.Campaign.LeaseIv < 2 {
+		t.Fatalf("campaign runs on a %d-interval lease, want one that outlives a single missed grant", r.Campaign.LeaseIv)
 	}
 	if r.SafeModeSteps == 0 {
 		t.Fatal("no step rode the stall in safe mode")
@@ -221,8 +221,8 @@ func TestCampaignLearningColdStart(t *testing.T) {
 	if r.Campaign.Learn == nil {
 		t.Fatal("campaign carries no learning config")
 	}
-	if r.Campaign.LeaseIv == 0 {
-		t.Fatal("campaign did not select protocol-clock leases")
+	if r.Campaign.LeaseIv < 2 {
+		t.Fatalf("campaign runs on a %d-interval lease, want one that outlives a single missed grant", r.Campaign.LeaseIv)
 	}
 	if f := r.Campaign.LearnConfFloor; f <= 0 || f >= 1 {
 		t.Fatalf("confidence floor %.3f outside the partial-admission band", f)
