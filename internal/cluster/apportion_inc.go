@@ -2,21 +2,30 @@ package cluster
 
 import "math"
 
-// Apportioner is the incremental fast path for ApportionCurves: it
-// caches the DP's per-member prefix layers between calls and replays
-// only the layers at and after the first member whose curve changed.
+// Apportioner is the one incremental forward DP table a coordinator
+// owns. It caches the ApportionCurves DP's per-member prefix layers
+// between calls and has two readers over that one table:
+//
+//   - Apportion backtracks from a single budget level to per-member
+//     budgets — ApportionCurves with the cache.
+//   - Rollup reads every level out as the shard-level aggregate curve a
+//     tier above apportions against.
+//
+// Both go through sync, which owns change detection and replays only
+// the layers at and after the first member whose curve changed.
 //
 // The cache exploits a structural property of the DP: the value table
 // best[l] after processing members 0..i depends only on those members'
 // curves and on lower budget indices — never on the level bound the
-// call happened to run with. Layers are therefore kept at a high-water
-// level count; a cap change alone (different reconstruction start
-// index) costs zero recompute, and when k of n member curves change
-// between intervals only the layers from the first change onward are
-// rebuilt. Because every retained column was produced by the exact
-// arithmetic ApportionCurves would run, the budgets, perf, and grid
-// draw returned are bit-identical to the full DP by construction —
-// TestApportionerMatchesFullDP holds the two together.
+// call happened to run with. Each layer is therefore valid over
+// [0, len(layer)) on its own: a cap change alone (different
+// reconstruction start index) costs zero recompute, a dirty layer is
+// rebuilt over just the levels the call at hand needs, a clean layer
+// keeps whatever span it has, and a later call that needs more extends
+// layers in member order. Because every retained column was produced by
+// the exact arithmetic ApportionCurves would run, the budgets, perf,
+// and grid draw returned are bit-identical to the full DP by
+// construction — TestApportionerMatchesFullDP holds the two together.
 //
 // The zero value is ready to use. Not safe for concurrent use.
 type Apportioner struct {
@@ -26,16 +35,27 @@ type Apportioner struct {
 	curves [][]CapPoint
 	// layers[i] is the DP value vector after processing member i, and
 	// choices[i][l] the curve index member i takes at budget level l;
-	// both span [0, hiLevels).
-	layers   [][]float64
-	choices  [][]int
-	hiLevels int
+	// both span [0, len(layers[i])). Choices are uint16 — half the
+	// table's bytes at 8-byte ints — which is what maxCurvePoints checks.
+	layers  [][]float64
+	choices [][]uint16
 	// recomputed counts the member layers rebuilt by the last call.
 	recomputed int
+	// rollup memoizes the last Rollup read-out (thinned to rollupPoints)
+	// for as long as the snapshot it was read from stands. It is
+	// replaced, never written in place, so a caller may keep sharing a
+	// returned slice read-only.
+	rollup       []CapPoint
+	rollupPoints int
 }
 
-// LastRecomputed reports how many member layers the last Apportion
-// call had to rebuild (0 when only the cap moved).
+// maxCurvePoints is the longest curve the uint16 choice table indexes
+// (131 kW above the floor at 2 W a point — no server has one).
+const maxCurvePoints = math.MaxUint16 + 1
+
+// LastRecomputed reports how many member layers the last Apportion or
+// Rollup call had to rebuild (0 when only the cap moved, or nothing
+// did).
 func (a *Apportioner) LastRecomputed() int { return a.recomputed }
 
 // curveChanged reports whether cur differs from the cached snapshot.
@@ -49,6 +69,71 @@ func curveChanged(snap, cur []CapPoint) bool {
 		}
 	}
 	return false
+}
+
+// resize returns s with length n, keeping its first min(len(s), n)
+// elements; the rest is for the caller to fill.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// sync brings the table up to date with curves priced from floorW, with
+// every layer spanning at least levels budget levels. It is the one
+// place curve changes are detected: layers before the first changed
+// member are kept (and extended in place when they are short), layers
+// from it on are rebuilt over exactly [0, levels) — a member past a
+// dirty one chains off its output, so it is rebuilt too.
+func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, levels int) {
+	n := len(curves)
+	a.recomputed = 0
+	// A floor change reprices every curve point; drop the whole cache.
+	if floorW != a.floorW {
+		a.curves = a.curves[:0]
+		a.floorW = floorW
+	}
+	firstDirty := n
+	for i := 0; i < n; i++ {
+		if i >= len(a.curves) || curveChanged(a.curves[i], curves[i]) {
+			firstDirty = i
+			break
+		}
+	}
+	if firstDirty < n || len(a.curves) != n {
+		a.rollup = nil
+	}
+	for len(a.curves) < n {
+		a.curves = append(a.curves, nil)
+		a.layers = append(a.layers, nil)
+		a.choices = append(a.choices, nil)
+	}
+	a.curves = a.curves[:n]
+	a.layers = a.layers[:n]
+	a.choices = a.choices[:n]
+
+	// Member order matters: each new column of layer i reads only layer
+	// i-1, which spans levels by the time we get there, so extending a
+	// clean prefix never invalidates it.
+	var prev []float64
+	for i := 0; i < n; i++ {
+		lo := len(a.layers[i])
+		if i >= firstDirty {
+			lo = 0
+			a.recomputed++
+			a.curves[i] = append(a.curves[i][:0], curves[i]...)
+		}
+		if lo < levels {
+			if i == 0 {
+				prev = make([]float64, levels) // member 0 chains off zeros
+			}
+			a.layers[i] = resize(a.layers[i][:lo], levels)
+			a.choices[i] = resize(a.choices[i][:lo], levels)
+			a.dpColumns(i, curves[i], prev, lo, levels)
+		}
+		prev = a.layers[i]
+	}
 }
 
 // Apportion is ApportionCurves with the incremental cache. Same
@@ -70,73 +155,82 @@ func (a *Apportioner) Apportion(clusterCapW, floorW float64, curves [][]CapPoint
 		}
 		return budgets, 0, capQ
 	}
+	for _, c := range curves {
+		if len(c) > maxCurvePoints {
+			return ApportionCurves(clusterCapW, floorW, curves)
+		}
+	}
 	spare := capQ - floorW*float64(n)
 	levels := int(spare/serverCapStepW) + 1
-
-	// A floor change reprices every curve point; drop the whole cache.
-	if floorW != a.floorW {
-		a.curves = a.curves[:0]
-		a.floorW = floorW
-	}
-	// firstDirty is the first member whose cached layer cannot be
-	// reused: its curve changed, or it was never computed. Members past
-	// a dirty one are rebuilt too (their layers chain off its output).
-	firstDirty := n
-	for i := 0; i < n; i++ {
-		if i >= len(a.curves) || curveChanged(a.curves[i], curves[i]) {
-			firstDirty = i
-			break
-		}
-	}
-	for len(a.curves) < n {
-		a.curves = append(a.curves, nil)
-		a.layers = append(a.layers, nil)
-		a.choices = append(a.choices, nil)
-	}
-	a.curves = a.curves[:n]
-	a.layers = a.layers[:n]
-	a.choices = a.choices[:n]
-
-	// Grow the high-water level count first: the clean prefix extends
-	// its columns in place (each new column of layer i reads only
-	// layer i-1, which is extended by the time we get there), so a cap
-	// increase never invalidates unchanged members.
-	if levels > a.hiLevels {
-		zero := make([]float64, levels)
-		prev := zero
-		for i := 0; i < firstDirty; i++ {
-			a.layers[i] = append(a.layers[i], make([]float64, levels-a.hiLevels)...)
-			a.choices[i] = append(a.choices[i], make([]int, levels-a.hiLevels)...)
-			a.dpColumns(i, curves[i], prev, a.hiLevels, levels)
-			prev = a.layers[i]
-		}
-		a.hiLevels = levels
-	}
-	// Rebuild the dirty suffix over the full high-water range.
-	prev := make([]float64, a.hiLevels)
-	if firstDirty > 0 {
-		prev = a.layers[firstDirty-1]
-	}
-	for i := firstDirty; i < n; i++ {
-		a.recomputed++
-		a.curves[i] = append(a.curves[i][:0], curves[i]...)
-		a.layers[i] = append(a.layers[i][:0], make([]float64, a.hiLevels)...)
-		a.choices[i] = append(a.choices[i][:0], make([]int, a.hiLevels)...)
-		a.dpColumns(i, curves[i], prev, 0, a.hiLevels)
-		prev = a.layers[i]
-	}
+	a.sync(floorW, curves, levels)
 
 	// Reconstruction: identical to ApportionCurves, starting at this
 	// call's level bound.
 	l := levels - 1
 	for i := n - 1; i >= 0; i-- {
-		k := a.choices[i][l]
+		k := int(a.choices[i][l])
 		budgets[i] = curves[i][k].CapW
 		perf += curves[i][k].Perf
 		gridW += curves[i][k].GridW
 		l -= k
 	}
 	return budgets, perf, gridW
+}
+
+// Rollup aggregates the members' cap-utility curves into one
+// shard-level curve, thinned by DownsampleCurve to at most maxPoints:
+// point l of the full read-out is the best summed performance (and the
+// grid draw of the member split achieving it) the members can deliver
+// when granted floorW each plus l spare steps of ServerCapStepW, for
+// every l up to all members saturated. It is the forward table Apportion
+// backtracks through, read out level by level, so a cluster-level
+// apportioner consuming the rollup prices the shard's watts exactly as
+// the shard's own coordinator will spend them.
+//
+// The result is memoized: while floorW, curves and maxPoints stand the
+// same slice is returned with no DP work and no allocation. Callers
+// must treat it as read-only.
+//
+// Every curve must be non-empty (curveless members have no utility to
+// roll up — the shard reports an empty aggregate and the tier above
+// falls back to its even-share path); nil is returned otherwise.
+func (a *Apportioner) Rollup(floorW float64, curves [][]CapPoint, maxPoints int) []CapPoint {
+	n := len(curves)
+	a.recomputed = 0
+	if n == 0 {
+		return nil
+	}
+	levels := 1
+	for _, c := range curves {
+		if len(c) == 0 || len(c) > maxCurvePoints {
+			return nil
+		}
+		levels += len(c) - 1
+	}
+	a.sync(floorW, curves, levels)
+	if a.rollup != nil && a.rollupPoints == maxPoints {
+		return a.rollup
+	}
+	// Grid draw rides the argmax path, summed in member order — the
+	// association the two-slab forward rollup used, so the floats agree
+	// bit for bit.
+	grid, next := make([]float64, levels), make([]float64, levels)
+	for i, c := range curves {
+		cho := a.choices[i]
+		for l := range next {
+			k := int(cho[l])
+			next[l] = grid[l-k] + c[k].GridW
+		}
+		grid, next = next, grid
+	}
+	best := a.layers[n-1]
+	full := make([]CapPoint, levels)
+	base := floorW * float64(n)
+	for l := range full {
+		full[l] = CapPoint{CapW: base + float64(l)*serverCapStepW, Perf: best[l], GridW: grid[l]}
+	}
+	a.rollup, a.rollupPoints = DownsampleCurve(full, maxPoints), maxPoints
+	return a.rollup
 }
 
 // dpColumns fills member i's value and choice columns [lo, hi) from
@@ -156,6 +250,6 @@ func (a *Apportioner) dpColumns(i int, curve []CapPoint, prev []float64, lo, hi 
 			}
 		}
 		layer[l] = bestV
-		cho[l] = bestK
+		cho[l] = uint16(bestK)
 	}
 }

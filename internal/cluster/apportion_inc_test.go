@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -107,5 +108,288 @@ func TestApportionerIncrementalReuse(t *testing.T) {
 		if gotB[i] != wantB[i] {
 			t.Fatalf("member %d budget %v, full DP %v", i, gotB[i], wantB[i])
 		}
+	}
+}
+
+// referenceRollupCurves is the two-slab forward rollup RollupCurves ran
+// before it became a read-out of the Apportioner's table, retained here
+// verbatim as the oracle the read-out is held to, bit for bit.
+func referenceRollupCurves(floorW float64, curves [][]CapPoint) []CapPoint {
+	n := len(curves)
+	if n == 0 {
+		return nil
+	}
+	levels := 1
+	for _, c := range curves {
+		if len(c) == 0 {
+			return nil
+		}
+		levels += len(c) - 1
+	}
+	best := make([]float64, levels)
+	grid := make([]float64, levels)
+	for i := 0; i < n; i++ {
+		next := make([]float64, levels)
+		nextGrid := make([]float64, levels)
+		for l := 0; l < levels; l++ {
+			bestV, bestG := math.Inf(-1), 0.0
+			kMax := l
+			if kMax >= len(curves[i]) {
+				kMax = len(curves[i]) - 1
+			}
+			for k := 0; k <= kMax; k++ {
+				if v := best[l-k] + curves[i][k].Perf; v > bestV {
+					bestV = v
+					bestG = grid[l-k] + curves[i][k].GridW
+				}
+			}
+			next[l], nextGrid[l] = bestV, bestG
+		}
+		best, grid = next, nextGrid
+	}
+	out := make([]CapPoint, levels)
+	base := floorW * float64(n)
+	for l := range out {
+		out[l] = CapPoint{CapW: base + float64(l)*serverCapStepW, Perf: best[l], GridW: grid[l]}
+	}
+	return out
+}
+
+// stepCurve is a non-concave curve: flat at the floor until the P_cm
+// step is paid, then rising — the shape that makes greedy apportioning
+// wrong and DP tie-breaks matter.
+func stepCurve(rng *rand.Rand, floorW float64) []CapPoint {
+	n := 2 + rng.Intn(20)
+	knee := 1 + rng.Intn(n-1)
+	out := make([]CapPoint, n)
+	slope := 0.05 + rng.Float64()*0.3
+	for k := range out {
+		var perf float64
+		if k >= knee {
+			perf = 0.5 + slope*float64(k-knee)
+		}
+		out[k] = CapPoint{
+			CapW:  floorW + float64(k)*ServerCapStepW,
+			Perf:  perf,
+			GridW: floorW + 0.7*float64(k)*ServerCapStepW,
+		}
+	}
+	return out
+}
+
+func sameCurveBits(t *testing.T, what string, got, want []CapPoint) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d points, reference has %d", what, len(got), len(want))
+	}
+	for l := range want {
+		if got[l] != want[l] {
+			t.Fatalf("%s: point %d is %+v, reference %+v", what, l, got[l], want[l])
+		}
+	}
+}
+
+// TestApportionerRollupMatchesReference drives one Apportioner through
+// the access pattern a shard coordinator generates — apportion at a
+// moving cap, then roll up — under every kind of change the cache has
+// to notice: k dirty curves, floor changes, members joining and
+// leaving, thinning bounds moving. Both readers must agree with their
+// from-scratch oracles bit for bit at every step.
+func TestApportionerRollupMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1414))
+	gen := func(floorW float64) []CapPoint {
+		if rng.Intn(3) == 0 {
+			return stepCurve(rng, floorW)
+		}
+		return randCurve(rng, floorW)
+	}
+	for trial := 0; trial < 25; trial++ {
+		floorW := 40.0
+		n := 1 + rng.Intn(14)
+		curves := make([][]CapPoint, n)
+		for i := range curves {
+			curves[i] = gen(floorW)
+		}
+		maxPoints := []int{0, 8, 256}[rng.Intn(3)]
+		var inc Apportioner
+		for step := 0; step < 40; step++ {
+			switch rng.Intn(9) {
+			case 1: // one dirty member
+				curves[rng.Intn(len(curves))] = gen(floorW)
+			case 2: // a dirty tail
+				for i := rng.Intn(len(curves)); i < len(curves); i++ {
+					curves[i] = gen(floorW)
+				}
+			case 3: // k scattered dirty members
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					curves[rng.Intn(len(curves))] = gen(floorW)
+				}
+			case 4: // floor change reprices everything
+				floorW = 30 + float64(rng.Intn(8))*2
+				for i := range curves {
+					curves[i] = gen(floorW)
+				}
+			case 5: // a member joins
+				curves = append(curves, gen(floorW))
+			case 6: // a member leaves, from anywhere
+				if len(curves) > 1 {
+					i := rng.Intn(len(curves))
+					curves = append(curves[:i:i], curves[i+1:]...)
+				}
+			case 7: // the thinning bound moves under an unchanged table
+				maxPoints = []int{0, 8, 256}[rng.Intn(3)]
+			}
+			n := len(curves)
+			// Interleave the readers in both orders, with caps from
+			// "floors don't fit" through "everyone saturated and more".
+			order := rng.Intn(3)
+			if order != 0 {
+				got := inc.Rollup(floorW, curves, maxPoints)
+				sameCurveBits(t, "rollup before apportion", got,
+					DownsampleCurve(referenceRollupCurves(floorW, curves), maxPoints))
+			}
+			capW := floorW*float64(n)*0.5 + rng.Float64()*floorW*float64(n)*2.5
+			wantB, wantP, wantG := ApportionCurves(capW, floorW, curves)
+			gotB, gotP, gotG := inc.Apportion(capW, floorW, curves)
+			if gotP != wantP || gotG != wantG {
+				t.Fatalf("trial %d step %d: perf/grid (%v, %v), full DP (%v, %v)", trial, step, gotP, gotG, wantP, wantG)
+			}
+			for i := range wantB {
+				if gotB[i] != wantB[i] {
+					t.Fatalf("trial %d step %d: member %d budget %v, full DP %v", trial, step, i, gotB[i], wantB[i])
+				}
+			}
+			if order != 1 {
+				got := inc.Rollup(floorW, curves, maxPoints)
+				if order == 2 && inc.LastRecomputed() != 0 {
+					t.Fatalf("trial %d step %d: rollup right after an apportion over the same curves rebuilt %d layers",
+						trial, step, inc.LastRecomputed())
+				}
+				sameCurveBits(t, "rollup after apportion", got,
+					DownsampleCurve(referenceRollupCurves(floorW, curves), maxPoints))
+			}
+		}
+	}
+	// The package-level function is the same read-out over a cold table.
+	curves := [][]CapPoint{stepCurve(rng, 40), randCurve(rng, 40), stepCurve(rng, 40)}
+	sameCurveBits(t, "RollupCurves", RollupCurves(40, curves), referenceRollupCurves(40, curves))
+}
+
+// TestApportionerRollupMemoized pins the steady state: with curves,
+// floor and thinning bound unchanged, Rollup hands back the same slice
+// with no layer work and no allocation, cap moves in between included;
+// any change replaces the slice instead of writing into it.
+func TestApportionerRollupMemoized(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const floorW, n = 40.0, 24
+	curves := make([][]CapPoint, n)
+	for i := range curves {
+		curves[i] = randCurve(rng, floorW)
+	}
+	var inc Apportioner
+	inc.Apportion(1200, floorW, curves)
+	first := inc.Rollup(floorW, curves, 64)
+	if len(first) != 64 {
+		t.Fatalf("rollup thinned to %d points, want 64", len(first))
+	}
+	// Same values through fresh backing arrays, as a decoded scrape
+	// delivers them: the detector compares contents, not pointers.
+	fresh := make([][]CapPoint, n)
+	for i := range curves {
+		fresh[i] = append([]CapPoint(nil), curves[i]...)
+	}
+	for _, capW := range []float64{1100, 1500, 990} {
+		inc.Apportion(capW, floorW, fresh)
+		again := inc.Rollup(floorW, fresh, 64)
+		if &again[0] != &first[0] || inc.LastRecomputed() != 0 {
+			t.Fatalf("unchanged curves at cap %g: new slice %v, %d layers rebuilt", capW, &again[0] != &first[0], inc.LastRecomputed())
+		}
+	}
+	if avg := testing.AllocsPerRun(20, func() { inc.Rollup(floorW, fresh, 64) }); avg != 0 {
+		t.Fatalf("memoized rollup allocates %.1f times per call, want 0", avg)
+	}
+	kept := append([]CapPoint(nil), first...)
+	fresh[n-1] = randCurve(rng, floorW)
+	changed := inc.Rollup(floorW, fresh, 64)
+	if inc.LastRecomputed() != 1 {
+		t.Fatalf("one changed tail member rebuilt %d layers, want 1", inc.LastRecomputed())
+	}
+	if &changed[0] == &first[0] {
+		t.Fatal("a changed curve wrote the new rollup into the slice handed out before")
+	}
+	sameCurveBits(t, "rollup handed out before the change", first, kept)
+	sameCurveBits(t, "rollup after the change", changed, DownsampleCurve(referenceRollupCurves(floorW, fresh), 64))
+}
+
+// TestApportionerRebuildsOnlyNeededLevels pins the high-water fix: a
+// dirty layer is rebuilt over the levels the call at hand needs, not
+// over the widest span any earlier call ran with (an uncapped warm-up
+// used to make every later dirty rebuild pay for the warm-up's range).
+func TestApportionerRebuildsOnlyNeededLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const floorW, n = 40.0, 10
+	curves := make([][]CapPoint, n)
+	for i := range curves {
+		curves[i] = randCurve(rng, floorW)
+	}
+	var inc Apportioner
+	inc.Apportion(floorW*n+2000, floorW, curves) // warm-up: 1001 levels
+	for i := range inc.layers {
+		if len(inc.layers[i]) != 1001 {
+			t.Fatalf("warm-up layer %d spans %d levels, want 1001", i, len(inc.layers[i]))
+		}
+	}
+	curves[6] = randCurve(rng, floorW)
+	inc.Apportion(floorW*n+100, floorW, curves) // 51 levels, members 6.. dirty
+	for i := range inc.layers {
+		want := 1001
+		if i >= 6 {
+			want = 51
+		}
+		if len(inc.layers[i]) != want || len(inc.choices[i]) != want {
+			t.Fatalf("layer %d spans %d levels after a capped dirty rebuild, want %d", i, len(inc.layers[i]), want)
+		}
+	}
+	// A later call that needs more extends the short layers in place,
+	// without counting as a rebuild, and still matches the full DP.
+	capW := floorW*n + 600
+	gotB, gotP, gotG := inc.Apportion(capW, floorW, curves)
+	if inc.LastRecomputed() != 0 {
+		t.Fatalf("extending short layers counted %d rebuilds", inc.LastRecomputed())
+	}
+	wantB, wantP, wantG := ApportionCurves(capW, floorW, curves)
+	if gotP != wantP || gotG != wantG {
+		t.Fatalf("perf/grid (%v, %v), full DP (%v, %v)", gotP, gotG, wantP, wantG)
+	}
+	for i := range wantB {
+		if gotB[i] != wantB[i] {
+			t.Fatalf("member %d budget %v, full DP %v", i, gotB[i], wantB[i])
+		}
+	}
+}
+
+// A curve too long for the uint16 choice table takes the full DP (and
+// rolls up to nothing) instead of wrapping an index.
+func TestApportionerCurveLengthBound(t *testing.T) {
+	long := make([]CapPoint, maxCurvePoints+1)
+	for k := range long {
+		long[k] = CapPoint{CapW: 40 + float64(k)*ServerCapStepW, Perf: float64(k), GridW: 40}
+	}
+	curves := [][]CapPoint{lineCurve(40, 5, 0.01), long}
+	var inc Apportioner
+	gotB, gotP, _ := inc.Apportion(200, 40, curves)
+	wantB, wantP, _ := ApportionCurves(200, 40, curves)
+	if gotP != wantP || gotB[0] != wantB[0] || gotB[1] != wantB[1] {
+		t.Fatalf("over-long curve: budgets %v perf %v, full DP %v perf %v", gotB, gotP, wantB, wantP)
+	}
+	if got := inc.Rollup(40, curves, 0); got != nil {
+		t.Fatalf("over-long curve rolled up to %d points, want nil", len(got))
+	}
+	// One point shorter is indexable and exact.
+	curves[1] = long[:maxCurvePoints]
+	gotB, _, _ = inc.Apportion(200, 40, curves)
+	wantB, _, _ = ApportionCurves(200, 40, curves)
+	if gotB[0] != wantB[0] || gotB[1] != wantB[1] {
+		t.Fatalf("longest indexable curve: budgets %v, full DP %v", gotB, wantB)
 	}
 }

@@ -73,16 +73,16 @@ func RunDPBench(members, changed, runs, intervals int) (DPBenchCell, error) {
 		curves[i] = dpBenchCurve(i, 0)
 	}
 	capAt := func(iv int) float64 {
-		// Cycle below the warmup cap so the high-water layer cache is
-		// exercised the way a live coordinator exercises it.
+		// Cycle below the warmup cap, as a live coordinator's cap moves
+		// below its boot-time one: dirty layers are rebuilt over the
+		// interval's own level count and extended when the cap rises.
 		return float64(members) * (85 + float64(iv%6))
 	}
 
 	var inc Apportioner
 	rng := rand.New(rand.NewSource(1))
-	// Warmup at the highest cap in the cycle: the incremental cache's
-	// high-water level count is set once, as a long-lived coordinator's
-	// would be.
+	// Warmup at the highest cap in the cycle, so every layer starts as
+	// wide as a long-lived coordinator's would be.
 	inc.Apportion(float64(members)*90, floorW, curves)
 
 	cell := DPBenchCell{Members: members, Changed: changed, Runs: runs, Intervals: intervals}

@@ -20,55 +20,11 @@ import "math"
 const DefaultShardLevels = 2048
 
 // RollupCurves aggregates a shard's member cap-utility curves into one
-// shard-level curve: point l is the best summed performance (and the
-// grid draw of the member split achieving it) the shard can deliver
-// when granted floorW per member plus l spare steps of ServerCapStepW.
-// It is the forward table of the ApportionCurves DP read out level by
-// level, so a cluster-level apportioner consuming the rollup prices the
-// shard's watts exactly as the shard's own coordinator will spend them.
-//
-// Every curve must be non-empty (curveless members have no utility to
-// roll up — the shard reports an empty aggregate and the tier above
-// falls back to its even-share path); nil is returned otherwise.
+// shard-level curve, unthinned: Apportioner.Rollup over a cold table.
+// A coordinator that rolls up every interval keeps an Apportioner and
+// calls its Rollup instead, which redoes only what changed.
 func RollupCurves(floorW float64, curves [][]CapPoint) []CapPoint {
-	n := len(curves)
-	if n == 0 {
-		return nil
-	}
-	levels := 1
-	for _, c := range curves {
-		if len(c) == 0 {
-			return nil
-		}
-		levels += len(c) - 1
-	}
-	best := make([]float64, levels)
-	grid := make([]float64, levels)
-	for i := 0; i < n; i++ {
-		next := make([]float64, levels)
-		nextGrid := make([]float64, levels)
-		for l := 0; l < levels; l++ {
-			bestV, bestG := math.Inf(-1), 0.0
-			kMax := l
-			if kMax >= len(curves[i]) {
-				kMax = len(curves[i]) - 1
-			}
-			for k := 0; k <= kMax; k++ {
-				if v := best[l-k] + curves[i][k].Perf; v > bestV {
-					bestV = v
-					bestG = grid[l-k] + curves[i][k].GridW
-				}
-			}
-			next[l], nextGrid[l] = bestV, bestG
-		}
-		best, grid = next, nextGrid
-	}
-	out := make([]CapPoint, levels)
-	base := floorW * float64(n)
-	for l := range out {
-		out[l] = CapPoint{CapW: base + float64(l)*serverCapStepW, Perf: best[l], GridW: grid[l]}
-	}
-	return out
+	return new(Apportioner).Rollup(floorW, curves, 0)
 }
 
 // DownsampleCurve thins a curve to at most maxPoints samples, always
@@ -168,35 +124,40 @@ func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (b
 		stepW = spare / float64(maxLevels-1)
 	}
 	levels := int(spare/stepW+1e-9) + 1
-	best := make([]float64, levels)
-	choice := make([][]int, len(curved))
+	best, next := make([]float64, levels), make([]float64, levels)
+	// choice[j*levels+l] is curved shard j's curve index at level l.
+	choice := make([]int, len(curved)*levels)
+	var cost []int
 	for j, i := range curved {
 		pts := shards[i].Points
-		choice[j] = make([]int, levels)
-		next := make([]float64, levels)
+		// Price the shard's points once, not once per level.
+		cost = cost[:0]
+		for k := range pts {
+			cost = append(cost, costSteps(pts[k].CapW-pts[0].CapW, stepW))
+		}
+		cho := choice[j*levels : (j+1)*levels]
 		for l := 0; l < levels; l++ {
 			bestV, bestK := math.Inf(-1), 0
-			for k := range pts {
+			for k, c := range cost {
 				// Curve caps are strictly increasing, so costs are
 				// non-decreasing: past the level there is nothing left.
-				cost := costSteps(pts[k].CapW-pts[0].CapW, stepW)
-				if cost > l {
+				if c > l {
 					break
 				}
-				if v := best[l-cost] + pts[k].Perf; v > bestV {
+				if v := best[l-c] + pts[k].Perf; v > bestV {
 					bestV, bestK = v, k
 				}
 			}
 			next[l] = bestV
-			choice[j][l] = bestK
+			cho[l] = bestK
 		}
-		best = next
+		best, next = next, best
 	}
 	l := levels - 1
 	for j := len(curved) - 1; j >= 0; j-- {
 		i := curved[j]
 		pts := shards[i].Points
-		k := choice[j][l]
+		k := choice[j*levels+l]
 		budgets[i] = pts[k].CapW
 		perf += pts[k].Perf
 		l -= costSteps(pts[k].CapW-pts[0].CapW, stepW)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -254,5 +255,158 @@ func TestRebalanceHeadroomMalformedInput(t *testing.T) {
 	out, moved := RebalanceHeadroom(budgets, []float64{1}, []float64{1, 2}, 0)
 	if moved != 0 || out[0] != 100 || out[1] != 100 {
 		t.Fatalf("mismatched slices moved watts: %v (%g)", out, moved)
+	}
+}
+
+// referenceApportionShards is ApportionShards' DP as it stood before the
+// per-shard cost table was hoisted out of the level loop and the choice
+// table became one slab — costSteps called for every (level, point)
+// pair, one choice row per shard — retained as the oracle for budgets,
+// tie-breaks and perf.
+func referenceApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (budgets []float64, perf float64) {
+	n := len(shards)
+	budgets = make([]float64, n)
+	if n == 0 || clusterCapW <= 0 {
+		return budgets, 0
+	}
+	if maxLevels <= 0 {
+		maxLevels = DefaultShardLevels
+	}
+	per := clusterCapW / float64(n)
+	remainW := clusterCapW
+	var curved []int
+	for i, s := range shards {
+		if len(s.Points) == 0 {
+			budgets[i] = per
+			remainW -= per
+		} else {
+			curved = append(curved, i)
+		}
+	}
+	if len(curved) == 0 {
+		return budgets, 0
+	}
+	var baseSum float64
+	for _, i := range curved {
+		baseSum += shards[i].Points[0].CapW
+	}
+	capQ := math.Floor(remainW/serverCapStepW) * serverCapStepW
+	if capQ < baseSum {
+		for _, i := range curved {
+			if baseSum > 0 {
+				budgets[i] = capQ * shards[i].Points[0].CapW / baseSum
+			} else {
+				budgets[i] = capQ / float64(len(curved))
+			}
+		}
+		return budgets, 0
+	}
+	spare := capQ - baseSum
+	stepW := serverCapStepW
+	if int(spare/stepW)+1 > maxLevels {
+		stepW = spare / float64(maxLevels-1)
+	}
+	levels := int(spare/stepW+1e-9) + 1
+	best := make([]float64, levels)
+	choice := make([][]int, len(curved))
+	for j, i := range curved {
+		pts := shards[i].Points
+		choice[j] = make([]int, levels)
+		next := make([]float64, levels)
+		for l := 0; l < levels; l++ {
+			bestV, bestK := math.Inf(-1), 0
+			for k := range pts {
+				cost := costSteps(pts[k].CapW-pts[0].CapW, stepW)
+				if cost > l {
+					break
+				}
+				if v := best[l-cost] + pts[k].Perf; v > bestV {
+					bestV, bestK = v, k
+				}
+			}
+			next[l] = bestV
+			choice[j][l] = bestK
+		}
+		best = next
+	}
+	l := levels - 1
+	for j := len(curved) - 1; j >= 0; j-- {
+		i := curved[j]
+		pts := shards[i].Points
+		k := choice[j][l]
+		budgets[i] = pts[k].CapW
+		perf += pts[k].Perf
+		l -= costSteps(pts[k].CapW-pts[0].CapW, stepW)
+	}
+	return budgets, perf
+}
+
+// TestApportionShardsMatchesReference holds the hoisted loop to the
+// retained one bit for bit over random shard sets: rolled-up member
+// curves thinned to a few dozen points (so caps sit off the coarse
+// grid), heterogeneous floors, curveless shards mixed in, caps from
+// below the floors to past saturation, and maxLevels both above the
+// natural level count (fine 2 W grid) and below it (coarsened grid).
+func TestApportionShardsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2048))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(7)
+		shards := make([]ShardCurve, n)
+		var floorSum, satSum float64
+		for i := range shards {
+			floorW := 30 + float64(rng.Intn(10))*2
+			members := 1 + rng.Intn(6)
+			shards[i].FloorW = floorW * float64(members)
+			if rng.Intn(5) == 0 {
+				floorSum += shards[i].FloorW
+				satSum += shards[i].FloorW
+				continue // curveless: even share
+			}
+			curves := make([][]CapPoint, members)
+			for m := range curves {
+				if rng.Intn(3) == 0 {
+					curves[m] = stepCurve(rng, floorW)
+				} else {
+					curves[m] = randCurve(rng, floorW)
+				}
+			}
+			shards[i].Points = DownsampleCurve(RollupCurves(floorW, curves), 4+rng.Intn(40))
+			floorSum += shards[i].Points[0].CapW
+			satSum += shards[i].Points[len(shards[i].Points)-1].CapW
+		}
+		capW := floorSum*0.8 + rng.Float64()*(satSum*1.3-floorSum*0.8)
+		natural := int((satSum-floorSum)/ServerCapStepW) + 1
+		for _, maxLevels := range []int{0, natural * 2, 2 + rng.Intn(natural+1), 16} {
+			gotB, gotP := ApportionShards(capW, shards, maxLevels)
+			wantB, wantP := referenceApportionShards(capW, shards, maxLevels)
+			if gotP != wantP {
+				t.Fatalf("trial %d maxLevels %d: perf %v, reference %v", trial, maxLevels, gotP, wantP)
+			}
+			for i := range wantB {
+				if gotB[i] != wantB[i] {
+					t.Fatalf("trial %d maxLevels %d: shard %d budget %v, reference %v", trial, maxLevels, i, gotB[i], wantB[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkApportionShards is the global step's DP at the tree-1k-8
+// shape: eight shards of 125 nine-point members, each rolled up and
+// thinned to 256 points, split on the 2048-level coarse grid.
+func BenchmarkApportionShards(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	shards := make([]ShardCurve, 8)
+	for s := range shards {
+		curves := make([][]CapPoint, 125)
+		for m := range curves {
+			curves[m] = lineCurve(45, 9, 0.01+0.01*rng.Float64())
+		}
+		shards[s] = ShardCurve{FloorW: 45 * 125, Points: DownsampleCurve(RollupCurves(45, curves), 256)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ApportionShards(8*125*52*0.98, shards, 0)
 	}
 }

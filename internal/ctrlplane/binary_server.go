@@ -252,22 +252,22 @@ func (s *BinaryServer) dispatch(ftype byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return fail(err)
 		}
-		resp := BatchScrapeResponse{V: ProtocolV}
-		for _, server := range req.Servers {
-			resp.Results = append(resp.Results, s.scrapeOne(server, req.T, req.HasT))
+		resp := BatchScrapeResponse{V: ProtocolV, Results: make([]ScrapeResult, len(req.Servers))}
+		for i, server := range req.Servers {
+			resp.Results[i] = s.scrapeOne(server, req.T, req.HasT)
 		}
-		return FrameBatchScrapeResp, appendBatchScrapeRespPayload(nil, resp)
+		return FrameBatchScrapeResp, appendBatchScrapeRespPayload(make([]byte, 0, batchScrapeRespSize(resp)), resp)
 
 	case FrameBatchGrantReq:
 		req, err := decodeBatchGrantReqPayload(payload)
 		if err != nil {
 			return fail(err)
 		}
-		resp := BatchGrantResponse{V: ProtocolV}
-		for _, e := range req.Entries {
-			resp.Results = append(resp.Results, s.grantOne(req, e))
+		resp := BatchGrantResponse{V: ProtocolV, Results: make([]GrantResult, len(req.Entries))}
+		for i, e := range req.Entries {
+			resp.Results[i] = s.grantOne(req, e)
 		}
-		return FrameBatchGrantResp, appendBatchGrantRespPayload(nil, resp)
+		return FrameBatchGrantResp, appendBatchGrantRespPayload(make([]byte, 0, batchGrantRespSize(resp)), resp)
 
 	case FrameShardReportReq:
 		if s.cfg.ShardReport == nil {

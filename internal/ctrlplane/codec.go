@@ -151,9 +151,16 @@ func readFrame(r io.Reader) (ftype byte, payload []byte, err error) {
 	return ftype, payload, nil
 }
 
-// writeFrame writes one frame to a stream.
+// writeFrame writes one frame to a stream: header, then payload, so a
+// whole-fleet batch response is not copied once more just to prepend
+// eight bytes. Callers hand it a buffered writer and flush.
 func writeFrame(w io.Writer, ftype byte, payload []byte) error {
-	_, err := w.Write(EncodeFrame(ftype, payload))
+	hdr := [frameHeaderLen]byte{frameMagic0, frameMagic1, ProtocolV, ftype}
+	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
 	return err
 }
 
@@ -348,6 +355,18 @@ func putReport(w *wbuf, rep Report) {
 	w.u64(rep.Iv)
 }
 
+// reportSize is the number of bytes putReport appends for rep: ten
+// 8-byte scalars, two bools, the version's u16 length and the curve's
+// u32 count are the fixed 88 (TestBatchResponseSizes holds it to the
+// encoder).
+func reportSize(rep Report) int {
+	n := 88 + len(rep.Version) + 24*len(rep.UtilityCurve)
+	if rep.CurveConf != 0 || rep.CurveCells != 0 {
+		n += 12
+	}
+	return n
+}
+
 func getReport(r *rbuf) Report {
 	var rep Report
 	rep.V = ProtocolV
@@ -455,6 +474,9 @@ func putAssignResp(w *wbuf, resp AssignResponse) {
 	w.boolean(resp.SafeMode)
 	w.u64(resp.Iv)
 }
+
+// assignRespSize is the number of bytes putAssignResp appends.
+const assignRespSize = 67
 
 func getAssignResp(r *rbuf) AssignResponse {
 	var resp AssignResponse
@@ -893,13 +915,49 @@ func appendBatchScrapeRespPayload(b []byte, resp BatchScrapeResponse) []byte {
 	return w.b
 }
 
+// batchScrapeRespSize is the payload size appendBatchScrapeRespPayload
+// produces, so the server encodes into one right-sized buffer.
+func batchScrapeRespSize(resp BatchScrapeResponse) int {
+	n := 4
+	for i := range resp.Results {
+		res := &resp.Results[i]
+		n += minBatchResultBytes + len(res.Err)
+		if res.Err == "" {
+			n += reportSize(res.Report)
+		}
+	}
+	return n
+}
+
+// minBatchResultBytes is the least one batch response slot occupies on
+// the wire: the server id and the error string's length prefix. A count
+// the remaining payload cannot hold at that rate is refused before the
+// result slice is allocated.
+const minBatchResultBytes = 10
+
+// batchRespCount reads a batch response's slot count and bounds it by
+// maxBatchEntries and by what the rest of the payload can hold.
+func batchRespCount(r *rbuf, what string) int {
+	n := int(r.u32())
+	if r.err == nil && n > maxBatchEntries {
+		r.fail("batch %s response count %d exceeds %d", what, n, maxBatchEntries)
+	}
+	if r.err == nil && n*minBatchResultBytes > len(r.b)-r.off {
+		r.fail("batch %s response count %d exceeds payload", what, n)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
 func decodeBatchScrapeRespPayload(p []byte) (BatchScrapeResponse, error) {
 	r := rbuf{b: p}
 	var resp BatchScrapeResponse
 	resp.V = ProtocolV
-	n := int(r.u32())
-	if r.err == nil && n > maxBatchEntries {
-		r.fail("batch scrape response count %d exceeds %d", n, maxBatchEntries)
+	n := batchRespCount(&r, "scrape")
+	if n > 0 {
+		resp.Results = make([]ScrapeResult, 0, n)
 	}
 	for i := 0; i < n && r.err == nil; i++ {
 		var res ScrapeResult
@@ -981,13 +1039,26 @@ func appendBatchGrantRespPayload(b []byte, resp BatchGrantResponse) []byte {
 	return w.b
 }
 
+// batchGrantRespSize is the payload size appendBatchGrantRespPayload
+// produces.
+func batchGrantRespSize(resp BatchGrantResponse) int {
+	n := 4
+	for i := range resp.Results {
+		n += minBatchResultBytes + len(resp.Results[i].Err)
+		if resp.Results[i].Err == "" {
+			n += 1 + assignRespSize
+		}
+	}
+	return n
+}
+
 func decodeBatchGrantRespPayload(p []byte) (BatchGrantResponse, error) {
 	r := rbuf{b: p}
 	var resp BatchGrantResponse
 	resp.V = ProtocolV
-	n := int(r.u32())
-	if r.err == nil && n > maxBatchEntries {
-		r.fail("batch grant response count %d exceeds %d", n, maxBatchEntries)
+	n := batchRespCount(&r, "grant")
+	if n > 0 {
+		resp.Results = make([]GrantResult, 0, n)
 	}
 	for i := 0; i < n && r.err == nil; i++ {
 		var res GrantResult

@@ -23,6 +23,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(EncodeFrame(FrameError, nil))
 	f.Add(append(EncodeFrame(FrameLeaderReq, nil), EncodeFrame(FrameLeaderReq, nil)...))
 	f.Add([]byte{frameMagic0, frameMagic1, ProtocolV, FrameAssignReq, 0xff, 0xff, 0xff, 0xff})
+	for _, lying := range lyingBatchResponses() {
+		f.Add(lying)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Walk every stacked frame in the input, not just the first.

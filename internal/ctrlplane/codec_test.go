@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -285,6 +286,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		if !bytes.Equal(re, payload) {
 			t.Fatalf("frame %#02x re-encoded %d bytes != original %d", ftype, len(re), len(payload))
 		}
+		// The server's stream writer emits the same bytes without
+		// building the frame in memory first.
+		var streamed bytes.Buffer
+		if err := writeFrame(&streamed, ftype, payload); err != nil || !bytes.Equal(streamed.Bytes(), frame) {
+			t.Fatalf("frame %#02x: writeFrame wrote %d bytes (err %v) != EncodeFrame's %d", ftype, streamed.Len(), err, len(frame))
+		}
 	}
 }
 
@@ -424,6 +431,44 @@ func mutate(frame []byte, i int, v byte) []byte {
 // TestPayloadStrictness: trailing bytes, non-0|1 bools, and lying
 // counts inside a well-formed frame must be refused by the message
 // decoders.
+// lyingBatchResponses are batch response frames whose slot count is
+// legal (≤ maxBatchEntries) but more than the payload behind it holds.
+func lyingBatchResponses() [][]byte {
+	msgs := canonicalMessages()
+	var out [][]byte
+	for _, ftype := range []byte{FrameBatchScrapeResp, FrameBatchGrantResp} {
+		p := append([]byte(nil), msgs[ftype]...)
+		binary.BigEndian.PutUint32(p[:4], maxBatchEntries)
+		out = append(out, EncodeFrame(ftype, p))
+	}
+	return out
+}
+
+// The server sizes a batch response's payload buffer from its results;
+// the size functions must agree with the encoders to the byte, or the
+// buffer silently grows (or over-reserves) on every interval.
+func TestBatchResponseSizes(t *testing.T) {
+	msgs := canonicalMessages()
+	scrape, err := decodeBatchScrapeRespPayload(msgs[FrameBatchScrapeResp])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := batchScrapeRespSize(scrape), len(msgs[FrameBatchScrapeResp]); got != want {
+		t.Errorf("batchScrapeRespSize = %d, encoder wrote %d bytes", got, want)
+	}
+	grant, err := decodeBatchGrantRespPayload(msgs[FrameBatchGrantResp])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := batchGrantRespSize(grant), len(msgs[FrameBatchGrantResp]); got != want {
+		t.Errorf("batchGrantRespSize = %d, encoder wrote %d bytes", got, want)
+	}
+	if cap(scrape.Results) != len(scrape.Results) || cap(grant.Results) != len(grant.Results) {
+		t.Errorf("decoded result slices over-reserve: scrape %d/%d, grant %d/%d",
+			len(scrape.Results), cap(scrape.Results), len(grant.Results), cap(grant.Results))
+	}
+}
+
 func TestPayloadStrictness(t *testing.T) {
 	lease := appendLeaseReq(nil, LeaseRequest{V: ProtocolV, Epoch: 1, Server: 0, T: 0, Iv: 1, LeaseIv: 1, IvS: 1})
 	if _, err := decodeLeaseReqPayload(append(lease, 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
@@ -454,6 +499,29 @@ func TestPayloadStrictness(t *testing.T) {
 	binary.BigEndian.PutUint32(batch[9:13], 1<<30)
 	if _, err := decodeBatchScrapeReqPayload(batch); err == nil || !strings.Contains(err.Error(), "exceeds payload") {
 		t.Errorf("lying batch count: got %v", err)
+	}
+
+	// And for batch response counts, which size the result slice: a
+	// count within maxBatchEntries that the remaining bytes cannot hold
+	// is refused before anything is allocated.
+	for _, lying := range lyingBatchResponses() {
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if lying[3] == FrameBatchScrapeResp {
+			_, err = decodeBatchScrapeRespPayload(lying[frameHeaderLen:])
+		} else {
+			_, err = decodeBatchGrantRespPayload(lying[frameHeaderLen:])
+		}
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "exceeds payload") {
+			t.Errorf("lying batch response count (frame %#02x): got %v", lying[3], err)
+		}
+		// The refusal costs an error value; maxBatchEntries result slots
+		// would be hundreds of KiB.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+			t.Errorf("lying batch response count (frame %#02x): refusal allocated %d bytes", lying[3], got)
+		}
 	}
 
 	// The curve-meta flag over all-zero meta would re-encode without

@@ -584,7 +584,10 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 			for _, i := range g.idx {
 				byID[c.members[i].ref.ID] = i
 			}
-			for _, r := range resp.Results {
+			for k := range resp.Results {
+				// Point at the decoded slot: resp lives as long as reports
+				// does, and a per-agent copy would escape to the heap.
+				r := &resp.Results[k]
 				i, ok := byID[r.Server]
 				if !ok {
 					continue
@@ -594,13 +597,12 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 					errs[i] = fmt.Errorf("ctrlplane: agent %d: %s", r.Server, r.Err)
 					continue
 				}
-				rep := r.Report
-				if rep.Server != r.Server {
-					errs[i] = fmt.Errorf("ctrlplane: scrape of agent %d answered as %d", r.Server, rep.Server)
+				if r.Report.Server != r.Server {
+					errs[i] = fmt.Errorf("ctrlplane: scrape of agent %d answered as %d", r.Server, r.Report.Server)
 					continue
 				}
-				c.noteEpoch(rep.Epoch)
-				reports[i] = &rep
+				c.noteEpoch(r.Report.Epoch)
+				reports[i] = &r.Report
 			}
 			for id, i := range byID {
 				errs[i] = fmt.Errorf("ctrlplane: batch scrape response missing agent %d", id)
@@ -854,7 +856,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 			// renew-else-assign sequence per entry that the unary path
 			// runs client-side, so semantics are transport-independent.
 			req := BatchGrantRequest{V: ProtocolV, Epoch: epoch, Seq: seq, T: t,
-				Iv: mintIv, LeaseIv: leaseIv, IvS: ivS}
+				Iv: mintIv, LeaseIv: leaseIv, IvS: ivS, Entries: make([]GrantEntry, 0, len(g.idx))}
 			for _, i := range g.idx {
 				m := c.members[i]
 				req.Entries = append(req.Entries, GrantEntry{

@@ -70,7 +70,12 @@ type ShardCoordinator struct {
 	// shard's own step time.
 	clk     leaseClock
 	stepped bool
-	report  ShardReport
+	// report is the last step's snapshot. Its Curve is the wrapped
+	// coordinator's memoized rollup, shared with every Report caller and
+	// with the next step: read-only to all of them (see ShardReport).
+	report ShardReport
+	// curves is refreshReport's scratch list of live effective curves.
+	curves [][]cluster.CapPoint
 }
 
 // NewShardCoordinator wraps a coordinator as one shard of the tree.
@@ -158,7 +163,7 @@ func (s *ShardCoordinator) refreshReport(t, budget float64) {
 	if s.ha != nil {
 		_, rep.Leading = s.ha.Leader()
 	}
-	curves := make([][]cluster.CapPoint, 0, len(s.c.members))
+	curves := s.curves[:0]
 	allCurved := true
 	floor := s.c.cfg.FloorW
 	floorKnown := floor != 0
@@ -212,7 +217,7 @@ func (s *ShardCoordinator) refreshReport(t, budget float64) {
 		if !floorKnown {
 			floor, floorKnown = m.floorW, true
 		} else if s.c.cfg.FloorW == 0 && m.floorW != floor {
-			// RollupCurves prices every member from one common floor;
+			// The rollup prices every member from one common floor;
 			// a heterogeneous shard without an explicit Config.FloorW
 			// ships no aggregate (even-share fallback above), mirroring
 			// the flat coordinator's refusal to guess.
@@ -220,8 +225,13 @@ func (s *ShardCoordinator) refreshReport(t, budget float64) {
 		}
 	}
 	if allCurved && len(curves) > 0 {
-		rep.Curve = cluster.DownsampleCurve(cluster.RollupCurves(floor, curves), s.cfg.rollupPoints())
+		// A read-out of the table the step's apportion just ran on: same
+		// floor, same live effective curves, so unchanged curves cost a
+		// comparison and nothing else — on a leader and on an observing
+		// standby alike, and a promoted standby's table is already warm.
+		rep.Curve = s.c.dp.Rollup(floor, curves, s.cfg.rollupPoints())
 	}
+	s.curves = curves
 	s.mu.Lock()
 	rep.Starved = s.starved
 	rep.GEpoch = s.lastEpoch

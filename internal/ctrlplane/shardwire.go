@@ -51,8 +51,11 @@ type ShardReport struct {
 	// holding its last budget and granting nothing larger.
 	Starved bool `json:"starved,omitempty"`
 	// Curve is the shard's aggregate cap-utility rollup
-	// (cluster.RollupCurves); empty when any live member is curveless,
-	// which sends the global to its even-share fallback for this shard.
+	// (cluster.Apportioner.Rollup); empty when any live member is
+	// curveless, which sends the global to its even-share fallback for
+	// this shard. Read-only: a ShardCoordinator hands every Report caller
+	// the same memoized slice, interval after interval, until a member
+	// curve changes — copy before editing.
 	Curve []cluster.CapPoint `json:"curve,omitempty"`
 	// GEpoch/GSeq/GIv are the global-tier fencing epoch, sequence, and
 	// protocol-clock interval of the last applied budget grant (all 0
