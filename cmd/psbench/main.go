@@ -390,11 +390,19 @@ func readBaseline(path string) (baselineFile, error) {
 	return base, nil
 }
 
+// minGatedNs is the shortest baseline latency the wall-clock gate
+// applies to. A cell that runs for microseconds reads ±50 % from one
+// run to the next of one binary on a shared box, which the 20 % gate
+// turns into failures on an unchanged tree; such cells are gated on
+// their counted fields alone (allocations, dials, frames, layers).
+const minGatedNs = 1_000_000
+
 // compareBaseline gates the current cells against the committed
 // baseline. Wall-clock latency is normalized by the host factor — the
 // ratio of the reference cell (json at the smallest common fleet size)
 // between this host and the baseline host — so only relative
-// regressions fail. Allocation counts compare directly.
+// regressions fail, and is gated only on cells whose baseline is at
+// least minGatedNs. Counted fields compare directly.
 func compareBaseline(base baselineFile, cells []ctrlplane.WireBenchCell, hier []ctrlplane.HierBenchCell, dp []cluster.DPBenchCell, gate float64) []error {
 	refAgents := 0
 	for _, bc := range base.Cells {
@@ -415,6 +423,12 @@ func compareBaseline(base baselineFile, cells []ctrlplane.WireBenchCell, hier []
 	refCur := findCell(cells, "json", refAgents)
 	hostFactor := float64(refCur.NsPerInterval) / float64(refBase.NsPerInterval)
 
+	// slow normalizes a latency by the host factor and reports whether
+	// it trips the gate against a baseline long enough to be gated.
+	slow := func(curNs, baseNs int64) (normNs float64, tripped bool) {
+		normNs = float64(curNs) / hostFactor
+		return normNs, baseNs >= minGatedNs && normNs > float64(baseNs)*(1+gate)
+	}
 	var errs []error
 	for i := range base.Cells {
 		bc := &base.Cells[i]
@@ -423,8 +437,7 @@ func compareBaseline(base baselineFile, cells []ctrlplane.WireBenchCell, hier []
 			errs = append(errs, fmt.Errorf("baseline cell %s/%d not measured in this run", bc.Transport, bc.Agents))
 			continue
 		}
-		normNs := float64(cur.NsPerInterval) / hostFactor
-		if normNs > float64(bc.NsPerInterval)*(1+gate) {
+		if normNs, tripped := slow(cur.NsPerInterval, bc.NsPerInterval); tripped {
 			errs = append(errs, fmt.Errorf(
 				"%s/%d interval latency regressed: %.0f ns normalized (host factor %.2f) vs baseline %d ns (gate %.0f%%)",
 				bc.Transport, bc.Agents, normNs, hostFactor, bc.NsPerInterval, gate*100))
@@ -433,6 +446,15 @@ func compareBaseline(base baselineFile, cells []ctrlplane.WireBenchCell, hier []
 			errs = append(errs, fmt.Errorf(
 				"%s/%d allocs/agent regressed: %.1f vs baseline %.1f (gate %.0f%%)",
 				bc.Transport, bc.Agents, cur.AllocsPerAgentInterval, bc.AllocsPerAgentInterval, gate*100))
+		}
+		// Dials and batch frames are whole-cell counts fixed by the
+		// sampling plan; under the same plan more of either is a lost
+		// connection or a lost coalescing, whatever the clock says.
+		if cur.Runs == bc.Runs && cur.Intervals == bc.Intervals &&
+			(cur.ConnDials > bc.ConnDials || cur.BatchFrames > bc.BatchFrames) {
+			errs = append(errs, fmt.Errorf(
+				"%s/%d wire counts regressed: %d dials, %d batch frames vs baseline %d, %d",
+				bc.Transport, bc.Agents, cur.ConnDials, cur.BatchFrames, bc.ConnDials, bc.BatchFrames))
 		}
 	}
 	// The two-tier cells gate the same way: the shared json reference
@@ -446,8 +468,7 @@ func compareBaseline(base baselineFile, cells []ctrlplane.WireBenchCell, hier []
 				bc.Transport, bc.Agents, bc.Shards))
 			continue
 		}
-		normNs := float64(cur.NsPerInterval) / hostFactor
-		if normNs > float64(bc.NsPerInterval)*(1+gate) {
+		if normNs, tripped := slow(cur.NsPerInterval, bc.NsPerInterval); tripped {
 			errs = append(errs, fmt.Errorf(
 				"%s/%dx%d interval latency regressed: %.0f ns normalized (host factor %.2f) vs baseline %d ns (gate %.0f%%)",
 				bc.Transport, bc.Agents, bc.Shards, normNs, hostFactor, bc.NsPerInterval, gate*100))
@@ -471,8 +492,7 @@ func compareBaseline(base baselineFile, cells []ctrlplane.WireBenchCell, hier []
 			// (checkDPWins) still ran on this run's own numbers.
 			continue
 		}
-		normNs := float64(cur.IncNsPerInterval) / hostFactor
-		if normNs > float64(bc.IncNsPerInterval)*(1+gate) {
+		if normNs, tripped := slow(cur.IncNsPerInterval, bc.IncNsPerInterval); tripped {
 			errs = append(errs, fmt.Errorf(
 				"dp/%dx%d incremental latency regressed: %.0f ns normalized (host factor %.2f) vs baseline %d ns (gate %.0f%%)",
 				bc.Members, bc.Changed, normNs, hostFactor, bc.IncNsPerInterval, gate*100))

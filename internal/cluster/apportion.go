@@ -57,6 +57,83 @@ func (e *Evaluator) ServerCapCurve(i int) ([]CapPoint, error) {
 	return out, nil
 }
 
+// curveSpan is the most grid steps a curve can take above its first
+// point: one per sample past the floor.
+func curveSpan(c []CapPoint) int {
+	if len(c) == 0 {
+		return 0
+	}
+	return len(c) - 1
+}
+
+// dpLayer is the forward apportioning recurrence, the only copy outside
+// the tests: one member's layer over budget levels [lo, hi), chained off
+// the previous member's layer prev (indexed by absolute level). Point k
+// costs cost[k] grid steps and yields perf[k]; a level takes the first
+// best of the points before the first it cannot afford. layer and cho
+// are windows whose element 0 is level lo.
+//
+// sat is the level at which every member up to this one is saturated
+// (the summed largest costs). From there up prev is constant over the
+// whole window and every point is affordable, so the value and the
+// choice equal those at sat exactly: cells past max(sat, lo) are filled
+// from the last computed one instead of recomputed. Callers pass only
+// levels their read-out can reach (the cone a backtrack from the read
+// level can arrive in), so what is computed runs the same arithmetic on
+// the same operands as a sweep of the full table would.
+func dpLayer[C uint16 | int32](prev []float64, cost []int, perf []float64, lo, hi, sat int, layer []float64, cho []C) {
+	if lo >= hi {
+		return
+	}
+	end := min(hi, max(sat, lo)+1)
+	perf = perf[:len(cost)]
+	for l := lo; l < end; l++ {
+		w := prev[:l+1]
+		bestV, bestK := math.Inf(-1), 0
+		for k, c := range cost {
+			// One test for "cannot afford point k" and for the index.
+			j := uint(l - c)
+			if j >= uint(len(w)) {
+				break
+			}
+			if v := w[j] + perf[k]; v > bestV {
+				bestV, bestK = v, k
+			}
+		}
+		layer[l-lo] = bestV
+		cho[l-lo] = C(bestK)
+	}
+	v, k := layer[end-1-lo], cho[end-1-lo]
+	for l := end - lo; l < hi-lo; l++ {
+		layer[l], cho[l] = v, k
+	}
+}
+
+// coneLos returns, for a budget read at level top, the lowest level of
+// each member's layer a backtrack from top can arrive at — top less the
+// most the members after it can spend (spans), floored at 0 — and the
+// number of cells the windows [los[i], top] hold between them.
+func coneLos(spans []int, top int) (los []int, cells int) {
+	los = make([]int, len(spans))
+	reach := top
+	for i := len(spans) - 1; i >= 0; i-- {
+		los[i] = max(0, reach)
+		cells += top + 1 - los[i]
+		reach -= spans[i]
+	}
+	return los, cells
+}
+
+// unitCosts returns the cost table of a curve sampled on the DP grid:
+// point k is k steps above the floor.
+func unitCosts(n int) []int {
+	unit := make([]int, n)
+	for k := range unit {
+		unit[k] = k
+	}
+	return unit
+}
+
 // ApportionCurves runs the Utility(Ours) apportioning DP over a set of
 // cap-utility curves: it splits clusterCapW across the curves' servers
 // to maximize summed performance and returns the chosen per-server
@@ -86,37 +163,42 @@ func ApportionCurves(clusterCapW, floorW float64, curves [][]CapPoint) (budgets 
 		return budgets, 0, capQ
 	}
 	// DP over the budget above the idle floors, in curve-index units
-	// (curve point k costs k*serverCapStepW above the floor).
+	// (curve point k costs k*serverCapStepW above the floor). The
+	// budget is read at the top level only, so member i's layer is
+	// needed from as far below the top as the members after it can
+	// spend: los[i].
 	spare := capQ - floorW*float64(n)
 	levels := int(spare/serverCapStepW) + 1
-	best := make([]float64, levels)
-	choice := make([][]int, n)
-	for i := 0; i < n; i++ {
-		choice[i] = make([]int, levels)
-		next := make([]float64, levels)
-		for l := 0; l < levels; l++ {
-			bestV, bestK := math.Inf(-1), 0
-			kMax := l
-			if kMax >= len(curves[i]) {
-				kMax = len(curves[i]) - 1
-			}
-			for k := 0; k <= kMax; k++ {
-				if v := best[l-k] + curves[i][k].Perf; v > bestV {
-					bestV, bestK = v, k
-				}
-			}
-			next[l] = bestV
-			choice[i][l] = bestK
+	spans, longest := make([]int, n), 0
+	for i, c := range curves {
+		spans[i] = curveSpan(c)
+		longest = max(longest, len(c))
+	}
+	los, cells := coneLos(spans, levels-1)
+	best, next := make([]float64, levels), make([]float64, levels)
+	// choice holds member i's curve index per level of [los[i], levels),
+	// the members' windows back to back.
+	choice := make([]int32, cells)
+	unit, pf := unitCosts(longest), make([]float64, longest)
+	off, sat := 0, 0
+	for i, c := range curves {
+		for k := range c {
+			pf[k] = c[k].Perf
 		}
-		best = next
+		sat += spans[i]
+		lo := los[i]
+		dpLayer(best, unit[:len(c)], pf, lo, levels, sat, next[lo:], choice[off:off+levels-lo])
+		off += levels - lo
+		best, next = next, best
 	}
 	l := levels - 1
 	for i := n - 1; i >= 0; i-- {
-		k := choice[i][l]
+		off -= levels - los[i]
+		k := choice[off+l-los[i]]
 		budgets[i] = curves[i][k].CapW
 		perf += curves[i][k].Perf
 		gridW += curves[i][k].GridW
-		l -= k
+		l -= int(k)
 	}
 	return budgets, perf, gridW
 }

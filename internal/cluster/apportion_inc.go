@@ -14,18 +14,24 @@ import "math"
 // Both go through sync, which owns change detection and replays only
 // the layers at and after the first member whose curve changed.
 //
-// The cache exploits a structural property of the DP: the value table
-// best[l] after processing members 0..i depends only on those members'
-// curves and on lower budget indices — never on the level bound the
-// call happened to run with. Each layer is therefore valid over
-// [0, len(layer)) on its own: a cap change alone (different
-// reconstruction start index) costs zero recompute, a dirty layer is
-// rebuilt over just the levels the call at hand needs, a clean layer
-// keeps whatever span it has, and a later call that needs more extends
-// layers in member order. Because every retained column was produced by
-// the exact arithmetic ApportionCurves would run, the budgets, perf,
-// and grid draw returned are bit-identical to the full DP by
-// construction — TestApportionerMatchesFullDP holds the two together.
+// The cache exploits two structural properties of the DP. First, the
+// value table best[l] after processing members 0..i depends only on
+// those members' curves and on lower budget indices — never on the
+// level the call happened to read. Second, a read-out at level L can
+// only backtrack into member i's layer at levels [L-S_i, L], S_i being
+// the most steps the members after i can spend (their summed curve
+// spans), and from P_i up — every member up to i saturated — the layer
+// is constant, a fill of its cell at P_i (dpLayer). So each layer is
+// kept valid over one contiguous span [los[i], len(layers[i])) and only
+// ever holds cells some read-out needed: a dirty layer is rebuilt over
+// just the cone of the call at hand, a clean layer keeps whatever span
+// it has, and a later call whose cone reaches lower or higher extends
+// the clean layers in member order, downward and upward. A cap change
+// over spans already covered costs nothing. Because every retained
+// cell was produced by the exact arithmetic the full table would run,
+// the budgets, perf, and grid draw returned are bit-identical to the
+// full DP by construction — TestConeDPMatchesNaiveReference holds all
+// of it to the naive sweep.
 //
 // The zero value is ready to use. Not safe for concurrent use.
 type Apportioner struct {
@@ -35,10 +41,21 @@ type Apportioner struct {
 	curves [][]CapPoint
 	// layers[i] is the DP value vector after processing member i, and
 	// choices[i][l] the curve index member i takes at budget level l;
-	// both span [0, len(layers[i])). Choices are uint16 — half the
-	// table's bytes at 8-byte ints — which is what maxCurvePoints checks.
+	// both are indexed by absolute level and valid over
+	// [los[i], len(layers[i])). Across members the spans nest the way
+	// the recurrence reads them: layer i-1 starts at least member i's
+	// curve span below layer i (or at 0) and ends no lower. Choices are
+	// uint16 — half the table's bytes at 8-byte ints — which is what
+	// maxCurvePoints checks.
 	layers  [][]float64
 	choices [][]uint16
+	los     []int
+	// zeros is the layer before member 0, unit the unit-step cost table
+	// and perf the contiguous copy of the curve being chained: scratch
+	// dpLayer reads, grown on demand and kept across calls.
+	zeros []float64
+	unit  []int
+	perf  []float64
 	// recomputed counts the member layers rebuilt by the last call.
 	recomputed int
 	// rollup memoizes the last Rollup read-out (thinned to rollupPoints)
@@ -80,13 +97,14 @@ func resize[T any](s []T, n int) []T {
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
-// sync brings the table up to date with curves priced from floorW, with
-// every layer spanning at least levels budget levels. It is the one
+// sync brings the table up to date with curves priced from floorW for
+// a reader of budget levels [readLo, readHi]: afterwards member i's
+// layer is valid from max(0, readLo-S_i) through readHi. It is the one
 // place curve changes are detected: layers before the first changed
-// member are kept (and extended in place when they are short), layers
-// from it on are rebuilt over exactly [0, levels) — a member past a
-// dirty one chains off its output, so it is rebuilt too.
-func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, levels int) {
+// member are kept and extended where the reader's cone leaves their
+// span, layers from it on are rebuilt over exactly the cone — a member
+// past a dirty one chains off its output, so it is rebuilt too.
+func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, readLo, readHi int) {
 	n := len(curves)
 	a.recomputed = 0
 	// A floor change reprices every curve point; drop the whole cache.
@@ -108,32 +126,63 @@ func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, levels int) {
 		a.curves = append(a.curves, nil)
 		a.layers = append(a.layers, nil)
 		a.choices = append(a.choices, nil)
+		a.los = append(a.los, 0)
 	}
 	a.curves = a.curves[:n]
 	a.layers = a.layers[:n]
 	a.choices = a.choices[:n]
+	a.los = a.los[:n]
 
-	// Member order matters: each new column of layer i reads only layer
-	// i-1, which spans levels by the time we get there, so extending a
+	hi := readHi + 1
+	after, longest := 0, 0
+	for _, c := range curves {
+		after += curveSpan(c)
+		longest = max(longest, len(c))
+	}
+	if longest > len(a.unit) {
+		a.unit, a.perf = unitCosts(longest), make([]float64, longest)
+	}
+	if hi > len(a.zeros) {
+		a.zeros = make([]float64, hi)
+	}
+	// Member order matters: each new cell of layer i reads only layer
+	// i-1, which covers this call's cone (and, by the nesting, whatever
+	// layer i held before) by the time we get there, so extending a
 	// clean prefix never invalidates it.
-	var prev []float64
-	for i := 0; i < n; i++ {
-		lo := len(a.layers[i])
+	prev, sat := a.zeros, 0
+	for i, c := range curves {
+		after -= curveSpan(c)
+		sat += curveSpan(c)
+		lo := max(0, readLo-after)
 		if i >= firstDirty {
-			lo = 0
 			a.recomputed++
-			a.curves[i] = append(a.curves[i][:0], curves[i]...)
-		}
-		if lo < levels {
-			if i == 0 {
-				prev = make([]float64, levels) // member 0 chains off zeros
+			a.curves[i] = append(a.curves[i][:0], c...)
+			a.layers[i] = resize(a.layers[i][:0], hi)
+			a.choices[i] = resize(a.choices[i][:0], hi)
+			a.los[i] = lo
+			a.chain(i, prev, lo, hi, sat)
+		} else {
+			if was := len(a.layers[i]); was < hi {
+				a.layers[i] = resize(a.layers[i], hi)
+				a.choices[i] = resize(a.choices[i], hi)
+				a.chain(i, prev, was, hi, sat)
 			}
-			a.layers[i] = resize(a.layers[i][:lo], levels)
-			a.choices[i] = resize(a.choices[i][:lo], levels)
-			a.dpColumns(i, curves[i], prev, lo, levels)
+			if was := a.los[i]; lo < was {
+				a.los[i] = lo
+				a.chain(i, prev, lo, was, sat)
+			}
 		}
 		prev = a.layers[i]
 	}
+}
+
+// chain fills cells [lo, hi) of member i's layer from prev.
+func (a *Apportioner) chain(i int, prev []float64, lo, hi, sat int) {
+	c := a.curves[i]
+	for k := range c {
+		a.perf[k] = c[k].Perf
+	}
+	dpLayer(prev, a.unit[:len(c)], a.perf, lo, hi, sat, a.layers[i][lo:hi], a.choices[i][lo:hi])
 }
 
 // Apportion is ApportionCurves with the incremental cache. Same
@@ -162,7 +211,7 @@ func (a *Apportioner) Apportion(clusterCapW, floorW float64, curves [][]CapPoint
 	}
 	spare := capQ - floorW*float64(n)
 	levels := int(spare/serverCapStepW) + 1
-	a.sync(floorW, curves, levels)
+	a.sync(floorW, curves, levels-1, levels-1)
 
 	// Reconstruction: identical to ApportionCurves, starting at this
 	// call's level bound.
@@ -207,7 +256,7 @@ func (a *Apportioner) Rollup(floorW float64, curves [][]CapPoint, maxPoints int)
 		}
 		levels += len(c) - 1
 	}
-	a.sync(floorW, curves, levels)
+	a.sync(floorW, curves, 0, levels-1)
 	if a.rollup != nil && a.rollupPoints == maxPoints {
 		return a.rollup
 	}
@@ -231,25 +280,4 @@ func (a *Apportioner) Rollup(floorW float64, curves [][]CapPoint, maxPoints int)
 	}
 	a.rollup, a.rollupPoints = DownsampleCurve(full, maxPoints), maxPoints
 	return a.rollup
-}
-
-// dpColumns fills member i's value and choice columns [lo, hi) from
-// the previous member's layer — the inner loop of ApportionCurves,
-// verbatim, so retained columns are bit-identical to the full DP's.
-func (a *Apportioner) dpColumns(i int, curve []CapPoint, prev []float64, lo, hi int) {
-	layer, cho := a.layers[i], a.choices[i]
-	for l := lo; l < hi; l++ {
-		bestV, bestK := math.Inf(-1), 0
-		kMax := l
-		if kMax >= len(curve) {
-			kMax = len(curve) - 1
-		}
-		for k := 0; k <= kMax; k++ {
-			if v := prev[l-k] + curve[k].Perf; v > bestV {
-				bestV, bestK = v, k
-			}
-		}
-		layer[l] = bestV
-		cho[l] = uint16(bestK)
-	}
 }

@@ -321,10 +321,14 @@ func TestApportionerRollupMemoized(t *testing.T) {
 	sameCurveBits(t, "rollup after the change", changed, DownsampleCurve(referenceRollupCurves(floorW, fresh), 64))
 }
 
-// TestApportionerRebuildsOnlyNeededLevels pins the high-water fix: a
-// dirty layer is rebuilt over the levels the call at hand needs, not
-// over the widest span any earlier call ran with (an uncapped warm-up
-// used to make every later dirty rebuild pay for the warm-up's range).
+// TestApportionerRebuildsOnlyNeededLevels pins what a layer holds: one
+// span [lo, hi) of cells some read-out could reach, nothing more. A
+// dirty layer is rebuilt over exactly the cone of the call at hand — not
+// over [0, levels), and not over the widest span an earlier call ran
+// with (an uncapped warm-up used to make every later dirty rebuild pay
+// for the warm-up's range); a clean layer's span only ever grows, to the
+// hull of what it had and what the call needs, without counting as a
+// rebuild; a cap inside the spans touches no cell.
 func TestApportionerRebuildsOnlyNeededLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const floorW, n = 40.0, 10
@@ -332,40 +336,82 @@ func TestApportionerRebuildsOnlyNeededLevels(t *testing.T) {
 	for i := range curves {
 		curves[i] = randCurve(rng, floorW)
 	}
+	// coneLo is the lowest level of member i's layer a backtrack from
+	// top can arrive at: top less everything the members after i take.
+	coneLo := func(top, i int) int {
+		for _, c := range curves[i+1:] {
+			top -= curveSpan(c)
+		}
+		return max(0, top)
+	}
+	capAt := func(top int) float64 { return floorW*n + float64(top)*ServerCapStepW }
+	total := 0
+	for _, c := range curves {
+		total += curveSpan(c)
+	}
+	spansAre := func(inc *Apportioner, what string, want func(i int) (lo, hi int)) {
+		t.Helper()
+		for i := range inc.layers {
+			lo, hi := want(i)
+			if inc.los[i] != lo || len(inc.layers[i]) != hi || len(inc.choices[i]) != hi {
+				t.Fatalf("%s: layer %d spans [%d, %d), want [%d, %d)", what, i, inc.los[i], len(inc.layers[i]), lo, hi)
+			}
+		}
+		checkApportionerSpans(t, inc)
+	}
+
 	var inc Apportioner
-	inc.Apportion(floorW*n+2000, floorW, curves) // warm-up: 1001 levels
-	for i := range inc.layers {
-		if len(inc.layers[i]) != 1001 {
-			t.Fatalf("warm-up layer %d spans %d levels, want 1001", i, len(inc.layers[i]))
-		}
-	}
+	warm := total + 500 // every member saturated and then some
+	inc.Apportion(capAt(warm), floorW, curves)
+	spansAre(&inc, "generous warm-up", func(i int) (int, int) { return coneLo(warm, i), warm + 1 })
+
+	// Members 6.. dirty at a binding cap: rebuilt over that call's cone
+	// only; the clean prefix reaches down to cover it and keeps its top.
+	top := total / 3
 	curves[6] = randCurve(rng, floorW)
-	inc.Apportion(floorW*n+100, floorW, curves) // 51 levels, members 6.. dirty
-	for i := range inc.layers {
-		want := 1001
+	inc.Apportion(capAt(top), floorW, curves)
+	if inc.LastRecomputed() != n-6 {
+		t.Fatalf("dirty member 6 of %d rebuilt %d layers", n, inc.LastRecomputed())
+	}
+	spansAre(&inc, "capped dirty rebuild", func(i int) (int, int) {
 		if i >= 6 {
-			want = 51
+			return coneLo(top, i), top + 1
 		}
-		if len(inc.layers[i]) != want || len(inc.choices[i]) != want {
-			t.Fatalf("layer %d spans %d levels after a capped dirty rebuild, want %d", i, len(inc.layers[i]), want)
-		}
-	}
-	// A later call that needs more extends the short layers in place,
-	// without counting as a rebuild, and still matches the full DP.
-	capW := floorW*n + 600
-	gotB, gotP, gotG := inc.Apportion(capW, floorW, curves)
-	if inc.LastRecomputed() != 0 {
-		t.Fatalf("extending short layers counted %d rebuilds", inc.LastRecomputed())
-	}
-	wantB, wantP, wantG := ApportionCurves(capW, floorW, curves)
-	if gotP != wantP || gotG != wantG {
-		t.Fatalf("perf/grid (%v, %v), full DP (%v, %v)", gotP, gotG, wantP, wantG)
-	}
-	for i := range wantB {
-		if gotB[i] != wantB[i] {
-			t.Fatalf("member %d budget %v, full DP %v", i, gotB[i], wantB[i])
+		return coneLo(top, i), warm + 1
+	})
+
+	// The cap walks down and up over clean curves: spans become the hull
+	// of every cone read so far, no layer counts as rebuilt.
+	lower, upper := top-top/2, top+top/2
+	for _, l := range []int{lower, upper} {
+		inc.Apportion(capAt(l), floorW, curves)
+		if inc.LastRecomputed() != 0 {
+			t.Fatalf("cap-only move to level %d counted %d rebuilds", l, inc.LastRecomputed())
 		}
 	}
+	hull := func(i int) (int, int) {
+		if i >= 6 {
+			return coneLo(lower, i), upper + 1
+		}
+		return coneLo(lower, i), warm + 1
+	}
+	spansAre(&inc, "cap walked down and up", hull)
+
+	// Any cap whose cone lies inside the spans reads the table as it
+	// stands: a poisoned cell in the middle of a span survives the call
+	// (and is put back before it can be read).
+	mid := (lower + upper) / 2
+	cell := &inc.layers[n-1][coneLo(mid, n-1)-1]
+	kept := *cell
+	*cell = math.NaN()
+	gotB, gotP, gotG := inc.Apportion(capAt(mid), floorW, curves)
+	if !math.IsNaN(*cell) || inc.LastRecomputed() != 0 {
+		t.Fatalf("a cap inside the covered spans recomputed cells (%d layers counted)", inc.LastRecomputed())
+	}
+	*cell = kept
+	spansAre(&inc, "cap inside the spans", hull)
+	wantB, wantP, wantG := naiveApportionCurves(capAt(mid), floorW, curves)
+	sameApportion(t, "cap inside the spans", gotB, gotP, gotG, wantB, wantP, wantG)
 }
 
 // A curve too long for the uint16 choice table takes the full DP (and

@@ -70,11 +70,12 @@ func costSteps(deltaW, stepW float64) int {
 // performance: the multiple-choice knapsack over each shard's rollup,
 // run on a grid coarsened to at most maxLevels levels (0 takes
 // DefaultShardLevels) so the global tier's work stays O(shards), not
-// O(fleet watts). Shards with empty curves take an even share of the
-// cap, mirroring the flat coordinator's curveless-member fallback; the
-// DP apportions the remainder across the curve-bearing shards, each
-// owed at least its own floor (heterogeneous floors are fine here —
-// every shard's curve already prices watts above its own first point).
+// O(fleet watts). Shards with empty curves (or ones too long for the
+// uint16 choice table, maxCurvePoints) take an even share of the cap,
+// mirroring the flat coordinator's curveless-member fallback; the DP
+// apportions the remainder across the curve-bearing shards, each owed
+// at least its own floor (heterogeneous floors are fine here — every
+// shard's curve already prices watts above its own first point).
 //
 // Guarantee: the returned budgets always sum to at most clusterCapW
 // (costs are quantized upward, never down), which is the invariant the
@@ -91,12 +92,15 @@ func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (b
 	per := clusterCapW / float64(n)
 	remainW := clusterCapW
 	var curved []int
+	points, longest := 0, 0
 	for i, s := range shards {
-		if len(s.Points) == 0 {
+		if len(s.Points) == 0 || len(s.Points) > maxCurvePoints {
 			budgets[i] = per
 			remainW -= per
 		} else {
 			curved = append(curved, i)
+			points += len(s.Points)
+			longest = max(longest, len(s.Points))
 		}
 	}
 	if len(curved) == 0 {
@@ -124,43 +128,51 @@ func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (b
 		stepW = spare / float64(maxLevels-1)
 	}
 	levels := int(spare/stepW+1e-9) + 1
-	best, next := make([]float64, levels), make([]float64, levels)
-	// choice[j*levels+l] is curved shard j's curve index at level l.
-	choice := make([]int, len(curved)*levels)
-	var cost []int
+	// Price every shard's points once, back to back in cost: point k of
+	// curved shard j sits at cost[costAt[j]+k] grid steps above the
+	// shard's floor. spans[j] is the most the shard can spend.
+	m := len(curved)
+	cost := make([]int, 0, points)
+	costAt, spans := make([]int, m+1), make([]int, m)
 	for j, i := range curved {
 		pts := shards[i].Points
-		// Price the shard's points once, not once per level.
-		cost = cost[:0]
 		for k := range pts {
-			cost = append(cost, costSteps(pts[k].CapW-pts[0].CapW, stepW))
+			c := costSteps(pts[k].CapW-pts[0].CapW, stepW)
+			cost = append(cost, c)
+			spans[j] = max(spans[j], c)
 		}
-		cho := choice[j*levels : (j+1)*levels]
-		for l := 0; l < levels; l++ {
-			bestV, bestK := math.Inf(-1), 0
-			for k, c := range cost {
-				// Curve caps are strictly increasing, so costs are
-				// non-decreasing: past the level there is nothing left.
-				if c > l {
-					break
-				}
-				if v := best[l-c] + pts[k].Perf; v > bestV {
-					bestV, bestK = v, k
-				}
-			}
-			next[l] = bestV
-			cho[l] = bestK
+		costAt[j+1] = len(cost)
+	}
+	// The budget is read at the top level only, so each shard's layer
+	// is needed just over the band a backtrack from there can reach.
+	los, cells := coneLos(spans, levels-1)
+	best, next := make([]float64, levels), make([]float64, levels)
+	// choice holds curved shard j's curve index per level of
+	// [los[j], levels), the shards' windows back to back.
+	choice := make([]uint16, cells)
+	pf := make([]float64, longest)
+	off, sat := 0, 0
+	for j, i := range curved {
+		pts := shards[i].Points
+		for k := range pts {
+			pf[k] = pts[k].Perf
 		}
+		sat += spans[j]
+		lo := los[j]
+		// Curve caps are strictly increasing, so costs are non-decreasing
+		// and dpLayer's stop at the first unaffordable point loses nothing.
+		dpLayer(best, cost[costAt[j]:costAt[j+1]], pf, lo, levels, sat, next[lo:], choice[off:off+levels-lo])
+		off += levels - lo
 		best, next = next, best
 	}
 	l := levels - 1
-	for j := len(curved) - 1; j >= 0; j-- {
-		i := curved[j]
-		pts := shards[i].Points
-		k := choice[j*levels+l]
-		budgets[i] = pts[k].CapW
+	for j := m - 1; j >= 0; j-- {
+		pts := shards[curved[j]].Points
+		off -= levels - los[j]
+		k := int(choice[off+l-los[j]])
+		budgets[curved[j]] = pts[k].CapW
 		perf += pts[k].Perf
-		l -= costSteps(pts[k].CapW-pts[0].CapW, stepW)
+		l -= cost[costAt[j]+k]
 	}
 	return budgets, perf
 }

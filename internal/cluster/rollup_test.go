@@ -258,11 +258,10 @@ func TestRebalanceHeadroomMalformedInput(t *testing.T) {
 	}
 }
 
-// referenceApportionShards is ApportionShards' DP as it stood before the
-// per-shard cost table was hoisted out of the level loop and the choice
-// table became one slab — costSteps called for every (level, point)
-// pair, one choice row per shard — retained as the oracle for budgets,
-// tie-breaks and perf.
+// referenceApportionShards is ApportionShards' DP as it first stood —
+// every shard's layer swept over every level, costSteps called for every
+// (level, point) pair, one int choice row per shard — retained as the
+// oracle for budgets, tie-breaks and perf.
 func referenceApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (budgets []float64, perf float64) {
 	n := len(shards)
 	budgets = make([]float64, n)
@@ -341,15 +340,19 @@ func referenceApportionShards(clusterCapW float64, shards []ShardCurve, maxLevel
 	return budgets, perf
 }
 
-// TestApportionShardsMatchesReference holds the hoisted loop to the
-// retained one bit for bit over random shard sets: rolled-up member
-// curves thinned to a few dozen points (so caps sit off the coarse
-// grid), heterogeneous floors, curveless shards mixed in, caps from
-// below the floors to past saturation, and maxLevels both above the
-// natural level count (fine 2 W grid) and below it (coarsened grid).
+// TestApportionShardsMatchesReference holds ApportionShards — priced
+// once per shard, computed over each shard's band of reachable levels,
+// filled above its saturation level — to the retained full sweep bit for
+// bit over random shard sets: rolled-up member curves (non-concave and
+// non-monotone ones included) thinned to anything from two points to a
+// few dozen (so caps sit off the coarse grid), one-point rollups,
+// heterogeneous floors, curveless shards mixed in, caps from below the
+// floors through binding to past every shard's saturation, and
+// maxLevels from the finest 2 W grid down through every degree of
+// coarsening to a two-level grid.
 func TestApportionShardsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2048))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(7)
 		shards := make([]ShardCurve, n)
 		var floorSum, satSum float64
@@ -364,29 +367,75 @@ func TestApportionShardsMatchesReference(t *testing.T) {
 			}
 			curves := make([][]CapPoint, members)
 			for m := range curves {
-				if rng.Intn(3) == 0 {
+				switch rng.Intn(4) {
+				case 0:
 					curves[m] = stepCurve(rng, floorW)
-				} else {
+				case 1:
+					curves[m] = wildCurve(rng, floorW)
+				default:
 					curves[m] = randCurve(rng, floorW)
 				}
 			}
-			shards[i].Points = DownsampleCurve(RollupCurves(floorW, curves), 4+rng.Intn(40))
+			shards[i].Points = DownsampleCurve(RollupCurves(floorW, curves), 2+rng.Intn(42))
 			floorSum += shards[i].Points[0].CapW
 			satSum += shards[i].Points[len(shards[i].Points)-1].CapW
 		}
-		capW := floorSum*0.8 + rng.Float64()*(satSum*1.3-floorSum*0.8)
 		natural := int((satSum-floorSum)/ServerCapStepW) + 1
-		for _, maxLevels := range []int{0, natural * 2, 2 + rng.Intn(natural+1), 16} {
-			gotB, gotP := ApportionShards(capW, shards, maxLevels)
-			wantB, wantP := referenceApportionShards(capW, shards, maxLevels)
-			if gotP != wantP {
-				t.Fatalf("trial %d maxLevels %d: perf %v, reference %v", trial, maxLevels, gotP, wantP)
-			}
-			for i := range wantB {
-				if gotB[i] != wantB[i] {
-					t.Fatalf("trial %d maxLevels %d: shard %d budget %v, reference %v", trial, maxLevels, i, gotB[i], wantB[i])
+		for _, capW := range []float64{
+			floorSum * (0.8 + 0.2*rng.Float64()),       // below (or just at) the floors
+			floorSum + rng.Float64()*(satSum-floorSum), // binding
+			satSum + 1, // every shard just saturated
+			satSum*1.3 + float64(n)*40*float64(rng.Intn(20)), // far past saturation
+		} {
+			for _, maxLevels := range []int{0, natural * 2, natural, natural - 1, 2 + rng.Intn(natural+1), 16, 3, 2} {
+				gotB, gotP := ApportionShards(capW, shards, maxLevels)
+				wantB, wantP := referenceApportionShards(capW, shards, maxLevels)
+				if gotP != wantP {
+					t.Fatalf("trial %d cap %v maxLevels %d: perf %v, reference %v", trial, capW, maxLevels, gotP, wantP)
+				}
+				for i := range wantB {
+					if gotB[i] != wantB[i] {
+						t.Fatalf("trial %d cap %v maxLevels %d: shard %d budget %v, reference %v", trial, capW, maxLevels, i, gotB[i], wantB[i])
+					}
 				}
 			}
+		}
+	}
+}
+
+// A shard whose rollup is too long for the uint16 choice table is
+// treated like a curveless one: an even share of the cap, the DP run
+// over the others.
+func TestApportionShardsOverlongCurveEvenShare(t *testing.T) {
+	long := make([]CapPoint, maxCurvePoints+1)
+	for k := range long {
+		long[k] = CapPoint{CapW: 40 + float64(k)*ServerCapStepW, Perf: float64(k), GridW: 40}
+	}
+	others := []ShardCurve{
+		{FloorW: 40, Points: lineCurve(40, 10, 0.01)},
+		{FloorW: 40, Points: lineCurve(40, 10, 0.02)},
+	}
+	const capW = 300.0
+	for _, c := range []struct {
+		what   string
+		points []CapPoint
+		shared bool
+	}{
+		{"one point past the bound", long, true},
+		{"longest indexable curve", long[:maxCurvePoints], false},
+	} {
+		shards := []ShardCurve{others[0], {FloorW: 40, Points: c.points}, others[1]}
+		got, _ := ApportionShards(capW, shards, 0)
+		shards[1].Points = nil
+		curveless, _ := ApportionShards(capW, shards, 0)
+		if same := got[0] == curveless[0] && got[1] == curveless[1] && got[2] == curveless[2]; same != c.shared {
+			t.Fatalf("%s: budgets %v, with the shard curveless %v", c.what, got, curveless)
+		}
+		if c.shared && got[1] != capW/3 {
+			t.Fatalf("%s: shard got %g W, want the even share %g", c.what, got[1], capW/3)
+		}
+		if s := sum(got); s > capW+1e-6 {
+			t.Fatalf("%s: budgets sum to %g over cap %g", c.what, s, capW)
 		}
 	}
 }
