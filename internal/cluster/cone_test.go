@@ -248,26 +248,63 @@ func TestConeDPMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-// BenchmarkApportionerDirtyHead is psperf's flat-learn-128 worst case as
-// a go test cell: 128 members of 41 points, member 0's curve changing
-// before every call (so every layer is rebuilt), the cap cycling between
-// 85 and 90 W a member under a 90 W warm-up.
-func BenchmarkApportionerDirtyHead(b *testing.B) {
-	const members, floorW = 128, 50.0
-	curves := make([][]CapPoint, members)
-	for i := range curves {
-		curves[i] = dpBenchCurve(i, 0)
+// dpBenchCurve builds member i's curve at mutation version ver on the
+// canonical 2 W grid: a saturating utility whose knee moves with
+// (i, ver), so every mutation genuinely changes the DP's inputs.
+func dpBenchCurve(i, ver int) []CapPoint {
+	const floorW, nameplateW = 50.0, 130.0
+	tau := 25 + float64((i*13+ver*29)%50)
+	norm := 1 - math.Exp(-nameplateW/tau)
+	var pts []CapPoint
+	for c := floorW; c <= nameplateW; c += ServerCapStepW {
+		pts = append(pts, CapPoint{CapW: c, Perf: (1 - math.Exp(-c/tau)) / norm, GridW: c})
 	}
-	heads := [2][]CapPoint{dpBenchCurve(0, 1), dpBenchCurve(0, 2)}
-	var inc Apportioner
-	inc.Apportion(members*90, floorW, curves)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		curves[0] = heads[i%2]
-		inc.Apportion(members*(85+float64(i%6)), floorW, curves)
-		if inc.LastRecomputed() != members {
-			b.Fatalf("dirty head rebuilt %d layers, want %d", inc.LastRecomputed(), members)
-		}
+	return pts
+}
+
+// BenchmarkApportioner is the incremental DP's go test cell: 128 members
+// of 41 points, the cap cycling between 85 and 90 W a member under a
+// 90 W warm-up, and per call either no curve change (cap-only: a pure
+// read-out), member 0's curve changing (head-dirty: psperf's
+// flat-learn-128 worst case, every layer rebuilt — what a full DP
+// costs) or 4 seeded members' curves changing (4-dirty). layers/op is
+// the mean member layers rebuilt per call.
+func BenchmarkApportioner(b *testing.B) {
+	const members, floorW = 128, 50.0
+	for _, bc := range []struct {
+		name string
+		k    int  // curves mutated before every call
+		head bool // mutate member 0, not seeded positions
+	}{
+		{name: "cap-only"},
+		{name: "head-dirty", k: 1, head: true},
+		{name: "4-dirty", k: 4},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			curves := make([][]CapPoint, members)
+			vers := make([]int, members)
+			for i := range curves {
+				curves[i] = dpBenchCurve(i, 0)
+			}
+			rng := rand.New(rand.NewSource(1))
+			var inc Apportioner
+			inc.Apportion(members*90, floorW, curves)
+			layers := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for c := 0; c < bc.k; c++ {
+					m := 0
+					if !bc.head {
+						m = rng.Intn(members)
+					}
+					vers[m]++
+					curves[m] = dpBenchCurve(m, vers[m])
+				}
+				inc.Apportion(members*(85+float64(i%6)), floorW, curves)
+				layers += inc.LastRecomputed()
+			}
+			b.ReportMetric(float64(layers)/float64(b.N), "layers/op")
+		})
 	}
 }

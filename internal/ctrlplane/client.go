@@ -2,7 +2,6 @@ package ctrlplane
 
 import (
 	"context"
-	"encoding/json"
 	"hash/fnv"
 	"time"
 )
@@ -234,19 +233,6 @@ func (c *rpcClient) shardBudget(ctx context.Context, retries int, base string, r
 		return nil
 	})
 	return resp, err
-}
-
-// postJSON POSTs in as JSON to a complete URL and decodes the response
-// into out, with the full retry budget — the generic escape hatch for
-// JSON-only surfaces.
-func (c *rpcClient) postJSON(ctx context.Context, kind string, key uint64, url string, in, out any) error {
-	payload, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	return c.do(ctx, kind, key, func(ctx context.Context) error {
-		return c.dialer.json.call(ctx, "POST", url, payload, out)
-	})
 }
 
 // getJSON GETs a complete URL and decodes the response into out.

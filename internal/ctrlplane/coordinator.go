@@ -3,7 +3,6 @@ package ctrlplane
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -302,7 +301,6 @@ type Coordinator struct {
 	tel    *ctrlTel
 
 	members   []*member
-	seq       uint64
 	prevAlive []bool
 	stats     Stats
 	flog      *faults.Log
@@ -312,27 +310,10 @@ type Coordinator struct {
 	// the layers after the first changed curve.
 	dp cluster.Apportioner
 
-	// epoch is the leadership epoch grants fan out under (1 for a
-	// plain coordinator; the HA wrapper moves it on election wins).
-	// seenEpoch is the highest epoch observed in any response — above
-	// epoch means this coordinator has been deposed. Both are atomics
-	// because fan-out goroutines and the registration handler read
-	// them concurrently with the control loop.
-	epoch     atomic.Uint64
-	seenEpoch atomic.Uint64
-
-	// iv is the protocol-clock interval counter (0 until the first
-	// mint). Atomic because the registration handler and tests read it
-	// concurrently with the control loop. rehydrated, maxSeenIv, and
-	// maxSeenSeq only move on the control loop: a fresh coordinator
-	// must see a majority of agent reports — and adopt the highest
-	// interval and same-epoch sequence among them — before it may mint,
-	// so a crash–restart cannot re-issue interval or sequence numbers
-	// another grant already used.
-	iv         atomic.Uint64
-	rehydrated bool
-	maxSeenIv  uint64
-	maxSeenSeq uint64
+	// mintClock is the leadership epoch, grant sequence and interval
+	// counter, rehydrated from a majority of agent reports before the
+	// first mint (Epoch, PeakEpoch and Iv are its methods).
+	mintClock
 
 	// regMu guards pending, the agent announcements queued by Register
 	// (HTTP handler goroutines) until the next Step admits them.
@@ -378,40 +359,17 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Epoch returns the leadership epoch grants currently fan out under.
-func (c *Coordinator) Epoch() uint64 { return c.epoch.Load() }
-
-// PeakEpoch returns the highest epoch observed in any agent response —
-// above Epoch() means another coordinator leads.
-func (c *Coordinator) PeakEpoch() uint64 { return c.seenEpoch.Load() }
-
-// Iv returns the protocol-clock interval counter: the last interval
-// minted (0 before the first mint). Unlike the epoch it is monotonic
-// across elections — SetEpoch does not reset it — which is what makes
-// interval numbers unique for the life of the fleet.
-func (c *Coordinator) Iv() uint64 { return c.iv.Load() }
-
 // SetEpoch moves the coordinator to a new leadership epoch. Bumping it
 // invalidates the granted ledger, so the next step assigns every
 // member afresh instead of renewing leases granted under an older
 // epoch (which agents would refuse anyway). Call between steps only —
 // the HA wrapper does, right after winning an election.
 func (c *Coordinator) SetEpoch(e uint64) {
-	if c.epoch.Swap(e) == e {
+	if !c.setEpoch(e) {
 		return
 	}
 	for _, m := range c.members {
 		m.grantedW, m.granted = 0, false
-	}
-}
-
-// noteEpoch folds an observed response epoch into the peak.
-func (c *Coordinator) noteEpoch(e uint64) {
-	for {
-		cur := c.seenEpoch.Load()
-		if e <= cur || c.seenEpoch.CompareAndSwap(cur, e) {
-			return
-		}
 	}
 }
 
@@ -653,47 +611,20 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 	// intervals harvest too, so a warm standby is already rehydrated
 	// when it wins an election.
 	scrapedOK := 0
-	cur := c.iv.Load()
 	for i := range c.members {
 		rep := reports[i]
 		if rep == nil {
 			continue
 		}
 		scrapedOK++
-		if rep.Iv > c.maxSeenIv {
-			c.maxSeenIv = rep.Iv
-		}
-		if rep.Epoch == epoch && rep.Seq > c.maxSeenSeq {
-			c.maxSeenSeq = rep.Seq
-		}
+		lag := c.harvest(epoch, rep.Iv, rep.Epoch, rep.Seq)
 		if c.tel.enabled {
 			// Per-member lag series; the fleet max the old scalar gauge
 			// carried is max() over these.
-			var lag float64
-			if cur > rep.Iv {
-				lag = float64(cur - rep.Iv)
-			}
-			c.tel.clockSkewIv.With(strconv.Itoa(i)).Set(lag)
+			c.tel.clockSkewIv.With(strconv.Itoa(i)).Set(float64(lag))
 		}
 	}
-	// Keep the counter at least as high as anything the fleet has
-	// echoed — for the active leader this is a no-op (reports echo
-	// its own mints), but it keeps a warm standby's counter tracking
-	// the leader interval by interval, so a promotion mints above
-	// everything its predecessor issued, not above a boot-time
-	// snapshot.
-	if c.maxSeenIv > c.iv.Load() {
-		c.iv.Store(c.maxSeenIv)
-	}
-	if !c.rehydrated && scrapedOK >= len(c.members)/2+1 {
-		// Majority heard: no interval or same-epoch sequence above
-		// these can have been granted (a grant needs the same
-		// majority's listeners reachable), so minting past them is
-		// safe.
-		if c.maxSeenSeq > c.seq {
-			c.seq = c.maxSeenSeq
-		}
-		c.rehydrated = true
+	if c.settle(scrapedOK, len(c.members)) {
 		c.stats.Rehydrations++
 		c.tel.rehydrations.Inc()
 		c.flog.Append(faults.Event{T: t, Kind: "clock-rehydrate", Target: "coordinator",
@@ -755,10 +686,8 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 	// our grants are being refused.
 	if !lead || !c.rehydrated {
 		// A leader that has not yet heard a majority holds its grants
-		// like a standby: minting now could re-issue an interval number
-		// a pre-restart grant already used, double-committing budget
-		// within one lease window. Agents ride their leases (or safe
-		// mode) until the counter is recovered.
+		// like a standby (see mintClock.mint). Agents ride their leases
+		// (or safe mode) until the counter is recovered.
 		for _, m := range c.members {
 			if m.scraped {
 				res.FleetGridW += m.gridW
@@ -766,7 +695,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 			}
 		}
 		res.Rehydrating = lead
-		res.Deposed = c.seenEpoch.Load() > epoch
+		res.Deposed = c.deposed(epoch)
 		c.stats.Observes++
 		c.stats.BatchFrames += int(batchFrames.Load())
 		c.stats.BatchedOps += int(batchOps.Load())
@@ -774,11 +703,10 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 		c.tel.noteStep(res)
 		return res, nil
 	}
-	c.seq++
-	seq := c.seq
 	// Mint this interval's protocol-clock reading and the lease triple
 	// every grant carries.
-	mintIv, leaseIv, ivS := c.iv.Add(1), c.cfg.leaseIv(), c.cfg.IntervalS
+	seq, mintIv := c.mint()
+	leaseIv, ivS := c.cfg.leaseIv(), c.cfg.IntervalS
 	res.Iv = mintIv
 	renewFailed := make([]bool, n)
 	grantSkipped := make([]bool, n)
@@ -925,7 +853,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 			res.FleetPerfN += m.perfN
 		}
 	}
-	res.Deposed = c.seenEpoch.Load() > epoch
+	res.Deposed = c.deposed(epoch)
 
 	c.stats.Steps++
 	c.stats.BatchFrames += int(batchFrames.Load())
@@ -1111,13 +1039,4 @@ func (c *Coordinator) Replay(ctx context.Context, caps []trace.Point, onStep fun
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-// GrantedW returns the last acknowledged budget for agent i (0 when
-// none).
-func (c *Coordinator) GrantedW(i int) float64 {
-	if i < 0 || i >= len(c.members) {
-		return math.NaN()
-	}
-	return c.members[i].grantedW
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"powerstruggle/internal/cluster"
@@ -136,7 +134,9 @@ type globalShard struct {
 
 // GlobalStats accumulates apportioner lifetime counters.
 type GlobalStats struct {
-	Steps          int
+	Steps int
+	// Observes counts intervals that scraped and apportioned but held
+	// the grant round (the counter not yet rehydrated).
 	Observes       int
 	ShardExpiries  int
 	ShardRejoins   int
@@ -153,7 +153,8 @@ type GlobalStepResult struct {
 	T    float64
 	CapW float64
 	// Epoch is the global leadership epoch grants fanned out under.
-	Epoch   uint64
+	Epoch uint64
+	// Leading is always true: the apex runs unelected.
 	Leading bool
 	// Deposed reports a ShardBudgetResponse carried a global epoch
 	// above this apportioner's — another global leads.
@@ -176,11 +177,11 @@ type GlobalStepResult struct {
 	ScrapeErrs int
 	GrantErrs  int
 	// Iv is the global protocol-clock interval this step's grants were
-	// minted under (0 on observe and rehydrating intervals).
+	// minted under (0 on rehydrating intervals).
 	Iv uint64
-	// Rehydrating reports that a leading apportioner skipped
-	// granting because its interval counter is not yet recovered from a
-	// majority of shard scrapes.
+	// Rehydrating reports that the apportioner skipped granting because
+	// its interval counter is not yet recovered from a majority of shard
+	// scrapes.
 	Rehydrating bool
 }
 
@@ -203,24 +204,15 @@ type Global struct {
 	tel    *ctrlTel
 	flog   *faults.Log
 
-	shards    []*globalShard
-	seq       uint64
-	stats     GlobalStats
-	epoch     atomic.Uint64
-	seenEpoch atomic.Uint64
+	shards []*globalShard
+	stats  GlobalStats
 
-	// iv is the global protocol-clock interval counter, monotonic
-	// across elections: SetEpoch clears the granted ledger but never
-	// rewinds iv, which is what keeps interval numbers unique for the
-	// apportioner's lifetime.
-	iv atomic.Uint64
-	// rehydrated gates granting: a restarted apportioner
-	// refuses to mint intervals until a majority of shard scrapes have
-	// answered, so it adopts an interval counter at least as high as
-	// any its predecessor's grants reached.
-	rehydrated bool
-	maxSeenIv  uint64
-	maxSeenSeq uint64
+	// mintClock is the global epoch, grant sequence and interval
+	// counter: a restarted apportioner refuses to mint until a majority
+	// of shard scrapes have answered, so it adopts a counter at least
+	// as high as any its predecessor's grants reached (Epoch, PeakEpoch
+	// and Iv are its methods).
+	mintClock
 }
 
 // NewGlobal builds a global apportioner over a static shard set.
@@ -271,38 +263,6 @@ func NewGlobal(cfg GlobalConfig) (*Global, error) {
 	return g, nil
 }
 
-// Epoch returns the global leadership epoch grants fan out under.
-func (g *Global) Epoch() uint64 { return g.epoch.Load() }
-
-// PeakEpoch returns the highest global epoch observed in any shard's
-// budget response.
-func (g *Global) PeakEpoch() uint64 { return g.seenEpoch.Load() }
-
-// Iv returns the global protocol-clock interval counter — monotonic
-// across elections; SetEpoch does not reset it.
-func (g *Global) Iv() uint64 { return g.iv.Load() }
-
-// SetEpoch moves the apportioner to a new global epoch, invalidating
-// the granted ledger so the next step grants every shard afresh. Call
-// between steps only.
-func (g *Global) SetEpoch(e uint64) {
-	if g.epoch.Swap(e) == e {
-		return
-	}
-	for _, s := range g.shards {
-		s.grantedW, s.granted = 0, false
-	}
-}
-
-func (g *Global) noteEpoch(e uint64) {
-	for {
-		cur := g.seenEpoch.Load()
-		if e <= cur || g.seenEpoch.CompareAndSwap(cur, e) {
-			return
-		}
-	}
-}
-
 // Stats returns the apportioner's lifetime counters.
 func (g *Global) Stats() GlobalStats { return g.stats }
 
@@ -311,19 +271,6 @@ func (g *Global) FaultEvents() []faults.Event { return g.flog.Events() }
 
 // Close releases pooled trunk connections.
 func (g *Global) Close() { g.client.close() }
-
-// Step drives one global interval at trace time t under cluster cap
-// capW.
-func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, error) {
-	return g.step(ctx, t, capW, true)
-}
-
-// Observe runs one global interval without granting: scrape the
-// shards and compute what this apportioner would grant — the standby's
-// warm-takeover path, mirroring Coordinator.Observe.
-func (g *Global) Observe(ctx context.Context, t, capW float64) (GlobalStepResult, error) {
-	return g.step(ctx, t, capW, false)
-}
 
 // scrapeShard walks one shard's trunk URLs from its last-good index
 // until a leading coordinator answers.
@@ -353,14 +300,16 @@ func (g *Global) scrapeShard(ctx context.Context, s *globalShard, t float64) (Sh
 	return ShardReport{}, s.urlIdx, lastErr
 }
 
-func (g *Global) step(ctx context.Context, t, capW float64, lead bool) (GlobalStepResult, error) {
+// Step drives one global interval at trace time t under cluster cap
+// capW.
+func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, error) {
 	if !finite(t) || !finite(capW) || capW < 0 {
 		return GlobalStepResult{}, fmt.Errorf("ctrlplane: global step t=%g cap=%g", t, capW)
 	}
 	epoch := g.epoch.Load()
 	n := len(g.shards)
 	res := GlobalStepResult{
-		T: t, CapW: capW, Epoch: epoch, Leading: lead,
+		T: t, CapW: capW, Epoch: epoch, Leading: true,
 		Budgets: make([]float64, n),
 		Granted: make([]bool, n),
 		Alive:   make([]bool, n),
@@ -396,41 +345,20 @@ func (g *Global) step(ctx context.Context, t, capW float64, lead bool) (GlobalSt
 
 	// Protocol-clock harvest: track the highest interval and same-epoch
 	// sequence any shard has seen, and rehydrate the counter from a
-	// majority of scrapes after a restart. Runs while observing too, so
-	// a warm standby is already rehydrated when promoted.
+	// majority of scrapes after a restart.
 	scrapedOK := 0
-	cur := g.iv.Load()
 	for i := range g.shards {
 		rep := reports[i]
 		if rep == nil {
 			continue
 		}
 		scrapedOK++
-		if rep.GIv > g.maxSeenIv {
-			g.maxSeenIv = rep.GIv
-		}
-		if rep.GEpoch == epoch && rep.GSeq > g.maxSeenSeq {
-			g.maxSeenSeq = rep.GSeq
-		}
+		lag := g.harvest(epoch, rep.GIv, rep.GEpoch, rep.GSeq)
 		if g.tel.enabled {
-			var lag float64
-			if cur > rep.GIv {
-				lag = float64(cur - rep.GIv)
-			}
-			g.tel.clockSkewIv.With("shard-" + strconv.Itoa(i)).Set(lag)
+			g.tel.clockSkewIv.With("shard-" + strconv.Itoa(i)).Set(float64(lag))
 		}
 	}
-	// Track the fleet's echo continuously (see Coordinator.step): a
-	// warm standby apportioner follows the leader's mints interval
-	// by interval, so promotion never re-issues one.
-	if g.maxSeenIv > g.iv.Load() {
-		g.iv.Store(g.maxSeenIv)
-	}
-	if !g.rehydrated && scrapedOK >= len(g.shards)/2+1 {
-		if g.maxSeenSeq > g.seq {
-			g.seq = g.maxSeenSeq
-		}
-		g.rehydrated = true
+	if g.settle(scrapedOK, len(g.shards)) {
 		g.stats.Rehydrations++
 		g.tel.rehydrations.Inc()
 		g.flog.Append(faults.Event{T: t, Kind: "clock-rehydrate", Target: "global",
@@ -549,22 +477,20 @@ func (g *Global) step(ctx context.Context, t, capW float64, lead bool) (GlobalSt
 		}
 	}
 
-	// Phase 4 — fan the grants out (leader only).
-	if !lead || !g.rehydrated {
-		// A leading apportioner that has not recovered its interval
-		// counter from a shard majority must not mint: a lower counter
-		// would duplicate interval numbers its predecessor's grants
-		// already carry. Shards keep enforcing (and aging) their last
-		// budgets, so skipping the grant round is safe.
-		res.Rehydrating = lead
-		res.Deposed = g.seenEpoch.Load() > epoch
+	// Phase 4 — fan the grants out.
+	if !g.rehydrated {
+		// An apportioner that has not recovered its interval counter
+		// from a shard majority must not mint (see mintClock.mint).
+		// Shards keep enforcing (and aging) their last budgets, so
+		// skipping the grant round is safe.
+		res.Rehydrating = true
+		res.Deposed = g.deposed(epoch)
 		g.stats.Observes++
 		g.tel.noteGlobalStep(res)
 		return res, nil
 	}
-	g.seq++
-	seq := g.seq
-	mintIv, leaseIv, ivS := g.iv.Add(1), g.cfg.leaseIv(), g.cfg.IntervalS
+	seq, mintIv := g.mint()
+	leaseIv, ivS := g.cfg.leaseIv(), g.cfg.IntervalS
 	res.Iv = mintIv
 	fanOut(ctx, len(aliveIdx), g.cfg.maxInFlight(), func(k int) {
 		i := aliveIdx[k]
@@ -612,7 +538,7 @@ func (g *Global) step(ctx context.Context, t, capW float64, lead bool) (GlobalSt
 			g.stats.GrantFailures++
 		}
 	}
-	res.Deposed = g.seenEpoch.Load() > epoch
+	res.Deposed = g.deposed(epoch)
 	g.stats.Steps++
 	g.tel.noteGlobalStep(res)
 	return res, nil
@@ -625,97 +551,4 @@ func (g *Global) GrantedShardW(i int) float64 {
 		return 0
 	}
 	return g.shards[i].grantedW
-}
-
-// GlobalHAConfig parameterizes a global apportioner's leader election
-// — the subset of HAConfig the apex tier needs.
-type GlobalHAConfig struct {
-	ID       string
-	Election Election
-	TermTTL  time.Duration
-	Clock    func() time.Time
-}
-
-// GlobalHA runs a global apportioner as a member of a leader-elected
-// pair: campaign each interval on the shared store, lead under the
-// term's epoch or observe to stay warm. The same two safety nets as
-// the shard tier apply — elections order takeovers, epoch fencing at
-// the shards makes even a deposed-but-unaware global harmless.
-type GlobalHA struct {
-	g   *Global
-	cfg GlobalHAConfig
-
-	mu        sync.Mutex
-	leader    bool
-	term      Term
-	failovers int
-}
-
-// NewGlobalHA wraps a global apportioner with leader election.
-func NewGlobalHA(g *Global, cfg GlobalHAConfig) (*GlobalHA, error) {
-	if g == nil {
-		return nil, fmt.Errorf("ctrlplane: global HA needs an apportioner")
-	}
-	if cfg.Election == nil {
-		return nil, fmt.Errorf("ctrlplane: global HA needs an election store")
-	}
-	if cfg.ID == "" {
-		return nil, fmt.Errorf("ctrlplane: global HA needs a candidate id")
-	}
-	if cfg.TermTTL <= 0 {
-		return nil, fmt.Errorf("ctrlplane: global HA term ttl %v", cfg.TermTTL)
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	return &GlobalHA{g: g, cfg: cfg}, nil
-}
-
-// Global returns the wrapped apportioner.
-func (h *GlobalHA) Global() *Global { return h.g }
-
-// Step campaigns, then leads or observes one global interval.
-func (h *GlobalHA) Step(ctx context.Context, t, capW float64) (GlobalStepResult, error) {
-	term, err := h.cfg.Election.Campaign(h.cfg.ID, h.cfg.Clock(), h.cfg.TermTTL)
-	if err != nil {
-		// Same stance as HA.Step: an unreachable store proves nothing,
-		// so only observe; shard budget leases lapse on their own.
-		h.mu.Lock()
-		h.leader = false
-		h.mu.Unlock()
-		return h.g.Observe(ctx, t, capW)
-	}
-	lead := term.Leader == h.cfg.ID
-	h.mu.Lock()
-	if lead && term.Epoch > h.term.Epoch && term.Epoch > 1 {
-		h.failovers++
-	}
-	h.leader, h.term = lead, term
-	h.mu.Unlock()
-	if !lead {
-		return h.g.Observe(ctx, t, capW)
-	}
-	h.g.SetEpoch(term.Epoch)
-	res, err := h.g.Step(ctx, t, capW)
-	if err == nil && res.Deposed {
-		h.mu.Lock()
-		h.leader = false
-		h.mu.Unlock()
-	}
-	return res, err
-}
-
-// Leader reports the last campaign's term and whether this node leads.
-func (h *GlobalHA) Leader() (Term, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.term, h.leader
-}
-
-// Failovers counts leadership acquisitions past the bootstrap
-// election.
-func (h *GlobalHA) Failovers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.failovers
 }

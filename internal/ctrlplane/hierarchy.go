@@ -11,9 +11,9 @@ import (
 )
 
 // This file is the two-tier drill harness behind the hierarchy tests,
-// pscluster -shards, and the psbench "binary-2tier" cell: a sharded
-// fleet of demand-driven agents, each shard run by an HA pair of shard
-// coordinators over the binary wire, with a global apportioner
+// pscluster -shards and the hierarchy-shard-loss scenario family: a
+// sharded fleet of demand-driven agents, each shard run by an HA pair
+// of shard coordinators over the binary wire, with a global apportioner
 // splitting the cluster cap across the shards each interval. The drill
 // asserts the tree's safety invariant — the sum of enforced agent caps
 // never exceeds the cluster cap, every interval, including through
@@ -445,62 +445,4 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 	}
 	res.Stats = global.Stats()
 	return res, nil
-}
-
-// HierBenchCell is the psbench "binary-2tier" measurement: interval
-// latency of the whole two-tier control loop (all shard steps plus the
-// global step) at a given fleet size, comparable to the flat binary
-// cell at the same agent count.
-type HierBenchCell struct {
-	Transport string `json:"transport"`
-	Agents    int    `json:"agents"`
-	Shards    int    `json:"shards"`
-	Runs      int    `json:"runs"`
-	Intervals int    `json:"intervals_per_run"`
-	// NsPerInterval is the minimum across runs of mean wall time per
-	// two-tier control interval.
-	NsPerInterval int64 `json:"ns_per_interval"`
-}
-
-// RunHierBench measures the two-tier control loop: Runs passes of
-// Intervals each over a fresh drill topology, minimum-of-runs mean
-// interval latency reported (the flat-bench policy). The drill's cap
-// invariant doubles as the validity check — a run with violations or
-// failed grants is invalid.
-func RunHierBench(agents, shardCount, runs, intervals int) (HierBenchCell, error) {
-	if shardCount <= 0 || agents <= 0 || agents%shardCount != 0 {
-		return HierBenchCell{}, fmt.Errorf("ctrlplane: hier bench needs agents divisible by shards, got %d/%d", agents, shardCount)
-	}
-	if runs <= 0 {
-		runs = 5
-	}
-	if intervals <= 0 {
-		intervals = 10
-	}
-	cell := HierBenchCell{Transport: "binary-2tier", Agents: agents, Shards: shardCount, Runs: runs, Intervals: intervals}
-	for run := 0; run < runs; run++ {
-		res, err := RunTwoTierDrill(TwoTierOptions{
-			Shards:         shardCount,
-			AgentsPerShard: agents / shardCount,
-			// Warmup is the drill's first two intervals (first assign
-			// plus first renewal); measure the rest.
-			Intervals: intervals + 2,
-			Seed:      int64(run),
-		})
-		if err != nil {
-			return HierBenchCell{}, err
-		}
-		if len(res.Violations) > 0 {
-			return HierBenchCell{}, fmt.Errorf("ctrlplane: hier bench run violated invariants: %s", res.Violations[0])
-		}
-		var ns int64
-		for _, iv := range res.Intervals[2:] {
-			ns += iv.WallNs
-		}
-		ns /= int64(intervals)
-		if run == 0 || ns < cell.NsPerInterval {
-			cell.NsPerInterval = ns
-		}
-	}
-	return cell, nil
 }

@@ -30,14 +30,6 @@ type Transport interface {
 	Close()
 }
 
-// BatchTransport is the optional batched fan-out surface: one frame
-// carries a whole fleet's scrapes or grants. Only the binary transport
-// implements it; the coordinator falls back to unary RPCs elsewhere.
-type BatchTransport interface {
-	ScrapeBatch(ctx context.Context, base string, req BatchScrapeRequest) (BatchScrapeResponse, error)
-	GrantBatch(ctx context.Context, base string, req BatchGrantRequest) (BatchGrantResponse, error)
-}
-
 // TransportKind selects a wire encoding on the CLI and in fleet
 // helpers. The kind only picks defaults — the actual encoding used for
 // any one endpoint is chosen per URL scheme (http/https vs tcp), so
