@@ -41,7 +41,6 @@ func main() {
 		dumpTrace = flag.String("dumptrace", "", "write the synthetic demand trace to this CSV and exit")
 		agents    = flag.Bool("agents", false, "replay through the networked control plane (in-process agents over loopback) and check budget parity against the pure simulation")
 		strategy  = flag.String("strategy", "utility", "apportioning strategy in -agents mode: equal or utility")
-		transport = flag.String("transport", "json", "wire for -agents mode: json (per-agent HTTP listeners) or binary (one shared TCP frame listener, batched fan-out)")
 		haKill    = flag.Int("ha-kill-step", -1, "in -agents mode, replay through a leader-elected coordinator pool and kill the leader at this step; reports failover latency and post-recovery budget parity")
 		haMembers = flag.Int("ha-members", 2, "pool size for the -ha-kill-step drill; 3 or more members elect through an in-process quorum store (loopback voter endpoints) instead of the shared-memory term")
 
@@ -87,7 +86,7 @@ func main() {
 		return
 	}
 	if *agents {
-		if err := runAgents(*servers, *strategy, *transport, *capFile, *shave, *step, *seed, *haKill, *haMembers); err != nil {
+		if err := runAgents(*servers, *strategy, *capFile, *shave, *step, *seed, *haKill, *haMembers); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -208,16 +207,13 @@ func replayCapFile(path string, servers int) error {
 
 // runAgents replays a cap schedule through the networked control plane
 // — a pscoord-style coordinator fanning leased budgets out to one
-// in-process agent per server over loopback HTTP — and checks that the
+// in-process agent per server behind one loopback frame listener (so
+// the fan-out rides batch frames) — and checks that the
 // resulting budget sequence matches the pure simulation watt for watt.
 // With killStep >= 0 the replay runs through a leader-elected
 // coordinator pair instead, killing the leader mid-trace.
-func runAgents(servers int, strategyName, transportName, capFile string, shavePcts string, stepS float64, seed int64, killStep, members int) error {
+func runAgents(servers int, strategyName, capFile string, shavePcts string, stepS float64, seed int64, killStep, members int) error {
 	strat, err := ctrlplane.ParseStrategy(strategyName)
-	if err != nil {
-		return err
-	}
-	kind, err := ctrlplane.ParseTransport(transportName)
 	if err != nil {
 		return err
 	}
@@ -261,7 +257,7 @@ func runAgents(servers int, strategyName, transportName, capFile string, shavePc
 	}
 
 	flt, err := ctrlplane.StartSimFleetOpts(ev, ctrlplane.FleetOptions{
-		Version: buildinfo.Version(), Transport: kind,
+		Version: buildinfo.Version(), SharedListener: true,
 	})
 	if err != nil {
 		return err
@@ -286,7 +282,7 @@ func runAgents(servers int, strategyName, transportName, capFile string, shavePc
 		return err
 	}
 	defer coord.Close()
-	fmt.Printf("replaying %d cap steps over %d networked agents (%v, %v transport)\n", len(caps), servers, strat, kind)
+	fmt.Printf("replaying %d cap steps over %d networked agents (%v)\n", len(caps), servers, strat)
 	var capViolations int
 	results, err := coord.Replay(context.Background(), caps, func(res ctrlplane.StepResult) {
 		if err := flt.Tick(res.T); err == nil {
@@ -318,11 +314,9 @@ func runAgents(servers int, strategyName, transportName, capFile string, shavePc
 		oracleStrat, maxDelta, len(results), servers)
 	fmt.Printf("  cap violations %d, scrape failures %d, assign failures %d, re-apportions %d\n",
 		capViolations, st.ScrapeFailures, st.AssignFailures, st.Reapportions)
-	if st.BatchFrames > 0 {
-		ws := coord.WireStats()
-		fmt.Printf("  binary wire: %d batch frames carried %d ops; %d conns dialed, %d reused\n",
-			st.BatchFrames, st.BatchedOps, ws.BinaryDials, ws.BinaryReuses)
-	}
+	ws := coord.WireStats()
+	fmt.Printf("  wire: %d batch frames carried %d ops; %d conns dialed, %d reused\n",
+		st.BatchFrames, st.BatchedOps, ws.BinaryDials, ws.BinaryReuses)
 	if maxDelta != 0 {
 		return fmt.Errorf("networked replay diverged from the simulation by %g W", maxDelta)
 	}

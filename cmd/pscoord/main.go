@@ -1,15 +1,15 @@
 // Command pscoord is the cluster coordinator: it scrapes a fleet of
-// psd-style agents over HTTP, apportions a cluster power cap across the
-// live members, and fans the per-server budgets out as leased grants —
-// the paper's Section IV-D cluster manager with a real network in the
-// loop instead of a function call.
+// psd-style agents over binary frames on TCP, apportions a cluster
+// power cap across the live members, and fans the per-server budgets
+// out as leased grants — the paper's Section IV-D cluster manager with
+// a real network in the loop instead of a function call.
 //
 // Drive three local daemons under a 240 W cluster cap:
 //
-//	psd -listen 127.0.0.1:8081 -ctrl-server 0 &
-//	psd -listen 127.0.0.1:8082 -ctrl-server 1 &
-//	psd -listen 127.0.0.1:8083 -ctrl-server 2 &
-//	pscoord -agents http://127.0.0.1:8081,http://127.0.0.1:8082,http://127.0.0.1:8083 \
+//	psd -listen 127.0.0.1:8081 -ctrl-server 0 -ctrl-binary-listen 127.0.0.1:9081 &
+//	psd -listen 127.0.0.1:8082 -ctrl-server 1 -ctrl-binary-listen 127.0.0.1:9082 &
+//	psd -listen 127.0.0.1:8083 -ctrl-server 2 -ctrl-binary-listen 127.0.0.1:9083 &
+//	pscoord -agents 127.0.0.1:9081,127.0.0.1:9082,127.0.0.1:9083 \
 //	        -cap 240 -interval 2s -lease-iv 2
 //
 // Replay a peak-shaving cap schedule instead of a constant cap:
@@ -21,24 +21,29 @@
 // within one interval of leader silence. Agents may also self-register
 // instead of being listed:
 //
-//	pscoord -listen 127.0.0.1:7070 -ha-store /shared/pscoord-term.json -cap 240 &
-//	pscoord -listen 127.0.0.1:7071 -ha-store /shared/pscoord-term.json -cap 240 &
-//	psd -listen 127.0.0.1:8081 -ctrl-server 0 \
-//	    -ctrl-announce http://127.0.0.1:7070,http://127.0.0.1:7071
+//	pscoord -binary-listen 127.0.0.1:7070 -ha-store /shared/pscoord-term.json -cap 240 &
+//	pscoord -binary-listen 127.0.0.1:7071 -ha-store /shared/pscoord-term.json -cap 240 &
+//	psd -listen 127.0.0.1:8081 -ctrl-server 0 -ctrl-binary-listen 127.0.0.1:9081 \
+//	    -ctrl-announce 127.0.0.1:7070,127.0.0.1:7071
 //
 // Or drop the shared filesystem entirely: a -ha-members pool
 // replicates the term across the coordinators themselves (each serves
-// a voter at its -listen address; campaigns commit on a majority), and
-// -ha-priority orders who takes over a lapsed term first:
+// a voter at its -binary-listen address; campaigns commit on a
+// majority), and -ha-priority orders who takes over a lapsed term
+// first:
 //
 //	M=127.0.0.1:7070,127.0.0.1:7071,127.0.0.1:7072
-//	pscoord -listen 127.0.0.1:7070 -ha-members $M -ha-priority 0 -cap 240 &
-//	pscoord -listen 127.0.0.1:7071 -ha-members $M -ha-priority 1 -cap 240 &
-//	pscoord -listen 127.0.0.1:7072 -ha-members $M -ha-priority 2 -cap 240 &
+//	pscoord -binary-listen 127.0.0.1:7070 -ha-members $M -ha-priority 0 -cap 240 &
+//	pscoord -binary-listen 127.0.0.1:7071 -ha-members $M -ha-priority 1 -cap 240 &
+//	pscoord -binary-listen 127.0.0.1:7072 -ha-members $M -ha-priority 2 -cap 240 &
+//
+// -listen adds a read-only HTTP debug surface: curl <addr>/ctrl/leader
+// renders the leader frame as JSON.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -61,7 +66,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pscoord: ")
 	var (
-		agents     = flag.String("agents", "", "comma-separated agent base URLs (fleet index follows list order) or id=url pairs")
+		agents     = flag.String("agents", "", "comma-separated agent frame-listener addresses, host:port or tcp://host:port (fleet index follows list order), or id=addr pairs")
 		strategy   = flag.String("strategy", "equal", "apportioning strategy: equal or utility")
 		capW       = flag.Float64("cap", 240, "cluster power cap in watts (constant-cap mode)")
 		capFile    = flag.String("capfile", "", "replay a cluster cap schedule from this CSV (seconds,value) instead of a constant cap")
@@ -75,11 +80,10 @@ func main() {
 		brkOpen    = flag.Int("breaker-open", 0, "control intervals an open breaker skips before a half-open probe (0: default 4)")
 		floorW     = flag.Float64("floor", 0, "per-server idle floor for the utility DP (0: learn from agent reports)")
 		confFloor  = flag.Float64("curve-conf-floor", 0, "confidence floor for learned utility curves: a member reporting lower coverage takes the curveless even share instead of entering the utility DP (0: default 0.75; negative: admit any learned curve)")
-		transport  = flag.String("transport", "json", "default wire for scheme-less addresses: json (HTTP) or binary (pooled TCP frames); explicit http:// or tcp:// URLs override per agent")
-		listen     = flag.String("listen", "", "serve /ctrl/register (agent self-registration; the fleet may then start empty) and /ctrl/leader on this address")
-		binListen  = flag.String("binary-listen", "", "serve the register/vote/leader surface as binary frames on this TCP address (agents announce to tcp://<addr>)")
+		listen     = flag.String("listen", "", "serve GET /ctrl/leader, a read-only JSON rendering of the leader frame for curl, on this HTTP address")
+		binListen  = flag.String("binary-listen", "", "serve the register/vote/leader frames on this TCP address: agents announce to it (the fleet may then start empty) and -ha-members pools vote through it")
 		haStore    = flag.String("ha-store", "", "run leader-elected on a shared term file: the path every coordinator of this cluster points at")
-		haMembers  = flag.String("ha-members", "", "run leader-elected on a replicated quorum store: comma-separated voter base URLs of the whole coordinator pool, this member's -listen address included (no shared filesystem needed)")
+		haMembers  = flag.String("ha-members", "", "run leader-elected on a replicated quorum store: comma-separated voter addresses of the whole coordinator pool, this member's -binary-listen address included (no shared filesystem needed)")
 		haPriority = flag.Int("ha-priority", 0, "takeover rank in the pool: 0 steals a lapsed term first, higher ranks hold off longer")
 		haID       = flag.String("ha-id", "", "candidate identity in the election (default hostname-pid)")
 		haTTL      = flag.Duration("ha-ttl", 0, "leadership term length (default 3x the control interval)")
@@ -114,18 +118,15 @@ func main() {
 		}
 	}
 
-	kind, err := ctrlplane.ParseTransport(*transport)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var refs []ctrlplane.AgentRef
+	var err error
 	if strings.TrimSpace(*agents) != "" {
-		refs, err = parseAgents(*agents, kind)
+		refs, err = parseAgents(*agents)
 		if err != nil {
 			log.Fatal(err)
 		}
-	} else if *listen == "" && *binListen == "" {
-		log.Fatal("no agents: pass -agents url[,url...], or -listen/-binary-listen to build the fleet from registrations")
+	} else if *binListen == "" {
+		log.Fatal("no agents: pass -agents addr[,addr...], or -binary-listen to build the fleet from registrations")
 	}
 	strat, err := ctrlplane.ParseStrategy(*strategy)
 	if err != nil {
@@ -137,7 +138,7 @@ func main() {
 	hub := telemetry.New(0)
 	ccfg := ctrlplane.Config{
 		Agents:               refs,
-		Dynamic:              *listen != "" || *binListen != "",
+		Dynamic:              *binListen != "",
 		Strategy:             strat,
 		LeaseIv:              *leaseIv,
 		IntervalS:            interval.Seconds(),
@@ -188,8 +189,8 @@ func main() {
 		}
 		log.Printf("leader election on %s as %q (term %v, priority %d)", *haStore, id, ttl, *haPriority)
 	case *haMembers != "":
-		if *listen == "" {
-			log.Fatal("-ha-members needs -listen: the pool reaches this member's voter endpoint there")
+		if *binListen == "" {
+			log.Fatal("-ha-members needs -binary-listen: the pool reaches this member's voter there")
 		}
 		var voters []string
 		for _, tok := range strings.Split(*haMembers, ",") {
@@ -197,7 +198,7 @@ func main() {
 			if tok == "" {
 				continue
 			}
-			voters = append(voters, kind.DefaultScheme(tok))
+			voters = append(voters, ctrlplane.DefaultScheme(tok))
 		}
 		voter = ctrlplane.NewQuorumVoter(hub)
 		store, err := ctrlplane.NewQuorumElection(ctrlplane.QuorumConfig{
@@ -229,22 +230,28 @@ func main() {
 		}
 	}
 
+	bcfg := ctrlplane.NewCoordinatorBinaryConfig(coord, ha, voter)
 	if *listen != "" {
-		srv := &http.Server{
-			Addr:              *listen,
-			Handler:           ctrlplane.NewCoordinatorHandler(coord, ha, voter),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
+		leader := bcfg.Leader
+		mux := http.NewServeMux()
+		mux.HandleFunc("/ctrl/leader", func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodGet {
+				http.Error(w, "GET only", http.StatusMethodNotAllowed)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(leader())
+		})
+		srv := &http.Server{Addr: *listen, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Fatalf("registration listener: %v", err)
+				log.Fatalf("debug listener: %v", err)
 			}
 		}()
 		defer srv.Close()
-		log.Printf("serving /ctrl/register and /ctrl/leader on %s", *listen)
+		log.Printf("serving GET /ctrl/leader on %s", *listen)
 	}
 	if *binListen != "" {
-		bcfg := ctrlplane.NewCoordinatorBinaryConfig(coord, ha, voter)
 		if sc != nil {
 			bcfg = sc.ShardBinaryConfig(bcfg)
 		}
@@ -332,9 +339,9 @@ func main() {
 			}
 		}
 		if res.Reapportioned || res.ScrapeErrs > 0 || res.AssignErrs > 0 || *verbose {
-			log.Printf("t=%8.0fs cap=%7.1fW alive=%d/%d grid=%7.1fW perf=%5.1f scrapeErrs=%d assignErrs=%d%s",
+			log.Printf("t=%8.0fs cap=%7.1fW alive=%d/%d grid=%7.1fW perf=%5.1f scrapeErrs=%d assignErrs=%d%s%s",
 				res.T, res.CapW, alive, len(res.Alive), res.FleetGridW, res.FleetPerfN,
-				res.ScrapeErrs, res.AssignErrs, reapNote(res))
+				res.ScrapeErrs, res.AssignErrs, reapNote(res), errNote(res.Err))
 		}
 		if alive == 0 {
 			expired++
@@ -364,6 +371,14 @@ func reapNote(res ctrlplane.StepResult) string {
 		return ""
 	}
 	return "  [re-apportioned]"
+}
+
+// errNote renders an interval's first RPC failure, if any.
+func errNote(err error) string {
+	if err == nil {
+		return ""
+	}
+	return "  first error: " + err.Error()
 }
 
 func deposedNote(res ctrlplane.StepResult) string {
@@ -487,9 +502,9 @@ func runGlobal(set string, capW float64, capFile string, interval time.Duration,
 			}
 		}
 		if res.ScrapeErrs > 0 || res.GrantErrs > 0 || res.ReservedW > 0 || verbose {
-			log.Printf("t=%8.0fs cap=%8.1fW granted=%8.1fW reserved=%7.1fW rebalanced=%6.1fW alive=%d/%d scrapeErrs=%d grantErrs=%d",
+			log.Printf("t=%8.0fs cap=%8.1fW granted=%8.1fW reserved=%7.1fW rebalanced=%6.1fW alive=%d/%d scrapeErrs=%d grantErrs=%d%s",
 				res.T, res.CapW, granted, res.ReservedW, res.RebalancedW, alive, len(shards),
-				res.ScrapeErrs, res.GrantErrs)
+				res.ScrapeErrs, res.GrantErrs, errNote(res.Err))
 		}
 		step++
 		if caps == nil {
@@ -508,8 +523,7 @@ func runGlobal(set string, capW float64, capFile string, interval time.Duration,
 
 // parseShardRefs accepts "id=url[+url...],..." — one entry per shard,
 // the +-separated URLs its coordinator set in takeover order (leader
-// first). The trunk is binary-only, so scheme-less addresses become
-// tcp://.
+// first); scheme-less addresses become tcp://.
 func parseShardRefs(s string) ([]ctrlplane.ShardRef, error) {
 	var refs []ctrlplane.ShardRef
 	for _, tok := range strings.Split(s, ",") {
@@ -531,7 +545,7 @@ func parseShardRefs(s string) ([]ctrlplane.ShardRef, error) {
 			if u == "" {
 				continue
 			}
-			urls = append(urls, strings.TrimSuffix(ctrlplane.TransportBinary.DefaultScheme(u), "/"))
+			urls = append(urls, strings.TrimSuffix(ctrlplane.DefaultScheme(u), "/"))
 		}
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("shard %d has no trunk URLs", id)
@@ -544,13 +558,11 @@ func parseShardRefs(s string) ([]ctrlplane.ShardRef, error) {
 	return refs, nil
 }
 
-// parseAgents accepts "url,url,..." (IDs follow list order) or
-// "id=url,id=url" pairs. Scheme-less tokens get the -transport kind's
-// scheme, so the same list works over either wire; explicit http:// or
-// tcp:// URLs pick their own per agent.
-func parseAgents(s string, kind ctrlplane.TransportKind) ([]ctrlplane.AgentRef, error) {
+// parseAgents accepts "addr,addr,..." (IDs follow list order) or
+// "id=addr,id=addr" pairs; scheme-less addresses become tcp://.
+func parseAgents(s string) ([]ctrlplane.AgentRef, error) {
 	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("no agents: pass -agents url[,url...]")
+		return nil, fmt.Errorf("no agents: pass -agents addr[,addr...]")
 	}
 	var refs []ctrlplane.AgentRef
 	for i, tok := range strings.Split(s, ",") {
@@ -563,7 +575,7 @@ func parseAgents(s string, kind ctrlplane.TransportKind) ([]ctrlplane.AgentRef, 
 			}
 			id, url = n, strings.TrimSpace(v)
 		}
-		url = kind.DefaultScheme(url)
+		url = ctrlplane.DefaultScheme(url)
 		refs = append(refs, ctrlplane.AgentRef{ID: id, URL: strings.TrimSuffix(url, "/")})
 	}
 	return refs, nil

@@ -62,17 +62,16 @@ func main() {
 		telemRing   = flag.Int("telemetry-ring", 0, "span ring size in events (0: 65536)")
 		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 
-		ctrlServer    = flag.Int("ctrl-server", -1, "join a pscoord control plane as this fleet index (-1: standalone); serves /ctrl/assign, /ctrl/report, /ctrl/lease")
+		ctrlServer    = flag.Int("ctrl-server", -1, "join a pscoord control plane as this fleet index (-1: standalone); answers assign/report/lease frames on -ctrl-binary-listen and renders GET /ctrl/report as JSON for curl")
 		ctrlFence     = flag.Float64("ctrl-fence", 0, "cap to boot at, and to clamp to when the coordinator's draw lease lapses (0: the platform idle floor)")
 		ctrlDecay     = flag.Float64("ctrl-safemode-decay", 0, "leaderless safe mode: watts per second to decay the held cap after lease lapse (0: cliff straight to the fence cap)")
 		ctrlHold      = flag.Float64("ctrl-safemode-hold", 0, "leaderless safe mode: seconds to hold the last granted cap before decaying (aged in whole coordinator intervals)")
 		ctrlFloor     = flag.Float64("ctrl-safemode-floor", 0, "leaderless safe mode: decay target in watts (0: the fence cap)")
 		ctrlLearn     = flag.Float64("ctrl-learn", 0, "online utility learning: epsilon-greedy probe fraction in (0,1]; the daemon joins curveless, self-caps at or below its grants to sample its cap-utility curve, and reports the learned curve with its coverage (0: report the pre-characterized curve)")
 		ctrlLearnSeed = flag.Int64("ctrl-learn-seed", 1, "probe-sequence seed for -ctrl-learn: the same seed replays the same probe order")
-		ctrlAnnounce  = flag.String("ctrl-announce", "", "comma-separated coordinator base URLs to register with at boot (every one, so standbys are warm too); scheme-less addresses get the -transport scheme")
-		ctrlAdvert    = flag.String("ctrl-advertise", "", "base URL coordinators should dial back (default: the -transport scheme on the matching listen address)")
-		ctrlBinary    = flag.String("ctrl-binary-listen", "", "serve the control plane as binary frames on this TCP address besides the HTTP routes")
-		transport     = flag.String("transport", "json", "default wire for scheme-less -ctrl-announce addresses and the advertised URL: json (HTTP) or binary (TCP frames)")
+		ctrlAnnounce  = flag.String("ctrl-announce", "", "comma-separated coordinator -binary-listen addresses (host:port or tcp://host:port) to register with at boot (every one, so standbys are warm too)")
+		ctrlAdvert    = flag.String("ctrl-advertise", "", "tcp:// URL coordinators should dial back (default: the bound -ctrl-binary-listen address)")
+		ctrlBinary    = flag.String("ctrl-binary-listen", "", "serve the control plane's frames on this TCP address (required with -ctrl-server)")
 
 		version = flag.Bool("version", false, "print version and exit")
 	)
@@ -106,11 +105,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	kind, err := ctrlplane.ParseTransport(*transport)
-	if err != nil {
-		log.Fatal(err)
-	}
+	var binSrv *ctrlplane.BinaryServer
 	if *ctrlServer >= 0 {
+		if *ctrlBinary == "" {
+			log.Fatal("-ctrl-server needs -ctrl-binary-listen (the address coordinators send frames to)")
+		}
 		cfg := daemon.CtrlConfig{
 			ServerID: *ctrlServer, FenceCapW: *ctrlFence,
 			SafeMode: ctrlplane.SafeModeConfig{
@@ -131,14 +130,6 @@ func main() {
 		} else {
 			log.Printf("control plane enabled: fleet index %d, fencing on lease lapse", *ctrlServer)
 		}
-	} else if *ctrlAnnounce != "" {
-		log.Fatal("-ctrl-announce needs -ctrl-server (the fleet index to register as)")
-	}
-	var binSrv *ctrlplane.BinaryServer
-	if *ctrlBinary != "" {
-		if *ctrlServer < 0 {
-			log.Fatal("-ctrl-binary-listen needs -ctrl-server (the control plane must be enabled)")
-		}
 		ep, err := d.CtrlEndpoint()
 		if err != nil {
 			log.Fatal(err)
@@ -151,6 +142,8 @@ func main() {
 		}
 		defer binSrv.Close()
 		log.Printf("serving control frames on %s", binSrv.URL())
+	} else if *ctrlAnnounce != "" || *ctrlBinary != "" {
+		log.Fatal("-ctrl-announce and -ctrl-binary-listen need -ctrl-server (the fleet index to serve as)")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -159,22 +152,11 @@ func main() {
 	if *ctrlAnnounce != "" {
 		coords := strings.Split(*ctrlAnnounce, ",")
 		for i := range coords {
-			coords[i] = kind.DefaultScheme(strings.TrimSpace(coords[i]))
+			coords[i] = ctrlplane.DefaultScheme(strings.TrimSpace(coords[i]))
 		}
 		advert := *ctrlAdvert
 		if advert == "" {
-			if kind == ctrlplane.TransportBinary {
-				if binSrv == nil {
-					log.Fatal("-transport binary needs -ctrl-binary-listen (or an explicit -ctrl-advertise URL)")
-				}
-				advert = binSrv.URL()
-			} else {
-				host := *listen
-				if strings.HasPrefix(host, ":") {
-					host = "127.0.0.1" + host
-				}
-				advert = "http://" + host
-			}
+			advert = binSrv.URL()
 		}
 		req := ctrlplane.RegisterRequest{V: ctrlplane.ProtocolV, Server: *ctrlServer, URL: advert}
 		// Announce in the background with retries: the daemon must come

@@ -460,10 +460,8 @@ func (a *Agent) reportLocked() Report {
 	}
 }
 
-// Scrape is Tick-then-Report in one call: the server side of a
-// telemetry scrape regardless of transport (the HTTP handler parses
-// ?t= into it, the binary server decodes a scrape frame into it).
-// hasT is false when the scrape carries no coordinator clock.
+// Scrape is Tick-then-Report in one call: the server side of a scrape
+// frame. hasT is false when the scrape carries no coordinator clock.
 func (a *Agent) Scrape(t float64, hasT bool) (Report, error) {
 	if hasT {
 		if err := a.Tick(t); err != nil {

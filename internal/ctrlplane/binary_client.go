@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"powerstruggle/internal/faults"
 )
 
 // maxIdleBinaryConns caps pooled conns per host. Unary fan-out to one
@@ -36,15 +38,19 @@ type bconn struct {
 	reused bool
 }
 
-// binaryTransport is the binary encoding: length-prefixed frames over
-// persistent TCP conns, pooled per host so an interval's fan-out
-// reuses last interval's conns instead of re-dialing. Each method is a
-// single protocol attempt; a reused conn gets one transparent redial
-// on transport failure, because a pooled conn may have died since its
-// last use and that is indistinguishable from a dead peer without one
-// fresh dial.
+// binaryTransport is the client side of the wire: length-prefixed
+// frames over persistent TCP conns, pooled per host so an interval's
+// fan-out reuses last interval's conns instead of re-dialing. Each
+// roundTrip is a single protocol attempt — retries, backoff, circuit
+// breaking and RPC telemetry live above it in rpcClient and the
+// coordinator; a reused conn gets one transparent redial on transport
+// failure, because a pooled conn may have died since its last use and
+// that is indistinguishable from a dead peer without one fresh dial.
 type binaryTransport struct {
-	tel    *ctrlTel
+	tel *ctrlTel
+	// inj, when non-nil, wraps every exchange in injected network
+	// faults (the chaos suites' drop/delay/duplicate/blackhole shim).
+	inj    *faults.NetInjector
 	dials  atomic.Uint64
 	reuses atomic.Uint64
 
@@ -53,11 +59,13 @@ type binaryTransport struct {
 	closed bool
 }
 
-func newBinaryTransport(tel *ctrlTel) *binaryTransport {
-	return &binaryTransport{tel: tel, idle: map[string][]*bconn{}}
+// newBinaryTransport builds a frame client. tel and inj may be nil.
+func newBinaryTransport(tel *ctrlTel, inj *faults.NetInjector) *binaryTransport {
+	if tel == nil {
+		tel = &ctrlTel{}
+	}
+	return &binaryTransport{tel: tel, inj: inj, idle: map[string][]*bconn{}}
 }
-
-func (t *binaryTransport) Name() string { return "binary" }
 
 // binaryHost strips the tcp:// scheme and any path suffix off a base URL.
 func binaryHost(base string) string {
@@ -148,15 +156,28 @@ func (t *binaryTransport) exchange(ctx context.Context, bc *bconn, frame []byte,
 	}
 }
 
-// roundTrip runs one request/response exchange against base, pooling
-// the conn on success (and on remote errors, which leave the stream in
-// sync).
-func (t *binaryTransport) roundTrip(ctx context.Context, base string, reqType byte, payload []byte, respType byte) ([]byte, error) {
+// roundTrip runs one request/response exchange against base under the
+// fault injector, if any; op names the message in the injector's log.
+func (t *binaryTransport) roundTrip(ctx context.Context, base, op string, reqType byte, payload []byte, respType byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	host := binaryHost(base)
 	frame := EncodeFrame(reqType, payload)
+	if t.inj == nil {
+		return t.deliver(ctx, host, frame, respType)
+	}
+	var resp []byte
+	err := t.inj.Do(ctx, host, op, func() (err error) {
+		resp, err = t.deliver(ctx, host, frame, respType)
+		return err
+	})
+	return resp, err
+}
+
+// deliver sends one frame and reads its reply, pooling the conn on
+// success (and on remote errors, which leave the stream in sync).
+func (t *binaryTransport) deliver(ctx context.Context, host string, frame []byte, respType byte) ([]byte, error) {
 	bc, err := t.checkout(ctx, host)
 	if err != nil {
 		return nil, err
@@ -209,106 +230,67 @@ func (t *binaryTransport) Close() {
 	t.closeIdle()
 }
 
-func (t *binaryTransport) Scrape(ctx context.Context, base string, server int, at float64, hasT bool) (Report, error) {
-	p, err := t.roundTrip(ctx, base, FrameScrapeReq, appendScrapeReq(nil, server, at, hasT), FrameReportResp)
-	if err != nil {
-		return Report{}, err
-	}
-	return decodeReportPayload(p)
+// validator is what every request message implements: the invariants
+// its decoder enforces, checked before the frame is built.
+type validator interface{ Validate() error }
+
+// rpc binds one message kind to the wire: the label telemetry, backoff
+// jitter and the fault log know it by, its request and reply frame
+// types, and the payload codecs.
+type rpc[Req validator, Resp any] struct {
+	kind              string
+	reqType, respType byte
+	enc               func([]byte, Req) []byte
+	dec               func([]byte) (Resp, error)
 }
 
-func (t *binaryTransport) Assign(ctx context.Context, base string, req AssignRequest) (AssignResponse, error) {
+var (
+	rpcScrape      = rpc[scrapeRequest, Report]{"report", FrameScrapeReq, FrameReportResp, appendScrapeReq, decodeReportPayload}
+	rpcAssign      = rpc[AssignRequest, AssignResponse]{"assign", FrameAssignReq, FrameAssignResp, appendAssignReq, decodeAssignRespPayload}
+	rpcLease       = rpc[LeaseRequest, LeaseResponse]{"lease", FrameLeaseReq, FrameLeaseResp, appendLeaseReq, decodeLeaseRespPayload}
+	rpcRegister    = rpc[RegisterRequest, RegisterResponse]{"register", FrameRegisterReq, FrameRegisterResp, appendRegisterReq, decodeRegisterRespPayload}
+	rpcVote        = rpc[VoteRequest, VoteResponse]{"vote", FrameVoteReq, FrameVoteResp, appendVoteReq, decodeVoteRespPayload}
+	rpcBatchScrape = rpc[BatchScrapeRequest, BatchScrapeResponse]{"batch-report", FrameBatchScrapeReq, FrameBatchScrapeResp, appendBatchScrapeReq, decodeBatchScrapeRespPayload}
+	rpcBatchGrant  = rpc[BatchGrantRequest, BatchGrantResponse]{"batch-grant", FrameBatchGrantReq, FrameBatchGrantResp, appendBatchGrantReq, decodeBatchGrantRespPayload}
+	rpcShardReport = rpc[ShardReportRequest, ShardReport]{"shard-report", FrameShardReportReq, FrameShardReportResp, appendShardReportReq, decodeShardReportPayload}
+	rpcShardBudget = rpc[ShardBudgetRequest, ShardBudgetResponse]{"shard-budget", FrameShardBudgetReq, FrameShardBudgetResp, appendShardBudgetReq, decodeShardBudgetRespPayload}
+)
+
+// send is one attempt of one message: validate, encode, one frame
+// round trip, decode.
+func send[Req validator, Resp any](ctx context.Context, t *binaryTransport, base string, m rpc[Req, Resp], req Req) (Resp, error) {
+	var zero Resp
 	if err := req.Validate(); err != nil {
-		return AssignResponse{}, err
+		return zero, err
 	}
-	p, err := t.roundTrip(ctx, base, FrameAssignReq, appendAssignReq(nil, req), FrameAssignResp)
+	p, err := t.roundTrip(ctx, base, m.kind, m.reqType, m.enc(nil, req), m.respType)
 	if err != nil {
-		return AssignResponse{}, err
+		return zero, err
 	}
-	return decodeAssignRespPayload(p)
+	return m.dec(p)
 }
 
-func (t *binaryTransport) Renew(ctx context.Context, base string, req LeaseRequest) (LeaseResponse, error) {
-	if err := req.Validate(); err != nil {
-		return LeaseResponse{}, err
-	}
-	p, err := t.roundTrip(ctx, base, FrameLeaseReq, appendLeaseReq(nil, req), FrameLeaseResp)
-	if err != nil {
-		return LeaseResponse{}, err
-	}
-	return decodeLeaseRespPayload(p)
+// Client is a bare frame client for agent endpoints: one attempt per
+// call over pooled conns, with none of the coordinator's retries,
+// breakers or telemetry — what drills and ad-hoc tooling hold to send a
+// hand-built grant, renewal or scrape.
+type Client struct{ bin *binaryTransport }
+
+// NewClient builds a client; Close releases its pooled conns.
+func NewClient() *Client { return &Client{bin: newBinaryTransport(nil, nil)} }
+
+func (c *Client) Close() { c.bin.Close() }
+
+// Assign, Renew and Scrape send one frame to the listener at base (a
+// tcp:// URL) and return the agent's reply or its error frame.
+func (c *Client) Assign(ctx context.Context, base string, req AssignRequest) (AssignResponse, error) {
+	return send(ctx, c.bin, base, rpcAssign, req)
 }
 
-func (t *binaryTransport) Register(ctx context.Context, base string, req RegisterRequest) (RegisterResponse, error) {
-	if err := req.Validate(); err != nil {
-		return RegisterResponse{}, err
-	}
-	p, err := t.roundTrip(ctx, base, FrameRegisterReq, appendRegisterReq(nil, req), FrameRegisterResp)
-	if err != nil {
-		return RegisterResponse{}, err
-	}
-	return decodeRegisterRespPayload(p)
+func (c *Client) Renew(ctx context.Context, base string, req LeaseRequest) (LeaseResponse, error) {
+	return send(ctx, c.bin, base, rpcLease, req)
 }
 
-func (t *binaryTransport) Vote(ctx context.Context, base string, req VoteRequest) (VoteResponse, error) {
-	if err := req.Validate(); err != nil {
-		return VoteResponse{}, err
-	}
-	p, err := t.roundTrip(ctx, base, FrameVoteReq, appendVoteReq(nil, req), FrameVoteResp)
-	if err != nil {
-		return VoteResponse{}, err
-	}
-	return decodeVoteRespPayload(p)
-}
-
-func (t *binaryTransport) Leader(ctx context.Context, base string) (LeaderStatus, error) {
-	p, err := t.roundTrip(ctx, base, FrameLeaderReq, nil, FrameLeaderResp)
-	if err != nil {
-		return LeaderStatus{}, err
-	}
-	return decodeLeaderStatusPayload(p)
-}
-
-func (t *binaryTransport) ShardScrape(ctx context.Context, base string, req ShardReportRequest) (ShardReport, error) {
-	if err := req.Validate(); err != nil {
-		return ShardReport{}, err
-	}
-	p, err := t.roundTrip(ctx, base, FrameShardReportReq, appendShardReportReq(nil, req), FrameShardReportResp)
-	if err != nil {
-		return ShardReport{}, err
-	}
-	return decodeShardReportPayload(p)
-}
-
-func (t *binaryTransport) ShardBudget(ctx context.Context, base string, req ShardBudgetRequest) (ShardBudgetResponse, error) {
-	if err := req.Validate(); err != nil {
-		return ShardBudgetResponse{}, err
-	}
-	p, err := t.roundTrip(ctx, base, FrameShardBudgetReq, appendShardBudgetReq(nil, req), FrameShardBudgetResp)
-	if err != nil {
-		return ShardBudgetResponse{}, err
-	}
-	return decodeShardBudgetRespPayload(p)
-}
-
-func (t *binaryTransport) ScrapeBatch(ctx context.Context, base string, req BatchScrapeRequest) (BatchScrapeResponse, error) {
-	if err := req.Validate(); err != nil {
-		return BatchScrapeResponse{}, err
-	}
-	p, err := t.roundTrip(ctx, base, FrameBatchScrapeReq, appendBatchScrapeReq(nil, req), FrameBatchScrapeResp)
-	if err != nil {
-		return BatchScrapeResponse{}, err
-	}
-	return decodeBatchScrapeRespPayload(p)
-}
-
-func (t *binaryTransport) GrantBatch(ctx context.Context, base string, req BatchGrantRequest) (BatchGrantResponse, error) {
-	if err := req.Validate(); err != nil {
-		return BatchGrantResponse{}, err
-	}
-	p, err := t.roundTrip(ctx, base, FrameBatchGrantReq, appendBatchGrantReq(nil, req), FrameBatchGrantResp)
-	if err != nil {
-		return BatchGrantResponse{}, err
-	}
-	return decodeBatchGrantRespPayload(p)
+func (c *Client) Scrape(ctx context.Context, base string, server int, t float64, hasT bool) (Report, error) {
+	return send(ctx, c.bin, base, rpcScrape, scrapeRequest{server, t, hasT})
 }

@@ -2,19 +2,15 @@ package ctrlplane
 
 import (
 	"context"
-	"net"
-	"net/http"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// TestCtrlPlaneParityBinary is the binary-transport acceptance gate:
-// the same replay that TestCtrlPlaneParity runs over HTTP/JSON, carried
-// instead as batched binary frames over one pooled TCP conn, must be
-// bit-for-bit identical to the pure simulation — and must actually use
-// the batch path (one scrape frame and one grant frame per interval)
-// rather than falling back to unary RPCs.
+// TestCtrlPlaneParityBinary is the shared-listener acceptance gate:
+// the same replay that TestCtrlPlaneParity runs as unary frames to
+// per-agent listeners, carried instead as batched frames over one
+// pooled TCP conn, must be bit-for-bit identical to the pure simulation
+// — and must actually use the batch path (one scrape frame and one
+// grant frame per interval) rather than falling back to unary RPCs.
 func TestCtrlPlaneParityBinary(t *testing.T) {
 	const servers = 4
 	caps := capRamp(12, 300, 750, 350)
@@ -26,7 +22,7 @@ func TestCtrlPlaneParityBinary(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			flt, err := StartSimFleetOpts(ev, FleetOptions{Version: "test", Transport: TransportBinary})
+			flt, err := StartSimFleetOpts(ev, FleetOptions{Version: "test", SharedListener: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,64 +92,13 @@ func TestCtrlPlaneParityBinary(t *testing.T) {
 	}
 }
 
-// TestCrossTransportParity replays one cap schedule twice — once over
-// HTTP/JSON, once over binary frames — and requires the two transports
-// to produce identical budgets and grants step for step. Parity against
-// the oracle already implies this transitively; asserting it directly
-// keeps the guarantee when the oracle itself evolves.
-func TestCrossTransportParity(t *testing.T) {
-	const servers = 4
-	caps := capRamp(10, 300, 700, 420)
-	run := func(t *testing.T, kind TransportKind) []StepResult {
-		t.Helper()
-		ev := testEvaluator(t, servers, nil)
-		flt, err := StartSimFleetOpts(ev, FleetOptions{Version: "test", Transport: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer flt.Close()
-		coord, err := New(Config{Agents: flt.Refs(), Strategy: StrategyUtility, LeaseIv: 1, IntervalS: 300})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer coord.Close()
-		results, err := coord.Replay(context.Background(), caps, func(res StepResult) {
-			if err := flt.Tick(res.T); err != nil {
-				t.Errorf("tick %g: %v", res.T, err)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results
-	}
-	jres := run(t, TransportJSON)
-	bres := run(t, TransportBinary)
-	if len(jres) != len(bres) {
-		t.Fatalf("json %d steps, binary %d", len(jres), len(bres))
-	}
-	for s := range jres {
-		for i := range jres[s].Budgets {
-			if jres[s].Budgets[i] != bres[s].Budgets[i] {
-				t.Fatalf("step %d server %d: json %g W, binary %g W",
-					s, i, jres[s].Budgets[i], bres[s].Budgets[i])
-			}
-		}
-		for i := range jres[s].Granted {
-			if jres[s].Granted[i] != bres[s].Granted[i] {
-				t.Fatalf("step %d server %d: grant outcomes differ across transports", s, i)
-			}
-		}
-	}
-}
-
 // TestBinaryCoalescedRenewals: under a constant cap with a long lease,
 // the batch grant frame must carry renewals, not re-assignments — each
 // agent applies exactly one assign for the whole run, every later
 // interval rides the coalesced renewal entries, and nothing fences.
 func TestBinaryCoalescedRenewals(t *testing.T) {
 	ev := testEvaluator(t, 3, nil)
-	flt, err := StartSimFleetOpts(ev, FleetOptions{Version: "test", Transport: TransportBinary})
+	flt, err := StartSimFleetOpts(ev, FleetOptions{Version: "test", SharedListener: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,67 +141,6 @@ func TestBinaryCoalescedRenewals(t *testing.T) {
 	}
 }
 
-// countingListener counts accepted conns — the ground truth for whether
-// a transport's pool actually holds conns across intervals.
-type countingListener struct {
-	net.Listener
-	accepted atomic.Int64
-}
-
-func (l *countingListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err == nil {
-		l.accepted.Add(1)
-	}
-	return c, err
-}
-
-// TestJSONFanOutReusesConns pins the keep-alive fix: the JSON client's
-// pooled http.Transport must hold its conns across control intervals
-// instead of re-dialing per RPC (http.DefaultTransport's 2-per-host
-// idle cap silently degrades to dial-per-request under fan-out).
-func TestJSONFanOutReusesConns(t *testing.T) {
-	ev := testEvaluator(t, 1, nil)
-	a, err := NewAgent(AgentConfig{ID: 0, Backend: NewSimBackend(ev, 0), Version: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := &countingListener{Listener: ln}
-	srv := &http.Server{Handler: NewHandler(a), ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(cl) }()
-	defer srv.Close()
-
-	coord, err := New(Config{
-		Agents:    []AgentRef{{ID: 0, URL: "http://" + ln.Addr().String()}},
-		Strategy:  StrategyEqual,
-		LeaseIv:   1,
-		IntervalS: 300,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	const steps = 8
-	for step := 0; step < steps; step++ {
-		ts := float64(step) * 300
-		if _, err := coord.Step(context.Background(), ts, 400); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Tick(ts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 2 RPCs per interval; a working keep-alive pool serves all of them
-	// over one or two conns total.
-	if n := cl.accepted.Load(); n > 2 {
-		t.Fatalf("JSON fan-out opened %d conns over %d RPCs; keep-alive pool is not reusing", n, 2*steps)
-	}
-}
-
 // TestBinaryChaosSoak bounces the binary conn pool from both ends mid
 // replay — the server hard-closing every live conn, the client dropping
 // its idle pool — and requires the transport's redial-once recovery to
@@ -272,7 +156,7 @@ func TestBinaryChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flt, err := StartSimFleetOpts(ev, FleetOptions{Version: "test", Transport: TransportBinary})
+	flt, err := StartSimFleetOpts(ev, FleetOptions{Version: "test", SharedListener: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +175,7 @@ func TestBinaryChaosSoak(t *testing.T) {
 			flt.BinaryServer().BounceConns()
 		}
 		if s%7 == 3 {
-			coord.client.dialer.bin.closeIdle()
+			coord.client.bin.closeIdle()
 		}
 		res, err := coord.Step(context.Background(), cp.T, cp.V)
 		if err != nil {

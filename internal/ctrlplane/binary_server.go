@@ -9,9 +9,8 @@ import (
 )
 
 // CtrlEndpoint is the server-side surface one agent exposes to the
-// binary transport — implemented by *Agent for replay fleets and by
-// the daemon's control adapter for live servers. Methods mirror the
-// three agent RPCs; all must be safe for concurrent use.
+// wire — *Agent, for replay fleets and live daemons alike. Methods
+// mirror the three agent RPCs; all must be safe for concurrent use.
 type CtrlEndpoint interface {
 	Assign(req AssignRequest) (AssignResponse, error)
 	Renew(req LeaseRequest) (LeaseResponse, error)
@@ -34,8 +33,8 @@ type BinaryServerConfig struct {
 	ShardBudget func(req ShardBudgetRequest) (ShardBudgetResponse, error)
 }
 
-// BinaryServer serves the binary framing of the v2 control protocol on
-// one TCP listener: many agents (and optionally a coordinator's
+// BinaryServer serves the control protocol's frames on one TCP
+// listener: many agents (and optionally a coordinator's
 // register/vote/leader surface) behind a single addr, one goroutine
 // per conn, frames answered in arrival order per conn.
 type BinaryServer struct {
@@ -166,23 +165,22 @@ func (s *BinaryServer) endpoint(server int) (CtrlEndpoint, error) {
 }
 
 // dispatch answers one decoded frame. Malformed payloads inside a
-// well-framed message answer FrameError and keep the conn — the moral
-// equivalent of the HTTP handlers' 400s.
+// well-framed message answer FrameError and keep the conn.
 func (s *BinaryServer) dispatch(ftype byte, payload []byte) (byte, []byte) {
 	fail := func(err error) (byte, []byte) {
 		return FrameError, appendErrPayload(nil, err.Error())
 	}
 	switch ftype {
 	case FrameScrapeReq:
-		server, t, hasT, err := decodeScrapeReq(payload)
+		req, err := decodeScrapeReq(payload)
 		if err != nil {
 			return fail(err)
 		}
-		ep, err := s.endpoint(server)
+		ep, err := s.endpoint(req.server)
 		if err != nil {
 			return fail(err)
 		}
-		rep, err := ep.Scrape(t, hasT)
+		rep, err := ep.Scrape(req.t, req.hasT)
 		if err != nil {
 			return fail(err)
 		}
@@ -312,11 +310,39 @@ func (s *BinaryServer) scrapeOne(server int, t float64, hasT bool) ScrapeResult 
 	return ScrapeResult{Server: server, Report: rep}
 }
 
+// LeaderStatus answers the leader frame: which candidate this
+// coordinator believes leads, under which epoch, and whether it is that
+// candidate itself.
+type LeaderStatus struct {
+	V         int    `json:"v"`
+	ID        string `json:"id"`
+	LeaderID  string `json:"leaderId"`
+	Epoch     uint64 `json:"epoch"`
+	Leader    bool   `json:"leader"`
+	Failovers int    `json:"failovers"`
+}
+
+// coordStatus builds a coordinator's leadership view. ha may be nil for
+// a plain single coordinator — it then reports itself leader of its own
+// epoch with no election behind it.
+func coordStatus(c *Coordinator, ha *HA) LeaderStatus {
+	st := LeaderStatus{V: ProtocolV, Epoch: c.Epoch(), Leader: true}
+	if ha != nil {
+		term, lead := ha.Leader()
+		st.ID = ha.ID()
+		st.LeaderID = term.Leader
+		st.Epoch = term.Epoch
+		st.Leader = lead
+		st.Failovers = ha.Failovers()
+	}
+	return st
+}
+
 // NewCoordinatorBinaryConfig exposes a coordinator's register/vote/
-// leader surface over binary frames — the frame-for-frame mirror of
-// NewCoordinatorHandler. ha and voter may be nil with the same
-// meanings. Merge the result with agent endpoints to co-host both on
-// one listener.
+// leader surface: agent registration, the leadership probe, and — when
+// voter is non-nil — this pool member's quorum voter. ha may be nil
+// (see coordStatus). Merge the result with agent endpoints to co-host
+// both on one listener.
 func NewCoordinatorBinaryConfig(c *Coordinator, ha *HA, voter *QuorumVoter) BinaryServerConfig {
 	cfg := BinaryServerConfig{
 		Register: func(req RegisterRequest) RegisterResponse {

@@ -2,12 +2,13 @@ package ctrlplane
 
 import (
 	"context"
-	"net/http"
-	"net/http/httptest"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"powerstruggle/internal/faults"
 )
 
 func testClient(retries int) *rpcClient {
@@ -19,21 +20,65 @@ func testClient(retries int) *rpcClient {
 	}, newCtrlTel(nil))
 }
 
+// scriptedEndpoint is a CtrlEndpoint whose answers a test scripts; nil
+// hooks refuse the call.
+type scriptedEndpoint struct {
+	assign func(AssignRequest) (AssignResponse, error)
+	renew  func(LeaseRequest) (LeaseResponse, error)
+	scrape func(t float64, hasT bool) (Report, error)
+}
+
+func (e scriptedEndpoint) Assign(req AssignRequest) (AssignResponse, error) {
+	if e.assign == nil {
+		return AssignResponse{}, errors.New("assign not scripted")
+	}
+	return e.assign(req)
+}
+
+func (e scriptedEndpoint) Renew(req LeaseRequest) (LeaseResponse, error) {
+	if e.renew == nil {
+		return LeaseResponse{}, errors.New("renew not scripted")
+	}
+	return e.renew(req)
+}
+
+func (e scriptedEndpoint) Scrape(t float64, hasT bool) (Report, error) {
+	if e.scrape == nil {
+		return Report{}, errors.New("scrape not scripted")
+	}
+	return e.scrape(t, hasT)
+}
+
+// serveEndpoints hosts eps behind one loopback listener for the test's
+// lifetime and returns its tcp:// URL.
+func serveEndpoints(t *testing.T, eps map[int]CtrlEndpoint) string {
+	t.Helper()
+	srv, err := StartBinaryServer("127.0.0.1:0", BinaryServerConfig{Endpoints: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv.URL()
+}
+
 // The client must absorb transient failures within its retry budget and
 // surface the last error once the budget is exhausted.
 func TestClientRetries(t *testing.T) {
 	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			http.Error(w, "not yet", http.StatusInternalServerError)
-			return
-		}
-		w.Write([]byte(`{"v":3,"server":0,"epoch":1,"capW":50,"expiresIv":10,"fenced":false}`))
-	}))
-	defer srv.Close()
+	url := serveEndpoints(t, map[int]CtrlEndpoint{0: scriptedEndpoint{
+		renew: func(req LeaseRequest) (LeaseResponse, error) {
+			if calls.Add(1) <= 2 {
+				return LeaseResponse{}, errors.New("not yet")
+			}
+			return LeaseResponse{V: ProtocolV, Epoch: 1, CapW: 50, ExpiresIv: 10}, nil
+		},
+	}})
+	req := LeaseRequest{V: ProtocolV, Epoch: 1, Iv: 1, LeaseIv: 1, IvS: 5}
 
-	var resp LeaseResponse
-	if err := testClient(2).getJSON(context.Background(), "lease", jitterKey("lease", 0), srv.URL, &resp); err != nil {
+	c := testClient(2)
+	defer c.close()
+	resp, err := call(context.Background(), c, rpcLease, c.retries, 0, url, req)
+	if err != nil {
 		t.Fatalf("2 retries should absorb 2 failures: %v", err)
 	}
 	if resp.CapW != 50 {
@@ -44,9 +89,14 @@ func TestClientRetries(t *testing.T) {
 	}
 
 	calls.Store(-100) // next hundred attempts all fail
-	err := testClient(1).getJSON(context.Background(), "lease", jitterKey("lease", 0), srv.URL, &resp)
+	c1 := testClient(1)
+	defer c1.close()
+	_, err = call(context.Background(), c1, rpcLease, c1.retries, 0, url, req)
 	if err == nil || !strings.Contains(err.Error(), "not yet") {
 		t.Fatalf("exhausted retries: %v", err)
+	}
+	if got := calls.Load(); got != -98 {
+		t.Fatalf("%d attempts under a 1-retry budget, want 2", got+100)
 	}
 }
 
@@ -113,79 +163,121 @@ func TestJitterConcurrentFanout(t *testing.T) {
 // Scrape responses are validated at the client: an invalid report is an
 // RPC failure, not bad data handed to the apportioning DP.
 func TestClientRejectsInvalidReport(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"v":3,"server":0,"soc":7}`))
-	}))
-	defer srv.Close()
-	var rep Report
-	if err := testClient(0).getJSON(context.Background(), "report", jitterKey("report", 0), srv.URL, &rep); err == nil {
-		t.Fatal("soc=7 report accepted")
+	url := serveEndpoints(t, map[int]CtrlEndpoint{0: scriptedEndpoint{
+		scrape: func(float64, bool) (Report, error) { return Report{V: ProtocolV, SoC: 7}, nil },
+	}})
+	c := testClient(0)
+	defer c.close()
+	_, err := call(context.Background(), c, rpcScrape, 0, 0, url, scrapeRequest{server: 0})
+	if err == nil || !strings.Contains(err.Error(), "soc") {
+		t.Fatalf("soc=7 report accepted (err %v)", err)
 	}
 }
 
-// The handler must refuse misdirected and malformed control messages
-// with 400s, and answer good ones on the wire paths.
+// The listener must refuse misdirected and malformed control messages
+// with error frames that keep the conn, and answer good ones.
 func TestHandlerRouting(t *testing.T) {
 	a, err := NewAgent(AgentConfig{ID: 3, Backend: &fakeBackend{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(a))
-	defer srv.Close()
-
-	post := func(path, body string) int {
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+	url := serveEndpoints(t, map[int]CtrlEndpoint{3: a})
+	bin := newBinaryTransport(nil, nil)
+	defer bin.Close()
+	ctx := context.Background()
+	// rawAssign skips the client-side Validate, so the listener's own
+	// decoder is what refuses a bad message.
+	rawAssign := func(payload []byte) error {
+		_, err := bin.roundTrip(ctx, url, "assign", FrameAssignReq, payload, FrameAssignResp)
+		return err
 	}
-	if code := post(PathAssign, `{"v":3,"seq":1,"server":3,"t":0,"capW":40,"iv":1,"leaseIv":1,"ivS":5,"epoch":1}`); code != http.StatusOK {
-		t.Fatalf("good assign: %d", code)
+	refused := func(what string, err error) {
+		t.Helper()
+		var remote *frameRemoteError
+		if !errors.As(err, &remote) {
+			t.Fatalf("%s: got %v, want an error frame", what, err)
+		}
+	}
+	good := AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, Server: 3, CapW: 40, Iv: 1, LeaseIv: 1, IvS: 5}
+	if err := rawAssign(appendAssignReq(nil, good)); err != nil {
+		t.Fatalf("good assign: %v", err)
 	}
 	if got := a.CapW(); got != 40 {
 		t.Fatalf("cap %g after assign", got)
 	}
-	if code := post(PathAssign, `{"v":3,"seq":2,"server":9,"t":0,"capW":40,"iv":1,"leaseIv":1,"ivS":5,"epoch":1}`); code != http.StatusBadRequest {
-		t.Fatalf("misdirected assign: %d", code)
+	for what, mut := range map[string]func(*AssignRequest){
+		"misdirected assign": func(r *AssignRequest) { r.Server = 9 },
+		"epochless assign":   func(r *AssignRequest) { r.Epoch = 0 },
+		"leaseless assign":   func(r *AssignRequest) { r.LeaseIv = 0 },
+	} {
+		bad := good
+		bad.Seq = 2
+		mut(&bad)
+		refused(what, rawAssign(appendAssignReq(nil, bad)))
 	}
-	if code := post(PathAssign, `{"v":9,"seq":3,"server":3,"t":0,"capW":40,"iv":1,"leaseIv":1,"ivS":5,"epoch":1}`); code != http.StatusBadRequest {
-		t.Fatalf("wrong protocol version: %d", code)
+	refused("garbage assign", rawAssign([]byte("garbage")))
+	if got := a.CapW(); got != 40 {
+		t.Fatalf("cap %g after refused assigns, want 40", got)
 	}
-	if code := post(PathAssign, `{"v":3,"seq":4,"server":3,"t":0,"capW":40,"iv":1,"leaseIv":1,"ivS":5}`); code != http.StatusBadRequest {
-		t.Fatalf("epochless assign: %d", code)
+	if _, err := send(ctx, bin, url, rpcLease, LeaseRequest{V: ProtocolV, Epoch: 1, Server: 3, T: 1, Iv: 1, LeaseIv: 1, IvS: 5}); err != nil {
+		t.Fatalf("good lease: %v", err)
 	}
-	if code := post(PathAssign, `garbage`); code != http.StatusBadRequest {
-		t.Fatalf("garbage assign: %d", code)
-	}
-	if code := post(PathLease, `{"v":3,"server":3,"t":1,"iv":1,"leaseIv":1,"ivS":5,"epoch":1}`); code != http.StatusOK {
-		t.Fatalf("good lease: %d", code)
+	// Every refusal above kept the conn: one dial served the lot.
+	if d := bin.dials.Load(); d != 1 {
+		t.Fatalf("%d dials; error frames must not cost the conn", d)
 	}
 
 	// A scrape with a bad clock is refused; a good one ticks the agent.
-	resp, err := http.Get(srv.URL + PathReport + "?t=bogus")
+	_, err = bin.roundTrip(ctx, url, "report", FrameScrapeReq, appendScrapeReq(nil, scrapeRequest{3, -1, true}), FrameReportResp)
+	refused("negative scrape clock", err)
+	rep, err := send(ctx, bin, url, rpcScrape, scrapeRequest{3, 100, true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad ?t=: %d", resp.StatusCode)
-	}
-	resp, err = http.Get(srv.URL + PathReport + "?t=100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := readBody(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("good scrape: %d %v", resp.StatusCode, err)
-	}
-	rep, err := DecodeReport(body)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("good scrape: %v", err)
 	}
 	if !rep.Fenced {
 		t.Fatal("lease granted at t=0 for 5s must have fenced by t=100")
+	}
+}
+
+// The fault injector sits at the frame seam: a dropped request never
+// reaches the agent, a dropped response lands its effect and still
+// errors, a duplicate is applied once and answered by its replay, and a
+// blackholed host is never dialed.
+func TestInjectorWrapsFrameExchange(t *testing.T) {
+	ctx := context.Background()
+	grant := AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, CapW: 40, Iv: 1, LeaseIv: 1, IvS: 5}
+	run := func(cfg faults.NetConfig, down bool) (*Agent, *binaryTransport, AssignResponse, error) {
+		t.Helper()
+		a, err := NewAgent(AgentConfig{ID: 0, Backend: &fakeBackend{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		url := serveEndpoints(t, map[int]CtrlEndpoint{0: a})
+		inj, err := faults.NewNetInjector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj.SetDown(binaryHost(url), down)
+		bin := newBinaryTransport(nil, inj)
+		t.Cleanup(bin.Close)
+		resp, err := send(ctx, bin, url, rpcAssign, grant)
+		return a, bin, resp, err
+	}
+
+	a, _, _, err := run(faults.NetConfig{DropReqP: 1}, false)
+	if !errors.Is(err, faults.ErrNetDrop) || a.Assigns() != 0 {
+		t.Fatalf("dropped request: err %v, agent applied %d assigns", err, a.Assigns())
+	}
+	a, _, _, err = run(faults.NetConfig{DropRespP: 1}, false)
+	if !errors.Is(err, faults.ErrNetDrop) || a.Assigns() != 1 || a.CapW() != 40 {
+		t.Fatalf("dropped response: err %v, agent applied %d assigns (cap %g W)", err, a.Assigns(), a.CapW())
+	}
+	a, _, resp, err := run(faults.NetConfig{DupP: 1}, false)
+	if err != nil || a.Assigns() != 1 || a.StaleDrops() != 1 || resp.Applied || resp.CapW != 40 {
+		t.Fatalf("duplicate: err %v, %d assigns, %d stale drops, second reply %+v", err, a.Assigns(), a.StaleDrops(), resp)
+	}
+	a, bin, _, err := run(faults.NetConfig{}, true)
+	if !errors.Is(err, faults.ErrNetDrop) || a.Assigns() != 0 || bin.dials.Load() != 0 {
+		t.Fatalf("blackhole: err %v, %d assigns, %d dials", err, a.Assigns(), bin.dials.Load())
 	}
 }

@@ -214,7 +214,7 @@ func TestCoordinatorClockRestartRehydration(t *testing.T) {
 	// Crash-restart behind a full partition: no scrape answers, so the
 	// replacement must hold grants — minting now could duplicate an
 	// interval its predecessor already issued.
-	inj, err := faults.NewNetInjector(faults.NetConfig{Seed: 1, DropReqP: 1}, nil)
+	inj, err := faults.NewNetInjector(faults.NetConfig{Seed: 1, DropReqP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ import (
 //	'P' 'W' | version u8 | type u8 | payload length u32 BE | payload
 //
 // The header carries the protocol version once, so payloads do not
-// re-encode the V field JSON messages carry; decoders stamp
-// V=ProtocolV back onto decoded messages. All payload scalars are
+// re-encode the messages' V field; decoders stamp V=ProtocolV back
+// onto decoded messages. All payload scalars are
 // fixed-width big-endian — u64 for integers (two's complement for
 // signed), IEEE-754 bits for float64, a single strict 0|1 byte for
 // bools, u16 length + bytes for strings. No varints: a fixed-width
@@ -64,9 +64,13 @@ const (
 // chunked by the coordinator.
 const maxBatchEntries = 4096
 
+// maxBodyBytes bounds a unary frame's payload. The largest legitimate
+// one is a report carrying a cap-utility curve (a few hundred points);
+// a megabyte is two orders of magnitude of headroom.
+const maxBodyBytes = 1 << 20
+
 // maxBatchPayload bounds batch frames, which may carry a whole fleet's
-// reports (curves included) in one payload; unary frames keep the
-// HTTP-equivalent maxBodyBytes bound.
+// reports (curves included) in one payload.
 const maxBatchPayload = 16 << 20
 
 // framePayloadLimit returns the payload bound for a frame type.
@@ -99,7 +103,7 @@ func EncodeFrame(ftype byte, payload []byte) []byte {
 // DecodeFrame parses one frame off the front of data, returning its
 // type, payload, and any remaining bytes. It rejects bad magic, a
 // foreign protocol version, unknown frame types, and payloads past the
-// type's bound — the same strictness the JSON decoders apply.
+// type's bound.
 func DecodeFrame(data []byte) (ftype byte, payload, rest []byte, err error) {
 	if len(data) < frameHeaderLen {
 		return 0, nil, nil, fmt.Errorf("ctrlplane: frame truncated at %d bytes (want %d-byte header)", len(data), frameHeaderLen)
@@ -286,31 +290,50 @@ func (r *rbuf) done() error {
 	return nil
 }
 
-// --- scrape request (binary-only; the JSON equivalent is GET /ctrl/report?t=) ---
+// --- scrape request ---
 
-func appendScrapeReq(b []byte, server int, t float64, hasT bool) []byte {
+// scrapeRequest asks one agent for its report, ticking its replay
+// clock to t first when hasT is set. server names the agent on a shared
+// listener.
+type scrapeRequest struct {
+	server int
+	t      float64
+	hasT   bool
+}
+
+// Validate enforces the scrape invariants, the unary twin of
+// BatchScrapeRequest.Validate.
+func (r scrapeRequest) Validate() error {
+	if r.server < 0 {
+		return fmt.Errorf("ctrlplane: scrape server %d", r.server)
+	}
+	if r.hasT && (!finite(r.t) || r.t < 0) {
+		return fmt.Errorf("ctrlplane: scrape time %g", r.t)
+	}
+	if !r.hasT && r.t != 0 {
+		return fmt.Errorf("ctrlplane: scrape time %g without hasT", r.t)
+	}
+	return nil
+}
+
+func appendScrapeReq(b []byte, req scrapeRequest) []byte {
 	w := wbuf{b: b}
-	w.i64(int64(server))
-	w.boolean(hasT)
-	w.f64(t)
+	w.i64(int64(req.server))
+	w.boolean(req.hasT)
+	w.f64(req.t)
 	return w.b
 }
 
-func decodeScrapeReq(p []byte) (server int, t float64, hasT bool, err error) {
+func decodeScrapeReq(p []byte) (scrapeRequest, error) {
 	r := rbuf{b: p}
-	server = r.integer()
-	hasT = r.boolean()
-	t = r.f64()
+	req := scrapeRequest{server: r.integer(), hasT: r.boolean(), t: r.f64()}
 	if err := r.done(); err != nil {
-		return 0, 0, false, err
+		return scrapeRequest{}, err
 	}
-	if server < 0 {
-		return 0, 0, false, fmt.Errorf("ctrlplane: scrape server %d", server)
+	if err := req.Validate(); err != nil {
+		return scrapeRequest{}, err
 	}
-	if hasT && (!finite(t) || t < 0) {
-		return 0, 0, false, fmt.Errorf("ctrlplane: scrape time %g", t)
-	}
-	return server, t, hasT, nil
+	return req, nil
 }
 
 // --- Report ---

@@ -26,6 +26,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, lying := range lyingBatchResponses() {
 		f.Add(lying)
 	}
+	// Well-framed messages whose payloads sit on a Validate edge (NaN or
+	// negative caps, over-long URLs and leader ids, zero lease clocks).
+	for _, s := range edgeSeeds() {
+		f.Add(EncodeFrame(s.ftype, s.payload))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Walk every stacked frame in the input, not just the first.

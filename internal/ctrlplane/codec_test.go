@@ -3,7 +3,6 @@ package ctrlplane
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"reflect"
 	"runtime"
 	"strings"
@@ -35,7 +34,7 @@ func canonicalMessages() map[byte][]byte {
 	learned.CurveCells = 9
 	term := WireTerm{Epoch: 4, Leader: "coord-a", ExpiresUnixNano: 1700000000000000000}
 	return map[byte][]byte{
-		FrameScrapeReq:  appendScrapeReq(nil, 3, 1200.5, true),
+		FrameScrapeReq:  appendScrapeReq(nil, scrapeRequest{3, 1200.5, true}),
 		FrameReportResp: appendReportPayload(nil, rep),
 		FrameAssignReq: appendAssignReq(nil, AssignRequest{
 			V: ProtocolV, Epoch: 2, Seq: 9, Server: 3, T: 1200.5, CapW: 85.5,
@@ -130,11 +129,11 @@ func rep2(r Report, server int) Report {
 func reencodePayload(ftype byte, payload []byte) ([]byte, error) {
 	switch ftype {
 	case FrameScrapeReq:
-		server, t, hasT, err := decodeScrapeReq(payload)
+		req, err := decodeScrapeReq(payload)
 		if err != nil {
 			return nil, err
 		}
-		return appendScrapeReq(nil, server, t, hasT), nil
+		return appendScrapeReq(nil, req), nil
 	case FrameReportResp:
 		rep, err := decodeReportPayload(payload)
 		if err != nil {
@@ -479,10 +478,19 @@ func TestPayloadStrictness(t *testing.T) {
 	}
 
 	// Bool byte 2 would decode true but re-encode as 1 — refused.
-	scrape := appendScrapeReq(nil, 1, 5, true)
+	scrape := appendScrapeReq(nil, scrapeRequest{1, 5, true})
 	scrape[8] = 2
-	if _, _, _, err := decodeScrapeReq(scrape); err == nil || !strings.Contains(err.Error(), "0|1") {
+	if _, err := decodeScrapeReq(scrape); err == nil || !strings.Contains(err.Error(), "0|1") {
 		t.Errorf("bool byte 2: got %v", err)
+	}
+
+	// A clock reading the hasT flag disowns is refused by the unary
+	// decoder exactly as BatchScrapeRequest.Validate refuses it.
+	if _, err := decodeScrapeReq(appendScrapeReq(nil, scrapeRequest{1, 5, false})); err == nil || !strings.Contains(err.Error(), "without hasT") {
+		t.Errorf("unary scrape time without hasT: got %v", err)
+	}
+	if _, err := decodeBatchScrapeReqPayload(appendBatchScrapeReq(nil, BatchScrapeRequest{V: ProtocolV, T: 5, Servers: []int{1}})); err == nil || !strings.Contains(err.Error(), "without hasT") {
+		t.Errorf("batch scrape time without hasT: got %v", err)
 	}
 
 	// A curve count past the remaining payload must fail fast, not
@@ -561,7 +569,7 @@ func TestPayloadStrictness(t *testing.T) {
 
 	// Every grant carries a whole lease clock: a zero mint interval,
 	// lease length, or interval length would mint a budget that never
-	// lapses, and both framings refuse it.
+	// lapses, and the decoder refuses it.
 	for name, mut := range map[string]func(*AssignRequest){
 		"leaseIv 0": func(r *AssignRequest) { r.LeaseIv = 0 },
 		"iv 0":      func(r *AssignRequest) { r.Iv = 0 },
@@ -572,10 +580,6 @@ func TestPayloadStrictness(t *testing.T) {
 		mut(&bad)
 		if _, err := decodeAssignReqPayload(appendAssignReq(nil, bad)); err == nil || !strings.Contains(err.Error(), "lease clock") {
 			t.Errorf("binary assign with %s: got %v", name, err)
-		}
-		js, _ := json.Marshal(bad)
-		if _, err := DecodeAssign(js); err == nil || !strings.Contains(err.Error(), "lease clock") {
-			t.Errorf("JSON assign with %s: got %v", name, err)
 		}
 	}
 	if _, err := decodeLeaseReqPayload(appendLeaseReq(nil, LeaseRequest{V: ProtocolV, Epoch: 1, Iv: 1, IvS: 300})); err == nil || !strings.Contains(err.Error(), "lease clock") {

@@ -338,7 +338,7 @@ func TestElectionSafetyRandomized(t *testing.T) {
 				DropRespP: 0.05,
 				DelayP:    0.2,
 				DelayMax:  5 * time.Millisecond,
-			}, nil)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package ctrlplane
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,15 +56,16 @@ func ParseStrategy(name string) (Strategy, error) {
 type AgentRef struct {
 	// ID is the agent's fleet index (must match the agent's own).
 	ID int
-	// URL is the agent's base URL, e.g. http://10.0.0.7:8080.
+	// URL is the agent's frame listener, e.g. tcp://10.0.0.7:9090.
+	// Agents sharing one listener share one URL (and ride batch frames).
 	URL string
 }
 
 // Config parameterizes the coordinator.
 type Config struct {
 	// Agents is the initial fleet. With Dynamic set it may be empty and
-	// agents join at runtime through Register (the coordinator
-	// handler's /ctrl/register endpoint).
+	// agents join at runtime through Register (the register frame a
+	// NewCoordinatorBinaryConfig listener serves).
 	Agents []AgentRef
 	// Dynamic admits agents registered after construction; without it
 	// an empty Agents list is an error and registrations are refused.
@@ -122,10 +122,10 @@ type Config struct {
 	// always trusted. Zero means DefaultCurveConfFloor; negative admits
 	// every learned curve.
 	CurveConfFloor float64
-	// Transport lets callers wrap the HTTP transport — the fault
-	// injector's drop/delay/duplicate shim in the soak tests (nil:
-	// http.DefaultTransport).
-	Transport http.RoundTripper
+	// Transport, when non-nil, injects network faults around every
+	// frame exchange — the drop/delay/duplicate/blackhole shim of the
+	// soak and scenario suites.
+	Transport *faults.NetInjector
 	// Telemetry, when non-nil, instruments the coordinator (fleet
 	// gauges, RPC counters and latency, membership trace instants).
 	Telemetry *telemetry.Hub
@@ -290,6 +290,20 @@ type StepResult struct {
 	// BreakerSkips counts RPCs not sent this interval because the
 	// target agent's circuit breaker was open.
 	BreakerSkips int
+	// Err is the interval's first scrape or grant failure in member
+	// order (nil when every RPC held) — the "why" behind ScrapeErrs and
+	// AssignErrs, e.g. which agent refused a grant and at which epoch.
+	Err error
+}
+
+// firstErr returns the first non-nil error of a per-member ledger.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Coordinator drives a fleet of agents: scrape, decide, fan out.
@@ -316,7 +330,7 @@ type Coordinator struct {
 	mintClock
 
 	// regMu guards pending, the agent announcements queued by Register
-	// (HTTP handler goroutines) until the next Step admits them.
+	// (listener goroutines) until the next Step admits them.
 	regMu   sync.Mutex
 	pending []AgentRef
 }
@@ -328,8 +342,11 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	seen := make(map[int]bool, len(cfg.Agents))
 	for _, ref := range cfg.Agents {
-		if ref.ID < 0 || ref.URL == "" {
+		if ref.ID < 0 {
 			return nil, fmt.Errorf("ctrlplane: bad agent ref %+v", ref)
+		}
+		if err := validateURL(ref.URL); err != nil {
+			return nil, fmt.Errorf("ctrlplane: agent %d: %w", ref.ID, err)
 		}
 		if seen[ref.ID] {
 			return nil, fmt.Errorf("ctrlplane: duplicate agent id %d", ref.ID)
@@ -509,7 +526,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 			if states[i] == breakerHalfOpen {
 				retries = 0
 			}
-			rep, err := c.client.scrape(ctx, retries, m.ref.URL, m.ref.ID, t)
+			rep, err := call(ctx, c.client, rpcScrape, retries, m.ref.ID, m.ref.URL, scrapeRequest{m.ref.ID, t, true})
 			if err != nil {
 				errs[i] = err
 				return
@@ -529,7 +546,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 			for _, i := range g.idx {
 				req.Servers = append(req.Servers, c.members[i].ref.ID)
 			}
-			resp, err := c.client.scrapeBatch(ctx, g.url, req)
+			resp, err := call(ctx, c.client, rpcBatchScrape, c.client.retries, req.Servers[0], g.url, req)
 			if err != nil {
 				for _, i := range g.idx {
 					errs[i] = err
@@ -696,6 +713,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 		}
 		res.Rehydrating = lead
 		res.Deposed = c.deposed(epoch)
+		res.Err = firstErr(errs)
 		c.stats.Observes++
 		c.stats.BatchFrames += int(batchFrames.Load())
 		c.stats.BatchedOps += int(batchOps.Load())
@@ -735,7 +753,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 			if m.granted && m.grantedW == res.Budgets[i] && m.scraped && !m.fenced {
 				req := LeaseRequest{V: ProtocolV, Epoch: epoch, Server: m.ref.ID, T: t,
 					Iv: mintIv, LeaseIv: leaseIv, IvS: ivS}
-				resp, err := c.client.renew(ctx, m.ref.URL, req)
+				resp, err := call(ctx, c.client, rpcLease, c.client.retries, m.ref.ID, m.ref.URL, req)
 				if err == nil {
 					c.noteEpoch(resp.Epoch)
 					if !resp.Fenced && resp.Epoch == epoch && resp.CapW == m.grantedW {
@@ -758,7 +776,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 			if states[i] == breakerHalfOpen {
 				retries = 0
 			}
-			resp, err := c.client.assign(ctx, retries, m.ref.URL, req)
+			resp, err := call(ctx, c.client, rpcAssign, retries, m.ref.ID, m.ref.URL, req)
 			if err != nil {
 				errs[i] = err
 				return
@@ -793,7 +811,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 					Renew:  m.granted && m.grantedW == res.Budgets[i] && m.scraped && !m.fenced,
 				})
 			}
-			resp, err := c.client.grantBatch(ctx, g.url, req)
+			resp, err := call(ctx, c.client, rpcBatchGrant, c.client.retries, req.Entries[0].Server, g.url, req)
 			if err != nil {
 				for _, i := range g.idx {
 					errs[i] = err
@@ -854,6 +872,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 		}
 	}
 	res.Deposed = c.deposed(epoch)
+	res.Err = firstErr(errs)
 
 	c.stats.Steps++
 	c.stats.BatchFrames += int(batchFrames.Load())
@@ -872,8 +891,8 @@ type batchGroup struct {
 
 // batchGroups partitions the members eligible for batch frames —
 // closed-breaker (open members are skipped, half-open ones probe
-// unary with no retries), alive when an alive mask is given, and
-// behind a tcp:// URL — into per-URL groups of at least two, chunked
+// unary with no retries) and alive when an alive mask is given — into
+// per-URL groups of at least two, chunked
 // at maxBatchEntries. Singleton members stay on the unary path: a
 // batch frame for one agent buys nothing over a unary frame on the
 // same pooled conn. Returns the groups and a mask of grouped indices.
@@ -882,7 +901,7 @@ func (c *Coordinator) batchGroups(states []breakerState, alive []bool) ([]batchG
 	byURL := make(map[string][]int)
 	order := make([]string, 0, 4)
 	for i, m := range c.members {
-		if states[i] != breakerClosed || !BinaryURL(m.ref.URL) {
+		if states[i] != breakerClosed {
 			continue
 		}
 		if alive != nil && !alive[i] {
@@ -924,13 +943,13 @@ type WireStats struct {
 // WireStats returns the coordinator's connection counters.
 func (c *Coordinator) WireStats() WireStats {
 	return WireStats{
-		BinaryDials:  c.client.dialer.bin.dials.Load(),
-		BinaryReuses: c.client.dialer.bin.reuses.Load(),
+		BinaryDials:  c.client.bin.dials.Load(),
+		BinaryReuses: c.client.bin.reuses.Load(),
 	}
 }
 
-// Close releases pooled connections (both transports). The coordinator
-// must not be stepped afterwards.
+// Close releases pooled connections. The coordinator must not be
+// stepped afterwards.
 func (c *Coordinator) Close() { c.client.close() }
 
 // apportion fills budgets with the strategy's per-agent grants.

@@ -2,8 +2,6 @@ package ctrlplane
 
 import (
 	"context"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -25,7 +23,7 @@ type floorBackend struct {
 
 func (b *floorBackend) IdleFloorW() float64 { return b.floor }
 
-// startBackendFleet serves one agent per backend over loopback HTTP.
+// startBackendFleet serves one agent per backend, a listener each.
 func startBackendFleet(t *testing.T, backends []Backend) []AgentRef {
 	t.Helper()
 	refs := make([]AgentRef, len(backends))
@@ -34,9 +32,7 @@ func startBackendFleet(t *testing.T, backends []Backend) []AgentRef {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(NewHandler(a))
-		t.Cleanup(srv.Close)
-		refs[i] = AgentRef{ID: i, URL: srv.URL}
+		refs[i] = AgentRef{ID: i, URL: serveEndpoints(t, map[int]CtrlEndpoint{i: a})}
 	}
 	return refs
 }
@@ -105,20 +101,18 @@ func TestUtilityHeterogeneousFloorsRejected(t *testing.T) {
 	}
 }
 
-// fenceOnLease is a transport shim that fences the agent the moment the
-// coordinator's first lease renewal goes out — the race the coordinator
+// fenceOnLease is an endpoint shim that fences the agent the moment the
+// coordinator's first lease renewal arrives — the race the coordinator
 // must survive: an agent that fenced after the scrape answered healthy.
 type fenceOnLease struct {
-	agent  *Agent
+	*Agent
 	fenceT float64
 	once   sync.Once
 }
 
-func (f *fenceOnLease) RoundTrip(r *http.Request) (*http.Response, error) {
-	if strings.HasSuffix(r.URL.Path, PathLease) {
-		f.once.Do(func() { _ = f.agent.Tick(f.fenceT) })
-	}
-	return http.DefaultTransport.RoundTrip(r)
+func (f *fenceOnLease) Renew(req LeaseRequest) (LeaseResponse, error) {
+	f.once.Do(func() { _ = f.Agent.Tick(f.fenceT) })
+	return f.Agent.Renew(req)
 }
 
 // A renewal answered by a fenced agent must not count as a grant: a
@@ -130,14 +124,12 @@ func TestRenewalOfFencedAgentFallsThroughToAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(a))
-	defer srv.Close()
+	url := serveEndpoints(t, map[int]CtrlEndpoint{0: &fenceOnLease{Agent: a, fenceT: 250}})
 	coord, err := New(Config{
-		Agents:    []AgentRef{{ID: 0, URL: srv.URL}},
+		Agents:    []AgentRef{{ID: 0, URL: url}},
 		Strategy:  StrategyEqual,
 		LeaseIv:   1,
 		IntervalS: 300,
-		Transport: &fenceOnLease{agent: a, fenceT: 250},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,5 +151,81 @@ func TestRenewalOfFencedAgentFallsThroughToAssign(t *testing.T) {
 	}
 	if a.Fenced() || a.CapW() != 60 {
 		t.Fatalf("after re-grant: fenced=%v cap=%g, want an unfenced 60 W", a.Fenced(), a.CapW())
+	}
+}
+
+// Frames over TCP are the only wire: every constructor that takes a
+// peer URL refuses one of any other scheme instead of routing it to a
+// transport that no longer exists.
+func TestNonTCPURLsRefused(t *testing.T) {
+	for _, url := range []string{"http://10.0.0.7:8080", "https://10.0.0.7", "10.0.0.7:9000", "tcp://", ""} {
+		for what, build := range map[string]func() error{
+			"coordinator": func() error {
+				_, err := New(Config{Agents: []AgentRef{{ID: 0, URL: url}}, IntervalS: 1})
+				return err
+			},
+			"global": func() error {
+				_, err := NewGlobal(GlobalConfig{Shards: []ShardRef{{ID: 0, URLs: []string{"tcp://10.0.0.1:1", url}}}, IntervalS: 1})
+				return err
+			},
+			"quorum election": func() error {
+				_, err := NewQuorumElection(QuorumConfig{Voters: []string{"tcp://10.0.0.1:1", url}})
+				return err
+			},
+			"registration": func() error {
+				return RegisterRequest{V: ProtocolV, URL: url}.Validate()
+			},
+		} {
+			if err := build(); err == nil || !strings.Contains(err.Error(), "tcp://") {
+				t.Errorf("%s accepted url %q (err %v)", what, url, err)
+			}
+		}
+	}
+	if err := (RegisterRequest{V: ProtocolV, URL: "tcp://10.0.0.7:9000"}).Validate(); err != nil {
+		t.Errorf("tcp:// registration refused: %v", err)
+	}
+}
+
+// A grant an agent refuses because a newer leader owns it must reach
+// the operator: the interval's StepResult carries an error naming the
+// agent and both epochs, not just a bumped AssignErrs.
+func TestGrantRefusalSurfacesOnStepResult(t *testing.T) {
+	agents := make([]*Agent, 2)
+	refs := make([]AgentRef, 2)
+	for i := range agents {
+		a, err := NewAgent(AgentConfig{ID: i, Backend: &fakeBackend{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents[i] = a
+		refs[i] = AgentRef{ID: i, URL: serveEndpoints(t, map[int]CtrlEndpoint{i: a})}
+	}
+	// Agent 1 has already applied an epoch-4 leader's grant.
+	if _, err := agents[1].Assign(AssignRequest{V: ProtocolV, Epoch: 4, Seq: 1, Server: 1, CapW: 50, Iv: 1, LeaseIv: 9, IvS: 300}); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := New(Config{Agents: refs, LeaseIv: 1, IntervalS: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.SetEpoch(2)
+	res, err := coord.Step(context.Background(), 0, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Granted[0] || res.Granted[1] || res.AssignErrs != 1 || !res.Deposed {
+		t.Fatalf("granted=%v assignErrs=%d deposed=%v, want agent 1 alone refusing", res.Granted, res.AssignErrs, res.Deposed)
+	}
+	if res.Err == nil {
+		t.Fatal("refused grant left StepResult.Err nil")
+	}
+	for _, want := range []string{"agent 1", "epoch-2", "epoch 4"} {
+		if !strings.Contains(res.Err.Error(), want) {
+			t.Errorf("StepResult.Err = %q, want it to name %q", res.Err, want)
+		}
+	}
+	if agents[1].CapW() != 50 {
+		t.Fatalf("fenced-out grant moved agent 1's cap to %g W", agents[1].CapW())
 	}
 }

@@ -2,8 +2,8 @@ package ctrlplane
 
 import (
 	"context"
+	"errors"
 	"math"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -152,7 +152,7 @@ func TestBreakerSkipsBlackholedAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer flt.Close()
-	inj, err := faults.NewNetInjector(faults.NetConfig{}, nil)
+	inj, err := faults.NewNetInjector(faults.NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestBreakerSkipsBlackholedAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadHost := strings.TrimPrefix(flt.Refs()[2].URL, "http://")
+	deadHost := strings.TrimPrefix(flt.Refs()[2].URL, "tcp://")
 	inj.SetDown(deadHost, true)
 
 	ctx := context.Background()
@@ -218,35 +218,33 @@ func TestBreakerSkipsBlackholedAgent(t *testing.T) {
 	}
 }
 
-// hangingTransport blocks every request until its context is canceled
-// — the worst-case peer for shutdown promptness.
-type hangingTransport struct{}
-
-func (hangingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	<-req.Context().Done()
-	return nil, req.Context().Err()
-}
-
 // A canceled context must abort a step promptly: in-flight attempts
 // unblock, no retry budget is burned, and the serialized fan-out
 // launches nothing further. Without the cancellation paths this
 // configuration would hang for minutes (4 agents × 2 RPCs × 6 attempts
 // × 10 s each, serialized by MaxInFlight=1).
 func TestStepCancellationPromptness(t *testing.T) {
-	ev := testEvaluator(t, 4, nil)
-	flt, err := StartSimFleet(ev, "test")
-	if err != nil {
-		t.Fatal(err)
+	// Peers that accept the frame and never answer — the worst case for
+	// shutdown promptness. release unblocks them so the listeners can
+	// close (cleanups run last-registered first).
+	release := make(chan struct{})
+	hang := scriptedEndpoint{scrape: func(float64, bool) (Report, error) {
+		<-release
+		return Report{}, errors.New("released")
+	}}
+	refs := make([]AgentRef, 4)
+	for i := range refs {
+		refs[i] = AgentRef{ID: i, URL: serveEndpoints(t, map[int]CtrlEndpoint{i: hang})}
 	}
-	defer flt.Close()
+	t.Cleanup(func() { close(release) })
 	coord, err := New(Config{
-		Agents: flt.Refs(), LeaseIv: 1, IntervalS: 300,
+		Agents: refs, LeaseIv: 1, IntervalS: 300,
 		MaxInFlight: 1, Retries: 5, RPCTimeout: 10 * time.Second,
-		Transport: hangingTransport{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer coord.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()

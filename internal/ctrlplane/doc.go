@@ -1,28 +1,29 @@
 // Package ctrlplane promotes the Section IV-D cluster layer from an
 // in-process simulation to a distributed system: a coordinator manages
-// a fleet of per-server agents over HTTP/JSON, fanning out power-budget
-// assignments, scraping telemetry, and re-apportioning the cluster cap
-// when servers drop out — with internal/cluster kept as its bit-exact
-// oracle.
+// a fleet of per-server agents over binary frames on pooled TCP conns,
+// fanning out power-budget assignments, scraping telemetry, and
+// re-apportioning the cluster cap when servers drop out — with
+// internal/cluster kept as its bit-exact oracle.
 //
 // # Protocol
 //
-// Three endpoints per agent, JSON over HTTP (docs/CONTROL_PLANE.md has
-// the full wire reference and failure matrix):
+// Three request frames per agent (docs/WIRE.md is the wire reference,
+// docs/CONTROL_PLANE.md the failure matrix); agents sharing a listener
+// take them a whole fleet to a batch frame:
 //
-//   - POST /ctrl/assign — grant a power budget. The grant doubles as a
-//     lease: it authorizes the agent to draw up to CapW until the lease
-//     lapses, after which the agent fences itself to its fail-safe cap.
+//   - assign — grant a power budget. The grant doubles as a lease: it
+//     authorizes the agent to draw up to CapW until the lease lapses,
+//     after which the agent fences itself to its fail-safe cap.
 //     Requests carry a monotonic sequence number, so duplicated or
 //     reordered RPCs cannot resurrect a stale budget.
-//   - GET /ctrl/report — scrape power draw, battery state of charge,
-//     and the agent's cap-utility curve. The coordinator uses the
-//     scrape as its liveness heartbeat and feeds the curves into the
-//     cluster.ApportionCurves DP (the paper's R1 one level up the
-//     power hierarchy).
-//   - POST /ctrl/lease — renew the draw lease without changing the
-//     budget; the coordinator sends this instead of a full assignment
-//     when an agent's budget is unchanged.
+//   - report — scrape power draw, battery state of charge, and the
+//     agent's cap-utility curve. The coordinator uses the scrape as its
+//     liveness heartbeat and feeds the curves into the
+//     cluster.ApportionCurves DP (the paper's R1 one level up the power
+//     hierarchy).
+//   - lease — renew the draw lease without changing the budget; the
+//     coordinator sends this instead of a full assignment when an
+//     agent's budget is unchanged.
 //
 // # Safety argument
 //

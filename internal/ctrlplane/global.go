@@ -183,6 +183,9 @@ type GlobalStepResult struct {
 	// its interval counter is not yet recovered from a majority of shard
 	// scrapes.
 	Rehydrating bool
+	// Err is the interval's first trunk scrape or grant failure in
+	// shard order (nil when every RPC held).
+	Err error
 }
 
 // Global is the apex of the two-tier budget tree: each interval it
@@ -224,6 +227,11 @@ func NewGlobal(cfg GlobalConfig) (*Global, error) {
 	for _, ref := range cfg.Shards {
 		if ref.ID < 0 || len(ref.URLs) == 0 {
 			return nil, fmt.Errorf("ctrlplane: bad shard ref %+v", ref)
+		}
+		for _, u := range ref.URLs {
+			if err := validateURL(u); err != nil {
+				return nil, fmt.Errorf("ctrlplane: shard %d: %w", ref.ID, err)
+			}
 		}
 		if seen[ref.ID] {
 			return nil, fmt.Errorf("ctrlplane: duplicate shard id %d", ref.ID)
@@ -282,7 +290,7 @@ func (g *Global) scrapeShard(ctx context.Context, s *globalShard, t float64) (Sh
 	n := len(s.ref.URLs)
 	for k := 0; k < n; k++ {
 		idx := (s.urlIdx + k) % n
-		rep, err := g.client.shardReport(ctx, g.cfg.Retries, s.ref.URLs[idx], req)
+		rep, err := call(ctx, g.client, rpcShardReport, g.cfg.Retries, s.ref.ID, s.ref.URLs[idx], req)
 		if err != nil {
 			lastErr = err
 			continue
@@ -485,6 +493,7 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 		// skipping the grant round is safe.
 		res.Rehydrating = true
 		res.Deposed = g.deposed(epoch)
+		res.Err = firstErr(errs)
 		g.stats.Observes++
 		g.tel.noteGlobalStep(res)
 		return res, nil
@@ -507,7 +516,7 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 		var grantErr error
 		for k2 := 0; k2 < len(s.ref.URLs); k2++ {
 			idx := (s.urlIdx + k2) % len(s.ref.URLs)
-			resp, err := g.client.shardBudget(ctx, g.cfg.Retries, s.ref.URLs[idx], req)
+			resp, err := call(ctx, g.client, rpcShardBudget, g.cfg.Retries, s.ref.ID, s.ref.URLs[idx], req)
 			if err != nil {
 				if grantErr == nil {
 					grantErr = err
@@ -539,6 +548,7 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 		}
 	}
 	res.Deposed = g.deposed(epoch)
+	res.Err = firstErr(errs)
 	g.stats.Steps++
 	g.tel.noteGlobalStep(res)
 	return res, nil

@@ -46,8 +46,8 @@ type HAConfig struct {
 // anything older than the newest epoch they have applied, so even a
 // deposed leader that has not yet noticed cannot land a stale budget.
 //
-// Step and the accessors are safe for concurrent use (the coordinator
-// handler reads leadership state from HTTP goroutines); Step itself
+// Step and the accessors are safe for concurrent use (the coordinator's
+// listener reads leadership state from its conn goroutines); Step itself
 // must still be called from a single control loop, like
 // Coordinator.Step.
 type HA struct {
@@ -242,10 +242,8 @@ func Announce(ctx context.Context, coordURLs []string, req RegisterRequest, time
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	// A coordinator URL's scheme picks the wire: http(s):// posts JSON,
-	// tcp:// sends a register frame.
-	dialer := newWireDialer(nil, nil)
-	defer dialer.Close()
+	bin := newBinaryTransport(nil, nil)
+	defer bin.Close()
 	var best RegisterResponse
 	var lastErr error
 	accepted, haveLeader := false, false
@@ -255,7 +253,7 @@ func Announce(ctx context.Context, coordURLs []string, req RegisterRequest, time
 	for _, base := range coordURLs {
 		base = trimSlash(base)
 		callCtx, cancel := context.WithTimeout(ctx, timeout)
-		reg, err := dialer.forURL(base).Register(callCtx, base, req)
+		reg, err := send(callCtx, bin, base, rpcRegister, req)
 		cancel()
 		if err != nil {
 			lastErr = fmt.Errorf("ctrlplane: register at %s: %w", base, err)

@@ -3,8 +3,6 @@ package ctrlplane
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -405,7 +403,7 @@ func TestPartitionedLeaderKeepsCapSafe(t *testing.T) {
 	}
 	defer flt.Close()
 	refs := flt.Refs()
-	net, err := faults.NewNetInjector(faults.NetConfig{}, nil)
+	net, err := faults.NewNetInjector(faults.NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +435,7 @@ func TestPartitionedLeaderKeepsCapSafe(t *testing.T) {
 
 	setPartition := func(down bool) {
 		for _, ref := range refs {
-			net.SetDown(ref.URL[len("http://"):], down)
+			net.SetDown(ref.URL[len("tcp://"):], down)
 		}
 	}
 	const capW = 300.0
@@ -598,10 +596,31 @@ func TestStorePartitionFailsOver(t *testing.T) {
 	}
 }
 
+// rpcLeader is the leader probe's client half (operators use pscoord's
+// GET /ctrl/leader rendering; only this test sends the frame).
+type leaderRequest struct{}
+
+func (leaderRequest) Validate() error { return nil }
+
+var rpcLeader = rpc[leaderRequest, LeaderStatus]{"leader", FrameLeaderReq, FrameLeaderResp,
+	func([]byte, leaderRequest) []byte { return nil }, decodeLeaderStatusPayload}
+
+// serveCoordinator hosts c's register/leader frames on a loopback
+// listener for the test's lifetime.
+func serveCoordinator(t *testing.T, c *Coordinator) *BinaryServer {
+	t.Helper()
+	srv, err := StartBinaryServer("127.0.0.1:0", NewCoordinatorBinaryConfig(c, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 // TestRegisterGrowsFleet: agent autodiscovery end to end — an agent
-// announces itself over HTTP through the coordinator handler, the next
-// control interval admits it and re-apportions, and a static fleet
-// refuses registration outright.
+// announces itself with a register frame, the next control interval
+// admits it and re-apportions, and a static fleet refuses registration
+// outright.
 func TestRegisterGrowsFleet(t *testing.T) {
 	const servers, interval = 3, 300.0
 	flt, err := StartSimFleet(testEvaluator(t, servers, nil), "register")
@@ -615,8 +634,7 @@ func TestRegisterGrowsFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewCoordinatorHandler(coord, nil, nil))
-	defer srv.Close()
+	srvURL := serveCoordinator(t, coord).URL()
 
 	res, err := coord.Step(context.Background(), 0, 600)
 	if err != nil {
@@ -628,7 +646,7 @@ func TestRegisterGrowsFleet(t *testing.T) {
 
 	// The third agent announces itself — through Announce, the same
 	// path psd -ctrl-announce uses.
-	reg, err := Announce(context.Background(), []string{srv.URL},
+	reg, err := Announce(context.Background(), []string{srvURL},
 		RegisterRequest{V: ProtocolV, Server: refs[2].ID, URL: refs[2].URL, NameplateW: 120}, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -658,7 +676,7 @@ func TestRegisterGrowsFleet(t *testing.T) {
 
 	// Re-announcing the same agent (a restart on the same URL) must not
 	// grow the fleet again.
-	if _, err := Announce(context.Background(), []string{srv.URL},
+	if _, err := Announce(context.Background(), []string{srvURL},
 		RegisterRequest{V: ProtocolV, Server: refs[2].ID, URL: refs[2].URL, NameplateW: 120}, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -670,18 +688,12 @@ func TestRegisterGrowsFleet(t *testing.T) {
 		t.Fatalf("re-announcement grew the fleet: %d budgets, %d registrations", len(res.Budgets), coord.Stats().Registrations)
 	}
 
-	// The leadership probe answers on the same handler.
-	probe, err := http.Get(srv.URL + PathLeader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := readBody(probe.Body)
-	probe.Body.Close()
-	if err != nil || probe.StatusCode != http.StatusOK {
-		t.Fatalf("leader probe: %d %v", probe.StatusCode, err)
-	}
-	if string(body) == "" {
-		t.Fatal("empty leader probe body")
+	// The leadership probe answers on the same listener.
+	bin := newBinaryTransport(nil, nil)
+	defer bin.Close()
+	st, err := send(context.Background(), bin, srvURL, rpcLeader, leaderRequest{})
+	if err != nil || !st.Leader || st.Epoch != coord.Epoch() {
+		t.Fatalf("leader probe: %+v, %v", st, err)
 	}
 
 	// A static fleet refuses registrations.
@@ -689,9 +701,7 @@ func TestRegisterGrowsFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staticSrv := httptest.NewServer(NewCoordinatorHandler(static, nil, nil))
-	defer staticSrv.Close()
-	if _, err := Announce(context.Background(), []string{staticSrv.URL},
+	if _, err := Announce(context.Background(), []string{serveCoordinator(t, static).URL()},
 		RegisterRequest{V: ProtocolV, Server: refs[2].ID, URL: refs[2].URL, NameplateW: 120}, time.Second); err == nil {
 		t.Fatal("static coordinator accepted a registration")
 	}
@@ -710,21 +720,19 @@ func TestAnnounceReachesEveryCoordinator(t *testing.T) {
 	defer flt.Close()
 	refs := flt.Refs()
 
-	mk := func() (*Coordinator, *httptest.Server) {
+	mk := func() (*Coordinator, *BinaryServer) {
 		c, err := New(Config{Agents: refs[:1], Dynamic: true, Strategy: StrategyEqual, LeaseIv: 1, IntervalS: interval})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(NewCoordinatorHandler(c, nil, nil))
-		t.Cleanup(srv.Close)
-		return c, srv
+		return c, serveCoordinator(t, c)
 	}
 	lead, leadSrv := mk()
 	standby, standbySrv := mk()
 
 	// The leader is FIRST in the list and (with a nil HA) affirms
 	// leadership, so an early-returning Announce would skip the standby.
-	reg, err := Announce(context.Background(), []string{leadSrv.URL, standbySrv.URL},
+	reg, err := Announce(context.Background(), []string{leadSrv.URL(), standbySrv.URL()},
 		RegisterRequest{V: ProtocolV, Server: refs[1].ID, URL: refs[1].URL, NameplateW: 120}, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -748,7 +756,7 @@ func TestAnnounceReachesEveryCoordinator(t *testing.T) {
 	// A dead coordinator in the list must not block the others.
 	_, deadSrv := mk()
 	deadSrv.Close()
-	reg, err = Announce(context.Background(), []string{deadSrv.URL, leadSrv.URL},
+	reg, err = Announce(context.Background(), []string{deadSrv.URL(), leadSrv.URL()},
 		RegisterRequest{V: ProtocolV, Server: refs[1].ID, URL: refs[1].URL, NameplateW: 120}, time.Second)
 	if err != nil || !reg.Accepted {
 		t.Fatalf("announce past a dead coordinator: %+v %v", reg, err)
@@ -768,7 +776,7 @@ func TestRenewalUnderDelayDuplication(t *testing.T) {
 	defer flt.Close()
 	net, err := faults.NewNetInjector(faults.NetConfig{
 		Seed: 21, DelayP: 0.6, DelayMax: 2 * time.Millisecond, DupP: 0.6,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

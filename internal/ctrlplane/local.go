@@ -2,15 +2,12 @@ package ctrlplane
 
 import (
 	"fmt"
-	"net"
-	"net/http"
-	"time"
 
 	"powerstruggle/internal/cf"
 	"powerstruggle/internal/cluster"
 )
 
-// SimFleet is N in-process agents served over real loopback HTTP, each
+// SimFleet is N in-process agents served over real loopback TCP, each
 // backed by one server of a shared cluster evaluator. It is the harness
 // behind pscluster -agents and the parity/soak tests: the coordinator
 // talks to it over the same wire it would use against remote psd
@@ -21,9 +18,7 @@ type SimFleet struct {
 	Agents []*Agent
 
 	refs []AgentRef
-	lns  []net.Listener
-	srvs []*http.Server
-	bin  *BinaryServer
+	srvs []*BinaryServer
 }
 
 // FleetOptions parameterizes a simulated fleet beyond the defaults.
@@ -35,12 +30,12 @@ type FleetOptions struct {
 	// SafeMode, when enabled, gives every agent graceful leaderless
 	// degradation instead of the fence cliff.
 	SafeMode SafeModeConfig
-	// Transport picks the fleet's wire. TransportJSON (the default)
-	// gives every agent its own loopback HTTP listener; TransportBinary
-	// hosts the whole fleet behind one BinaryServer listener, which is
+	// SharedListener hosts the whole fleet behind one listener, which is
 	// what lets the coordinator batch scrapes and grants into single
-	// frames.
-	Transport TransportKind
+	// frames. The default gives every agent its own listener — its own
+	// host:port for a scripted NetInjector.SetDown partition, unary
+	// frames on the wire.
+	SharedListener bool
 	// Learn, when non-nil, makes every agent characterize its utility
 	// curve online instead of trusting the evaluator's pre-computed one
 	// — the cold-start scenario's fleet. Each agent learns from its own
@@ -85,46 +80,32 @@ func StartSimFleetOpts(ev *cluster.Evaluator, opts FleetOptions) (*SimFleet, err
 		f.Close()
 		return nil, fmt.Errorf("ctrlplane: evaluator has no servers")
 	}
-	if opts.Transport == TransportBinary {
-		// One listener for the whole fleet: all agents answer behind a
-		// single tcp:// URL, so the coordinator's batch grouping can
-		// fold the fleet into single frames.
-		eps := make(map[int]CtrlEndpoint, len(f.Agents))
-		for i, a := range f.Agents {
-			eps[i] = a
+	// One listener for the whole fleet, or one per agent.
+	per := 1
+	if opts.SharedListener {
+		per = len(f.Agents)
+	}
+	for lo := 0; lo < len(f.Agents); lo += per {
+		eps := make(map[int]CtrlEndpoint, per)
+		for _, a := range f.Agents[lo : lo+per] {
+			eps[a.ID()] = a
 		}
 		srv, err := StartBinaryServer("127.0.0.1:0", BinaryServerConfig{Endpoints: eps})
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
-		f.bin = srv
-		for i := range f.Agents {
-			f.refs = append(f.refs, AgentRef{ID: i, URL: srv.URL()})
-		}
-		return f, nil
-	}
-	for i, a := range f.Agents {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		srv := &http.Server{
-			Handler:           NewHandler(a),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() { _ = srv.Serve(ln) }()
-		f.lns = append(f.lns, ln)
 		f.srvs = append(f.srvs, srv)
-		f.refs = append(f.refs, AgentRef{ID: i, URL: "http://" + ln.Addr().String()})
+		for _, a := range f.Agents[lo : lo+per] {
+			f.refs = append(f.refs, AgentRef{ID: a.ID(), URL: srv.URL()})
+		}
 	}
 	return f, nil
 }
 
-// BinaryServer returns the fleet's shared binary listener (nil on a
-// JSON fleet) — the chaos drills bounce its conns.
-func (f *SimFleet) BinaryServer() *BinaryServer { return f.bin }
+// BinaryServer returns the fleet's first listener — the only one on a
+// SharedListener fleet, whose conns the chaos drills bounce.
+func (f *SimFleet) BinaryServer() *BinaryServer { return f.srvs[0] }
 
 // Refs returns the fleet's agent references, in server-index order.
 func (f *SimFleet) Refs() []AgentRef {
@@ -157,12 +138,6 @@ func (f *SimFleet) FleetGridW() float64 {
 // Close shuts the listeners down.
 func (f *SimFleet) Close() {
 	for _, srv := range f.srvs {
-		_ = srv.Close()
-	}
-	for _, ln := range f.lns {
-		_ = ln.Close()
-	}
-	if f.bin != nil {
-		f.bin.Close()
+		srv.Close()
 	}
 }

@@ -142,12 +142,12 @@ func TestDropoutLeaseExpiryParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer flt.Close()
-			net, err := faults.NewNetInjector(faults.NetConfig{}, nil)
+			net, err := faults.NewNetInjector(faults.NetConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			refs := flt.Refs()
-			lostHost := refs[lost].URL[len("http://"):]
+			lostHost := refs[lost].URL[len("tcp://"):]
 			coord, err := New(Config{
 				Agents:    refs,
 				Strategy:  strat,

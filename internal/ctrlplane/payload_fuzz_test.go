@@ -1,0 +1,185 @@
+package ctrlplane
+
+import (
+	"bytes"
+	"math"
+	"strings"
+	"testing"
+
+	"powerstruggle/internal/cluster"
+)
+
+// edgeSeed is one hand-written payload aimed at a message decoder's
+// edge: the smallest valid form, or a mutation its Validate must refuse.
+type edgeSeed struct {
+	ftype   byte
+	payload []byte
+}
+
+// with returns v after mut has edited it.
+func with[T any](v T, mut func(*T)) T {
+	mut(&v)
+	return v
+}
+
+// edgeSeeds are the seeds the JSON decoders' fuzzers carried, re-encoded
+// as payloads: FuzzDecodeFrame frames them, the per-message fuzzers feed
+// them to their decoder bare. The order is fixed so corpus ids are.
+func edgeSeeds() []edgeSeed {
+	var out []edgeSeed
+	add := func(ftype byte, payloads ...[]byte) {
+		for _, p := range payloads {
+			out = append(out, edgeSeed{ftype, p})
+		}
+	}
+	structural := func(ftype byte, good []byte) {
+		add(ftype, append(append([]byte{}, good...), 1), good[:len(good)-1], []byte("not a payload"), nil)
+	}
+
+	assign := AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, CapW: 1, Iv: 1, LeaseIv: 1, IvS: 300}
+	for _, mut := range []func(*AssignRequest){
+		func(r *AssignRequest) { r.LeaseIv = 0 },
+		func(r *AssignRequest) { r.Epoch = 0 },
+		func(r *AssignRequest) { r.Seq, r.Server, r.T, r.CapW, r.IvS = 0, -1, -5, -1, -1 },
+		func(r *AssignRequest) { r.T = math.Inf(1) },
+		func(r *AssignRequest) { r.CapW = math.NaN() },
+		func(r *AssignRequest) { *r = AssignRequest{} },
+	} {
+		add(FrameAssignReq, appendAssignReq(nil, with(assign, mut)))
+	}
+	structural(FrameAssignReq, appendAssignReq(nil, assign))
+
+	point := func(capW float64) cluster.CapPoint {
+		return cluster.CapPoint{CapW: capW, Perf: capW / 10, GridW: capW / 2}
+	}
+	rep := Report{V: ProtocolV, Seq: 1, CapW: 1, PerfN: 1, GridW: 1, SoC: 0.5, IdleFloorW: 1, NameplateW: 2}
+	for _, mut := range []func(*Report){
+		func(r *Report) { *r = Report{V: ProtocolV, Fenced: true} },
+		func(r *Report) { r.UtilityCurve = []cluster.CapPoint{point(2), point(4)} },
+		func(r *Report) { r.UtilityCurve = []cluster.CapPoint{point(4), point(2)} },
+		func(r *Report) { r.SoC = 1.5 },
+		func(r *Report) { r.SoC = -0.1 },
+		func(r *Report) { r.Server = -1 },
+		func(r *Report) { r.UtilityCurve, r.CurveConf, r.CurveCells = []cluster.CapPoint{point(2)}, 0.5, 3 },
+		func(r *Report) { r.UtilityCurve, r.CurveConf, r.CurveCells = []cluster.CapPoint{point(2)}, 1.5, 3 },
+		func(r *Report) { r.CurveConf, r.CurveCells = 0.5, 3 },
+		func(r *Report) { r.UtilityCurve, r.CurveCells = []cluster.CapPoint{point(2)}, -1 },
+	} {
+		add(FrameReportResp, appendReportPayload(nil, with(rep, mut)))
+	}
+
+	lease := LeaseRequest{V: ProtocolV, Epoch: 1, Iv: 1, LeaseIv: 2, IvS: 5}
+	for _, mut := range []func(*LeaseRequest){
+		func(*LeaseRequest) {},
+		func(r *LeaseRequest) { r.Epoch = 0 },
+		func(r *LeaseRequest) { r.IvS = -1 },
+		func(r *LeaseRequest) { r.LeaseIv = 0 },
+	} {
+		add(FrameLeaseReq, appendLeaseReq(nil, with(lease, mut)))
+	}
+	structural(FrameLeaseReq, appendLeaseReq(nil, lease))
+
+	reg := RegisterRequest{V: ProtocolV, URL: "tcp://localhost:1", NameplateW: 100}
+	for _, mut := range []func(*RegisterRequest){
+		func(*RegisterRequest) {},
+		func(r *RegisterRequest) { r.URL = "http://localhost:1" },
+		func(r *RegisterRequest) { r.URL = "ftp://x" },
+		func(r *RegisterRequest) { r.URL = "/relative" },
+		func(r *RegisterRequest) { r.URL = "tcp://" + strings.Repeat("h", maxURLBytes+1-len("tcp://")) },
+		func(r *RegisterRequest) { r.Server = -1 },
+		func(r *RegisterRequest) { r.NameplateW = -1 },
+		func(r *RegisterRequest) { *r = RegisterRequest{} },
+	} {
+		add(FrameRegisterReq, appendRegisterReq(nil, with(reg, mut)))
+	}
+
+	term := func(epoch uint64, leader string, expires int64) *WireTerm {
+		return &WireTerm{Epoch: epoch, Leader: leader, ExpiresUnixNano: expires}
+	}
+	longID := strings.Repeat("l", maxLeaderBytes+1)
+	prepare := VoteRequest{V: ProtocolV, Phase: VotePrepare, Ballot: 1}
+	accept := VoteRequest{V: ProtocolV, Phase: VoteAccept, Ballot: 1, Term: term(1, "x", 0)}
+	for _, req := range []VoteRequest{
+		prepare,
+		with(prepare, func(r *VoteRequest) { r.Ballot = 0 }),
+		with(prepare, func(r *VoteRequest) { r.Term = term(1, "x", 0) }),
+		with(prepare, func(r *VoteRequest) { r.Phase = "veto" }),
+		with(accept, func(r *VoteRequest) { r.Term = nil }),
+		with(accept, func(r *VoteRequest) { r.Term = term(0, "x", 0) }),
+		with(accept, func(r *VoteRequest) { r.Term = term(1, "", 0) }),
+		with(accept, func(r *VoteRequest) { r.Term = term(1, "x", -1) }),
+		with(accept, func(r *VoteRequest) { r.Term = term(1, longID, 0) }),
+	} {
+		add(FrameVoteReq, appendVoteReq(nil, req))
+	}
+	structural(FrameVoteReq, appendVoteReq(nil, prepare))
+
+	granted := VoteResponse{V: ProtocolV, Granted: true, Promise: 9}
+	for _, mut := range []func(*VoteResponse){
+		func(*VoteResponse) {},
+		func(r *VoteResponse) { r.Granted, r.Promise = false, 3 },
+		func(r *VoteResponse) { r.AcceptedBallot = 5 },
+		func(r *VoteResponse) { r.Term = term(1, "x", 0) },
+		func(r *VoteResponse) { r.AcceptedBallot, r.Term = 10, term(1, "x", 0) },
+		func(r *VoteResponse) { r.AcceptedBallot, r.Term = 3, term(0, "x", 0) },
+		func(r *VoteResponse) { r.AcceptedBallot, r.Term = 3, term(1, longID, 0) },
+	} {
+		add(FrameVoteResp, appendVoteRespPayload(nil, with(granted, mut)))
+	}
+	structural(FrameVoteResp, appendVoteRespPayload(nil, granted))
+	return out
+}
+
+// fuzzPayload hammers one message decoder with arbitrary payload bytes:
+// it must never panic, and anything it accepts must satisfy the
+// message's validated invariants and re-encode to the very bytes it was
+// decoded from — one byte representation per value.
+func fuzzPayload[M validator](f *testing.F, ftype byte, dec func([]byte) (M, error), enc func([]byte, M) []byte) {
+	f.Add(canonicalMessages()[ftype])
+	for _, s := range edgeSeeds() {
+		if s.ftype == ftype {
+			f.Add(s.payload)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := dec(data)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted message fails validation: %v", err)
+		}
+		if re := enc(nil, m); !bytes.Equal(re, data) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes: %+v", len(data), len(re), m)
+		}
+	})
+}
+
+// The six decoders an untrusted peer reaches first — grants, reports
+// (whose curves feed the apportioning DP), renewals, registrations (whose
+// URL the coordinator dials every interval) and both halves of a quorum
+// vote — each get the bare-payload treatment; FuzzDecodeFrame covers
+// every frame type behind the header.
+func FuzzDecodeAssign(f *testing.F) {
+	fuzzPayload(f, FrameAssignReq, decodeAssignReqPayload, appendAssignReq)
+}
+
+func FuzzDecodeReport(f *testing.F) {
+	fuzzPayload(f, FrameReportResp, decodeReportPayload, appendReportPayload)
+}
+
+func FuzzDecodeLease(f *testing.F) {
+	fuzzPayload(f, FrameLeaseReq, decodeLeaseReqPayload, appendLeaseReq)
+}
+
+func FuzzDecodeRegister(f *testing.F) {
+	fuzzPayload(f, FrameRegisterReq, decodeRegisterReqPayload, appendRegisterReq)
+}
+
+func FuzzDecodeVote(f *testing.F) {
+	fuzzPayload(f, FrameVoteReq, decodeVoteReqPayload, appendVoteReq)
+}
+
+func FuzzDecodeVoteReply(f *testing.F) {
+	fuzzPayload(f, FrameVoteResp, decodeVoteRespPayload, appendVoteRespPayload)
+}

@@ -4,19 +4,17 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"net"
-	"net/http"
-	"net/url"
 	"sync"
 	"time"
 
+	"powerstruggle/internal/faults"
 	"powerstruggle/internal/telemetry"
 )
 
 // This file is the quorum election store: the term replicated across
 // the coordinator pool itself, with no shared file or external service
 // behind it. Every pool member runs a QuorumVoter (dumb acceptor
-// storage served at /ctrl/vote), and QuorumElection commits each
+// storage answering vote frames), and QuorumElection commits each
 // campaign with a single-decree consensus round in the CASPaxos style:
 //
 //	prepare(ballot)        → a majority grants, each reporting its last
@@ -62,9 +60,9 @@ type QuorumConfig struct {
 	// retries: a campaign that cannot reach a majority errors, and the
 	// HA layer treats that as "not leader", which is always safe.
 	Timeout time.Duration
-	// Transport is the HTTP transport (nil: http.DefaultTransport);
-	// the chaos suite hands a fault injector in.
-	Transport http.RoundTripper
+	// Transport, when non-nil, injects network faults around every vote
+	// exchange (the chaos suite's partitions).
+	Transport *faults.NetInjector
 	// Telemetry, when non-nil, registers the quorum gauges. May be
 	// nil.
 	Telemetry *telemetry.Hub
@@ -72,13 +70,11 @@ type QuorumConfig struct {
 
 // QuorumElection implements Election over a pool of voter endpoints.
 // Safe for concurrent use; each coordinator of the pool holds its own
-// QuorumElection over the same voter list. Voters may be addressed
-// over either wire encoding — http(s):// posts JSON to /ctrl/vote,
-// tcp:// sends binary vote frames.
+// QuorumElection over the same voter list.
 type QuorumElection struct {
 	voters  []string
 	quorum  int
-	dialer  *wireDialer
+	bin     *binaryTransport
 	timeout time.Duration
 	tel     *quorumTel
 
@@ -93,12 +89,8 @@ func NewQuorumElection(cfg QuorumConfig) (*QuorumElection, error) {
 	}
 	voters := make([]string, len(cfg.Voters))
 	for i, raw := range cfg.Voters {
-		u, err := url.Parse(raw)
-		if err != nil {
-			return nil, fmt.Errorf("ctrlplane: quorum voter url: %w", err)
-		}
-		if (u.Scheme != "http" && u.Scheme != "https" && u.Scheme != "tcp") || u.Host == "" {
-			return nil, fmt.Errorf("ctrlplane: quorum voter url %q (need http(s):// or tcp:// host[:port])", raw)
+		if err := validateURL(raw); err != nil {
+			return nil, fmt.Errorf("ctrlplane: quorum voter %w", err)
 		}
 		voters[i] = trimSlash(raw)
 	}
@@ -111,14 +103,14 @@ func NewQuorumElection(cfg QuorumConfig) (*QuorumElection, error) {
 	return &QuorumElection{
 		voters:  voters,
 		quorum:  len(voters)/2 + 1,
-		dialer:  newWireDialer(cfg.Transport, nil),
+		bin:     newBinaryTransport(nil, cfg.Transport),
 		timeout: timeout,
 		tel:     tel,
 	}, nil
 }
 
 // Close releases the proposer's pooled voter connections.
-func (q *QuorumElection) Close() { q.dialer.Close() }
+func (q *QuorumElection) Close() { q.bin.Close() }
 
 // Quorum returns the majority size campaigns commit on.
 func (q *QuorumElection) Quorum() int { return q.quorum }
@@ -227,11 +219,11 @@ func (q *QuorumElection) ask(req VoteRequest) []voteOutcome {
 	return out
 }
 
-// vote sends one phase to one voter over its URL's wire encoding.
+// vote sends one phase to one voter.
 func (q *QuorumElection) vote(base string, req VoteRequest) (VoteResponse, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), q.timeout)
 	defer cancel()
-	resp, err := q.dialer.forURL(base).Vote(ctx, base, req)
+	resp, err := send(ctx, q.bin, base, rpcVote, req)
 	if err != nil {
 		return VoteResponse{}, fmt.Errorf("ctrlplane: voter %s: %w", base, err)
 	}
@@ -342,43 +334,16 @@ func (v *QuorumVoter) Accepted() (Term, uint64) {
 	return v.term, v.acceptedB
 }
 
-// NewVoterHandler serves one voter's /ctrl/vote endpoint — mounted
-// into NewCoordinatorHandler for a pool-member pscoord, or served
-// alone by VoterPool.
-func NewVoterHandler(v *QuorumVoter) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(PathVote, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := readBody(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		req, err := DecodeVote(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeWireJSON(w, v.Vote(req))
-	})
-	return mux
-}
-
-// VoterPool is n quorum voters served over real loopback HTTP — the
-// in-process stand-in for a coordinator pool's voter endpoints, behind
-// the conformance and chaos suites and pscluster's -ha-members drill.
+// VoterPool is n quorum voters on loopback listeners — the in-process
+// stand-in for a coordinator pool's voter endpoints, behind the
+// conformance and chaos suites and pscluster's -ha-members drill.
 type VoterPool struct {
 	Voters []*QuorumVoter
 
-	urls []string
-	lns  []net.Listener
-	srvs []*http.Server
+	srvs []*BinaryServer
 }
 
-// StartVoterPool boots n voters on loopback listeners. hub may be nil.
+// StartVoterPool boots n voters, one listener each. hub may be nil.
 func StartVoterPool(n int, hub *telemetry.Hub) (*VoterPool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ctrlplane: voter pool size %d", n)
@@ -386,41 +351,34 @@ func StartVoterPool(n int, hub *telemetry.Hub) (*VoterPool, error) {
 	p := &VoterPool{}
 	for i := 0; i < n; i++ {
 		v := NewQuorumVoter(hub)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		srv, err := StartBinaryServer("127.0.0.1:0", BinaryServerConfig{Vote: v.Vote})
 		if err != nil {
 			p.Close()
 			return nil, err
 		}
-		srv := &http.Server{
-			Handler:           NewVoterHandler(v),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() { _ = srv.Serve(ln) }()
 		p.Voters = append(p.Voters, v)
-		p.urls = append(p.urls, "http://"+ln.Addr().String())
-		p.lns = append(p.lns, ln)
 		p.srvs = append(p.srvs, srv)
 	}
 	return p, nil
 }
 
 // URLs returns the voter base URLs in pool order.
-func (p *VoterPool) URLs() []string { return append([]string(nil), p.urls...) }
+func (p *VoterPool) URLs() []string {
+	urls := make([]string, len(p.srvs))
+	for i, srv := range p.srvs {
+		urls[i] = srv.URL()
+	}
+	return urls
+}
 
 // StopVoter shuts one voter's listener down — a voter crash. Its
 // in-memory acceptor state is unreachable from then on, like a
 // process exit.
-func (p *VoterPool) StopVoter(i int) {
-	_ = p.srvs[i].Close()
-	_ = p.lns[i].Close()
-}
+func (p *VoterPool) StopVoter(i int) { p.srvs[i].Close() }
 
 // Close shuts every voter listener down.
 func (p *VoterPool) Close() {
 	for _, srv := range p.srvs {
-		_ = srv.Close()
-	}
-	for _, ln := range p.lns {
-		_ = ln.Close()
+		srv.Close()
 	}
 }

@@ -2,8 +2,7 @@ package ctrlplane
 
 import (
 	"context"
-	"net/http"
-	"net/http/httptest"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -52,35 +51,47 @@ func TestQuorumVoterBallotRules(t *testing.T) {
 	}
 }
 
-// TestVoterHandlerRejectsBadTraffic drives the /ctrl/vote endpoint with
-// the malformed requests the strict wire decoder must bounce.
+// TestVoterHandlerRejectsBadTraffic drives a voter's listener with the
+// malformed vote frames the strict payload decoder must bounce — each
+// with an error frame, the voter's state untouched.
 func TestVoterHandlerRejectsBadTraffic(t *testing.T) {
-	srv := httptest.NewServer(NewVoterHandler(NewQuorumVoter(nil)))
-	defer srv.Close()
-
-	if resp, err := http.Get(srv.URL + PathVote); err != nil {
+	v := NewQuorumVoter(nil)
+	srv, err := StartBinaryServer("127.0.0.1:0", BinaryServerConfig{Vote: v.Vote})
+	if err != nil {
 		t.Fatal(err)
-	} else if resp.Body.Close(); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET: %s", resp.Status)
 	}
-	for _, body := range []string{
-		``,
-		`{`,
-		`{"v":3,"phase":"prepare","ballot":0}`,
-		`{"v":3,"phase":"veto","ballot":1}`,
-		`{"v":3,"phase":"prepare","ballot":1,"term":{"epoch":1,"leader":"x"}}`,
-		`{"v":3,"phase":"accept","ballot":1}`,
-		`{"v":3,"phase":"accept","ballot":1,"term":{"epoch":0,"leader":"x"}}`,
-		`{"v":3,"phase":"prepare","ballot":1,"bogus":true}`,
+	defer srv.Close()
+	bin := newBinaryTransport(nil, nil)
+	defer bin.Close()
+	ctx := context.Background()
+
+	// A listener without a voter behind it refuses the frame outright.
+	if _, err := send(ctx, bin, serveEndpoints(t, nil), rpcVote, VoteRequest{V: ProtocolV, Phase: VotePrepare, Ballot: 1}); err == nil {
+		t.Fatal("agent-only listener answered a vote frame")
+	}
+	term := func(epoch uint64) *WireTerm { return &WireTerm{Epoch: epoch, Leader: "x"} }
+	prepare := appendVoteReq(nil, VoteRequest{Phase: VotePrepare, Ballot: 1})
+	for what, payload := range map[string][]byte{
+		"empty payload":        nil,
+		"truncated payload":    prepare[:len(prepare)-1],
+		"ballot 0":             appendVoteReq(nil, VoteRequest{Phase: VotePrepare, Ballot: 0}),
+		"unknown phase":        appendVoteReq(nil, VoteRequest{Phase: "veto", Ballot: 1}),
+		"prepare with a term":  appendVoteReq(nil, VoteRequest{Phase: VotePrepare, Ballot: 1, Term: term(1)}),
+		"accept without term":  appendVoteReq(nil, VoteRequest{Phase: VoteAccept, Ballot: 1}),
+		"accept of epoch 0":    appendVoteReq(nil, VoteRequest{Phase: VoteAccept, Ballot: 1, Term: term(0)}),
+		"trailing bogus bytes": append(append([]byte{}, prepare...), 1),
 	} {
-		resp, err := http.Post(srv.URL+PathVote, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		_, err := bin.roundTrip(ctx, srv.URL(), "vote", FrameVoteReq, payload, FrameVoteResp)
+		var remote *frameRemoteError
+		if !errors.As(err, &remote) {
+			t.Fatalf("%s: got %v, want an error frame", what, err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: %s", body, resp.Status)
-		}
+	}
+	if _, b := v.Accepted(); b != 0 {
+		t.Fatalf("malformed traffic reached the voter: accepted ballot %d", b)
+	}
+	if r := v.Vote(VoteRequest{V: ProtocolV, Phase: VotePrepare, Ballot: 1}); !r.Granted {
+		t.Fatalf("malformed traffic moved the voter's promise: %+v", r)
 	}
 }
 
@@ -150,12 +161,12 @@ func TestQuorumMinorityPartitionNeverLeads(t *testing.T) {
 	// Proposer B sits in a minority partition: only voter 0 is
 	// reachable. Its clock runs an hour ahead, so absent the partition
 	// it would steal the long-expired term instantly.
-	inj, err := faults.NewNetInjector(faults.NetConfig{}, nil)
+	inj, err := faults.NewNetInjector(faults.NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range urls[1:] {
-		inj.SetDown(strings.TrimPrefix(u, "http://"), true)
+		inj.SetDown(strings.TrimPrefix(u, "tcp://"), true)
 	}
 	b, err := NewQuorumElection(QuorumConfig{Voters: urls, Transport: inj, Timeout: 500 * time.Millisecond})
 	if err != nil {
@@ -188,7 +199,7 @@ func TestQuorumMinorityPartitionNeverLeads(t *testing.T) {
 	// Heal. B now assembles a majority, adopts the committed term, and —
 	// the term being long expired on its clock — takes the next epoch.
 	for _, u := range urls[1:] {
-		inj.SetDown(strings.TrimPrefix(u, "http://"), false)
+		inj.SetDown(strings.TrimPrefix(u, "tcp://"), false)
 	}
 	term, err = b.Campaign("qb", t0.Add(time.Hour), ttl)
 	if err != nil {

@@ -11,10 +11,7 @@ import (
 // shard coordinator the way a shard coordinator treats an agent: it
 // scrapes a ShardReport each interval (the membership heartbeat), and
 // grants a ShardBudget carrying the global (Epoch, Seq) pair, which
-// the shard fences exactly as agents fence assignments. The trunk is
-// binary-only — it reuses the PR 7 frame machinery, and a global tier
-// fanning out to at most a few dozen shards per interval has no need
-// for a JSON fallback.
+// the shard fences exactly as agents fence assignments.
 
 // ShardReport is one shard coordinator's interval summary, shipped up
 // the trunk: membership, the rolled-up cap-utility curve the global DP

@@ -40,7 +40,7 @@ func TestCtrlPlaneSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer flt.Close()
-			net, err := faults.NewNetInjector(tc.net, nil)
+			net, err := faults.NewNetInjector(tc.net)
 			if err != nil {
 				t.Fatal(err)
 			}

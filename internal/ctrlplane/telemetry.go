@@ -40,9 +40,10 @@ type ctrlTel struct {
 	clockSkewIv  *telemetry.GaugeVec
 	rehydrations *telemetry.Counter
 
-	// Per-transport wire accounting (transport ∈ {json, binary}).
-	wireFrames *telemetry.CounterVec // dir ∈ {tx, rx}; one HTTP message counts as one frame
-	wireBytes  *telemetry.CounterVec // dir ∈ {tx, rx}; payload bytes (JSON: bodies, binary: whole frames)
+	// Wire accounting. The transport label has one value, "binary"; it
+	// stays because dashboards and psperf select on it.
+	wireFrames *telemetry.CounterVec // dir ∈ {tx, rx}
+	wireBytes  *telemetry.CounterVec // dir ∈ {tx, rx}; whole frames, header included
 	connDials  *telemetry.CounterVec
 	connReuses *telemetry.CounterVec
 	batchedOps *telemetry.Counter

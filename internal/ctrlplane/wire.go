@@ -1,12 +1,10 @@
 package ctrlplane
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/url"
+	"strings"
 
 	"powerstruggle/internal/cluster"
 )
@@ -20,26 +18,6 @@ import (
 // and LeaseResponse reports the lapse boundary in intervals.
 const ProtocolV = 3
 
-// Agent endpoint paths.
-const (
-	PathAssign = "/ctrl/assign"
-	PathReport = "/ctrl/report"
-	PathLease  = "/ctrl/lease"
-)
-
-// PathRegister is the coordinator-side registration endpoint: agents
-// announce themselves at boot so fleets grow without a restart.
-const PathRegister = "/ctrl/register"
-
-// PathLeader is the coordinator-side leadership probe: operators and
-// agents ask any coordinator who leads, and under which epoch.
-const PathLeader = "/ctrl/leader"
-
-// PathVote is the coordinator-side quorum voter endpoint: proposers of
-// the quorum election store (QuorumElection) prepare and accept ballots
-// here. Every member of a -ha-members pool serves it.
-const PathVote = "/ctrl/vote"
-
 // Vote phases. A campaign is one prepare round (claim a ballot, learn
 // the newest accepted term) followed by one accept round (write the
 // decided term back); both commit only on a majority of voters.
@@ -47,12 +25,6 @@ const (
 	VotePrepare = "prepare"
 	VoteAccept  = "accept"
 )
-
-// maxBodyBytes bounds any control-plane request or response body. The
-// largest legitimate message is a report carrying a cap-utility curve
-// (a few hundred points); a megabyte is two orders of magnitude of
-// headroom.
-const maxBodyBytes = 1 << 20
 
 // AssignRequest grants one server a power budget. The grant is also a
 // lease renewal: the agent may draw up to CapW until its effective
@@ -324,12 +296,8 @@ func (r RegisterRequest) Validate() error {
 	if len(r.URL) > maxURLBytes {
 		return fmt.Errorf("ctrlplane: register url %d bytes", len(r.URL))
 	}
-	u, err := url.Parse(r.URL)
-	if err != nil {
-		return fmt.Errorf("ctrlplane: register url: %w", err)
-	}
-	if (u.Scheme != "http" && u.Scheme != "https" && u.Scheme != "tcp") || u.Host == "" {
-		return fmt.Errorf("ctrlplane: register url %q (need http(s):// or tcp:// host[:port])", r.URL)
+	if err := validateURL(r.URL); err != nil {
+		return fmt.Errorf("ctrlplane: register %w", err)
 	}
 	if !finite(r.NameplateW) || r.NameplateW < 0 {
 		return fmt.Errorf("ctrlplane: register nameplate %g W", r.NameplateW)
@@ -456,102 +424,21 @@ func (r VoteResponse) Validate() error {
 // finite reports whether v is a usable float (not NaN or ±Inf).
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// decodeStrict unmarshals exactly one JSON value with unknown fields
-// rejected and trailing garbage refused — wire messages are
-// machine-built, so anything unexpected is a bug or an attack, not a
-// compatibility case.
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("ctrlplane: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("ctrlplane: trailing data after message")
+// validateURL refuses anything but a tcp://host[:port] endpoint:
+// binary frames over TCP are the only wire, so a URL of any other
+// scheme names a transport that does not exist.
+func validateURL(raw string) error {
+	if u, err := url.Parse(raw); err != nil || u.Scheme != "tcp" || u.Host == "" {
+		return fmt.Errorf("url %q (need tcp://host[:port])", raw)
 	}
 	return nil
 }
 
-// DecodeAssign parses and validates an assign request.
-func DecodeAssign(data []byte) (AssignRequest, error) {
-	var r AssignRequest
-	if err := decodeStrict(data, &r); err != nil {
-		return AssignRequest{}, err
+// DefaultScheme prefixes addr with tcp:// when it has no scheme, so CLI
+// address lists may hold bare host:port tokens.
+func DefaultScheme(addr string) string {
+	if addr == "" || strings.Contains(addr, "://") {
+		return addr
 	}
-	if err := r.Validate(); err != nil {
-		return AssignRequest{}, err
-	}
-	return r, nil
-}
-
-// DecodeReport parses and validates a telemetry report.
-func DecodeReport(data []byte) (Report, error) {
-	var r Report
-	if err := decodeStrict(data, &r); err != nil {
-		return Report{}, err
-	}
-	if err := r.Validate(); err != nil {
-		return Report{}, err
-	}
-	return r, nil
-}
-
-// DecodeLease parses and validates a lease renewal.
-func DecodeLease(data []byte) (LeaseRequest, error) {
-	var r LeaseRequest
-	if err := decodeStrict(data, &r); err != nil {
-		return LeaseRequest{}, err
-	}
-	if err := r.Validate(); err != nil {
-		return LeaseRequest{}, err
-	}
-	return r, nil
-}
-
-// DecodeRegister parses and validates an agent registration.
-func DecodeRegister(data []byte) (RegisterRequest, error) {
-	var r RegisterRequest
-	if err := decodeStrict(data, &r); err != nil {
-		return RegisterRequest{}, err
-	}
-	if err := r.Validate(); err != nil {
-		return RegisterRequest{}, err
-	}
-	return r, nil
-}
-
-// DecodeVote parses and validates a quorum vote request.
-func DecodeVote(data []byte) (VoteRequest, error) {
-	var r VoteRequest
-	if err := decodeStrict(data, &r); err != nil {
-		return VoteRequest{}, err
-	}
-	if err := r.Validate(); err != nil {
-		return VoteRequest{}, err
-	}
-	return r, nil
-}
-
-// DecodeVoteResponse parses and validates a voter's answer.
-func DecodeVoteResponse(data []byte) (VoteResponse, error) {
-	var r VoteResponse
-	if err := decodeStrict(data, &r); err != nil {
-		return VoteResponse{}, err
-	}
-	if err := r.Validate(); err != nil {
-		return VoteResponse{}, err
-	}
-	return r, nil
-}
-
-// readBody drains a bounded request or response body.
-func readBody(r io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxBodyBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(data) > maxBodyBytes {
-		return nil, fmt.Errorf("ctrlplane: body exceeds %d bytes", maxBodyBytes)
-	}
-	return data, nil
+	return "tcp://" + addr
 }

@@ -11,8 +11,8 @@ import (
 
 // CtrlConfig joins the daemon to a cluster control plane. A joined
 // daemon is a ctrlplane.Agent whose backend is the live simulation and
-// whose clock is the wall clock: the agent serves /ctrl/assign,
-// /ctrl/report and /ctrl/lease, orders grants by (epoch, seq), and
+// whose clock is the wall clock: the agent answers assign, report and
+// lease frames (CtrlEndpoint), orders grants by (epoch, seq), and
 // fences the cap when a granted draw lease lapses without renewal —
 // the same state machine, line for line, as a trace-replay agent.
 //
@@ -150,8 +150,8 @@ func (d *Daemon) ctrlTick() error {
 }
 
 // CtrlEndpoint returns the daemon's agent — the surface psd hosts on a
-// BinaryServer when started with -transport binary — or an error if
-// EnableCtrl has not run.
+// BinaryServer (-ctrl-binary-listen) — or an error if EnableCtrl has
+// not run.
 func (d *Daemon) CtrlEndpoint() (ctrlplane.CtrlEndpoint, error) {
 	if d.ctrl == nil {
 		return nil, fmt.Errorf("daemon: control plane not enabled")

@@ -1,10 +1,7 @@
 package daemon
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
-	"net/http"
+	"context"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -13,10 +10,26 @@ import (
 	"powerstruggle/internal/ctrlplane"
 )
 
-// ctrlDaemon boots a control-plane daemon on an injected wall clock
-// (drillClock.set moves it), so lease arithmetic in these tests is
-// exact instead of sleep-and-hope.
-func ctrlDaemon(t *testing.T, cfg CtrlConfig) (*Daemon, *httptest.Server, *drillClock) {
+// ctrlWire is a daemon's control plane as a coordinator reaches it: the
+// frame listener over its CtrlEndpoint, and a bare client for the
+// hand-built grants these tests send.
+type ctrlWire struct {
+	url string
+	cl  *ctrlplane.Client
+}
+
+func (w ctrlWire) assign(req ctrlplane.AssignRequest) (ctrlplane.AssignResponse, error) {
+	return w.cl.Assign(context.Background(), w.url, req)
+}
+
+func (w ctrlWire) renew(req ctrlplane.LeaseRequest) (ctrlplane.LeaseResponse, error) {
+	return w.cl.Renew(context.Background(), w.url, req)
+}
+
+// ctrlDaemon boots a control-plane daemon (fleet index 0) on an injected
+// wall clock (drillClock.set moves it), so lease arithmetic in these
+// tests is exact instead of sleep-and-hope.
+func ctrlDaemon(t *testing.T, cfg CtrlConfig) (*Daemon, ctrlWire, *drillClock) {
 	t.Helper()
 	d, err := New(Config{Version: "test-build"})
 	if err != nil {
@@ -27,9 +40,19 @@ func ctrlDaemon(t *testing.T, cfg CtrlConfig) (*Daemon, *httptest.Server, *drill
 	if err := d.EnableCtrl(cfg); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(d.Handler())
-	t.Cleanup(srv.Close)
-	return d, srv, clk
+	ep, err := d.CtrlEndpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ctrlplane.StartBinaryServer("127.0.0.1:0", ctrlplane.BinaryServerConfig{
+		Endpoints: map[int]ctrlplane.CtrlEndpoint{0: ep},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ctrlWire{url: srv.URL(), cl: ctrlplane.NewClient()}
+	t.Cleanup(func() { w.cl.Close(); srv.Close() })
+	return d, w, clk
 }
 
 // grant builds an epoch-1 assign minted in interval iv on a 10 s
@@ -44,35 +67,16 @@ func renewal(iv, leaseIv uint64) ctrlplane.LeaseRequest {
 	return ctrlplane.LeaseRequest{V: ctrlplane.ProtocolV, Epoch: 1, Server: 0, Iv: iv, LeaseIv: leaseIv, IvS: 10}
 }
 
-func postCtrl(t *testing.T, url string, v any, out any) int {
-	t.Helper()
-	body, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp.StatusCode
-}
-
-// The daemon's /ctrl surface: assigns apply the cap and dedup by
+// The daemon's control surface: assigns apply the cap and dedup by
 // sequence, scrapes report the wire schema with the build version, and
-// misdirected messages bounce with 400.
+// misdirected messages bounce with an error frame.
 func TestDaemonCtrlEndpoints(t *testing.T) {
-	d, srv, _ := ctrlDaemon(t, CtrlConfig{})
+	d, w, _ := ctrlDaemon(t, CtrlConfig{})
 
-	var ack ctrlplane.AssignResponse
 	req := grant(1, 1, 2, 70)
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, &ack); code != http.StatusOK {
-		t.Fatalf("assign: %d", code)
+	ack, err := w.assign(req)
+	if err != nil {
+		t.Fatalf("assign: %v", err)
 	}
 	if !ack.Applied || ack.Fenced {
 		t.Fatalf("assign ack %+v", ack)
@@ -86,8 +90,8 @@ func TestDaemonCtrlEndpoints(t *testing.T) {
 
 	// Duplicate sequence: acknowledged, not applied.
 	req.CapW = 30
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, &ack); code != http.StatusOK {
-		t.Fatal("duplicate assign rejected at transport")
+	if ack, err = w.assign(req); err != nil {
+		t.Fatalf("duplicate assign rejected at transport: %v", err)
 	}
 	if ack.Applied {
 		t.Fatal("duplicate assign applied")
@@ -95,29 +99,20 @@ func TestDaemonCtrlEndpoints(t *testing.T) {
 
 	// Misdirected assign and lease.
 	req.Seq, req.Server = 2, 5
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, nil); code != http.StatusBadRequest {
-		t.Fatalf("misdirected assign: %d", code)
+	if _, err := w.assign(req); err == nil {
+		t.Fatal("misdirected assign answered")
 	}
 	lease := renewal(1, 2)
 	lease.Server = 5
-	if code := postCtrl(t, srv.URL+ctrlplane.PathLease, lease, nil); code != http.StatusBadRequest {
-		t.Fatalf("misdirected lease: %d", code)
+	if _, err := w.renew(lease); err == nil {
+		t.Fatal("misdirected lease answered")
 	}
 
-	// Scrape: wire-valid, versioned, curveless (a live daemon cannot
-	// pre-characterize its churning mix).
-	resp, err := http.Get(srv.URL + ctrlplane.PathReport + "?t=42")
+	// Scrape: wire-valid (the client's decoder validates it), versioned,
+	// curveless (a live daemon cannot pre-characterize its churning mix).
+	rep, err := w.cl.Scrape(context.Background(), w.url, 0, 42, true)
 	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("scrape: %d %v", resp.StatusCode, err)
-	}
-	rep, err := ctrlplane.DecodeReport(body)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("scrape: %v", err)
 	}
 	if rep.Server != 0 || rep.Version != "test-build" || len(rep.UtilityCurve) != 0 {
 		t.Fatalf("report %+v", rep)
@@ -132,14 +127,15 @@ func TestDaemonCtrlEndpoints(t *testing.T) {
 
 // A failed cap application must not consume the sequence number. A 0 W
 // cap is wire-valid (replay agents accept it) but the daemon's
-// simulation rejects it, so the coordinator gets a 500 and retries the
-// same seq — and the retry must apply rather than be dropped as stale,
-// or the wrong cap would persist for the rest of the run.
+// simulation rejects it, so the coordinator gets an error frame and
+// retries the same seq — and the retry must apply rather than be
+// dropped as stale, or the wrong cap would persist for the rest of the
+// run.
 func TestDaemonCtrlFailedAssignKeepsSeq(t *testing.T) {
-	d, srv, _ := ctrlDaemon(t, CtrlConfig{})
+	d, w, _ := ctrlDaemon(t, CtrlConfig{})
 	req := grant(1, 1, 1, 0)
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, nil); code != http.StatusInternalServerError {
-		t.Fatalf("0 W assign: %d, want 500", code)
+	if _, err := w.assign(req); err == nil {
+		t.Fatal("0 W assign acknowledged, want an error frame")
 	}
 	h := d.health()
 	if h.CtrlStaleDrops != 0 {
@@ -148,9 +144,9 @@ func TestDaemonCtrlFailedAssignKeepsSeq(t *testing.T) {
 
 	// The coordinator's retry carries the same seq with a fixed cap.
 	req.CapW = 70
-	var ack ctrlplane.AssignResponse
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, &ack); code != http.StatusOK {
-		t.Fatalf("retried assign: %d", code)
+	ack, err := w.assign(req)
+	if err != nil {
+		t.Fatalf("retried assign: %v", err)
 	}
 	if !ack.Applied {
 		t.Fatal("retry of a failed assign dropped as stale — the seq was consumed")
@@ -169,19 +165,18 @@ func TestDaemonCtrlFailedAssignKeepsSeq(t *testing.T) {
 // including renewals, which must not keep a deposed leader's budget
 // alive.
 func TestDaemonCtrlEpochFencing(t *testing.T) {
-	d, srv, _ := ctrlDaemon(t, CtrlConfig{})
+	d, w, _ := ctrlDaemon(t, CtrlConfig{})
 
-	var ack ctrlplane.AssignResponse
 	req := grant(9, 1, 10, 70)
 	req.Epoch = 2
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, &ack); code != http.StatusOK || !ack.Applied {
-		t.Fatalf("epoch-2 grant: %d %+v", code, ack)
+	if ack, err := w.assign(req); err != nil || !ack.Applied {
+		t.Fatalf("epoch-2 grant: %+v, %v", ack, err)
 	}
 
 	// A delayed epoch-1 grant with a huge seq bounces.
-	stale := grant(999, 1, 10, 95)
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, stale, &ack); code != http.StatusOK {
-		t.Fatalf("stale-epoch grant: %d", code)
+	ack, err := w.assign(grant(999, 1, 10, 95))
+	if err != nil {
+		t.Fatalf("stale-epoch grant: %v", err)
 	}
 	if ack.Applied {
 		t.Fatal("stale-epoch grant applied")
@@ -193,10 +188,9 @@ func TestDaemonCtrlEpochFencing(t *testing.T) {
 
 	// An old epoch's renewal answers with the live epoch and extends
 	// nothing.
-	lease := renewal(2, 10)
-	var lr ctrlplane.LeaseResponse
-	if code := postCtrl(t, srv.URL+ctrlplane.PathLease, lease, &lr); code != http.StatusOK {
-		t.Fatalf("stale renewal: %d", code)
+	lr, err := w.renew(renewal(2, 10))
+	if err != nil {
+		t.Fatalf("stale renewal: %v", err)
 	}
 	if lr.Epoch != 2 {
 		t.Fatalf("stale renewal answered epoch %d, want 2", lr.Epoch)
@@ -209,8 +203,8 @@ func TestDaemonCtrlEpochFencing(t *testing.T) {
 	// ordering applies it anyway.
 	next := grant(1, 3, 10, 60)
 	next.Epoch = 3
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, next, &ack); code != http.StatusOK || !ack.Applied {
-		t.Fatalf("epoch-3 grant: %d %+v", code, ack)
+	if ack, err := w.assign(next); err != nil || !ack.Applied {
+		t.Fatalf("epoch-3 grant: %+v, %v", ack, err)
 	}
 	if err := d.Advance(0.5); err != nil {
 		t.Fatal(err)
@@ -223,7 +217,7 @@ func TestDaemonCtrlEpochFencing(t *testing.T) {
 // A lease that lapses on the daemon's wall clock without renewal must
 // fence it to its fail-safe cap on the next advance.
 func TestDaemonCtrlLeaseFence(t *testing.T) {
-	d, srv, clk := ctrlDaemon(t, CtrlConfig{})
+	d, w, clk := ctrlDaemon(t, CtrlConfig{})
 	advance := func(ts float64) Health {
 		t.Helper()
 		clk.set(ts)
@@ -233,9 +227,8 @@ func TestDaemonCtrlLeaseFence(t *testing.T) {
 		return d.health()
 	}
 	// One 10 s interval of lease, minted in interval 1 at wall time 0.
-	req := grant(1, 1, 1, 90)
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, nil); code != http.StatusOK {
-		t.Fatalf("assign: %d", code)
+	if _, err := w.assign(grant(1, 1, 1, 90)); err != nil {
+		t.Fatalf("assign: %v", err)
 	}
 	if h := advance(9.9); h.CtrlFenced {
 		t.Fatal("fenced before the lease lapsed")
@@ -243,9 +236,8 @@ func TestDaemonCtrlLeaseFence(t *testing.T) {
 
 	// A renewal from interval 2 pushes the lapse out to interval 3.
 	clk.set(10)
-	var lr ctrlplane.LeaseResponse
-	if code := postCtrl(t, srv.URL+ctrlplane.PathLease, renewal(2, 1), &lr); code != http.StatusOK || lr.Fenced || lr.ExpiresIv != 3 {
-		t.Fatalf("renew: %d %+v", code, lr)
+	if lr, err := w.renew(renewal(2, 1)); err != nil || lr.Fenced || lr.ExpiresIv != 3 {
+		t.Fatalf("renew: %+v, %v", lr, err)
 	}
 	if h := advance(19.9); h.CtrlFenced {
 		t.Fatal("fenced despite the renewal")
@@ -260,9 +252,8 @@ func TestDaemonCtrlLeaseFence(t *testing.T) {
 	}
 
 	// Only a fresh assign unfences.
-	var ack ctrlplane.AssignResponse
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, grant(2, 3, 1, 80), &ack); code != http.StatusOK || !ack.Applied {
-		t.Fatalf("re-assign: %d %+v", code, ack)
+	if ack, err := w.assign(grant(2, 3, 1, 80)); err != nil || !ack.Applied {
+		t.Fatalf("re-assign: %+v, %v", ack, err)
 	}
 	if h := advance(20); h.CtrlFenced || h.CapW != 80 {
 		t.Fatalf("after re-assign: %+v", h)
@@ -274,7 +265,7 @@ func TestDaemonCtrlLeaseFence(t *testing.T) {
 // wall clock, surface the degradation on /healthz, and clear on a fresh
 // assign — never cliff to the fence cap.
 func TestDaemonCtrlSafeModeDecay(t *testing.T) {
-	d, srv, clk := ctrlDaemon(t, CtrlConfig{
+	d, w, clk := ctrlDaemon(t, CtrlConfig{
 		SafeMode: ctrlplane.SafeModeConfig{HoldS: 10, DecayWPerS: 1, FloorW: 66},
 	})
 	// Two advances per instant: the tick at the end of the first
@@ -289,8 +280,8 @@ func TestDaemonCtrlSafeModeDecay(t *testing.T) {
 		}
 		return d.health()
 	}
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, grant(1, 1, 1, 90), nil); code != http.StatusOK {
-		t.Fatalf("assign: %d", code)
+	if _, err := w.assign(grant(1, 1, 1, 90)); err != nil {
+		t.Fatalf("assign: %v", err)
 	}
 	h := advance(0)
 	if !h.CtrlLeased || h.CtrlLeaseExpiresInS != 10 || h.CapW != 90 {
@@ -328,9 +319,9 @@ func TestDaemonCtrlSafeModeDecay(t *testing.T) {
 	}
 
 	// A fresh assign restores normal operation and re-arms the lease.
-	var ack ctrlplane.AssignResponse
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, grant(2, 21, 1, 80), &ack); code != http.StatusOK || !ack.Applied {
-		t.Fatalf("re-assign: %d %+v", code, ack)
+	ack, err := w.assign(grant(2, 21, 1, 80))
+	if err != nil || !ack.Applied {
+		t.Fatalf("re-assign: %+v, %v", ack, err)
 	}
 	if ack.SafeMode {
 		t.Fatal("assign ack still flags safe mode")
@@ -348,7 +339,7 @@ func TestDaemonCtrlSafeModeDecay(t *testing.T) {
 // enforces the fence cap — counted by nobody's apportioning, so it must
 // be the floor — until the first grant lifts it.
 func TestDaemonCtrlBootsFenced(t *testing.T) {
-	d, srv, _ := ctrlDaemon(t, CtrlConfig{})
+	d, w, _ := ctrlDaemon(t, CtrlConfig{})
 	if err := d.Advance(0.1); err != nil {
 		t.Fatal(err)
 	}
@@ -359,22 +350,22 @@ func TestDaemonCtrlBootsFenced(t *testing.T) {
 	if h.CapW != d.hw.PIdleWatts {
 		t.Fatalf("fresh daemon enforces %g W, want the %g W fence cap", h.CapW, d.hw.PIdleWatts)
 	}
-	resp, err := http.Get(srv.URL + ctrlplane.PathReport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep, err := ctrlplane.DecodeReport(body); err != nil || !rep.Fenced || rep.CapW != d.hw.PIdleWatts {
+	// The report says so on the wire, and so does its read-only JSON
+	// rendering on the daemon's HTTP mux (a tickless scrape).
+	rep, err := w.cl.Scrape(context.Background(), w.url, 0, 0, false)
+	if err != nil || !rep.Fenced || rep.CapW != d.hw.PIdleWatts {
 		t.Fatalf("fresh daemon's report: %+v, %v", rep, err)
 	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	var rendered ctrlplane.Report
+	get(t, srv.URL+"/ctrl/report", &rendered)
+	if rendered.V != ctrlplane.ProtocolV || !rendered.Fenced || rendered.CapW != rep.CapW {
+		t.Fatalf("GET /ctrl/report rendered %+v, the frame says %+v", rendered, rep)
+	}
 
-	var ack ctrlplane.AssignResponse
-	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, grant(1, 1, 2, 85), &ack); code != http.StatusOK || !ack.Applied || ack.Fenced {
-		t.Fatalf("first grant: %d %+v", code, ack)
+	if ack, err := w.assign(grant(1, 1, 2, 85)); err != nil || !ack.Applied || ack.Fenced {
+		t.Fatalf("first grant: %+v, %v", ack, err)
 	}
 	if err := d.Advance(0.1); err != nil {
 		t.Fatal(err)
@@ -453,11 +444,13 @@ func TestStaleIvRenewalKeepsLeaseBoundary(t *testing.T) {
 // the only order) nor lose the (epoch, seq) ordering: whatever the
 // interleaving, the cap left in force is the highest pair's.
 func TestDaemonCtrlConcurrentGrantsWhileAdvancing(t *testing.T) {
-	d, srv, _ := ctrlDaemon(t, CtrlConfig{})
+	d, _, _ := ctrlDaemon(t, CtrlConfig{})
 	ep, err := d.CtrlEndpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
 	const grants = 40
 	capFor := func(epoch, seq uint64) float64 { return 60 + 10*float64(epoch) + float64(seq%7) }
 	var wg sync.WaitGroup

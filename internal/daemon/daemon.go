@@ -481,10 +481,20 @@ func (d *Daemon) Handler() http.Handler {
 		}
 	})
 	if d.ctrl != nil {
-		ctrl := ctrlplane.NewHandler(d.ctrl)
-		mux.Handle(ctrlplane.PathAssign, ctrl)
-		mux.Handle(ctrlplane.PathReport, ctrl)
-		mux.Handle(ctrlplane.PathLease, ctrl)
+		// A read-only JSON rendering of the report frame, for curl; the
+		// control plane itself speaks frames (CtrlEndpoint).
+		mux.HandleFunc("/ctrl/report", func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodGet {
+				http.Error(w, "GET only", http.StatusMethodNotAllowed)
+				return
+			}
+			rep, err := d.ctrl.Report()
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			writeJSON(w, rep)
+		})
 	}
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {

@@ -110,10 +110,12 @@ func TestRecoverTurnsPanicInto500(t *testing.T) {
 // protocol-clock reading and skew, safe-mode ledger and learning state
 // all come from the same instant.
 func TestHealthzCtrlFields(t *testing.T) {
-	d, srv, clk := ctrlDaemon(t, CtrlConfig{
+	d, _, clk := ctrlDaemon(t, CtrlConfig{
 		SafeMode: ctrlplane.SafeModeConfig{HoldS: 10, DecayWPerS: 1, FloorW: 66},
 		Learn:    &cf.OnlineConfig{Epsilon: 0.5, Seed: 3},
 	})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
 	healthz := func(ts float64) Health {
 		t.Helper()
 		clk.set(ts)

@@ -61,9 +61,9 @@ func TestMixedFleetClockParity(t *testing.T) {
 	// Oracle: four trace-replay agents on one binary listener.
 	evO := drillEvaluator(t, servers)
 	oracle, err := ctrlplane.StartSimFleetOpts(evO, ctrlplane.FleetOptions{
-		Version:   "test",
-		SafeMode:  safe,
-		Transport: ctrlplane.TransportBinary,
+		Version:        "test",
+		SafeMode:       safe,
+		SharedListener: true,
 	})
 	if err != nil {
 		t.Fatal(err)

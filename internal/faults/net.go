@@ -1,11 +1,9 @@
 package faults
 
 import (
-	"bytes"
+	"context"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"sync"
 	"time"
 )
@@ -88,18 +86,18 @@ type NetCounts struct {
 	Blackholed int
 }
 
-// NetInjector is an http.RoundTripper that drops, delays, and
-// duplicates RPCs with configured probabilities, plus deterministic
-// per-host blackholes for scripted outages (the lease-expiry parity
-// harness downs one agent for an exact window instead of rolling dice).
+// NetInjector wraps one control-plane frame exchange at a time (Do)
+// and drops, delays, and duplicates it with configured probabilities,
+// plus deterministic per-host blackholes for scripted outages (the
+// lease-expiry parity harness downs one agent for an exact window
+// instead of rolling dice).
 //
 // The random stream is seeded, but concurrent fan-out consumes it in
 // scheduler order, so a faulty run is NOT bit-reproducible — soak tests
 // assert invariants (the cap is never breached), not exact traces.
 type NetInjector struct {
-	cfg  NetConfig
-	base http.RoundTripper
-	log  *Log
+	cfg NetConfig
+	log *Log
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -107,18 +105,14 @@ type NetInjector struct {
 	counts NetCounts
 }
 
-// NewNetInjector wraps base (nil: http.DefaultTransport) with injected
-// network faults.
-func NewNetInjector(cfg NetConfig, base http.RoundTripper) (*NetInjector, error) {
+// NewNetInjector builds an injector; the control plane's frame client
+// calls its Do around every exchange.
+func NewNetInjector(cfg NetConfig) (*NetInjector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if base == nil {
-		base = http.DefaultTransport
-	}
 	return &NetInjector{
 		cfg:  cfg,
-		base: base,
 		log:  NewLog(cfg.MaxLogEvents),
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		down: make(map[string]bool),
@@ -184,66 +178,42 @@ func (n *NetInjector) draw(host string) (blackholed, dropReq, dropResp, dup bool
 	return
 }
 
-// RoundTrip applies the injected faults around the base transport.
-func (n *NetInjector) RoundTrip(req *http.Request) (*http.Response, error) {
-	blackholed, dropReq, dropResp, dup, delay := n.draw(req.URL.Host)
+// Do applies the injected faults around one frame exchange with host.
+// deliver performs the real exchange (request frame out, reply frame
+// in) and may be called zero, one or two times; op names the frame for
+// the event log.
+func (n *NetInjector) Do(ctx context.Context, host, op string, deliver func() error) error {
+	blackholed, dropReq, dropResp, dup, delay := n.draw(host)
 	if blackholed {
-		n.log.Append(Event{Kind: "net-blackhole", Target: req.URL.Host, Detail: req.URL.Path})
-		return nil, fmt.Errorf("%s %s: %w", req.Method, req.URL.Host, ErrNetDrop)
+		n.log.Append(Event{Kind: "net-blackhole", Target: host, Detail: op})
+		return fmt.Errorf("%s %s: %w", op, host, ErrNetDrop)
 	}
 	if dropReq {
-		n.log.Append(Event{Kind: "net-drop-request", Target: req.URL.Host, Detail: req.URL.Path})
-		return nil, fmt.Errorf("%s %s: %w", req.Method, req.URL.Host, ErrNetDrop)
+		n.log.Append(Event{Kind: "net-drop-request", Target: host, Detail: op})
+		return fmt.Errorf("%s %s: %w", op, host, ErrNetDrop)
 	}
 	if delay > 0 {
-		n.log.Append(Event{Kind: "net-delay", Target: req.URL.Host,
-			Detail: fmt.Sprintf("%s +%v", req.URL.Path, delay)})
+		n.log.Append(Event{Kind: "net-delay", Target: host, Detail: fmt.Sprintf("%s +%v", op, delay)})
 		timer := time.NewTimer(delay)
 		select {
 		case <-timer.C:
-		case <-req.Context().Done():
+		case <-ctx.Done():
 			timer.Stop()
-			return nil, req.Context().Err()
+			return ctx.Err()
 		}
-	}
-	// Duplication needs a replayable body: buffer it once, deliver the
-	// request twice, and hand the caller the second response — the
-	// first effect already landed server-side.
-	var payload []byte
-	if req.Body != nil {
-		var err error
-		payload, err = io.ReadAll(req.Body)
-		req.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-	}
-	fresh := func() *http.Request {
-		r := req.Clone(req.Context())
-		if payload != nil {
-			r.Body = io.NopCloser(bytes.NewReader(payload))
-			r.ContentLength = int64(len(payload))
-		}
-		return r
 	}
 	if dup {
-		n.log.Append(Event{Kind: "net-duplicate", Target: req.URL.Host, Detail: req.URL.Path})
-		if resp, err := n.base.RoundTrip(fresh()); err == nil {
-			// Drain so the connection can be reused; the caller only
-			// ever sees the second delivery's response.
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
+		// The server processes the request both times; the caller only
+		// ever sees the second delivery's reply.
+		n.log.Append(Event{Kind: "net-duplicate", Target: host, Detail: op})
+		_ = deliver()
 	}
-	resp, err := n.base.RoundTrip(fresh())
-	if err != nil {
-		return nil, err
+	if err := deliver(); err != nil {
+		return err
 	}
 	if dropResp {
-		n.log.Append(Event{Kind: "net-drop-response", Target: req.URL.Host, Detail: req.URL.Path})
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return nil, fmt.Errorf("%s %s: response lost: %w", req.Method, req.URL.Host, ErrNetDrop)
+		n.log.Append(Event{Kind: "net-drop-response", Target: host, Detail: op})
+		return fmt.Errorf("%s %s: response lost: %w", op, host, ErrNetDrop)
 	}
-	return resp, nil
+	return nil
 }

@@ -1,46 +1,52 @@
 package faults
 
 import (
+	"context"
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
-	"sync/atomic"
 	"testing"
+	"time"
 )
 
-func netGet(t *testing.T, rt http.RoundTripper, url string) (*http.Response, error) {
+const testHost = "10.0.0.7:9000"
+
+// exchange runs one injected frame exchange against a counting deliver
+// and returns how many times the "server" saw the request and which
+// delivery's reply the caller was handed (0 when none).
+func exchange(t *testing.T, in *NetInjector, ctx context.Context) (hits, reply int, err error) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	err = in.Do(ctx, testHost, "assign", func() error {
+		hits++
+		reply = hits
+		return nil
+	})
+	if err != nil {
+		reply = 0
+	}
+	return hits, reply, err
+}
+
+func mustInjector(t *testing.T, cfg NetConfig) *NetInjector {
+	t.Helper()
+	in, err := NewNetInjector(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt.RoundTrip(req)
+	return in
 }
 
 // A dropped request must never reach the server and must surface as a
 // transient error the retry machinery recognizes.
 func TestNetInjectorDropRequest(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-	}))
-	defer srv.Close()
-	in, err := NewNetInjector(NetConfig{Seed: 1, DropReqP: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := netGet(t, in, srv.URL)
+	in := mustInjector(t, NetConfig{Seed: 1, DropReqP: 1})
+	hits, _, err := exchange(t, in, context.Background())
 	if err == nil {
-		resp.Body.Close()
 		t.Fatal("DropReqP=1 let a request through")
 	}
 	if !IsTransient(err) || !errors.Is(err, ErrNetDrop) {
 		t.Fatalf("drop error not transient: %v", err)
 	}
-	if hits.Load() != 0 {
-		t.Fatalf("server saw %d requests through a full drop", hits.Load())
+	if hits != 0 {
+		t.Fatalf("server saw %d requests through a full drop", hits)
 	}
 	if in.Counts().ReqDrops != 1 {
 		t.Fatalf("counts %+v", in.Counts())
@@ -50,73 +56,61 @@ func TestNetInjectorDropRequest(t *testing.T) {
 // A dropped response is the other half of RPC ambiguity: the server
 // processes the request, the caller still sees a failure.
 func TestNetInjectorDropResponse(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-	}))
-	defer srv.Close()
-	in, err := NewNetInjector(NetConfig{Seed: 1, DropRespP: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
+	in := mustInjector(t, NetConfig{Seed: 1, DropRespP: 1})
+	hits, _, err := exchange(t, in, context.Background())
+	if err == nil || !errors.Is(err, ErrNetDrop) {
+		t.Fatalf("DropRespP=1 returned a response (err %v)", err)
 	}
-	if resp, err := netGet(t, in, srv.URL); err == nil {
-		resp.Body.Close()
-		t.Fatal("DropRespP=1 returned a response")
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("server saw %d requests, want 1 (the effect lands)", hits.Load())
+	if hits != 1 {
+		t.Fatalf("server saw %d requests, want 1 (the effect lands)", hits)
 	}
 }
 
-// A duplicated POST must deliver the identical body twice; the caller
-// sees one (the second) response.
+// A duplicated frame is delivered twice; the caller sees one (the
+// second) reply. A failed first delivery does not fail the exchange.
 func TestNetInjectorDuplicate(t *testing.T) {
-	var bodies []string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
-		bodies = append(bodies, string(b))
-	}))
-	defer srv.Close()
-	in, err := NewNetInjector(NetConfig{Seed: 1, DupP: 1}, nil)
+	in := mustInjector(t, NetConfig{Seed: 1, DupP: 1})
+	hits, reply, err := exchange(t, in, context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, srv.URL, strings.NewReader(`{"seq":7}`))
-	if err != nil {
-		t.Fatal(err)
+	if hits != 2 || reply != 2 {
+		t.Fatalf("duplicated delivery: server saw %d requests, caller got reply %d; want 2 and the 2nd", hits, reply)
 	}
-	resp, err := in.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(bodies) != 2 || bodies[0] != bodies[1] || bodies[0] != `{"seq":7}` {
-		t.Fatalf("duplicated delivery saw bodies %q", bodies)
+	calls := 0
+	err = in.Do(context.Background(), testHost, "assign", func() error {
+		calls++
+		if calls == 1 {
+			return errors.New("first delivery lost")
+		}
+		return nil
+	})
+	if err != nil || calls != 2 {
+		t.Fatalf("duplicate with a failed first delivery: err %v after %d deliveries", err, calls)
 	}
 }
 
-// A blackholed host fails deterministically until restored.
+// A blackholed host fails deterministically until restored, never
+// reaches the server, and the counter stops moving after the heal.
 func TestNetInjectorBlackhole(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer srv.Close()
-	in, err := NewNetInjector(NetConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := strings.TrimPrefix(srv.URL, "http://")
-	in.SetDown(host, true)
+	in := mustInjector(t, NetConfig{})
+	in.SetDown(testHost, true)
 	for i := 0; i < 3; i++ {
-		if resp, err := netGet(t, in, srv.URL); err == nil {
-			resp.Body.Close()
-			t.Fatal("blackholed host reachable")
+		hits, _, err := exchange(t, in, context.Background())
+		if err == nil || hits != 0 {
+			t.Fatalf("blackholed host reachable (err %v, %d deliveries)", err, hits)
 		}
 	}
-	in.SetDown(host, false)
-	resp, err := netGet(t, in, srv.URL)
-	if err != nil {
-		t.Fatalf("restored host unreachable: %v", err)
+	// Another host is unaffected.
+	if err := in.Do(context.Background(), "10.0.0.8:9000", "report", func() error { return nil }); err != nil {
+		t.Fatalf("blackhole leaked to another host: %v", err)
 	}
-	resp.Body.Close()
+	in.SetDown(testHost, false)
+	for i := 0; i < 2; i++ {
+		if hits, _, err := exchange(t, in, context.Background()); err != nil || hits != 1 {
+			t.Fatalf("restored host unreachable: %v (%d deliveries)", err, hits)
+		}
+	}
 	if in.Counts().Blackholed != 3 {
 		t.Fatalf("counts %+v", in.Counts())
 	}
@@ -124,22 +118,32 @@ func TestNetInjectorBlackhole(t *testing.T) {
 
 // Heal must stop probabilistic faults mid-run.
 func TestNetInjectorHeal(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer srv.Close()
-	in, err := NewNetInjector(NetConfig{Seed: 2, DropReqP: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := netGet(t, in, srv.URL); err == nil {
-		resp.Body.Close()
+	in := mustInjector(t, NetConfig{Seed: 2, DropReqP: 1})
+	if _, _, err := exchange(t, in, context.Background()); err == nil {
 		t.Fatal("pre-heal request survived DropReqP=1")
 	}
 	in.Heal()
-	resp, err := netGet(t, in, srv.URL)
-	if err != nil {
+	if hits, _, err := exchange(t, in, context.Background()); err != nil || hits != 1 {
 		t.Fatalf("post-heal request failed: %v", err)
 	}
-	resp.Body.Close()
+}
+
+// A delay longer than the attempt's deadline surfaces as the context's
+// error without ever delivering — the caller's timeout, not a drop.
+func TestNetInjectorDelayHonoursContext(t *testing.T) {
+	in := mustInjector(t, NetConfig{Seed: 3, DelayP: 1, DelayMax: time.Hour})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	hits, _, err := exchange(t, in, ctx)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("over-long delay returned %v, want the context deadline", err)
+	}
+	if hits != 0 {
+		t.Fatalf("timed-out delay still delivered %d times", hits)
+	}
+	if in.Counts().Delays != 1 {
+		t.Fatalf("counts %+v", in.Counts())
+	}
 }
 
 // Config validation refuses out-of-range rates.

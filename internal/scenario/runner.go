@@ -94,7 +94,7 @@ func evaluator(servers int) (*cluster.Evaluator, error) {
 }
 
 // runCtrl drives a control-plane campaign: a real coordinator over
-// loopback HTTP against in-process agents, with scripted blackholes
+// loopback frames against in-process agents, with scripted blackholes
 // and leader outages. Only deterministic faults are scripted, so the
 // invariant log replays byte-identically.
 func runCtrl(c Campaign) (*Result, error) {
@@ -111,7 +111,7 @@ func runCtrl(c Campaign) (*Result, error) {
 		return nil, err
 	}
 	defer flt.Close()
-	inj, err := faults.NewNetInjector(faults.NetConfig{Seed: c.Config.Seed}, nil)
+	inj, err := faults.NewNetInjector(faults.NetConfig{Seed: c.Config.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func runCtrl(c Campaign) (*Result, error) {
 	defer func() { coord.Close() }()
 	hosts := make([]string, 0, len(flt.Refs()))
 	for _, ref := range flt.Refs() {
-		hosts = append(hosts, strings.TrimPrefix(ref.URL, "http://"))
+		hosts = append(hosts, strings.TrimPrefix(ref.URL, "tcp://"))
 	}
 	eventsAt := make(map[int][]Event)
 	for _, ev := range c.Events {
