@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"powerstruggle/internal/policy"
 )
@@ -71,7 +72,8 @@ func curveSpan(c []CapPoint) int {
 // the previous member's layer prev (indexed by absolute level). Point k
 // costs cost[k] grid steps and yields perf[k]; a level takes the first
 // best of the points before the first it cannot afford. layer and cho
-// are windows whose element 0 is level lo.
+// are windows whose element 0 is level lo. A member with no points
+// spends nothing: its layer is prev's.
 //
 // sat is the level at which every member up to this one is saturated
 // (the summed largest costs). From there up prev is constant over the
@@ -81,13 +83,53 @@ func curveSpan(c []CapPoint) int {
 // levels their read-out can reach (the cone a backtrack from the read
 // level can arrive in), so what is computed runs the same arithmetic on
 // the same operands as a sweep of the full table would.
+//
+// The computed span [lo, end) is cut in three. Head levels that cannot
+// yet afford the dearest point, and a tail shorter than dpBlock, run
+// dpCells; the interior between them, where every level weighs every
+// point, runs dpBlocks when there is one — the same adds and the same
+// strict compares in the same point order, dpBlock levels at a time —
+// so which of the two computed a cell cannot be told from the cell.
 func dpLayer[C uint16 | int32](prev []float64, cost []int, perf []float64, lo, hi, sat int, layer []float64, cho []C) {
 	if lo >= hi {
 		return
 	}
+	if len(cost) == 0 {
+		copy(layer[:hi-lo], prev[lo:hi])
+		clear(cho[:hi-lo])
+		return
+	}
 	end := min(hi, max(sat, lo)+1)
 	perf = perf[:len(cost)]
-	for l := lo; l < end; l++ {
+	from := lo
+	if c16, ok := any(cho).([]uint16); ok && dpBlocks != nil {
+		top := cost[len(cost)-1]
+		first := max(lo, top)
+		// dpBlocks reads a level's affordable points off the last cost
+		// alone, so the table must start at no less than 0 and never
+		// step down.
+		if n := (end - first) &^ (dpBlock - 1); n > 0 && cost[0] >= 0 && slices.IsSorted(cost) {
+			dpCells(prev, cost, perf, lo, first, layer, cho)
+			// The slice expressions are the kernel's bounds checks: it
+			// reads prev[first-top, first+n) and writes n cells of each
+			// window.
+			w := first - lo
+			dpBlocks(prev[first-top:first+n], cost, perf, layer[w:w+n], c16[w:w+n])
+			from = first + n
+		}
+	}
+	dpCells(prev, cost, perf, from, end, layer[from-lo:], cho[from-lo:])
+	v, k := layer[end-1-lo], cho[end-1-lo]
+	for l := end - lo; l < hi-lo; l++ {
+		layer[l], cho[l] = v, k
+	}
+}
+
+// dpCells is dpLayer's recurrence one level at a time over levels
+// [lo, hi), layer and cho being windows whose element 0 is level lo: the
+// portable path, and the reference dpBlocks is held to.
+func dpCells[C uint16 | int32](prev []float64, cost []int, perf []float64, lo, hi int, layer []float64, cho []C) {
+	for l := lo; l < hi; l++ {
 		w := prev[:l+1]
 		bestV, bestK := math.Inf(-1), 0
 		for k, c := range cost {
@@ -103,11 +145,18 @@ func dpLayer[C uint16 | int32](prev []float64, cost []int, perf []float64, lo, h
 		layer[l-lo] = bestV
 		cho[l-lo] = C(bestK)
 	}
-	v, k := layer[end-1-lo], cho[end-1-lo]
-	for l := end - lo; l < hi-lo; l++ {
-		layer[l], cho[l] = v, k
-	}
 }
+
+// dpBlock is how many consecutive levels dpBlocks computes at a time.
+const dpBlock = 16
+
+// dpBlocks, where the build and the CPU have one, is dpCells over
+// len(layer) levels — a multiple of dpBlock — that all afford every
+// point: prev holds cost[len(cost)-1] cells of history and then the
+// previous layer at those levels, cost ascends from at least 0 and
+// perf, layer and cho are exact-length windows. It is set once, at
+// package init, and nil means every cell takes dpCells.
+var dpBlocks func(prev []float64, cost []int, perf, layer []float64, cho []uint16)
 
 // coneLos returns, for a budget read at level top, the lowest level of
 // each member's layer a backtrack from top can arrive at — top less the
@@ -141,7 +190,8 @@ func unitCosts(n int) []int {
 // deliver. The cap is quantized to the curve grid (ServerCapStepW) and
 // every server is owed at least floorW (its idle floor) before the DP
 // distributes the spare watts; curve point k is priced at k steps above
-// the floor, exactly as the curves are sampled.
+// the floor, exactly as the curves are sampled. A server with an empty
+// curve is granted floorW and adds nothing to either sum.
 //
 // This one function is shared by the in-process evaluator and the
 // networked coordinator, which is what makes the control plane's budget
@@ -162,13 +212,24 @@ func ApportionCurves(clusterCapW, floorW float64, curves [][]CapPoint) (budgets 
 		}
 		return budgets, 0, capQ
 	}
-	// DP over the budget above the idle floors, in curve-index units
-	// (curve point k costs k*serverCapStepW above the floor). The
-	// budget is read at the top level only, so member i's layer is
-	// needed from as far below the top as the members after it can
-	// spend: los[i].
 	spare := capQ - floorW*float64(n)
 	levels := int(spare/serverCapStepW) + 1
+	for _, c := range curves {
+		if len(c) > maxCurvePoints {
+			return apportionCone[int32](floorW, curves, levels, budgets)
+		}
+	}
+	return apportionCone[uint16](floorW, curves, levels, budgets)
+}
+
+// apportionCone is ApportionCurves' DP over the budget above the idle
+// floors, in curve-index units (curve point k costs k*serverCapStepW
+// above the floor), with choices as wide as the longest curve needs.
+// The budget is read at the top level only, so member i's layer is
+// needed from as far below the top as the members after it can spend:
+// los[i]. A member with an empty curve is owed its floor and no more.
+func apportionCone[C uint16 | int32](floorW float64, curves [][]CapPoint, levels int, budgets []float64) (_ []float64, perf, gridW float64) {
+	n := len(curves)
 	spans, longest := make([]int, n), 0
 	for i, c := range curves {
 		spans[i] = curveSpan(c)
@@ -178,7 +239,7 @@ func ApportionCurves(clusterCapW, floorW float64, curves [][]CapPoint) (budgets 
 	best, next := make([]float64, levels), make([]float64, levels)
 	// choice holds member i's curve index per level of [los[i], levels),
 	// the members' windows back to back.
-	choice := make([]int32, cells)
+	choice := make([]C, cells)
 	unit, pf := unitCosts(longest), make([]float64, longest)
 	off, sat := 0, 0
 	for i, c := range curves {
@@ -194,11 +255,15 @@ func ApportionCurves(clusterCapW, floorW float64, curves [][]CapPoint) (budgets 
 	l := levels - 1
 	for i := n - 1; i >= 0; i-- {
 		off -= levels - los[i]
-		k := choice[off+l-los[i]]
+		if len(curves[i]) == 0 {
+			budgets[i] = floorW
+			continue
+		}
+		k := int(choice[off+l-los[i]])
 		budgets[i] = curves[i][k].CapW
 		perf += curves[i][k].Perf
 		gridW += curves[i][k].GridW
-		l -= int(k)
+		l -= k
 	}
 	return budgets, perf, gridW
 }

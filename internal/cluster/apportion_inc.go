@@ -217,6 +217,10 @@ func (a *Apportioner) Apportion(clusterCapW, floorW float64, curves [][]CapPoint
 	// call's level bound.
 	l := levels - 1
 	for i := n - 1; i >= 0; i-- {
+		if len(curves[i]) == 0 {
+			budgets[i] = floorW
+			continue
+		}
 		k := int(a.choices[i][l])
 		budgets[i] = curves[i][k].CapW
 		perf += curves[i][k].Perf
