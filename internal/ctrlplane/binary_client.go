@@ -3,7 +3,6 @@ package ctrlplane
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"powerstruggle/internal/faults"
+	"powerstruggle/internal/telemetry"
 )
 
 // maxIdleBinaryConns caps pooled conns per host. Unary fan-out to one
@@ -31,23 +31,28 @@ type frameRemoteError struct{ msg string }
 
 func (e *frameRemoteError) Error() string { return "ctrlplane: remote: " + e.msg }
 
-// bconn is one pooled framed conn.
+// bconn is one pooled framed conn, and the owner of the two buffers
+// its frames move through: requests are encoded into out, replies read
+// into in. Both outlive the exchange, so an interval's fan-out reuses
+// last interval's buffers along with its conns.
 type bconn struct {
-	c      net.Conn
-	br     *bufio.Reader
-	reused bool
+	c       net.Conn
+	br      *bufio.Reader
+	in, out frameBuf
+	reused  bool
 }
 
 // binaryTransport is the client side of the wire: length-prefixed
 // frames over persistent TCP conns, pooled per host so an interval's
 // fan-out reuses last interval's conns instead of re-dialing. Each
-// roundTrip is a single protocol attempt — retries, backoff, circuit
+// send is a single protocol attempt — retries, backoff, circuit
 // breaking and RPC telemetry live above it in rpcClient and the
 // coordinator; a reused conn gets one transparent redial on transport
 // failure, because a pooled conn may have died since its last use and
 // that is indistinguishable from a dead peer without one fresh dial.
 type binaryTransport struct {
-	tel *ctrlTel
+	// Wire instruments, resolved once (nil, and no-ops, without a hub).
+	txFrames, rxFrames, txBytes, rxBytes, connDials, connReuses *telemetry.Counter
 	// inj, when non-nil, wraps every exchange in injected network
 	// faults (the chaos suites' drop/delay/duplicate/blackhole shim).
 	inj    *faults.NetInjector
@@ -64,7 +69,12 @@ func newBinaryTransport(tel *ctrlTel, inj *faults.NetInjector) *binaryTransport 
 	if tel == nil {
 		tel = &ctrlTel{}
 	}
-	return &binaryTransport{tel: tel, inj: inj, idle: map[string][]*bconn{}}
+	return &binaryTransport{
+		txFrames: tel.wireFrames.With("binary", "tx"), rxFrames: tel.wireFrames.With("binary", "rx"),
+		txBytes: tel.wireBytes.With("binary", "tx"), rxBytes: tel.wireBytes.With("binary", "rx"),
+		connDials: tel.connDials.With("binary"), connReuses: tel.connReuses.With("binary"),
+		inj: inj, idle: map[string][]*bconn{},
+	}
 }
 
 // binaryHost strips the tcp:// scheme and any path suffix off a base URL.
@@ -89,7 +99,7 @@ func (t *binaryTransport) checkout(ctx context.Context, host string) (*bconn, er
 		t.mu.Unlock()
 		bc.reused = true
 		t.reuses.Add(1)
-		t.tel.connReuses.With("binary").Inc()
+		t.connReuses.Inc()
 		return bc, nil
 	}
 	t.mu.Unlock()
@@ -103,7 +113,7 @@ func (t *binaryTransport) dial(ctx context.Context, host string) (*bconn, error)
 		return nil, err
 	}
 	t.dials.Add(1)
-	t.tel.connDials.With("binary").Inc()
+	t.connDials.Inc()
 	return &bconn{c: c, br: bufio.NewReader(c)}, nil
 }
 
@@ -118,96 +128,75 @@ func (t *binaryTransport) put(host string, bc *bconn) {
 	bc.c.Close()
 }
 
-// exchange writes one request frame and reads its response frame. Any
-// transport-level failure closes the conn (the stream can no longer be
-// trusted to be at a frame boundary).
-func (t *binaryTransport) exchange(ctx context.Context, bc *bconn, frame []byte, respType byte) ([]byte, error) {
+// exchange is one request frame out and its response frame back on bc:
+// the request is encoded after its header in the conn's out buffer, the
+// reply is read into its in buffer and decoded into *resp before either
+// buffer can be reused. inSync reports that the stream is still at a
+// frame boundary — true on success, on a remote FrameError and on a
+// reply payload that fails to decode, all of which leave the conn fit to
+// pool. Any transport-level failure closes the conn.
+func exchange[Req validator, Resp any](ctx context.Context, t *binaryTransport, bc *bconn, m rpc[Req, Resp], req Req, resp *Resp) (inSync bool, err error) {
 	deadline, ok := ctx.Deadline()
 	if !ok {
 		deadline = time.Now().Add(binaryDefaultTimeout)
 	}
 	_ = bc.c.SetDeadline(deadline)
+	frame := finishFrame(m.enc(appendFrameHeader(bc.out.b[:0]), req), m.reqType)
+	bc.out.b = frame
 	if _, err := bc.c.Write(frame); err != nil {
 		bc.c.Close()
-		return nil, err
+		return false, err
 	}
-	t.tel.wireFrames.With("binary", "tx").Inc()
-	t.tel.wireBytes.With("binary", "tx").Add(uint64(len(frame)))
-	ftype, payload, err := readFrame(bc.br)
+	t.txFrames.Inc()
+	t.txBytes.Add(uint64(len(frame)))
+	ftype, payload, err := readFrame(bc.br, &bc.in.b)
 	if err != nil {
 		bc.c.Close()
-		return nil, err
+		return false, err
 	}
-	t.tel.wireFrames.With("binary", "rx").Inc()
-	t.tel.wireBytes.With("binary", "rx").Add(uint64(frameHeaderLen + len(payload)))
+	// Counting the frames may drop a buffer for the collector; frame and
+	// payload still reference theirs until this exchange returns.
+	bc.out.handled(len(frame))
+	bc.in.handled(len(payload))
+	t.rxFrames.Inc()
+	t.rxBytes.Add(uint64(frameHeaderLen + len(payload)))
 	switch ftype {
-	case respType:
-		return payload, nil
+	case m.respType:
+		return true, m.dec(payload, resp)
 	case FrameError:
 		msg, derr := decodeErrPayload(payload)
 		if derr != nil {
 			bc.c.Close()
-			return nil, derr
+			return false, derr
 		}
-		return nil, &frameRemoteError{msg: msg}
+		return true, &frameRemoteError{msg: msg}
 	default:
 		bc.c.Close()
-		return nil, fmt.Errorf("ctrlplane: frame type %#02x in reply, want %#02x", ftype, respType)
+		return false, fmt.Errorf("ctrlplane: frame type %#02x in reply, want %#02x", ftype, m.respType)
 	}
 }
 
-// roundTrip runs one request/response exchange against base under the
-// fault injector, if any; op names the message in the injector's log.
-func (t *binaryTransport) roundTrip(ctx context.Context, base, op string, reqType byte, payload []byte, respType byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	host := binaryHost(base)
-	frame := EncodeFrame(reqType, payload)
-	if t.inj == nil {
-		return t.deliver(ctx, host, frame, respType)
-	}
-	var resp []byte
-	err := t.inj.Do(ctx, host, op, func() (err error) {
-		resp, err = t.deliver(ctx, host, frame, respType)
-		return err
-	})
-	return resp, err
-}
-
-// deliver sends one frame and reads its reply, pooling the conn on
-// success (and on remote errors, which leave the stream in sync).
-func (t *binaryTransport) deliver(ctx context.Context, host string, frame []byte, respType byte) ([]byte, error) {
+// deliver runs one exchange on a pooled (or fresh) conn and pools the
+// conn again while its stream is in sync. A reused conn that fails at
+// the transport level gets one transparent redial.
+func deliver[Req validator, Resp any](ctx context.Context, t *binaryTransport, host string, m rpc[Req, Resp], req Req, resp *Resp) error {
 	bc, err := t.checkout(ctx, host)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	resp, err := t.exchange(ctx, bc, frame, respType)
-	var remote *frameRemoteError
-	if err == nil {
-		t.put(host, bc)
-		return resp, nil
-	}
-	if errors.As(err, &remote) {
-		t.put(host, bc)
-		return nil, err
-	}
-	if bc.reused && ctx.Err() == nil {
-		bc2, derr := t.dial(ctx, host)
+	inSync, err := exchange(ctx, t, bc, m, req, resp)
+	if !inSync && bc.reused && ctx.Err() == nil {
+		fresh, derr := t.dial(ctx, host)
 		if derr != nil {
-			return nil, err
+			return err
 		}
-		resp, err = t.exchange(ctx, bc2, frame, respType)
-		if err == nil {
-			t.put(host, bc2)
-			return resp, nil
-		}
-		if errors.As(err, &remote) {
-			t.put(host, bc2)
-			return nil, err
-		}
+		bc = fresh
+		inSync, err = exchange(ctx, t, bc, m, req, resp)
 	}
-	return nil, err
+	if inSync {
+		t.put(host, bc)
+	}
+	return err
 }
 
 // closeIdle drops every pooled conn (chaos drills bounce the pool).
@@ -237,37 +226,60 @@ type validator interface{ Validate() error }
 // rpc binds one message kind to the wire: the label telemetry, backoff
 // jitter and the fault log know it by, its request and reply frame
 // types, and the payload codecs.
+//
+// enc appends the request's payload to its argument and returns the
+// extended slice, like append: send hands it the conn's out buffer with
+// the frame header already written. dec decodes a reply payload into
+// *Resp, overwriting every field (a destination is reused across
+// retries, duplicated deliveries and intervals); the payload is the
+// conn's in buffer, valid only for the call, so dec copies what it
+// keeps.
 type rpc[Req validator, Resp any] struct {
 	kind              string
 	reqType, respType byte
 	enc               func([]byte, Req) []byte
-	dec               func([]byte) (Resp, error)
+	dec               func([]byte, *Resp) error
+}
+
+// decodeTo adapts a decoder that returns its fixed-size message by
+// value to rpc.dec.
+func decodeTo[Resp any](dec func([]byte) (Resp, error)) func([]byte, *Resp) error {
+	return func(p []byte, resp *Resp) (err error) {
+		*resp, err = dec(p)
+		return err
+	}
 }
 
 var (
 	rpcScrape      = rpc[scrapeRequest, Report]{"report", FrameScrapeReq, FrameReportResp, appendScrapeReq, decodeReportPayload}
-	rpcAssign      = rpc[AssignRequest, AssignResponse]{"assign", FrameAssignReq, FrameAssignResp, appendAssignReq, decodeAssignRespPayload}
-	rpcLease       = rpc[LeaseRequest, LeaseResponse]{"lease", FrameLeaseReq, FrameLeaseResp, appendLeaseReq, decodeLeaseRespPayload}
-	rpcRegister    = rpc[RegisterRequest, RegisterResponse]{"register", FrameRegisterReq, FrameRegisterResp, appendRegisterReq, decodeRegisterRespPayload}
-	rpcVote        = rpc[VoteRequest, VoteResponse]{"vote", FrameVoteReq, FrameVoteResp, appendVoteReq, decodeVoteRespPayload}
+	rpcAssign      = rpc[AssignRequest, AssignResponse]{"assign", FrameAssignReq, FrameAssignResp, appendAssignReq, decodeTo(decodeAssignRespPayload)}
+	rpcLease       = rpc[LeaseRequest, LeaseResponse]{"lease", FrameLeaseReq, FrameLeaseResp, appendLeaseReq, decodeTo(decodeLeaseRespPayload)}
+	rpcRegister    = rpc[RegisterRequest, RegisterResponse]{"register", FrameRegisterReq, FrameRegisterResp, appendRegisterReq, decodeTo(decodeRegisterRespPayload)}
+	rpcVote        = rpc[VoteRequest, VoteResponse]{"vote", FrameVoteReq, FrameVoteResp, appendVoteReq, decodeTo(decodeVoteRespPayload)}
 	rpcBatchScrape = rpc[BatchScrapeRequest, BatchScrapeResponse]{"batch-report", FrameBatchScrapeReq, FrameBatchScrapeResp, appendBatchScrapeReq, decodeBatchScrapeRespPayload}
 	rpcBatchGrant  = rpc[BatchGrantRequest, BatchGrantResponse]{"batch-grant", FrameBatchGrantReq, FrameBatchGrantResp, appendBatchGrantReq, decodeBatchGrantRespPayload}
 	rpcShardReport = rpc[ShardReportRequest, ShardReport]{"shard-report", FrameShardReportReq, FrameShardReportResp, appendShardReportReq, decodeShardReportPayload}
-	rpcShardBudget = rpc[ShardBudgetRequest, ShardBudgetResponse]{"shard-budget", FrameShardBudgetReq, FrameShardBudgetResp, appendShardBudgetReq, decodeShardBudgetRespPayload}
+	rpcShardBudget = rpc[ShardBudgetRequest, ShardBudgetResponse]{"shard-budget", FrameShardBudgetReq, FrameShardBudgetResp, appendShardBudgetReq, decodeTo(decodeShardBudgetRespPayload)}
 )
 
-// send is one attempt of one message: validate, encode, one frame
-// round trip, decode.
-func send[Req validator, Resp any](ctx context.Context, t *binaryTransport, base string, m rpc[Req, Resp], req Req) (Resp, error) {
-	var zero Resp
+// send is one attempt of one message: validate, then one exchange —
+// encode, write, read, decode into *resp — under the fault injector, if
+// any, which wraps the whole exchange: a duplicated delivery decodes
+// twice into the same destination. On error *resp is unspecified.
+func send[Req validator, Resp any](ctx context.Context, t *binaryTransport, base string, m rpc[Req, Resp], req Req, resp *Resp) error {
 	if err := req.Validate(); err != nil {
-		return zero, err
+		return err
 	}
-	p, err := t.roundTrip(ctx, base, m.kind, m.reqType, m.enc(nil, req), m.respType)
-	if err != nil {
-		return zero, err
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return m.dec(p)
+	host := binaryHost(base)
+	if t.inj == nil {
+		return deliver(ctx, t, host, m, req, resp)
+	}
+	return t.inj.Do(ctx, host, m.kind, func() error {
+		return deliver(ctx, t, host, m, req, resp)
+	})
 }
 
 // Client is a bare frame client for agent endpoints: one attempt per
@@ -283,14 +295,20 @@ func (c *Client) Close() { c.bin.Close() }
 
 // Assign, Renew and Scrape send one frame to the listener at base (a
 // tcp:// URL) and return the agent's reply or its error frame.
-func (c *Client) Assign(ctx context.Context, base string, req AssignRequest) (AssignResponse, error) {
-	return send(ctx, c.bin, base, rpcAssign, req)
+func (c *Client) Assign(ctx context.Context, base string, req AssignRequest) (resp AssignResponse, err error) {
+	err = send(ctx, c.bin, base, rpcAssign, req, &resp)
+	return resp, err
 }
 
-func (c *Client) Renew(ctx context.Context, base string, req LeaseRequest) (LeaseResponse, error) {
-	return send(ctx, c.bin, base, rpcLease, req)
+func (c *Client) Renew(ctx context.Context, base string, req LeaseRequest) (resp LeaseResponse, err error) {
+	err = send(ctx, c.bin, base, rpcLease, req, &resp)
+	return resp, err
 }
 
 func (c *Client) Scrape(ctx context.Context, base string, server int, t float64, hasT bool) (Report, error) {
-	return send(ctx, c.bin, base, rpcScrape, scrapeRequest{server, t, hasT})
+	var rep Report
+	if err := send(ctx, c.bin, base, rpcScrape, scrapeRequest{server, t, hasT}, &rep); err != nil {
+		return Report{}, err
+	}
+	return rep, nil
 }

@@ -130,29 +130,39 @@ func (s *BinaryServer) serve() {
 	}
 }
 
+// serverConn is what one connection owns across frames: the buffer
+// requests are read into, the buffer responses are built in, and the
+// decoded form of the two batch requests. A steady-state interval
+// reuses all four; nothing in them outlives the frame they serve.
+type serverConn struct {
+	in, out frameBuf
+	scrape  BatchScrapeRequest
+	grant   BatchGrantRequest
+}
+
 func (s *BinaryServer) handle(c net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(c)
 	defer c.Close()
 	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
+	var sc serverConn
 	for {
 		_ = c.SetReadDeadline(time.Now().Add(serverIdleTimeout))
-		ftype, payload, err := readFrame(br)
+		ftype, payload, err := readFrame(br, &sc.in.b)
 		if err != nil {
 			// Framing errors (bad magic, truncation, oversize) desync
 			// the stream: there is no way back to a frame boundary, so
 			// the conn is dropped rather than answered.
 			return
 		}
-		respType, resp := s.dispatch(ftype, payload)
+		sc.out.b = s.dispatch(&sc, ftype, payload)
 		_ = c.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if err := writeFrame(bw, respType, resp); err != nil {
+		// Header and payload leave in one write.
+		if _, err := c.Write(sc.out.b); err != nil {
 			return
 		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
+		sc.in.handled(len(payload))
+		sc.out.handled(len(sc.out.b))
 	}
 }
 
@@ -164,11 +174,15 @@ func (s *BinaryServer) endpoint(server int) (CtrlEndpoint, error) {
 	return ep, nil
 }
 
-// dispatch answers one decoded frame. Malformed payloads inside a
+// dispatch answers one decoded frame with one whole response frame,
+// built in the connection's out buffer: the payload is encoded straight
+// after the header as it is produced, and the header's type and length
+// are patched once it is complete. Malformed payloads inside a
 // well-framed message answer FrameError and keep the conn.
-func (s *BinaryServer) dispatch(ftype byte, payload []byte) (byte, []byte) {
-	fail := func(err error) (byte, []byte) {
-		return FrameError, appendErrPayload(nil, err.Error())
+func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []byte {
+	hdr := appendFrameHeader(sc.out.b[:0])
+	fail := func(err error) []byte {
+		return finishFrame(appendErrPayload(hdr, err.Error()), FrameError)
 	}
 	switch ftype {
 	case FrameScrapeReq:
@@ -184,7 +198,7 @@ func (s *BinaryServer) dispatch(ftype byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return fail(err)
 		}
-		return FrameReportResp, appendReportPayload(nil, rep)
+		return finishFrame(appendReportPayload(hdr, &rep), FrameReportResp)
 
 	case FrameAssignReq:
 		req, err := decodeAssignReqPayload(payload)
@@ -199,7 +213,7 @@ func (s *BinaryServer) dispatch(ftype byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return fail(err)
 		}
-		return FrameAssignResp, appendAssignRespPayload(nil, resp)
+		return finishFrame(appendAssignRespPayload(hdr, resp), FrameAssignResp)
 
 	case FrameLeaseReq:
 		req, err := decodeLeaseReqPayload(payload)
@@ -214,7 +228,7 @@ func (s *BinaryServer) dispatch(ftype byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return fail(err)
 		}
-		return FrameLeaseResp, appendLeaseRespPayload(nil, resp)
+		return finishFrame(appendLeaseRespPayload(hdr, resp), FrameLeaseResp)
 
 	case FrameRegisterReq:
 		if s.cfg.Register == nil {
@@ -224,7 +238,7 @@ func (s *BinaryServer) dispatch(ftype byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return fail(err)
 		}
-		return FrameRegisterResp, appendRegisterRespPayload(nil, s.cfg.Register(req))
+		return finishFrame(appendRegisterRespPayload(hdr, s.cfg.Register(req)), FrameRegisterResp)
 
 	case FrameVoteReq:
 		if s.cfg.Vote == nil {
@@ -234,7 +248,7 @@ func (s *BinaryServer) dispatch(ftype byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return fail(err)
 		}
-		return FrameVoteResp, appendVoteRespPayload(nil, s.cfg.Vote(req))
+		return finishFrame(appendVoteRespPayload(hdr, s.cfg.Vote(req)), FrameVoteResp)
 
 	case FrameLeaderReq:
 		if s.cfg.Leader == nil {
@@ -243,29 +257,31 @@ func (s *BinaryServer) dispatch(ftype byte, payload []byte) (byte, []byte) {
 		if len(payload) != 0 {
 			return fail(fmt.Errorf("leader request carries %d payload bytes", len(payload)))
 		}
-		return FrameLeaderResp, appendLeaderStatusPayload(nil, s.cfg.Leader())
+		return finishFrame(appendLeaderStatusPayload(hdr, s.cfg.Leader()), FrameLeaderResp)
 
 	case FrameBatchScrapeReq:
-		req, err := decodeBatchScrapeReqPayload(payload)
-		if err != nil {
+		req := &sc.scrape
+		if err := decodeBatchScrapeReqPayload(payload, req); err != nil {
 			return fail(err)
 		}
-		resp := BatchScrapeResponse{V: ProtocolV, Results: make([]ScrapeResult, len(req.Servers))}
-		for i, server := range req.Servers {
-			resp.Results[i] = s.scrapeOne(server, req.T, req.HasT)
+		w := wbuf{b: hdr}
+		w.u32(uint32(len(req.Servers)))
+		for _, server := range req.Servers {
+			s.scrapeOne(&w, server, req.T, req.HasT)
 		}
-		return FrameBatchScrapeResp, appendBatchScrapeRespPayload(make([]byte, 0, batchScrapeRespSize(resp)), resp)
+		return finishFrame(w.b, FrameBatchScrapeResp)
 
 	case FrameBatchGrantReq:
-		req, err := decodeBatchGrantReqPayload(payload)
-		if err != nil {
+		req := &sc.grant
+		if err := decodeBatchGrantReqPayload(payload, req); err != nil {
 			return fail(err)
 		}
-		resp := BatchGrantResponse{V: ProtocolV, Results: make([]GrantResult, len(req.Entries))}
-		for i, e := range req.Entries {
-			resp.Results[i] = s.grantOne(req, e)
+		w := wbuf{b: hdr}
+		w.u32(uint32(len(req.Entries)))
+		for _, e := range req.Entries {
+			s.grantOne(&w, req, e)
 		}
-		return FrameBatchGrantResp, appendBatchGrantRespPayload(make([]byte, 0, batchGrantRespSize(resp)), resp)
+		return finishFrame(w.b, FrameBatchGrantResp)
 
 	case FrameShardReportReq:
 		if s.cfg.ShardReport == nil {
@@ -279,7 +295,7 @@ func (s *BinaryServer) dispatch(ftype byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return fail(err)
 		}
-		return FrameShardReportResp, appendShardReportPayload(nil, rep)
+		return finishFrame(appendShardReportPayload(hdr, rep), FrameShardReportResp)
 
 	case FrameShardBudgetReq:
 		if s.cfg.ShardBudget == nil {
@@ -293,21 +309,24 @@ func (s *BinaryServer) dispatch(ftype byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return fail(err)
 		}
-		return FrameShardBudgetResp, appendShardBudgetRespPayload(nil, resp)
+		return finishFrame(appendShardBudgetRespPayload(hdr, resp), FrameShardBudgetResp)
 	}
 	return fail(fmt.Errorf("frame type %#02x is not a request", ftype))
 }
 
-func (s *BinaryServer) scrapeOne(server int, t float64, hasT bool) ScrapeResult {
+// scrapeOne encodes one batch-scrape slot straight into the response:
+// the agent's report, or the per-agent error.
+func (s *BinaryServer) scrapeOne(w *wbuf, server int, t float64, hasT bool) {
+	var rep Report
+	var errMsg string
 	ep, err := s.endpoint(server)
-	if err != nil {
-		return ScrapeResult{Server: server, Err: err.Error()}
+	if err == nil {
+		rep, err = ep.Scrape(t, hasT)
 	}
-	rep, err := ep.Scrape(t, hasT)
 	if err != nil {
-		return ScrapeResult{Server: server, Err: err.Error()}
+		errMsg, rep = err.Error(), Report{}
 	}
-	return ScrapeResult{Server: server, Report: rep}
+	putScrapeResult(w, server, errMsg, &rep)
 }
 
 // LeaderStatus answers the leader frame: which candidate this
@@ -360,30 +379,34 @@ func NewCoordinatorBinaryConfig(c *Coordinator, ha *HA, voter *QuorumVoter) Bina
 	return cfg
 }
 
-// grantOne applies one batch-grant entry: a coalesced renewal first
-// when asked, falling through to a fresh assign under the frame's
-// (Epoch, Seq) when the renewal did not hold the requested budget —
-// the coordinator's unary renew-else-assign sequence, server-side.
-func (s *BinaryServer) grantOne(req BatchGrantRequest, e GrantEntry) GrantResult {
+// grantOne applies one batch-grant entry and encodes its slot straight
+// into the response: a coalesced renewal first when asked, falling
+// through to a fresh assign under the frame's (Epoch, Seq) when the
+// renewal did not hold the requested budget — the coordinator's unary
+// renew-else-assign sequence, server-side.
+func (s *BinaryServer) grantOne(w *wbuf, req *BatchGrantRequest, e GrantEntry) {
 	ep, err := s.endpoint(e.Server)
 	if err != nil {
-		return GrantResult{Server: e.Server, Err: err.Error()}
+		putGrantResult(w, e.Server, err.Error(), false, AssignResponse{})
+		return
 	}
 	if e.Renew {
 		lr := LeaseRequest{V: ProtocolV, Epoch: req.Epoch, Server: e.Server, T: req.T,
 			Iv: req.Iv, LeaseIv: req.LeaseIv, IvS: req.IvS}
 		resp, err := ep.Renew(lr)
 		if err == nil && !resp.Fenced && resp.Epoch == req.Epoch && resp.CapW == e.CapW {
-			return GrantResult{Server: e.Server, Renewed: true, Resp: AssignResponse{
+			putGrantResult(w, e.Server, "", true, AssignResponse{
 				V: ProtocolV, Server: e.Server, Epoch: resp.Epoch, CapW: resp.CapW, Fenced: resp.Fenced, Iv: resp.Iv,
-			}}
+			})
+			return
 		}
 	}
 	ar := AssignRequest{V: ProtocolV, Epoch: req.Epoch, Seq: req.Seq, Server: e.Server, T: req.T, CapW: e.CapW,
 		Iv: req.Iv, LeaseIv: req.LeaseIv, IvS: req.IvS}
 	resp, err := ep.Assign(ar)
 	if err != nil {
-		return GrantResult{Server: e.Server, Err: err.Error()}
+		putGrantResult(w, e.Server, err.Error(), false, AssignResponse{})
+		return
 	}
-	return GrantResult{Server: e.Server, Resp: resp}
+	putGrantResult(w, e.Server, "", false, resp)
 }

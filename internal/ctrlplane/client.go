@@ -111,16 +111,14 @@ func (c *rpcClient) doN(ctx context.Context, kind string, key uint64, retries in
 	return lastErr
 }
 
-// call runs one message with a retry budget: the binding's kind labels
-// telemetry and, with id (the agent, shard, or a batch's first member),
-// seeds the backoff jitter. Retrying grants is safe — renewals are
-// idempotent and a re-delivered assign or shard budget under the same
-// (Epoch, Seq) is acknowledged with the in-force state.
-func call[Req validator, Resp any](ctx context.Context, c *rpcClient, m rpc[Req, Resp], retries, id int, base string, req Req) (Resp, error) {
-	var resp Resp
-	err := c.doN(ctx, m.kind, jitterKey(m.kind, id), retries, func(ctx context.Context) (err error) {
-		resp, err = send(ctx, c.bin, base, m, req)
-		return err
+// call runs one message with a retry budget, decoding the reply into
+// *resp (unspecified on error): the binding's kind labels telemetry and,
+// with id (the agent, shard, or a batch's first member), seeds the
+// backoff jitter. Retrying grants is safe — renewals are idempotent and
+// a re-delivered assign or shard budget under the same (Epoch, Seq) is
+// acknowledged with the in-force state.
+func call[Req validator, Resp any](ctx context.Context, c *rpcClient, m rpc[Req, Resp], retries, id int, base string, req Req, resp *Resp) error {
+	return c.doN(ctx, m.kind, jitterKey(m.kind, id), retries, func(ctx context.Context) error {
+		return send(ctx, c.bin, base, m, req, resp)
 	})
-	return resp, err
 }

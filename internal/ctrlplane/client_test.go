@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"powerstruggle/internal/cluster"
 	"powerstruggle/internal/faults"
 )
 
@@ -77,7 +78,8 @@ func TestClientRetries(t *testing.T) {
 
 	c := testClient(2)
 	defer c.close()
-	resp, err := call(context.Background(), c, rpcLease, c.retries, 0, url, req)
+	var resp LeaseResponse
+	err := call(context.Background(), c, rpcLease, c.retries, 0, url, req, &resp)
 	if err != nil {
 		t.Fatalf("2 retries should absorb 2 failures: %v", err)
 	}
@@ -91,7 +93,7 @@ func TestClientRetries(t *testing.T) {
 	calls.Store(-100) // next hundred attempts all fail
 	c1 := testClient(1)
 	defer c1.close()
-	_, err = call(context.Background(), c1, rpcLease, c1.retries, 0, url, req)
+	err = call(context.Background(), c1, rpcLease, c1.retries, 0, url, req, &resp)
 	if err == nil || !strings.Contains(err.Error(), "not yet") {
 		t.Fatalf("exhausted retries: %v", err)
 	}
@@ -168,10 +170,24 @@ func TestClientRejectsInvalidReport(t *testing.T) {
 	}})
 	c := testClient(0)
 	defer c.close()
-	_, err := call(context.Background(), c, rpcScrape, 0, 0, url, scrapeRequest{server: 0})
+	err := call(context.Background(), c, rpcScrape, 0, 0, url, scrapeRequest{server: 0}, new(Report))
 	if err == nil || !strings.Contains(err.Error(), "soc") {
 		t.Fatalf("soc=7 report accepted (err %v)", err)
 	}
+}
+
+// rawPayload is a request encoded by the test: it skips the client-side
+// Validate, so the listener's own decoder is what refuses a bad message.
+type rawPayload []byte
+
+func (rawPayload) Validate() error { return nil }
+
+// sendRaw exchanges one hand-built payload and discards the reply's.
+func sendRaw(ctx context.Context, bin *binaryTransport, url string, reqType byte, payload []byte, respType byte) error {
+	m := rpc[rawPayload, struct{}]{"raw", reqType, respType,
+		func(b []byte, p rawPayload) []byte { return append(b, p...) },
+		func([]byte, *struct{}) error { return nil }}
+	return send(ctx, bin, url, m, rawPayload(payload), new(struct{}))
 }
 
 // The listener must refuse misdirected and malformed control messages
@@ -188,8 +204,7 @@ func TestHandlerRouting(t *testing.T) {
 	// rawAssign skips the client-side Validate, so the listener's own
 	// decoder is what refuses a bad message.
 	rawAssign := func(payload []byte) error {
-		_, err := bin.roundTrip(ctx, url, "assign", FrameAssignReq, payload, FrameAssignResp)
-		return err
+		return sendRaw(ctx, bin, url, FrameAssignReq, payload, FrameAssignResp)
 	}
 	refused := func(what string, err error) {
 		t.Helper()
@@ -219,7 +234,7 @@ func TestHandlerRouting(t *testing.T) {
 	if got := a.CapW(); got != 40 {
 		t.Fatalf("cap %g after refused assigns, want 40", got)
 	}
-	if _, err := send(ctx, bin, url, rpcLease, LeaseRequest{V: ProtocolV, Epoch: 1, Server: 3, T: 1, Iv: 1, LeaseIv: 1, IvS: 5}); err != nil {
+	if err := send(ctx, bin, url, rpcLease, LeaseRequest{V: ProtocolV, Epoch: 1, Server: 3, T: 1, Iv: 1, LeaseIv: 1, IvS: 5}, new(LeaseResponse)); err != nil {
 		t.Fatalf("good lease: %v", err)
 	}
 	// Every refusal above kept the conn: one dial served the lot.
@@ -228,10 +243,9 @@ func TestHandlerRouting(t *testing.T) {
 	}
 
 	// A scrape with a bad clock is refused; a good one ticks the agent.
-	_, err = bin.roundTrip(ctx, url, "report", FrameScrapeReq, appendScrapeReq(nil, scrapeRequest{3, -1, true}), FrameReportResp)
-	refused("negative scrape clock", err)
-	rep, err := send(ctx, bin, url, rpcScrape, scrapeRequest{3, 100, true})
-	if err != nil {
+	refused("negative scrape clock", sendRaw(ctx, bin, url, FrameScrapeReq, appendScrapeReq(nil, scrapeRequest{3, -1, true}), FrameReportResp))
+	var rep Report
+	if err := send(ctx, bin, url, rpcScrape, scrapeRequest{3, 100, true}, &rep); err != nil {
 		t.Fatalf("good scrape: %v", err)
 	}
 	if !rep.Fenced {
@@ -260,7 +274,8 @@ func TestInjectorWrapsFrameExchange(t *testing.T) {
 		inj.SetDown(binaryHost(url), down)
 		bin := newBinaryTransport(nil, inj)
 		t.Cleanup(bin.Close)
-		resp, err := send(ctx, bin, url, rpcAssign, grant)
+		var resp AssignResponse
+		err = send(ctx, bin, url, rpcAssign, grant, &resp)
 		return a, bin, resp, err
 	}
 
@@ -279,5 +294,67 @@ func TestInjectorWrapsFrameExchange(t *testing.T) {
 	a, bin, _, err := run(faults.NetConfig{}, true)
 	if !errors.Is(err, faults.ErrNetDrop) || a.Assigns() != 0 || bin.dials.Load() != 0 {
 		t.Fatalf("blackhole: err %v, %d assigns, %d dials", err, a.Assigns(), bin.dials.Load())
+	}
+}
+
+// A conn's frame buffers are reused frame after frame, which must not
+// turn one near-limit frame into memory pinned for the conn's idle
+// lifetime: a pooled conn that carried one 900 KiB report and then
+// small ones gives the big buffer back, while a conn that keeps
+// alternating a large reply with a small one — every interval's scrape
+// and grant — keeps its buffer instead of regrowing it each time.
+func TestConnBufferBound(t *testing.T) {
+	big := make([]cluster.CapPoint, 900<<10/24)
+	for i := range big {
+		big[i] = cluster.CapPoint{CapW: float64(i), Perf: 1, GridW: 1}
+	}
+	var curve atomic.Pointer[[]cluster.CapPoint]
+	curve.Store(&big)
+	url := serveEndpoints(t, map[int]CtrlEndpoint{0: scriptedEndpoint{
+		scrape: func(float64, bool) (Report, error) {
+			return Report{V: ProtocolV, SoC: 0.5, UtilityCurve: *curve.Load()}, nil
+		},
+	}})
+	c := NewClient()
+	defer c.Close()
+	scrape := func() {
+		t.Helper()
+		if _, err := c.Scrape(context.Background(), url, 0, 0, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pooled := func() *bconn {
+		t.Helper()
+		c.bin.mu.Lock()
+		defer c.bin.mu.Unlock()
+		if idle := c.bin.idle[binaryHost(url)]; len(idle) == 1 {
+			return idle[0]
+		}
+		t.Fatal("want exactly one pooled conn")
+		return nil
+	}
+	scrape()
+	if got := cap(pooled().in.b); got < 900<<10 {
+		t.Fatalf("after a 900 KiB reply the conn's read buffer holds %d bytes", got)
+	}
+	curve.Store(new([]cluster.CapPoint))
+	for i := 0; i < 2*frameBufWindow; i++ {
+		scrape()
+	}
+	if got := cap(pooled().in.b); got > 4*minFrameBuf {
+		t.Errorf("%d small frames later the conn still pins a %d-byte read buffer", 2*frameBufWindow, got)
+	}
+	if d := c.bin.dials.Load(); d != 1 {
+		t.Errorf("%d dials: the buffer must go, not the conn", d)
+	}
+
+	// The interval's own rhythm: a reply eight times the next one.
+	f := frameBuf{b: make([]byte, 80<<10)}
+	for i := 0; i < 4*frameBufWindow; i++ {
+		f.handled(80 << 10)
+		f.handled(10 << 10)
+	}
+	if cap(f.b) != 80<<10 {
+		t.Errorf("alternating 80 KiB and 10 KiB frames dropped the buffer (cap %d)", cap(f.b))
 	}
 }

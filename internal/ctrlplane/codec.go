@@ -89,15 +89,26 @@ func validFrameType(ftype byte) bool {
 	return (ftype >= FrameAssignReq && ftype <= FrameShardBudgetResp) || ftype == FrameError
 }
 
+// appendFrameHeader appends a frame header whose type and payload
+// length are still zero. The payload is appended straight after it and
+// finishFrame then patches both in place, so a frame is built in one
+// buffer with no size pre-pass and no copy to prepend eight bytes.
+func appendFrameHeader(b []byte) []byte {
+	return append(b, frameMagic0, frameMagic1, ProtocolV, 0, 0, 0, 0, 0)
+}
+
+// finishFrame stamps the type and payload length of the one frame that
+// starts at frame[0] and returns it.
+func finishFrame(frame []byte, ftype byte) []byte {
+	frame[3] = ftype
+	binary.BigEndian.PutUint32(frame[4:8], uint32(len(frame)-frameHeaderLen))
+	return frame
+}
+
 // EncodeFrame wraps payload in a length-prefixed frame of type ftype.
 func EncodeFrame(ftype byte, payload []byte) []byte {
-	b := make([]byte, frameHeaderLen+len(payload))
-	b[0], b[1] = frameMagic0, frameMagic1
-	b[2] = ProtocolV
-	b[3] = ftype
-	binary.BigEndian.PutUint32(b[4:8], uint32(len(payload)))
-	copy(b[frameHeaderLen:], payload)
-	return b
+	b := appendFrameHeader(make([]byte, 0, frameHeaderLen+len(payload)))
+	return finishFrame(append(b, payload...), ftype)
 }
 
 // DecodeFrame parses one frame off the front of data, returning its
@@ -128,10 +139,17 @@ func DecodeFrame(data []byte) (ftype byte, payload, rest []byte, err error) {
 	return ftype, data[frameHeaderLen : frameHeaderLen+n], data[frameHeaderLen+n:], nil
 }
 
-// readFrame reads one frame off a stream.
-func readFrame(r io.Reader) (ftype byte, payload []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame off a stream into *buf, the buffer its
+// connection owns, and returns the payload as a slice of it — valid
+// until the next readFrame on the same buffer. The buffer grows only
+// after the length has been checked against the type's bound, so a
+// lying header costs no memory.
+func readFrame(r io.Reader, buf *[]byte) (ftype byte, payload []byte, err error) {
+	if cap(*buf) < minFrameBuf {
+		*buf = make([]byte, minFrameBuf)
+	}
+	hdr := (*buf)[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
 	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
@@ -148,24 +166,45 @@ func readFrame(r io.Reader) (ftype byte, payload []byte, err error) {
 	if n > framePayloadLimit(ftype) {
 		return 0, nil, fmt.Errorf("ctrlplane: frame payload %d bytes exceeds %d", n, framePayloadLimit(ftype))
 	}
-	payload = make([]byte, n)
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	payload = (*buf)[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
 	return ftype, payload, nil
 }
 
-// writeFrame writes one frame to a stream: header, then payload, so a
-// whole-fleet batch response is not copied once more just to prepend
-// eight bytes. Callers hand it a buffered writer and flush.
-func writeFrame(w io.Writer, ftype byte, payload []byte) error {
-	hdr := [frameHeaderLen]byte{frameMagic0, frameMagic1, ProtocolV, ftype}
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// minFrameBuf is the smallest frame buffer a connection keeps: every
+// unary frame fits, so only batch and trunk frames ever grow one.
+const minFrameBuf = 1024
+
+// frameBuf is a frame buffer its connection owns across frames, with a
+// bound on what it may pin: a conn that once carried a near-limit frame
+// must not hold that buffer for its idle lifetime. Every
+// frameBufWindow frames the buffer is compared with the largest frame of
+// that window and dropped when it is more than four times as large; the
+// next frame then allocates to its own size. The window is what keeps a
+// conn that alternates a large scrape reply with a small grant reply
+// from dropping and regrowing its buffer every interval.
+type frameBuf struct {
+	b            []byte
+	peak, frames int
+}
+
+const frameBufWindow = 16
+
+// handled records one frame of n bytes through the buffer.
+func (f *frameBuf) handled(n int) {
+	f.peak = max(f.peak, n)
+	if f.frames++; f.frames < frameBufWindow {
+		return
 	}
-	_, err := w.Write(payload)
-	return err
+	if cap(f.b) > 4*max(f.peak, minFrameBuf) {
+		f.b = nil
+	}
+	f.peak, f.frames = 0, 0
 }
 
 // wbuf appends fixed-width big-endian scalars.
@@ -278,6 +317,70 @@ func (r *rbuf) str() string {
 	return string(p)
 }
 
+// strHeld is str for a destination that already holds a value: when
+// the wire repeats held it is returned as is, so a string that never
+// changes (an agent's version, a standing error) is not materialised
+// again on every frame.
+func (r *rbuf) strHeld(held string) string {
+	p := r.take(int(r.u16()))
+	if p == nil {
+		return ""
+	}
+	if string(p) == held {
+		return held
+	}
+	return string(p)
+}
+
+// curve reads n cap points (what names them in the lying-count error).
+// held is the curve the destination carried before: when the wire
+// repeats it point for point, held itself is returned — a static curve
+// costs a comparison and stays pointer-stable for whoever kept it.
+// Otherwise the points land in a fresh slice, never in held's backing
+// array: a member, an apportioner snapshot or a caller may still be
+// reading it.
+func (r *rbuf) curve(n int, held []cluster.CapPoint, what string) []cluster.CapPoint {
+	if r.err == nil && n*24 > len(r.b)-r.off {
+		r.fail("%s count %d exceeds payload", what, n)
+	}
+	p := r.take(n * 24)
+	if len(p) == 0 {
+		return nil
+	}
+	u64 := binary.BigEndian.Uint64
+	same := len(held) == n
+	for i := 0; same && i < n; i++ {
+		q, h := p[24*i:], held[i]
+		same = u64(q) == math.Float64bits(h.CapW) && u64(q[8:]) == math.Float64bits(h.Perf) && u64(q[16:]) == math.Float64bits(h.GridW)
+	}
+	if same {
+		return held
+	}
+	out := make([]cluster.CapPoint, n)
+	for i := range out {
+		q := p[24*i:]
+		out[i] = cluster.CapPoint{
+			CapW:  math.Float64frombits(u64(q)),
+			Perf:  math.Float64frombits(u64(q[8:])),
+			GridW: math.Float64frombits(u64(q[16:])),
+		}
+	}
+	return out
+}
+
+// slots resizes a decode destination's slice to n elements, reusing its
+// backing array when that is large enough. Elements keep whatever they
+// last held: the decoders overwrite every field of every slot.
+func slots[T any](s []T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // done returns the latched error, or rejects trailing bytes — the
 // binary mirror of decodeStrict's dec.More() check.
 func (r *rbuf) done() error {
@@ -347,7 +450,7 @@ func decodeScrapeReq(p []byte) (scrapeRequest, error) {
 // embedded mid-stream in batch responses.
 const curveMetaFlag = uint32(1) << 31
 
-func putReport(w *wbuf, rep Report) {
+func putReport(w *wbuf, rep *Report) {
 	w.i64(int64(rep.Server))
 	w.u64(rep.Epoch)
 	w.u64(rep.Seq)
@@ -378,20 +481,10 @@ func putReport(w *wbuf, rep Report) {
 	w.u64(rep.Iv)
 }
 
-// reportSize is the number of bytes putReport appends for rep: ten
-// 8-byte scalars, two bools, the version's u16 length and the curve's
-// u32 count are the fixed 88 (TestBatchResponseSizes holds it to the
-// encoder).
-func reportSize(rep Report) int {
-	n := 88 + len(rep.Version) + 24*len(rep.UtilityCurve)
-	if rep.CurveConf != 0 || rep.CurveCells != 0 {
-		n += 12
-	}
-	return n
-}
-
-func getReport(r *rbuf) Report {
-	var rep Report
+// getReport decodes one report into *rep, overwriting every field. The
+// version and the curve are kept when the wire repeats what *rep already
+// holds (see strHeld, curve).
+func getReport(r *rbuf, rep *Report) {
 	rep.V = ProtocolV
 	rep.Server = r.integer()
 	rep.Epoch = r.u64()
@@ -404,20 +497,11 @@ func getReport(r *rbuf) Report {
 	rep.SafeMode = r.boolean()
 	rep.IdleFloorW = r.f64()
 	rep.NameplateW = r.f64()
-	rep.Version = r.str()
+	rep.Version = r.strHeld(rep.Version)
 	cw := r.u32()
-	hasMeta := cw&curveMetaFlag != 0
-	n := int(cw &^ curveMetaFlag)
-	if r.err == nil && n*24 > len(r.b)-r.off {
-		r.fail("curve count %d exceeds payload", n)
-	}
-	if r.err == nil && n > 0 {
-		rep.UtilityCurve = make([]cluster.CapPoint, n)
-		for i := range rep.UtilityCurve {
-			rep.UtilityCurve[i] = cluster.CapPoint{CapW: r.f64(), Perf: r.f64(), GridW: r.f64()}
-		}
-	}
-	if hasMeta {
+	rep.UtilityCurve = r.curve(int(cw&^curveMetaFlag), rep.UtilityCurve, "curve")
+	rep.CurveConf, rep.CurveCells = 0, 0
+	if cw&curveMetaFlag != 0 {
 		rep.CurveConf = r.f64()
 		rep.CurveCells = int(r.u32())
 		if r.err == nil && rep.CurveConf == 0 && rep.CurveCells == 0 {
@@ -427,25 +511,23 @@ func getReport(r *rbuf) Report {
 		}
 	}
 	rep.Iv = r.u64()
-	return rep
 }
 
-func appendReportPayload(b []byte, rep Report) []byte {
+func appendReportPayload(b []byte, rep *Report) []byte {
 	w := wbuf{b: b}
 	putReport(&w, rep)
 	return w.b
 }
 
-func decodeReportPayload(p []byte) (Report, error) {
+// decodeReportPayload decodes into *rep; on error its contents are
+// unspecified.
+func decodeReportPayload(p []byte, rep *Report) error {
 	r := rbuf{b: p}
-	rep := getReport(&r)
+	getReport(&r, rep)
 	if err := r.done(); err != nil {
-		return Report{}, err
+		return err
 	}
-	if err := rep.Validate(); err != nil {
-		return Report{}, err
-	}
-	return rep, nil
+	return rep.Validate()
 }
 
 // --- AssignRequest / AssignResponse ---
@@ -497,9 +579,6 @@ func putAssignResp(w *wbuf, resp AssignResponse) {
 	w.boolean(resp.SafeMode)
 	w.u64(resp.Iv)
 }
-
-// assignRespSize is the number of bytes putAssignResp appends.
-const assignRespSize = 67
 
 func getAssignResp(r *rbuf) AssignResponse {
 	var resp AssignResponse
@@ -900,9 +979,11 @@ func appendBatchScrapeReq(b []byte, req BatchScrapeRequest) []byte {
 	return w.b
 }
 
-func decodeBatchScrapeReqPayload(p []byte) (BatchScrapeRequest, error) {
+// decodeBatchScrapeReqPayload decodes into *req, reusing its Servers
+// capacity (the server keeps one per connection); on error its contents
+// are unspecified.
+func decodeBatchScrapeReqPayload(p []byte, req *BatchScrapeRequest) error {
 	r := rbuf{b: p}
-	var req BatchScrapeRequest
 	req.V = ProtocolV
 	req.T = r.f64()
 	req.HasT = r.boolean()
@@ -911,45 +992,25 @@ func decodeBatchScrapeReqPayload(p []byte) (BatchScrapeRequest, error) {
 		r.fail("batch scrape count %d exceeds payload", n)
 	}
 	if r.err == nil {
-		req.Servers = make([]int, n)
+		req.Servers = slots(req.Servers, n)
 		for i := range req.Servers {
 			req.Servers[i] = r.integer()
 		}
 	}
 	if err := r.done(); err != nil {
-		return BatchScrapeRequest{}, err
+		return err
 	}
-	if err := req.Validate(); err != nil {
-		return BatchScrapeRequest{}, err
-	}
-	return req, nil
+	return req.Validate()
 }
 
-func appendBatchScrapeRespPayload(b []byte, resp BatchScrapeResponse) []byte {
-	w := wbuf{b: b}
-	w.u32(uint32(len(resp.Results)))
-	for _, res := range resp.Results {
-		w.i64(int64(res.Server))
-		w.str(res.Err)
-		if res.Err == "" {
-			putReport(&w, res.Report)
-		}
+// putScrapeResult encodes one batch-scrape response slot: the report
+// when errMsg is empty, the per-agent error otherwise.
+func putScrapeResult(w *wbuf, server int, errMsg string, rep *Report) {
+	w.i64(int64(server))
+	w.str(errMsg)
+	if errMsg == "" {
+		putReport(w, rep)
 	}
-	return w.b
-}
-
-// batchScrapeRespSize is the payload size appendBatchScrapeRespPayload
-// produces, so the server encodes into one right-sized buffer.
-func batchScrapeRespSize(resp BatchScrapeResponse) int {
-	n := 4
-	for i := range resp.Results {
-		res := &resp.Results[i]
-		n += minBatchResultBytes + len(res.Err)
-		if res.Err == "" {
-			n += reportSize(res.Report)
-		}
-	}
-	return n
 }
 
 // minBatchResultBytes is the least one batch response slot occupies on
@@ -974,32 +1035,30 @@ func batchRespCount(r *rbuf, what string) int {
 	return n
 }
 
-func decodeBatchScrapeRespPayload(p []byte) (BatchScrapeResponse, error) {
+// decodeBatchScrapeRespPayload decodes into *resp, reusing its Results
+// capacity and overwriting every slot in full, so nothing a slot's
+// previous occupant held — an error, a curve, curve meta — survives into
+// this reply. On error the contents are unspecified.
+func decodeBatchScrapeRespPayload(p []byte, resp *BatchScrapeResponse) error {
 	r := rbuf{b: p}
-	var resp BatchScrapeResponse
 	resp.V = ProtocolV
-	n := batchRespCount(&r, "scrape")
-	if n > 0 {
-		resp.Results = make([]ScrapeResult, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		var res ScrapeResult
+	resp.Results = slots(resp.Results, batchRespCount(&r, "scrape"))
+	for i := 0; i < len(resp.Results) && r.err == nil; i++ {
+		res := &resp.Results[i]
 		res.Server = r.integer()
-		res.Err = r.str()
-		if res.Err == "" {
-			res.Report = getReport(&r)
-			if r.err == nil {
-				if err := res.Report.Validate(); err != nil {
-					return BatchScrapeResponse{}, err
-				}
+		res.Err = r.strHeld(res.Err)
+		if res.Err != "" {
+			res.Report = Report{}
+			continue
+		}
+		getReport(&r, &res.Report)
+		if r.err == nil {
+			if err := res.Report.Validate(); err != nil {
+				return err
 			}
 		}
-		resp.Results = append(resp.Results, res)
 	}
-	if err := r.done(); err != nil {
-		return BatchScrapeResponse{}, err
-	}
-	return resp, nil
+	return r.done()
 }
 
 func appendBatchGrantReq(b []byte, req BatchGrantRequest) []byte {
@@ -1019,9 +1078,10 @@ func appendBatchGrantReq(b []byte, req BatchGrantRequest) []byte {
 	return w.b
 }
 
-func decodeBatchGrantReqPayload(p []byte) (BatchGrantRequest, error) {
+// decodeBatchGrantReqPayload decodes into *req, reusing its Entries
+// capacity; on error its contents are unspecified.
+func decodeBatchGrantReqPayload(p []byte, req *BatchGrantRequest) error {
 	r := rbuf{b: p}
-	var req BatchGrantRequest
 	req.V = ProtocolV
 	req.Epoch = r.u64()
 	req.Seq = r.u64()
@@ -1034,69 +1094,46 @@ func decodeBatchGrantReqPayload(p []byte) (BatchGrantRequest, error) {
 		r.fail("batch grant count %d exceeds payload", n)
 	}
 	if r.err == nil {
-		req.Entries = make([]GrantEntry, n)
+		req.Entries = slots(req.Entries, n)
 		for i := range req.Entries {
 			req.Entries[i] = GrantEntry{Server: r.integer(), CapW: r.f64(), Renew: r.boolean()}
 		}
 	}
 	if err := r.done(); err != nil {
-		return BatchGrantRequest{}, err
+		return err
 	}
-	if err := req.Validate(); err != nil {
-		return BatchGrantRequest{}, err
-	}
-	return req, nil
+	return req.Validate()
 }
 
-func appendBatchGrantRespPayload(b []byte, resp BatchGrantResponse) []byte {
-	w := wbuf{b: b}
-	w.u32(uint32(len(resp.Results)))
-	for _, res := range resp.Results {
-		w.i64(int64(res.Server))
-		w.str(res.Err)
-		if res.Err == "" {
-			w.boolean(res.Renewed)
-			putAssignResp(&w, res.Resp)
-		}
+// putGrantResult encodes one batch-grant response slot: the renewed
+// flag and the acknowledgement when errMsg is empty, the per-agent error
+// otherwise.
+func putGrantResult(w *wbuf, server int, errMsg string, renewed bool, resp AssignResponse) {
+	w.i64(int64(server))
+	w.str(errMsg)
+	if errMsg == "" {
+		w.boolean(renewed)
+		putAssignResp(w, resp)
 	}
-	return w.b
 }
 
-// batchGrantRespSize is the payload size appendBatchGrantRespPayload
-// produces.
-func batchGrantRespSize(resp BatchGrantResponse) int {
-	n := 4
-	for i := range resp.Results {
-		n += minBatchResultBytes + len(resp.Results[i].Err)
-		if resp.Results[i].Err == "" {
-			n += 1 + assignRespSize
-		}
-	}
-	return n
-}
-
-func decodeBatchGrantRespPayload(p []byte) (BatchGrantResponse, error) {
+// decodeBatchGrantRespPayload decodes into *resp under the same
+// contract as decodeBatchScrapeRespPayload.
+func decodeBatchGrantRespPayload(p []byte, resp *BatchGrantResponse) error {
 	r := rbuf{b: p}
-	var resp BatchGrantResponse
 	resp.V = ProtocolV
-	n := batchRespCount(&r, "grant")
-	if n > 0 {
-		resp.Results = make([]GrantResult, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		var res GrantResult
+	resp.Results = slots(resp.Results, batchRespCount(&r, "grant"))
+	for i := 0; i < len(resp.Results) && r.err == nil; i++ {
+		res := &resp.Results[i]
 		res.Server = r.integer()
-		res.Err = r.str()
+		res.Err = r.strHeld(res.Err)
+		res.Renewed, res.Resp = false, AssignResponse{}
 		if res.Err == "" {
 			res.Renewed = r.boolean()
 			res.Resp = getAssignResp(&r)
 		}
-		resp.Results = append(resp.Results, res)
 	}
-	if err := r.done(); err != nil {
-		return BatchGrantResponse{}, err
-	}
-	return resp, nil
+	return r.done()
 }
 
 // --- shard↔global trunk messages (binary-only; see docs/WIRE.md §6) ---
@@ -1153,9 +1190,11 @@ func appendShardReportPayload(b []byte, rep ShardReport) []byte {
 	return w.b
 }
 
-func decodeShardReportPayload(p []byte) (ShardReport, error) {
+// decodeShardReportPayload decodes into *rep, overwriting every field;
+// the curve is kept when the wire repeats what *rep already holds (see
+// rbuf.curve). On error the contents are unspecified.
+func decodeShardReportPayload(p []byte, rep *ShardReport) error {
 	r := rbuf{b: p}
-	var rep ShardReport
 	rep.V = ProtocolV
 	rep.Shard = r.integer()
 	rep.Epoch = r.u64()
@@ -1169,26 +1208,14 @@ func decodeShardReportPayload(p []byte) (ShardReport, error) {
 	rep.CapW = r.f64()
 	rep.BudgetW = r.f64()
 	rep.Starved = r.boolean()
-	n := int(r.u32())
-	if r.err == nil && n*24 > len(r.b)-r.off {
-		r.fail("shard curve count %d exceeds payload", n)
-	}
-	if r.err == nil && n > 0 {
-		rep.Curve = make([]cluster.CapPoint, n)
-		for i := range rep.Curve {
-			rep.Curve[i] = cluster.CapPoint{CapW: r.f64(), Perf: r.f64(), GridW: r.f64()}
-		}
-	}
+	rep.Curve = r.curve(int(r.u32()), rep.Curve, "shard curve")
 	rep.GEpoch = r.u64()
 	rep.GSeq = r.u64()
 	rep.GIv = r.u64()
 	if err := r.done(); err != nil {
-		return ShardReport{}, err
+		return err
 	}
-	if err := rep.Validate(); err != nil {
-		return ShardReport{}, err
-	}
-	return rep, nil
+	return rep.Validate()
 }
 
 func appendShardBudgetReq(b []byte, req ShardBudgetRequest) []byte {

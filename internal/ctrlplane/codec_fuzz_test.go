@@ -41,7 +41,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				return
 			}
 			consumed := len(rest) - len(next)
-			re, derr := reencodePayload(ftype, payload)
+			re, derr := reencodePayload(t, ftype, payload)
 			if derr == nil {
 				frame := EncodeFrame(ftype, re)
 				if !bytes.Equal(frame, rest[:consumed]) {

@@ -35,7 +35,7 @@ func canonicalMessages() map[byte][]byte {
 	term := WireTerm{Epoch: 4, Leader: "coord-a", ExpiresUnixNano: 1700000000000000000}
 	return map[byte][]byte{
 		FrameScrapeReq:  appendScrapeReq(nil, scrapeRequest{3, 1200.5, true}),
-		FrameReportResp: appendReportPayload(nil, rep),
+		FrameReportResp: appendReportPayload(nil, &rep),
 		FrameAssignReq: appendAssignReq(nil, AssignRequest{
 			V: ProtocolV, Epoch: 2, Seq: 9, Server: 3, T: 1200.5, CapW: 85.5,
 			Iv: 42, LeaseIv: 3, IvS: 1.5,
@@ -123,10 +123,129 @@ func rep2(r Report, server int) Report {
 	return r
 }
 
+// The whole-message batch response encoders: the server never builds a
+// response value (it encodes each slot as the agent answers), so these
+// exist for the corpora, on the same slot encoders.
+func appendBatchScrapeRespPayload(b []byte, resp BatchScrapeResponse) []byte {
+	w := wbuf{b: b}
+	w.u32(uint32(len(resp.Results)))
+	for i := range resp.Results {
+		res := &resp.Results[i]
+		putScrapeResult(&w, res.Server, res.Err, &res.Report)
+	}
+	return w.b
+}
+
+func appendBatchGrantRespPayload(b []byte, resp BatchGrantResponse) []byte {
+	w := wbuf{b: b}
+	w.u32(uint32(len(resp.Results)))
+	for _, res := range resp.Results {
+		putGrantResult(&w, res.Server, res.Err, res.Renewed, res.Resp)
+	}
+	return w.b
+}
+
+// fresh decodes p into a zero destination.
+func fresh[T any](dec func([]byte, *T) error, p []byte) (T, error) {
+	var v T
+	err := dec(p, &v)
+	return v, err
+}
+
+// The dirty destinations: each last held a different, larger message
+// than anything in the corpora, with every field set — errors, curves,
+// curve meta, even an error beside a report, which no decode produces.
+func dirtyCurve() []cluster.CapPoint {
+	return []cluster.CapPoint{{CapW: 1, Perf: 2, GridW: 3}, {CapW: 4, Perf: 5, GridW: 6}, {CapW: 7, Perf: 8, GridW: 9},
+		{CapW: 10, Perf: 11, GridW: 12}, {CapW: 13, Perf: 14, GridW: 15}}
+}
+
+func dirtyReport() Report {
+	return Report{V: 99, Server: 77, Epoch: 88, Seq: 99, CapW: 11, PerfN: 12, GridW: 13, SoC: 0.9,
+		Fenced: true, SafeMode: true, IdleFloorW: 14, NameplateW: 15, UtilityCurve: dirtyCurve(),
+		CurveConf: 0.33, CurveCells: 44, Version: "dirty-build", Iv: 55}
+}
+
+func dirtyAssignResp() AssignResponse {
+	return AssignResponse{V: 99, Server: 77, Epoch: 88, Seq: 99, Applied: true, CapW: 11, PerfN: 12,
+		GridW: 13, SoC: 0.9, Fenced: true, SafeMode: true, Iv: 55}
+}
+
+func dirtyBatchScrapeResp() BatchScrapeResponse {
+	resp := BatchScrapeResponse{V: 99}
+	for i := 0; i < 7; i++ {
+		resp.Results = append(resp.Results, ScrapeResult{Server: 70 + i, Err: "stale error", Report: dirtyReport()})
+	}
+	return resp
+}
+
+func dirtyBatchGrantResp() BatchGrantResponse {
+	resp := BatchGrantResponse{V: 99}
+	for i := 0; i < 7; i++ {
+		resp.Results = append(resp.Results, GrantResult{Server: 70 + i, Err: "stale error", Renewed: true, Resp: dirtyAssignResp()})
+	}
+	return resp
+}
+
+func dirtyBatchScrapeReq() BatchScrapeRequest {
+	return BatchScrapeRequest{V: 99, T: 77, HasT: true, Servers: []int{9, 8, 7, 6, 5, 4, 3, 2, 1}}
+}
+
+func dirtyBatchGrantReq() BatchGrantRequest {
+	req := BatchGrantRequest{V: 99, Epoch: 88, Seq: 99, T: 77, Iv: 55, LeaseIv: 66, IvS: 7}
+	for i := 0; i < 9; i++ {
+		req.Entries = append(req.Entries, GrantEntry{Server: 70 + i, CapW: 11, Renew: true})
+	}
+	return req
+}
+
+func dirtyShardReport() ShardReport {
+	return ShardReport{V: 99, Shard: 77, Epoch: 88, Seq: 99, T: 11, Leading: true, Agents: 12, FloorW: 13,
+		DemandW: 14, UsedW: 15, CapW: 16, BudgetW: 17, Starved: true, Curve: dirtyCurve(), GEpoch: 18, GSeq: 19, GIv: 20}
+}
+
+// decodeReused is the decode-into equivalence check every corpus and
+// fuzz input runs through: p decoded into a zero destination, into a
+// dirty one, and into one already holding p's own message must agree —
+// the same rejection, or the same value down to fields the wire does not
+// carry (a slot's report beside its error) and the same re-encoding — so
+// reusing a destination can never leak a stale slot. It returns the
+// fresh decode.
+func decodeReused[T any](t testing.TB, dec func([]byte, *T) error, enc func([]byte, T) []byte, dirty T, p []byte) (T, error) {
+	t.Helper()
+	got, err := fresh(dec, p)
+	derr := dec(p, &dirty)
+	if (err == nil) != (derr == nil) || (err != nil && err.Error() != derr.Error()) {
+		t.Fatalf("%T: fresh decode says %v, dirty destination says %v", got, err, derr)
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	held := got // shares got's slices: the destination already holds p
+	if err := dec(p, &held); err != nil {
+		t.Fatalf("%T: decode into a destination holding the same message: %v", got, err)
+	}
+	for name, reused := range map[string]T{"dirty": dirty, "held": held} {
+		if !bytes.Equal(enc(nil, reused), enc(nil, got)) {
+			t.Fatalf("%T: %s destination re-encodes differently:\n got %+v\nwant %+v", got, name, reused, got)
+		}
+		// NaNs (legal in an unvalidated acknowledgement) defeat DeepEqual
+		// on any value, the fresh one included.
+		if reflect.DeepEqual(got, got) && !reflect.DeepEqual(reused, got) {
+			t.Fatalf("%T: %s destination kept stale state:\n got %+v\nwant %+v", got, name, reused, got)
+		}
+	}
+	return got, nil
+}
+
+func encReport(b []byte, rep Report) []byte { return appendReportPayload(b, &rep) }
+
 // reencodePayload decodes payload as ftype's message and re-encodes it;
-// ok is false when ftype has no decoder (never: all types covered) and
-// err is the decode error.
-func reencodePayload(ftype byte, payload []byte) ([]byte, error) {
+// err is the decode error. The messages that decode into a reusable
+// destination take the decodeReused check on the way.
+func reencodePayload(t testing.TB, ftype byte, payload []byte) ([]byte, error) {
+	t.Helper()
 	switch ftype {
 	case FrameScrapeReq:
 		req, err := decodeScrapeReq(payload)
@@ -135,11 +254,11 @@ func reencodePayload(ftype byte, payload []byte) ([]byte, error) {
 		}
 		return appendScrapeReq(nil, req), nil
 	case FrameReportResp:
-		rep, err := decodeReportPayload(payload)
+		rep, err := decodeReused(t, decodeReportPayload, encReport, dirtyReport(), payload)
 		if err != nil {
 			return nil, err
 		}
-		return appendReportPayload(nil, rep), nil
+		return encReport(nil, rep), nil
 	case FrameAssignReq:
 		req, err := decodeAssignReqPayload(payload)
 		if err != nil {
@@ -200,25 +319,25 @@ func reencodePayload(ftype byte, payload []byte) ([]byte, error) {
 		}
 		return appendLeaderStatusPayload(nil, st), nil
 	case FrameBatchScrapeReq:
-		req, err := decodeBatchScrapeReqPayload(payload)
+		req, err := decodeReused(t, decodeBatchScrapeReqPayload, appendBatchScrapeReq, dirtyBatchScrapeReq(), payload)
 		if err != nil {
 			return nil, err
 		}
 		return appendBatchScrapeReq(nil, req), nil
 	case FrameBatchScrapeResp:
-		resp, err := decodeBatchScrapeRespPayload(payload)
+		resp, err := decodeReused(t, decodeBatchScrapeRespPayload, appendBatchScrapeRespPayload, dirtyBatchScrapeResp(), payload)
 		if err != nil {
 			return nil, err
 		}
 		return appendBatchScrapeRespPayload(nil, resp), nil
 	case FrameBatchGrantReq:
-		req, err := decodeBatchGrantReqPayload(payload)
+		req, err := decodeReused(t, decodeBatchGrantReqPayload, appendBatchGrantReq, dirtyBatchGrantReq(), payload)
 		if err != nil {
 			return nil, err
 		}
 		return appendBatchGrantReq(nil, req), nil
 	case FrameBatchGrantResp:
-		resp, err := decodeBatchGrantRespPayload(payload)
+		resp, err := decodeReused(t, decodeBatchGrantRespPayload, appendBatchGrantRespPayload, dirtyBatchGrantResp(), payload)
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +349,7 @@ func reencodePayload(ftype byte, payload []byte) ([]byte, error) {
 		}
 		return appendShardReportReq(nil, req), nil
 	case FrameShardReportResp:
-		rep, err := decodeShardReportPayload(payload)
+		rep, err := decodeReused(t, decodeShardReportPayload, appendShardReportPayload, dirtyShardReport(), payload)
 		if err != nil {
 			return nil, err
 		}
@@ -278,18 +397,25 @@ func TestFrameRoundTrip(t *testing.T) {
 		if gotType != ftype || len(rest) != 0 {
 			t.Fatalf("frame %#02x decoded as %#02x with %d rest bytes", ftype, gotType, len(rest))
 		}
-		re, err := reencodePayload(ftype, gotPayload)
+		re, err := reencodePayload(t, ftype, gotPayload)
 		if err != nil {
 			t.Fatalf("frame %#02x payload decode: %v", ftype, err)
 		}
 		if !bytes.Equal(re, payload) {
 			t.Fatalf("frame %#02x re-encoded %d bytes != original %d", ftype, len(re), len(payload))
 		}
-		// The server's stream writer emits the same bytes without
-		// building the frame in memory first.
-		var streamed bytes.Buffer
-		if err := writeFrame(&streamed, ftype, payload); err != nil || !bytes.Equal(streamed.Bytes(), frame) {
-			t.Fatalf("frame %#02x: writeFrame wrote %d bytes (err %v) != EncodeFrame's %d", ftype, streamed.Len(), err, len(frame))
+		// Both ends of a conn build a frame in place — header, payload
+		// appended after it, type and length patched — and read it back
+		// through the conn's buffer: the same bytes as EncodeFrame's, the
+		// same payload as DecodeFrame's.
+		inPlace := finishFrame(append(appendFrameHeader([]byte("junk")[:0]), payload...), ftype)
+		if !bytes.Equal(inPlace, frame) {
+			t.Fatalf("frame %#02x: built in place %x != EncodeFrame's %x", ftype, inPlace, frame)
+		}
+		var buf []byte
+		readType, readPayload, err := readFrame(bytes.NewReader(frame), &buf)
+		if err != nil || readType != ftype || !bytes.Equal(readPayload, payload) {
+			t.Fatalf("frame %#02x: readFrame gave type %#02x, %d payload bytes, err %v", ftype, readType, len(readPayload), err)
 		}
 	}
 }
@@ -304,7 +430,7 @@ func TestTypedRoundTrips(t *testing.T) {
 		Version:      "dev",
 		UtilityCurve: []cluster.CapPoint{{CapW: 25, Perf: 0, GridW: 25}, {CapW: 120, Perf: 1, GridW: 110}},
 	}
-	got, err := decodeReportPayload(appendReportPayload(nil, rep))
+	got, err := fresh(decodeReportPayload, appendReportPayload(nil, &rep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +441,7 @@ func TestTypedRoundTrips(t *testing.T) {
 	// A learned curve's meta fields survive the flag-bit encoding.
 	rep.CurveConf = 0.375
 	rep.CurveCells = 3
-	got, err = decodeReportPayload(appendReportPayload(nil, rep))
+	got, err = fresh(decodeReportPayload, appendReportPayload(nil, &rep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +475,7 @@ func TestTypedRoundTrips(t *testing.T) {
 		Curve:   []cluster.CapPoint{{CapW: 720, Perf: 0, GridW: 720}, {CapW: 960, Perf: 16, GridW: 950}},
 		GEpoch:  1, GSeq: 8, GIv: 7,
 	}
-	gotS, err := decodeShardReportPayload(appendShardReportPayload(nil, srep))
+	gotS, err := fresh(decodeShardReportPayload, appendShardReportPayload(nil, srep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +498,7 @@ func TestTypedRoundTrips(t *testing.T) {
 		Iv: 7, LeaseIv: 2, IvS: 0.5,
 		Entries: []GrantEntry{{Server: 0, CapW: 50, Renew: true}, {Server: 9, CapW: 0}},
 	}
-	gotB, err := decodeBatchGrantReqPayload(appendBatchGrantReq(nil, breq))
+	gotB, err := fresh(decodeBatchGrantReqPayload, appendBatchGrantReq(nil, breq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,28 +569,58 @@ func lyingBatchResponses() [][]byte {
 	return out
 }
 
-// The server sizes a batch response's payload buffer from its results;
-// the size functions must agree with the encoders to the byte, or the
-// buffer silently grows (or over-reserves) on every interval.
-func TestBatchResponseSizes(t *testing.T) {
+// TestDecodeIntoReusesDestination pins what reuse buys and what it may
+// not cost: a destination decoded into again keeps its result slab, its
+// version strings and its static curves (the very slices — a member and
+// the apportioner snapshot hold them), a changed curve lands in a fresh
+// slice with the held one untouched, and a fresh decode reserves exactly
+// what it needs.
+func TestDecodeIntoReusesDestination(t *testing.T) {
 	msgs := canonicalMessages()
-	scrape, err := decodeBatchScrapeRespPayload(msgs[FrameBatchScrapeResp])
-	if err != nil {
+	var resp BatchScrapeResponse
+	if err := decodeBatchScrapeRespPayload(msgs[FrameBatchScrapeResp], &resp); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := batchScrapeRespSize(scrape), len(msgs[FrameBatchScrapeResp]); got != want {
-		t.Errorf("batchScrapeRespSize = %d, encoder wrote %d bytes", got, want)
+	if cap(resp.Results) != len(resp.Results) {
+		t.Errorf("fresh decode over-reserves: %d results in capacity %d", len(resp.Results), cap(resp.Results))
 	}
-	grant, err := decodeBatchGrantRespPayload(msgs[FrameBatchGrantResp])
-	if err != nil {
+	slab, curve := &resp.Results[0], resp.Results[0].Report.UtilityCurve
+	kept := append([]cluster.CapPoint(nil), curve...)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := decodeBatchScrapeRespPayload(msgs[FrameBatchScrapeResp], &resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("decoding an unchanged reply into its own destination allocates %v objects", allocs)
+	}
+	if &resp.Results[0] != slab || &resp.Results[0].Report.UtilityCurve[0] != &curve[0] {
+		t.Error("decoding an unchanged reply moved the result slab or a static curve")
+	}
+
+	moved := resp.Results[0].Report
+	moved.UtilityCurve = append([]cluster.CapPoint(nil), curve...)
+	moved.UtilityCurve[1].Perf += 0.125
+	changed := appendBatchScrapeRespPayload(nil, BatchScrapeResponse{Results: []ScrapeResult{{Server: 0, Report: moved}}})
+	if err := decodeBatchScrapeRespPayload(changed, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := batchGrantRespSize(grant), len(msgs[FrameBatchGrantResp]); got != want {
-		t.Errorf("batchGrantRespSize = %d, encoder wrote %d bytes", got, want)
+	if !reflect.DeepEqual(resp.Results[0].Report, moved) {
+		t.Errorf("changed curve decoded as %+v, want %+v", resp.Results[0].Report, moved)
 	}
-	if cap(scrape.Results) != len(scrape.Results) || cap(grant.Results) != len(grant.Results) {
-		t.Errorf("decoded result slices over-reserve: scrape %d/%d, grant %d/%d",
-			len(scrape.Results), cap(scrape.Results), len(grant.Results), cap(grant.Results))
+	if !reflect.DeepEqual(curve, kept) {
+		t.Errorf("decoding a changed curve wrote the held slice in place: %+v, was %+v", curve, kept)
+	}
+
+	var srep ShardReport
+	for i := 0; i < 2; i++ {
+		if err := decodeShardReportPayload(msgs[FrameShardReportResp], &srep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := &srep.Curve[0]
+	if err := decodeShardReportPayload(msgs[FrameShardReportResp], &srep); err != nil || &srep.Curve[0] != first {
+		t.Errorf("decoding an unchanged shard report moved its curve (err %v)", err)
 	}
 }
 
@@ -489,23 +645,23 @@ func TestPayloadStrictness(t *testing.T) {
 	if _, err := decodeScrapeReq(appendScrapeReq(nil, scrapeRequest{1, 5, false})); err == nil || !strings.Contains(err.Error(), "without hasT") {
 		t.Errorf("unary scrape time without hasT: got %v", err)
 	}
-	if _, err := decodeBatchScrapeReqPayload(appendBatchScrapeReq(nil, BatchScrapeRequest{V: ProtocolV, T: 5, Servers: []int{1}})); err == nil || !strings.Contains(err.Error(), "without hasT") {
+	if _, err := fresh(decodeBatchScrapeReqPayload, appendBatchScrapeReq(nil, BatchScrapeRequest{V: ProtocolV, T: 5, Servers: []int{1}})); err == nil || !strings.Contains(err.Error(), "without hasT") {
 		t.Errorf("batch scrape time without hasT: got %v", err)
 	}
 
 	// A curve count past the remaining payload must fail fast, not
 	// allocate. With an empty curve the count u32 sits just before the
 	// trailing interval-counter u64.
-	rep := appendReportPayload(nil, Report{V: ProtocolV, Server: 0, SoC: 0.5, Version: ""})
+	rep := appendReportPayload(nil, &Report{V: ProtocolV, Server: 0, SoC: 0.5, Version: ""})
 	binary.BigEndian.PutUint32(rep[len(rep)-12:len(rep)-8], 1<<30)
-	if _, err := decodeReportPayload(rep); err == nil || !strings.Contains(err.Error(), "curve count") {
+	if _, err := fresh(decodeReportPayload, rep); err == nil || !strings.Contains(err.Error(), "curve count") {
 		t.Errorf("lying curve count: got %v", err)
 	}
 
 	// Same for batch entry counts.
 	batch := appendBatchScrapeReq(nil, BatchScrapeRequest{V: ProtocolV, HasT: true, T: 1, Servers: []int{0}})
 	binary.BigEndian.PutUint32(batch[9:13], 1<<30)
-	if _, err := decodeBatchScrapeReqPayload(batch); err == nil || !strings.Contains(err.Error(), "exceeds payload") {
+	if _, err := fresh(decodeBatchScrapeReqPayload, batch); err == nil || !strings.Contains(err.Error(), "exceeds payload") {
 		t.Errorf("lying batch count: got %v", err)
 	}
 
@@ -517,9 +673,9 @@ func TestPayloadStrictness(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if lying[3] == FrameBatchScrapeResp {
-			_, err = decodeBatchScrapeRespPayload(lying[frameHeaderLen:])
+			_, err = fresh(decodeBatchScrapeRespPayload, lying[frameHeaderLen:])
 		} else {
-			_, err = decodeBatchGrantRespPayload(lying[frameHeaderLen:])
+			_, err = fresh(decodeBatchGrantRespPayload, lying[frameHeaderLen:])
 		}
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), "exceeds payload") {
@@ -534,7 +690,7 @@ func TestPayloadStrictness(t *testing.T) {
 
 	// The curve-meta flag over all-zero meta would re-encode without
 	// the flag; the non-canonical form is refused.
-	withCurve := appendReportPayload(nil, Report{
+	withCurve := appendReportPayload(nil, &Report{
 		V: ProtocolV, Server: 0, SoC: 0.5,
 		UtilityCurve: []cluster.CapPoint{{CapW: 25, Perf: 1, GridW: 25}},
 	})
@@ -549,12 +705,12 @@ func TestPayloadStrictness(t *testing.T) {
 	flagged = binary.BigEndian.AppendUint64(flagged, 0) // zero conf f64
 	flagged = binary.BigEndian.AppendUint32(flagged, 0) // zero cells u32
 	flagged = append(flagged, withCurve[len(withCurve)-8:]...)
-	if _, err := decodeReportPayload(flagged); err == nil || !strings.Contains(err.Error(), "zero meta") {
+	if _, err := fresh(decodeReportPayload, flagged); err == nil || !strings.Contains(err.Error(), "zero meta") {
 		t.Errorf("flagged zero curve meta: got %v", err)
 	}
 
 	// And a legacy frame — flag never set — still decodes.
-	if _, err := decodeReportPayload(withCurve); err != nil {
+	if _, err := fresh(decodeReportPayload, withCurve); err != nil {
 		t.Errorf("legacy meta-less report: %v", err)
 	}
 
@@ -588,7 +744,7 @@ func TestPayloadStrictness(t *testing.T) {
 	if _, err := decodeShardBudgetReqPayload(appendShardBudgetReq(nil, ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 1, CapW: 1, Iv: 1, IvS: 300})); err == nil || !strings.Contains(err.Error(), "lease clock") {
 		t.Errorf("shard budget with leaseIv 0: got %v", err)
 	}
-	if _, err := decodeBatchGrantReqPayload(appendBatchGrantReq(nil, BatchGrantRequest{V: ProtocolV, Epoch: 1, Seq: 1, Iv: 1, IvS: 300,
+	if _, err := fresh(decodeBatchGrantReqPayload, appendBatchGrantReq(nil, BatchGrantRequest{V: ProtocolV, Epoch: 1, Seq: 1, Iv: 1, IvS: 300,
 		Entries: []GrantEntry{{Server: 0, CapW: 1}}})); err == nil || !strings.Contains(err.Error(), "lease clock") {
 		t.Errorf("batch grant with leaseIv 0: got %v", err)
 	}

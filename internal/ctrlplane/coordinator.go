@@ -3,7 +3,7 @@ package ctrlplane
 import (
 	"context"
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -220,6 +220,12 @@ type member struct {
 	// scrapes, and open-window intervals left to skip.
 	breakerFails    int
 	breakerOpenLeft int
+	// rep is the destination this member's unary scrapes decode into,
+	// allocated on the first one; members riding batch frames decode into
+	// their group's slab instead.
+	rep *Report
+	// tel holds the member's own gauges, resolved once at admission.
+	tel memberTel
 }
 
 // Stats accumulates coordinator lifetime counters.
@@ -323,6 +329,9 @@ type Coordinator struct {
 	// learned ones only while probing), so the utility DP replays only
 	// the layers after the first changed curve.
 	dp cluster.Apportioner
+	// scratch is Step's working set, reset every interval instead of
+	// reallocated (see stepScratch for what may and may not be retained).
+	scratch stepScratch
 
 	// mintClock is the leadership epoch, grant sequence and interval
 	// counter, rehydrated from a majority of agent reports before the
@@ -367,13 +376,17 @@ func New(cfg Config) (*Coordinator, error) {
 		flog:   faults.NewLog(0),
 	}
 	for _, ref := range cfg.Agents {
-		// Members start alive — the in-process oracle starts every
-		// server alive too; an unreachable agent expires after MissK
-		// intervals.
-		c.members = append(c.members, &member{ref: ref, alive: true})
+		c.admit(ref)
 	}
 	c.epoch.Store(1)
 	return c, nil
+}
+
+// admit appends a member. Members start alive — the in-process oracle
+// starts every server alive too, and a registering agent has just
+// announced itself; an unreachable one expires after MissK intervals.
+func (c *Coordinator) admit(ref AgentRef) {
+	c.members = append(c.members, &member{ref: ref, alive: true, tel: c.tel.member(len(c.members))})
 }
 
 // SetEpoch moves the coordinator to a new leadership epoch. Bumping it
@@ -435,6 +448,8 @@ func (c *Coordinator) admitRegistrations(t float64) {
 					c.flog.Append(faults.Event{T: t, Kind: "agent-reregister", Target: fmt.Sprintf("agent-%d", ref.ID),
 						Detail: fmt.Sprintf("url %s -> %s", m.ref.URL, ref.URL)})
 					m.ref.URL = ref.URL
+					// The fan-out plans group members by URL.
+					c.scratch.scrape.valid, c.scratch.grant.valid = false, false
 				}
 				break
 			}
@@ -442,9 +457,7 @@ func (c *Coordinator) admitRegistrations(t float64) {
 		if found {
 			continue
 		}
-		// A new member starts alive, like the initial fleet: it just
-		// announced itself, and its first scrape follows immediately.
-		c.members = append(c.members, &member{ref: ref, alive: true})
+		c.admit(ref)
 		c.stats.Registrations++
 		c.flog.Append(faults.Event{T: t, Kind: "agent-register", Target: fmt.Sprintf("agent-%d", ref.ID),
 			Detail: fmt.Sprintf("announced at %s; fleet is now %d agents", ref.URL, len(c.members))})
@@ -477,6 +490,32 @@ func (c *Coordinator) Observe(ctx context.Context, t, capW float64) (StepResult,
 	return c.step(ctx, t, capW, false)
 }
 
+// stepScratch is the working set of one Step, owned by the coordinator
+// and reset — not reallocated — every interval: the per-member ledgers
+// the fan-outs write and the accounting loops read, the two fan-out
+// plans with their request slices and decoded reply slabs, and the
+// apportioner's inputs. None of it is handed to a caller: what a caller
+// keeps (StepResult's slices, errors, fault events) is allocated fresh.
+// The one thing a member retains out of it is a report's curve, and a
+// decoder never writes a held curve in place (see rbuf.curve).
+type stepScratch struct {
+	reports                            []*Report
+	errs                               []error
+	states                             []breakerState
+	skipped, renewFailed, grantSkipped []bool
+	batchFrames, batchOps              atomic.Int64
+	scrape, grant                      batchPlan
+	live, curved                       []int
+	curves                             [][]cluster.CapPoint
+}
+
+// zeroed resizes a scratch ledger to n zero elements.
+func zeroed[T any](s []T, n int) []T {
+	s = slots(s, n)
+	clear(s)
+	return s
+}
+
 func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (StepResult, error) {
 	if !finite(t) || !finite(capW) || capW < 0 {
 		return StepResult{}, fmt.Errorf("ctrlplane: step t=%g cap=%g", t, capW)
@@ -491,6 +530,13 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 		Granted: make([]bool, n),
 		Alive:   make([]bool, n),
 	}
+	sc := &c.scratch
+	sc.reports = zeroed(sc.reports, n)
+	sc.errs = zeroed(sc.errs, n)
+	sc.skipped = zeroed(sc.skipped, n)
+	sc.batchFrames.Store(0)
+	sc.batchOps.Store(0)
+	reports, errs := sc.reports, sc.errs
 
 	// Phase 1 — telemetry scrape, doubling as the membership
 	// heartbeat. Parallel with bounded concurrency; each RPC carries
@@ -502,89 +548,14 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 	// breaker states are snapshotted serially first (they only mutate
 	// in the accounting loops between fan-outs, so the snapshot equals
 	// what each goroutine would read) because grouping depends on them.
-	reports := make([]*Report, n)
-	errs := make([]error, n)
-	skipped := make([]bool, n)
-	var batchFrames, batchOps atomic.Int64
-	states := make([]breakerState, n)
-	for i, m := range c.members {
-		states[i] = c.breakerState(m)
-	}
-	groups, grouped := c.batchGroups(states, nil)
-	work := make([]func(), 0, n)
-	for i := range c.members {
-		if grouped[i] {
-			continue
+	scrapes := c.plan(&sc.scrape, nil)
+	fanOut(ctx, len(scrapes.unary)+len(scrapes.groups), c.cfg.maxInFlight(), func(k int) {
+		if k < len(scrapes.unary) {
+			c.scrapeMember(ctx, t, scrapes.unary[k])
+		} else {
+			c.scrapeGroup(ctx, t, &scrapes.groups[k-len(scrapes.unary)])
 		}
-		i, m := i, c.members[i]
-		work = append(work, func() {
-			if states[i] == breakerOpen {
-				skipped[i] = true
-				return
-			}
-			retries := c.cfg.rpcRetries()
-			if states[i] == breakerHalfOpen {
-				retries = 0
-			}
-			rep, err := call(ctx, c.client, rpcScrape, retries, m.ref.ID, m.ref.URL, scrapeRequest{m.ref.ID, t, true})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if rep.Server != m.ref.ID {
-				errs[i] = fmt.Errorf("ctrlplane: scrape of agent %d answered as %d", m.ref.ID, rep.Server)
-				return
-			}
-			c.noteEpoch(rep.Epoch)
-			reports[i] = &rep
-		})
-	}
-	for _, g := range groups {
-		g := g
-		work = append(work, func() {
-			req := BatchScrapeRequest{V: ProtocolV, T: t, HasT: true, Servers: make([]int, 0, len(g.idx))}
-			for _, i := range g.idx {
-				req.Servers = append(req.Servers, c.members[i].ref.ID)
-			}
-			resp, err := call(ctx, c.client, rpcBatchScrape, c.client.retries, req.Servers[0], g.url, req)
-			if err != nil {
-				for _, i := range g.idx {
-					errs[i] = err
-				}
-				return
-			}
-			batchFrames.Add(1)
-			batchOps.Add(int64(len(g.idx)))
-			byID := make(map[int]int, len(g.idx))
-			for _, i := range g.idx {
-				byID[c.members[i].ref.ID] = i
-			}
-			for k := range resp.Results {
-				// Point at the decoded slot: resp lives as long as reports
-				// does, and a per-agent copy would escape to the heap.
-				r := &resp.Results[k]
-				i, ok := byID[r.Server]
-				if !ok {
-					continue
-				}
-				delete(byID, r.Server)
-				if r.Err != "" {
-					errs[i] = fmt.Errorf("ctrlplane: agent %d: %s", r.Server, r.Err)
-					continue
-				}
-				if r.Report.Server != r.Server {
-					errs[i] = fmt.Errorf("ctrlplane: scrape of agent %d answered as %d", r.Server, r.Report.Server)
-					continue
-				}
-				c.noteEpoch(r.Report.Epoch)
-				reports[i] = &r.Report
-			}
-			for id, i := range byID {
-				errs[i] = fmt.Errorf("ctrlplane: batch scrape response missing agent %d", id)
-			}
-		})
-	}
-	fanOut(ctx, len(work), c.cfg.maxInFlight(), func(k int) { work[k]() })
+	})
 	for i, m := range c.members {
 		if rep := reports[i]; rep != nil {
 			if c.breakerNoteSuccess(m) {
@@ -601,11 +572,9 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 				m.curveConf = rep.CurveConf
 				m.curveCells = rep.CurveCells
 			}
-			if c.tel.enabled {
-				c.tel.agentSoC.With(strconv.Itoa(i)).Set(rep.SoC)
-			}
+			m.tel.soc.Set(rep.SoC)
 		} else {
-			if skipped[i] {
+			if sc.skipped[i] {
 				m.breakerOpenLeft--
 				res.BreakerSkips++
 				c.stats.BreakerSkips++
@@ -628,18 +597,15 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 	// intervals harvest too, so a warm standby is already rehydrated
 	// when it wins an election.
 	scrapedOK := 0
-	for i := range c.members {
+	for i, m := range c.members {
 		rep := reports[i]
 		if rep == nil {
 			continue
 		}
 		scrapedOK++
-		lag := c.harvest(epoch, rep.Iv, rep.Epoch, rep.Seq)
-		if c.tel.enabled {
-			// Per-member lag series; the fleet max the old scalar gauge
-			// carried is max() over these.
-			c.tel.clockSkewIv.With(strconv.Itoa(i)).Set(float64(lag))
-		}
+		// Per-member lag series; the fleet max the old scalar gauge
+		// carried is max() over these.
+		m.tel.skewIv.Set(float64(c.harvest(epoch, rep.Iv, rep.Epoch, rep.Seq)))
 	}
 	if c.settle(scrapedOK, len(c.members)) {
 		c.stats.Rehydrations++
@@ -671,17 +637,8 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 		res.Alive[i] = m.alive
 	}
 	if c.prevAlive != nil {
-		if len(c.prevAlive) != len(res.Alive) {
-			// Registration grew the fleet mid-run.
-			res.Reapportioned = true
-		} else {
-			for i := range res.Alive {
-				if res.Alive[i] != c.prevAlive[i] {
-					res.Reapportioned = true
-					break
-				}
-			}
-		}
+		// A length change is registration growing the fleet mid-run.
+		res.Reapportioned = !slices.Equal(res.Alive, c.prevAlive)
 	}
 	c.prevAlive = append(c.prevAlive[:0], res.Alive...)
 	if res.Reapportioned {
@@ -701,171 +658,55 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 	// leadership epoch, and every response reports the agent's highest
 	// applied epoch — one above ours anywhere means we are deposed and
 	// our grants are being refused.
-	if !lead || !c.rehydrated {
+	if lead && c.rehydrated {
+		// Mint this interval's protocol-clock reading and the lease triple
+		// every grant carries.
+		seq, mintIv := c.mint()
+		res.Iv = mintIv
+		round := grantRound{t: t, epoch: epoch, seq: seq, iv: mintIv, leaseIv: c.cfg.leaseIv(), ivS: c.cfg.IntervalS,
+			budgets: res.Budgets, granted: res.Granted}
+		sc.renewFailed = zeroed(sc.renewFailed, n)
+		sc.grantSkipped = zeroed(sc.grantSkipped, n)
+		// The plan snapshots breaker states afresh: the scrape accounting
+		// above moved them (a success closes a breaker, a failure may open
+		// one).
+		grants := c.plan(&sc.grant, res.Alive)
+		fanOut(ctx, len(grants.unary)+len(grants.groups), c.cfg.maxInFlight(), func(k int) {
+			if k < len(grants.unary) {
+				c.grantMember(ctx, round, grants.unary[k])
+			} else {
+				c.grantGroup(ctx, round, &grants.groups[k-len(grants.unary)])
+			}
+		})
+		for i, m := range c.members {
+			if !m.alive {
+				continue
+			}
+			if sc.renewFailed[i] {
+				c.stats.RenewFailures++
+			}
+			if sc.grantSkipped[i] {
+				res.BreakerSkips++
+				c.stats.BreakerSkips++
+			}
+			if res.Granted[i] {
+				m.grantedW, m.granted = res.Budgets[i], true
+			} else {
+				res.AssignErrs++
+				c.stats.AssignFailures++
+				c.tel.assignFails.Inc()
+			}
+		}
+		c.stats.Steps++
+	} else {
 		// A leader that has not yet heard a majority holds its grants
 		// like a standby (see mintClock.mint). Agents ride their leases
 		// (or safe mode) until the counter is recovered.
-		for _, m := range c.members {
-			if m.scraped {
-				res.FleetGridW += m.gridW
-				res.FleetPerfN += m.perfN
-			}
-		}
 		res.Rehydrating = lead
-		res.Deposed = c.deposed(epoch)
-		res.Err = firstErr(errs)
 		c.stats.Observes++
-		c.stats.BatchFrames += int(batchFrames.Load())
-		c.stats.BatchedOps += int(batchOps.Load())
-		c.tel.batchedOps.Add(uint64(batchOps.Load()))
-		c.tel.noteStep(res)
-		return res, nil
 	}
-	// Mint this interval's protocol-clock reading and the lease triple
-	// every grant carries.
-	seq, mintIv := c.mint()
-	leaseIv, ivS := c.cfg.leaseIv(), c.cfg.IntervalS
-	res.Iv = mintIv
-	renewFailed := make([]bool, n)
-	grantSkipped := make([]bool, n)
-	// Recompute breaker states: the scrape accounting above moved them
-	// (a success closes a breaker, a failure may open one).
-	for i, m := range c.members {
-		states[i] = c.breakerState(m)
-	}
-	groups, grouped = c.batchGroups(states, res.Alive)
-	grantWork := make([]func(), 0, n)
-	for i := range c.members {
-		if grouped[i] {
-			continue
-		}
-		i, m := i, c.members[i]
-		grantWork = append(grantWork, func() {
-			if !m.alive {
-				return
-			}
-			if states[i] == breakerOpen {
-				// The scrape already paid this member's miss; don't burn
-				// the assign budget against the same black hole.
-				grantSkipped[i] = true
-				return
-			}
-			if m.granted && m.grantedW == res.Budgets[i] && m.scraped && !m.fenced {
-				req := LeaseRequest{V: ProtocolV, Epoch: epoch, Server: m.ref.ID, T: t,
-					Iv: mintIv, LeaseIv: leaseIv, IvS: ivS}
-				resp, err := call(ctx, c.client, rpcLease, c.client.retries, m.ref.ID, m.ref.URL, req)
-				if err == nil {
-					c.noteEpoch(resp.Epoch)
-					if !resp.Fenced && resp.Epoch == epoch && resp.CapW == m.grantedW {
-						res.Granted[i] = true
-						return
-					}
-				}
-				renewFailed[i] = err != nil
-				// Fall through to a full assignment: a failed renewal may
-				// leave the agent about to fence; a renewal answered
-				// fenced, from another epoch, or enforcing a cap other
-				// than the grant (the agent fenced and was re-assigned
-				// between the scrape and the renewal) means the budget is
-				// not in force; only an assign restores it and re-arms
-				// the lease.
-			}
-			req := AssignRequest{V: ProtocolV, Epoch: epoch, Seq: seq, Server: m.ref.ID, T: t,
-				CapW: res.Budgets[i], Iv: mintIv, LeaseIv: leaseIv, IvS: ivS}
-			retries := c.cfg.rpcRetries()
-			if states[i] == breakerHalfOpen {
-				retries = 0
-			}
-			resp, err := call(ctx, c.client, rpcAssign, retries, m.ref.ID, m.ref.URL, req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			c.noteEpoch(resp.Epoch)
-			// Applied, or refused-as-duplicate with our own grant already
-			// in force, both mean this interval's budget holds. A refusal
-			// carrying a higher epoch means another leader owns the agent.
-			if resp.Applied || (resp.Epoch == epoch && resp.CapW == res.Budgets[i]) {
-				res.Granted[i] = true
-				return
-			}
-			errs[i] = fmt.Errorf("ctrlplane: agent %d refused epoch-%d grant (agent at epoch %d)",
-				m.ref.ID, epoch, resp.Epoch)
-		})
-	}
-	for _, g := range groups {
-		g := g
-		grantWork = append(grantWork, func() {
-			// One frame carries the whole group: coalesced renewals for
-			// members whose acknowledged budget already matches, fresh
-			// assigns for the rest. The server applies the same
-			// renew-else-assign sequence per entry that the unary path
-			// runs client-side, so semantics are transport-independent.
-			req := BatchGrantRequest{V: ProtocolV, Epoch: epoch, Seq: seq, T: t,
-				Iv: mintIv, LeaseIv: leaseIv, IvS: ivS, Entries: make([]GrantEntry, 0, len(g.idx))}
-			for _, i := range g.idx {
-				m := c.members[i]
-				req.Entries = append(req.Entries, GrantEntry{
-					Server: m.ref.ID,
-					CapW:   res.Budgets[i],
-					Renew:  m.granted && m.grantedW == res.Budgets[i] && m.scraped && !m.fenced,
-				})
-			}
-			resp, err := call(ctx, c.client, rpcBatchGrant, c.client.retries, req.Entries[0].Server, g.url, req)
-			if err != nil {
-				for _, i := range g.idx {
-					errs[i] = err
-				}
-				return
-			}
-			batchFrames.Add(1)
-			batchOps.Add(int64(len(g.idx)))
-			byID := make(map[int]int, len(g.idx))
-			for _, i := range g.idx {
-				byID[c.members[i].ref.ID] = i
-			}
-			for _, r := range resp.Results {
-				i, ok := byID[r.Server]
-				if !ok {
-					continue
-				}
-				delete(byID, r.Server)
-				if r.Err != "" {
-					errs[i] = fmt.Errorf("ctrlplane: agent %d: %s", r.Server, r.Err)
-					continue
-				}
-				c.noteEpoch(r.Resp.Epoch)
-				if r.Renewed || r.Resp.Applied || (r.Resp.Epoch == epoch && r.Resp.CapW == res.Budgets[i]) {
-					res.Granted[i] = true
-					continue
-				}
-				errs[i] = fmt.Errorf("ctrlplane: agent %d refused epoch-%d grant (agent at epoch %d)",
-					r.Server, epoch, r.Resp.Epoch)
-			}
-			for id, i := range byID {
-				errs[i] = fmt.Errorf("ctrlplane: batch grant response missing agent %d", id)
-			}
-		})
-	}
-	fanOut(ctx, len(grantWork), c.cfg.maxInFlight(), func(k int) { grantWork[k]() })
-	for i, m := range c.members {
-		if !m.alive {
-			continue
-		}
-		if renewFailed[i] {
-			c.stats.RenewFailures++
-		}
-		if grantSkipped[i] {
-			res.BreakerSkips++
-			c.stats.BreakerSkips++
-		}
-		if res.Granted[i] {
-			m.grantedW, m.granted = res.Budgets[i], true
-		} else {
-			res.AssignErrs++
-			c.stats.AssignFailures++
-			c.tel.assignFails.Inc()
-		}
+	for _, m := range c.members {
+		// Membership has settled: a scraped member is an alive one.
 		if m.scraped {
 			res.FleetGridW += m.gridW
 			res.FleetPerfN += m.perfN
@@ -873,38 +714,268 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 	}
 	res.Deposed = c.deposed(epoch)
 	res.Err = firstErr(errs)
-
-	c.stats.Steps++
-	c.stats.BatchFrames += int(batchFrames.Load())
-	c.stats.BatchedOps += int(batchOps.Load())
-	c.tel.batchedOps.Add(uint64(batchOps.Load()))
-	c.tel.noteStep(res)
+	c.stats.BatchFrames += int(sc.batchFrames.Load())
+	c.stats.BatchedOps += int(sc.batchOps.Load())
+	c.tel.batchedOps.Add(uint64(sc.batchOps.Load()))
+	c.tel.noteStep(res, c.members)
 	return res, nil
 }
 
-// batchGroup is one batch frame's worth of members: fleet indices that
-// share a binary listener URL.
-type batchGroup struct {
-	url string
-	idx []int
+// scrapeMember is the unary scrape of member i.
+func (c *Coordinator) scrapeMember(ctx context.Context, t float64, i int) {
+	sc, m := &c.scratch, c.members[i]
+	if sc.states[i] == breakerOpen {
+		sc.skipped[i] = true
+		return
+	}
+	retries := c.cfg.rpcRetries()
+	if sc.states[i] == breakerHalfOpen {
+		retries = 0
+	}
+	if m.rep == nil {
+		m.rep = new(Report)
+	}
+	if err := call(ctx, c.client, rpcScrape, retries, m.ref.ID, m.ref.URL, scrapeRequest{m.ref.ID, t, true}, m.rep); err != nil {
+		sc.errs[i] = err
+		return
+	}
+	if m.rep.Server != m.ref.ID {
+		sc.errs[i] = fmt.Errorf("ctrlplane: scrape of agent %d answered as %d", m.ref.ID, m.rep.Server)
+		return
+	}
+	c.noteEpoch(m.rep.Epoch)
+	sc.reports[i] = m.rep
 }
 
-// batchGroups partitions the members eligible for batch frames —
-// closed-breaker (open members are skipped, half-open ones probe
-// unary with no retries) and alive when an alive mask is given — into
-// per-URL groups of at least two, chunked
-// at maxBatchEntries. Singleton members stay on the unary path: a
-// batch frame for one agent buys nothing over a unary frame on the
-// same pooled conn. Returns the groups and a mask of grouped indices.
-func (c *Coordinator) batchGroups(states []breakerState, alive []bool) ([]batchGroup, []bool) {
-	grouped := make([]bool, len(c.members))
-	byURL := make(map[string][]int)
-	order := make([]string, 0, 4)
-	for i, m := range c.members {
-		if states[i] != breakerClosed {
+// scrapeGroup scrapes one group in a single batch frame, decoded into
+// the group's own slab; the step's report ledger points at its slots.
+func (c *Coordinator) scrapeGroup(ctx context.Context, t float64, g *batchGroup) {
+	sc := &c.scratch
+	req := BatchScrapeRequest{V: ProtocolV, T: t, HasT: true, Servers: g.ids}
+	if err := call(ctx, c.client, rpcBatchScrape, c.client.retries, g.ids[0], g.url, req, &g.scrape); err != nil {
+		for _, i := range g.idx {
+			sc.errs[i] = err
+		}
+		return
+	}
+	sc.batchFrames.Add(1)
+	sc.batchOps.Add(int64(len(g.idx)))
+	clear(g.seen)
+	for k := range g.scrape.Results {
+		r := &g.scrape.Results[k]
+		i, ok := g.claim(r.Server)
+		if !ok {
 			continue
 		}
-		if alive != nil && !alive[i] {
+		if r.Err != "" {
+			sc.errs[i] = fmt.Errorf("ctrlplane: agent %d: %s", r.Server, r.Err)
+			continue
+		}
+		if r.Report.Server != r.Server {
+			sc.errs[i] = fmt.Errorf("ctrlplane: scrape of agent %d answered as %d", r.Server, r.Report.Server)
+			continue
+		}
+		c.noteEpoch(r.Report.Epoch)
+		sc.reports[i] = &r.Report
+	}
+	for j, i := range g.idx {
+		if !g.seen[j] {
+			sc.errs[i] = fmt.Errorf("ctrlplane: batch scrape response missing agent %d", g.ids[j])
+		}
+	}
+}
+
+// grantRound is what every grant of one interval shares: the minted
+// (epoch, seq) pair and protocol-clock triple, and the StepResult
+// ledgers the fan-out reads budgets from and marks grants in.
+type grantRound struct {
+	t           float64
+	epoch, seq  uint64
+	iv, leaseIv uint64
+	ivS         float64
+	budgets     []float64
+	granted     []bool
+}
+
+// renewable reports that member i's acknowledged budget already equals
+// this interval's, so the grant can ride a lease renewal.
+func (r grantRound) renewable(m *member, i int) bool {
+	return m.granted && m.grantedW == r.budgets[i] && m.scraped && !m.fenced
+}
+
+// grantMember is the unary grant of member i: a renewal when the budget
+// is unchanged, a full assignment otherwise or when the renewal did not
+// hold.
+func (c *Coordinator) grantMember(ctx context.Context, r grantRound, i int) {
+	sc, m := &c.scratch, c.members[i]
+	if !m.alive {
+		return
+	}
+	if sc.states[i] == breakerOpen {
+		// The scrape already paid this member's miss; don't burn
+		// the assign budget against the same black hole.
+		sc.grantSkipped[i] = true
+		return
+	}
+	if r.renewable(m, i) {
+		req := LeaseRequest{V: ProtocolV, Epoch: r.epoch, Server: m.ref.ID, T: r.t,
+			Iv: r.iv, LeaseIv: r.leaseIv, IvS: r.ivS}
+		var resp LeaseResponse
+		err := call(ctx, c.client, rpcLease, c.client.retries, m.ref.ID, m.ref.URL, req, &resp)
+		if err == nil {
+			c.noteEpoch(resp.Epoch)
+			if !resp.Fenced && resp.Epoch == r.epoch && resp.CapW == m.grantedW {
+				r.granted[i] = true
+				return
+			}
+		}
+		sc.renewFailed[i] = err != nil
+		// Fall through to a full assignment: a failed renewal may
+		// leave the agent about to fence; a renewal answered
+		// fenced, from another epoch, or enforcing a cap other
+		// than the grant (the agent fenced and was re-assigned
+		// between the scrape and the renewal) means the budget is
+		// not in force; only an assign restores it and re-arms
+		// the lease.
+	}
+	req := AssignRequest{V: ProtocolV, Epoch: r.epoch, Seq: r.seq, Server: m.ref.ID, T: r.t,
+		CapW: r.budgets[i], Iv: r.iv, LeaseIv: r.leaseIv, IvS: r.ivS}
+	retries := c.cfg.rpcRetries()
+	if sc.states[i] == breakerHalfOpen {
+		retries = 0
+	}
+	var resp AssignResponse
+	if err := call(ctx, c.client, rpcAssign, retries, m.ref.ID, m.ref.URL, req, &resp); err != nil {
+		sc.errs[i] = err
+		return
+	}
+	c.noteEpoch(resp.Epoch)
+	// Applied, or refused-as-duplicate with our own grant already
+	// in force, both mean this interval's budget holds. A refusal
+	// carrying a higher epoch means another leader owns the agent.
+	if resp.Applied || (resp.Epoch == r.epoch && resp.CapW == r.budgets[i]) {
+		r.granted[i] = true
+		return
+	}
+	sc.errs[i] = fmt.Errorf("ctrlplane: agent %d refused epoch-%d grant (agent at epoch %d)",
+		m.ref.ID, r.epoch, resp.Epoch)
+}
+
+// grantGroup grants one group in a single frame: coalesced renewals for
+// members whose acknowledged budget already matches, fresh assigns for
+// the rest. The server applies the same renew-else-assign sequence per
+// entry that grantMember runs client-side, so semantics are
+// transport-independent.
+func (c *Coordinator) grantGroup(ctx context.Context, r grantRound, g *batchGroup) {
+	sc := &c.scratch
+	g.entries = g.entries[:0]
+	for j, i := range g.idx {
+		g.entries = append(g.entries, GrantEntry{Server: g.ids[j], CapW: r.budgets[i], Renew: r.renewable(c.members[i], i)})
+	}
+	req := BatchGrantRequest{V: ProtocolV, Epoch: r.epoch, Seq: r.seq, T: r.t,
+		Iv: r.iv, LeaseIv: r.leaseIv, IvS: r.ivS, Entries: g.entries}
+	if err := call(ctx, c.client, rpcBatchGrant, c.client.retries, g.ids[0], g.url, req, &g.grant); err != nil {
+		for _, i := range g.idx {
+			sc.errs[i] = err
+		}
+		return
+	}
+	sc.batchFrames.Add(1)
+	sc.batchOps.Add(int64(len(g.idx)))
+	clear(g.seen)
+	for k := range g.grant.Results {
+		res := &g.grant.Results[k]
+		i, ok := g.claim(res.Server)
+		if !ok {
+			continue
+		}
+		if res.Err != "" {
+			sc.errs[i] = fmt.Errorf("ctrlplane: agent %d: %s", res.Server, res.Err)
+			continue
+		}
+		c.noteEpoch(res.Resp.Epoch)
+		if res.Renewed || res.Resp.Applied || (res.Resp.Epoch == r.epoch && res.Resp.CapW == r.budgets[i]) {
+			r.granted[i] = true
+			continue
+		}
+		sc.errs[i] = fmt.Errorf("ctrlplane: agent %d refused epoch-%d grant (agent at epoch %d)",
+			res.Server, r.epoch, res.Resp.Epoch)
+	}
+	for j, i := range g.idx {
+		if !g.seen[j] {
+			sc.errs[i] = fmt.Errorf("ctrlplane: batch grant response missing agent %d", g.ids[j])
+		}
+	}
+}
+
+// batchPlan is one fan-out's partition of the fleet into batch frames
+// and unary RPCs. It is kept across intervals and rebuilt only when
+// what it was computed from changed: the membership, a member's URL, a
+// breaker state or the alive mask.
+type batchPlan struct {
+	valid  bool
+	states []breakerState
+	alive  []bool
+	groups []batchGroup
+	// unary lists the members no group carries, in member order.
+	unary []int
+}
+
+// batchGroup is one batch frame's worth of members: fleet indices that
+// share a binary listener URL. The group owns what its frame needs every
+// interval — the request's id and entry slices and the slab its reply
+// decodes into — so a steady-state interval reuses last interval's.
+type batchGroup struct {
+	url string
+	idx []int // fleet indices
+	ids []int // their agent ids, parallel to idx: a batch scrape's Servers
+	// pos maps an agent id to its position in idx; seen marks the
+	// positions a reply has claimed so far.
+	pos     map[int]int
+	seen    []bool
+	entries []GrantEntry
+	scrape  BatchScrapeResponse
+	grant   BatchGrantResponse
+}
+
+// claim resolves a reply slot's agent id to its fleet index, once: an id
+// outside the group, or one a previous slot already claimed, is refused,
+// so a reply can neither touch a member its frame did not carry nor
+// settle one twice.
+func (g *batchGroup) claim(id int) (int, bool) {
+	j, ok := g.pos[id]
+	if !ok || g.seen[j] {
+		return 0, false
+	}
+	g.seen[j] = true
+	return g.idx[j], true
+}
+
+// plan snapshots every member's breaker state into the scratch ledger
+// the fan-out reads, brings p up to date with it and the alive mask
+// (nil: every member), and returns p. The members eligible for batch
+// frames — closed-breaker (open members are skipped, half-open ones
+// probe unary with no retries) and alive under the mask — are grouped
+// per URL into groups of at least two, chunked at maxBatchEntries.
+// Singleton members stay on the unary path: a batch frame for one agent
+// buys nothing over a unary frame on the same pooled conn.
+func (c *Coordinator) plan(p *batchPlan, alive []bool) *batchPlan {
+	c.scratch.states = slots(c.scratch.states, len(c.members))
+	states := c.scratch.states
+	for i, m := range c.members {
+		states[i] = c.breakerState(m)
+	}
+	if p.valid && slices.Equal(p.states, states) && slices.Equal(p.alive, alive) {
+		return p
+	}
+	p.valid = true
+	p.states = append(p.states[:0], states...)
+	p.alive = append(p.alive[:0], alive...)
+	grouped := make([]bool, len(c.members))
+	byURL := make(map[string][]int)
+	var order []string
+	for i, m := range c.members {
+		if states[i] != breakerClosed || (alive != nil && !alive[i]) {
 			continue
 		}
 		url := trimSlash(m.ref.URL)
@@ -913,7 +984,8 @@ func (c *Coordinator) batchGroups(states []breakerState, alive []bool) ([]batchG
 		}
 		byURL[url] = append(byURL[url], i)
 	}
-	var groups []batchGroup
+	clear(p.groups) // drop the old groups' slabs
+	p.groups = p.groups[:0]
 	for _, url := range order {
 		idx := byURL[url]
 		if len(idx) < 2 {
@@ -921,15 +993,23 @@ func (c *Coordinator) batchGroups(states []breakerState, alive []bool) ([]batchG
 		}
 		for len(idx) > 0 {
 			n := min(len(idx), maxBatchEntries)
-			g := batchGroup{url: url, idx: idx[:n]}
-			idx = idx[n:]
-			groups = append(groups, g)
-			for _, i := range g.idx {
+			g := batchGroup{url: url, idx: idx[:n], ids: make([]int, n), pos: make(map[int]int, n), seen: make([]bool, n)}
+			for j, i := range g.idx {
+				g.ids[j] = c.members[i].ref.ID
+				g.pos[g.ids[j]] = j
 				grouped[i] = true
 			}
+			p.groups = append(p.groups, g)
+			idx = idx[n:]
 		}
 	}
-	return groups, grouped
+	p.unary = p.unary[:0]
+	for i := range c.members {
+		if !grouped[i] {
+			p.unary = append(p.unary, i)
+		}
+	}
+	return p
 }
 
 // WireStats is the client-side connection ledger for the binary
@@ -954,12 +1034,14 @@ func (c *Coordinator) Close() { c.client.close() }
 
 // apportion fills budgets with the strategy's per-agent grants.
 func (c *Coordinator) apportion(capW float64, alive []bool, budgets []float64) error {
-	var idxs []int
+	sc := &c.scratch
+	idxs := sc.live[:0]
 	for i, a := range alive {
 		if a {
 			idxs = append(idxs, i)
 		}
 	}
+	sc.live = idxs
 	if len(idxs) == 0 {
 		return nil
 	}
@@ -980,7 +1062,7 @@ func (c *Coordinator) apportion(capW float64, alive []bool, budgets []float64) e
 		// within one apportion.
 		per := capW / float64(len(idxs))
 		remainW := capW
-		var curved []int
+		curved := sc.curved[:0]
 		for _, i := range idxs {
 			if c.effectiveCurve(c.members[i]) == nil {
 				budgets[i] = per
@@ -989,6 +1071,7 @@ func (c *Coordinator) apportion(capW float64, alive []bool, budgets []float64) e
 				curved = append(curved, i)
 			}
 		}
+		sc.curved = curved
 		if len(curved) == 0 {
 			return nil
 		}
@@ -1006,10 +1089,11 @@ func (c *Coordinator) apportion(capW float64, alive []bool, budgets []float64) e
 				}
 			}
 		}
-		curves := make([][]cluster.CapPoint, len(curved))
-		for j, i := range curved {
-			curves[j] = c.effectiveCurve(c.members[i])
+		curves := sc.curves[:0]
+		for _, i := range curved {
+			curves = append(curves, c.effectiveCurve(c.members[i]))
 		}
+		sc.curves = curves
 		// The incremental apportioner is bit-identical to ApportionCurves
 		// and only recomputes the DP layers after the first member whose
 		// curve changed since the last interval.

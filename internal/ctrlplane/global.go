@@ -3,7 +3,6 @@ package ctrlplane
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
 	"powerstruggle/internal/cluster"
@@ -130,6 +129,13 @@ type globalShard struct {
 	scraped  bool
 	report   ShardReport
 	reclaimT float64
+	// rx is the destination this shard's trunk scrapes decode into — a
+	// standby's answer included, which is why a leader's is copied to
+	// report only once it has been accepted. The copy shares rx's curve,
+	// which a decoder never writes in place (see rbuf.curve).
+	rx ShardReport
+	// tel holds the shard's own gauges, resolved once.
+	tel memberTel
 }
 
 // GlobalStats accumulates apportioner lifetime counters.
@@ -209,6 +215,14 @@ type Global struct {
 
 	shards []*globalShard
 	stats  GlobalStats
+	// scratch is Step's working set, reset every interval instead of
+	// reallocated; none of it is handed to a caller.
+	scratch struct {
+		aliveIdx             []int
+		errs                 []error
+		curves               []cluster.ShardCurve
+		usedW, demandW, oldW []float64
+	}
 
 	// mintClock is the global epoch, grant sequence and interval
 	// counter: a restarted apportioner refuses to mint until a majority
@@ -265,7 +279,7 @@ func NewGlobal(cfg GlobalConfig) (*Global, error) {
 		}
 		// Shards start alive, like coordinator members: an unreachable
 		// one expires after MissK trunk scrapes.
-		g.shards = append(g.shards, &globalShard{ref: refCopy, alive: true})
+		g.shards = append(g.shards, &globalShard{ref: refCopy, alive: true, tel: tel.shard(len(g.shards))})
 	}
 	g.epoch.Store(1)
 	return g, nil
@@ -281,8 +295,10 @@ func (g *Global) FaultEvents() []faults.Event { return g.flog.Events() }
 func (g *Global) Close() { g.client.close() }
 
 // scrapeShard walks one shard's trunk URLs from its last-good index
-// until a leading coordinator answers.
-func (g *Global) scrapeShard(ctx context.Context, s *globalShard, t float64) (ShardReport, int, error) {
+// until a leading coordinator answers, leaving that answer in s.rx and
+// its index in s.urlIdx. It runs on the shard's own fan-out goroutine,
+// the only one touching s until the fan-out returns.
+func (g *Global) scrapeShard(ctx context.Context, s *globalShard, t float64) error {
 	// The trunk scrape carries the global interval counter so shards
 	// keep aging their budgets even across deadband-skipped re-grants.
 	req := ShardReportRequest{V: ProtocolV, Shard: s.ref.ID, T: t, HasT: true, Iv: g.iv.Load()}
@@ -290,22 +306,22 @@ func (g *Global) scrapeShard(ctx context.Context, s *globalShard, t float64) (Sh
 	n := len(s.ref.URLs)
 	for k := 0; k < n; k++ {
 		idx := (s.urlIdx + k) % n
-		rep, err := call(ctx, g.client, rpcShardReport, g.cfg.Retries, s.ref.ID, s.ref.URLs[idx], req)
-		if err != nil {
+		if err := call(ctx, g.client, rpcShardReport, g.cfg.Retries, s.ref.ID, s.ref.URLs[idx], req, &s.rx); err != nil {
 			lastErr = err
 			continue
 		}
-		if rep.Shard != s.ref.ID {
-			lastErr = fmt.Errorf("ctrlplane: trunk scrape of shard %d answered as %d", s.ref.ID, rep.Shard)
+		if s.rx.Shard != s.ref.ID {
+			lastErr = fmt.Errorf("ctrlplane: trunk scrape of shard %d answered as %d", s.ref.ID, s.rx.Shard)
 			continue
 		}
-		if !rep.Leading {
+		if !s.rx.Leading {
 			lastErr = fmt.Errorf("ctrlplane: shard %d coordinator at %s is a standby", s.ref.ID, s.ref.URLs[idx])
 			continue
 		}
-		return rep, idx, nil
+		s.urlIdx = idx
+		return nil
 	}
-	return ShardReport{}, s.urlIdx, lastErr
+	return lastErr
 }
 
 // Step drives one global interval at trace time t under cluster cap
@@ -325,46 +341,31 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 
 	// Phase 1 — trunk scrape, doubling as the shard-tier membership
 	// heartbeat.
-	reports := make([]*ShardReport, n)
-	urlIdx := make([]int, n)
-	errs := make([]error, n)
+	sc := &g.scratch
+	sc.errs = zeroed(sc.errs, n)
+	errs := sc.errs
+	for _, s := range g.shards {
+		s.scraped = false // until a leader answers; a canceled ctx may never ask
+	}
 	fanOut(ctx, n, g.cfg.maxInFlight(), func(i int) {
-		rep, idx, err := g.scrapeShard(ctx, g.shards[i], t)
-		urlIdx[i] = idx
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		reports[i] = &rep
+		errs[i] = g.scrapeShard(ctx, g.shards[i], t)
+		g.shards[i].scraped = errs[i] == nil
 	})
-	for i, s := range g.shards {
-		s.urlIdx = urlIdx[i]
-		if rep := reports[i]; rep != nil {
-			s.misses = 0
-			s.scraped = true
-			s.report = *rep
-		} else {
+	// Accounting, and the protocol-clock harvest: track the highest
+	// interval and same-epoch sequence any shard has seen, and rehydrate
+	// the counter from a majority of scrapes after a restart.
+	scrapedOK := 0
+	for _, s := range g.shards {
+		if !s.scraped {
 			s.misses++
-			s.scraped = false
 			res.ScrapeErrs++
 			g.stats.ScrapeFailures++
-		}
-	}
-
-	// Protocol-clock harvest: track the highest interval and same-epoch
-	// sequence any shard has seen, and rehydrate the counter from a
-	// majority of scrapes after a restart.
-	scrapedOK := 0
-	for i := range g.shards {
-		rep := reports[i]
-		if rep == nil {
 			continue
 		}
+		s.misses = 0
+		s.report = s.rx
 		scrapedOK++
-		lag := g.harvest(epoch, rep.GIv, rep.GEpoch, rep.GSeq)
-		if g.tel.enabled {
-			g.tel.clockSkewIv.With("shard-" + strconv.Itoa(i)).Set(float64(lag))
-		}
+		s.tel.skewIv.Set(float64(g.harvest(epoch, s.report.GIv, s.report.GEpoch, s.report.GSeq)))
 	}
 	if g.settle(scrapedOK, len(g.shards)) {
 		g.stats.Rehydrations++
@@ -413,21 +414,21 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 	if available < 0 {
 		available = 0
 	}
-	var aliveIdx []int
+	aliveIdx := sc.aliveIdx[:0]
 	for i, s := range g.shards {
 		if s.alive {
 			aliveIdx = append(aliveIdx, i)
 		}
 	}
+	sc.aliveIdx = aliveIdx
 	if len(aliveIdx) > 0 {
-		curves := make([]cluster.ShardCurve, len(aliveIdx))
-		usedW := make([]float64, len(aliveIdx))
-		demandW := make([]float64, len(aliveIdx))
-		for j, i := range aliveIdx {
-			rep := g.shards[i].report
-			curves[j] = cluster.ShardCurve{FloorW: rep.FloorW, Points: rep.Curve}
-			usedW[j], demandW[j] = rep.UsedW, rep.DemandW
+		curves, usedW, demandW := sc.curves[:0], sc.usedW[:0], sc.demandW[:0]
+		for _, i := range aliveIdx {
+			rep := &g.shards[i].report
+			curves = append(curves, cluster.ShardCurve{FloorW: rep.FloorW, Points: rep.Curve})
+			usedW, demandW = append(usedW, rep.UsedW), append(demandW, rep.DemandW)
 		}
+		sc.curves, sc.usedW, sc.demandW = curves, usedW, demandW
 		budgets, perf := cluster.ApportionShards(available*(1-grantSlackFrac), curves, g.cfg.MaxLevels)
 		budgets, res.RebalancedW = cluster.RebalanceHeadroom(budgets, usedW, demandW, g.cfg.guardFrac())
 		res.PerfN = perf
@@ -440,7 +441,8 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 		// shard's max(old, new) fits the available watts. The freed
 		// watts of a decrease become grantable one interval later, when
 		// the donor's report confirms the lower budget in force.
-		oldW := make([]float64, len(aliveIdx))
+		sc.oldW = slots(sc.oldW, len(aliveIdx))
+		oldW := sc.oldW
 		var sumOld, totalInc float64
 		for j, i := range aliveIdx {
 			s := g.shards[i]
@@ -495,7 +497,7 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 		res.Deposed = g.deposed(epoch)
 		res.Err = firstErr(errs)
 		g.stats.Observes++
-		g.tel.noteGlobalStep(res)
+		g.tel.noteGlobalStep(res, g.shards)
 		return res, nil
 	}
 	seq, mintIv := g.mint()
@@ -516,8 +518,8 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 		var grantErr error
 		for k2 := 0; k2 < len(s.ref.URLs); k2++ {
 			idx := (s.urlIdx + k2) % len(s.ref.URLs)
-			resp, err := call(ctx, g.client, rpcShardBudget, g.cfg.Retries, s.ref.ID, s.ref.URLs[idx], req)
-			if err != nil {
+			var resp ShardBudgetResponse
+			if err := call(ctx, g.client, rpcShardBudget, g.cfg.Retries, s.ref.ID, s.ref.URLs[idx], req, &resp); err != nil {
 				if grantErr == nil {
 					grantErr = err
 				}
@@ -550,7 +552,7 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 	res.Deposed = g.deposed(epoch)
 	res.Err = firstErr(errs)
 	g.stats.Steps++
-	g.tel.noteGlobalStep(res)
+	g.tel.noteGlobalStep(res, g.shards)
 	return res, nil
 }
 

@@ -253,7 +253,8 @@ func Announce(ctx context.Context, coordURLs []string, req RegisterRequest, time
 	for _, base := range coordURLs {
 		base = trimSlash(base)
 		callCtx, cancel := context.WithTimeout(ctx, timeout)
-		reg, err := send(callCtx, bin, base, rpcRegister, req)
+		var reg RegisterResponse
+		err := send(callCtx, bin, base, rpcRegister, req, &reg)
 		cancel()
 		if err != nil {
 			lastErr = fmt.Errorf("ctrlplane: register at %s: %w", base, err)

@@ -603,7 +603,7 @@ type leaderRequest struct{}
 func (leaderRequest) Validate() error { return nil }
 
 var rpcLeader = rpc[leaderRequest, LeaderStatus]{"leader", FrameLeaderReq, FrameLeaderResp,
-	func([]byte, leaderRequest) []byte { return nil }, decodeLeaderStatusPayload}
+	func(b []byte, _ leaderRequest) []byte { return b }, decodeTo(decodeLeaderStatusPayload)}
 
 // serveCoordinator hosts c's register/leader frames on a loopback
 // listener for the test's lifetime.
@@ -691,7 +691,8 @@ func TestRegisterGrowsFleet(t *testing.T) {
 	// The leadership probe answers on the same listener.
 	bin := newBinaryTransport(nil, nil)
 	defer bin.Close()
-	st, err := send(context.Background(), bin, srvURL, rpcLeader, leaderRequest{})
+	var st LeaderStatus
+	err = send(context.Background(), bin, srvURL, rpcLeader, leaderRequest{}, &st)
 	if err != nil || !st.Leader || st.Epoch != coord.Epoch() {
 		t.Fatalf("leader probe: %+v, %v", st, err)
 	}

@@ -65,7 +65,7 @@ func edgeSeeds() []edgeSeed {
 		func(r *Report) { r.CurveConf, r.CurveCells = 0.5, 3 },
 		func(r *Report) { r.UtilityCurve, r.CurveCells = []cluster.CapPoint{point(2)}, -1 },
 	} {
-		add(FrameReportResp, appendReportPayload(nil, with(rep, mut)))
+		add(FrameReportResp, encReport(nil, with(rep, mut)))
 	}
 
 	lease := LeaseRequest{V: ProtocolV, Epoch: 1, Iv: 1, LeaseIv: 2, IvS: 5}
@@ -134,7 +134,7 @@ func edgeSeeds() []edgeSeed {
 // it must never panic, and anything it accepts must satisfy the
 // message's validated invariants and re-encode to the very bytes it was
 // decoded from — one byte representation per value.
-func fuzzPayload[M validator](f *testing.F, ftype byte, dec func([]byte) (M, error), enc func([]byte, M) []byte) {
+func fuzzPayload[M validator](f *testing.F, ftype byte, dec func(testing.TB, []byte) (M, error), enc func([]byte, M) []byte) {
 	f.Add(canonicalMessages()[ftype])
 	for _, s := range edgeSeeds() {
 		if s.ftype == ftype {
@@ -142,7 +142,7 @@ func fuzzPayload[M validator](f *testing.F, ftype byte, dec func([]byte) (M, err
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := dec(data)
+		m, err := dec(t, data)
 		if err != nil {
 			return
 		}
@@ -155,31 +155,40 @@ func fuzzPayload[M validator](f *testing.F, ftype byte, dec func([]byte) (M, err
 	})
 }
 
+// byValue adapts a decoder with no destination to fuzzPayload.
+func byValue[M any](dec func([]byte) (M, error)) func(testing.TB, []byte) (M, error) {
+	return func(_ testing.TB, p []byte) (M, error) { return dec(p) }
+}
+
 // The six decoders an untrusted peer reaches first — grants, reports
 // (whose curves feed the apportioning DP), renewals, registrations (whose
 // URL the coordinator dials every interval) and both halves of a quorum
 // vote — each get the bare-payload treatment; FuzzDecodeFrame covers
 // every frame type behind the header.
 func FuzzDecodeAssign(f *testing.F) {
-	fuzzPayload(f, FrameAssignReq, decodeAssignReqPayload, appendAssignReq)
+	fuzzPayload(f, FrameAssignReq, byValue(decodeAssignReqPayload), appendAssignReq)
 }
 
 func FuzzDecodeReport(f *testing.F) {
-	fuzzPayload(f, FrameReportResp, decodeReportPayload, appendReportPayload)
+	// The one payload fuzzer whose decoder has a destination: fresh,
+	// dirty and held destinations must agree on every input.
+	fuzzPayload(f, FrameReportResp, func(t testing.TB, p []byte) (Report, error) {
+		return decodeReused(t, decodeReportPayload, encReport, dirtyReport(), p)
+	}, encReport)
 }
 
 func FuzzDecodeLease(f *testing.F) {
-	fuzzPayload(f, FrameLeaseReq, decodeLeaseReqPayload, appendLeaseReq)
+	fuzzPayload(f, FrameLeaseReq, byValue(decodeLeaseReqPayload), appendLeaseReq)
 }
 
 func FuzzDecodeRegister(f *testing.F) {
-	fuzzPayload(f, FrameRegisterReq, decodeRegisterReqPayload, appendRegisterReq)
+	fuzzPayload(f, FrameRegisterReq, byValue(decodeRegisterReqPayload), appendRegisterReq)
 }
 
 func FuzzDecodeVote(f *testing.F) {
-	fuzzPayload(f, FrameVoteReq, decodeVoteReqPayload, appendVoteReq)
+	fuzzPayload(f, FrameVoteReq, byValue(decodeVoteReqPayload), appendVoteReq)
 }
 
 func FuzzDecodeVoteReply(f *testing.F) {
-	fuzzPayload(f, FrameVoteResp, decodeVoteRespPayload, appendVoteRespPayload)
+	fuzzPayload(f, FrameVoteResp, byValue(decodeVoteRespPayload), appendVoteRespPayload)
 }

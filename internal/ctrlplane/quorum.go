@@ -223,8 +223,8 @@ func (q *QuorumElection) ask(req VoteRequest) []voteOutcome {
 func (q *QuorumElection) vote(base string, req VoteRequest) (VoteResponse, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), q.timeout)
 	defer cancel()
-	resp, err := send(ctx, q.bin, base, rpcVote, req)
-	if err != nil {
+	var resp VoteResponse
+	if err := send(ctx, q.bin, base, rpcVote, req, &resp); err != nil {
 		return VoteResponse{}, fmt.Errorf("ctrlplane: voter %s: %w", base, err)
 	}
 	return resp, nil

@@ -66,7 +66,7 @@ func TestVoterHandlerRejectsBadTraffic(t *testing.T) {
 	ctx := context.Background()
 
 	// A listener without a voter behind it refuses the frame outright.
-	if _, err := send(ctx, bin, serveEndpoints(t, nil), rpcVote, VoteRequest{V: ProtocolV, Phase: VotePrepare, Ballot: 1}); err == nil {
+	if err := send(ctx, bin, serveEndpoints(t, nil), rpcVote, VoteRequest{V: ProtocolV, Phase: VotePrepare, Ballot: 1}, new(VoteResponse)); err == nil {
 		t.Fatal("agent-only listener answered a vote frame")
 	}
 	term := func(epoch uint64) *WireTerm { return &WireTerm{Epoch: epoch, Leader: "x"} }
@@ -81,7 +81,7 @@ func TestVoterHandlerRejectsBadTraffic(t *testing.T) {
 		"accept of epoch 0":    appendVoteReq(nil, VoteRequest{Phase: VoteAccept, Ballot: 1, Term: term(0)}),
 		"trailing bogus bytes": append(append([]byte{}, prepare...), 1),
 	} {
-		_, err := bin.roundTrip(ctx, srv.URL(), "vote", FrameVoteReq, payload, FrameVoteResp)
+		err := sendRaw(ctx, bin, srv.URL(), FrameVoteReq, payload, FrameVoteResp)
 		var remote *frameRemoteError
 		if !errors.As(err, &remote) {
 			t.Fatalf("%s: got %v, want an error frame", what, err)

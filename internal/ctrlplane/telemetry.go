@@ -219,8 +219,28 @@ func (t *ctrlTel) setFailovers(n int) {
 	t.failovers.Set(float64(n))
 }
 
+// memberTel is one member's own series of the per-member gauge
+// families, resolved when the member is admitted: a label lookup is a
+// formatted string and a locked map read, too much to pay per member per
+// interval. All nil (no-ops) without a hub.
+type memberTel struct {
+	soc, skewIv, budgetW *telemetry.Gauge
+}
+
+// member resolves the gauges of the flat-tier member at fleet index i.
+func (t *ctrlTel) member(i int) memberTel {
+	label := strconv.Itoa(i)
+	return memberTel{soc: t.agentSoC.With(label), skewIv: t.clockSkewIv.With(label), budgetW: t.agentBudgetW.With(label)}
+}
+
+// shard resolves the gauges of the global tier's shard at config index i.
+func (t *ctrlTel) shard(i int) memberTel {
+	label := strconv.Itoa(i)
+	return memberTel{skewIv: t.clockSkewIv.With("shard-" + label), budgetW: t.shardBudgetW.With(label)}
+}
+
 // noteStep records one control interval's fleet state.
-func (t *ctrlTel) noteStep(res StepResult) {
+func (t *ctrlTel) noteStep(res StepResult, members []*member) {
 	if !t.enabled {
 		return
 	}
@@ -230,7 +250,7 @@ func (t *ctrlTel) noteStep(res StepResult) {
 	t.fleetPerfN.Set(res.FleetPerfN)
 	alive := 0
 	for i, b := range res.Budgets {
-		t.agentBudgetW.With(strconv.Itoa(i)).Set(b)
+		members[i].tel.budgetW.Set(b)
 		if res.Alive[i] {
 			alive++
 		}
@@ -243,14 +263,14 @@ func (t *ctrlTel) noteStep(res StepResult) {
 
 // noteGlobalStep records one global interval's shard budgets, the
 // headroom moved, and the tree depth.
-func (t *ctrlTel) noteGlobalStep(res GlobalStepResult) {
+func (t *ctrlTel) noteGlobalStep(res GlobalStepResult, shards []*globalShard) {
 	if !t.enabled {
 		return
 	}
 	t.steps.Inc()
 	t.fleetCapW.Set(res.CapW)
 	for i, b := range res.Budgets {
-		t.shardBudgetW.With(strconv.Itoa(i)).Set(b)
+		shards[i].tel.budgetW.Set(b)
 	}
 	t.shardHeadroomW.Set(res.RebalancedW)
 	t.treeDepth.Set(2)
