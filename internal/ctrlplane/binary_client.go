@@ -135,14 +135,14 @@ func (t *binaryTransport) put(host string, bc *bconn) {
 // frame boundary — true on success, on a remote FrameError and on a
 // reply payload that fails to decode, all of which leave the conn fit to
 // pool. Any transport-level failure closes the conn.
-func exchange[Req validator, Resp any](ctx context.Context, t *binaryTransport, bc *bconn, m rpc[Req, Resp], req Req, resp *Resp) (inSync bool, err error) {
+func exchange[Req validator, Resp any](ctx context.Context, t *binaryTransport, bc *bconn, req Req, resp *Resp) (inSync bool, err error) {
 	deadline, ok := ctx.Deadline()
 	if !ok {
 		deadline = time.Now().Add(binaryDefaultTimeout)
 	}
 	_ = bc.c.SetDeadline(deadline)
-	frame := finishFrame(m.enc(appendFrameHeader(bc.out.b[:0]), req), m.reqType)
-	bc.out.b = frame
+	frame, reqType := encode(appendFrameHeader(bc.out.b[:0]), &req)
+	bc.out.b = finishFrame(frame, reqType)
 	if _, err := bc.c.Write(frame); err != nil {
 		bc.c.Close()
 		return false, err
@@ -161,37 +161,37 @@ func exchange[Req validator, Resp any](ctx context.Context, t *binaryTransport, 
 	t.rxFrames.Inc()
 	t.rxBytes.Add(uint64(frameHeaderLen + len(payload)))
 	switch ftype {
-	case m.respType:
-		return true, m.dec(payload, resp)
+	case reqType + 1: // a request's reply is the next frame type
+		return true, decode(payload, resp)
 	case FrameError:
-		msg, derr := decodeErrPayload(payload)
-		if derr != nil {
+		remote := new(frameRemoteError)
+		if err := decode(payload, remote); err != nil {
 			bc.c.Close()
-			return false, derr
+			return false, err
 		}
-		return true, &frameRemoteError{msg: msg}
+		return true, remote
 	default:
 		bc.c.Close()
-		return false, fmt.Errorf("ctrlplane: frame type %#02x in reply, want %#02x", ftype, m.respType)
+		return false, fmt.Errorf("ctrlplane: frame type %#02x in reply, want %#02x", ftype, reqType+1)
 	}
 }
 
 // deliver runs one exchange on a pooled (or fresh) conn and pools the
 // conn again while its stream is in sync. A reused conn that fails at
 // the transport level gets one transparent redial.
-func deliver[Req validator, Resp any](ctx context.Context, t *binaryTransport, host string, m rpc[Req, Resp], req Req, resp *Resp) error {
+func deliver[Req validator, Resp any](ctx context.Context, t *binaryTransport, host string, req Req, resp *Resp) error {
 	bc, err := t.checkout(ctx, host)
 	if err != nil {
 		return err
 	}
-	inSync, err := exchange(ctx, t, bc, m, req, resp)
+	inSync, err := exchange(ctx, t, bc, req, resp)
 	if !inSync && bc.reused && ctx.Err() == nil {
 		fresh, derr := t.dial(ctx, host)
 		if derr != nil {
 			return err
 		}
 		bc = fresh
-		inSync, err = exchange(ctx, t, bc, m, req, resp)
+		inSync, err = exchange(ctx, t, bc, req, resp)
 	}
 	if inSync {
 		t.put(host, bc)
@@ -223,43 +223,22 @@ func (t *binaryTransport) Close() {
 // its decoder enforces, checked before the frame is built.
 type validator interface{ Validate() error }
 
-// rpc binds one message kind to the wire: the label telemetry, backoff
-// jitter and the fault log know it by, its request and reply frame
-// types, and the payload codecs.
-//
-// enc appends the request's payload to its argument and returns the
-// extended slice, like append: send hands it the conn's out buffer with
-// the frame header already written. dec decodes a reply payload into
-// *Resp, overwriting every field (a destination is reused across
-// retries, duplicated deliveries and intervals); the payload is the
-// conn's in buffer, valid only for the call, so dec copies what it
-// keeps.
-type rpc[Req validator, Resp any] struct {
-	kind              string
-	reqType, respType byte
-	enc               func([]byte, Req) []byte
-	dec               func([]byte, *Resp) error
-}
-
-// decodeTo adapts a decoder that returns its fixed-size message by
-// value to rpc.dec.
-func decodeTo[Resp any](dec func([]byte) (Resp, error)) func([]byte, *Resp) error {
-	return func(p []byte, resp *Resp) (err error) {
-		*resp, err = dec(p)
-		return err
-	}
-}
+// rpc binds a request type and its reply type to the label telemetry,
+// backoff jitter and the fault log know the exchange by. Both are
+// messages of the wire's table (walk), which is where their frame types
+// and field lists live.
+type rpc[Req validator, Resp any] struct{ kind string }
 
 var (
-	rpcScrape      = rpc[scrapeRequest, Report]{"report", FrameScrapeReq, FrameReportResp, appendScrapeReq, decodeReportPayload}
-	rpcAssign      = rpc[AssignRequest, AssignResponse]{"assign", FrameAssignReq, FrameAssignResp, appendAssignReq, decodeTo(decodeAssignRespPayload)}
-	rpcLease       = rpc[LeaseRequest, LeaseResponse]{"lease", FrameLeaseReq, FrameLeaseResp, appendLeaseReq, decodeTo(decodeLeaseRespPayload)}
-	rpcRegister    = rpc[RegisterRequest, RegisterResponse]{"register", FrameRegisterReq, FrameRegisterResp, appendRegisterReq, decodeTo(decodeRegisterRespPayload)}
-	rpcVote        = rpc[VoteRequest, VoteResponse]{"vote", FrameVoteReq, FrameVoteResp, appendVoteReq, decodeTo(decodeVoteRespPayload)}
-	rpcBatchScrape = rpc[BatchScrapeRequest, BatchScrapeResponse]{"batch-report", FrameBatchScrapeReq, FrameBatchScrapeResp, appendBatchScrapeReq, decodeBatchScrapeRespPayload}
-	rpcBatchGrant  = rpc[BatchGrantRequest, BatchGrantResponse]{"batch-grant", FrameBatchGrantReq, FrameBatchGrantResp, appendBatchGrantReq, decodeBatchGrantRespPayload}
-	rpcShardReport = rpc[ShardReportRequest, ShardReport]{"shard-report", FrameShardReportReq, FrameShardReportResp, appendShardReportReq, decodeShardReportPayload}
-	rpcShardBudget = rpc[ShardBudgetRequest, ShardBudgetResponse]{"shard-budget", FrameShardBudgetReq, FrameShardBudgetResp, appendShardBudgetReq, decodeTo(decodeShardBudgetRespPayload)}
+	rpcScrape      = rpc[scrapeRequest, Report]{"report"}
+	rpcAssign      = rpc[AssignRequest, AssignResponse]{"assign"}
+	rpcLease       = rpc[LeaseRequest, LeaseResponse]{"lease"}
+	rpcRegister    = rpc[RegisterRequest, RegisterResponse]{"register"}
+	rpcVote        = rpc[VoteRequest, VoteResponse]{"vote"}
+	rpcBatchScrape = rpc[BatchScrapeRequest, BatchScrapeResponse]{"batch-report"}
+	rpcBatchGrant  = rpc[BatchGrantRequest, BatchGrantResponse]{"batch-grant"}
+	rpcShardReport = rpc[ShardReportRequest, ShardReport]{"shard-report"}
+	rpcShardBudget = rpc[ShardBudgetRequest, ShardBudgetResponse]{"shard-budget"}
 )
 
 // send is one attempt of one message: validate, then one exchange —
@@ -275,10 +254,10 @@ func send[Req validator, Resp any](ctx context.Context, t *binaryTransport, base
 	}
 	host := binaryHost(base)
 	if t.inj == nil {
-		return deliver(ctx, t, host, m, req, resp)
+		return deliver(ctx, t, host, req, resp)
 	}
 	return t.inj.Do(ctx, host, m.kind, func() error {
-		return deliver(ctx, t, host, m, req, resp)
+		return deliver(ctx, t, host, req, resp)
 	})
 }
 

@@ -2,6 +2,7 @@ package ctrlplane
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -174,159 +175,130 @@ func (s *BinaryServer) endpoint(server int) (CtrlEndpoint, error) {
 	return ep, nil
 }
 
-// dispatch answers one decoded frame with one whole response frame,
-// built in the connection's out buffer: the payload is encoded straight
-// after the header as it is produced, and the header's type and length
-// are patched once it is complete. Malformed payloads inside a
-// well-framed message answer FrameError and keep the conn.
-func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []byte {
-	hdr := appendFrameHeader(sc.out.b[:0])
-	fail := func(err error) []byte {
-		return finishFrame(appendErrPayload(hdr, err.Error()), FrameError)
+// reply completes the response frame begun at hdr: m's payload under
+// m's frame type, or err's message under FrameError.
+func reply(hdr []byte, m any, err error) []byte {
+	if err != nil {
+		m = &frameRemoteError{msg: err.Error()}
 	}
-	switch ftype {
-	case FrameScrapeReq:
-		req, err := decodeScrapeReq(payload)
-		if err != nil {
-			return fail(err)
-		}
-		ep, err := s.endpoint(req.server)
-		if err != nil {
-			return fail(err)
-		}
-		rep, err := ep.Scrape(req.t, req.hasT)
-		if err != nil {
-			return fail(err)
-		}
-		return finishFrame(appendReportPayload(hdr, &rep), FrameReportResp)
-
-	case FrameAssignReq:
-		req, err := decodeAssignReqPayload(payload)
-		if err != nil {
-			return fail(err)
-		}
-		ep, err := s.endpoint(req.Server)
-		if err != nil {
-			return fail(err)
-		}
-		resp, err := ep.Assign(req)
-		if err != nil {
-			return fail(err)
-		}
-		return finishFrame(appendAssignRespPayload(hdr, resp), FrameAssignResp)
-
-	case FrameLeaseReq:
-		req, err := decodeLeaseReqPayload(payload)
-		if err != nil {
-			return fail(err)
-		}
-		ep, err := s.endpoint(req.Server)
-		if err != nil {
-			return fail(err)
-		}
-		resp, err := ep.Renew(req)
-		if err != nil {
-			return fail(err)
-		}
-		return finishFrame(appendLeaseRespPayload(hdr, resp), FrameLeaseResp)
-
-	case FrameRegisterReq:
-		if s.cfg.Register == nil {
-			return fail(fmt.Errorf("not a coordinator: no register endpoint"))
-		}
-		req, err := decodeRegisterReqPayload(payload)
-		if err != nil {
-			return fail(err)
-		}
-		return finishFrame(appendRegisterRespPayload(hdr, s.cfg.Register(req)), FrameRegisterResp)
-
-	case FrameVoteReq:
-		if s.cfg.Vote == nil {
-			return fail(fmt.Errorf("not a quorum voter: no vote endpoint"))
-		}
-		req, err := decodeVoteReqPayload(payload)
-		if err != nil {
-			return fail(err)
-		}
-		return finishFrame(appendVoteRespPayload(hdr, s.cfg.Vote(req)), FrameVoteResp)
-
-	case FrameLeaderReq:
-		if s.cfg.Leader == nil {
-			return fail(fmt.Errorf("not a coordinator: no leader endpoint"))
-		}
-		if len(payload) != 0 {
-			return fail(fmt.Errorf("leader request carries %d payload bytes", len(payload)))
-		}
-		return finishFrame(appendLeaderStatusPayload(hdr, s.cfg.Leader()), FrameLeaderResp)
-
-	case FrameBatchScrapeReq:
-		req := &sc.scrape
-		if err := decodeBatchScrapeReqPayload(payload, req); err != nil {
-			return fail(err)
-		}
-		w := wbuf{b: hdr}
-		w.u32(uint32(len(req.Servers)))
-		for _, server := range req.Servers {
-			s.scrapeOne(&w, server, req.T, req.HasT)
-		}
-		return finishFrame(w.b, FrameBatchScrapeResp)
-
-	case FrameBatchGrantReq:
-		req := &sc.grant
-		if err := decodeBatchGrantReqPayload(payload, req); err != nil {
-			return fail(err)
-		}
-		w := wbuf{b: hdr}
-		w.u32(uint32(len(req.Entries)))
-		for _, e := range req.Entries {
-			s.grantOne(&w, req, e)
-		}
-		return finishFrame(w.b, FrameBatchGrantResp)
-
-	case FrameShardReportReq:
-		if s.cfg.ShardReport == nil {
-			return fail(fmt.Errorf("not a shard coordinator: no shard-report endpoint"))
-		}
-		req, err := decodeShardReportReqPayload(payload)
-		if err != nil {
-			return fail(err)
-		}
-		rep, err := s.cfg.ShardReport(req)
-		if err != nil {
-			return fail(err)
-		}
-		return finishFrame(appendShardReportPayload(hdr, rep), FrameShardReportResp)
-
-	case FrameShardBudgetReq:
-		if s.cfg.ShardBudget == nil {
-			return fail(fmt.Errorf("not a shard coordinator: no shard-budget endpoint"))
-		}
-		req, err := decodeShardBudgetReqPayload(payload)
-		if err != nil {
-			return fail(err)
-		}
-		resp, err := s.cfg.ShardBudget(req)
-		if err != nil {
-			return fail(err)
-		}
-		return finishFrame(appendShardBudgetRespPayload(hdr, resp), FrameShardBudgetResp)
-	}
-	return fail(fmt.Errorf("frame type %#02x is not a request", ftype))
+	return finishFrame(encode(hdr, m))
 }
 
-// scrapeOne encodes one batch-scrape slot straight into the response:
-// the agent's report, or the per-agent error.
-func (s *BinaryServer) scrapeOne(w *wbuf, server int, t float64, hasT bool) {
-	var rep Report
-	var errMsg string
-	ep, err := s.endpoint(server)
+// answer is one unary frame: decode the request, run its handler, reply.
+// A malformed payload inside a well-framed message answers FrameError
+// and keeps the conn, like a handler's own error.
+func answer[Req, Resp any](hdr, payload []byte, handler func(Req) (Resp, error)) []byte {
+	var req Req
+	var resp Resp
+	err := decode(payload, &req)
 	if err == nil {
-		rep, err = ep.Scrape(t, hasT)
+		resp, err = handler(req)
 	}
+	return reply(hdr, &resp, err)
+}
+
+// dispatch answers one frame with one whole response frame, built in the
+// connection's out buffer: the payload is encoded straight after the
+// header as it is produced, and the header's type and length are patched
+// once it is complete.
+func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []byte {
+	hdr := appendFrameHeader(sc.out.b[:0])
+	cfg := &s.cfg
+	unhosted := func(why string) []byte { return reply(hdr, nil, errors.New(why)) }
+	switch ftype {
+	case FrameScrapeReq:
+		return answer(hdr, payload, func(req scrapeRequest) (Report, error) {
+			return s.scrape(req.server, req.t, req.hasT)
+		})
+	case FrameAssignReq:
+		return answer(hdr, payload, func(req AssignRequest) (AssignResponse, error) {
+			ep, err := s.endpoint(req.Server)
+			if err != nil {
+				return AssignResponse{}, err
+			}
+			return ep.Assign(req)
+		})
+	case FrameLeaseReq:
+		return answer(hdr, payload, func(req LeaseRequest) (LeaseResponse, error) {
+			ep, err := s.endpoint(req.Server)
+			if err != nil {
+				return LeaseResponse{}, err
+			}
+			return ep.Renew(req)
+		})
+	case FrameRegisterReq:
+		if cfg.Register == nil {
+			return unhosted("not a coordinator: no register endpoint")
+		}
+		return answer(hdr, payload, func(req RegisterRequest) (RegisterResponse, error) {
+			return cfg.Register(req), nil
+		})
+	case FrameVoteReq:
+		if cfg.Vote == nil {
+			return unhosted("not a quorum voter: no vote endpoint")
+		}
+		return answer(hdr, payload, func(req VoteRequest) (VoteResponse, error) {
+			return cfg.Vote(req), nil
+		})
+	case FrameLeaderReq:
+		if cfg.Leader == nil {
+			return unhosted("not a coordinator: no leader endpoint")
+		}
+		return answer(hdr, payload, func(leaderRequest) (LeaderStatus, error) {
+			return cfg.Leader(), nil
+		})
+	case FrameShardReportReq:
+		if cfg.ShardReport == nil {
+			return unhosted("not a shard coordinator: no shard-report endpoint")
+		}
+		return answer(hdr, payload, cfg.ShardReport)
+	case FrameShardBudgetReq:
+		if cfg.ShardBudget == nil {
+			return unhosted("not a shard coordinator: no shard-budget endpoint")
+		}
+		return answer(hdr, payload, cfg.ShardBudget)
+
+	// The two batch responses are encoded slot by slot as the agents
+	// answer, so the server never holds a fleet's worth of results.
+	case FrameBatchScrapeReq:
+		req := &sc.scrape
+		if err := decode(payload, req); err != nil {
+			return reply(hdr, nil, err)
+		}
+		w := wire{enc: true, b: hdr}
+		w.slotCount(len(req.Servers), "batch scrape response")
+		for _, server := range req.Servers {
+			res := ScrapeResult{Server: server}
+			var err error
+			if res.Report, err = s.scrape(server, req.T, req.HasT); err != nil {
+				res.Err = err.Error() // the slot then carries no report
+			}
+			res.wire(&w)
+		}
+		return finishFrame(w.b, FrameBatchScrapeResp)
+	case FrameBatchGrantReq:
+		req := &sc.grant
+		if err := decode(payload, req); err != nil {
+			return reply(hdr, nil, err)
+		}
+		w := wire{enc: true, b: hdr}
+		w.slotCount(len(req.Entries), "batch grant response")
+		for _, e := range req.Entries {
+			res := s.grantOne(req, e)
+			res.wire(&w)
+		}
+		return finishFrame(w.b, FrameBatchGrantResp)
+	}
+	return reply(hdr, nil, fmt.Errorf("frame type %#02x is not a request", ftype))
+}
+
+// scrape answers one agent's scrape, unary or as a batch slot.
+func (s *BinaryServer) scrape(server int, t float64, hasT bool) (Report, error) {
+	ep, err := s.endpoint(server)
 	if err != nil {
-		errMsg, rep = err.Error(), Report{}
+		return Report{}, err
 	}
-	putScrapeResult(w, server, errMsg, &rep)
+	return ep.Scrape(t, hasT)
 }
 
 // LeaderStatus answers the leader frame: which candidate this
@@ -379,34 +351,31 @@ func NewCoordinatorBinaryConfig(c *Coordinator, ha *HA, voter *QuorumVoter) Bina
 	return cfg
 }
 
-// grantOne applies one batch-grant entry and encodes its slot straight
-// into the response: a coalesced renewal first when asked, falling
-// through to a fresh assign under the frame's (Epoch, Seq) when the
-// renewal did not hold the requested budget — the coordinator's unary
-// renew-else-assign sequence, server-side.
-func (s *BinaryServer) grantOne(w *wbuf, req *BatchGrantRequest, e GrantEntry) {
+// grantOne applies one batch-grant entry and returns its response slot:
+// a coalesced renewal first when asked, falling through to a fresh
+// assign under the frame's (Epoch, Seq) when the renewal did not hold
+// the requested budget — the coordinator's unary renew-else-assign
+// sequence, server-side.
+func (s *BinaryServer) grantOne(req *BatchGrantRequest, e GrantEntry) (res GrantResult) {
+	res.Server = e.Server
 	ep, err := s.endpoint(e.Server)
-	if err != nil {
-		putGrantResult(w, e.Server, err.Error(), false, AssignResponse{})
-		return
-	}
-	if e.Renew {
+	if err == nil && e.Renew {
 		lr := LeaseRequest{V: ProtocolV, Epoch: req.Epoch, Server: e.Server, T: req.T,
 			Iv: req.Iv, LeaseIv: req.LeaseIv, IvS: req.IvS}
 		resp, err := ep.Renew(lr)
 		if err == nil && !resp.Fenced && resp.Epoch == req.Epoch && resp.CapW == e.CapW {
-			putGrantResult(w, e.Server, "", true, AssignResponse{
-				V: ProtocolV, Server: e.Server, Epoch: resp.Epoch, CapW: resp.CapW, Fenced: resp.Fenced, Iv: resp.Iv,
-			})
-			return
+			res.Renewed = true
+			res.Resp = AssignResponse{V: ProtocolV, Server: e.Server, Epoch: resp.Epoch, CapW: resp.CapW, Fenced: resp.Fenced, Iv: resp.Iv}
+			return res
 		}
 	}
-	ar := AssignRequest{V: ProtocolV, Epoch: req.Epoch, Seq: req.Seq, Server: e.Server, T: req.T, CapW: e.CapW,
-		Iv: req.Iv, LeaseIv: req.LeaseIv, IvS: req.IvS}
-	resp, err := ep.Assign(ar)
-	if err != nil {
-		putGrantResult(w, e.Server, err.Error(), false, AssignResponse{})
-		return
+	if err == nil {
+		ar := AssignRequest{V: ProtocolV, Epoch: req.Epoch, Seq: req.Seq, Server: e.Server, T: req.T, CapW: e.CapW,
+			Iv: req.Iv, LeaseIv: req.LeaseIv, IvS: req.IvS}
+		res.Resp, err = ep.Assign(ar)
 	}
-	putGrantResult(w, e.Server, "", false, resp)
+	if err != nil {
+		res.Err = err.Error() // the slot then carries no acknowledgement
+	}
+	return res
 }

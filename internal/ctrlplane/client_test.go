@@ -3,6 +3,8 @@ package ctrlplane
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -176,18 +178,42 @@ func TestClientRejectsInvalidReport(t *testing.T) {
 	}
 }
 
-// rawPayload is a request encoded by the test: it skips the client-side
-// Validate, so the listener's own decoder is what refuses a bad message.
-type rawPayload []byte
+// dialRaw opens a bare conn to a listener for sendRaw.
+func dialRaw(t *testing.T, url string) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", binaryHost(url))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
 
-func (rawPayload) Validate() error { return nil }
-
-// sendRaw exchanges one hand-built payload and discards the reply's.
-func sendRaw(ctx context.Context, bin *binaryTransport, url string, reqType byte, payload []byte, respType byte) error {
-	m := rpc[rawPayload, struct{}]{"raw", reqType, respType,
-		func(b []byte, p rawPayload) []byte { return append(b, p...) },
-		func([]byte, *struct{}) error { return nil }}
-	return send(ctx, bin, url, m, rawPayload(payload), new(struct{}))
+// sendRaw writes one hand-built payload as a frame on c and reads the
+// reply frame, discarding its payload unless it is an error frame. It
+// skips the client-side Validate, so the listener's own decoder is what
+// refuses a bad message — and a refusal that cost the conn fails the next
+// sendRaw on it.
+func sendRaw(c net.Conn, reqType byte, payload []byte) error {
+	if _, err := c.Write(EncodeFrame(reqType, payload)); err != nil {
+		return err
+	}
+	var buf []byte
+	ftype, reply, err := readFrame(c, &buf)
+	if err != nil {
+		return err
+	}
+	if ftype == FrameError {
+		remote := new(frameRemoteError)
+		if err := decode(reply, remote); err != nil {
+			return err
+		}
+		return remote
+	}
+	if ftype != reqType+1 {
+		return fmt.Errorf("frame type %#02x in reply to %#02x", ftype, reqType)
+	}
+	return nil
 }
 
 // The listener must refuse misdirected and malformed control messages
@@ -201,11 +227,8 @@ func TestHandlerRouting(t *testing.T) {
 	bin := newBinaryTransport(nil, nil)
 	defer bin.Close()
 	ctx := context.Background()
-	// rawAssign skips the client-side Validate, so the listener's own
-	// decoder is what refuses a bad message.
-	rawAssign := func(payload []byte) error {
-		return sendRaw(ctx, bin, url, FrameAssignReq, payload, FrameAssignResp)
-	}
+	raw := dialRaw(t, url)
+	rawAssign := func(payload []byte) error { return sendRaw(raw, FrameAssignReq, payload) }
 	refused := func(what string, err error) {
 		t.Helper()
 		var remote *frameRemoteError
@@ -214,7 +237,7 @@ func TestHandlerRouting(t *testing.T) {
 		}
 	}
 	good := AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, Server: 3, CapW: 40, Iv: 1, LeaseIv: 1, IvS: 5}
-	if err := rawAssign(appendAssignReq(nil, good)); err != nil {
+	if err := rawAssign(wireBytes(&good)); err != nil {
 		t.Fatalf("good assign: %v", err)
 	}
 	if got := a.CapW(); got != 40 {
@@ -228,25 +251,30 @@ func TestHandlerRouting(t *testing.T) {
 		bad := good
 		bad.Seq = 2
 		mut(&bad)
-		refused(what, rawAssign(appendAssignReq(nil, bad)))
+		refused(what, rawAssign(wireBytes(&bad)))
 	}
 	refused("garbage assign", rawAssign([]byte("garbage")))
 	if got := a.CapW(); got != 40 {
 		t.Fatalf("cap %g after refused assigns, want 40", got)
 	}
+	// A scrape with a bad clock is refused too — on the conn every refusal
+	// above was answered on: the listener keeps a conn it answered with an
+	// error frame.
+	refused("negative scrape clock", sendRaw(raw, FrameScrapeReq, wireBytes(&scrapeRequest{3, -1, true})))
+
+	// So does the client: a refusal and two good exchanges cost one dial.
+	misdirected := good
+	misdirected.Server = 9
+	refused("misdirected assign through the client", send(ctx, bin, url, rpcAssign, misdirected, new(AssignResponse)))
 	if err := send(ctx, bin, url, rpcLease, LeaseRequest{V: ProtocolV, Epoch: 1, Server: 3, T: 1, Iv: 1, LeaseIv: 1, IvS: 5}, new(LeaseResponse)); err != nil {
 		t.Fatalf("good lease: %v", err)
 	}
-	// Every refusal above kept the conn: one dial served the lot.
-	if d := bin.dials.Load(); d != 1 {
-		t.Fatalf("%d dials; error frames must not cost the conn", d)
-	}
-
-	// A scrape with a bad clock is refused; a good one ticks the agent.
-	refused("negative scrape clock", sendRaw(ctx, bin, url, FrameScrapeReq, appendScrapeReq(nil, scrapeRequest{3, -1, true}), FrameReportResp))
 	var rep Report
 	if err := send(ctx, bin, url, rpcScrape, scrapeRequest{3, 100, true}, &rep); err != nil {
 		t.Fatalf("good scrape: %v", err)
+	}
+	if d := bin.dials.Load(); d != 1 {
+		t.Fatalf("%d dials; error frames must not cost the conn", d)
 	}
 	if !rep.Fenced {
 		t.Fatal("lease granted at t=0 for 5s must have fenced by t=100")

@@ -16,17 +16,19 @@ import (
 //	'P' 'W' | version u8 | type u8 | payload length u32 BE | payload
 //
 // The header carries the protocol version once, so payloads do not
-// re-encode the messages' V field; decoders stamp V=ProtocolV back
-// onto decoded messages. All payload scalars are
-// fixed-width big-endian — u64 for integers (two's complement for
+// re-encode the messages' V field; decoding stamps V=ProtocolV back
+// onto the message. Each message lists its fields once, in a walk
+// (func (m *T) wire(w *wire)) that both encodes and decodes; walk is the
+// table of them all. All payload scalars are fixed-width big-endian — u64 for integers (two's complement for
 // signed), IEEE-754 bits for float64, a single strict 0|1 byte for
 // bools, u16 length + bytes for strings. No varints: a fixed-width
 // encoding has exactly one byte representation per value, which is
 // what lets FuzzDecodeFrame assert that every accepted frame re-encodes
 // byte-identically.
 
-// Frame types. Requests are odd, their responses even; FrameError is
-// the out-of-band failure answer to any request.
+// Frame types. Requests are odd and a request's response is the next,
+// even, type (exchange relies on it); FrameError is the out-of-band
+// failure answer to any request.
 const (
 	FrameAssignReq       byte = 0x01
 	FrameAssignResp      byte = 0x02
@@ -207,156 +209,227 @@ func (f *frameBuf) handled(n int) {
 	f.peak, f.frames = 0, 0
 }
 
-// wbuf appends fixed-width big-endian scalars.
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u8(v byte)     { w.b = append(w.b, v) }
-func (w *wbuf) u16(v uint16)  { w.b = binary.BigEndian.AppendUint16(w.b, v) }
-func (w *wbuf) u32(v uint32)  { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *wbuf) u64(v uint64)  { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *wbuf) i64(v int64)   { w.u64(uint64(v)) }
-func (w *wbuf) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *wbuf) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *wbuf) str(s string) {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
-	}
-	w.u16(uint16(len(s)))
-	w.b = append(w.b, s...)
-}
-
-// rbuf consumes fixed-width big-endian scalars with a latched error,
-// so decoders read a whole message unconditionally and check once.
-type rbuf struct {
+// wire is the cursor one message walk moves over a payload, in either
+// direction: encoding appends to b, decoding reads b at off with a
+// latched error, so a walk visits a whole message unconditionally and
+// its caller checks once. Every primitive takes a pointer to the field it
+// carries and stores through it only when decoding — an encoded message
+// may be shared read-only between goroutines.
+type wire struct {
+	enc bool
 	b   []byte
 	off int
 	err error
 }
 
-func (r *rbuf) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("ctrlplane: "+format, args...)
+// fail latches the first decode error and drops what is left of the
+// payload, so every later read comes up short without a reader having to
+// ask whether an error is latched.
+func (w *wire) fail(format string, args ...any) {
+	if w.err == nil {
+		w.err = fmt.Errorf("ctrlplane: "+format, args...)
+		w.b, w.off = nil, 0
 	}
 }
 
-func (r *rbuf) take(n int) []byte {
-	if r.err != nil {
+// short latches the truncation error of a read of n bytes.
+func (w *wire) short(n int) {
+	w.fail("payload truncated at byte %d (want %d more)", w.off, n)
+}
+
+// take returns the next n payload bytes, or nil once the payload is
+// short.
+func (w *wire) take(n int) []byte {
+	b := w.b[w.off:]
+	if len(b) < n {
+		w.short(n)
 		return nil
 	}
-	if len(r.b)-r.off < n {
-		r.fail("payload truncated at byte %d (want %d more)", r.off, n)
-		return nil
-	}
-	p := r.b[r.off : r.off+n]
-	r.off += n
-	return p
+	w.off += n
+	return b[:n]
 }
 
-func (r *rbuf) u8() byte {
-	p := r.take(1)
-	if p == nil {
+// The scalars are a walk's inner loop, and what they cost is whether
+// they inline: each keeps its encode half — an append — in line and its
+// decode half in a reader of its own (get64, getF64, getBool), too large
+// to be inlined back. A reader wrapping another would be inlined into its
+// scalar, over the inliner's budget, or cost decoding a second call.
+
+func (w *wire) get64() uint64 {
+	b := w.b[w.off:]
+	if len(b) < 8 {
+		w.short(8)
 		return 0
 	}
-	return p[0]
+	w.off += 8
+	return binary.BigEndian.Uint64(b)
 }
 
-func (r *rbuf) u16() uint16 {
-	p := r.take(2)
-	if p == nil {
+func (w *wire) getF64() float64 {
+	b := w.b[w.off:]
+	if len(b) < 8 {
+		w.short(8)
 		return 0
 	}
-	return binary.BigEndian.Uint16(p)
+	w.off += 8
+	return math.Float64frombits(binary.BigEndian.Uint64(b))
 }
 
-func (r *rbuf) u32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(p)
-}
-
-func (r *rbuf) u64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(p)
-}
-
-func (r *rbuf) i64() int64   { return int64(r.u64()) }
-func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *rbuf) integer() int { return int(r.i64()) }
-
-// boolean insists on 0|1 — any other byte would decode true but
+// getBool insists on 0|1 — any other byte would decode true but
 // re-encode as 1, breaking the one-representation-per-value property.
-func (r *rbuf) boolean() bool {
-	switch r.u8() {
+func (w *wire) getBool(v *bool) {
+	*v = false
+	b := w.b[w.off:]
+	if len(b) == 0 {
+		w.short(1)
+		return
+	}
+	w.off++
+	switch b[0] {
 	case 0:
-		return false
 	case 1:
-		return true
+		*v = true
 	default:
-		r.fail("bool byte not 0|1")
-		return false
+		w.fail("bool byte not 0|1")
 	}
 }
 
-func (r *rbuf) str() string {
-	n := int(r.u16())
-	p := r.take(n)
-	if p == nil {
-		return ""
+func (w *wire) u64(v *uint64) {
+	if w.enc {
+		w.b = binary.BigEndian.AppendUint64(w.b, *v)
+	} else {
+		*v = w.get64()
 	}
-	return string(p)
 }
 
-// strHeld is str for a destination that already holds a value: when
-// the wire repeats held it is returned as is, so a string that never
+func (w *wire) i64(v *int64) {
+	if w.enc {
+		w.b = binary.BigEndian.AppendUint64(w.b, uint64(*v))
+	} else {
+		*v = int64(w.get64())
+	}
+}
+
+// integer carries an int as an i64.
+func (w *wire) integer(v *int) {
+	if w.enc {
+		w.b = binary.BigEndian.AppendUint64(w.b, uint64(*v))
+	} else {
+		*v = int(w.get64())
+	}
+}
+
+func (w *wire) f64(v *float64) {
+	if w.enc {
+		w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(*v))
+	} else {
+		*v = w.getF64()
+	}
+}
+
+func (w *wire) boolean(v *bool) {
+	if w.enc {
+		w.b = append(w.b, btou(*v))
+	} else {
+		w.getBool(v)
+	}
+}
+
+func btou(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+func (w *wire) u32(v *uint32) {
+	if w.enc {
+		w.b = binary.BigEndian.AppendUint32(w.b, *v)
+	} else if p := w.take(4); p != nil {
+		*v = binary.BigEndian.Uint32(p)
+	}
+}
+
+// str carries a u16 length and that many bytes. A destination that
+// already holds the string the wire repeats keeps it, so one that never
 // changes (an agent's version, a standing error) is not materialised
 // again on every frame.
-func (r *rbuf) strHeld(held string) string {
-	p := r.take(int(r.u16()))
-	if p == nil {
-		return ""
+func (w *wire) str(s *string) {
+	if w.enc {
+		v := *s
+		if len(v) > math.MaxUint16 {
+			v = v[:math.MaxUint16]
+		}
+		w.b = append(binary.BigEndian.AppendUint16(w.b, uint16(len(v))), v...)
+		return
 	}
-	if string(p) == held {
-		return held
+	var n int
+	if p := w.take(2); p != nil {
+		n = int(binary.BigEndian.Uint16(p))
 	}
-	return string(p)
+	if p := w.take(n); string(p) != *s {
+		*s = string(p)
+	}
 }
 
-// curve reads n cap points (what names them in the lying-count error).
-// held is the curve the destination carried before: when the wire
-// repeats it point for point, held itself is returned — a static curve
-// costs a comparison and stays pointer-stable for whoever kept it.
-// Otherwise the points land in a fresh slice, never in held's backing
+// version stamps the frame header's protocol version onto a decoded
+// message; payloads do not carry it.
+func (w *wire) version(v *int) {
+	if !w.enc {
+		*v = ProtocolV
+	}
+}
+
+// count carries a u32 element count — n when encoding — and fits refuses
+// a decoded one the remaining payload cannot hold at elemBytes an element
+// before anything is sized by it (what names the elements). It divides,
+// never multiplies: a product wraps a 32-bit int. After a failure it is 0.
+func (w *wire) count(n, elemBytes int, what string) int {
+	c := uint32(n)
+	w.u32(&c)
+	return w.fits(c, elemBytes, what)
+}
+
+func (w *wire) fits(n uint32, elemBytes int, what string) int {
+	if !w.enc && uint64(n) > uint64((len(w.b)-w.off)/elemBytes) {
+		w.fail("%s count %d exceeds payload", what, n)
+		return 0
+	}
+	return int(n)
+}
+
+// points carries n cap points. Decoding keeps the curve *c already holds
+// when the wire repeats it point for point — a static curve costs a
+// comparison and stays pointer-stable for whoever kept it — and otherwise
+// lands the points in a fresh slice, never in the held one's backing
 // array: a member, an apportioner snapshot or a caller may still be
 // reading it.
-func (r *rbuf) curve(n int, held []cluster.CapPoint, what string) []cluster.CapPoint {
-	if r.err == nil && n*24 > len(r.b)-r.off {
-		r.fail("%s count %d exceeds payload", what, n)
+func (w *wire) points(c *[]cluster.CapPoint, n uint32, what string) {
+	if w.enc {
+		for _, p := range *c {
+			w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(p.CapW))
+			w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(p.Perf))
+			w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(p.GridW))
+		}
+		return
 	}
-	p := r.take(n * 24)
+	held := *c
+	*c = nil
+	p := w.take(24 * w.fits(n, 24, what))
 	if len(p) == 0 {
-		return nil
+		return
 	}
 	u64 := binary.BigEndian.Uint64
-	same := len(held) == n
-	for i := 0; same && i < n; i++ {
+	same := 24*len(held) == len(p)
+	for i := 0; same && i < len(held); i++ {
 		q, h := p[24*i:], held[i]
 		same = u64(q) == math.Float64bits(h.CapW) && u64(q[8:]) == math.Float64bits(h.Perf) && u64(q[16:]) == math.Float64bits(h.GridW)
 	}
 	if same {
-		return held
+		*c = held
+		return
 	}
-	out := make([]cluster.CapPoint, n)
+	out := make([]cluster.CapPoint, len(p)/24)
 	for i := range out {
 		q := p[24*i:]
 		out[i] = cluster.CapPoint{
@@ -365,12 +438,12 @@ func (r *rbuf) curve(n int, held []cluster.CapPoint, what string) []cluster.CapP
 			GridW: math.Float64frombits(u64(q[16:])),
 		}
 	}
-	return out
+	*c = out
 }
 
 // slots resizes a decode destination's slice to n elements, reusing its
 // backing array when that is large enough. Elements keep whatever they
-// last held: the decoders overwrite every field of every slot.
+// last held: the walk that follows overwrites every field of every slot.
 func slots[T any](s []T, n int) []T {
 	if n == 0 {
 		return nil
@@ -381,19 +454,132 @@ func slots[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// done returns the latched error, or rejects trailing bytes — the
-// binary mirror of decodeStrict's dec.More() check.
-func (r *rbuf) done() error {
-	if r.err != nil {
-		return r.err
+// end closes a decoded message: bytes left over are an error, and a
+// message read cleanly to the end of its payload must pass validate, when
+// it has one. Encoding, end does nothing.
+func (w *wire) end(validate func() error) {
+	if w.enc || w.err != nil {
+		return
 	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("ctrlplane: %d trailing bytes after message", len(r.b)-r.off)
+	if w.off != len(w.b) {
+		w.fail("%d trailing bytes after message", len(w.b)-w.off)
+	} else if validate != nil {
+		w.err = validate()
 	}
-	return nil
 }
 
-// --- scrape request ---
+// walk is the table of the wire: every message's Go type, its frame
+// type, the walk that lists its fields in wire order and — for what
+// crosses a trust boundary on decode: every request, reports and vote
+// replies — its Validate. The cases call concrete methods on purpose:
+// through an interface m and w would both escape, and every decode into
+// a stack destination would move to the heap. Validate reaches end in a
+// func literal, not as the method value: a bound value receiver copies
+// the message into this frame, a kilobyte over the cases that sent every
+// fan-out goroutine's stack growing.
+func walk(w *wire, m any) (ftype byte) {
+	switch m := m.(type) {
+	case *AssignRequest:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameAssignReq
+	case *AssignResponse:
+		m.wire(w)
+		return FrameAssignResp
+	case *scrapeRequest:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameScrapeReq
+	case *Report:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameReportResp
+	case *LeaseRequest:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameLeaseReq
+	case *LeaseResponse:
+		m.wire(w)
+		return FrameLeaseResp
+	case *RegisterRequest:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameRegisterReq
+	case *RegisterResponse:
+		m.wire(w)
+		return FrameRegisterResp
+	case *VoteRequest:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameVoteReq
+	case *VoteResponse:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameVoteResp
+	case *leaderRequest:
+		return FrameLeaderReq
+	case *LeaderStatus:
+		m.wire(w)
+		return FrameLeaderResp
+	case *BatchScrapeRequest:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameBatchScrapeReq
+	case *BatchScrapeResponse:
+		m.wire(w)
+		return FrameBatchScrapeResp
+	case *BatchGrantRequest:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameBatchGrantReq
+	case *BatchGrantResponse:
+		m.wire(w)
+		return FrameBatchGrantResp
+	case *ShardReportRequest:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameShardReportReq
+	case *ShardReport:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameShardReportResp
+	case *ShardBudgetRequest:
+		m.wire(w)
+		w.end(func() error { return m.Validate() })
+		return FrameShardBudgetReq
+	case *ShardBudgetResponse:
+		m.wire(w)
+		return FrameShardBudgetResp
+	case *frameRemoteError:
+		w.str(&m.msg)
+		return FrameError
+	}
+	// A constant: formatting m here would make every caller's message
+	// escape.
+	panic("ctrlplane: walk of a type that is not a wire message")
+}
+
+// encode appends m's payload to b and returns the extended slice, like
+// append, with m's frame type. It stores nothing to m.
+func encode(b []byte, m any) ([]byte, byte) {
+	w := wire{enc: true, b: b}
+	ftype := walk(&w, m)
+	return w.b, ftype
+}
+
+// decode reads payload p into *m, overwriting every field — a
+// destination is reused across retries, duplicated deliveries and
+// intervals — but for the strings and curves the wire repeats (see str,
+// points). p is valid only for the call: nothing decoded aliases it. On
+// error *m is unspecified.
+func decode(p []byte, m any) error {
+	w := wire{b: p}
+	walk(&w, m)
+	w.end(nil)
+	return w.err
+}
+
+// --- agent messages (the types are wire.go's) ---
 
 // scrapeRequest asks one agent for its report, ticking its replay
 // clock to t first when hasT is set. server names the agent on a shared
@@ -419,27 +605,11 @@ func (r scrapeRequest) Validate() error {
 	return nil
 }
 
-func appendScrapeReq(b []byte, req scrapeRequest) []byte {
-	w := wbuf{b: b}
-	w.i64(int64(req.server))
-	w.boolean(req.hasT)
-	w.f64(req.t)
-	return w.b
+func (m *scrapeRequest) wire(w *wire) {
+	w.integer(&m.server)
+	w.boolean(&m.hasT)
+	w.f64(&m.t)
 }
-
-func decodeScrapeReq(p []byte) (scrapeRequest, error) {
-	r := rbuf{b: p}
-	req := scrapeRequest{server: r.integer(), hasT: r.boolean(), t: r.f64()}
-	if err := r.done(); err != nil {
-		return scrapeRequest{}, err
-	}
-	if err := req.Validate(); err != nil {
-		return scrapeRequest{}, err
-	}
-	return req, nil
-}
-
-// --- Report ---
 
 // curveMetaFlag is the high bit of the report's curve-count u32: set
 // when the curve carries learning metadata (confidence + observed
@@ -450,401 +620,155 @@ func decodeScrapeReq(p []byte) (scrapeRequest, error) {
 // embedded mid-stream in batch responses.
 const curveMetaFlag = uint32(1) << 31
 
-func putReport(w *wbuf, rep *Report) {
-	w.i64(int64(rep.Server))
-	w.u64(rep.Epoch)
-	w.u64(rep.Seq)
-	w.f64(rep.CapW)
-	w.f64(rep.PerfN)
-	w.f64(rep.GridW)
-	w.f64(rep.SoC)
-	w.boolean(rep.Fenced)
-	w.boolean(rep.SafeMode)
-	w.f64(rep.IdleFloorW)
-	w.f64(rep.NameplateW)
-	w.str(rep.Version)
-	hasMeta := rep.CurveConf != 0 || rep.CurveCells != 0
-	cnt := uint32(len(rep.UtilityCurve))
-	if hasMeta {
-		cnt |= curveMetaFlag
+func (m *Report) wire(w *wire) {
+	w.version(&m.V)
+	w.integer(&m.Server)
+	w.u64(&m.Epoch)
+	w.u64(&m.Seq)
+	w.f64(&m.CapW)
+	w.f64(&m.PerfN)
+	w.f64(&m.GridW)
+	w.f64(&m.SoC)
+	w.boolean(&m.Fenced)
+	w.boolean(&m.SafeMode)
+	w.f64(&m.IdleFloorW)
+	w.f64(&m.NameplateW)
+	w.str(&m.Version)
+	count := uint32(len(m.UtilityCurve))
+	if m.CurveConf != 0 || m.CurveCells != 0 {
+		count |= curveMetaFlag
 	}
-	w.u32(cnt)
-	for _, p := range rep.UtilityCurve {
-		w.f64(p.CapW)
-		w.f64(p.Perf)
-		w.f64(p.GridW)
+	w.u32(&count)
+	w.points(&m.UtilityCurve, count&^curveMetaFlag, "curve")
+	if count&curveMetaFlag != 0 {
+		cells := uint32(m.CurveCells)
+		w.f64(&m.CurveConf)
+		w.u32(&cells)
+		if !w.enc {
+			m.CurveCells = int(cells)
+			if m.CurveConf == 0 && cells == 0 {
+				// A set flag over all-zero meta would re-encode without
+				// the flag; reject the non-canonical form.
+				w.fail("curve meta flag set over zero meta")
+			}
+		}
+	} else if !w.enc {
+		m.CurveConf, m.CurveCells = 0, 0
 	}
-	if hasMeta {
-		w.f64(rep.CurveConf)
-		w.u32(uint32(rep.CurveCells))
-	}
-	w.u64(rep.Iv)
+	w.u64(&m.Iv)
 }
 
-// getReport decodes one report into *rep, overwriting every field. The
-// version and the curve are kept when the wire repeats what *rep already
-// holds (see strHeld, curve).
-func getReport(r *rbuf, rep *Report) {
-	rep.V = ProtocolV
-	rep.Server = r.integer()
-	rep.Epoch = r.u64()
-	rep.Seq = r.u64()
-	rep.CapW = r.f64()
-	rep.PerfN = r.f64()
-	rep.GridW = r.f64()
-	rep.SoC = r.f64()
-	rep.Fenced = r.boolean()
-	rep.SafeMode = r.boolean()
-	rep.IdleFloorW = r.f64()
-	rep.NameplateW = r.f64()
-	rep.Version = r.strHeld(rep.Version)
-	cw := r.u32()
-	rep.UtilityCurve = r.curve(int(cw&^curveMetaFlag), rep.UtilityCurve, "curve")
-	rep.CurveConf, rep.CurveCells = 0, 0
-	if cw&curveMetaFlag != 0 {
-		rep.CurveConf = r.f64()
-		rep.CurveCells = int(r.u32())
-		if r.err == nil && rep.CurveConf == 0 && rep.CurveCells == 0 {
-			// A set flag over all-zero meta would re-encode without the
-			// flag; reject the non-canonical form.
-			r.fail("curve meta flag set over zero meta")
+func (m *AssignRequest) wire(w *wire) {
+	w.version(&m.V)
+	w.u64(&m.Epoch)
+	w.u64(&m.Seq)
+	w.integer(&m.Server)
+	w.f64(&m.T)
+	w.f64(&m.CapW)
+	w.u64(&m.Iv)
+	w.u64(&m.LeaseIv)
+	w.f64(&m.IvS)
+}
+
+func (m *AssignResponse) wire(w *wire) {
+	w.version(&m.V)
+	w.integer(&m.Server)
+	w.u64(&m.Epoch)
+	w.u64(&m.Seq)
+	w.boolean(&m.Applied)
+	w.f64(&m.CapW)
+	w.f64(&m.PerfN)
+	w.f64(&m.GridW)
+	w.f64(&m.SoC)
+	w.boolean(&m.Fenced)
+	w.boolean(&m.SafeMode)
+	w.u64(&m.Iv)
+}
+
+func (m *LeaseRequest) wire(w *wire) {
+	w.version(&m.V)
+	w.u64(&m.Epoch)
+	w.integer(&m.Server)
+	w.f64(&m.T)
+	w.u64(&m.Iv)
+	w.u64(&m.LeaseIv)
+	w.f64(&m.IvS)
+}
+
+func (m *LeaseResponse) wire(w *wire) {
+	w.version(&m.V)
+	w.u64(&m.Epoch)
+	w.integer(&m.Server)
+	w.f64(&m.CapW)
+	w.u64(&m.ExpiresIv)
+	w.boolean(&m.Fenced)
+	w.u64(&m.Iv)
+}
+
+// --- coordinator messages: registration, votes, the leader probe ---
+
+func (m *RegisterRequest) wire(w *wire) {
+	w.version(&m.V)
+	w.integer(&m.Server)
+	w.str(&m.URL)
+	w.f64(&m.NameplateW)
+}
+
+func (m *RegisterResponse) wire(w *wire) {
+	w.version(&m.V)
+	w.integer(&m.Server)
+	w.boolean(&m.Accepted)
+	w.u64(&m.Epoch)
+	w.boolean(&m.Leader)
+	w.str(&m.LeaderID)
+}
+
+// term carries an optional WireTerm behind its presence flag.
+func (w *wire) term(t **WireTerm) {
+	has := *t != nil
+	w.boolean(&has)
+	if !w.enc {
+		*t = nil
+		if has {
+			*t = new(WireTerm)
 		}
 	}
-	rep.Iv = r.u64()
-}
-
-func appendReportPayload(b []byte, rep *Report) []byte {
-	w := wbuf{b: b}
-	putReport(&w, rep)
-	return w.b
-}
-
-// decodeReportPayload decodes into *rep; on error its contents are
-// unspecified.
-func decodeReportPayload(p []byte, rep *Report) error {
-	r := rbuf{b: p}
-	getReport(&r, rep)
-	if err := r.done(); err != nil {
-		return err
+	if has {
+		w.u64(&(*t).Epoch)
+		w.str(&(*t).Leader)
+		w.i64(&(*t).ExpiresUnixNano)
 	}
-	return rep.Validate()
 }
 
-// --- AssignRequest / AssignResponse ---
-
-func appendAssignReq(b []byte, req AssignRequest) []byte {
-	w := wbuf{b: b}
-	w.u64(req.Epoch)
-	w.u64(req.Seq)
-	w.i64(int64(req.Server))
-	w.f64(req.T)
-	w.f64(req.CapW)
-	w.u64(req.Iv)
-	w.u64(req.LeaseIv)
-	w.f64(req.IvS)
-	return w.b
+func (m *VoteRequest) wire(w *wire) {
+	w.version(&m.V)
+	w.str(&m.Phase)
+	w.u64(&m.Ballot)
+	w.term(&m.Term)
 }
 
-func decodeAssignReqPayload(p []byte) (AssignRequest, error) {
-	r := rbuf{b: p}
-	var req AssignRequest
-	req.V = ProtocolV
-	req.Epoch = r.u64()
-	req.Seq = r.u64()
-	req.Server = r.integer()
-	req.T = r.f64()
-	req.CapW = r.f64()
-	req.Iv = r.u64()
-	req.LeaseIv = r.u64()
-	req.IvS = r.f64()
-	if err := r.done(); err != nil {
-		return AssignRequest{}, err
-	}
-	if err := req.Validate(); err != nil {
-		return AssignRequest{}, err
-	}
-	return req, nil
+func (m *VoteResponse) wire(w *wire) {
+	w.version(&m.V)
+	w.boolean(&m.Granted)
+	w.u64(&m.Promise)
+	w.u64(&m.AcceptedBallot)
+	w.term(&m.Term)
 }
 
-func putAssignResp(w *wbuf, resp AssignResponse) {
-	w.i64(int64(resp.Server))
-	w.u64(resp.Epoch)
-	w.u64(resp.Seq)
-	w.boolean(resp.Applied)
-	w.f64(resp.CapW)
-	w.f64(resp.PerfN)
-	w.f64(resp.GridW)
-	w.f64(resp.SoC)
-	w.boolean(resp.Fenced)
-	w.boolean(resp.SafeMode)
-	w.u64(resp.Iv)
+// leaderRequest asks a coordinator for its LeaderStatus; it has no
+// fields, so any payload byte is a trailing one.
+type leaderRequest struct{}
+
+func (m *LeaderStatus) wire(w *wire) {
+	w.version(&m.V)
+	w.str(&m.ID)
+	w.str(&m.LeaderID)
+	w.u64(&m.Epoch)
+	w.boolean(&m.Leader)
+	w.integer(&m.Failovers)
 }
 
-func getAssignResp(r *rbuf) AssignResponse {
-	var resp AssignResponse
-	resp.V = ProtocolV
-	resp.Server = r.integer()
-	resp.Epoch = r.u64()
-	resp.Seq = r.u64()
-	resp.Applied = r.boolean()
-	resp.CapW = r.f64()
-	resp.PerfN = r.f64()
-	resp.GridW = r.f64()
-	resp.SoC = r.f64()
-	resp.Fenced = r.boolean()
-	resp.SafeMode = r.boolean()
-	resp.Iv = r.u64()
-	return resp
-}
-
-func appendAssignRespPayload(b []byte, resp AssignResponse) []byte {
-	w := wbuf{b: b}
-	putAssignResp(&w, resp)
-	return w.b
-}
-
-func decodeAssignRespPayload(p []byte) (AssignResponse, error) {
-	r := rbuf{b: p}
-	resp := getAssignResp(&r)
-	if err := r.done(); err != nil {
-		return AssignResponse{}, err
-	}
-	return resp, nil
-}
-
-// --- LeaseRequest / LeaseResponse ---
-
-func appendLeaseReq(b []byte, req LeaseRequest) []byte {
-	w := wbuf{b: b}
-	w.u64(req.Epoch)
-	w.i64(int64(req.Server))
-	w.f64(req.T)
-	w.u64(req.Iv)
-	w.u64(req.LeaseIv)
-	w.f64(req.IvS)
-	return w.b
-}
-
-func decodeLeaseReqPayload(p []byte) (LeaseRequest, error) {
-	r := rbuf{b: p}
-	var req LeaseRequest
-	req.V = ProtocolV
-	req.Epoch = r.u64()
-	req.Server = r.integer()
-	req.T = r.f64()
-	req.Iv = r.u64()
-	req.LeaseIv = r.u64()
-	req.IvS = r.f64()
-	if err := r.done(); err != nil {
-		return LeaseRequest{}, err
-	}
-	if err := req.Validate(); err != nil {
-		return LeaseRequest{}, err
-	}
-	return req, nil
-}
-
-func appendLeaseRespPayload(b []byte, resp LeaseResponse) []byte {
-	w := wbuf{b: b}
-	w.u64(resp.Epoch)
-	w.i64(int64(resp.Server))
-	w.f64(resp.CapW)
-	w.u64(resp.ExpiresIv)
-	w.boolean(resp.Fenced)
-	w.u64(resp.Iv)
-	return w.b
-}
-
-func decodeLeaseRespPayload(p []byte) (LeaseResponse, error) {
-	r := rbuf{b: p}
-	var resp LeaseResponse
-	resp.V = ProtocolV
-	resp.Epoch = r.u64()
-	resp.Server = r.integer()
-	resp.CapW = r.f64()
-	resp.ExpiresIv = r.u64()
-	resp.Fenced = r.boolean()
-	resp.Iv = r.u64()
-	if err := r.done(); err != nil {
-		return LeaseResponse{}, err
-	}
-	return resp, nil
-}
-
-// --- RegisterRequest / RegisterResponse ---
-
-func appendRegisterReq(b []byte, req RegisterRequest) []byte {
-	w := wbuf{b: b}
-	w.i64(int64(req.Server))
-	w.str(req.URL)
-	w.f64(req.NameplateW)
-	return w.b
-}
-
-func decodeRegisterReqPayload(p []byte) (RegisterRequest, error) {
-	r := rbuf{b: p}
-	var req RegisterRequest
-	req.V = ProtocolV
-	req.Server = r.integer()
-	req.URL = r.str()
-	req.NameplateW = r.f64()
-	if err := r.done(); err != nil {
-		return RegisterRequest{}, err
-	}
-	if err := req.Validate(); err != nil {
-		return RegisterRequest{}, err
-	}
-	return req, nil
-}
-
-func appendRegisterRespPayload(b []byte, resp RegisterResponse) []byte {
-	w := wbuf{b: b}
-	w.i64(int64(resp.Server))
-	w.boolean(resp.Accepted)
-	w.u64(resp.Epoch)
-	w.boolean(resp.Leader)
-	w.str(resp.LeaderID)
-	return w.b
-}
-
-func decodeRegisterRespPayload(p []byte) (RegisterResponse, error) {
-	r := rbuf{b: p}
-	var resp RegisterResponse
-	resp.V = ProtocolV
-	resp.Server = r.integer()
-	resp.Accepted = r.boolean()
-	resp.Epoch = r.u64()
-	resp.Leader = r.boolean()
-	resp.LeaderID = r.str()
-	if err := r.done(); err != nil {
-		return RegisterResponse{}, err
-	}
-	return resp, nil
-}
-
-// --- VoteRequest / VoteResponse ---
-
-func putWireTerm(w *wbuf, t WireTerm) {
-	w.u64(t.Epoch)
-	w.str(t.Leader)
-	w.i64(t.ExpiresUnixNano)
-}
-
-func getWireTerm(r *rbuf) WireTerm {
-	var t WireTerm
-	t.Epoch = r.u64()
-	t.Leader = r.str()
-	t.ExpiresUnixNano = r.i64()
-	return t
-}
-
-func appendVoteReq(b []byte, req VoteRequest) []byte {
-	w := wbuf{b: b}
-	w.str(req.Phase)
-	w.u64(req.Ballot)
-	w.boolean(req.Term != nil)
-	if req.Term != nil {
-		putWireTerm(&w, *req.Term)
-	}
-	return w.b
-}
-
-func decodeVoteReqPayload(p []byte) (VoteRequest, error) {
-	r := rbuf{b: p}
-	var req VoteRequest
-	req.V = ProtocolV
-	req.Phase = r.str()
-	req.Ballot = r.u64()
-	if r.boolean() {
-		t := getWireTerm(&r)
-		req.Term = &t
-	}
-	if err := r.done(); err != nil {
-		return VoteRequest{}, err
-	}
-	if err := req.Validate(); err != nil {
-		return VoteRequest{}, err
-	}
-	return req, nil
-}
-
-func appendVoteRespPayload(b []byte, resp VoteResponse) []byte {
-	w := wbuf{b: b}
-	w.boolean(resp.Granted)
-	w.u64(resp.Promise)
-	w.u64(resp.AcceptedBallot)
-	w.boolean(resp.Term != nil)
-	if resp.Term != nil {
-		putWireTerm(&w, *resp.Term)
-	}
-	return w.b
-}
-
-func decodeVoteRespPayload(p []byte) (VoteResponse, error) {
-	r := rbuf{b: p}
-	var resp VoteResponse
-	resp.V = ProtocolV
-	resp.Granted = r.boolean()
-	resp.Promise = r.u64()
-	resp.AcceptedBallot = r.u64()
-	if r.boolean() {
-		t := getWireTerm(&r)
-		resp.Term = &t
-	}
-	if err := r.done(); err != nil {
-		return VoteResponse{}, err
-	}
-	if err := resp.Validate(); err != nil {
-		return VoteResponse{}, err
-	}
-	return resp, nil
-}
-
-// --- LeaderStatus (FrameLeaderReq carries an empty payload) ---
-
-func appendLeaderStatusPayload(b []byte, st LeaderStatus) []byte {
-	w := wbuf{b: b}
-	w.str(st.ID)
-	w.str(st.LeaderID)
-	w.u64(st.Epoch)
-	w.boolean(st.Leader)
-	w.i64(int64(st.Failovers))
-	return w.b
-}
-
-func decodeLeaderStatusPayload(p []byte) (LeaderStatus, error) {
-	r := rbuf{b: p}
-	var st LeaderStatus
-	st.V = ProtocolV
-	st.ID = r.str()
-	st.LeaderID = r.str()
-	st.Epoch = r.u64()
-	st.Leader = r.boolean()
-	st.Failovers = r.integer()
-	if err := r.done(); err != nil {
-		return LeaderStatus{}, err
-	}
-	return st, nil
-}
-
-// --- FrameError payload: one error string ---
-
-func appendErrPayload(b []byte, msg string) []byte {
-	w := wbuf{b: b}
-	w.str(msg)
-	return w.b
-}
-
-func decodeErrPayload(p []byte) (string, error) {
-	r := rbuf{b: p}
-	msg := r.str()
-	if err := r.done(); err != nil {
-		return "", err
-	}
-	return msg, nil
-}
-
-// --- batch messages (binary-only; see docs/WIRE.md §5) ---
+// --- batch messages (see docs/WIRE.md §5) ---
 
 // BatchScrapeRequest asks one endpoint for many agents' reports in a
 // single frame: the shared replay instant plus the fleet slice living
@@ -878,6 +802,20 @@ func (r BatchScrapeRequest) Validate() error {
 	return nil
 }
 
+// The request walks reuse the destination's Servers / Entries capacity:
+// the server keeps one of each per connection.
+func (m *BatchScrapeRequest) wire(w *wire) {
+	w.version(&m.V)
+	w.f64(&m.T)
+	w.boolean(&m.HasT)
+	if n := w.count(len(m.Servers), 8, "batch scrape"); !w.enc {
+		m.Servers = slots(m.Servers, n)
+	}
+	for i := range m.Servers {
+		w.integer(&m.Servers[i])
+	}
+}
+
 // ScrapeResult is one agent's slot in a batch-scrape response: either
 // its report or the per-agent error, never both.
 type ScrapeResult struct {
@@ -886,10 +824,54 @@ type ScrapeResult struct {
 	Report Report // valid when Err == ""
 }
 
+// wire is one response slot: the report follows only an empty error, and
+// is validated as it is decoded.
+func (m *ScrapeResult) wire(w *wire) {
+	w.integer(&m.Server)
+	w.str(&m.Err)
+	if m.Err == "" {
+		m.Report.wire(w)
+		if !w.enc && w.err == nil {
+			w.err = m.Report.Validate()
+		}
+	} else if !w.enc {
+		m.Report = Report{}
+	}
+}
+
 // BatchScrapeResponse answers a BatchScrapeRequest slot-for-slot.
 type BatchScrapeResponse struct {
 	V       int
 	Results []ScrapeResult
+}
+
+// minBatchResultBytes is the least one batch response slot occupies on
+// the wire: the server id and the error string's length prefix.
+const minBatchResultBytes = 10
+
+// slotCount is count for a batch response, whose slots size the
+// destination's result slab: a decoded count is also held to
+// maxBatchEntries.
+func (w *wire) slotCount(n int, what string) int {
+	n = w.count(n, minBatchResultBytes, what)
+	if !w.enc && n > maxBatchEntries {
+		w.fail("%s count %d exceeds %d", what, n, maxBatchEntries)
+		return 0
+	}
+	return n
+}
+
+// The response walks reuse the destination's Results capacity and
+// overwrite every slot in full, so nothing a slot's previous occupant
+// held — an error, a curve, curve meta — survives into this reply.
+func (m *BatchScrapeResponse) wire(w *wire) {
+	w.version(&m.V)
+	if n := w.slotCount(len(m.Results), "batch scrape response"); !w.enc {
+		m.Results = slots(m.Results, n)
+	}
+	for i := 0; i < len(m.Results) && w.err == nil; i++ {
+		m.Results[i].wire(w)
+	}
 }
 
 // BatchGrantRequest fans one interval's grants to every agent behind
@@ -951,6 +933,25 @@ func (r BatchGrantRequest) Validate() error {
 	return nil
 }
 
+func (m *BatchGrantRequest) wire(w *wire) {
+	w.version(&m.V)
+	w.u64(&m.Epoch)
+	w.u64(&m.Seq)
+	w.f64(&m.T)
+	w.u64(&m.Iv)
+	w.u64(&m.LeaseIv)
+	w.f64(&m.IvS)
+	if n := w.count(len(m.Entries), 17, "batch grant"); !w.enc {
+		m.Entries = slots(m.Entries, n)
+	}
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		w.integer(&e.Server)
+		w.f64(&e.CapW)
+		w.boolean(&e.Renew)
+	}
+}
+
 // GrantResult is one agent's slot in a batch-grant response. Renewed
 // reports that the coalesced renewal held (the lease moved and the
 // budget matched); otherwise Resp is the assign acknowledgement and
@@ -962,319 +963,86 @@ type GrantResult struct {
 	Resp    AssignResponse // valid when Err == ""
 }
 
+// wire is one response slot: the renewed flag and the acknowledgement
+// follow only an empty error.
+func (m *GrantResult) wire(w *wire) {
+	w.integer(&m.Server)
+	w.str(&m.Err)
+	if m.Err == "" {
+		w.boolean(&m.Renewed)
+		m.Resp.wire(w)
+	} else if !w.enc {
+		m.Renewed, m.Resp = false, AssignResponse{}
+	}
+}
+
 // BatchGrantResponse answers a BatchGrantRequest slot-for-slot.
 type BatchGrantResponse struct {
 	V       int
 	Results []GrantResult
 }
 
-func appendBatchScrapeReq(b []byte, req BatchScrapeRequest) []byte {
-	w := wbuf{b: b}
-	w.f64(req.T)
-	w.boolean(req.HasT)
-	w.u32(uint32(len(req.Servers)))
-	for _, s := range req.Servers {
-		w.i64(int64(s))
+func (m *BatchGrantResponse) wire(w *wire) {
+	w.version(&m.V)
+	if n := w.slotCount(len(m.Results), "batch grant response"); !w.enc {
+		m.Results = slots(m.Results, n)
 	}
-	return w.b
-}
-
-// decodeBatchScrapeReqPayload decodes into *req, reusing its Servers
-// capacity (the server keeps one per connection); on error its contents
-// are unspecified.
-func decodeBatchScrapeReqPayload(p []byte, req *BatchScrapeRequest) error {
-	r := rbuf{b: p}
-	req.V = ProtocolV
-	req.T = r.f64()
-	req.HasT = r.boolean()
-	n := int(r.u32())
-	if r.err == nil && n*8 > len(r.b)-r.off {
-		r.fail("batch scrape count %d exceeds payload", n)
-	}
-	if r.err == nil {
-		req.Servers = slots(req.Servers, n)
-		for i := range req.Servers {
-			req.Servers[i] = r.integer()
-		}
-	}
-	if err := r.done(); err != nil {
-		return err
-	}
-	return req.Validate()
-}
-
-// putScrapeResult encodes one batch-scrape response slot: the report
-// when errMsg is empty, the per-agent error otherwise.
-func putScrapeResult(w *wbuf, server int, errMsg string, rep *Report) {
-	w.i64(int64(server))
-	w.str(errMsg)
-	if errMsg == "" {
-		putReport(w, rep)
+	for i := 0; i < len(m.Results) && w.err == nil; i++ {
+		m.Results[i].wire(w)
 	}
 }
 
-// minBatchResultBytes is the least one batch response slot occupies on
-// the wire: the server id and the error string's length prefix. A count
-// the remaining payload cannot hold at that rate is refused before the
-// result slice is allocated.
-const minBatchResultBytes = 10
+// --- shard↔global trunk messages (see docs/WIRE.md §6; the types are
+// shardwire.go's) ---
 
-// batchRespCount reads a batch response's slot count and bounds it by
-// maxBatchEntries and by what the rest of the payload can hold.
-func batchRespCount(r *rbuf, what string) int {
-	n := int(r.u32())
-	if r.err == nil && n > maxBatchEntries {
-		r.fail("batch %s response count %d exceeds %d", what, n, maxBatchEntries)
-	}
-	if r.err == nil && n*minBatchResultBytes > len(r.b)-r.off {
-		r.fail("batch %s response count %d exceeds payload", what, n)
-	}
-	if r.err != nil {
-		return 0
-	}
-	return n
+func (m *ShardReportRequest) wire(w *wire) {
+	w.version(&m.V)
+	w.integer(&m.Shard)
+	w.boolean(&m.HasT)
+	w.f64(&m.T)
+	w.u64(&m.Iv)
 }
 
-// decodeBatchScrapeRespPayload decodes into *resp, reusing its Results
-// capacity and overwriting every slot in full, so nothing a slot's
-// previous occupant held — an error, a curve, curve meta — survives into
-// this reply. On error the contents are unspecified.
-func decodeBatchScrapeRespPayload(p []byte, resp *BatchScrapeResponse) error {
-	r := rbuf{b: p}
-	resp.V = ProtocolV
-	resp.Results = slots(resp.Results, batchRespCount(&r, "scrape"))
-	for i := 0; i < len(resp.Results) && r.err == nil; i++ {
-		res := &resp.Results[i]
-		res.Server = r.integer()
-		res.Err = r.strHeld(res.Err)
-		if res.Err != "" {
-			res.Report = Report{}
-			continue
-		}
-		getReport(&r, &res.Report)
-		if r.err == nil {
-			if err := res.Report.Validate(); err != nil {
-				return err
-			}
-		}
-	}
-	return r.done()
+func (m *ShardReport) wire(w *wire) {
+	w.version(&m.V)
+	w.integer(&m.Shard)
+	w.u64(&m.Epoch)
+	w.u64(&m.Seq)
+	w.f64(&m.T)
+	w.boolean(&m.Leading)
+	w.integer(&m.Agents)
+	w.f64(&m.FloorW)
+	w.f64(&m.DemandW)
+	w.f64(&m.UsedW)
+	w.f64(&m.CapW)
+	w.f64(&m.BudgetW)
+	w.boolean(&m.Starved)
+	count := uint32(len(m.Curve))
+	w.u32(&count)
+	w.points(&m.Curve, count, "shard curve")
+	w.u64(&m.GEpoch)
+	w.u64(&m.GSeq)
+	w.u64(&m.GIv)
 }
 
-func appendBatchGrantReq(b []byte, req BatchGrantRequest) []byte {
-	w := wbuf{b: b}
-	w.u64(req.Epoch)
-	w.u64(req.Seq)
-	w.f64(req.T)
-	w.u64(req.Iv)
-	w.u64(req.LeaseIv)
-	w.f64(req.IvS)
-	w.u32(uint32(len(req.Entries)))
-	for _, e := range req.Entries {
-		w.i64(int64(e.Server))
-		w.f64(e.CapW)
-		w.boolean(e.Renew)
-	}
-	return w.b
+func (m *ShardBudgetRequest) wire(w *wire) {
+	w.version(&m.V)
+	w.u64(&m.Epoch)
+	w.u64(&m.Seq)
+	w.integer(&m.Shard)
+	w.f64(&m.T)
+	w.f64(&m.CapW)
+	w.u64(&m.Iv)
+	w.u64(&m.LeaseIv)
+	w.f64(&m.IvS)
 }
 
-// decodeBatchGrantReqPayload decodes into *req, reusing its Entries
-// capacity; on error its contents are unspecified.
-func decodeBatchGrantReqPayload(p []byte, req *BatchGrantRequest) error {
-	r := rbuf{b: p}
-	req.V = ProtocolV
-	req.Epoch = r.u64()
-	req.Seq = r.u64()
-	req.T = r.f64()
-	req.Iv = r.u64()
-	req.LeaseIv = r.u64()
-	req.IvS = r.f64()
-	n := int(r.u32())
-	if r.err == nil && n*17 > len(r.b)-r.off {
-		r.fail("batch grant count %d exceeds payload", n)
-	}
-	if r.err == nil {
-		req.Entries = slots(req.Entries, n)
-		for i := range req.Entries {
-			req.Entries[i] = GrantEntry{Server: r.integer(), CapW: r.f64(), Renew: r.boolean()}
-		}
-	}
-	if err := r.done(); err != nil {
-		return err
-	}
-	return req.Validate()
-}
-
-// putGrantResult encodes one batch-grant response slot: the renewed
-// flag and the acknowledgement when errMsg is empty, the per-agent error
-// otherwise.
-func putGrantResult(w *wbuf, server int, errMsg string, renewed bool, resp AssignResponse) {
-	w.i64(int64(server))
-	w.str(errMsg)
-	if errMsg == "" {
-		w.boolean(renewed)
-		putAssignResp(w, resp)
-	}
-}
-
-// decodeBatchGrantRespPayload decodes into *resp under the same
-// contract as decodeBatchScrapeRespPayload.
-func decodeBatchGrantRespPayload(p []byte, resp *BatchGrantResponse) error {
-	r := rbuf{b: p}
-	resp.V = ProtocolV
-	resp.Results = slots(resp.Results, batchRespCount(&r, "grant"))
-	for i := 0; i < len(resp.Results) && r.err == nil; i++ {
-		res := &resp.Results[i]
-		res.Server = r.integer()
-		res.Err = r.strHeld(res.Err)
-		res.Renewed, res.Resp = false, AssignResponse{}
-		if res.Err == "" {
-			res.Renewed = r.boolean()
-			res.Resp = getAssignResp(&r)
-		}
-	}
-	return r.done()
-}
-
-// --- shard↔global trunk messages (binary-only; see docs/WIRE.md §6) ---
-
-func appendShardReportReq(b []byte, req ShardReportRequest) []byte {
-	w := wbuf{b: b}
-	w.i64(int64(req.Shard))
-	w.boolean(req.HasT)
-	w.f64(req.T)
-	w.u64(req.Iv)
-	return w.b
-}
-
-func decodeShardReportReqPayload(p []byte) (ShardReportRequest, error) {
-	r := rbuf{b: p}
-	var req ShardReportRequest
-	req.V = ProtocolV
-	req.Shard = r.integer()
-	req.HasT = r.boolean()
-	req.T = r.f64()
-	req.Iv = r.u64()
-	if err := r.done(); err != nil {
-		return ShardReportRequest{}, err
-	}
-	if err := req.Validate(); err != nil {
-		return ShardReportRequest{}, err
-	}
-	return req, nil
-}
-
-func appendShardReportPayload(b []byte, rep ShardReport) []byte {
-	w := wbuf{b: b}
-	w.i64(int64(rep.Shard))
-	w.u64(rep.Epoch)
-	w.u64(rep.Seq)
-	w.f64(rep.T)
-	w.boolean(rep.Leading)
-	w.i64(int64(rep.Agents))
-	w.f64(rep.FloorW)
-	w.f64(rep.DemandW)
-	w.f64(rep.UsedW)
-	w.f64(rep.CapW)
-	w.f64(rep.BudgetW)
-	w.boolean(rep.Starved)
-	w.u32(uint32(len(rep.Curve)))
-	for _, p := range rep.Curve {
-		w.f64(p.CapW)
-		w.f64(p.Perf)
-		w.f64(p.GridW)
-	}
-	w.u64(rep.GEpoch)
-	w.u64(rep.GSeq)
-	w.u64(rep.GIv)
-	return w.b
-}
-
-// decodeShardReportPayload decodes into *rep, overwriting every field;
-// the curve is kept when the wire repeats what *rep already holds (see
-// rbuf.curve). On error the contents are unspecified.
-func decodeShardReportPayload(p []byte, rep *ShardReport) error {
-	r := rbuf{b: p}
-	rep.V = ProtocolV
-	rep.Shard = r.integer()
-	rep.Epoch = r.u64()
-	rep.Seq = r.u64()
-	rep.T = r.f64()
-	rep.Leading = r.boolean()
-	rep.Agents = r.integer()
-	rep.FloorW = r.f64()
-	rep.DemandW = r.f64()
-	rep.UsedW = r.f64()
-	rep.CapW = r.f64()
-	rep.BudgetW = r.f64()
-	rep.Starved = r.boolean()
-	rep.Curve = r.curve(int(r.u32()), rep.Curve, "shard curve")
-	rep.GEpoch = r.u64()
-	rep.GSeq = r.u64()
-	rep.GIv = r.u64()
-	if err := r.done(); err != nil {
-		return err
-	}
-	return rep.Validate()
-}
-
-func appendShardBudgetReq(b []byte, req ShardBudgetRequest) []byte {
-	w := wbuf{b: b}
-	w.u64(req.Epoch)
-	w.u64(req.Seq)
-	w.i64(int64(req.Shard))
-	w.f64(req.T)
-	w.f64(req.CapW)
-	w.u64(req.Iv)
-	w.u64(req.LeaseIv)
-	w.f64(req.IvS)
-	return w.b
-}
-
-func decodeShardBudgetReqPayload(p []byte) (ShardBudgetRequest, error) {
-	r := rbuf{b: p}
-	var req ShardBudgetRequest
-	req.V = ProtocolV
-	req.Epoch = r.u64()
-	req.Seq = r.u64()
-	req.Shard = r.integer()
-	req.T = r.f64()
-	req.CapW = r.f64()
-	req.Iv = r.u64()
-	req.LeaseIv = r.u64()
-	req.IvS = r.f64()
-	if err := r.done(); err != nil {
-		return ShardBudgetRequest{}, err
-	}
-	if err := req.Validate(); err != nil {
-		return ShardBudgetRequest{}, err
-	}
-	return req, nil
-}
-
-func appendShardBudgetRespPayload(b []byte, resp ShardBudgetResponse) []byte {
-	w := wbuf{b: b}
-	w.i64(int64(resp.Shard))
-	w.u64(resp.Epoch)
-	w.u64(resp.Seq)
-	w.boolean(resp.Applied)
-	w.f64(resp.CapW)
-	w.u64(resp.Iv)
-	return w.b
-}
-
-func decodeShardBudgetRespPayload(p []byte) (ShardBudgetResponse, error) {
-	r := rbuf{b: p}
-	var resp ShardBudgetResponse
-	resp.V = ProtocolV
-	resp.Shard = r.integer()
-	resp.Epoch = r.u64()
-	resp.Seq = r.u64()
-	resp.Applied = r.boolean()
-	resp.CapW = r.f64()
-	resp.Iv = r.u64()
-	if err := r.done(); err != nil {
-		return ShardBudgetResponse{}, err
-	}
-	return resp, nil
+func (m *ShardBudgetResponse) wire(w *wire) {
+	w.version(&m.V)
+	w.integer(&m.Shard)
+	w.u64(&m.Epoch)
+	w.u64(&m.Seq)
+	w.boolean(&m.Applied)
+	w.f64(&m.CapW)
+	w.u64(&m.Iv)
 }

@@ -497,7 +497,7 @@ func (c *Coordinator) Observe(ctx context.Context, t, capW float64) (StepResult,
 // apportioner's inputs. None of it is handed to a caller: what a caller
 // keeps (StepResult's slices, errors, fault events) is allocated fresh.
 // The one thing a member retains out of it is a report's curve, and a
-// decoder never writes a held curve in place (see rbuf.curve).
+// decoder never writes a held curve in place (see wire.points).
 type stepScratch struct {
 	reports                            []*Report
 	errs                               []error

@@ -132,7 +132,7 @@ type globalShard struct {
 	// rx is the destination this shard's trunk scrapes decode into — a
 	// standby's answer included, which is why a leader's is copied to
 	// report only once it has been accepted. The copy shares rx's curve,
-	// which a decoder never writes in place (see rbuf.curve).
+	// which a decoder never writes in place (see wire.points).
 	rx ShardReport
 	// tel holds the shard's own gauges, resolved once.
 	tel memberTel

@@ -598,12 +598,9 @@ func TestStorePartitionFailsOver(t *testing.T) {
 
 // rpcLeader is the leader probe's client half (operators use pscoord's
 // GET /ctrl/leader rendering; only this test sends the frame).
-type leaderRequest struct{}
+var rpcLeader = rpc[leaderRequest, LeaderStatus]{"leader"}
 
 func (leaderRequest) Validate() error { return nil }
-
-var rpcLeader = rpc[leaderRequest, LeaderStatus]{"leader", FrameLeaderReq, FrameLeaderResp,
-	func(b []byte, _ leaderRequest) []byte { return b }, decodeTo(decodeLeaderStatusPayload)}
 
 // serveCoordinator hosts c's register/leader frames on a loopback
 // listener for the test's lifetime.

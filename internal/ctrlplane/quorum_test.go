@@ -70,18 +70,19 @@ func TestVoterHandlerRejectsBadTraffic(t *testing.T) {
 		t.Fatal("agent-only listener answered a vote frame")
 	}
 	term := func(epoch uint64) *WireTerm { return &WireTerm{Epoch: epoch, Leader: "x"} }
-	prepare := appendVoteReq(nil, VoteRequest{Phase: VotePrepare, Ballot: 1})
+	raw := dialRaw(t, srv.URL())
+	prepare := wireBytes(&VoteRequest{Phase: VotePrepare, Ballot: 1})
 	for what, payload := range map[string][]byte{
 		"empty payload":        nil,
 		"truncated payload":    prepare[:len(prepare)-1],
-		"ballot 0":             appendVoteReq(nil, VoteRequest{Phase: VotePrepare, Ballot: 0}),
-		"unknown phase":        appendVoteReq(nil, VoteRequest{Phase: "veto", Ballot: 1}),
-		"prepare with a term":  appendVoteReq(nil, VoteRequest{Phase: VotePrepare, Ballot: 1, Term: term(1)}),
-		"accept without term":  appendVoteReq(nil, VoteRequest{Phase: VoteAccept, Ballot: 1}),
-		"accept of epoch 0":    appendVoteReq(nil, VoteRequest{Phase: VoteAccept, Ballot: 1, Term: term(0)}),
+		"ballot 0":             wireBytes(&VoteRequest{Phase: VotePrepare, Ballot: 0}),
+		"unknown phase":        wireBytes(&VoteRequest{Phase: "veto", Ballot: 1}),
+		"prepare with a term":  wireBytes(&VoteRequest{Phase: VotePrepare, Ballot: 1, Term: term(1)}),
+		"accept without term":  wireBytes(&VoteRequest{Phase: VoteAccept, Ballot: 1}),
+		"accept of epoch 0":    wireBytes(&VoteRequest{Phase: VoteAccept, Ballot: 1, Term: term(0)}),
 		"trailing bogus bytes": append(append([]byte{}, prepare...), 1),
 	} {
-		err := sendRaw(ctx, bin, srv.URL(), FrameVoteReq, payload, FrameVoteResp)
+		err := sendRaw(raw, FrameVoteReq, payload)
 		var remote *frameRemoteError
 		if !errors.As(err, &remote) {
 			t.Fatalf("%s: got %v, want an error frame", what, err)

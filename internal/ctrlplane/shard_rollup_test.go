@@ -344,7 +344,7 @@ func TestShardReportConcurrentWithStep(t *testing.T) {
 					return
 				}
 				// Encode it, as the trunk server does.
-				appendShardReportPayload(nil, rep)
+				encode(nil, &rep)
 			}
 		}()
 	}
