@@ -1,12 +1,11 @@
-// Command pskernels runs the real, heartbeat-instrumented counterparts
-// of the paper's benchmark applications (graph kernels, k-means, STREAM,
-// media pipeline) on the host and reports their heartbeat totals and
+// Command pskernels runs the real, heartbeat-instrumented STREAM and
+// k-means kernels on the host and reports their heartbeat totals and
 // wall-clock rates — the measurement interface the simulated runtime's
 // performance accounting mirrors.
 //
 // Usage:
 //
-//	pskernels [-kernel BFS] [-scale 13] [-reps 3]
+//	pskernels [-kernel STREAM] [-points 20000] [-reps 3]
 package main
 
 import (
@@ -25,7 +24,6 @@ func main() {
 	log.SetPrefix("pskernels: ")
 	var (
 		kernel = flag.String("kernel", "", "run only this kernel (default: all)")
-		scale  = flag.Int("scale", 13, "Kronecker graph scale (vertices = 2^scale)")
 		points = flag.Int("points", 20000, "k-means population")
 		reps   = flag.Int("reps", 1, "repetitions per kernel")
 	)
@@ -37,7 +35,6 @@ func main() {
 	}
 
 	sz := kernels.DefaultSize()
-	sz.GraphScale = *scale
 	sz.Points = *points
 	reg := kernels.Registry(sz)
 

@@ -17,7 +17,6 @@ import (
 	"math"
 	"time"
 
-	"powerstruggle/internal/simhw"
 	"powerstruggle/internal/workload"
 )
 
@@ -60,70 +59,18 @@ type Plan struct {
 // Apportion splits budget watts across the applications described by
 // curves, maximizing the sum of normalized performances (the paper's
 // objective with all applications weighed evenly). stepW sets the DP
-// resolution; pass 0 for DefaultStepW.
+// resolution; pass 0 for DefaultStepW. It is ApportionWeighted with no
+// objectives.
 func Apportion(curves []*workload.Curve, budget, stepW float64) (plan Plan, err error) {
-	if len(curves) == 0 {
-		return Plan{}, fmt.Errorf("allocator: no applications to apportion across")
-	}
 	if h := tel.Load(); h != nil {
 		start := time.Now()
-		defer func() { h.observeSolve("dp", start, budget, plan) }()
-	}
-	if stepW <= 0 {
-		stepW = DefaultStepW
-	}
-	if budget < 0 {
-		budget = 0
-	}
-	levels := int(budget/stepW) + 1
-
-	// perfAt[i][l] is application i's best perf with budget l*stepW.
-	perfAt := make([][]float64, len(curves))
-	for i, c := range curves {
-		row := make([]float64, levels)
-		for l := 0; l < levels; l++ {
-			row[l] = c.PerfAt(float64(l) * stepW)
-		}
-		perfAt[i] = row
-	}
-
-	// DP over applications: best[l] is the max total perf using budget
-	// l*stepW over the first i applications; choice[i][l] records how
-	// much the i-th application took.
-	best := make([]float64, levels)
-	choice := make([][]int, len(curves))
-	for i := range curves {
-		choice[i] = make([]int, levels)
-		next := make([]float64, levels)
-		for l := 0; l < levels; l++ {
-			bestV, bestK := math.Inf(-1), 0
-			for k := 0; k <= l; k++ {
-				v := best[l-k] + perfAt[i][k]
-				if v > bestV {
-					bestV, bestK = v, k
-				}
+		defer func() {
+			if err == nil {
+				h.observeSolve("dp", start, math.Max(budget, 0), plan)
 			}
-			next[l] = bestV
-			choice[i][l] = bestK
-		}
-		best = next
+		}()
 	}
-
-	// Walk the choices back from the full budget.
-	plan = Plan{Allocs: make([]Allocation, len(curves))}
-	l := levels - 1
-	for i := len(curves) - 1; i >= 0; i-- {
-		k := choice[i][l]
-		share := float64(k) * stepW
-		pt, ok := curves[i].At(share)
-		plan.Allocs[i] = Allocation{BudgetW: share, Point: pt, Runnable: ok}
-		if ok {
-			plan.TotalPerf += pt.Perf
-			plan.SpentW += pt.PowerW
-		}
-		l -= k
-	}
-	return plan, nil
+	return ApportionWeighted(curves, nil, budget, stepW)
 }
 
 // EqualSplit apportions the budget evenly across all applications — the
@@ -151,55 +98,4 @@ func EqualSplit(curves []*workload.Curve, budget float64) (plan Plan, err error)
 		}
 	}
 	return plan, nil
-}
-
-// ShapedSplit apportions the budget evenly but picks each application's
-// operating point by adopting the knob shape a reference curve (the
-// library-average one) chooses at the share — the Server+Res-Aware
-// baseline: resource-utility aware on average, application-unaware.
-func ShapedSplit(cfg ShapeConfig, budget float64) (plan Plan, err error) {
-	if len(cfg.Profiles) == 0 {
-		return Plan{}, fmt.Errorf("allocator: no applications to apportion across")
-	}
-	if h := tel.Load(); h != nil {
-		start := time.Now()
-		defer func() { h.observeSolve("shaped", start, budget, plan) }()
-	}
-	if budget < 0 {
-		budget = 0
-	}
-	share := budget / float64(len(cfg.Profiles))
-	plan = Plan{Allocs: make([]Allocation, len(cfg.Profiles))}
-	shapePt, shapeOK := cfg.Shape.At(share)
-	for i, p := range cfg.Profiles {
-		var (
-			pt workload.Point
-			ok bool
-		)
-		if shapeOK {
-			pt, ok = workload.ApplyShape(cfg.HW, p, shapePt.Knobs, share)
-		}
-		if !ok {
-			// The averaged shape has no affordable point; fall back to
-			// the floor shape and let ApplyShape idle-inject.
-			pt, ok = workload.ApplyShape(cfg.HW, p, workload.MinKnobs(cfg.HW), share)
-		}
-		plan.Allocs[i] = Allocation{BudgetW: share, Point: pt, Runnable: ok}
-		if ok {
-			plan.TotalPerf += pt.Perf
-			plan.SpentW += pt.PowerW
-		}
-	}
-	return plan, nil
-}
-
-// ShapeConfig parameterizes ShapedSplit.
-type ShapeConfig struct {
-	// HW is the platform.
-	HW simhw.Config
-	// Profiles are the co-located applications, in order.
-	Profiles []*workload.Profile
-	// Shape is the reference curve whose knob choices are adopted
-	// (typically workload.AverageCurve over the whole library).
-	Shape *workload.Curve
 }

@@ -3,6 +3,7 @@ package allocator
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -126,30 +127,6 @@ func TestEqualSplitShares(t *testing.T) {
 	}
 }
 
-func TestShapedSplit(t *testing.T) {
-	cfg, _, profs := testCurves(t, "STREAM", "kmeans")
-	lib, _ := workload.NewLibrary(cfg)
-	shape := workload.AverageCurve(cfg, lib.Apps())
-	plan, err := ShapedSplit(ShapeConfig{HW: cfg, Profiles: profs, Shape: shape}, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Allocs) != 2 {
-		t.Fatalf("%d allocations, want 2", len(plan.Allocs))
-	}
-	for i, a := range plan.Allocs {
-		if !a.Runnable {
-			t.Errorf("alloc %d not runnable", i)
-		}
-		if a.Point.PowerW > a.BudgetW+1e-9 {
-			t.Errorf("alloc %d draws %g over share %g", i, a.Point.PowerW, a.BudgetW)
-		}
-	}
-	if _, err := ShapedSplit(ShapeConfig{HW: cfg, Shape: shape}, 30); err == nil {
-		t.Error("empty profile list accepted")
-	}
-}
-
 func TestApportionThreeApps(t *testing.T) {
 	_, curves, _ := testCurves(t, "STREAM", "kmeans", "X264")
 	plan, err := Apportion(curves, 30, 0)
@@ -194,4 +171,94 @@ func TestQuickApportionNeverOverspends(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// referenceApportion is the unweighted DP Apportion ran before it became
+// ApportionWeighted's nil-objectives case: every split scanned from
+// k = 0, no floor test. The merged DP is held bit-equal to it.
+func referenceApportion(curves []*workload.Curve, budget, stepW float64) Plan {
+	if stepW <= 0 {
+		stepW = DefaultStepW
+	}
+	levels := int(budget/stepW) + 1
+	perfAt := make([][]float64, len(curves))
+	for i, c := range curves {
+		row := make([]float64, levels)
+		for l := range row {
+			row[l] = c.PerfAt(float64(l) * stepW)
+		}
+		perfAt[i] = row
+	}
+	best := make([]float64, levels)
+	choice := make([][]int, len(curves))
+	for i := range curves {
+		choice[i] = make([]int, levels)
+		next := make([]float64, levels)
+		for l := range next {
+			bestV, bestK := math.Inf(-1), 0
+			for k := 0; k <= l; k++ {
+				if v := best[l-k] + perfAt[i][k]; v > bestV {
+					bestV, bestK = v, k
+				}
+			}
+			next[l], choice[i][l] = bestV, bestK
+		}
+		best = next
+	}
+	plan := Plan{Allocs: make([]Allocation, len(curves))}
+	l := levels - 1
+	for i := len(curves) - 1; i >= 0; i-- {
+		k := choice[i][l]
+		share := float64(k) * stepW
+		pt, ok := curves[i].At(share)
+		plan.Allocs[i] = Allocation{BudgetW: share, Point: pt, Runnable: ok}
+		if ok {
+			plan.TotalPerf += pt.Perf
+			plan.SpentW += pt.PowerW
+		}
+		l -= k
+	}
+	return plan
+}
+
+// TestApportionMatchesUnweightedReference holds the one DP to the old
+// unweighted loop at 13 budgets from 0 to 5x each set's saturation,
+// over every pair of the library's OptimalCurves and RAPLCurves and a
+// strided ring of triples. Every triple as well is 37 700 cases and
+// ~35 s; they match too, but are too slow for each run.
+func TestApportionMatchesUnweightedReference(t *testing.T) {
+	cfg := simhw.DefaultConfig()
+	lib, err := workload.NewLibrary(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var curves []*workload.Curve
+	for _, p := range lib.Apps() {
+		curves = append(curves, workload.OptimalCurve(cfg, p), workload.RAPLCurve(cfg, p))
+	}
+	cases := 0
+	check := func(set ...*workload.Curve) {
+		var sat float64
+		for _, c := range set {
+			sat += c.MaxPower()
+		}
+		for j := 0; j <= 12; j++ {
+			budget := 5 * sat * float64(j) / 12
+			got, err := Apportion(set, budget, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceApportion(set, budget, 0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("budget %g over %d curves: got %+v, reference %+v", budget, len(set), got, want)
+			}
+			cases++
+		}
+	}
+	for i := range curves {
+		for j := i; j < len(curves); j++ {
+			check(curves[i], curves[j])
+		}
+		check(curves[i], curves[(i+5)%len(curves)], curves[(i+11)%len(curves)])
+	}
+	t.Logf("%d cases bit-equal", cases)
 }

@@ -23,8 +23,8 @@ type telHandles struct {
 var tel atomic.Pointer[telHandles]
 
 // EnableTelemetry instruments every allocator solve against reg: solve
-// counts and wall-clock solve time by solver (the DP, the equal split,
-// the shaped split), plus the last solve's budget and spent watts.
+// counts and wall-clock solve time by solver (the DP and the equal
+// split), plus the last solve's budget and spent watts.
 // Passing nil turns instrumentation back off. Metrics never influence
 // the solve, so enabling this cannot change any allocation.
 func EnableTelemetry(reg *telemetry.Registry) {

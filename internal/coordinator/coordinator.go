@@ -388,7 +388,7 @@ func ESD(cfg Config, curves []*workload.Curve, dev *esd.Device) (Schedule, error
 	}
 	bestObj := -1.0
 	var bestPlan allocator.Plan
-	var bestOnFrac, bestDischarge, bestL float64
+	var bestOnFrac, bestDischarge float64
 	for L := cfg.HW.DynamicBudget(cfg.CapW) + 1; L <= maxL+1e-9; L += 1 {
 		plan, err := allocator.Apportion(curves, L, 0)
 		if err != nil {
@@ -408,13 +408,12 @@ func ESD(cfg Config, curves []*workload.Curve, dev *esd.Device) (Schedule, error
 		onFrac := 1 / (1 + offOn)
 		obj := onFrac * plan.TotalPerf
 		if obj > bestObj {
-			bestObj, bestPlan, bestOnFrac, bestDischarge, bestL = obj, plan, onFrac, discharge, L
+			bestObj, bestPlan, bestOnFrac, bestDischarge = obj, plan, onFrac, discharge
 		}
 	}
 	if bestObj < 0 {
 		return Schedule{}, fmt.Errorf("coordinator: no feasible ESD operating point under cap %.1f W", cfg.CapW)
 	}
-	_ = bestL
 
 	// Pick a period whose ON-phase store swing stays within half the
 	// usable window, clamped to sane bounds.

@@ -61,9 +61,6 @@ type Config struct {
 	// MemDelayP is the probability that a knob write applies the
 	// previous DRAM limit instead of the new one (RAPL limit latency).
 	MemDelayP float64
-	// EnergyStaleP is the probability that an energy-counter read
-	// returns the previous value instead of a fresh one.
-	EnergyStaleP float64
 	// BeatDropP is the probability that one heartbeat batch is lost in
 	// delivery.
 	BeatDropP float64
@@ -90,7 +87,6 @@ func (c Config) Validate() error {
 		{"KnobWriteFailP", c.KnobWriteFailP},
 		{"StuckDVFSP", c.StuckDVFSP},
 		{"MemDelayP", c.MemDelayP},
-		{"EnergyStaleP", c.EnergyStaleP},
 		{"BeatDropP", c.BeatDropP},
 		{"SoCMisreadP", c.SoCMisreadP},
 	} {
@@ -112,8 +108,7 @@ func (c Config) Validate() error {
 // the unwrapped runtime.
 func (c Config) Enabled() bool {
 	return c.KnobWriteFailP > 0 || c.StuckDVFSP > 0 || c.MemDelayP > 0 ||
-		c.EnergyStaleP > 0 || c.BeatDropP > 0 || c.SoCMisreadP > 0 ||
-		c.DropoutForS > 0
+		c.BeatDropP > 0 || c.SoCMisreadP > 0 || c.DropoutForS > 0
 }
 
 // Injector is the shared fault source behind the wrappers: one random

@@ -37,8 +37,7 @@ func TestEnabled(t *testing.T) {
 	}
 	for i, c := range []Config{
 		{KnobWriteFailP: 0.1}, {StuckDVFSP: 0.1}, {MemDelayP: 0.1},
-		{EnergyStaleP: 0.1}, {BeatDropP: 0.1}, {SoCMisreadP: 0.1},
-		{DropoutForS: 1},
+		{BeatDropP: 0.1}, {SoCMisreadP: 0.1}, {DropoutForS: 1},
 	} {
 		if !c.Enabled() {
 			t.Errorf("case %d: %+v reports disabled", i, c)

@@ -13,13 +13,10 @@ import (
 //
 // Reads (power, slot state) pass through untouched — the watchdog must
 // see the platform's true draw, exactly as a real power meter sits
-// outside the faulty actuation path. Energy-counter reads can go stale,
-// modeling RAPL MSR read glitches.
+// outside the faulty actuation path.
 type Server struct {
 	inj *Injector
 	hw  *simhw.Server
-
-	lastEnergyJ float64
 }
 
 // NewServer wraps hw with the injector's fault model.
@@ -134,18 +131,6 @@ func (s *Server) Waking() bool { return s.hw.Waking() }
 
 // Now passes through.
 func (s *Server) Now() float64 { return s.hw.Now() }
-
-// EnergyJoules reads the package energy counter, returning the previous
-// reading with probability EnergyStaleP (a stale RAPL sample).
-func (s *Server) EnergyJoules() float64 {
-	if s.inj.hit(s.inj.cfg.EnergyStaleP) {
-		s.inj.record(s.hw.Now(), "stale-energy", "",
-			fmt.Sprintf("energy read returned stale %.1f J", s.lastEnergyJ))
-		return s.lastEnergyJ
-	}
-	s.lastEnergyJ = s.hw.EnergyJoules()
-	return s.lastEnergyJ
-}
 
 // FreeCores passes through.
 func (s *Server) FreeCores() int { return s.hw.FreeCores() }

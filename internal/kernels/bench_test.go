@@ -5,61 +5,8 @@ import (
 	"time"
 )
 
-// The kernel micro-benchmarks: one per real workload implementation, at
-// sizes matching DefaultSize's single-shot runs.
-
-func benchGraph(b *testing.B) *Graph {
-	b.Helper()
-	return Kronecker(12, 8, 42)
-}
-
-func BenchmarkKernelBFS(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BFS(g, 0, nil)
-	}
-}
-
-func BenchmarkKernelConnected(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ConnectedComponents(g, nil)
-	}
-}
-
-func BenchmarkKernelSSSP(b *testing.B) {
-	g := benchGraph(b).WithUniformWeights(8, 43)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SSSP(g, 0, 0, nil)
-	}
-}
-
-func BenchmarkKernelPageRank(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PageRank(g, 20, 1e-7, nil)
-	}
-}
-
-func BenchmarkKernelTriangleCount(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TriangleCount(g, 0, nil)
-	}
-}
-
-func BenchmarkKernelBetweenness(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Betweenness(g, 4, 1, nil)
-	}
-}
+// The kernel micro-benchmarks, at sizes matching DefaultSize's
+// single-shot runs.
 
 func BenchmarkKernelKMeans(b *testing.B) {
 	pts := GaussianClusters(10000, 16, 8, 0.6, 42)
@@ -80,55 +27,5 @@ func BenchmarkKernelStreamTriad(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.TriadGBs, "triadGB/s")
-	}
-}
-
-func BenchmarkKernelApriori(b *testing.B) {
-	txns := SyntheticBaskets(4000, 200, 12, 4, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Apriori(txns, 200, 4, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelFaceSim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := FaceSim(48, 48, 4, 8, 42, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelFerret(b *testing.B) {
-	db := NewFeatureDB(8000, 64, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Ferret(db, 8, 10, 42, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelMediaPipeline(b *testing.B) {
-	frames := make([]Frame, 4)
-	for i := range frames {
-		frames[i] = RandomFrame(320, 240, int64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MediaPipeline(frames, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelBFSDirectionOpt(b *testing.B) {
-	g := benchGraph(b)
-	rev := g.Reverse()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BFSDirectionOpt(g, rev, 0, nil)
 	}
 }

@@ -168,90 +168,3 @@ func Stream(n, reps int, clock func() float64, onRep func()) (StreamResult, erro
 	res.Check = a[0] + b[n/2] + c[n-1]
 	return res, nil
 }
-
-// Frame is one media-pipeline work unit: a grayscale image.
-type Frame struct {
-	W, H int
-	Pix  []uint8
-}
-
-// RandomFrame generates a deterministic pseudo-random frame.
-func RandomFrame(w, h int, seed int64) Frame {
-	rng := rand.New(rand.NewSource(seed))
-	pix := make([]uint8, w*h)
-	for i := range pix {
-		pix[i] = uint8(rng.Intn(256))
-	}
-	return Frame{W: w, H: h, Pix: pix}
-}
-
-// MediaPipeline mimics an X264/ferret-style pipeline over frames: a
-// 3x3 box blur (filter stage), gradient-based "motion estimation", and
-// block quantization (encode stage). It returns an output checksum and
-// beats once per frame through onFrame.
-func MediaPipeline(frames []Frame, onFrame func()) (uint64, error) {
-	var checksum uint64
-	for fi := range frames {
-		f := &frames[fi]
-		if f.W < 3 || f.H < 3 || len(f.Pix) != f.W*f.H {
-			return 0, fmt.Errorf("kernels: frame %d has invalid geometry %dx%d", fi, f.W, f.H)
-		}
-		blurred := boxBlur(f)
-		grad := gradientEnergy(blurred, f.W, f.H)
-		q := quantize(blurred, 16)
-		checksum = checksum*1099511628211 + uint64(grad) + uint64(q)
-		if onFrame != nil {
-			onFrame()
-		}
-	}
-	return checksum, nil
-}
-
-// boxBlur applies a 3x3 mean filter.
-func boxBlur(f *Frame) []uint8 {
-	out := make([]uint8, len(f.Pix))
-	for y := 1; y < f.H-1; y++ {
-		for x := 1; x < f.W-1; x++ {
-			var sum int
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					sum += int(f.Pix[(y+dy)*f.W+(x+dx)])
-				}
-			}
-			out[y*f.W+x] = uint8(sum / 9)
-		}
-	}
-	return out
-}
-
-// gradientEnergy sums absolute horizontal and vertical gradients.
-func gradientEnergy(pix []uint8, w, h int) int64 {
-	var e int64
-	for y := 0; y < h-1; y++ {
-		for x := 0; x < w-1; x++ {
-			p := int64(pix[y*w+x])
-			e += abs64(p-int64(pix[y*w+x+1])) + abs64(p-int64(pix[(y+1)*w+x]))
-		}
-	}
-	return e
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// quantize buckets pixels into levels and returns a checksum.
-func quantize(pix []uint8, levels int) int64 {
-	if levels <= 0 {
-		levels = 16
-	}
-	step := 256 / levels
-	var sum int64
-	for _, p := range pix {
-		sum += int64(int(p) / step)
-	}
-	return sum
-}

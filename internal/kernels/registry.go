@@ -1,3 +1,13 @@
+// Package kernels provides runnable Go implementations of the two
+// applications whose model shapes bound the paper's power struggle:
+// STREAM (the memory-bound end) and MineBench-style k-means (the
+// compute-bound end). Each kernel emits Application Heartbeats per unit
+// of useful work, as the paper's prototype did on the originals.
+//
+// The analytic models in internal/workload stand in for these kernels on
+// the simulated platform; nothing on the mediation path runs them. They
+// are kept as host evidence for those models' shapes (ROADMAP item 10):
+// STREAM triad and k-means throughput, measured with cmd/pskernels.
 package kernels
 
 import (
@@ -21,106 +31,30 @@ type Runner struct {
 	Run func(beats func(count float64)) error
 }
 
-// Size scales the default kernel inputs; 1 is the standard size.
+// Size scales the default kernel inputs.
 type Size struct {
-	// GraphScale is the Kronecker scale (vertices = 2^scale).
-	GraphScale int
-	// GraphDegree is the average degree.
-	GraphDegree int
 	// Points is the k-means population.
 	Points int
 	// StreamN is the STREAM array length.
 	StreamN int
-	// Frames is the media pipeline's frame count.
-	Frames int
-	// Baskets is the Apriori transaction count.
-	Baskets int
-	// GridW and GridH size the facesim mass-spring patch.
-	GridW, GridH int
-	// DBVectors and QueryCount size the ferret similarity search.
-	DBVectors, QueryCount int
 	// Seed drives all deterministic input generation.
 	Seed int64
 }
 
 // DefaultSize returns inputs sized for sub-second single-shot runs.
 func DefaultSize() Size {
-	return Size{
-		GraphScale: 13, GraphDegree: 8, Points: 20000, StreamN: 1 << 20,
-		Frames: 12, Baskets: 4000, GridW: 48, GridH: 48,
-		DBVectors: 8000, QueryCount: 24, Seed: 42,
-	}
+	return Size{Points: 20000, StreamN: 1 << 20, Seed: 42}
 }
 
-// Registry builds the runnable counterparts of the paper's applications
-// at the given size.
+// Registry builds the runnable kernels at the given size.
 func Registry(sz Size) map[string]*Runner {
-	g := Kronecker(sz.GraphScale, sz.GraphDegree, sz.Seed)
-	wg := g.WithUniformWeights(8, sz.Seed+1)
-	reg := map[string]*Runner{
-		"BFS": {
-			Name:        "BFS",
-			Description: "breadth-first search on a Kronecker graph",
-			Run: func(beats func(float64)) error {
-				BFS(g, 0, func(v int) { beats(float64(v)) })
-				return nil
-			},
-		},
-		"Connected": {
-			Name:        "Connected",
-			Description: "connected components by label propagation",
-			Run: func(beats func(float64)) error {
-				ConnectedComponents(g, func(int) { beats(1) })
-				return nil
-			},
-		},
-		"SSSP": {
-			Name:        "SSSP",
-			Description: "single-source shortest paths (Dijkstra)",
-			Run: func(beats func(float64)) error {
-				SSSP(wg, 0, 1024, func(settled int) { beats(float64(settled)) })
-				return nil
-			},
-		},
-		"PageRank": {
-			Name:        "PageRank",
-			Description: "PageRank power iteration",
-			Run: func(beats func(float64)) error {
-				PageRank(g, 20, 1e-7, func(float64) { beats(1) })
-				return nil
-			},
-		},
-		"TriangleCount": {
-			Name:        "TriangleCount",
-			Description: "triangle counting by adjacency intersection",
-			Run: func(beats func(float64)) error {
-				TriangleCount(g, 2048, func(done int) { beats(float64(done)) })
-				return nil
-			},
-		},
-		"Betweenness": {
-			Name:        "Betweenness",
-			Description: "Brandes betweenness centrality (sampled sources)",
-			Run: func(beats func(float64)) error {
-				Betweenness(g, 8, sz.Seed, func() { beats(1) })
-				return nil
-			},
-		},
+	return map[string]*Runner{
 		"kmeans": {
 			Name:        "kmeans",
 			Description: "Lloyd's k-means on Gaussian clusters",
 			Run: func(beats func(float64)) error {
 				pts := GaussianClusters(sz.Points, 16, 8, 0.6, sz.Seed)
 				_, _, err := KMeans(pts, 16, 25, sz.Seed, func(int) { beats(1) })
-				return err
-			},
-		},
-		"APR": {
-			Name:        "APR",
-			Description: "a-priori frequent-itemset mining over synthetic baskets",
-			Run: func(beats func(float64)) error {
-				txns := SyntheticBaskets(sz.Baskets, 200, 12, 4, sz.Seed+7)
-				_, err := Apriori(txns, sz.Baskets/20, 4, func(found int) { beats(float64(found)) })
 				return err
 			},
 		},
@@ -134,36 +68,6 @@ func Registry(sz Size) map[string]*Runner {
 			},
 		},
 	}
-	reg["X264"] = &Runner{
-		Name:        "X264",
-		Description: "media encode pipeline (blur + motion + quantize)",
-		Run: func(beats func(float64)) error {
-			frames := make([]Frame, sz.Frames)
-			for i := range frames {
-				frames[i] = RandomFrame(320, 240, sz.Seed+11+int64(i))
-			}
-			_, err := MediaPipeline(frames, func() { beats(1) })
-			return err
-		},
-	}
-	reg["facesim"] = &Runner{
-		Name:        "facesim",
-		Description: "implicit mass-spring physics solve over frames",
-		Run: func(beats func(float64)) error {
-			_, err := FaceSim(sz.GridW, sz.GridH, sz.Frames, 8, sz.Seed+13, func() { beats(1) })
-			return err
-		},
-	}
-	reg["ferret"] = &Runner{
-		Name:        "ferret",
-		Description: "k-NN similarity search over feature vectors",
-		Run: func(beats func(float64)) error {
-			db := NewFeatureDB(sz.DBVectors, 64, sz.Seed+17)
-			_, err := Ferret(db, sz.QueryCount, 10, sz.Seed+19, func() { beats(1) })
-			return err
-		},
-	}
-	return reg
 }
 
 // Names lists the registered kernels in sorted order.

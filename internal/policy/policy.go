@@ -124,6 +124,11 @@ func Plan(kind Kind, ctx Context) (Decision, error) {
 	if ctx.CapW <= 0 {
 		return Decision{}, fmt.Errorf("policy: cap %.1f W is invalid", ctx.CapW)
 	}
+	// A cap above nameplate cannot bind, and the DP's size grows with the
+	// budget: plan at nameplate, as cluster.Evaluator does.
+	if nameplate := ctx.HW.MaxServerWatts(); ctx.CapW > nameplate {
+		ctx.CapW = nameplate
+	}
 	curves, err := buildCurves(kind, ctx)
 	if err != nil {
 		return Decision{}, err

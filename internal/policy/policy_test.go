@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"reflect"
 	"testing"
 
 	"powerstruggle/internal/coordinator"
@@ -47,6 +48,29 @@ func TestPlanValidation(t *testing.T) {
 	noLib.Library = nil
 	if _, err := Plan(ServerResAware, noLib); err == nil {
 		t.Error("Server+Res-Aware without a library accepted")
+	}
+}
+
+// TestCapAboveNameplatePlansAsNameplate: a cap the hardware cannot reach
+// is planned as nameplate, so the DP stays sized by the hardware and not
+// by the request (a 1 MW cap used to take an hour per plan).
+func TestCapAboveNameplatePlansAsNameplate(t *testing.T) {
+	for _, k := range Kinds() {
+		ctx := testContext(t, 0, true, "STREAM", "kmeans")
+		ctx.CapW = ctx.HW.MaxServerWatts()
+		want, err := Plan(k, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.CapW *= 4
+		got, err := Plan(k, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v at 4x nameplate: shares %v, want the nameplate decision's %v",
+				k, got.Schedule.AppBudgetW, want.Schedule.AppBudgetW)
+		}
 	}
 }
 

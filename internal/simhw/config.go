@@ -6,11 +6,10 @@
 // once whenever any core is awake, and the dynamic power actually spent
 // executing applications.
 //
-// The simulator exposes the same observation and actuation surface the
-// paper's prototype had on its Xeon-2620 (RAPL-style energy counters,
-// frequency/core/DRAM knobs, socket sleep), so every policy in this
-// repository runs unmodified against either this model or, for the
-// read-only parts, a real /sys/class/powercap tree (see internal/rapl).
+// The simulator exposes the observation and actuation surface the paper's
+// runtime uses on its Xeon-2620 — per-application power draw,
+// frequency/core/DRAM knobs, run/suspend, socket sleep — so the policies
+// drive it the way the prototype drove the hardware.
 package simhw
 
 import "fmt"

@@ -34,8 +34,7 @@ type SlotState struct {
 
 // Server is a running instance of the simulated platform. Slots are
 // claimed by applications; their knob state, together with the socket
-// sleep state, fully determines instantaneous power. Advancing time
-// accumulates RAPL-style energy counters.
+// sleep state, fully determines instantaneous power.
 //
 // Server is safe for concurrent use.
 type Server struct {
@@ -47,13 +46,9 @@ type Server struct {
 	freeCores int
 	freeChans int
 
-	now          float64 // seconds since construction
-	energyJ      float64 // lifetime server energy (the package meter)
-	appEnergyJ   map[SlotID]float64
-	sleeping     bool    // PC6: all sockets in deep sleep
-	wakePending  float64 // seconds of wake latency still to serve
-	lastPowerW   float64 // draw over the most recent Step
-	sleepEnergyJ float64 // energy spent while in PC6 (idle floor only)
+	now         float64 // seconds since construction
+	sleeping    bool    // PC6: all sockets in deep sleep
+	wakePending float64 // seconds of wake latency still to serve
 }
 
 // NewServer builds a Server from cfg. It panics only on programmer error
@@ -67,11 +62,10 @@ func NewServer(cfg Config) (*Server, error) {
 		sharing = 1
 	}
 	return &Server{
-		cfg:        cfg,
-		slots:      make(map[SlotID]*SlotState),
-		freeCores:  cfg.TotalCores(),
-		freeChans:  cfg.MemChannels * sharing,
-		appEnergyJ: make(map[SlotID]float64),
+		cfg:       cfg,
+		slots:     make(map[SlotID]*SlotState),
+		freeCores: cfg.TotalCores(),
+		freeChans: cfg.MemChannels * sharing,
 	}, nil
 }
 
@@ -120,7 +114,6 @@ func (s *Server) Release(id SlotID) error {
 	s.freeCores += st.Cores
 	s.freeChans++
 	delete(s.slots, id)
-	delete(s.appEnergyJ, id)
 	return nil
 }
 
@@ -284,9 +277,8 @@ func (s *Server) AppPowerWatts(id SlotID) (float64, error) {
 	return s.slotPowerLocked(st), nil
 }
 
-// Step advances simulated time by dt seconds, accumulating the package
-// and per-slot energy counters and burning down any pending PC6 wake
-// latency. It returns the average server power over the step.
+// Step advances simulated time by dt seconds, burning down any pending
+// PC6 wake latency. It returns the average server power over the step.
 func (s *Server) Step(dt float64) float64 {
 	if dt <= 0 {
 		return s.PowerWatts()
@@ -295,20 +287,12 @@ func (s *Server) Step(dt float64) float64 {
 	defer s.mu.Unlock()
 	p := s.powerLocked()
 	s.now += dt
-	s.energyJ += p * dt
-	if s.sleeping {
-		s.sleepEnergyJ += p * dt
-	}
 	if s.wakePending > 0 {
 		s.wakePending -= dt
 		if s.wakePending < 0 {
 			s.wakePending = 0
 		}
 	}
-	for id, st := range s.slots {
-		s.appEnergyJ[id] += s.slotPowerLocked(st) * dt
-	}
-	s.lastPowerW = p
 	return p
 }
 
@@ -325,27 +309,6 @@ func (s *Server) Now() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.now
-}
-
-// EnergyJoules returns the lifetime package energy counter, the analogue
-// of RAPL's PKG energy MSR (plus the platform floor).
-func (s *Server) EnergyJoules() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.energyJ
-}
-
-// AppEnergyJoules returns a slot's accumulated dynamic energy.
-func (s *Server) AppEnergyJoules(id SlotID) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.appEnergyJ[id]
-	if !ok {
-		if _, live := s.slots[id]; !live {
-			return 0, fmt.Errorf("simhw: unknown slot %d", id)
-		}
-	}
-	return e, nil
 }
 
 // FreeCores returns the number of unclaimed cores.

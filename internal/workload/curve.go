@@ -311,33 +311,3 @@ func AverageCurve(cfg simhw.Config, profiles []*Profile) *Curve {
 	}
 	return pareto(raw)
 }
-
-// ApplyShape realizes a knob shape chosen from another curve (the
-// averaged one) on a specific application under a budget: it adopts the
-// shape's knobs and then steps frequency, then DRAM, down until the
-// application's own power fits the budget. ok is false when nothing fits.
-func ApplyShape(cfg simhw.Config, p *Profile, shape Knobs, budget float64) (Point, bool) {
-	k := shape.Clamp(cfg, p.MaxCores)
-	for {
-		if w := p.Power(cfg, k); w <= budget {
-			return Point{Knobs: k, PowerW: w, Perf: p.NormRate(cfg, k), DutyFrac: 1}, true
-		}
-		switch {
-		case k.FreqGHz > cfg.FreqMinGHz+1e-9:
-			k.FreqGHz = cfg.ClampFreq(k.FreqGHz - cfg.FreqStepGHz)
-		case k.MemWatts > cfg.MemMinWatts+1e-9:
-			k.MemWatts = cfg.ClampMem(k.MemWatts - cfg.MemStepWatts)
-		case k.Cores > 1:
-			k.Cores--
-		default:
-			// Even the floor setting exceeds the budget: fall back to
-			// forced idling at the floor, as RAPL clamping would.
-			w := p.Power(cfg, k)
-			if budget <= 0 || w <= 0 {
-				return Point{}, false
-			}
-			frac := budget / w
-			return Point{Knobs: k, PowerW: budget, Perf: p.NormRate(cfg, k) * frac, DutyFrac: frac}, true
-		}
-	}
-}

@@ -160,25 +160,6 @@ func TestCurveFromOracleEvalMatchesOptimal(t *testing.T) {
 	}
 }
 
-func TestApplyShapeFitsBudget(t *testing.T) {
-	cfg := simhw.DefaultConfig()
-	lib, _ := NewLibrary(cfg)
-	rng := rand.New(rand.NewSource(4))
-	for _, p := range lib.Apps() {
-		for trial := 0; trial < 100; trial++ {
-			shape := randomKnobs(cfg, rng, cfg.CoresPerSocket)
-			budget := 2 + rng.Float64()*26
-			pt, ok := ApplyShape(cfg, p, shape, budget)
-			if !ok {
-				t.Fatalf("%s: ApplyShape failed at %g W", p.Name, budget)
-			}
-			if pt.PowerW > budget+1e-9 {
-				t.Fatalf("%s: shaped point draws %g over budget %g", p.Name, pt.PowerW, budget)
-			}
-		}
-	}
-}
-
 func TestMarginalNonNegative(t *testing.T) {
 	cfg := simhw.DefaultConfig()
 	lib, _ := NewLibrary(cfg)
