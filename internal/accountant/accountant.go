@@ -213,10 +213,8 @@ type Sim struct {
 	// resources exhausted); they enter as earlier tenants depart.
 	waiting []arrival
 
-	events         []Event
-	samples        []AppSample
-	eventsDropped  int
-	samplesDropped int
+	events  ring[Event]
+	samples ring[AppSample]
 
 	pendingRealloc float64 // seconds left before the next plan lands
 	reallocQueued  bool
@@ -272,7 +270,10 @@ func NewSim(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sim{cfg: cfg, ex: ex}
+	s := &Sim{cfg: cfg, ex: ex,
+		events:  newRing[Event](cfg.maxEvents()),
+		samples: newRing[AppSample](cfg.maxSamples()),
+	}
 	s.tel = newSimTel(cc.Telemetry)
 	return s, nil
 }
@@ -316,19 +317,14 @@ func (s *Sim) AddCapChange(at, capW float64) error {
 }
 
 // Events returns the logged events in time order.
-func (s *Sim) Events() []Event { return append([]Event(nil), s.events...) }
+func (s *Sim) Events() []Event { return s.events.slice() }
 
 // Samples returns the recorded timeline.
-func (s *Sim) Samples() []AppSample { return append([]AppSample(nil), s.samples...) }
+func (s *Sim) Samples() []AppSample { return s.samples.slice() }
 
 // LastSample returns the newest telemetry sample without copying the
 // timeline (the zero sample before the first one is taken).
-func (s *Sim) LastSample() AppSample {
-	if len(s.samples) == 0 {
-		return AppSample{}
-	}
-	return s.samples[len(s.samples)-1]
-}
+func (s *Sim) LastSample() AppSample { return s.samples.last() }
 
 // replan runs the policy over the active applications and installs the
 // new schedule. It plans against each application's *effective*
@@ -448,19 +444,14 @@ func (s *Sim) logEvent(kind EventKind, app, detail string) {
 		s.tel.tracer.Instant(kind.String(), telemetry.CatPlan, telemetry.TidAccountant,
 			s.ex.Now(), telemetry.A("app", app), telemetry.A("detail", detail))
 	}
-	s.events = append(s.events, Event{T: s.ex.Now(), Kind: kind, App: app, CapW: s.ex.Cap(), Detail: detail})
-	if max := s.cfg.maxEvents(); max > 0 && len(s.events) > max {
-		n := len(s.events) - max
-		s.events = append(s.events[:0], s.events[n:]...)
-		s.eventsDropped += n
-	}
+	s.events.push(Event{T: s.ex.Now(), Kind: kind, App: app, CapW: s.ex.Cap(), Detail: detail})
 }
 
 // EventsDropped counts events evicted from the bounded log.
-func (s *Sim) EventsDropped() int { return s.eventsDropped }
+func (s *Sim) EventsDropped() int { return s.events.dropped }
 
 // SamplesDropped counts samples evicted from the bounded timeline.
-func (s *Sim) SamplesDropped() int { return s.samplesDropped }
+func (s *Sim) SamplesDropped() int { return s.samples.dropped }
 
 // Degraded reports whether the accountant is currently in fair-share
 // degraded mode because an application's heartbeats went missing.
@@ -670,12 +661,7 @@ func (s *Sim) Run(seconds float64) error {
 		// Record.
 		if s.ex.Now()-lastSample >= sampleEvery-1e-12 {
 			lastSample = s.ex.Now()
-			s.samples = append(s.samples, s.appSample(sample))
-			if max := s.cfg.maxSamples(); max > 0 && len(s.samples) > max {
-				n := len(s.samples) - max
-				s.samples = append(s.samples[:0], s.samples[n:]...)
-				s.samplesDropped += n
-			}
+			s.samples.push(s.appSample(sample))
 		}
 	}
 	return nil

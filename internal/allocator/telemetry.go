@@ -12,7 +12,8 @@ import (
 // (policy planning, the ESD grid search, cluster replay), so the handles
 // hang off one process-wide atomic pointer instead of threading a
 // registry through every signature; a nil pointer costs one atomic load
-// per solve.
+// per solve. A Sweep is one solve, whatever number of budgets it is then
+// read out at; its budget and watts are those of its largest budget.
 type telHandles struct {
 	solves       *telemetry.CounterVec
 	solveSeconds *telemetry.HistogramVec

@@ -31,18 +31,40 @@ type Objective struct {
 // It returns ErrInfeasible (wrapped) when the floors cannot all be met
 // within the budget.
 func ApportionWeighted(curves []*workload.Curve, objs []Objective, budget, stepW float64) (Plan, error) {
+	t, err := solve(curves, objs, budget, stepW)
+	if err != nil {
+		return Plan{}, err
+	}
+	return t.walk(t.levels - 1), nil
+}
+
+// table is one solved apportioning DP over the budget levels
+// 0..levels-1, stepW watts apart.
+type table struct {
+	curves []*workload.Curve
+	stepW  float64
+	levels int
+	// choice[i*levels+l] is how many levels application i takes when the
+	// first i+1 applications share level l.
+	choice []int
+}
+
+// solve validates the inputs, scores every application at every budget
+// level and runs the DP over applications. It fails with ErrInfeasible
+// when the floors do not fit in the full budget.
+func solve(curves []*workload.Curve, objs []Objective, budget, stepW float64) (table, error) {
 	if len(curves) == 0 {
-		return Plan{}, fmt.Errorf("allocator: no applications to apportion across")
+		return table{}, fmt.Errorf("allocator: no applications to apportion across")
 	}
 	if objs != nil && len(objs) != len(curves) {
-		return Plan{}, fmt.Errorf("allocator: %d objectives for %d applications", len(objs), len(curves))
+		return table{}, fmt.Errorf("allocator: %d objectives for %d applications", len(objs), len(curves))
 	}
 	for i, o := range objs {
 		if o.Weight < 0 {
-			return Plan{}, fmt.Errorf("allocator: application %d has negative weight %g", i, o.Weight)
+			return table{}, fmt.Errorf("allocator: application %d has negative weight %g", i, o.Weight)
 		}
 		if o.FloorPerf < 0 || o.FloorPerf > 1 {
-			return Plan{}, fmt.Errorf("allocator: application %d has floor %g outside [0, 1]", i, o.FloorPerf)
+			return table{}, fmt.Errorf("allocator: application %d has floor %g outside [0, 1]", i, o.FloorPerf)
 		}
 	}
 	if stepW <= 0 {
@@ -77,7 +99,7 @@ func ApportionWeighted(curves []*workload.Curve, objs []Objective, budget, stepW
 			row[l] = weight * perf
 		}
 		if minLevels[i] == -1 {
-			return Plan{}, fmt.Errorf("allocator: %w: application %d cannot reach floor %.2f under %.1f W",
+			return table{}, fmt.Errorf("allocator: %w: application %d cannot reach floor %.2f under %.1f W",
 				ErrInfeasible, i, floor, budget)
 		}
 	}
@@ -88,6 +110,8 @@ func ApportionWeighted(curves []*workload.Curve, objs []Objective, budget, stepW
 	// cells are a prefix of each row: below minLevels[i] in scoreAt, and
 	// below the floors' running sum lo in best. The loop bounds skip
 	// exactly those, and a level that leaves no k is -Inf with choice -1.
+	// No cell reads a level above its own, so with every floor 0 the
+	// table's first m levels are exactly the table solved for m levels.
 	best := make([]float64, levels)
 	next := make([]float64, levels)
 	choice := make([]int, len(curves)*levels)
@@ -108,16 +132,18 @@ func ApportionWeighted(curves []*workload.Curve, objs []Objective, budget, stepW
 		lo += minLevels[i]
 	}
 	if math.IsInf(best[levels-1], -1) {
-		return Plan{}, fmt.Errorf("allocator: %w: floors need more than %.1f W", ErrInfeasible, budget)
+		return table{}, fmt.Errorf("allocator: %w: floors need more than %.1f W", ErrInfeasible, budget)
 	}
+	return table{curves: curves, stepW: stepW, levels: levels, choice: choice}, nil
+}
 
-	// Walk the choices back from the full budget.
-	plan := Plan{Allocs: make([]Allocation, len(curves))}
-	l := levels - 1
-	for i := len(curves) - 1; i >= 0; i-- {
-		k := choice[i*levels+l]
-		share := float64(k) * stepW
-		pt, ok := curves[i].At(share)
+// walk reads the plan at budget level l back out of the choices.
+func (t table) walk(l int) Plan {
+	plan := Plan{Allocs: make([]Allocation, len(t.curves))}
+	for i := len(t.curves) - 1; i >= 0; i-- {
+		k := t.choice[i*t.levels+l]
+		share := float64(k) * t.stepW
+		pt, ok := t.curves[i].At(share)
 		plan.Allocs[i] = Allocation{BudgetW: share, Point: pt, Runnable: ok}
 		if ok {
 			plan.TotalPerf += pt.Perf
@@ -125,7 +151,7 @@ func ApportionWeighted(curves []*workload.Curve, objs []Objective, budget, stepW
 		}
 		l -= k
 	}
-	return plan, nil
+	return plan
 }
 
 // ErrInfeasible marks allocations whose performance floors cannot be met

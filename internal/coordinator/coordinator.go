@@ -363,8 +363,8 @@ func restoreEfficiency(onSeconds, restoreSeconds float64) float64 {
 // the battery; during the ON phase all applications run simultaneously —
 // paying P_cm once — with the excess over the cap discharged from the
 // battery. The OFF:ON ratio follows the paper's equation (5); the total
-// ON-phase dynamic power is chosen by searching a grid of budgets and
-// apportioning each with the allocator.
+// ON-phase dynamic power is chosen by searching a grid of budgets, each
+// apportioned by one allocator table solved for the whole grid.
 func ESD(cfg Config, curves []*workload.Curve, dev *esd.Device) (Schedule, error) {
 	n := len(curves)
 	if n == 0 {
@@ -381,16 +381,28 @@ func ESD(cfg Config, curves []*workload.Curve, dev *esd.Device) (Schedule, error
 	eta := spec.RoundTripEff()
 
 	// Search ON-phase dynamic budgets from just over the cap-feasible
-	// level up to everything the applications can use.
+	// level up to everything the applications can use. Every budget the
+	// search visits reads the same DP table, solved once for the largest.
 	maxL := 0.0
 	for _, c := range curves {
 		maxL += c.MaxPower()
 	}
+	var budgets []float64
+	for L := cfg.HW.DynamicBudget(cfg.CapW) + 1; L <= maxL+1e-9; L += 1 {
+		budgets = append(budgets, L)
+	}
+	if len(budgets) == 0 {
+		return Schedule{}, fmt.Errorf("coordinator: no feasible ESD operating point under cap %.1f W", cfg.CapW)
+	}
+	sweep, err := allocator.Sweep(curves, budgets[len(budgets)-1])
+	if err != nil {
+		return Schedule{}, err
+	}
 	bestObj := -1.0
 	var bestPlan allocator.Plan
 	var bestOnFrac, bestDischarge float64
-	for L := cfg.HW.DynamicBudget(cfg.CapW) + 1; L <= maxL+1e-9; L += 1 {
-		plan, err := allocator.Apportion(curves, L, 0)
+	for _, L := range budgets {
+		plan, err := sweep.Plan(L)
 		if err != nil {
 			return Schedule{}, err
 		}

@@ -8,6 +8,7 @@ import (
 	"powerstruggle/internal/allocator"
 	"powerstruggle/internal/esd"
 	"powerstruggle/internal/simhw"
+	"powerstruggle/internal/telemetry"
 	"powerstruggle/internal/workload"
 )
 
@@ -285,6 +286,55 @@ func TestScheduleString(t *testing.T) {
 	for _, want := range []string{"esd", "sleep", "discharge", "run(2)"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Schedule.String %q missing %q", s, want)
+		}
+	}
+}
+
+// TestESDSolvesOneDP: the ESD search reads every ON-phase budget out of
+// one allocator table, so a call is one dp solve however many budgets it
+// visits.
+func TestESDSolvesOneDP(t *testing.T) {
+	f := newFixture(t, "STREAM", "kmeans")
+	reg := telemetry.NewRegistry()
+	allocator.EnableTelemetry(reg)
+	defer allocator.EnableTelemetry(nil)
+	solves := reg.CounterVec("ps_allocator_solves_total", "", "solver").With("dp")
+	for _, capW := range []float64{60, 70, 80, 90, 100} {
+		dev, err := esd.NewDevice(esd.LeadAcid(300e3), 0.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := solves.Value()
+		if _, err := ESD(Config{HW: f.hw, CapW: capW}, f.curves, dev); err != nil {
+			t.Fatal(err)
+		}
+		if n := solves.Value() - before; n != 1 {
+			t.Errorf("cap %g W: ESD ran %d DP solves, want 1", capW, n)
+		}
+	}
+}
+
+// BenchmarkESD times one ESD schedule search for a two-application mix
+// at 80 W, the re-plan shape of psperf's server-churn.
+func BenchmarkESD(b *testing.B) {
+	hw := simhw.DefaultConfig()
+	lib, err := workload.NewLibrary(hw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	curves := []*workload.Curve{
+		workload.OptimalCurve(hw, lib.MustApp("STREAM")),
+		workload.OptimalCurve(hw, lib.MustApp("kmeans")),
+	}
+	dev, err := esd.NewDevice(esd.LeadAcid(300e3), 0.6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{HW: hw, CapW: 80}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ESD(cfg, curves, dev); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -68,6 +68,9 @@ type Executor struct {
 	profiles  []*workload.Profile
 	instances []*workload.Instance
 	slots     []simhw.SlotID
+	// hbNames[i] is application i's heartbeat producer name, formatted
+	// when the application set changes rather than on every step.
+	hbNames []string
 
 	sched       Schedule
 	haveSched   bool
@@ -159,7 +162,10 @@ func (e *Executor) HeartbeatTotal(i int) (float64, error) {
 }
 
 // hbName is application i's heartbeat producer name.
-func (e *Executor) hbName(i int) string {
+func (e *Executor) hbName(i int) string { return e.hbNames[i] }
+
+// formatHBName formats the heartbeat producer name of application i.
+func (e *Executor) formatHBName(i int) string {
 	return fmt.Sprintf("%s#%d", e.profiles[i].Name, i)
 }
 
@@ -196,6 +202,7 @@ func (e *Executor) AddApp(p *workload.Profile, inst *workload.Instance) (int, er
 	e.backoffS = append(e.backoffS, 0)
 	e.retryAt = append(e.retryAt, 0)
 	idx := len(e.profiles) - 1
+	e.hbNames = append(e.hbNames, e.formatHBName(idx))
 	if err := e.hb.Register(e.hbName(idx), hbWindowS); err != nil {
 		return 0, err
 	}
@@ -228,7 +235,9 @@ func (e *Executor) RemoveApp(i int) error {
 	e.prevRunning = append(e.prevRunning[:i], e.prevRunning[i+1:]...)
 	e.backoffS = append(e.backoffS[:i], e.backoffS[i+1:]...)
 	e.retryAt = append(e.retryAt[:i], e.retryAt[i+1:]...)
+	e.hbNames = e.hbNames[:len(e.profiles)]
 	for j := range e.profiles {
+		e.hbNames[j] = e.formatHBName(j)
 		if err := e.hb.Register(e.hbName(j), hbWindowS); err != nil {
 			return err
 		}

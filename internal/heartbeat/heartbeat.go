@@ -28,7 +28,10 @@ type Monitor struct {
 }
 
 type producer struct {
+	// beats[head:] is the live window; trim advances head and compacts
+	// only once the dropped prefix is the larger half.
 	beats  []beat
+	head   int
 	total  float64
 	lastT  float64
 	window float64
@@ -87,9 +90,11 @@ func (m *Monitor) Beat(name string, t, count float64) error {
 // window edge so a sparse producer still has a rate).
 func (p *producer) trim(now float64) {
 	cut := now - p.window
-	i := sort.Search(len(p.beats), func(i int) bool { return p.beats[i].t >= cut })
-	if i > 0 {
-		p.beats = append(p.beats[:0], p.beats[i:]...)
+	live := p.beats[p.head:]
+	p.head += sort.Search(len(live), func(i int) bool { return live[i].t >= cut })
+	if p.head > len(p.beats)/2 {
+		p.beats = append(p.beats[:0], p.beats[p.head:]...)
+		p.head = 0
 	}
 }
 
@@ -104,7 +109,7 @@ func (m *Monitor) Rate(name string, now float64) (float64, error) {
 	}
 	cut := now - p.window
 	var sum float64
-	for _, b := range p.beats {
+	for _, b := range p.beats[p.head:] {
 		if b.t >= cut && b.t <= now {
 			sum += b.count
 		}

@@ -172,3 +172,36 @@ func TestQuickRateMatchesTotalOverWindow(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTrimMatchesFullHistory: across many windows of beats, Rate reads
+// bit for bit what a sum over the full history reads, while the kept
+// beats stay within twice a window's worth.
+func TestTrimMatchesFullHistory(t *testing.T) {
+	const window, dt = 2.0, 0.01
+	m := NewMonitor()
+	if err := m.Register("p", window); err != nil {
+		t.Fatal(err)
+	}
+	var history []beat
+	for i := 1; i <= 2000; i++ {
+		now := float64(i) * dt
+		b := beat{t: now, count: float64(i%7) + 0.1}
+		history = append(history, b)
+		if err := m.Beat("p", b.t, b.count); err != nil {
+			t.Fatal(err)
+		}
+		var want float64
+		for _, h := range history {
+			if h.t >= now-window && h.t <= now {
+				want += h.count
+			}
+		}
+		want /= window
+		if got, err := m.Rate("p", now); err != nil || got != want {
+			t.Fatalf("beat %d: rate %v (%v), full history %v", i, got, err, want)
+		}
+		if kept := len(m.prods["p"].beats); kept > 2*int(window/dt)+2 {
+			t.Fatalf("beat %d: %d beats kept for a %g s window", i, kept, window)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"sort"
+	"sync"
 
 	"powerstruggle/internal/simhw"
 )
@@ -137,10 +138,62 @@ func pareto(raw []Point) *Curve {
 	return &Curve{points: pts}
 }
 
-// OptimalCurve builds the application's full utility curve: the Pareto
+// OptimalCurve returns the application's full utility curve: the Pareto
 // frontier over the entire discrete (f, n, m) knob space. This is what
 // the App+Res-Aware policy allocates against.
+//
+// Curves are memoized process-wide by value: the platform plus every
+// scalar field of the profile, a superset of what Power and NormRate
+// read. A re-plan over the same applications, or over a phase-resolved
+// copy already seen, builds nothing. A Curve is never written after
+// construction, so callers share it.
 func OptimalCurve(cfg simhw.Config, p *Profile) *Curve {
+	k := curveKey{
+		cfg: cfg, name: p.Name, class: p.Class,
+		baseRate: p.BaseRate, parallelFrac: p.ParallelFrac,
+		memBytesPerBeat: p.MemBytesPerBeat, cpuActivity: p.CPUActivity,
+		maxCores: p.MaxCores,
+	}
+	optimalMemo.Lock()
+	c, ok := optimalMemo.curves[k]
+	optimalMemo.Unlock()
+	if ok {
+		return c
+	}
+	c = optimalCurve(cfg, p)
+	optimalMemo.Lock()
+	if len(optimalMemo.curves) >= optimalMemoMax || optimalMemo.curves == nil {
+		optimalMemo.curves = make(map[curveKey]*Curve)
+	}
+	optimalMemo.curves[k] = c
+	optimalMemo.Unlock()
+	return c
+}
+
+// curveKey is the value OptimalCurve memoizes on. Phases are left out:
+// Power and NormRate ignore them.
+type curveKey struct {
+	cfg             simhw.Config
+	name            string
+	class           Class
+	baseRate        float64
+	parallelFrac    float64
+	memBytesPerBeat float64
+	cpuActivity     float64
+	maxCores        int
+}
+
+// optimalMemoMax bounds the memo; past it the memo is cleared wholesale.
+// A server sees a few dozen (application, phase) pairs.
+const optimalMemoMax = 1024
+
+var optimalMemo struct {
+	sync.Mutex
+	curves map[curveKey]*Curve
+}
+
+// optimalCurve builds the curve OptimalCurve memoizes.
+func optimalCurve(cfg simhw.Config, p *Profile) *Curve {
 	knobs := EnumKnobs(cfg, p.MaxCores)
 	raw := make([]Point, 0, len(knobs)+8)
 	for _, k := range knobs {
