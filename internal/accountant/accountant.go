@@ -165,21 +165,21 @@ const (
 	DefaultMaxLog = 4096
 )
 
-func (c Config) heartbeatStale() float64 {
+func (c *Config) heartbeatStale() float64 {
 	if c.HeartbeatStaleS > 0 {
 		return c.HeartbeatStaleS
 	}
 	return DefaultHeartbeatStaleS
 }
 
-func (c Config) maxEvents() int {
+func (c *Config) maxEvents() int {
 	if c.MaxEvents != 0 {
 		return c.MaxEvents
 	}
 	return DefaultMaxLog
 }
 
-func (c Config) maxSamples() int {
+func (c *Config) maxSamples() int {
 	if c.MaxSamples != 0 {
 		return c.MaxSamples
 	}
@@ -193,7 +193,7 @@ type CurveEstimator interface {
 	Curve(p *workload.Profile) (*workload.Curve, error)
 }
 
-func (c Config) driftFrac() float64 {
+func (c *Config) driftFrac() float64 {
 	if c.DriftFrac > 0 {
 		return c.DriftFrac
 	}
@@ -523,6 +523,7 @@ func (s *Sim) Run(seconds float64) error {
 	if poll <= 0 {
 		poll = dt
 	}
+	drift := s.cfg.driftFrac()
 	end := s.ex.Now() + seconds
 	lastSample := math.Inf(-1)
 
@@ -602,23 +603,22 @@ func (s *Sim) Run(seconds float64) error {
 			}
 		}
 
-		// Advance one step.
+		// Advance one step. The installed schedule is read once, after
+		// any re-plan; nothing below changes it.
 		var (
 			sample coordinator.Sample
 			err    error
 		)
-		if _, ok := s.ex.Schedule(); ok && !s.reallocQueued {
+		sched, haveSched := s.ex.Schedule()
+		switch {
+		case haveSched && !s.reallocQueued:
 			sample, err = s.ex.Step(dt)
-		} else if _, ok := s.ex.Schedule(); ok {
+		case haveSched && s.scheduleMatches(&sched):
 			// Existing applications keep running under the old plan
 			// during re-allocation; a schedule that no longer matches
 			// the application set cannot, so the server idles.
-			if s.scheduleMatches() {
-				sample, err = s.ex.Step(dt)
-			} else {
-				sample, err = s.ex.Idle(dt)
-			}
-		} else {
+			sample, err = s.ex.Step(dt)
+		default:
 			sample, err = s.ex.Idle(dt)
 		}
 		if err != nil {
@@ -638,13 +638,13 @@ func (s *Sim) Run(seconds float64) error {
 		if now-s.lastPoll >= poll-1e-12 && !s.reallocQueued {
 			s.lastPoll = now
 			s.tel.polls.Inc()
-			if sched, ok := s.ex.Schedule(); ok && len(sched.AppBudgetW) == s.ex.Apps() {
+			if haveSched && len(sched.AppBudgetW) == s.ex.Apps() {
 				for i := 0; i < s.ex.Apps(); i++ {
 					budget := sched.AppBudgetW[i]
 					if budget <= 0 {
 						continue
 					}
-					if math.Abs(sample.AppW[i]-budget) > s.cfg.driftFrac()*budget {
+					if math.Abs(sample.AppW[i]-budget) > drift*budget {
 						s.logEvent(EvPhaseChange, s.names[i],
 							fmt.Sprintf("draw %.1f W vs budget %.1f W", sample.AppW[i], budget))
 						s.queueRealloc()
@@ -661,7 +661,7 @@ func (s *Sim) Run(seconds float64) error {
 		// Record.
 		if s.ex.Now()-lastSample >= sampleEvery-1e-12 {
 			lastSample = s.ex.Now()
-			s.samples.push(s.appSample(sample))
+			s.samples.push(s.appSample(sample, &sched, haveSched))
 		}
 	}
 	return nil
@@ -669,21 +669,19 @@ func (s *Sim) Run(seconds float64) error {
 
 // scheduleMatches reports whether the installed schedule's application
 // indexing still matches the active set.
-func (s *Sim) scheduleMatches() bool {
-	sched, ok := s.ex.Schedule()
-	if !ok {
-		return false
-	}
+func (s *Sim) scheduleMatches(sched *coordinator.Schedule) bool {
 	// A schedule planned before an arrival still indexes correctly
 	// (newcomers append at the end and stay suspended); one planned
 	// before a departure does not, but departures re-plan immediately.
 	return len(sched.AppBudgetW) <= s.ex.Apps()
 }
 
-// appSample dresses an executor sample with identity and knob state.
-func (s *Sim) appSample(c coordinator.Sample) AppSample {
-	out := AppSample{T: c.T, CapW: s.ex.Cap(), GridW: c.GridW, SoC: c.SoC}
-	sched, haveSched := s.ex.Schedule()
+// appSample dresses an executor sample with identity and knob state
+// from the installed schedule. It copies what it keeps, so the sample's
+// AppW may be the executor's reused buffer.
+func (s *Sim) appSample(c coordinator.Sample, sched *coordinator.Schedule, haveSched bool) AppSample {
+	out := AppSample{T: c.T, CapW: s.ex.Cap(), GridW: c.GridW, SoC: c.SoC,
+		Apps: make([]AppState, 0, s.ex.Apps())}
 	for i := 0; i < s.ex.Apps(); i++ {
 		st := AppState{Name: s.names[i]}
 		if i < len(c.AppW) {

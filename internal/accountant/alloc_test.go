@@ -1,6 +1,7 @@
 package accountant
 
 import (
+	"reflect"
 	"testing"
 
 	"powerstruggle/internal/policy"
@@ -35,10 +36,42 @@ func TestSimRunSteadyAllocs(t *testing.T) {
 	}
 }
 
-// maxSteadySecondObjects bounds TestSimRunSteadyAllocs. The measured 208
-// are two objects per 10 ms step (the Sample's AppW and the executor's
-// effective-run vector) and two per recorded sample (its Apps slice
-// growing to two); the bound leaves a few for toolchain drift. Before
-// the heartbeat names were cached, formatting them on every step made
-// this second allocate 624.
-const maxSteadySecondObjects = 220
+// maxSteadySecondObjects bounds TestSimRunSteadyAllocs. The measured 4
+// are one object per recorded sample (its Apps slice, sized once; the
+// test samples every 0.25 s). A 10 ms step allocates nothing: the
+// executor reuses its effective-run and AppW buffers
+// (coordinator.TestExecutorStepAllocs). The bound leaves a few for
+// toolchain drift.
+const maxSteadySecondObjects = 8
+
+// TestSampleReadableDuringRun walks a recorded sample on another
+// goroutine while the next Run(1) proceeds. Under -race it fails if a
+// step writes memory a published sample still references — the reused
+// executor AppW buffer must never leak into one.
+func TestSampleReadableDuringRun(t *testing.T) {
+	sim, lib := newSim(t, policy.AppResAware, 0)
+	_ = sim.AddArrival(0, lib.MustApp("STREAM"), 0)
+	_ = sim.AddArrival(0, lib.MustApp("kmeans"), 0)
+	if err := sim.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	last := sim.LastSample()
+	want := append([]AppState(nil), last.Apps...)
+	done := make(chan float64)
+	go func() {
+		var sum float64
+		for i := 0; i < 1000; i++ {
+			for _, a := range last.Apps {
+				sum += a.PowerW + a.BudgetW + a.RateHz
+			}
+		}
+		done <- sum
+	}()
+	if err := sim.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if !reflect.DeepEqual(last.Apps, want) {
+		t.Errorf("a sample changed under a later Run: %+v, was %+v", last.Apps, want)
+	}
+}

@@ -185,35 +185,35 @@ const (
 	DefaultMaxRetries = 3
 )
 
-func (c Config) watchdogK() int {
+func (c *Config) watchdogK() int {
 	if c.WatchdogK > 0 {
 		return c.WatchdogK
 	}
 	return DefaultWatchdogK
 }
 
-func (c Config) watchdogRecovery() float64 {
+func (c *Config) watchdogRecovery() float64 {
 	if c.WatchdogRecoveryS > 0 {
 		return c.WatchdogRecoveryS
 	}
 	return DefaultWatchdogRecoveryS
 }
 
-func (c Config) maxRetries() int {
+func (c *Config) maxRetries() int {
 	if c.MaxRetries > 0 {
 		return c.MaxRetries
 	}
 	return DefaultMaxRetries
 }
 
-func (c Config) period() float64 {
+func (c *Config) period() float64 {
 	if c.PeriodSeconds > 0 {
 		return c.PeriodSeconds
 	}
 	return DefaultPeriodS
 }
 
-func (c Config) minShareFrac() float64 {
+func (c *Config) minShareFrac() float64 {
 	if c.MinShare > 0 {
 		return c.MinShare
 	}
@@ -338,7 +338,7 @@ func Time(cfg Config, curves []*workload.Curve, fair bool) (Schedule, error) {
 	return sched, nil
 }
 
-func (c Config) restore() float64 {
+func (c *Config) restore() float64 {
 	if c.RestoreSeconds > 0 {
 		return c.RestoreSeconds
 	}

@@ -19,7 +19,7 @@ type fixture struct {
 	curves []*workload.Curve
 }
 
-func newFixture(t *testing.T, names ...string) *fixture {
+func newFixture(t testing.TB, names ...string) *fixture {
 	t.Helper()
 	hw := simhw.DefaultConfig()
 	lib, err := workload.NewLibrary(hw)

@@ -25,7 +25,7 @@ type Platform interface {
 	Sleep() error
 	Slot(id simhw.SlotID) (simhw.SlotState, error)
 	AppPowerWatts(id simhw.SlotID) (float64, error)
-	Step(dt float64) float64
+	Step(dt float64)
 	Waking() bool
 }
 
@@ -78,6 +78,13 @@ type Executor struct {
 	bounds      []float64
 	restoreLeft []float64
 	prevRunning []bool
+
+	// cur, effRun and appW are per-application step buffers: the
+	// resolved segment entries, the effective-run vector and the
+	// Sample.AppW. Step overwrites all three, Idle only appW.
+	cur    []stepApp
+	effRun []bool
+	appW   []float64
 
 	// Per-application retry backoff: after retries exhaust, the
 	// actuator is left alone until retryAt, doubling backoffS each
@@ -199,6 +206,9 @@ func (e *Executor) AddApp(p *workload.Profile, inst *workload.Instance) (int, er
 	e.slots = append(e.slots, id)
 	e.restoreLeft = append(e.restoreLeft, 0)
 	e.prevRunning = append(e.prevRunning, false)
+	e.cur = append(e.cur, stepApp{})
+	e.effRun = append(e.effRun, false)
+	e.appW = append(e.appW, 0)
 	e.backoffS = append(e.backoffS, 0)
 	e.retryAt = append(e.retryAt, 0)
 	idx := len(e.profiles) - 1
@@ -235,6 +245,9 @@ func (e *Executor) RemoveApp(i int) error {
 	e.prevRunning = append(e.prevRunning[:i], e.prevRunning[i+1:]...)
 	e.backoffS = append(e.backoffS[:i], e.backoffS[i+1:]...)
 	e.retryAt = append(e.retryAt[:i], e.retryAt[i+1:]...)
+	e.cur = e.cur[:len(e.profiles)]
+	e.effRun = e.effRun[:len(e.profiles)]
+	e.appW = e.appW[:len(e.profiles)]
 	e.hbNames = e.hbNames[:len(e.profiles)]
 	for j := range e.profiles {
 		e.hbNames[j] = e.formatHBName(j)
@@ -296,7 +309,8 @@ func (e *Executor) SetSchedule(s Schedule) error {
 func (e *Executor) Schedule() (Schedule, bool) { return e.sched, e.haveSched }
 
 // Idle advances time with every application suspended and no ESD
-// activity — the state between an arrival and the first plan.
+// activity — the state between an arrival and the first plan. The
+// sample's AppW is valid until the next Step or Idle.
 func (e *Executor) Idle(dt float64) (Sample, error) {
 	for i := range e.profiles {
 		ok, err := e.writeRunning(i, false)
@@ -314,7 +328,8 @@ func (e *Executor) Idle(dt float64) (Sample, error) {
 		e.store.Idle(dt)
 	}
 	e.now += dt
-	s := Sample{T: e.now, ServerW: e.cfg.HW.PIdleWatts, GridW: e.cfg.HW.PIdleWatts, AppW: make([]float64, len(e.profiles))}
+	clear(e.appW)
+	s := Sample{T: e.now, ServerW: e.cfg.HW.PIdleWatts, GridW: e.cfg.HW.PIdleWatts, AppW: e.appW}
 	if e.store != nil {
 		s.SoC = e.store.SoC()
 	}
@@ -323,7 +338,9 @@ func (e *Executor) Idle(dt float64) (Sample, error) {
 
 // Step advances the installed schedule by dt seconds and returns the
 // step's sample. Applications with finite work may complete during the
-// step; the caller detects that via their instances.
+// step; the caller detects that via their instances. The sample's AppW
+// is the executor's own buffer: it is valid until the next Step or Idle,
+// so a caller that keeps samples clones it (Runner does).
 func (e *Executor) Step(dt float64) (Sample, error) {
 	if !e.haveSched {
 		return Sample{}, fmt.Errorf("coordinator: no schedule installed")
@@ -350,7 +367,8 @@ func (e *Executor) Step(dt float64) (Sample, error) {
 	}
 
 	// Actuate every application for this segment.
-	effRun, err := e.actuateSegment(seg)
+	cur := e.resolve(seg)
+	effRun, err := e.actuateSegment(seg, cur)
 	if err != nil {
 		return Sample{}, err
 	}
@@ -359,14 +377,15 @@ func (e *Executor) Step(dt float64) (Sample, error) {
 	// gated on the platform's measured per-slot draw (w > 0), not on
 	// schedule intent: a task whose suspend was lost keeps drawing and
 	// must stay visible to the watchdog.
-	appW := make([]float64, len(e.profiles))
+	appW := e.appW
 	serverW := e.cfg.HW.PIdleWatts
 	anyRun := false
+	waking := e.srv.Waking()
 	for i := range e.profiles {
-		sk, scheduled := seg.Run[i]
+		a := &cur[i]
 		duty := 1.0
-		if scheduled && sk.Duty > 0 && sk.Duty < 1 {
-			duty = sk.Duty
+		if a.scheduled && a.sk.Duty > 0 && a.sk.Duty < 1 {
+			duty = a.sk.Duty
 		}
 		progressDt := dt * duty
 		if e.restoreLeft[i] > 0 {
@@ -374,9 +393,8 @@ func (e *Executor) Step(dt float64) (Sample, error) {
 			e.restoreLeft[i] -= burn
 			progressDt -= burn
 		}
-		if scheduled && effRun[i] && !e.srv.Waking() {
-			k := e.knobsFor(i, sk)
-			delivered := e.instances[i].Advance(e.cfg.HW, k, true, progressDt)
+		if a.scheduled && effRun[i] && !waking {
+			delivered := e.instances[i].Advance(e.cfg.HW, a.k, true, progressDt)
 			if delivered > 0 {
 				if err := e.beats.Beat(e.hbName(i), e.now+dt, delivered); err != nil {
 					return Sample{}, err
@@ -439,12 +457,37 @@ func (e *Executor) Step(dt float64) (Sample, error) {
 	return Sample{T: e.now, ServerW: serverW, GridW: gridW, SoC: soc, AppW: appW}, nil
 }
 
+// stepApp is one application's entry in the segment a step executes.
+type stepApp struct {
+	sk        SegKnob
+	scheduled bool
+	// k is knobsFor(i, sk), meaningful only when scheduled.
+	k workload.Knobs
+}
+
+// resolve looks every application up in seg and resolves its knobs, once
+// per step: it runs after the watchdog bookkeeping, and nothing between
+// it and the end of the step changes what knobsFor returns.
+func (e *Executor) resolve(seg Segment) []stepApp {
+	cur := e.cur
+	for i := range cur {
+		sk, ok := seg.Run[i]
+		cur[i] = stepApp{sk: sk, scheduled: ok}
+		if ok {
+			cur[i].k = e.knobsFor(i, sk)
+		}
+	}
+	return cur
+}
+
 // knobsFor resolves application i's knobs for this step: the schedule's
 // knobs clamped to the hardware, overridden to the emergency floor while
 // the watchdog clamp is engaged, and frequency-limited along the
 // recovery ramp after a release.
 func (e *Executor) knobsFor(i int, sk SegKnob) workload.Knobs {
-	k := sk.Knobs.Clamp(e.cfg.HW, e.instances[i].Effective().MaxCores)
+	// Phases never change MaxCores, so the base profile's is the
+	// effective one's.
+	k := sk.Knobs.Clamp(e.cfg.HW, e.instances[i].Profile.MaxCores)
 	switch {
 	case e.wd.engaged && !e.wd.suspend:
 		k.FreqGHz = e.cfg.HW.FreqMinGHz
@@ -457,17 +500,18 @@ func (e *Executor) knobsFor(i int, sk SegKnob) workload.Knobs {
 	return k
 }
 
-// actuateSegment applies one segment's run/suspend/knob pattern and
-// returns each application's effective running state. While the
-// watchdog clamp is engaged it substitutes the emergency pattern.
-func (e *Executor) actuateSegment(seg Segment) ([]bool, error) {
+// actuateSegment applies one segment's run/suspend/knob pattern, as
+// resolved into cur, and returns each application's effective running
+// state in the executor's effRun buffer. While the watchdog clamp is
+// engaged it substitutes the emergency pattern.
+func (e *Executor) actuateSegment(seg Segment, cur []stepApp) ([]bool, error) {
 	if e.wd.engaged {
-		return e.clampSegment(seg)
+		return e.clampSegment(seg, cur)
 	}
 	n := len(e.profiles)
-	effRun := make([]bool, n)
+	effRun := e.effRun
 	for i := 0; i < n; i++ {
-		sk, running := seg.Run[i]
+		running := cur[i].scheduled
 		if e.inj != nil && e.now < e.retryAt[i] {
 			// Backing off a flapping actuator: hold the previous state.
 			effRun[i] = e.prevRunning[i]
@@ -478,9 +522,7 @@ func (e *Executor) actuateSegment(seg Segment) ([]bool, error) {
 			if !e.prevRunning[i] && seg.Restore[i] {
 				e.restoreLeft[i] = e.cfg.restore()
 			}
-			eff := e.instances[i].Effective()
-			k := e.knobsFor(i, sk)
-			if err := e.writeKnobs(i, k, eff); err != nil {
+			if err := e.writeKnobs(i, cur[i].k); err != nil {
 				if !faults.IsTransient(err) {
 					return nil, err
 				}

@@ -17,7 +17,7 @@ func newExecFixture(t *testing.T) (*Executor, *fixture) {
 	return ex, f
 }
 
-func addApps(t *testing.T, ex *Executor, f *fixture) {
+func addApps(t testing.TB, ex *Executor, f *fixture) {
 	t.Helper()
 	for _, p := range f.profs {
 		inst, err := workload.NewInstance(p, 0)

@@ -125,7 +125,7 @@ func (e *Executor) noteDegraded(i int, err error) {
 // writeKnobs applies knobs and load for application i with retries.
 // Transient exhaustion leaves the slot on stale knobs and returns the
 // transient error; the caller degrades rather than aborts.
-func (e *Executor) writeKnobs(i int, k workload.Knobs, eff *workload.Profile) error {
+func (e *Executor) writeKnobs(i int, k workload.Knobs) error {
 	if e.tel.enabled {
 		defer e.tel.observeLatency(e.tel.latKnob, time.Now())
 	}
@@ -136,7 +136,15 @@ func (e *Executor) writeKnobs(i int, k workload.Knobs, eff *workload.Profile) er
 	}
 	// Load reporting is the occupant's own telemetry, not an actuation;
 	// it does not fault and a failure here is a real error.
-	return e.srv.SetLoad(e.slots[i], eff.CPUActivity, eff.MemDrawWatts(e.cfg.HW, k))
+	return e.setLoad(i, k)
+}
+
+// setLoad reports application i's occupant load at knobs k: the
+// effective profile's activity factor and the instance's memoized DRAM
+// draw.
+func (e *Executor) setLoad(i int, k workload.Knobs) error {
+	in := e.instances[i]
+	return e.srv.SetLoad(e.slots[i], in.Effective().CPUActivity, in.MemDrawWatts(e.cfg.HW, k))
 }
 
 // writeRunning starts or suspends application i with retries. It reports
@@ -257,16 +265,13 @@ func (e *Executor) watchdogObserve(gridW float64) {
 // actuation: scheduled applications run at the knob floor (or everything
 // suspends, on the suspend tier), written through verified emergency
 // writes that bypass backoff.
-func (e *Executor) clampSegment(seg Segment) ([]bool, error) {
+func (e *Executor) clampSegment(seg Segment, cur []stepApp) ([]bool, error) {
 	n := len(e.profiles)
-	effRun := make([]bool, n)
+	effRun := e.effRun
 	for i := 0; i < n; i++ {
-		sk, scheduled := seg.Run[i]
-		run := scheduled && !e.wd.suspend && !seg.Sleep
+		run := cur[i].scheduled && !e.wd.suspend && !seg.Sleep
 		if run {
-			eff := e.instances[i].Effective()
-			k := e.knobsFor(i, sk)
-			if err := e.forceKnobs(i, k, eff); err != nil {
+			if err := e.forceKnobs(i, cur[i].k); err != nil {
 				return nil, err
 			}
 		}
@@ -287,7 +292,7 @@ func (e *Executor) clampSegment(seg Segment) ([]bool, error) {
 // DRAM-limit write reports success while leaving the old setting live.
 // Persistent failure is recorded and survived — the clamp stays engaged
 // and tries again next interval.
-func (e *Executor) forceKnobs(i int, k workload.Knobs, eff *workload.Profile) error {
+func (e *Executor) forceKnobs(i int, k workload.Knobs) error {
 	var lastErr error
 	for attempt := 0; attempt < emergencyRetries; attempt++ {
 		e.tel.emergencyWrites.Inc()
@@ -306,7 +311,7 @@ func (e *Executor) forceKnobs(i int, k workload.Knobs, eff *workload.Profile) er
 			return err
 		}
 		if st.FreqGHz == k.FreqGHz && st.MemWatts == k.MemWatts {
-			return e.srv.SetLoad(e.slots[i], eff.CPUActivity, eff.MemDrawWatts(e.cfg.HW, k))
+			return e.setLoad(i, k)
 		}
 		lastErr = fmt.Errorf("write reported success but read back f=%.2f m=%.1f", st.FreqGHz, st.MemWatts)
 	}

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"slices"
 	"testing"
 
 	"powerstruggle/internal/faults"
@@ -141,6 +142,7 @@ func TestZeroRateConfigIsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.AppW = slices.Clone(s.AppW) // valid only until the next step
 			out[i] = s
 		}
 		return out

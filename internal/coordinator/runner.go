@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"fmt"
+	"slices"
 
 	"powerstruggle/internal/esd"
 	"powerstruggle/internal/workload"
@@ -18,7 +19,9 @@ type Sample struct {
 	GridW float64
 	// SoC is the ESD state of charge (0 when no device is attached).
 	SoC float64
-	// AppW is each application's dynamic draw.
+	// AppW is each application's dynamic draw. A sample returned by
+	// Executor.Step or Idle shares the executor's buffer and is valid
+	// until the next step; Runner's recorded samples own theirs.
 	AppW []float64
 }
 
@@ -110,6 +113,7 @@ func (r *Runner) Run(sched Schedule, seconds float64) (RunResult, error) {
 			res.CapViolations++
 		}
 		if r.SampleEvery <= 0 || t-lastSample >= r.SampleEvery-1e-12 {
+			s.AppW = slices.Clone(s.AppW)
 			res.Samples = append(res.Samples, s)
 			lastSample = t
 		}

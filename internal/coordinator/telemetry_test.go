@@ -3,6 +3,7 @@ package coordinator
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"powerstruggle/internal/faults"
@@ -84,6 +85,7 @@ func stepAll(t *testing.T, ex *Executor, steps int, dt float64) []Sample {
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
+		s.AppW = slices.Clone(s.AppW) // valid only until the next step
 		out = append(out, s)
 	}
 	return out

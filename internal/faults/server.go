@@ -124,7 +124,7 @@ func (s *Server) PowerWatts() float64 { return s.hw.PowerWatts() }
 func (s *Server) AppPowerWatts(id simhw.SlotID) (float64, error) { return s.hw.AppPowerWatts(id) }
 
 // Step passes through: time itself does not fault.
-func (s *Server) Step(dt float64) float64 { return s.hw.Step(dt) }
+func (s *Server) Step(dt float64) { s.hw.Step(dt) }
 
 // Waking passes through.
 func (s *Server) Waking() bool { return s.hw.Waking() }

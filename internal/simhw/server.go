@@ -1,8 +1,9 @@
 package simhw
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -32,6 +33,16 @@ type SlotState struct {
 	MemDrawWatts float64
 }
 
+// slot is one live placement slot: its state plus the per-core draw that
+// state implies, recomputed only when SetKnobs or SetLoad changes the
+// frequency or the activity factor.
+type slot struct {
+	SlotState
+	id SlotID
+	// coreW is cfg.CoreWatts(FreqGHz, Activity).
+	coreW float64
+}
+
 // Server is a running instance of the simulated platform. Slots are
 // claimed by applications; their knob state, together with the socket
 // sleep state, fully determines instantaneous power.
@@ -40,8 +51,10 @@ type SlotState struct {
 type Server struct {
 	cfg Config
 
-	mu        sync.Mutex
-	slots     map[SlotID]*SlotState
+	mu sync.Mutex
+	// live holds the claimed slots in ascending ID order: lookups binary
+	// search it, and power sums walk it in that fixed order.
+	live      []*slot
 	nextSlot  SlotID
 	freeCores int
 	freeChans int
@@ -63,7 +76,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:       cfg,
-		slots:     make(map[SlotID]*SlotState),
 		freeCores: cfg.TotalCores(),
 		freeChans: cfg.MemChannels * sharing,
 	}, nil
@@ -93,27 +105,43 @@ func (s *Server) Claim(cores int) (SlotID, error) {
 	s.nextSlot++
 	s.freeCores -= cores
 	s.freeChans--
-	s.slots[id] = &SlotState{
+	sl := &slot{id: id, SlotState: SlotState{
 		Running:  false,
 		FreqGHz:  s.cfg.FreqMinGHz,
 		Cores:    cores,
 		MemWatts: s.cfg.MemMinWatts,
 		Activity: 1,
-	}
+	}}
+	sl.coreW = s.cfg.CoreWatts(sl.FreqGHz, sl.Activity)
+	// IDs only grow, so appending keeps live in ID order.
+	s.live = append(s.live, sl)
 	return id, nil
+}
+
+// findLocked returns the index of slot id in live.
+func (s *Server) findLocked(id SlotID) (int, bool) {
+	return slices.BinarySearchFunc(s.live, id, func(sl *slot, id SlotID) int { return cmp.Compare(sl.id, id) })
+}
+
+// slotLocked returns slot id, or nil when it is not claimed.
+func (s *Server) slotLocked(id SlotID) *slot {
+	if i, ok := s.findLocked(id); ok {
+		return s.live[i]
+	}
+	return nil
 }
 
 // Release returns a slot's cores and channel to the free pool.
 func (s *Server) Release(id SlotID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.slots[id]
+	i, ok := s.findLocked(id)
 	if !ok {
 		return fmt.Errorf("simhw: release of unknown slot %d", id)
 	}
-	s.freeCores += st.Cores
+	s.freeCores += s.live[i].Cores
 	s.freeChans++
-	delete(s.slots, id)
+	s.live = slices.Delete(s.live, i, i+1)
 	return nil
 }
 
@@ -121,11 +149,10 @@ func (s *Server) Release(id SlotID) error {
 func (s *Server) Slots() []SlotID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]SlotID, 0, len(s.slots))
-	for id := range s.slots {
-		out = append(out, id)
+	out := make([]SlotID, len(s.live))
+	for i, sl := range s.live {
+		out[i] = sl.id
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -135,8 +162,8 @@ func (s *Server) Slots() []SlotID {
 func (s *Server) SetKnobs(id SlotID, freqGHz float64, cores int, memWatts float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.slots[id]
-	if !ok {
+	st := s.slotLocked(id)
+	if st == nil {
 		return fmt.Errorf("simhw: knobs for unknown slot %d", id)
 	}
 	if cores <= 0 {
@@ -148,9 +175,19 @@ func (s *Server) SetKnobs(id SlotID, freqGHz float64, cores int, memWatts float6
 	}
 	s.freeCores -= delta
 	st.Cores = cores
-	st.FreqGHz = s.cfg.ClampFreq(freqGHz)
 	st.MemWatts = s.cfg.ClampMem(memWatts)
+	s.setCoreLocked(st, s.cfg.ClampFreq(freqGHz), st.Activity)
 	return nil
+}
+
+// setCoreLocked stores a slot's frequency and activity factor and
+// recomputes its per-core draw when either changed.
+func (s *Server) setCoreLocked(st *slot, freqGHz, activity float64) {
+	changed := freqGHz != st.FreqGHz || activity != st.Activity
+	st.FreqGHz, st.Activity = freqGHz, activity
+	if changed {
+		st.coreW = s.cfg.CoreWatts(freqGHz, activity)
+	}
 }
 
 // SetLoad updates the occupant-driven part of a slot's state: its core
@@ -158,8 +195,8 @@ func (s *Server) SetKnobs(id SlotID, freqGHz float64, cores int, memWatts float6
 func (s *Server) SetLoad(id SlotID, activity, memDrawWatts float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.slots[id]
-	if !ok {
+	st := s.slotLocked(id)
+	if st == nil {
 		return fmt.Errorf("simhw: load for unknown slot %d", id)
 	}
 	if activity < 0 {
@@ -168,7 +205,7 @@ func (s *Server) SetLoad(id SlotID, activity, memDrawWatts float64) error {
 	if activity > 1 {
 		activity = 1
 	}
-	st.Activity = activity
+	s.setCoreLocked(st, st.FreqGHz, activity)
 	if memDrawWatts > st.MemWatts {
 		memDrawWatts = st.MemWatts
 	}
@@ -184,8 +221,8 @@ func (s *Server) SetLoad(id SlotID, activity, memDrawWatts float64) error {
 func (s *Server) SetRunning(id SlotID, running bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.slots[id]
-	if !ok {
+	st := s.slotLocked(id)
+	if st == nil {
 		return fmt.Errorf("simhw: run state for unknown slot %d", id)
 	}
 	st.Running = running
@@ -202,9 +239,9 @@ func (s *Server) SetRunning(id SlotID, running bool) error {
 func (s *Server) Sleep() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id, st := range s.slots {
+	for _, st := range s.live {
 		if st.Running {
-			return fmt.Errorf("simhw: cannot enter PC6 while slot %d runs", id)
+			return fmt.Errorf("simhw: cannot enter PC6 while slot %d runs", st.id)
 		}
 	}
 	s.sleeping = true
@@ -222,19 +259,19 @@ func (s *Server) Sleeping() bool {
 func (s *Server) Slot(id SlotID) (SlotState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.slots[id]
-	if !ok {
+	st := s.slotLocked(id)
+	if st == nil {
 		return SlotState{}, fmt.Errorf("simhw: unknown slot %d", id)
 	}
-	return *st, nil
+	return st.SlotState, nil
 }
 
 // slotPowerLocked computes one slot's instantaneous dynamic draw.
-func (s *Server) slotPowerLocked(st *SlotState) float64 {
+func slotPowerLocked(st *slot) float64 {
 	if !st.Running {
 		return 0
 	}
-	return float64(st.Cores)*s.cfg.CoreWatts(st.FreqGHz, st.Activity) + st.MemDrawWatts
+	return float64(st.Cores)*st.coreW + st.MemDrawWatts
 }
 
 // PowerWatts returns the server's instantaneous draw: the idle floor,
@@ -251,10 +288,10 @@ func (s *Server) powerLocked() float64 {
 		return total
 	}
 	anyRunning := false
-	for _, st := range s.slots {
+	for _, st := range s.live {
 		if st.Running {
 			anyRunning = true
-			total += s.slotPowerLocked(st)
+			total += slotPowerLocked(st)
 		}
 	}
 	if anyRunning {
@@ -267,25 +304,25 @@ func (s *Server) powerLocked() float64 {
 func (s *Server) AppPowerWatts(id SlotID) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.slots[id]
-	if !ok {
+	st := s.slotLocked(id)
+	if st == nil {
 		return 0, fmt.Errorf("simhw: unknown slot %d", id)
 	}
 	if s.sleeping {
 		return 0, nil
 	}
-	return s.slotPowerLocked(st), nil
+	return slotPowerLocked(st), nil
 }
 
 // Step advances simulated time by dt seconds, burning down any pending
-// PC6 wake latency. It returns the average server power over the step.
-func (s *Server) Step(dt float64) float64 {
+// PC6 wake latency. The server's draw is constant between actuations, so
+// a caller that integrates energy reads PowerWatts before stepping.
+func (s *Server) Step(dt float64) {
 	if dt <= 0 {
-		return s.PowerWatts()
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.powerLocked()
 	s.now += dt
 	if s.wakePending > 0 {
 		s.wakePending -= dt
@@ -293,7 +330,6 @@ func (s *Server) Step(dt float64) float64 {
 			s.wakePending = 0
 		}
 	}
-	return p
 }
 
 // Waking reports whether the server is still serving PC6 exit latency;

@@ -172,12 +172,13 @@ func TestStepAccumulatesEnergy(t *testing.T) {
 	if err := s.SetRunning(id, true); err != nil {
 		t.Fatal(err)
 	}
-	// Step returns the average draw over the step, so p*dt sums to the
-	// energy drawn.
+	// Draw is constant between actuations: reading it before each step
+	// and multiplying by dt sums to the energy drawn.
 	p := s.PowerWatts()
 	var energyJ float64
 	for i := 0; i < 100; i++ {
-		energyJ += s.Step(0.01) * 0.01
+		energyJ += s.PowerWatts() * 0.01
+		s.Step(0.01)
 	}
 	if got := s.Now(); math.Abs(got-1.0) > 1e-9 {
 		t.Errorf("Now = %g, want 1.0", got)
@@ -294,5 +295,51 @@ func TestChannelSharingAdmitsMoreSlots(t *testing.T) {
 	}
 	if _, err := s.Claim(1); err == nil {
 		t.Error("fifth claim succeeded beyond the channel-slot budget")
+	}
+}
+
+// TestPowerWattsSumsInSlotOrder pins the order slot draws are summed in.
+// The three draws below round differently in each order, so summing them
+// in map order gave a different PowerWatts from call to call.
+func TestPowerWattsSumsInSlotOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ChannelSharing = 3
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []SlotID
+	for _, sl := range []struct {
+		cores   int
+		memDraw float64
+	}{{3, 3.1}, {3, 4.7}, {4, 4.7}} {
+		id, err := s.Claim(sl.cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetKnobs(id, 1.3, sl.cores, 8); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetLoad(id, 0.37, sl.memDraw); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetRunning(id, true); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	want := cfg.PIdleWatts
+	for _, id := range ids {
+		w, err := s.AppPowerWatts(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += w
+	}
+	want += cfg.PCmWatts
+	for i := 0; i < 200; i++ {
+		if got := s.PowerWatts(); got != want {
+			t.Fatalf("call %d: PowerWatts = %.17g, want the slot-ID-order sum %.17g", i, got, want)
+		}
 	}
 }

@@ -215,28 +215,46 @@ func (p *Profile) NormRate(cfg simhw.Config, k Knobs) float64 {
 // application has been busy for t seconds. Profiles without phases return
 // themselves.
 func (p *Profile) PhaseAt(t float64) *Profile {
-	if len(p.Phases) == 0 {
+	i := p.phaseIndex(t)
+	if i < 0 {
 		return p
+	}
+	return p.phaseProfile(i)
+}
+
+// phaseIndex returns the index of the phase active after t busy seconds,
+// or -1 when the profile itself is in force (no phases, or a cycle of
+// zero length).
+func (p *Profile) phaseIndex(t float64) int {
+	if len(p.Phases) == 0 {
+		return -1
 	}
 	var cycle float64
 	for _, ph := range p.Phases {
 		cycle += ph.Seconds
 	}
 	if cycle <= 0 {
-		return p
+		return -1
 	}
 	t = math.Mod(t, cycle)
-	for _, ph := range p.Phases {
+	for i, ph := range p.Phases {
 		if t < ph.Seconds {
-			out := *p
-			out.MemBytesPerBeat *= ph.MemScale
-			out.CPUActivity = clamp01(out.CPUActivity * ph.ActivityScale)
-			out.Phases = nil
-			return &out
+			return i
 		}
 		t -= ph.Seconds
 	}
-	return p
+	return -1
+}
+
+// phaseProfile returns a fresh steady copy of p as it behaves during
+// phase i.
+func (p *Profile) phaseProfile(i int) *Profile {
+	ph := p.Phases[i]
+	out := *p
+	out.MemBytesPerBeat *= ph.MemScale
+	out.CPUActivity = clamp01(out.CPUActivity * ph.ActivityScale)
+	out.Phases = nil
+	return &out
 }
 
 func clamp01(x float64) float64 {
