@@ -73,41 +73,38 @@ func Apportion(curves []*workload.Curve, budget, stepW float64) (plan Plan, err 
 	return ApportionWeighted(curves, nil, budget, stepW)
 }
 
-// Table is one Apportion DP solved up to a maximum budget. Plan reads it
-// out at any budget up to that maximum.
-type Table struct{ t table }
-
 // Sweep solves the Apportion DP once, at DefaultStepW, for every budget
-// up to maxBudget: the search a caller would otherwise run as one
-// Apportion per grid point costs one solve plus a read-out per point.
-func Sweep(curves []*workload.Curve, maxBudget float64) (*Table, error) {
+// from minBudget up to maxBudget: the search a caller would otherwise run
+// as one Apportion per grid point costs one solve plus a read-out per
+// point.
+func Sweep(curves []*workload.Curve, minBudget, maxBudget float64) (*Table, error) {
 	var start time.Time
 	h := tel.Load()
 	if h != nil {
 		start = time.Now()
 	}
-	t, err := solve(curves, nil, maxBudget, DefaultStepW)
+	t, err := solve(curves, nil, maxBudget, DefaultStepW, minBudget)
 	if err != nil {
 		return nil, err
 	}
 	if h != nil {
 		h.observeSolve("dp", start, math.Max(maxBudget, 0), t.walk(t.levels-1))
 	}
-	return &Table{t}, nil
+	return &t, nil
 }
 
 // Plan returns exactly what Apportion(curves, budget, 0) returns, read
-// from the solved table. budget must not exceed the sweep's maximum.
+// from the solved table. budget must lie within the sweep's range.
 func (s *Table) Plan(budget float64) (Plan, error) {
 	if budget < 0 {
 		budget = 0
 	}
-	l := int(budget / s.t.stepW)
-	if l >= s.t.levels {
-		return Plan{}, fmt.Errorf("allocator: budget %.1f W above the %.1f W the table was solved for",
-			budget, float64(s.t.levels-1)*s.t.stepW)
+	l := int(budget / s.stepW)
+	if l < s.readLo || l >= s.levels {
+		return Plan{}, fmt.Errorf("allocator: budget %.1f W outside the %.1f to %.1f W the table was solved for",
+			budget, float64(s.readLo)*s.stepW, float64(s.levels-1)*s.stepW)
 	}
-	return s.t.walk(l), nil
+	return s.walk(l), nil
 }
 
 // EqualSplit apportions the budget evenly across all applications — the

@@ -46,7 +46,7 @@ func TestSweepMatchesApportion(t *testing.T) {
 			if len(budgets) == 0 {
 				continue
 			}
-			sweep, err := Sweep(set, budgets[len(budgets)-1])
+			sweep, err := Sweep(set, budgets[0], budgets[len(budgets)-1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,10 +80,10 @@ func TestSweepMatchesApportion(t *testing.T) {
 
 func TestSweepRejectsBudgetAboveItsTable(t *testing.T) {
 	_, curves, _ := testCurves(t, "STREAM", "kmeans")
-	if _, err := Sweep(nil, 10); err == nil {
+	if _, err := Sweep(nil, 0, 10); err == nil {
 		t.Error("empty curve list accepted")
 	}
-	sweep, err := Sweep(curves, 20)
+	sweep, err := Sweep(curves, 0, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +100,16 @@ func TestSweepRejectsBudgetAboveItsTable(t *testing.T) {
 	if want, _ := Apportion(curves, -3, 0); !reflect.DeepEqual(got, want) {
 		t.Errorf("negative budget: sweep %+v, Apportion %+v", got, want)
 	}
+	ranged, err := Sweep(curves, 10, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ranged.Plan(9.9); err == nil {
+		t.Error("budget below the table accepted")
+	}
+	if _, err := ranged.Plan(10); err != nil {
+		t.Errorf("budget on the table's bottom level refused: %v", err)
+	}
 }
 
 // TestSweepIsOneSolve: a sweep read out at many budgets counts as one
@@ -109,7 +119,7 @@ func TestSweepIsOneSolve(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	EnableTelemetry(reg)
 	defer EnableTelemetry(nil)
-	sweep, err := Sweep(curves, 30)
+	sweep, err := Sweep(curves, 0, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,5 +137,29 @@ func TestSweepIsOneSolve(t *testing.T) {
 	}
 	if w := reg.Gauge("ps_allocator_apportioned_watts", "").Value(); w != top.SpentW {
 		t.Errorf("apportioned gauge %g, want the top plan's %g", w, top.SpentW)
+	}
+}
+
+// BenchmarkSweep is the one DP a coordinator.ESD re-plan solves: two
+// library applications' OptimalCurves swept over the ON-phase budgets
+// ESD visits under an 80 W cap.
+func BenchmarkSweep(b *testing.B) {
+	cfg := simhw.DefaultConfig()
+	lib, err := workload.NewLibrary(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	curves := []*workload.Curve{
+		workload.OptimalCurve(cfg, lib.MustApp("STREAM")),
+		workload.OptimalCurve(cfg, lib.MustApp("kmeans")),
+	}
+	budgets := esdBudgets(cfg, 80, curves)
+	minL, maxL := budgets[0], budgets[len(budgets)-1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Sweep(curves, minL, maxL); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

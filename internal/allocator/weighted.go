@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"powerstruggle/internal/knapsack"
 	"powerstruggle/internal/workload"
 )
 
@@ -31,40 +32,41 @@ type Objective struct {
 // It returns ErrInfeasible (wrapped) when the floors cannot all be met
 // within the budget.
 func ApportionWeighted(curves []*workload.Curve, objs []Objective, budget, stepW float64) (Plan, error) {
-	t, err := solve(curves, objs, budget, stepW)
+	t, err := solve(curves, objs, budget, stepW, budget)
 	if err != nil {
 		return Plan{}, err
 	}
 	return t.walk(t.levels - 1), nil
 }
 
-// table is one solved apportioning DP over the budget levels
-// 0..levels-1, stepW watts apart.
-type table struct {
-	curves []*workload.Curve
-	stepW  float64
-	levels int
-	// choice[i*levels+l] is how many levels application i takes when the
-	// first i+1 applications share level l.
-	choice []int
+// Table is one solved apportioning DP over the budget levels
+// 0..levels-1, stepW watts apart, kept for reads of levels readLo up.
+// Sweep's Plan reads it out at any budget in that range.
+type Table struct {
+	curves         []*workload.Curve
+	stepW          float64
+	readLo, levels int
+	// dp holds the choices: application i's point k is k levels.
+	dp knapsack.Table[int32]
 }
 
 // solve validates the inputs, scores every application at every budget
-// level and runs the DP over applications. It fails with ErrInfeasible
-// when the floors do not fit in the full budget.
-func solve(curves []*workload.Curve, objs []Objective, budget, stepW float64) (table, error) {
+// level and solves the DP for reads of the budgets from minBudget up to
+// budget. It fails with ErrInfeasible when the floors do not fit in the
+// full budget.
+func solve(curves []*workload.Curve, objs []Objective, budget, stepW, minBudget float64) (Table, error) {
 	if len(curves) == 0 {
-		return table{}, fmt.Errorf("allocator: no applications to apportion across")
+		return Table{}, fmt.Errorf("allocator: no applications to apportion across")
 	}
 	if objs != nil && len(objs) != len(curves) {
-		return table{}, fmt.Errorf("allocator: %d objectives for %d applications", len(objs), len(curves))
+		return Table{}, fmt.Errorf("allocator: %d objectives for %d applications", len(objs), len(curves))
 	}
 	for i, o := range objs {
 		if o.Weight < 0 {
-			return table{}, fmt.Errorf("allocator: application %d has negative weight %g", i, o.Weight)
+			return Table{}, fmt.Errorf("allocator: application %d has negative weight %g", i, o.Weight)
 		}
 		if o.FloorPerf < 0 || o.FloorPerf > 1 {
-			return table{}, fmt.Errorf("allocator: application %d has floor %g outside [0, 1]", i, o.FloorPerf)
+			return Table{}, fmt.Errorf("allocator: application %d has floor %g outside [0, 1]", i, o.FloorPerf)
 		}
 	}
 	if stepW <= 0 {
@@ -75,73 +77,53 @@ func solve(curves []*workload.Curve, objs []Objective, budget, stepW float64) (t
 	}
 	levels := int(budget/stepW) + 1
 
-	// Row i of scoreAt (levels wide) is application i's weighted
-	// objective at each budget level, -Inf below its floor; minLevels[i]
-	// is the cheapest level meeting the floor.
-	scoreAt := make([]float64, len(curves)*levels)
-	minLevels := make([]int, len(curves))
-	for i, c := range curves {
-		weight, floor := 1.0, 0.0
-		if objs != nil {
-			weight, floor = objs[i].Weight, objs[i].FloorPerf
+	// Application i's point k is budget level k, worth its weighted
+	// objective there: -Inf below its floor, which no split then takes.
+	score := func(i, k int) float64 {
+		weight, floor := objective(objs, i)
+		perf := curves[i].PerfAt(float64(k) * stepW)
+		if perf+1e-12 < floor {
+			return math.Inf(-1)
 		}
-		row := scoreAt[i*levels : (i+1)*levels]
-		minLevels[i] = -1
-		for l := range row {
-			perf := c.PerfAt(float64(l) * stepW)
-			if perf+1e-12 < floor {
-				row[l] = math.Inf(-1)
-				continue
-			}
-			if minLevels[i] == -1 {
-				minLevels[i] = l
-			}
-			row[l] = weight * perf
-		}
-		if minLevels[i] == -1 {
-			return table{}, fmt.Errorf("allocator: %w: application %d cannot reach floor %.2f under %.1f W",
+		return weight * perf
+	}
+	// PerfAt is monotone, so a floor the whole budget misses is missed at
+	// every level.
+	for i := range curves {
+		if math.IsInf(score(i, levels-1), -1) {
+			_, floor := objective(objs, i)
+			return Table{}, fmt.Errorf("allocator: %w: application %d cannot reach floor %.2f under %.1f W",
 				ErrInfeasible, i, floor, budget)
 		}
 	}
-
-	// DP over applications: best[l] is the max objective using budget
-	// l*stepW over the applications so far, and row i of choice records
-	// how many levels application i took. PerfAt is monotone, so the -Inf
-	// cells are a prefix of each row: below minLevels[i] in scoreAt, and
-	// below the floors' running sum lo in best. The loop bounds skip
-	// exactly those, and a level that leaves no k is -Inf with choice -1.
-	// No cell reads a level above its own, so with every floor 0 the
-	// table's first m levels are exactly the table solved for m levels.
-	best := make([]float64, levels)
-	next := make([]float64, levels)
-	choice := make([]int, len(curves)*levels)
-	lo := 0
-	for i := range curves {
-		score := scoreAt[i*levels : (i+1)*levels]
-		ch := choice[i*levels : (i+1)*levels]
-		for l := range next {
-			bestV, bestK := math.Inf(-1), -1
-			for k := minLevels[i]; k <= l-lo; k++ {
-				if v := best[l-k] + score[k]; v > bestV {
-					bestV, bestK = v, k
-				}
+	readLo := min(levels-1, max(0, int(minBudget/stepW)))
+	unit := knapsack.UnitCosts(levels)
+	dp, last := knapsack.Solve[int32](len(curves), levels, readLo,
+		func(int) []int { return unit },
+		func(i int, dst []float64) {
+			for k := range dst {
+				dst[k] = score(i, k)
 			}
-			next[l], ch[l] = bestV, bestK
-		}
-		best, next = next, best
-		lo += minLevels[i]
+		})
+	if math.IsInf(last[levels-1], -1) {
+		return Table{}, fmt.Errorf("allocator: %w: floors need more than %.1f W", ErrInfeasible, budget)
 	}
-	if math.IsInf(best[levels-1], -1) {
-		return table{}, fmt.Errorf("allocator: %w: floors need more than %.1f W", ErrInfeasible, budget)
+	return Table{curves: curves, stepW: stepW, readLo: readLo, levels: levels, dp: dp}, nil
+}
+
+// objective is application i's weight and floor: the paper's 1 and 0
+// when objs is nil.
+func objective(objs []Objective, i int) (weight, floor float64) {
+	if objs == nil {
+		return 1, 0
 	}
-	return table{curves: curves, stepW: stepW, levels: levels, choice: choice}, nil
+	return objs[i].Weight, objs[i].FloorPerf
 }
 
 // walk reads the plan at budget level l back out of the choices.
-func (t table) walk(l int) Plan {
+func (t Table) walk(l int) Plan {
 	plan := Plan{Allocs: make([]Allocation, len(t.curves))}
-	for i := len(t.curves) - 1; i >= 0; i-- {
-		k := t.choice[i*t.levels+l]
+	t.dp.Walk(l, func(i, k int) {
 		share := float64(k) * t.stepW
 		pt, ok := t.curves[i].At(share)
 		plan.Allocs[i] = Allocation{BudgetW: share, Point: pt, Runnable: ok}
@@ -149,8 +131,7 @@ func (t table) walk(l int) Plan {
 			plan.TotalPerf += pt.Perf
 			plan.SpentW += pt.PowerW
 		}
-		l -= k
-	}
+	})
 	return plan
 }
 

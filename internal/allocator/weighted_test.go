@@ -2,9 +2,13 @@ package allocator
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"powerstruggle/internal/simhw"
 	"powerstruggle/internal/workload"
 )
 
@@ -151,4 +155,135 @@ func TestWeightedMatchesBruteForceWithFloors(t *testing.T) {
 			t.Errorf("budget %g: DP weighted objective %g, brute force %g", budget, got, best)
 		}
 	}
+}
+
+// referenceApportionWeighted is ApportionWeighted as it stood before the
+// server tier ran the fleet tier's knapsack: its own dense scalar loop
+// over every level of every application, -Inf below each floor, a -1
+// choice where no split is feasible. It is retained verbatim as the
+// oracle the shared DP is held to — plans, tie-breaks and errors.
+func referenceApportionWeighted(curves []*workload.Curve, objs []Objective, budget, stepW float64) (Plan, error) {
+	if stepW <= 0 {
+		stepW = DefaultStepW
+	}
+	if budget < 0 {
+		budget = 0
+	}
+	levels := int(budget/stepW) + 1
+	scoreAt := make([]float64, len(curves)*levels)
+	minLevels := make([]int, len(curves))
+	for i, c := range curves {
+		weight, floor := 1.0, 0.0
+		if objs != nil {
+			weight, floor = objs[i].Weight, objs[i].FloorPerf
+		}
+		row := scoreAt[i*levels : (i+1)*levels]
+		minLevels[i] = -1
+		for l := range row {
+			perf := c.PerfAt(float64(l) * stepW)
+			if perf+1e-12 < floor {
+				row[l] = math.Inf(-1)
+				continue
+			}
+			if minLevels[i] == -1 {
+				minLevels[i] = l
+			}
+			row[l] = weight * perf
+		}
+		if minLevels[i] == -1 {
+			return Plan{}, fmt.Errorf("allocator: %w: application %d cannot reach floor %.2f under %.1f W",
+				ErrInfeasible, i, floor, budget)
+		}
+	}
+	best := make([]float64, levels)
+	next := make([]float64, levels)
+	choice := make([]int, len(curves)*levels)
+	lo := 0
+	for i := range curves {
+		score := scoreAt[i*levels : (i+1)*levels]
+		ch := choice[i*levels : (i+1)*levels]
+		for l := range next {
+			bestV, bestK := math.Inf(-1), -1
+			for k := minLevels[i]; k <= l-lo; k++ {
+				if v := best[l-k] + score[k]; v > bestV {
+					bestV, bestK = v, k
+				}
+			}
+			next[l], ch[l] = bestV, bestK
+		}
+		best, next = next, best
+		lo += minLevels[i]
+	}
+	if math.IsInf(best[levels-1], -1) {
+		return Plan{}, fmt.Errorf("allocator: %w: floors need more than %.1f W", ErrInfeasible, budget)
+	}
+	plan := Plan{Allocs: make([]Allocation, len(curves))}
+	l := levels - 1
+	for i := len(curves) - 1; i >= 0; i-- {
+		k := choice[i*levels+l]
+		share := float64(k) * stepW
+		pt, ok := curves[i].At(share)
+		plan.Allocs[i] = Allocation{BudgetW: share, Point: pt, Runnable: ok}
+		if ok {
+			plan.TotalPerf += pt.Perf
+			plan.SpentW += pt.PowerW
+		}
+		l -= k
+	}
+	return plan, nil
+}
+
+// TestApportionWeightedMatchesReference holds ApportionWeighted to the
+// retained loop, plan for plan and error for error, over every pair of
+// the library's OptimalCurves and RAPLCurves and a strided ring of
+// triples, under seeded weights (zero included) and floors (some
+// unreachable, some jointly infeasible), at budgets from 0 to past the
+// set's saturation on two grid steps.
+func TestApportionWeightedMatchesReference(t *testing.T) {
+	cfg := simhw.DefaultConfig()
+	lib, err := workload.NewLibrary(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var curves []*workload.Curve
+	for _, p := range lib.Apps() {
+		curves = append(curves, workload.OptimalCurve(cfg, p), workload.RAPLCurve(cfg, p))
+	}
+	rng := rand.New(rand.NewSource(12))
+	cases, infeasible := 0, 0
+	check := func(set ...*workload.Curve) {
+		var sat float64
+		for _, c := range set {
+			sat += c.MaxPower()
+		}
+		objs := make([]Objective, len(set))
+		for i := range objs {
+			objs[i] = Objective{Weight: []float64{0, 0.5, 1, 3}[rng.Intn(4)]}
+			if rng.Intn(2) == 0 {
+				objs[i].FloorPerf = rng.Float64()
+			}
+		}
+		for j := 0; j <= 6; j++ {
+			budget := 1.5 * sat * float64(j) / 6
+			stepW := []float64{0, 1}[rng.Intn(2)]
+			got, gotErr := ApportionWeighted(set, objs, budget, stepW)
+			want, wantErr := referenceApportionWeighted(set, objs, budget, stepW)
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("budget %g over %d curves, %+v: error %v, reference %v", budget, len(set), objs, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				infeasible++
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("budget %g over %d curves, %+v: got %+v, reference %+v", budget, len(set), objs, got, want)
+			}
+			cases++
+		}
+	}
+	for i := range curves {
+		for j := i; j < len(curves); j++ {
+			check(curves[i], curves[j])
+		}
+		check(curves[i], curves[(i+5)%len(curves)], curves[(i+11)%len(curves)])
+	}
+	t.Logf("%d cases bit-equal, %d of them infeasible", cases, infeasible)
 }

@@ -3,8 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"slices"
 
+	"powerstruggle/internal/knapsack"
 	"powerstruggle/internal/policy"
 )
 
@@ -67,122 +67,6 @@ func curveSpan(c []CapPoint) int {
 	return len(c) - 1
 }
 
-// dpLayer is the forward apportioning recurrence, the only copy outside
-// the tests: one member's layer over budget levels [lo, hi), chained off
-// the previous member's layer prev (indexed by absolute level). Point k
-// costs cost[k] grid steps and yields perf[k]; a level takes the first
-// best of the points before the first it cannot afford. layer and cho
-// are windows whose element 0 is level lo. A member with no points
-// spends nothing: its layer is prev's.
-//
-// sat is the level at which every member up to this one is saturated
-// (the summed largest costs). From there up prev is constant over the
-// whole window and every point is affordable, so the value and the
-// choice equal those at sat exactly: cells past max(sat, lo) are filled
-// from the last computed one instead of recomputed. Callers pass only
-// levels their read-out can reach (the cone a backtrack from the read
-// level can arrive in), so what is computed runs the same arithmetic on
-// the same operands as a sweep of the full table would.
-//
-// The computed span [lo, end) is cut in three. Head levels that cannot
-// yet afford the dearest point, and a tail shorter than dpBlock, run
-// dpCells; the interior between them, where every level weighs every
-// point, runs dpBlocks when there is one — the same adds and the same
-// strict compares in the same point order, dpBlock levels at a time —
-// so which of the two computed a cell cannot be told from the cell.
-func dpLayer[C uint16 | int32](prev []float64, cost []int, perf []float64, lo, hi, sat int, layer []float64, cho []C) {
-	if lo >= hi {
-		return
-	}
-	if len(cost) == 0 {
-		copy(layer[:hi-lo], prev[lo:hi])
-		clear(cho[:hi-lo])
-		return
-	}
-	end := min(hi, max(sat, lo)+1)
-	perf = perf[:len(cost)]
-	from := lo
-	if c16, ok := any(cho).([]uint16); ok && dpBlocks != nil {
-		top := cost[len(cost)-1]
-		first := max(lo, top)
-		// dpBlocks reads a level's affordable points off the last cost
-		// alone, so the table must start at no less than 0 and never
-		// step down.
-		if n := (end - first) &^ (dpBlock - 1); n > 0 && cost[0] >= 0 && slices.IsSorted(cost) {
-			dpCells(prev, cost, perf, lo, first, layer, cho)
-			// The slice expressions are the kernel's bounds checks: it
-			// reads prev[first-top, first+n) and writes n cells of each
-			// window.
-			w := first - lo
-			dpBlocks(prev[first-top:first+n], cost, perf, layer[w:w+n], c16[w:w+n])
-			from = first + n
-		}
-	}
-	dpCells(prev, cost, perf, from, end, layer[from-lo:], cho[from-lo:])
-	v, k := layer[end-1-lo], cho[end-1-lo]
-	for l := end - lo; l < hi-lo; l++ {
-		layer[l], cho[l] = v, k
-	}
-}
-
-// dpCells is dpLayer's recurrence one level at a time over levels
-// [lo, hi), layer and cho being windows whose element 0 is level lo: the
-// portable path, and the reference dpBlocks is held to.
-func dpCells[C uint16 | int32](prev []float64, cost []int, perf []float64, lo, hi int, layer []float64, cho []C) {
-	for l := lo; l < hi; l++ {
-		w := prev[:l+1]
-		bestV, bestK := math.Inf(-1), 0
-		for k, c := range cost {
-			// One test for "cannot afford point k" and for the index.
-			j := uint(l - c)
-			if j >= uint(len(w)) {
-				break
-			}
-			if v := w[j] + perf[k]; v > bestV {
-				bestV, bestK = v, k
-			}
-		}
-		layer[l-lo] = bestV
-		cho[l-lo] = C(bestK)
-	}
-}
-
-// dpBlock is how many consecutive levels dpBlocks computes at a time.
-const dpBlock = 16
-
-// dpBlocks, where the build and the CPU have one, is dpCells over
-// len(layer) levels — a multiple of dpBlock — that all afford every
-// point: prev holds cost[len(cost)-1] cells of history and then the
-// previous layer at those levels, cost ascends from at least 0 and
-// perf, layer and cho are exact-length windows. It is set once, at
-// package init, and nil means every cell takes dpCells.
-var dpBlocks func(prev []float64, cost []int, perf, layer []float64, cho []uint16)
-
-// coneLos returns, for a budget read at level top, the lowest level of
-// each member's layer a backtrack from top can arrive at — top less the
-// most the members after it can spend (spans), floored at 0 — and the
-// number of cells the windows [los[i], top] hold between them.
-func coneLos(spans []int, top int) (los []int, cells int) {
-	los = make([]int, len(spans))
-	reach := top
-	for i := len(spans) - 1; i >= 0; i-- {
-		los[i] = max(0, reach)
-		cells += top + 1 - los[i]
-		reach -= spans[i]
-	}
-	return los, cells
-}
-
-// unitCosts returns the cost table of a curve sampled on the DP grid:
-// point k is k steps above the floor.
-func unitCosts(n int) []int {
-	unit := make([]int, n)
-	for k := range unit {
-		unit[k] = k
-	}
-	return unit
-}
-
 // ApportionCurves runs the Utility(Ours) apportioning DP over a set of
 // cap-utility curves: it splits clusterCapW across the curves' servers
 // to maximize summed performance and returns the chosen per-server
@@ -198,7 +82,24 @@ func unitCosts(n int) []int {
 // decisions bit-identical to the simulation's: same curves in, same
 // budgets out.
 func ApportionCurves(clusterCapW, floorW float64, curves [][]CapPoint) (budgets []float64, perf, gridW float64) {
-	n := len(curves)
+	budgets, gridW, levels := floorsFirst(clusterCapW, floorW, len(curves))
+	if levels == 0 {
+		return budgets, 0, gridW
+	}
+	for _, c := range curves {
+		if len(c) > maxCurvePoints {
+			return apportionCone[int32](floorW, curves, levels, budgets)
+		}
+	}
+	return apportionCone[uint16](floorW, curves, levels, budgets)
+}
+
+// floorsFirst quantizes clusterCapW to the DP grid and owes each of n
+// servers floorW before any DP runs. It returns the budget vector and
+// the number of spare levels above the floors; with no servers, or when
+// not even the floors fit, it returns 0 levels and the whole answer: an
+// even share of the quantized cap, which is then the grid draw.
+func floorsFirst(clusterCapW, floorW float64, n int) (budgets []float64, gridW float64, levels int) {
 	budgets = make([]float64, n)
 	if n == 0 {
 		return budgets, 0, 0
@@ -210,61 +111,47 @@ func ApportionCurves(clusterCapW, floorW float64, curves [][]CapPoint) (budgets 
 		for i := range budgets {
 			budgets[i] = per
 		}
-		return budgets, 0, capQ
+		return budgets, capQ, 0
 	}
 	spare := capQ - floorW*float64(n)
-	levels := int(spare/serverCapStepW) + 1
-	for _, c := range curves {
-		if len(c) > maxCurvePoints {
-			return apportionCone[int32](floorW, curves, levels, budgets)
-		}
-	}
-	return apportionCone[uint16](floorW, curves, levels, budgets)
+	return budgets, 0, int(spare/serverCapStepW) + 1
 }
 
 // apportionCone is ApportionCurves' DP over the budget above the idle
 // floors, in curve-index units (curve point k costs k*serverCapStepW
-// above the floor), with choices as wide as the longest curve needs.
-// The budget is read at the top level only, so member i's layer is
-// needed from as far below the top as the members after it can spend:
-// los[i]. A member with an empty curve is owed its floor and no more.
+// above the floor), with choices as wide as the longest curve needs. The
+// budget is read at the top level only, so each member's layer is needed
+// over just the cone a backtrack from there can reach. A member with an
+// empty curve is owed its floor and no more.
 func apportionCone[C uint16 | int32](floorW float64, curves [][]CapPoint, levels int, budgets []float64) (_ []float64, perf, gridW float64) {
-	n := len(curves)
-	spans, longest := make([]int, n), 0
-	for i, c := range curves {
-		spans[i] = curveSpan(c)
+	longest := 0
+	for _, c := range curves {
 		longest = max(longest, len(c))
 	}
-	los, cells := coneLos(spans, levels-1)
-	best, next := make([]float64, levels), make([]float64, levels)
-	// choice holds member i's curve index per level of [los[i], levels),
-	// the members' windows back to back.
-	choice := make([]C, cells)
-	unit, pf := unitCosts(longest), make([]float64, longest)
-	off, sat := 0, 0
-	for i, c := range curves {
-		for k := range c {
-			pf[k] = c[k].Perf
-		}
-		sat += spans[i]
-		lo := los[i]
-		dpLayer(best, unit[:len(c)], pf, lo, levels, sat, next[lo:], choice[off:off+levels-lo])
-		off += levels - lo
-		best, next = next, best
-	}
-	l := levels - 1
-	for i := n - 1; i >= 0; i-- {
-		off -= levels - los[i]
-		if len(curves[i]) == 0 {
+	unit := knapsack.UnitCosts(longest)
+	t, _ := knapsack.Solve[C](len(curves), levels, levels-1,
+		func(i int) []int { return unit[:len(curves[i])] },
+		func(i int, dst []float64) {
+			for k := range dst {
+				dst[k] = curves[i][k].Perf
+			}
+		})
+	return spend(t, levels-1, floorW, curves, budgets)
+}
+
+// spend reads the plan at level l out of a table over curves into
+// budgets, and sums the chosen points' perf and grid draw, last member
+// first. A member with an empty curve is owed floorW.
+func spend[C uint16 | int32](t knapsack.Table[C], l int, floorW float64, curves [][]CapPoint, budgets []float64) (_ []float64, perf, gridW float64) {
+	t.Walk(l, func(i, k int) {
+		if k < 0 {
 			budgets[i] = floorW
-			continue
+			return
 		}
-		k := int(choice[off+l-los[i]])
 		budgets[i] = curves[i][k].CapW
 		perf += curves[i][k].Perf
 		gridW += curves[i][k].GridW
-		l -= k
-	}
+	})
 	return budgets, perf, gridW
 }
 

@@ -1,6 +1,6 @@
 package cluster
 
-import "math"
+import "powerstruggle/internal/knapsack"
 
 // Apportioner is the one incremental forward DP table a coordinator
 // owns. It caches the ApportionCurves DP's per-member prefix layers
@@ -21,7 +21,7 @@ import "math"
 // only backtrack into member i's layer at levels [L-S_i, L], S_i being
 // the most steps the members after i can spend (their summed curve
 // spans), and from P_i up — every member up to i saturated — the layer
-// is constant, a fill of its cell at P_i (dpLayer). So each layer is
+// is constant, a fill of its cell at P_i (knapsack.Layer). So each layer is
 // kept valid over one contiguous span [los[i], len(layers[i])) and only
 // ever holds cells some read-out needed: a dirty layer is rebuilt over
 // just the cone of the call at hand, a clean layer keeps whatever span
@@ -40,19 +40,19 @@ type Apportioner struct {
 	// the last DP run, for change detection.
 	curves [][]CapPoint
 	// layers[i] is the DP value vector after processing member i, and
-	// choices[i][l] the curve index member i takes at budget level l;
-	// both are indexed by absolute level and valid over
+	// t[i].Cho[l] the curve index member i takes at budget level l; both
+	// are indexed by absolute level (t[i].Lo is 0) and valid over
 	// [los[i], len(layers[i])). Across members the spans nest the way
 	// the recurrence reads them: layer i-1 starts at least member i's
 	// curve span below layer i (or at 0) and ends no lower. Choices are
 	// uint16 — half the table's bytes at 8-byte ints — which is what
 	// maxCurvePoints checks.
-	layers  [][]float64
-	choices [][]uint16
-	los     []int
+	layers [][]float64
+	t      knapsack.Table[uint16]
+	los    []int
 	// zeros is the layer before member 0, unit the unit-step cost table
 	// and perf the contiguous copy of the curve being chained: scratch
-	// dpLayer reads, grown on demand and kept across calls.
+	// knapsack.Layer reads, grown on demand and kept across calls.
 	zeros []float64
 	unit  []int
 	perf  []float64
@@ -68,7 +68,7 @@ type Apportioner struct {
 
 // maxCurvePoints is the longest curve the uint16 choice table indexes
 // (131 kW above the floor at 2 W a point — no server has one).
-const maxCurvePoints = math.MaxUint16 + 1
+const maxCurvePoints = knapsack.MaxPoints16
 
 // LastRecomputed reports how many member layers the last Apportion or
 // Rollup call had to rebuild (0 when only the cap moved, or nothing
@@ -125,12 +125,12 @@ func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, readLo, readHi i
 	for len(a.curves) < n {
 		a.curves = append(a.curves, nil)
 		a.layers = append(a.layers, nil)
-		a.choices = append(a.choices, nil)
+		a.t = append(a.t, knapsack.Member[uint16]{})
 		a.los = append(a.los, 0)
 	}
 	a.curves = a.curves[:n]
 	a.layers = a.layers[:n]
-	a.choices = a.choices[:n]
+	a.t = a.t[:n]
 	a.los = a.los[:n]
 
 	hi := readHi + 1
@@ -140,7 +140,7 @@ func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, readLo, readHi i
 		longest = max(longest, len(c))
 	}
 	if longest > len(a.unit) {
-		a.unit, a.perf = unitCosts(longest), make([]float64, longest)
+		a.unit, a.perf = knapsack.UnitCosts(longest), make([]float64, longest)
 	}
 	if hi > len(a.zeros) {
 		a.zeros = make([]float64, hi)
@@ -154,17 +154,19 @@ func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, readLo, readHi i
 		after -= curveSpan(c)
 		sat += curveSpan(c)
 		lo := max(0, readLo-after)
+		m := &a.t[i]
+		m.Cost = a.unit[:len(c)]
 		if i >= firstDirty {
 			a.recomputed++
 			a.curves[i] = append(a.curves[i][:0], c...)
 			a.layers[i] = resize(a.layers[i][:0], hi)
-			a.choices[i] = resize(a.choices[i][:0], hi)
+			m.Cho = resize(m.Cho[:0], hi)
 			a.los[i] = lo
 			a.chain(i, prev, lo, hi, sat)
 		} else {
 			if was := len(a.layers[i]); was < hi {
 				a.layers[i] = resize(a.layers[i], hi)
-				a.choices[i] = resize(a.choices[i], hi)
+				m.Cho = resize(m.Cho, hi)
 				a.chain(i, prev, was, hi, sat)
 			}
 			if was := a.los[i]; lo < was {
@@ -182,52 +184,25 @@ func (a *Apportioner) chain(i int, prev []float64, lo, hi, sat int) {
 	for k := range c {
 		a.perf[k] = c[k].Perf
 	}
-	dpLayer(prev, a.unit[:len(c)], a.perf, lo, hi, sat, a.layers[i][lo:hi], a.choices[i][lo:hi])
+	knapsack.Layer(prev, a.t[i].Cost, a.perf, lo, hi, sat, a.layers[i][lo:hi], a.t[i].Cho[lo:hi])
 }
 
 // Apportion is ApportionCurves with the incremental cache. Same
 // contract, bit-identical results.
 func (a *Apportioner) Apportion(clusterCapW, floorW float64, curves [][]CapPoint) (budgets []float64, perf, gridW float64) {
-	n := len(curves)
 	a.recomputed = 0
-	budgets = make([]float64, n)
-	if n == 0 {
-		return budgets, 0, 0
-	}
-	capQ := math.Floor(clusterCapW/serverCapStepW) * serverCapStepW
-	if capQ < floorW*float64(n) {
-		// Not even the idle floors fit; no DP ran, so the cache keeps
-		// whatever validity it had.
-		per := capQ / float64(n)
-		for i := range budgets {
-			budgets[i] = per
-		}
-		return budgets, 0, capQ
+	budgets, gridW, levels := floorsFirst(clusterCapW, floorW, len(curves))
+	if levels == 0 {
+		// No DP ran, so the cache keeps whatever validity it had.
+		return budgets, 0, gridW
 	}
 	for _, c := range curves {
 		if len(c) > maxCurvePoints {
 			return ApportionCurves(clusterCapW, floorW, curves)
 		}
 	}
-	spare := capQ - floorW*float64(n)
-	levels := int(spare/serverCapStepW) + 1
 	a.sync(floorW, curves, levels-1, levels-1)
-
-	// Reconstruction: identical to ApportionCurves, starting at this
-	// call's level bound.
-	l := levels - 1
-	for i := n - 1; i >= 0; i-- {
-		if len(curves[i]) == 0 {
-			budgets[i] = floorW
-			continue
-		}
-		k := int(a.choices[i][l])
-		budgets[i] = curves[i][k].CapW
-		perf += curves[i][k].Perf
-		gridW += curves[i][k].GridW
-		l -= k
-	}
-	return budgets, perf, gridW
+	return spend(a.t, levels-1, floorW, curves, budgets)
 }
 
 // Rollup aggregates the members' cap-utility curves into one
@@ -269,7 +244,7 @@ func (a *Apportioner) Rollup(floorW float64, curves [][]CapPoint, maxPoints int)
 	// bit for bit.
 	grid, next := make([]float64, levels), make([]float64, levels)
 	for i, c := range curves {
-		cho := a.choices[i]
+		cho := a.t[i].Cho
 		for l := range next {
 			k := int(cho[l])
 			next[l] = grid[l-k] + c[k].GridW

@@ -353,7 +353,7 @@ func TestApportionerRebuildsOnlyNeededLevels(t *testing.T) {
 		t.Helper()
 		for i := range inc.layers {
 			lo, hi := want(i)
-			if inc.los[i] != lo || len(inc.layers[i]) != hi || len(inc.choices[i]) != hi {
+			if inc.los[i] != lo || len(inc.layers[i]) != hi || len(inc.t[i].Cho) != hi {
 				t.Fatalf("%s: layer %d spans [%d, %d), want [%d, %d)", what, i, inc.los[i], len(inc.layers[i]), lo, hi)
 			}
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -118,6 +119,58 @@ func sameApportion(t *testing.T, what string, gotB []float64, gotP, gotG float64
 	}
 }
 
+// A member with an empty curve is owed its floor, takes no spare step
+// and adds nothing: both DPs answer as the DP over the other members
+// does with that floor set aside. At the parent both panicked in the
+// backtrack.
+func TestEmptyCurveIsOwedItsFloor(t *testing.T) {
+	const floorW = 50.0
+	rng := rand.New(rand.NewSource(7))
+	c := lineCurve(floorW, 12, 0.01)
+	for _, tc := range []struct {
+		what   string
+		curves [][]CapPoint
+	}{
+		{"middle", [][]CapPoint{c, {}, c}},
+		{"first", [][]CapPoint{nil, c, wildCurve(rng, floorW)}},
+		{"last", [][]CapPoint{wildCurve(rng, floorW), c, {}}},
+		{"several", [][]CapPoint{{}, wildCurve(rng, floorW), {}, {}, c, wildCurve(rng, floorW), {}}},
+		{"all", [][]CapPoint{{}, {}}},
+	} {
+		var rest [][]CapPoint
+		for _, c := range tc.curves {
+			if len(c) > 0 {
+				rest = append(rest, c)
+			}
+		}
+		var inc Apportioner
+		for _, capW := range []float64{floorW*float64(len(tc.curves)) + 80, floorW * float64(len(tc.curves)), 1000, 200} {
+			empties := float64(len(tc.curves) - len(rest))
+			wantB, wantP, wantG := ApportionCurves(capW-floorW*empties, floorW, rest)
+			for _, dp := range []struct {
+				name string
+				f    func(float64, float64, [][]CapPoint) ([]float64, float64, float64)
+			}{{"ApportionCurves", ApportionCurves}, {"Apportioner", inc.Apportion}} {
+				what := fmt.Sprintf("%s, empty curve %s, cap %v", dp.name, tc.what, capW)
+				gotB, gotP, gotG := dp.f(capW, floorW, tc.curves)
+				if capW < floorW*float64(len(tc.curves)) {
+					// Below the floors no DP runs; nothing to compare.
+					continue
+				}
+				var packed []float64
+				for i, c := range tc.curves {
+					if len(c) > 0 {
+						packed = append(packed, gotB[i])
+					} else if gotB[i] != floorW {
+						t.Fatalf("%s: member %d granted %v, want its floor %v", what, i, gotB[i], floorW)
+					}
+				}
+				sameApportion(t, what, packed, gotP, gotG, wantB, wantP, wantG)
+			}
+		}
+	}
+}
+
 // checkApportionerSpans holds the table to its invariant: every layer is
 // valid over one span [los[i], len(layers[i])), the spans nest the way
 // the recurrence reads them, and every cell inside a span is the naive
@@ -131,8 +184,8 @@ func checkApportionerSpans(t *testing.T, a *Apportioner) {
 	values, choices := naiveTable(a.curves, len(a.layers[0]))
 	for i := 0; i < n; i++ {
 		lo, hi := a.los[i], len(a.layers[i])
-		if lo < 0 || lo >= hi || len(a.choices[i]) != hi {
-			t.Fatalf("layer %d spans [%d, %d) with %d choices", i, lo, hi, len(a.choices[i]))
+		if lo < 0 || lo >= hi || len(a.t[i].Cho) != hi {
+			t.Fatalf("layer %d spans [%d, %d) with %d choices", i, lo, hi, len(a.t[i].Cho))
 		}
 		if i > 0 {
 			if reach := max(0, lo-curveSpan(a.curves[i])); a.los[i-1] > reach || len(a.layers[i-1]) < hi {
@@ -141,9 +194,9 @@ func checkApportionerSpans(t *testing.T, a *Apportioner) {
 			}
 		}
 		for l := lo; l < hi; l++ {
-			if a.layers[i][l] != values[i][l] || int(a.choices[i][l]) != choices[i][l] {
+			if a.layers[i][l] != values[i][l] || int(a.t[i].Cho[l]) != choices[i][l] {
 				t.Fatalf("layer %d level %d holds (%v, %d), naive sweep (%v, %d)",
-					i, l, a.layers[i][l], a.choices[i][l], values[i][l], choices[i][l])
+					i, l, a.layers[i][l], a.t[i].Cho[l], values[i][l], choices[i][l])
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package cluster
 
-import "math"
+import (
+	"math"
+
+	"powerstruggle/internal/knapsack"
+)
 
 // This file is the hierarchical tier of the Utility(Ours) apportioning
 // machinery: per-shard curve rollups, the cluster-level DP that splits
@@ -92,7 +96,7 @@ func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (b
 	per := clusterCapW / float64(n)
 	remainW := clusterCapW
 	var curved []int
-	points, longest := 0, 0
+	points := 0
 	for i, s := range shards {
 		if len(s.Points) == 0 || len(s.Points) > maxCurvePoints {
 			budgets[i] = per
@@ -100,7 +104,6 @@ func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (b
 		} else {
 			curved = append(curved, i)
 			points += len(s.Points)
-			longest = max(longest, len(s.Points))
 		}
 	}
 	if len(curved) == 0 {
@@ -129,51 +132,28 @@ func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (b
 	}
 	levels := int(spare/stepW+1e-9) + 1
 	// Price every shard's points once, back to back in cost: point k of
-	// curved shard j sits at cost[costAt[j]+k] grid steps above the
-	// shard's floor. spans[j] is the most the shard can spend.
-	m := len(curved)
+	// curved shard j costs its watts above the shard's floor in grid
+	// steps. Curve caps are strictly increasing, so each shard's costs
+	// are non-decreasing, as the DP wants them.
 	cost := make([]int, 0, points)
-	costAt, spans := make([]int, m+1), make([]int, m)
-	for j, i := range curved {
-		pts := shards[i].Points
-		for k := range pts {
-			c := costSteps(pts[k].CapW-pts[0].CapW, stepW)
-			cost = append(cost, c)
-			spans[j] = max(spans[j], c)
-		}
-		costAt[j+1] = len(cost)
-	}
-	// The budget is read at the top level only, so each shard's layer
-	// is needed just over the band a backtrack from there can reach.
-	los, cells := coneLos(spans, levels-1)
-	best, next := make([]float64, levels), make([]float64, levels)
-	// choice holds curved shard j's curve index per level of
-	// [los[j], levels), the shards' windows back to back.
-	choice := make([]uint16, cells)
-	pf := make([]float64, longest)
-	off, sat := 0, 0
-	for j, i := range curved {
-		pts := shards[i].Points
-		for k := range pts {
-			pf[k] = pts[k].Perf
-		}
-		sat += spans[j]
-		lo := los[j]
-		// Curve caps are strictly increasing, so costs are non-decreasing
-		// and dpLayer's stop at the first unaffordable point loses nothing.
-		dpLayer(best, cost[costAt[j]:costAt[j+1]], pf, lo, levels, sat, next[lo:], choice[off:off+levels-lo])
-		off += levels - lo
-		best, next = next, best
-	}
-	l := levels - 1
-	for j := m - 1; j >= 0; j-- {
-		pts := shards[curved[j]].Points
-		off -= levels - los[j]
-		k := int(choice[off+l-los[j]])
-		budgets[curved[j]] = pts[k].CapW
-		perf += pts[k].Perf
-		l -= cost[costAt[j]+k]
-	}
+	t, _ := knapsack.Solve[uint16](len(curved), levels, levels-1,
+		func(j int) []int {
+			from, pts := len(cost), shards[curved[j]].Points
+			for k := range pts {
+				cost = append(cost, costSteps(pts[k].CapW-pts[0].CapW, stepW))
+			}
+			return cost[from:len(cost):len(cost)]
+		},
+		func(j int, dst []float64) {
+			for k, p := range shards[curved[j]].Points {
+				dst[k] = p.Perf
+			}
+		})
+	t.Walk(levels-1, func(j, k int) {
+		p := shards[curved[j]].Points[k]
+		budgets[curved[j]] = p.CapW
+		perf += p.Perf
+	})
 	return budgets, perf
 }
 

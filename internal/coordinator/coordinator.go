@@ -382,7 +382,7 @@ func ESD(cfg Config, curves []*workload.Curve, dev *esd.Device) (Schedule, error
 
 	// Search ON-phase dynamic budgets from just over the cap-feasible
 	// level up to everything the applications can use. Every budget the
-	// search visits reads the same DP table, solved once for the largest.
+	// search visits reads the same DP table, solved once for that range.
 	maxL := 0.0
 	for _, c := range curves {
 		maxL += c.MaxPower()
@@ -394,7 +394,7 @@ func ESD(cfg Config, curves []*workload.Curve, dev *esd.Device) (Schedule, error
 	if len(budgets) == 0 {
 		return Schedule{}, fmt.Errorf("coordinator: no feasible ESD operating point under cap %.1f W", cfg.CapW)
 	}
-	sweep, err := allocator.Sweep(curves, budgets[len(budgets)-1])
+	sweep, err := allocator.Sweep(curves, budgets[0], budgets[len(budgets)-1])
 	if err != nil {
 		return Schedule{}, err
 	}
