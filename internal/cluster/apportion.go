@@ -136,22 +136,25 @@ func apportionCone[C uint16 | int32](floorW float64, curves [][]CapPoint, levels
 				dst[k] = curves[i][k].Perf
 			}
 		})
-	return spend(t, levels-1, floorW, curves, budgets)
+	choice := make([]int, len(curves))
+	t.Walk(levels-1, func(i, k int) { choice[i] = k })
+	return spend(choice, floorW, curves, budgets)
 }
 
-// spend reads the plan at level l out of a table over curves into
+// spend turns choice, the point each member takes (-1 for none), into
 // budgets, and sums the chosen points' perf and grid draw, last member
 // first. A member with an empty curve is owed floorW.
-func spend[C uint16 | int32](t knapsack.Table[C], l int, floorW float64, curves [][]CapPoint, budgets []float64) (_ []float64, perf, gridW float64) {
-	t.Walk(l, func(i, k int) {
+func spend(choice []int, floorW float64, curves [][]CapPoint, budgets []float64) (_ []float64, perf, gridW float64) {
+	for i := len(curves) - 1; i >= 0; i-- {
+		k := choice[i]
 		if k < 0 {
 			budgets[i] = floorW
-			return
+			continue
 		}
 		budgets[i] = curves[i][k].CapW
 		perf += curves[i][k].Perf
 		gridW += curves[i][k].GridW
-	})
+	}
 	return budgets, perf, gridW
 }
 

@@ -1,6 +1,10 @@
 package cluster
 
-import "powerstruggle/internal/knapsack"
+import (
+	"math"
+
+	"powerstruggle/internal/knapsack"
+)
 
 // Apportioner is the one incremental forward DP table a coordinator
 // owns. It caches the ApportionCurves DP's per-member prefix layers
@@ -12,52 +16,85 @@ import "powerstruggle/internal/knapsack"
 //     tier above apportions against.
 //
 // Both go through sync, which owns change detection and replays only
-// the layers at and after the first member whose curve changed.
+// the layers at and after the first position that changed.
 //
 // The cache exploits two structural properties of the DP. First, the
-// value table best[l] after processing members 0..i depends only on
-// those members' curves and on lower budget indices — never on the
-// level the call happened to read. Second, a read-out at level L can
-// only backtrack into member i's layer at levels [L-S_i, L], S_i being
-// the most steps the members after i can spend (their summed curve
-// spans), and from P_i up — every member up to i saturated — the layer
-// is constant, a fill of its cell at P_i (knapsack.Layer). So each layer is
-// kept valid over one contiguous span [los[i], len(layers[i])) and only
-// ever holds cells some read-out needed: a dirty layer is rebuilt over
-// just the cone of the call at hand, a clean layer keeps whatever span
-// it has, and a later call whose cone reaches lower or higher extends
-// the clean layers in member order, downward and upward. A cap change
-// over spans already covered costs nothing. Because every retained
-// cell was produced by the exact arithmetic the full table would run,
-// the budgets, perf, and grid draw returned are bit-identical to the
-// full DP by construction — TestConeDPMatchesNaiveReference holds all
-// of it to the naive sweep.
+// value table best[l] after processing the members at positions 0..p
+// depends only on those members' curves and on lower budget indices —
+// never on the level the call happened to read. Second, a read-out at
+// level L can only backtrack into position p's layer at levels
+// [L-S_p, L], S_p being the most steps the members after p can spend
+// (their summed curve spans), and from P_p up — every member up to p
+// saturated — the layer is constant, a fill of its cell at P_p
+// (knapsack.Layer). So each layer is kept valid over one contiguous span
+// [los[p], len(layers[p])) and only ever holds cells some read-out
+// needed: a dirty layer is rebuilt over just the cone of the call at
+// hand, a clean layer keeps whatever span it has, and a later call whose
+// cone reaches lower or higher extends the clean layers in position
+// order, downward and upward. A cap change over spans already covered
+// costs nothing. Every retained cell is produced by the exact arithmetic
+// the full table over the same member order would run —
+// TestConeDPMatchesNaiveReference holds all of it to the naive sweep.
+//
+// Positions follow a volatility order: members whose curves changed move
+// to the tail, in member order among themselves, the rest keep their
+// order, so a steady set of k learning members rebuilds about k layers
+// wherever they sit in the fleet. A table in any other than member order
+// sums in a different order than ApportionCurves, and near-ties may
+// break differently, so each reordered answer carries a certificate
+// (certify): it stands only if every step of its path beats the runner-up
+// by more than either fold can round, which makes it the member-order
+// DP's answer too; otherwise the call rebuilds the table in member order
+// and answers from that, as the member-order cache always did. The
+// budgets, perf and grid draw returned are bit-identical to
+// ApportionCurves either way. A fleet whose member-order path does not
+// certify (ties everywhere) is not reordered on the next call, so it
+// pays for no attempts it would lose. Rollup reads every level's value,
+// which only the member-order fold reproduces: once it has been called
+// the table stays in member order.
 //
 // The zero value is ready to use. Not safe for concurrent use.
 type Apportioner struct {
 	floorW float64
-	// curves holds a defensive snapshot of each member's curve as of
-	// the last DP run, for change detection.
-	curves [][]CapPoint
-	// layers[i] is the DP value vector after processing member i, and
-	// t[i].Cho[l] the curve index member i takes at budget level l; both
-	// are indexed by absolute level (t[i].Lo is 0) and valid over
-	// [los[i], len(layers[i])). Across members the spans nest the way
-	// the recurrence reads them: layer i-1 starts at least member i's
-	// curve span below layer i (or at 0) and ends no lower. Choices are
+	// order[p] is the member whose layer sits at position p, pos its
+	// inverse; curves[p] is a defensive snapshot of that member's curve
+	// as of the last DP run, for change detection, perfs[p] its perf
+	// values back to back, as knapsack reads them, and tops[p] the
+	// largest of their magnitudes (NaN if any is NaN), which scales the
+	// certificate's bound.
+	order, pos []int
+	curves     [][]CapPoint
+	perfs      [][]float64
+	tops       []float64
+	// layers[p] is the DP value vector after processing position p, and
+	// t[p].Cho[l] the curve index the member there takes at budget level
+	// l; both are indexed by absolute level (t[p].Lo is 0) and valid over
+	// [los[p], len(layers[p])). Across positions the spans nest the way
+	// the recurrence reads them: layer p-1 starts at least position p's
+	// curve span below layer p (or at 0) and ends no lower. Choices are
 	// uint16 — half the table's bytes at 8-byte ints — which is what
 	// maxCurvePoints checks.
 	layers [][]float64
 	t      knapsack.Table[uint16]
 	los    []int
-	// zeros is the layer before member 0, unit the unit-step cost table
-	// and perf the contiguous copy of the curve being chained: scratch
-	// knapsack.Layer reads, grown on demand and kept across calls.
-	zeros []float64
-	unit  []int
-	perf  []float64
-	// recomputed counts the member layers rebuilt by the last call.
+	// zeros is the layer before position 0 and unit the unit-step cost
+	// table: scratch knapsack.Layer reads, grown on demand and kept
+	// across calls. next, dirty and choice are per-call scratch too: the
+	// order being laid out, which members changed, and the point each
+	// member takes.
+	zeros  []float64
+	unit   []int
+	next   []int
+	dirty  []bool
+	choice []int
+	// recomputed counts the layers rebuilt by the last call, fellBack
+	// whether its certificate failed.
 	recomputed int
+	fellBack   bool
+	// reorder is whether the next Apportion may lay the table out in
+	// volatility order: the last path read certified. rolls is set by the
+	// first Rollup and keeps the table in member order from then on.
+	reorder, rolls bool
 	// rollup memoizes the last Rollup read-out (thinned to rollupPoints)
 	// for as long as the snapshot it was read from stands. It is
 	// replaced, never written in place, so a caller may keep sharing a
@@ -70,10 +107,15 @@ type Apportioner struct {
 // (131 kW above the floor at 2 W a point — no server has one).
 const maxCurvePoints = knapsack.MaxPoints16
 
-// LastRecomputed reports how many member layers the last Apportion or
-// Rollup call had to rebuild (0 when only the cap moved, or nothing
-// did).
+// LastRecomputed reports how many layers the last Apportion or Rollup
+// call had to rebuild (0 when only the cap moved, or nothing did), the
+// member-order rebuild of a call whose certificate failed included.
 func (a *Apportioner) LastRecomputed() int { return a.recomputed }
+
+// LastFellBack reports whether the last Apportion call's reordered
+// answer failed its certificate and was answered from the member-order
+// table instead.
+func (a *Apportioner) LastFellBack() bool { return a.fellBack }
 
 // curveChanged reports whether cur differs from the cached snapshot.
 func curveChanged(snap, cur []CapPoint) bool {
@@ -98,40 +140,61 @@ func resize[T any](s []T, n int) []T {
 }
 
 // sync brings the table up to date with curves priced from floorW for
-// a reader of budget levels [readLo, readHi]: afterwards member i's
-// layer is valid from max(0, readLo-S_i) through readHi. It is the one
-// place curve changes are detected: layers before the first changed
-// member are kept and extended where the reader's cone leaves their
-// span, layers from it on are rebuilt over exactly the cone — a member
-// past a dirty one chains off its output, so it is rebuilt too.
-func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, readLo, readHi int) {
+// a reader of budget levels [readLo, readHi], laid out in volatility
+// order if reorder is set and in member order otherwise: afterwards
+// position p's layer is valid from max(0, readLo-S_p) through readHi. It
+// is the one place curve changes are detected: layers before the first
+// position whose member moved or changed are kept and extended where the
+// reader's cone leaves their span, layers from it on are rebuilt over
+// exactly the cone — a position past a rebuilt one chains off its
+// output, so it is rebuilt too.
+func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, readLo, readHi int, reorder bool) {
 	n := len(curves)
-	a.recomputed = 0
 	// A floor change reprices every curve point; drop the whole cache.
 	if floorW != a.floorW {
-		a.curves = a.curves[:0]
+		a.order = a.order[:0]
 		a.floorW = floorW
 	}
-	firstDirty := n
-	for i := 0; i < n; i++ {
-		if i >= len(a.curves) || curveChanged(a.curves[i], curves[i]) {
-			firstDirty = i
-			break
+	had := len(a.order)
+	a.dirty = resize(a.dirty, n)
+	for m, c := range curves {
+		a.dirty[m] = m >= had || curveChanged(a.curves[a.pos[m]], c)
+	}
+	next := a.next[:0]
+	if reorder {
+		for _, m := range a.order {
+			if m < n && !a.dirty[m] {
+				next = append(next, m)
+			}
+		}
+		for m := range curves {
+			if a.dirty[m] {
+				next = append(next, m)
+			}
+		}
+	} else {
+		for m := range curves {
+			next = append(next, m)
 		}
 	}
-	if firstDirty < n || len(a.curves) != n {
+	first := 0
+	for first < n && first < had && next[first] == a.order[first] && !a.dirty[next[first]] {
+		first++
+	}
+	a.order, a.next = next, a.order
+	a.pos = resize(a.pos, n)
+	for p, m := range a.order {
+		a.pos[m] = p
+	}
+	if first < n || had != n {
 		a.rollup = nil
 	}
-	for len(a.curves) < n {
-		a.curves = append(a.curves, nil)
-		a.layers = append(a.layers, nil)
-		a.t = append(a.t, knapsack.Member[uint16]{})
-		a.los = append(a.los, 0)
-	}
-	a.curves = a.curves[:n]
-	a.layers = a.layers[:n]
-	a.t = a.t[:n]
-	a.los = a.los[:n]
+	a.curves = resize(a.curves, n)
+	a.perfs = resize(a.perfs, n)
+	a.tops = resize(a.tops, n)
+	a.layers = resize(a.layers, n)
+	a.t = resize(a.t, n)
+	a.los = resize(a.los, n)
 
 	hi := readHi + 1
 	after, longest := 0, 0
@@ -140,57 +203,123 @@ func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, readLo, readHi i
 		longest = max(longest, len(c))
 	}
 	if longest > len(a.unit) {
-		a.unit, a.perf = knapsack.UnitCosts(longest), make([]float64, longest)
+		a.unit = knapsack.UnitCosts(longest)
 	}
 	if hi > len(a.zeros) {
 		a.zeros = make([]float64, hi)
 	}
-	// Member order matters: each new cell of layer i reads only layer
-	// i-1, which covers this call's cone (and, by the nesting, whatever
-	// layer i held before) by the time we get there, so extending a
+	// Position order matters: each new cell of layer p reads only layer
+	// p-1, which covers this call's cone (and, by the nesting, whatever
+	// layer p held before) by the time we get there, so extending a
 	// clean prefix never invalidates it.
 	prev, sat := a.zeros, 0
-	for i, c := range curves {
+	for p, mem := range a.order {
+		c := curves[mem]
 		after -= curveSpan(c)
 		sat += curveSpan(c)
 		lo := max(0, readLo-after)
-		m := &a.t[i]
+		m := &a.t[p]
 		m.Cost = a.unit[:len(c)]
-		if i >= firstDirty {
+		if p >= first {
 			a.recomputed++
-			a.curves[i] = append(a.curves[i][:0], c...)
-			a.layers[i] = resize(a.layers[i][:0], hi)
+			a.snapshot(p, c)
+			a.layers[p] = resize(a.layers[p][:0], hi)
 			m.Cho = resize(m.Cho[:0], hi)
-			a.los[i] = lo
-			a.chain(i, prev, lo, hi, sat)
+			a.los[p] = lo
+			a.chain(p, prev, lo, hi, sat)
 		} else {
-			if was := len(a.layers[i]); was < hi {
-				a.layers[i] = resize(a.layers[i], hi)
+			if was := len(a.layers[p]); was < hi {
+				a.layers[p] = resize(a.layers[p], hi)
 				m.Cho = resize(m.Cho, hi)
-				a.chain(i, prev, was, hi, sat)
+				a.chain(p, prev, was, hi, sat)
 			}
-			if was := a.los[i]; lo < was {
-				a.los[i] = lo
-				a.chain(i, prev, lo, was, sat)
+			if was := a.los[p]; lo < was {
+				a.los[p] = lo
+				a.chain(p, prev, lo, was, sat)
 			}
 		}
-		prev = a.layers[i]
+		prev = a.layers[p]
 	}
 }
 
-// chain fills cells [lo, hi) of member i's layer from prev.
-func (a *Apportioner) chain(i int, prev []float64, lo, hi, sat int) {
-	c := a.curves[i]
+// snapshot keeps curve c as position p's.
+func (a *Apportioner) snapshot(p int, c []CapPoint) {
+	a.curves[p] = append(a.curves[p][:0], c...)
+	a.perfs[p] = resize(a.perfs[p], len(c))
+	top := 0.0
 	for k := range c {
-		a.perf[k] = c[k].Perf
+		a.perfs[p][k] = c[k].Perf
+		top = max(top, math.Abs(c[k].Perf))
 	}
-	knapsack.Layer(prev, a.t[i].Cost, a.perf, lo, hi, sat, a.layers[i][lo:hi], a.t[i].Cho[lo:hi])
+	a.tops[p] = top
+}
+
+// chain fills cells [lo, hi) of position p's layer from prev.
+func (a *Apportioner) chain(p int, prev []float64, lo, hi, sat int) {
+	knapsack.Layer(prev, a.t[p].Cost, a.perfs[p], lo, hi, sat, a.layers[p][lo:hi], a.t[p].Cho[lo:hi])
+}
+
+// certify backtracks a read at level l into choice, indexed by member,
+// and, if check is set, reports whether the path it read is certified:
+// whether at every position on it the chosen point beats the best other
+// point affordable there (knapsack.Margin, off the layer before) by
+// more than
+//
+//	bound = 8·n·2⁻⁵³·Σ_p max_k |perf_p[k]|
+//
+// Why that suffices. Any fold of n perf values, in any order, lands
+// within n·2⁻⁵³·Σ_p max_k |perf_p[k]| (≈ e) of the exact sum, and
+// every table cell is the largest fold over the plans reaching it. Take
+// a plan y other than the path x and the last position p where they
+// differ: both reach p at the same level, so y is exactly worse than x
+// by at least the gap there less 2e. The member-order DP's plan x' folds
+// to no less than x does, so it is exactly at most 2e worse than x; if
+// x' were not x, the gap at the last position they differ would be at
+// most 4e. A gap above 8e rules that out: the member-order DP reads the
+// same plan, and summing its perf and grid draw in member order gives
+// its floats too. Any non-finite value fails the bound or a gap.
+func (a *Apportioner) certify(l int, check bool) bool {
+	a.choice = resize(a.choice, len(a.order))
+	scale := 0.0
+	for _, top := range a.tops {
+		scale += top
+	}
+	bound := 8 * float64(len(a.order)) * 0x1p-53 * scale
+	for p := len(a.order) - 1; p >= 0; p-- {
+		m, k := &a.t[p], -1
+		if len(m.Cost) > 0 {
+			if check {
+				prev := a.zeros
+				if p > 0 {
+					prev = a.layers[p-1]
+				}
+				var gap float64
+				k, gap = knapsack.Margin(prev, m.Cost, a.perfs[p], l)
+				check = gap > bound
+			} else {
+				k = int(m.Cho[l])
+			}
+			l -= m.Cost[k]
+		}
+		a.choice[a.order[p]] = k
+	}
+	return check
+}
+
+// inMemberOrder reports whether the table is laid out in member order.
+func (a *Apportioner) inMemberOrder() bool {
+	for p, m := range a.order {
+		if p != m {
+			return false
+		}
+	}
+	return true
 }
 
 // Apportion is ApportionCurves with the incremental cache. Same
 // contract, bit-identical results.
 func (a *Apportioner) Apportion(clusterCapW, floorW float64, curves [][]CapPoint) (budgets []float64, perf, gridW float64) {
-	a.recomputed = 0
+	a.recomputed, a.fellBack = 0, false
 	budgets, gridW, levels := floorsFirst(clusterCapW, floorW, len(curves))
 	if levels == 0 {
 		// No DP ran, so the cache keeps whatever validity it had.
@@ -201,8 +330,15 @@ func (a *Apportioner) Apportion(clusterCapW, floorW float64, curves [][]CapPoint
 			return ApportionCurves(clusterCapW, floorW, curves)
 		}
 	}
-	a.sync(floorW, curves, levels-1, levels-1)
-	return spend(a.t, levels-1, floorW, curves, budgets)
+	top := levels - 1
+	a.sync(floorW, curves, top, top, a.reorder && !a.rolls)
+	a.reorder = a.certify(top, !a.rolls)
+	if !a.reorder && !a.inMemberOrder() {
+		a.fellBack = true
+		a.sync(floorW, curves, top, top, false)
+		a.certify(top, false)
+	}
+	return spend(a.choice, floorW, curves, budgets)
 }
 
 // Rollup aggregates the members' cap-utility curves into one
@@ -235,7 +371,8 @@ func (a *Apportioner) Rollup(floorW float64, curves [][]CapPoint, maxPoints int)
 		}
 		levels += len(c) - 1
 	}
-	a.sync(floorW, curves, 0, levels-1)
+	a.rolls = true
+	a.sync(floorW, curves, 0, levels-1, false)
 	if a.rollup != nil && a.rollupPoints == maxPoints {
 		return a.rollup
 	}

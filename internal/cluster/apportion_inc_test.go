@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -336,11 +337,12 @@ func TestApportionerRebuildsOnlyNeededLevels(t *testing.T) {
 	for i := range curves {
 		curves[i] = randCurve(rng, floorW)
 	}
-	// coneLo is the lowest level of member i's layer a backtrack from
-	// top can arrive at: top less everything the members after i take.
+	// coneLo is the lowest level of position i's layer a backtrack from
+	// top can arrive at: top less everything the members after it take.
+	var inc Apportioner
 	coneLo := func(top, i int) int {
-		for _, c := range curves[i+1:] {
-			top -= curveSpan(c)
+		for _, m := range inc.order[i+1:] {
+			top -= curveSpan(curves[m])
 		}
 		return max(0, top)
 	}
@@ -360,18 +362,22 @@ func TestApportionerRebuildsOnlyNeededLevels(t *testing.T) {
 		checkApportionerSpans(t, inc)
 	}
 
-	var inc Apportioner
 	warm := total + 500 // every member saturated and then some
 	inc.Apportion(capAt(warm), floorW, curves)
 	spansAre(&inc, "generous warm-up", func(i int) (int, int) { return coneLo(warm, i), warm + 1 })
 
-	// Members 6.. dirty at a binding cap: rebuilt over that call's cone
-	// only; the clean prefix reaches down to cover it and keeps its top.
+	// Member 6 dirty at a binding cap: it moves to the tail, so positions
+	// 6.. (members 7, 8, 9, then 6) are rebuilt — n-6 layers, as many as
+	// the member-order table rebuilt — over that call's cone only; the
+	// clean prefix reaches down to cover it and keeps its top.
 	top := total / 3
 	curves[6] = randCurve(rng, floorW)
 	inc.Apportion(capAt(top), floorW, curves)
-	if inc.LastRecomputed() != n-6 {
-		t.Fatalf("dirty member 6 of %d rebuilt %d layers", n, inc.LastRecomputed())
+	if inc.LastRecomputed() != n-6 || inc.LastFellBack() {
+		t.Fatalf("dirty member 6 of %d rebuilt %d layers (fell back: %v)", n, inc.LastRecomputed(), inc.LastFellBack())
+	}
+	if want := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 6}; !slices.Equal(inc.order, want) {
+		t.Fatalf("dirty member 6: table order %v, want %v", inc.order, want)
 	}
 	spansAre(&inc, "capped dirty rebuild", func(i int) (int, int) {
 		if i >= 6 {

@@ -302,11 +302,17 @@ func TestConeDPMatchesNaiveReference(t *testing.T) {
 }
 
 // dpBenchCurve builds member i's curve at mutation version ver on the
-// canonical 2 W grid: a saturating utility whose knee moves with
-// (i, ver), so every mutation genuinely changes the DP's inputs.
+// canonical 2 W grid: a saturating utility whose knee tau, drawn from
+// [25, 75) by a hash of (i, ver) as psperf draws its members', moves with
+// every mutation, so every mutation genuinely changes the DP's inputs
+// and no two members share a curve.
 func dpBenchCurve(i, ver int) []CapPoint {
 	const floorW, nameplateW = 50.0, 130.0
-	tau := 25 + float64((i*13+ver*29)%50)
+	h := uint64(i)*0x9E3779B97F4A7C15 ^ uint64(ver)*0xC2B2AE3D27D4EB4F
+	h ^= h >> 29
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 32
+	tau := 25 + 50*float64(h>>11)/(1<<53)
 	norm := 1 - math.Exp(-nameplateW/tau)
 	var pts []CapPoint
 	for c := floorW; c <= nameplateW; c += ServerCapStepW {
@@ -315,49 +321,73 @@ func dpBenchCurve(i, ver int) []CapPoint {
 	return pts
 }
 
-// BenchmarkApportioner is the incremental DP's go test cell: 128 members
-// of 41 points, the cap cycling between 85 and 90 W a member under a
-// 90 W warm-up, and per call either no curve change (cap-only: a pure
-// read-out), member 0's curve changing (head-dirty: psperf's
-// flat-learn-128 worst case, every layer rebuilt — what a full DP
-// costs) or 4 seeded members' curves changing (4-dirty). layers/op is
-// the mean member layers rebuilt per call.
+// BenchmarkApportioner is the incremental DP's go test cell grid: 128
+// and 1 000 members of 41 points, the cap cycling between 85 and 90 W a
+// member under a 90 W warm-up. Per size, full-dp is ApportionCurves with
+// member 0's curve changing before every call — what a full DP costs —
+// and the other cells one Apportioner with k of its members' curves
+// changing before every call: the same k every call, one per stratum of
+// n/k at a seeded offset (spread), or with stratum 0's pinned to member
+// 0 as psperf pins its first learner (pinned; k=1-pinned is the
+// head-dirty case). k=0 is a cap-only read-out. layers/op is the mean
+// layers rebuilt per call, fallbacks/op the share of calls whose
+// certificate failed.
 func BenchmarkApportioner(b *testing.B) {
-	const members, floorW = 128, 50.0
-	for _, bc := range []struct {
-		name string
-		k    int  // curves mutated before every call
-		head bool // mutate member 0, not seeded positions
-	}{
-		{name: "cap-only"},
-		{name: "head-dirty", k: 1, head: true},
-		{name: "4-dirty", k: 4},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			curves := make([][]CapPoint, members)
-			vers := make([]int, members)
-			for i := range curves {
-				curves[i] = dpBenchCurve(i, 0)
-			}
-			rng := rand.New(rand.NewSource(1))
-			var inc Apportioner
-			inc.Apportion(members*90, floorW, curves)
-			layers := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for c := 0; c < bc.k; c++ {
-					m := 0
-					if !bc.head {
-						m = rng.Intn(members)
-					}
-					vers[m]++
-					curves[m] = dpBenchCurve(m, vers[m])
+	const floorW = 50.0
+	for _, n := range []int{128, 1000} {
+		type cell struct {
+			name    string
+			k       int
+			pattern string
+		}
+		cells := []cell{{"full-dp", 1, "head"}, {"cap-only", 0, "none"}}
+		for _, k := range []int{1, 4, n / 8} {
+			cells = append(cells, cell{fmt.Sprintf("k=%d-pinned", k), k, "pinned"}, cell{fmt.Sprintf("k=%d-spread", k), k, "spread"})
+		}
+		for _, bc := range cells {
+			b.Run(fmt.Sprintf("n=%d/%s", n, bc.name), func(b *testing.B) {
+				curves := make([][]CapPoint, n)
+				vers := make([]int, n)
+				for i := range curves {
+					curves[i] = dpBenchCurve(i, 0)
 				}
-				inc.Apportion(members*(85+float64(i%6)), floorW, curves)
-				layers += inc.LastRecomputed()
-			}
-			b.ReportMetric(float64(layers)/float64(b.N), "layers/op")
-		})
+				dirty := dirtySet(bc.pattern, n, bc.k)
+				var inc Apportioner
+				inc.Apportion(float64(n)*90, floorW, curves)
+				layers, fallbacks := 0, 0
+				call := func(i int) {
+					for _, m := range dirty {
+						vers[m]++
+						curves[m] = dpBenchCurve(m, vers[m])
+					}
+					capW := float64(n) * (85 + float64(i%6))
+					if bc.name == "full-dp" {
+						ApportionCurves(capW, floorW, curves)
+						return
+					}
+					inc.Apportion(capW, floorW, curves)
+					layers += inc.LastRecomputed()
+					if inc.LastFellBack() {
+						fallbacks++
+					}
+				}
+				// A cap cycle of calls settles the order (the first moves
+				// the dirty members to the tail) and the spans, so even
+				// -benchtime 1x reads the steady state.
+				for i := 0; i < 6 && bc.name != "full-dp"; i++ {
+					call(i)
+				}
+				layers, fallbacks = 0, 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					call(i)
+				}
+				if bc.name != "full-dp" {
+					b.ReportMetric(float64(layers)/float64(b.N), "layers/op")
+					b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/op")
+				}
+			})
+		}
 	}
 }

@@ -326,8 +326,8 @@ type Coordinator struct {
 	flog      *faults.Log
 	// dp is the incremental apportioning cache: between intervals most
 	// member curves are unchanged (pre-characterized ones never change,
-	// learned ones only while probing), so the utility DP replays only
-	// the layers after the first changed curve.
+	// learned ones only while probing), so the utility DP rebuilds about
+	// one layer per changed curve.
 	dp cluster.Apportioner
 	// scratch is Step's working set, reset every interval instead of
 	// reallocated (see stepScratch for what may and may not be retained).
@@ -1095,9 +1095,10 @@ func (c *Coordinator) apportion(capW float64, alive []bool, budgets []float64) e
 		}
 		sc.curves = curves
 		// The incremental apportioner is bit-identical to ApportionCurves
-		// and only recomputes the DP layers after the first member whose
-		// curve changed since the last interval.
+		// and rebuilds about as many DP layers as curves changed since
+		// the last interval.
 		b, _, _ := c.dp.Apportion(remainW, floor, curves)
+		c.tel.noteDP(c.dp.LastRecomputed(), c.dp.LastFellBack())
 		for j, i := range curved {
 			budgets[i] = b[j]
 		}

@@ -3,6 +3,7 @@ package ctrlplane
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -178,6 +179,62 @@ func TestPerMemberClockSkewGauge(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("post-grant metrics missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDPWorkCounters pins ps_ctrl_dp_layers_rebuilt_total and
+// ps_ctrl_dp_cert_fallbacks_total: they add up exactly what the
+// apportioner reports call by call — layers rebuilt, certificates failed
+// — through a cold table, an unchanged interval, a changed curve and a
+// curve that turns into its neighbour's twin, where every split between
+// the two ties and the reordered answer cannot be certified.
+func TestDPWorkCounters(t *testing.T) {
+	line := func(slope float64) []cluster.CapPoint {
+		out := make([]cluster.CapPoint, 21)
+		for k := range out {
+			w := 45 + float64(k)*cluster.ServerCapStepW
+			out[k] = cluster.CapPoint{CapW: w, Perf: float64(k) * slope, GridW: w}
+		}
+		return out
+	}
+	hub := telemetry.New(0)
+	c := &Coordinator{cfg: Config{Strategy: StrategyUtility, FloorW: 45}, tel: newCtrlTel(hub)}
+	c.members = []*member{{curve: line(0.125)}, {curve: line(0.25)}, {curve: learnedCurve(90)}}
+	alive := []bool{true, true, true}
+	budgets := make([]float64, 3)
+	layers, fallbacks := 0, 0
+	for step, change := range []func(){
+		func() {},
+		func() {},
+		func() { c.members[2].curve = learnedCurve(70) },
+		func() { c.members[0].curve = line(0.25) },
+	} {
+		change()
+		if err := c.apportion(200, alive, budgets); err != nil {
+			t.Fatal(err)
+		}
+		layers += c.dp.LastRecomputed()
+		if c.dp.LastFellBack() {
+			fallbacks++
+		}
+		if step == 1 && c.dp.LastRecomputed() != 0 {
+			t.Fatalf("an unchanged interval rebuilt %d layers", c.dp.LastRecomputed())
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("the twin curves never failed a certificate: the fallback counter went untested")
+	}
+	var buf bytes.Buffer
+	if err := hub.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("ps_ctrl_dp_layers_rebuilt_total %d\n", layers),
+		fmt.Sprintf("ps_ctrl_dp_cert_fallbacks_total %d\n", fallbacks),
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("metrics missing %q:\n%s", want, buf.String())
 		}
 	}
 }

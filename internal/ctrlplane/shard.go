@@ -230,6 +230,7 @@ func (s *ShardCoordinator) refreshReport(t, budget float64) {
 		// comparison and nothing else — on a leader and on an observing
 		// standby alike, and a promoted standby's table is already warm.
 		rep.Curve = s.c.dp.Rollup(floor, curves, s.cfg.rollupPoints())
+		s.c.tel.noteDP(s.c.dp.LastRecomputed(), false)
 	}
 	s.curves = curves
 	s.mu.Lock()

@@ -53,6 +53,10 @@ type ctrlTel struct {
 	shardBudgetW   *telemetry.GaugeVec
 	shardHeadroomW *telemetry.Gauge
 	treeDepth      *telemetry.Gauge
+
+	// Apportioning-DP work (docs/METRICS.md §Apportioning DP).
+	dpLayers    *telemetry.Counter
+	dpFallbacks *telemetry.Counter
 }
 
 func newCtrlTel(h *telemetry.Hub) *ctrlTel {
@@ -124,6 +128,10 @@ func newCtrlTel(h *telemetry.Hub) *ctrlTel {
 			"Unused headroom moved between shards at the last global interval."),
 		treeDepth: reg.Gauge("ps_ctrl_tree_depth",
 			"Depth of the coordination tree (1 flat, 2 sharded)."),
+		dpLayers: reg.Counter("ps_ctrl_dp_layers_rebuilt_total",
+			"Member layers the apportioning DP table rebuilt (Apportion and Rollup)."),
+		dpFallbacks: reg.Counter("ps_ctrl_dp_cert_fallbacks_total",
+			"Apportions whose volatility-ordered answer failed its certificate and were answered from the member-order table."),
 	}
 }
 
@@ -277,6 +285,19 @@ func (t *ctrlTel) noteGlobalStep(res GlobalStepResult, shards []*globalShard) {
 	t.tracer.Instant("global-step", telemetry.CatCtrl, telemetry.TidCoord, res.T,
 		telemetry.A("capW", res.CapW), telemetry.A("reservedW", res.ReservedW),
 		telemetry.A("movedW", res.RebalancedW))
+}
+
+// noteDP records one apportioning-DP call's work: the layers it rebuilt
+// and whether its certificate failed. Nil-safe: a coordinator assembled
+// without New has no instrument set.
+func (t *ctrlTel) noteDP(layers int, fellBack bool) {
+	if t == nil || !t.enabled {
+		return
+	}
+	t.dpLayers.Add(uint64(layers))
+	if fellBack {
+		t.dpFallbacks.Inc()
+	}
 }
 
 // noteMembership mirrors a lease expiry or rejoin into the trace.

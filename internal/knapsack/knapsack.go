@@ -97,6 +97,38 @@ func cells[C uint16 | int32](prev []float64, cost []int, perf []float64, lo, hi 
 	}
 }
 
+// Margin is cells at the one level l, which must be at least 0: the
+// point k it chooses there, and the gap by which that point's sum beats
+// the best sum of any other affordable point — the same adds, compared
+// the same way, so k is the cell's choice and the chosen sum its value.
+// A tie gives a gap of 0 (or -0), a level where only k is affordable
+// +Inf. A NaN sum never wins the cell, but since nothing can be said of
+// how it compares, any NaN among the sums makes the gap NaN, as does a
+// chosen sum of -Inf; a NaN gap is greater than nothing.
+func Margin(prev []float64, cost []int, perf []float64, l int) (k int, gap float64) {
+	w := prev[:l+1]
+	bestV, nextV, nan := math.Inf(-1), math.Inf(-1), false
+	for p, c := range cost {
+		j := uint(l - c)
+		if j >= uint(len(w)) {
+			break
+		}
+		v := w[j] + perf[p]
+		switch {
+		case v > bestV:
+			bestV, nextV, k = v, bestV, p
+		case v > nextV:
+			nextV = v
+		case v != v:
+			nan = true
+		}
+	}
+	if nan || math.IsInf(bestV, -1) {
+		return k, math.NaN()
+	}
+	return k, bestV - nextV
+}
+
 // block is how many consecutive levels blocks computes at a time.
 const block = 16
 

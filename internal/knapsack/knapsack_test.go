@@ -152,6 +152,92 @@ func TestLayerVectorMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestMarginMatchesCells holds Margin to cells at every level of random
+// layers of awkward values: the same choice, and a gap of the chosen sum
+// less the best other sum, each sum the same add cells makes — NaN if
+// any sum is NaN or the chosen one is -Inf. Then the cases the
+// certificate leans on, by hand, and Margin at saturated fill cells,
+// which must read as the cell at the saturation level does.
+func TestMarginMatchesCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < 2000; round++ {
+		np := 1 + rng.Intn([]int{3, 41, 120}[rng.Intn(3)])
+		cost, perf := costTable(rng, np, rng.Intn(2) == 0), make([]float64, np)
+		for k := range perf {
+			perf[k] = value(rng)
+		}
+		levels := 1 + rng.Intn(cost[np-1]+8)
+		prev := guardedPrev(rng, levels)
+		v, c := make([]float64, 1), make([]uint16, 1)
+		for l := 0; l < levels; l++ {
+			cells(prev, cost, perf, l, l+1, v, c)
+			k, gap := Margin(prev, cost, perf, l)
+			if k != int(c[0]) {
+				t.Fatalf("round %d level %d: Margin chose point %d, cells %d", round, l, k, c[0])
+			}
+			nextV, nan := math.Inf(-1), false
+			for p, cp := range cost {
+				if cp > l {
+					break
+				}
+				s := prev[l-cp] + perf[p]
+				nan = nan || math.IsNaN(s)
+				if p != k && s > nextV {
+					nextV = s
+				}
+			}
+			want := v[0] - nextV
+			if nan || math.IsInf(v[0], -1) {
+				want = math.NaN()
+			}
+			if math.Float64bits(gap) != math.Float64bits(want) && !(math.IsNaN(gap) && math.IsNaN(want)) {
+				t.Fatalf("round %d level %d: gap %v, want %v (chosen sum %v, best other %v)", round, l, gap, want, v[0], nextV)
+			}
+		}
+	}
+
+	negZero := math.Copysign(0, -1)
+	unit := UnitCosts(3)
+	for _, tc := range []struct {
+		what       string
+		prev, perf []float64
+		l, k       int
+		gap        float64
+	}{
+		{"clear winner", []float64{0, 0, 0}, []float64{0, 1, 3}, 2, 2, 2},
+		{"tie keeps the earlier point, gap 0", []float64{0, 1, 2}, []float64{0, 1, 2}, 2, 0, 0},
+		{"only point 0 affordable", []float64{5}, []float64{1, 9, 9}, 0, 0, math.Inf(1)},
+		{"signed zeros tie", []float64{negZero, 0, 0}, []float64{negZero, negZero, 0}, 1, 0, 0},
+		{"a NaN sum is passed over but voids the gap", []float64{0, 0, 0}, []float64{1, math.NaN(), 0}, 2, 0, math.NaN()},
+		{"a -Inf runner-up is infinitely worse", []float64{math.Inf(-1), math.Inf(-1), 0}, []float64{0, 0, 0}, 2, 0, math.Inf(1)},
+		{"nothing above -Inf", []float64{math.Inf(-1), math.Inf(-1)}, []float64{0, 0}, 1, 0, math.NaN()},
+	} {
+		k, gap := Margin(tc.prev, unit[:len(tc.perf)], tc.perf, tc.l)
+		if k != tc.k || math.Float64bits(gap) != math.Float64bits(tc.gap) && !(math.IsNaN(gap) && math.IsNaN(tc.gap)) {
+			t.Fatalf("%s: Margin = (%d, %v), want (%d, %v)", tc.what, k, gap, tc.k, tc.gap)
+		}
+	}
+
+	// Saturated fill: prev is constant from level 9 up, the member spans
+	// 4, so Layer fills every cell past 13 from the cell at 13 — and
+	// Margin, run on the fill levels themselves, agrees with it.
+	perf := []float64{0.5, 0.25, 1, 0.75, 1.25}
+	prev := make([]float64, 40)
+	for l := range prev {
+		prev[l] = float64(min(l, 9)) * 0.375
+	}
+	const sat, hi = 13, 40
+	layer, cho := make([]float64, hi), make([]uint16, hi)
+	Layer(prev, UnitCosts(5), perf, 0, hi, sat, layer, cho)
+	_, atSat := Margin(prev, UnitCosts(5), perf, sat)
+	for l := sat; l < hi; l++ {
+		k, gap := Margin(prev, UnitCosts(5), perf, l)
+		if k != int(cho[l]) || gap != atSat {
+			t.Fatalf("fill level %d: Margin = (%d, %v), cell chose %d and the saturation level's gap is %v", l, k, gap, cho[l], atSat)
+		}
+	}
+}
+
 // fullSweep is the recurrence with no cone, no fill and no kernel: every
 // member's layer over every level, every affordable point weighed.
 func fullSweep(costs [][]int, perfs [][]float64, levels int) (values [][]float64, choices [][]int) {
