@@ -6,11 +6,11 @@ import (
 )
 
 // TestCtrlPlaneParityBinary is the shared-listener acceptance gate:
-// the same replay that TestCtrlPlaneParity runs as unary frames to
-// per-agent listeners, carried instead as batched frames over one
+// the same replay that TestCtrlPlaneParity runs as one-entry frames to
+// per-agent listeners, carried instead as whole-fleet frames over one
 // pooled TCP conn, must be bit-for-bit identical to the pure simulation
-// — and must actually use the batch path (one scrape frame and one
-// grant frame per interval) rather than falling back to unary RPCs.
+// — and must actually batch (one scrape frame and one grant frame per
+// interval) rather than send a frame per agent.
 func TestCtrlPlaneParityBinary(t *testing.T) {
 	const servers = 4
 	caps := capRamp(12, 300, 750, 350)

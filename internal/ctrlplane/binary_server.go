@@ -354,8 +354,8 @@ func NewCoordinatorBinaryConfig(c *Coordinator, ha *HA, voter *QuorumVoter) Bina
 // grantOne applies one batch-grant entry and returns its response slot:
 // a coalesced renewal first when asked, falling through to a fresh
 // assign under the frame's (Epoch, Seq) when the renewal did not hold
-// the requested budget — the coordinator's unary renew-else-assign
-// sequence, server-side.
+// the requested budget. It is the one home of the renew-else-assign
+// rule: every coordinator grant rides a batch frame.
 func (s *BinaryServer) grantOne(req *BatchGrantRequest, e GrantEntry) (res GrantResult) {
 	res.Server = e.Server
 	ep, err := s.endpoint(e.Server)

@@ -878,8 +878,8 @@ func (m *BatchScrapeResponse) wire(w *wire) {
 // an endpoint in a single frame. Entries marked Renew coalesce the
 // renewal round-trip: the server renews, checks the renewal held the
 // requested budget, and falls through to a fresh assign under this
-// frame's (Epoch, Seq) when it did not — exactly the coordinator's
-// unary renew-else-assign sequence, one hop shorter.
+// frame's (Epoch, Seq) when it did not (BinaryServer.grantOne, the one
+// home of the renew-else-assign rule).
 type BatchGrantRequest struct {
 	V     int
 	Epoch uint64

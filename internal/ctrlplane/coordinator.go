@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,10 +219,6 @@ type member struct {
 	// scrapes, and open-window intervals left to skip.
 	breakerFails    int
 	breakerOpenLeft int
-	// rep is the destination this member's unary scrapes decode into,
-	// allocated on the first one; members riding batch frames decode into
-	// their group's slab instead.
-	rep *Report
 	// tel holds the member's own gauges, resolved once at admission.
 	tel memberTel
 }
@@ -237,20 +232,19 @@ type Stats struct {
 	Rejoins        int
 	ScrapeFailures int
 	AssignFailures int
-	RenewFailures  int
 	Registrations  int
 	// BreakerTrips counts per-agent circuit breakers opened (including
 	// re-opens after a failed half-open probe); BreakerSkips counts
-	// RPCs never sent because a breaker was open.
+	// scrapes and grants never sent because a breaker was open.
 	BreakerTrips int
 	BreakerSkips int
 	// Rehydrations counts interval-counter rehydrations from a scrape
 	// majority — once per (re)start.
 	Rehydrations int
-	// BatchFrames counts batch frames exchanged on the binary
-	// transport; BatchedOps counts the per-agent operations they
-	// carried (a fleet of 1k behind one listener moves ~1k ops in 2
-	// frames per interval).
+	// BatchFrames counts batch frames exchanged with agents; BatchedOps
+	// counts the per-agent operations they carried (a fleet of 1k behind
+	// one listener moves ~1k ops in 2 frames per interval, a fleet of 1k
+	// listeners 1k ops in 2k frames).
 	BatchFrames int
 	BatchedOps  int
 }
@@ -293,8 +287,8 @@ type StepResult struct {
 	// retries).
 	ScrapeErrs int
 	AssignErrs int
-	// BreakerSkips counts RPCs not sent this interval because the
-	// target agent's circuit breaker was open.
+	// BreakerSkips counts scrapes and grants not sent this interval
+	// because the target agent's circuit breaker was open.
 	BreakerSkips int
 	// Err is the interval's first scrape or grant failure in member
 	// order (nil when every RPC held) — the "why" behind ScrapeErrs and
@@ -385,7 +379,10 @@ func New(cfg Config) (*Coordinator, error) {
 // admit appends a member. Members start alive — the in-process oracle
 // starts every server alive too, and a registering agent has just
 // announced itself; an unreachable one expires after MissK intervals.
+// The member's URL is stored without trailing slashes, the one form
+// Register compares and the fan-out plans group on.
 func (c *Coordinator) admit(ref AgentRef) {
+	ref.URL = trimSlash(ref.URL)
 	c.members = append(c.members, &member{ref: ref, alive: true, tel: c.tel.member(len(c.members))})
 }
 
@@ -413,7 +410,7 @@ func (c *Coordinator) Register(req RegisterRequest) RegisterResponse {
 	if !c.cfg.Dynamic {
 		return resp
 	}
-	ref := AgentRef{ID: req.Server, URL: strings.TrimSuffix(req.URL, "/")}
+	ref := AgentRef{ID: req.Server, URL: trimSlash(req.URL)}
 	c.regMu.Lock()
 	replaced := false
 	for i, p := range c.pending {
@@ -499,14 +496,13 @@ func (c *Coordinator) Observe(ctx context.Context, t, capW float64) (StepResult,
 // The one thing a member retains out of it is a report's curve, and a
 // decoder never writes a held curve in place (see wire.points).
 type stepScratch struct {
-	reports                            []*Report
-	errs                               []error
-	states                             []breakerState
-	skipped, renewFailed, grantSkipped []bool
-	batchFrames, batchOps              atomic.Int64
-	scrape, grant                      batchPlan
-	live, curved                       []int
-	curves                             [][]cluster.CapPoint
+	reports               []*Report
+	errs                  []error
+	states                []breakerState
+	batchFrames, batchOps atomic.Int64
+	scrape, grant         batchPlan
+	live, curved          []int
+	curves                [][]cluster.CapPoint
 }
 
 // zeroed resizes a scratch ledger to n zero elements.
@@ -533,28 +529,22 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 	sc := &c.scratch
 	sc.reports = zeroed(sc.reports, n)
 	sc.errs = zeroed(sc.errs, n)
-	sc.skipped = zeroed(sc.skipped, n)
 	sc.batchFrames.Store(0)
 	sc.batchOps.Store(0)
 	reports, errs := sc.reports, sc.errs
 
 	// Phase 1 — telemetry scrape, doubling as the membership
-	// heartbeat. Parallel with bounded concurrency; each RPC carries
-	// the coordinator clock so agents can notice lapsed leases. A
-	// member behind an open circuit breaker is skipped outright (the
-	// skip still counts as a missed heartbeat); a half-open one gets a
-	// single retry-free probe. Closed-breaker members sharing one
-	// binary listener ride a single batch frame instead of unary RPCs;
-	// breaker states are snapshotted serially first (they only mutate
-	// in the accounting loops between fan-outs, so the snapshot equals
-	// what each goroutine would read) because grouping depends on them.
+	// heartbeat: one batch frame per listener, sent in parallel with
+	// bounded concurrency, carrying the coordinator clock so agents can
+	// notice lapsed leases. A member behind an open circuit breaker is
+	// skipped outright (the skip still counts as a missed heartbeat); a
+	// half-open one gets a single retry-free probe. Breaker states are
+	// snapshotted serially first (they only mutate in the accounting
+	// loops between fan-outs, so the snapshot equals what each goroutine
+	// would read) because grouping depends on them.
 	scrapes := c.plan(&sc.scrape, nil)
-	fanOut(ctx, len(scrapes.unary)+len(scrapes.groups), c.cfg.maxInFlight(), func(k int) {
-		if k < len(scrapes.unary) {
-			c.scrapeMember(ctx, t, scrapes.unary[k])
-		} else {
-			c.scrapeGroup(ctx, t, &scrapes.groups[k-len(scrapes.unary)])
-		}
+	fanOut(ctx, len(scrapes.groups), c.cfg.maxInFlight(), func(k int) {
+		c.scrapeGroup(ctx, t, &scrapes.groups[k])
 	})
 	for i, m := range c.members {
 		if rep := reports[i]; rep != nil {
@@ -574,7 +564,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 			}
 			m.tel.soc.Set(rep.SoC)
 		} else {
-			if sc.skipped[i] {
+			if sc.states[i] == breakerOpen {
 				m.breakerOpenLeft--
 				res.BreakerSkips++
 				c.stats.BreakerSkips++
@@ -652,7 +642,7 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 	}
 
 	// Phase 4 — fan the budgets out (leader only; a standby's interval
-	// ends at the decision). An unchanged budget rides a cheap lease
+	// ends at the decision). An unchanged budget rides a coalesced lease
 	// renewal instead of a full assignment; either way the grant
 	// re-arms the agent's draw lease. Every request carries the
 	// leadership epoch, and every response reports the agent's highest
@@ -665,27 +655,20 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 		res.Iv = mintIv
 		round := grantRound{t: t, epoch: epoch, seq: seq, iv: mintIv, leaseIv: c.cfg.leaseIv(), ivS: c.cfg.IntervalS,
 			budgets: res.Budgets, granted: res.Granted}
-		sc.renewFailed = zeroed(sc.renewFailed, n)
-		sc.grantSkipped = zeroed(sc.grantSkipped, n)
 		// The plan snapshots breaker states afresh: the scrape accounting
 		// above moved them (a success closes a breaker, a failure may open
 		// one).
 		grants := c.plan(&sc.grant, res.Alive)
-		fanOut(ctx, len(grants.unary)+len(grants.groups), c.cfg.maxInFlight(), func(k int) {
-			if k < len(grants.unary) {
-				c.grantMember(ctx, round, grants.unary[k])
-			} else {
-				c.grantGroup(ctx, round, &grants.groups[k-len(grants.unary)])
-			}
+		fanOut(ctx, len(grants.groups), c.cfg.maxInFlight(), func(k int) {
+			c.grantGroup(ctx, round, &grants.groups[k])
 		})
 		for i, m := range c.members {
 			if !m.alive {
 				continue
 			}
-			if sc.renewFailed[i] {
-				c.stats.RenewFailures++
-			}
-			if sc.grantSkipped[i] {
+			if sc.states[i] == breakerOpen {
+				// The scrape already paid this member's miss; the grant
+				// was not burnt against the same black hole.
 				res.BreakerSkips++
 				c.stats.BreakerSkips++
 			}
@@ -721,38 +704,12 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 	return res, nil
 }
 
-// scrapeMember is the unary scrape of member i.
-func (c *Coordinator) scrapeMember(ctx context.Context, t float64, i int) {
-	sc, m := &c.scratch, c.members[i]
-	if sc.states[i] == breakerOpen {
-		sc.skipped[i] = true
-		return
-	}
-	retries := c.cfg.rpcRetries()
-	if sc.states[i] == breakerHalfOpen {
-		retries = 0
-	}
-	if m.rep == nil {
-		m.rep = new(Report)
-	}
-	if err := call(ctx, c.client, rpcScrape, retries, m.ref.ID, m.ref.URL, scrapeRequest{m.ref.ID, t, true}, m.rep); err != nil {
-		sc.errs[i] = err
-		return
-	}
-	if m.rep.Server != m.ref.ID {
-		sc.errs[i] = fmt.Errorf("ctrlplane: scrape of agent %d answered as %d", m.ref.ID, m.rep.Server)
-		return
-	}
-	c.noteEpoch(m.rep.Epoch)
-	sc.reports[i] = m.rep
-}
-
 // scrapeGroup scrapes one group in a single batch frame, decoded into
 // the group's own slab; the step's report ledger points at its slots.
 func (c *Coordinator) scrapeGroup(ctx context.Context, t float64, g *batchGroup) {
 	sc := &c.scratch
 	req := BatchScrapeRequest{V: ProtocolV, T: t, HasT: true, Servers: g.ids}
-	if err := call(ctx, c.client, rpcBatchScrape, c.client.retries, g.ids[0], g.url, req, &g.scrape); err != nil {
+	if err := call(ctx, c.client, rpcBatchScrape, g.retries, g.ids[0], g.url, req, &g.scrape); err != nil {
 		for _, i := range g.idx {
 			sc.errs[i] = err
 		}
@@ -760,13 +717,12 @@ func (c *Coordinator) scrapeGroup(ctx context.Context, t float64, g *batchGroup)
 	}
 	sc.batchFrames.Add(1)
 	sc.batchOps.Add(int64(len(g.idx)))
-	clear(g.seen)
-	for k := range g.scrape.Results {
-		r := &g.scrape.Results[k]
-		i, ok := g.claim(r.Server)
-		if !ok {
+	for j, i := range g.idx {
+		if j >= len(g.scrape.Results) || g.scrape.Results[j].Server != g.ids[j] {
+			sc.errs[i] = fmt.Errorf("ctrlplane: batch scrape response missing agent %d", g.ids[j])
 			continue
 		}
+		r := &g.scrape.Results[j]
 		if r.Err != "" {
 			sc.errs[i] = fmt.Errorf("ctrlplane: agent %d: %s", r.Server, r.Err)
 			continue
@@ -777,11 +733,6 @@ func (c *Coordinator) scrapeGroup(ctx context.Context, t float64, g *batchGroup)
 		}
 		c.noteEpoch(r.Report.Epoch)
 		sc.reports[i] = &r.Report
-	}
-	for j, i := range g.idx {
-		if !g.seen[j] {
-			sc.errs[i] = fmt.Errorf("ctrlplane: batch scrape response missing agent %d", g.ids[j])
-		}
 	}
 }
 
@@ -803,69 +754,11 @@ func (r grantRound) renewable(m *member, i int) bool {
 	return m.granted && m.grantedW == r.budgets[i] && m.scraped && !m.fenced
 }
 
-// grantMember is the unary grant of member i: a renewal when the budget
-// is unchanged, a full assignment otherwise or when the renewal did not
-// hold.
-func (c *Coordinator) grantMember(ctx context.Context, r grantRound, i int) {
-	sc, m := &c.scratch, c.members[i]
-	if !m.alive {
-		return
-	}
-	if sc.states[i] == breakerOpen {
-		// The scrape already paid this member's miss; don't burn
-		// the assign budget against the same black hole.
-		sc.grantSkipped[i] = true
-		return
-	}
-	if r.renewable(m, i) {
-		req := LeaseRequest{V: ProtocolV, Epoch: r.epoch, Server: m.ref.ID, T: r.t,
-			Iv: r.iv, LeaseIv: r.leaseIv, IvS: r.ivS}
-		var resp LeaseResponse
-		err := call(ctx, c.client, rpcLease, c.client.retries, m.ref.ID, m.ref.URL, req, &resp)
-		if err == nil {
-			c.noteEpoch(resp.Epoch)
-			if !resp.Fenced && resp.Epoch == r.epoch && resp.CapW == m.grantedW {
-				r.granted[i] = true
-				return
-			}
-		}
-		sc.renewFailed[i] = err != nil
-		// Fall through to a full assignment: a failed renewal may
-		// leave the agent about to fence; a renewal answered
-		// fenced, from another epoch, or enforcing a cap other
-		// than the grant (the agent fenced and was re-assigned
-		// between the scrape and the renewal) means the budget is
-		// not in force; only an assign restores it and re-arms
-		// the lease.
-	}
-	req := AssignRequest{V: ProtocolV, Epoch: r.epoch, Seq: r.seq, Server: m.ref.ID, T: r.t,
-		CapW: r.budgets[i], Iv: r.iv, LeaseIv: r.leaseIv, IvS: r.ivS}
-	retries := c.cfg.rpcRetries()
-	if sc.states[i] == breakerHalfOpen {
-		retries = 0
-	}
-	var resp AssignResponse
-	if err := call(ctx, c.client, rpcAssign, retries, m.ref.ID, m.ref.URL, req, &resp); err != nil {
-		sc.errs[i] = err
-		return
-	}
-	c.noteEpoch(resp.Epoch)
-	// Applied, or refused-as-duplicate with our own grant already
-	// in force, both mean this interval's budget holds. A refusal
-	// carrying a higher epoch means another leader owns the agent.
-	if resp.Applied || (resp.Epoch == r.epoch && resp.CapW == r.budgets[i]) {
-		r.granted[i] = true
-		return
-	}
-	sc.errs[i] = fmt.Errorf("ctrlplane: agent %d refused epoch-%d grant (agent at epoch %d)",
-		m.ref.ID, r.epoch, resp.Epoch)
-}
-
 // grantGroup grants one group in a single frame: coalesced renewals for
 // members whose acknowledged budget already matches, fresh assigns for
-// the rest. The server applies the same renew-else-assign sequence per
-// entry that grantMember runs client-side, so semantics are
-// transport-independent.
+// the rest. The listener runs renew-else-assign per entry
+// (BinaryServer.grantOne), so a renewal that did not hold is answered
+// with the fresh assign's acknowledgement.
 func (c *Coordinator) grantGroup(ctx context.Context, r grantRound, g *batchGroup) {
 	sc := &c.scratch
 	g.entries = g.entries[:0]
@@ -874,7 +767,7 @@ func (c *Coordinator) grantGroup(ctx context.Context, r grantRound, g *batchGrou
 	}
 	req := BatchGrantRequest{V: ProtocolV, Epoch: r.epoch, Seq: r.seq, T: r.t,
 		Iv: r.iv, LeaseIv: r.leaseIv, IvS: r.ivS, Entries: g.entries}
-	if err := call(ctx, c.client, rpcBatchGrant, c.client.retries, g.ids[0], g.url, req, &g.grant); err != nil {
+	if err := call(ctx, c.client, rpcBatchGrant, g.retries, g.ids[0], g.url, req, &g.grant); err != nil {
 		for _, i := range g.idx {
 			sc.errs[i] = err
 		}
@@ -882,18 +775,21 @@ func (c *Coordinator) grantGroup(ctx context.Context, r grantRound, g *batchGrou
 	}
 	sc.batchFrames.Add(1)
 	sc.batchOps.Add(int64(len(g.idx)))
-	clear(g.seen)
-	for k := range g.grant.Results {
-		res := &g.grant.Results[k]
-		i, ok := g.claim(res.Server)
-		if !ok {
+	for j, i := range g.idx {
+		if j >= len(g.grant.Results) || g.grant.Results[j].Server != g.ids[j] {
+			sc.errs[i] = fmt.Errorf("ctrlplane: batch grant response missing agent %d", g.ids[j])
 			continue
 		}
+		res := &g.grant.Results[j]
 		if res.Err != "" {
 			sc.errs[i] = fmt.Errorf("ctrlplane: agent %d: %s", res.Server, res.Err)
 			continue
 		}
 		c.noteEpoch(res.Resp.Epoch)
+		// Renewed, applied, or refused-as-duplicate with our own grant
+		// already in force all mean this interval's budget holds. A
+		// refusal carrying a higher epoch means another leader owns the
+		// agent.
 		if res.Renewed || res.Resp.Applied || (res.Resp.Epoch == r.epoch && res.Resp.CapW == r.budgets[i]) {
 			r.granted[i] = true
 			continue
@@ -901,64 +797,45 @@ func (c *Coordinator) grantGroup(ctx context.Context, r grantRound, g *batchGrou
 		sc.errs[i] = fmt.Errorf("ctrlplane: agent %d refused epoch-%d grant (agent at epoch %d)",
 			res.Server, r.epoch, res.Resp.Epoch)
 	}
-	for j, i := range g.idx {
-		if !g.seen[j] {
-			sc.errs[i] = fmt.Errorf("ctrlplane: batch grant response missing agent %d", g.ids[j])
-		}
-	}
 }
 
-// batchPlan is one fan-out's partition of the fleet into batch frames
-// and unary RPCs. It is kept across intervals and rebuilt only when
-// what it was computed from changed: the membership, a member's URL, a
-// breaker state or the alive mask.
+// batchPlan is one fan-out's partition of the fleet into batch frames.
+// It is kept across intervals and rebuilt only when what it was computed
+// from changed: the membership, a member's URL, a breaker state or the
+// alive mask.
 type batchPlan struct {
 	valid  bool
 	states []breakerState
 	alive  []bool
 	groups []batchGroup
-	// unary lists the members no group carries, in member order.
-	unary []int
 }
 
 // batchGroup is one batch frame's worth of members: fleet indices that
-// share a binary listener URL. The group owns what its frame needs every
+// share a listener URL. The group owns what its frame needs every
 // interval — the request's id and entry slices and the slab its reply
 // decodes into — so a steady-state interval reuses last interval's.
+// Replies answer slot-for-slot: slot j settles the member at position j
+// only if it names that member's id, so a permuted, foreign or missing
+// slot leaves its position unanswered rather than settling another
+// member.
 type batchGroup struct {
 	url string
 	idx []int // fleet indices
 	ids []int // their agent ids, parallel to idx: a batch scrape's Servers
-	// pos maps an agent id to its position in idx; seen marks the
-	// positions a reply has claimed so far.
-	pos     map[int]int
-	seen    []bool
+	// retries is the frame's retry budget: the client's, or none for a
+	// half-open breaker's probe.
+	retries int
 	entries []GrantEntry
 	scrape  BatchScrapeResponse
 	grant   BatchGrantResponse
 }
 
-// claim resolves a reply slot's agent id to its fleet index, once: an id
-// outside the group, or one a previous slot already claimed, is refused,
-// so a reply can neither touch a member its frame did not carry nor
-// settle one twice.
-func (g *batchGroup) claim(id int) (int, bool) {
-	j, ok := g.pos[id]
-	if !ok || g.seen[j] {
-		return 0, false
-	}
-	g.seen[j] = true
-	return g.idx[j], true
-}
-
 // plan snapshots every member's breaker state into the scratch ledger
 // the fan-out reads, brings p up to date with it and the alive mask
-// (nil: every member), and returns p. The members eligible for batch
-// frames — closed-breaker (open members are skipped, half-open ones
-// probe unary with no retries) and alive under the mask — are grouped
-// per URL into groups of at least two, chunked at maxBatchEntries.
-// Singleton members stay on the unary path: a batch frame for one agent
-// buys nothing over a unary frame on the same pooled conn.
+// (nil: every member), and returns p. Members alive under the mask are
+// grouped per URL, chunked at maxBatchEntries; a lone agent's group is a
+// one-entry frame. An open breaker's member rides no frame, and a
+// half-open one probes alone, in a one-entry frame with no retries.
 func (c *Coordinator) plan(p *batchPlan, alive []bool) *batchPlan {
 	c.scratch.states = slots(c.scratch.states, len(c.members))
 	states := c.scratch.states
@@ -971,42 +848,34 @@ func (c *Coordinator) plan(p *batchPlan, alive []bool) *batchPlan {
 	p.valid = true
 	p.states = append(p.states[:0], states...)
 	p.alive = append(p.alive[:0], alive...)
-	grouped := make([]bool, len(c.members))
+	clear(p.groups) // drop the old groups' slabs
+	p.groups = p.groups[:0]
+	group := func(url string, idx []int, retries int) {
+		g := batchGroup{url: url, idx: idx, ids: make([]int, len(idx)), retries: retries}
+		for j, i := range idx {
+			g.ids[j] = c.members[i].ref.ID
+		}
+		p.groups = append(p.groups, g)
+	}
 	byURL := make(map[string][]int)
 	var order []string
 	for i, m := range c.members {
-		if states[i] != breakerClosed || (alive != nil && !alive[i]) {
-			continue
-		}
-		url := trimSlash(m.ref.URL)
-		if _, ok := byURL[url]; !ok {
-			order = append(order, url)
-		}
-		byURL[url] = append(byURL[url], i)
-	}
-	clear(p.groups) // drop the old groups' slabs
-	p.groups = p.groups[:0]
-	for _, url := range order {
-		idx := byURL[url]
-		if len(idx) < 2 {
-			continue
-		}
-		for len(idx) > 0 {
-			n := min(len(idx), maxBatchEntries)
-			g := batchGroup{url: url, idx: idx[:n], ids: make([]int, n), pos: make(map[int]int, n), seen: make([]bool, n)}
-			for j, i := range g.idx {
-				g.ids[j] = c.members[i].ref.ID
-				g.pos[g.ids[j]] = j
-				grouped[i] = true
+		switch {
+		case states[i] == breakerOpen || (alive != nil && !alive[i]):
+		case states[i] == breakerHalfOpen:
+			group(m.ref.URL, []int{i}, 0)
+		default:
+			if _, ok := byURL[m.ref.URL]; !ok {
+				order = append(order, m.ref.URL)
 			}
-			p.groups = append(p.groups, g)
-			idx = idx[n:]
+			byURL[m.ref.URL] = append(byURL[m.ref.URL], i)
 		}
 	}
-	p.unary = p.unary[:0]
-	for i := range c.members {
-		if !grouped[i] {
-			p.unary = append(p.unary, i)
+	for _, url := range order {
+		for idx := byURL[url]; len(idx) > 0; {
+			n := min(len(idx), maxBatchEntries)
+			group(url, idx[:n], c.client.retries)
+			idx = idx[n:]
 		}
 	}
 	return p

@@ -1,9 +1,13 @@
 package ctrlplane
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"powerstruggle/internal/cluster"
@@ -227,5 +231,197 @@ func TestGrantRefusalSurfacesOnStepResult(t *testing.T) {
 	}
 	if agents[1].CapW() != 50 {
 		t.Fatalf("fenced-out grant moved agent 1's cap to %g W", agents[1].CapW())
+	}
+}
+
+// A member configured with a trailing slash that announces that same URL
+// is the same member at the same place: the re-announce must neither log
+// an agent-reregister nor rebuild the fan-out plans.
+func TestReannounceOfSlashedURLIsNoReregister(t *testing.T) {
+	a, err := NewAgent(AgentConfig{ID: 0, Backend: &fakeBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := serveEndpoints(t, map[int]CtrlEndpoint{0: a}) + "/"
+	coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: url}}, Dynamic: true, LeaseIv: 1, IntervalS: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if _, err := coord.Step(context.Background(), 0, 60); err != nil {
+		t.Fatal(err)
+	}
+	if resp := coord.Register(RegisterRequest{V: ProtocolV, Server: 0, URL: url}); !resp.Accepted {
+		t.Fatalf("re-announce refused: %+v", resp)
+	}
+	res, err := coord.Step(context.Background(), 300, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Granted[0] {
+		t.Fatalf("re-announced agent not granted: %v", res.Err)
+	}
+	for _, ev := range coord.FaultEvents() {
+		if ev.Kind == "agent-reregister" || ev.Kind == "agent-register" {
+			t.Errorf("re-announce at the configured URL logged %s: %s", ev.Kind, ev.Detail)
+		}
+	}
+	if !coord.scratch.scrape.valid || !coord.scratch.grant.valid {
+		t.Error("re-announce at the configured URL invalidated the fan-out plans")
+	}
+}
+
+// serveTampered serves eps like a BinaryServer, but passes every batch
+// reply through tamperScrape or tamperGrant (when its switch is on) before
+// it is written, and returns the listener's tcp:// URL.
+func serveTampered(t *testing.T, eps map[int]CtrlEndpoint, tamperScrape, tamperGrant *atomic.Bool,
+	scrape func([]ScrapeResult) []ScrapeResult, grant func([]GrantResult) []GrantResult) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	honest := &BinaryServer{cfg: BinaryServerConfig{Endpoints: eps}}
+	tamper := func(out []byte) []byte {
+		var buf []byte
+		ftype, payload, err := readFrame(bytes.NewReader(out), &buf)
+		if err != nil {
+			t.Error(err)
+			return out
+		}
+		switch {
+		case ftype == FrameBatchScrapeResp && tamperScrape.Load():
+			var resp BatchScrapeResponse
+			if err := decode(payload, &resp); err != nil {
+				t.Error(err)
+				return out
+			}
+			resp.Results = scrape(resp.Results)
+			return finishFrame(encode(appendFrameHeader(nil), &resp))
+		case ftype == FrameBatchGrantResp && tamperGrant.Load():
+			var resp BatchGrantResponse
+			if err := decode(payload, &resp); err != nil {
+				t.Error(err)
+				return out
+			}
+			resp.Results = grant(resp.Results)
+			return finishFrame(encode(appendFrameHeader(nil), &resp))
+		}
+		return out
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				var sc serverConn
+				for {
+					ftype, payload, err := readFrame(br, &sc.in.b)
+					if err != nil {
+						return
+					}
+					if _, err := c.Write(tamper(honest.dispatch(&sc, ftype, payload))); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return "tcp://" + ln.Addr().String()
+}
+
+// Batch replies answer slot-for-slot. A reply whose slots are permuted,
+// name an agent the frame did not carry, or run out early must leave
+// every mismatched position unscraped or ungranted with a "missing
+// agent" error, while the positions that do match settle.
+func TestBatchReplySlotsMatchByPosition(t *testing.T) {
+	const n = 5
+	eps := make(map[int]CtrlEndpoint, n)
+	agents := make([]*Agent, n)
+	for i := range agents {
+		a, err := NewAgent(AgentConfig{ID: i, Backend: &fakeBackend{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents[i], eps[i] = a, a
+	}
+	// Slot 0 stays; slots 1 and 2 swap; slot 3 names agent 9; slot 4 is
+	// dropped.
+	const foreign = 9
+	var tamperScrape, tamperGrant atomic.Bool
+	url := serveTampered(t, eps, &tamperScrape, &tamperGrant,
+		func(r []ScrapeResult) []ScrapeResult {
+			r[1], r[2] = r[2], r[1]
+			r[3].Server = foreign
+			return r[:4]
+		},
+		func(r []GrantResult) []GrantResult {
+			r[1], r[2] = r[2], r[1]
+			r[3].Server = foreign
+			return r[:4]
+		})
+	refs := make([]AgentRef, n)
+	for i := range refs {
+		refs[i] = AgentRef{ID: i, URL: url}
+	}
+	coord, err := New(Config{Agents: refs, Strategy: StrategyEqual, LeaseIv: 1, IntervalS: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx := context.Background()
+	// An honest interval first: the coordinator rehydrates and grants.
+	if res, err := coord.Step(ctx, 0, 300); err != nil || res.AssignErrs != 0 || res.ScrapeErrs != 0 {
+		t.Fatalf("honest interval: %+v, %v", res, err)
+	}
+	missing := func(phase string, want ...bool) {
+		t.Helper()
+		for i, settled := range want {
+			err := coord.scratch.errs[i]
+			if settled != (err == nil) {
+				t.Errorf("%s: agent %d error %v, want settled=%v", phase, i, err, settled)
+			} else if err != nil && !strings.Contains(err.Error(), "missing agent") {
+				t.Errorf("%s: agent %d error %q, want a missing-agent error", phase, i, err)
+			}
+		}
+	}
+
+	tamperScrape.Store(true)
+	res, err := coord.Observe(ctx, 300, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ScrapeErrs != n-1 {
+		t.Errorf("tampered scrape: %d scrape errors, want %d", res.ScrapeErrs, n-1)
+	}
+	for i, m := range coord.members {
+		if m.scraped != (i == 0) {
+			t.Errorf("tampered scrape: agent %d scraped=%v", i, m.scraped)
+		}
+	}
+	missing("scrape", true, false, false, false, false)
+
+	tamperScrape.Store(false)
+	tamperGrant.Store(true)
+	res, err = coord.Step(ctx, 600, 250) // a new cap: every grant is an assign
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ScrapeErrs != 0 || res.AssignErrs != n-1 {
+		t.Errorf("tampered grant: %d scrape, %d assign errors, want 0 and %d", res.ScrapeErrs, res.AssignErrs, n-1)
+	}
+	for i, g := range res.Granted {
+		if g != (i == 0) {
+			t.Errorf("tampered grant: agent %d granted=%v", i, g)
+		}
+	}
+	missing("grant", true, false, false, false, false)
+	if agents[0].CapW() != 50 {
+		t.Errorf("agent 0 enforces %g W, want its 50 W grant", agents[0].CapW())
 	}
 }

@@ -144,67 +144,88 @@ func TestAgentSafeModeRefusesRenewal(t *testing.T) {
 
 // The circuit breaker must stop dialing a blackholed agent after
 // BreakerFails consecutive failed scrapes, keep membership expiry on
-// schedule, and close again once a half-open probe answers.
+// schedule, spend exactly one wire attempt on each half-open probe —
+// scrape or grant — and close again once a probe answers.
 func TestBreakerSkipsBlackholedAgent(t *testing.T) {
-	ev := testEvaluator(t, 3, nil)
-	flt, err := StartSimFleet(ev, "test")
-	if err != nil {
-		t.Fatal(err)
+	// breakerFleet blackholes agent 2 of a fresh three-agent fleet under a
+	// coordinator whose closed-breaker RPCs retry once (two attempts).
+	type breakerFleet struct {
+		coord *Coordinator
+		inj   *faults.NetInjector
+		dead  string
 	}
-	defer flt.Close()
-	inj, err := faults.NewNetInjector(faults.NetConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := New(Config{
-		Agents: flt.Refs(), LeaseIv: 1, IntervalS: 300,
-		MissK: 2, Retries: 1, RPCTimeout: time.Second,
-		BreakerFails: 2, BreakerOpenIntervals: 3,
-		Transport: inj,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadHost := strings.TrimPrefix(flt.Refs()[2].URL, "tcp://")
-	inj.SetDown(deadHost, true)
-
-	ctx := context.Background()
-	step := func(i int) StepResult {
-		t.Helper()
-		res, err := coord.Step(ctx, float64(i)*300, 600)
+	start := func(missK int) breakerFleet {
+		flt, err := StartSimFleet(testEvaluator(t, 3, nil), "test")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		t.Cleanup(flt.Close)
+		inj, err := faults.NewNetInjector(faults.NetConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, err := New(Config{
+			Agents: flt.Refs(), LeaseIv: 1, IntervalS: 300,
+			MissK: missK, Retries: 1, RPCTimeout: time.Second,
+			BreakerFails: 2, BreakerOpenIntervals: 3,
+			Transport: inj,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(coord.Close)
+		f := breakerFleet{coord: coord, inj: inj, dead: strings.TrimPrefix(flt.Refs()[2].URL, "tcp://")}
+		inj.SetDown(f.dead, true)
+		return f
 	}
+	// step runs interval i and returns it with the wire attempts it spent
+	// toward the dead host.
+	step := func(f breakerFleet, i int) (StepResult, int) {
+		t.Helper()
+		before := f.inj.Counts().Blackholed
+		res, err := f.coord.Step(context.Background(), float64(i)*300, 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, f.inj.Counts().Blackholed - before
+	}
+
+	f := start(2)
 	// Two failing intervals trip the breaker; the next three are
 	// skipped without a single wire attempt toward the dead host.
-	step(0)
-	step(1)
-	if coord.Stats().BreakerTrips != 1 {
-		t.Fatalf("trips = %d after %d failures, want 1", coord.Stats().BreakerTrips, 2)
+	step(f, 0)
+	step(f, 1)
+	if f.coord.Stats().BreakerTrips != 1 {
+		t.Fatalf("trips = %d after %d failures, want 1", f.coord.Stats().BreakerTrips, 2)
 	}
-	blackholed := inj.Counts().Blackholed
 	sawSkips := 0
 	for i := 2; i < 5; i++ {
-		res := step(i)
+		res, attempts := step(f, i)
 		sawSkips += res.BreakerSkips
 		if res.Alive[2] {
 			t.Fatalf("interval %d: dead agent still alive past MissK=2", i)
+		}
+		if attempts != 0 {
+			t.Fatalf("interval %d: open breaker still dialed the dead host (%d attempts)", i, attempts)
 		}
 	}
 	if sawSkips == 0 {
 		t.Fatal("open breaker skipped nothing")
 	}
-	if got := inj.Counts().Blackholed; got != blackholed {
-		t.Fatalf("open breaker still dialed the dead host (%d new attempts)", got-blackholed)
+	// The half-open scrape probe is one attempt, not Retries+1; it fails,
+	// the breaker re-opens, and the expired agent is granted nothing.
+	if _, attempts := step(f, 5); attempts != 1 {
+		t.Fatalf("half-open scrape probe cost %d wire attempts, want 1", attempts)
+	}
+	if f.coord.Stats().BreakerTrips != 2 {
+		t.Fatalf("trips = %d after a failed probe, want 2", f.coord.Stats().BreakerTrips)
 	}
 	// Heal; the next half-open probe readmits the agent in one
 	// interval and the breaker closes.
-	inj.SetDown(deadHost, false)
+	f.inj.SetDown(f.dead, false)
 	var back bool
-	for i := 5; i < 9; i++ {
-		res := step(i)
+	for i := 6; i < 12; i++ {
+		res, _ := step(f, i)
 		if res.Alive[2] && res.Granted[2] {
 			back = true
 			break
@@ -213,8 +234,27 @@ func TestBreakerSkipsBlackholedAgent(t *testing.T) {
 	if !back {
 		t.Fatal("healed agent never rejoined with a granted budget")
 	}
-	if coord.Stats().BreakerSkips == 0 {
+	if f.coord.Stats().BreakerSkips == 0 {
 		t.Fatal("lifetime BreakerSkips stayed zero")
+	}
+
+	// With membership outlasting the open window, the breaker turns
+	// half-open between the phases of interval 4 — its scrape skipped,
+	// its grant the probe — and the next scrape probes again: one attempt
+	// each, and the failed scrape probe re-opens the breaker so its
+	// interval grants nothing.
+	f = start(10)
+	for i := 0; i < 4; i++ {
+		step(f, i)
+	}
+	res, attempts := step(f, 4)
+	if !res.Alive[2] || res.Granted[2] || res.BreakerSkips != 1 || attempts != 1 {
+		t.Fatalf("half-open grant probe: alive=%v granted=%v skips=%d attempts=%d, want alive, ungranted, 1 skipped scrape, 1 attempt",
+			res.Alive[2], res.Granted[2], res.BreakerSkips, attempts)
+	}
+	res, attempts = step(f, 5)
+	if res.BreakerSkips != 1 || attempts != 1 {
+		t.Fatalf("half-open scrape probe: skips=%d attempts=%d, want 1 skipped grant, 1 attempt", res.BreakerSkips, attempts)
 	}
 }
 

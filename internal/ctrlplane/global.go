@@ -41,20 +41,13 @@ type GlobalConfig struct {
 	// silent shard's fleet slice be drawing nothing above its floors,
 	// making the watts safe to re-apportion.
 	ReclaimS float64
-	// GuardFrac is the slack a donor shard keeps above its own
-	// max(used, demand) when headroom is rebalanced (default 0.05).
-	GuardFrac float64
-	// MaxLevels coarsens the global DP grid (default
-	// cluster.DefaultShardLevels).
-	MaxLevels int
 	// MaxInFlight bounds trunk fan-out concurrency (default 8).
 	MaxInFlight int
-	// RPCTimeout, Retries, BackoffBase, BackoffMax, Seed: as Config.
-	RPCTimeout  time.Duration
-	Retries     int
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	Seed        int64
+	// RPCTimeout, Retries, Seed: as Config (the retry backoff is
+	// Config's default too).
+	RPCTimeout time.Duration
+	Retries    int
+	Seed       int64
 	// Telemetry, when non-nil, instruments the apportioner (shard
 	// budget gauges, headroom moved, trunk RPC counters).
 	Telemetry *telemetry.Hub
@@ -81,12 +74,9 @@ func (c GlobalConfig) reclaimS() float64 {
 	return float64(c.leaseIv()) * c.IntervalS
 }
 
-func (c GlobalConfig) guardFrac() float64 {
-	if c.GuardFrac > 0 {
-		return c.GuardFrac
-	}
-	return 0.05
-}
+// headroomGuardFrac is the slack a donor shard keeps above its own
+// max(used, demand) when headroom is rebalanced.
+const headroomGuardFrac = 0.05
 
 // grantDeadbandW / grantDeadbandFrac bound the target jitter a grant
 // repaint ignores: a couple of curve-grid steps absolute, or 1% of
@@ -263,11 +253,9 @@ func NewGlobal(cfg GlobalConfig) (*Global, error) {
 		cfg: cfg,
 		tel: tel,
 		client: newRPCClient(Config{
-			RPCTimeout:  cfg.RPCTimeout,
-			Retries:     cfg.Retries,
-			BackoffBase: cfg.BackoffBase,
-			BackoffMax:  cfg.BackoffMax,
-			Seed:        cfg.Seed,
+			RPCTimeout: cfg.RPCTimeout,
+			Retries:    cfg.Retries,
+			Seed:       cfg.Seed,
 		}, tel),
 		flog: faults.NewLog(0),
 	}
@@ -306,7 +294,7 @@ func (g *Global) scrapeShard(ctx context.Context, s *globalShard, t float64) err
 	n := len(s.ref.URLs)
 	for k := 0; k < n; k++ {
 		idx := (s.urlIdx + k) % n
-		if err := call(ctx, g.client, rpcShardReport, g.cfg.Retries, s.ref.ID, s.ref.URLs[idx], req, &s.rx); err != nil {
+		if err := call(ctx, g.client, rpcShardReport, g.client.retries, s.ref.ID, s.ref.URLs[idx], req, &s.rx); err != nil {
 			lastErr = err
 			continue
 		}
@@ -429,8 +417,8 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 			usedW, demandW = append(usedW, rep.UsedW), append(demandW, rep.DemandW)
 		}
 		sc.curves, sc.usedW, sc.demandW = curves, usedW, demandW
-		budgets, perf := cluster.ApportionShards(available*(1-grantSlackFrac), curves, g.cfg.MaxLevels)
-		budgets, res.RebalancedW = cluster.RebalanceHeadroom(budgets, usedW, demandW, g.cfg.guardFrac())
+		budgets, perf := cluster.ApportionShards(available*(1-grantSlackFrac), curves, cluster.DefaultShardLevels)
+		budgets, res.RebalancedW = cluster.RebalanceHeadroom(budgets, usedW, demandW, headroomGuardFrac)
 		res.PerfN = perf
 		// Decrease-before-increase: a granted decrease takes effect at
 		// the shard's next step, but a shard that misses a grant (a
@@ -519,7 +507,7 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 		for k2 := 0; k2 < len(s.ref.URLs); k2++ {
 			idx := (s.urlIdx + k2) % len(s.ref.URLs)
 			var resp ShardBudgetResponse
-			if err := call(ctx, g.client, rpcShardBudget, g.cfg.Retries, s.ref.ID, s.ref.URLs[idx], req, &resp); err != nil {
+			if err := call(ctx, g.client, rpcShardBudget, g.client.retries, s.ref.ID, s.ref.URLs[idx], req, &resp); err != nil {
 				if grantErr == nil {
 					grantErr = err
 				}

@@ -1,6 +1,9 @@
 package ctrlplane
 
 import (
+	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -310,5 +313,44 @@ func TestShardBudgetLeaseLapse(t *testing.T) {
 	}
 	if sc.Starved() || sc.BudgetW() != 95 {
 		t.Fatalf("fresh grant did not clear starvation (starved=%v budget=%g)", sc.Starved(), sc.BudgetW())
+	}
+}
+
+// GlobalConfig's RPC fields behave as Config's: left zero, the trunk
+// retry budget is Config's default of 2, so one failed shard scrape
+// costs a retry, not a missed heartbeat.
+func TestGlobalRetriesByDefault(t *testing.T) {
+	var reports atomic.Int64
+	srv, err := StartBinaryServer("127.0.0.1:0", BinaryServerConfig{
+		ShardReport: func(req ShardReportRequest) (ShardReport, error) {
+			if reports.Add(1) == 1 {
+				return ShardReport{}, errors.New("transient")
+			}
+			return ShardReport{V: ProtocolV, Shard: req.Shard, Epoch: 1, Leading: true, Agents: 1,
+				FloorW: 50, DemandW: 100, UsedW: 80, CapW: 100, BudgetW: 100}, nil
+		},
+		ShardBudget: func(req ShardBudgetRequest) (ShardBudgetResponse, error) {
+			return ShardBudgetResponse{V: ProtocolV, Shard: req.Shard, Epoch: req.Epoch, Seq: req.Seq,
+				Applied: true, CapW: req.CapW, Iv: req.Iv}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	g, err := NewGlobal(GlobalConfig{Shards: []ShardRef{{ID: 0, URLs: []string{srv.URL()}}}, IntervalS: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	res, err := g.Step(context.Background(), 0, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ScrapeErrs != 0 || !res.Alive[0] {
+		t.Fatalf("one failed trunk scrape under the default retry budget: %d scrape errors (%v)", res.ScrapeErrs, res.Err)
+	}
+	if got := reports.Load(); got != 2 {
+		t.Fatalf("%d shard-report attempts, want 2 (one failure, one retry)", got)
 	}
 }

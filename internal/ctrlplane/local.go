@@ -30,11 +30,11 @@ type FleetOptions struct {
 	// SafeMode, when enabled, gives every agent graceful leaderless
 	// degradation instead of the fence cliff.
 	SafeMode SafeModeConfig
-	// SharedListener hosts the whole fleet behind one listener, which is
-	// what lets the coordinator batch scrapes and grants into single
-	// frames. The default gives every agent its own listener — its own
-	// host:port for a scripted NetInjector.SetDown partition, unary
-	// frames on the wire.
+	// SharedListener hosts the whole fleet behind one listener, so the
+	// coordinator's scrapes and grants each ride a single batch frame.
+	// The default gives every agent its own listener — its own host:port
+	// for a scripted NetInjector.SetDown partition, one one-entry batch
+	// frame per agent and phase on the wire.
 	SharedListener bool
 	// Learn, when non-nil, makes every agent characterize its utility
 	// curve online instead of trusting the evaluator's pre-computed one

@@ -49,7 +49,7 @@ func oracleStrategy(s Strategy) cluster.Strategy {
 }
 
 // TestCtrlPlaneParity is the headline acceptance gate: replaying a cap
-// schedule through the networked coordinator — real HTTP, real JSON,
+// schedule through the networked coordinator — real frames, real TCP,
 // real fan-out — over in-process agents must produce bit-for-bit the
 // per-server budget sequence of the pure simulation, for both
 // Equal(Ours) and Utility(Ours), under zero network faults.

@@ -18,17 +18,11 @@ type ShardConfig struct {
 	// that the initial budgets across all shards sum to at most the
 	// cluster cap (pscluster bootstraps every shard at cap/shards).
 	InitialBudgetW float64
-	// RollupPoints bounds the aggregate curve shipped up the trunk
-	// (default 256 — a few KiB per shard per interval).
-	RollupPoints int
 }
 
-func (c ShardConfig) rollupPoints() int {
-	if c.RollupPoints > 0 {
-		return c.RollupPoints
-	}
-	return 256
-}
+// rollupPoints bounds the aggregate curve shipped up the trunk: a few
+// KiB per shard per interval.
+const rollupPoints = 256
 
 // saturationFrac is the draw/budget ratio past which a member is
 // considered cap-limited: its demand is estimated one curve level
@@ -229,7 +223,7 @@ func (s *ShardCoordinator) refreshReport(t, budget float64) {
 		// floor, same live effective curves, so unchanged curves cost a
 		// comparison and nothing else — on a leader and on an observing
 		// standby alike, and a promoted standby's table is already warm.
-		rep.Curve = s.c.dp.Rollup(floor, curves, s.cfg.rollupPoints())
+		rep.Curve = s.c.dp.Rollup(floor, curves, rollupPoints)
 		s.c.tel.noteDP(s.c.dp.LastRecomputed(), false)
 	}
 	s.curves = curves

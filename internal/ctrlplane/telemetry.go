@@ -16,7 +16,7 @@ type ctrlTel struct {
 	tracer  *telemetry.Tracer
 
 	steps         *telemetry.Counter
-	rpcs          *telemetry.CounterVec // kind ∈ {assign, report, lease}, outcome ∈ {ok, error}
+	rpcs          *telemetry.CounterVec // kind ∈ {batch-report, batch-grant, shard-report, shard-budget}, outcome ∈ {ok, error}
 	retries       *telemetry.Counter
 	leaseExpiries *telemetry.Counter
 	rejoins       *telemetry.Counter
@@ -121,7 +121,7 @@ func newCtrlTel(h *telemetry.Hub) *ctrlTel {
 		connReuses: reg.CounterVec("ps_ctrl_conn_reuses_total",
 			"Pooled binary connections reused instead of re-dialed.", "transport"),
 		batchedOps: reg.Counter("ps_ctrl_batched_ops_total",
-			"Per-agent operations carried inside batch frames instead of unary RPCs."),
+			"Per-agent scrapes and grants carried inside batch frames."),
 		shardBudgetW: reg.GaugeVec("ps_ctrl_shard_budget_watts",
 			"Per-shard budget granted by the global apportioner at the last interval.", "shard"),
 		shardHeadroomW: reg.Gauge("ps_ctrl_shard_headroom_watts",
