@@ -38,7 +38,7 @@
 //	pscoord -binary-listen 127.0.0.1:7072 -ha-members $M -ha-priority 2 -cap 240 &
 //
 // -listen adds a read-only HTTP debug surface: curl <addr>/ctrl/leader
-// renders the leader frame as JSON.
+// renders the coordinator's leadership view as JSON.
 package main
 
 import (
@@ -80,8 +80,8 @@ func main() {
 		brkOpen    = flag.Int("breaker-open", 0, "control intervals an open breaker skips before a half-open probe (0: default 4)")
 		floorW     = flag.Float64("floor", 0, "per-server idle floor for the utility DP (0: learn from agent reports)")
 		confFloor  = flag.Float64("curve-conf-floor", 0, "confidence floor for learned utility curves: a member reporting lower coverage takes the curveless even share instead of entering the utility DP (0: default 0.75; negative: admit any learned curve)")
-		listen     = flag.String("listen", "", "serve GET /ctrl/leader, a read-only JSON rendering of the leader frame for curl, on this HTTP address")
-		binListen  = flag.String("binary-listen", "", "serve the register/vote/leader frames on this TCP address: agents announce to it (the fleet may then start empty) and -ha-members pools vote through it")
+		listen     = flag.String("listen", "", "serve GET /ctrl/leader, a read-only JSON rendering of the leadership view for curl, on this HTTP address")
+		binListen  = flag.String("binary-listen", "", "serve the register/vote frames on this TCP address: agents announce to it (the fleet may then start empty) and -ha-members pools vote through it")
 		haStore    = flag.String("ha-store", "", "run leader-elected on a shared term file: the path every coordinator of this cluster points at")
 		haMembers  = flag.String("ha-members", "", "run leader-elected on a replicated quorum store: comma-separated voter addresses of the whole coordinator pool, this member's -binary-listen address included (no shared filesystem needed)")
 		haPriority = flag.Int("ha-priority", 0, "takeover rank in the pool: 0 steals a lapsed term first, higher ranks hold off longer")
@@ -232,7 +232,6 @@ func main() {
 
 	bcfg := ctrlplane.NewCoordinatorBinaryConfig(coord, ha, voter)
 	if *listen != "" {
-		leader := bcfg.Leader
 		mux := http.NewServeMux()
 		mux.HandleFunc("/ctrl/leader", func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != http.MethodGet {
@@ -240,7 +239,7 @@ func main() {
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(leader())
+			_ = json.NewEncoder(w).Encode(ctrlplane.CoordStatus(coord, ha))
 		})
 		srv := &http.Server{Addr: *listen, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 		go func() {
@@ -261,9 +260,9 @@ func main() {
 		}
 		defer bsrv.Close()
 		if sc != nil {
-			log.Printf("serving register/vote/leader and shard-%d trunk frames on %s", *shardID, bsrv.URL())
+			log.Printf("serving register/vote and shard-%d trunk frames on %s", *shardID, bsrv.URL())
 		} else {
-			log.Printf("serving register/vote/leader frames on %s", bsrv.URL())
+			log.Printf("serving register/vote frames on %s", bsrv.URL())
 		}
 	}
 

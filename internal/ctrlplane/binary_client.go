@@ -14,9 +14,10 @@ import (
 	"powerstruggle/internal/telemetry"
 )
 
-// maxIdleBinaryConns caps pooled conns per host. Unary fan-out to one
-// shared listener holds at most MaxInFlight conns at once; batch
-// fan-out needs one or two.
+// maxIdleBinaryConns caps pooled conns per host. An interval's fan-out
+// holds one conn per batch frame in flight to a listener: one for its
+// group, more when the group is chunked at maxBatchEntries or half-open
+// members probe alone, never more than MaxInFlight.
 const maxIdleBinaryConns = 16
 
 const (
@@ -230,9 +231,6 @@ type validator interface{ Validate() error }
 type rpc[Req validator, Resp any] struct{ kind string }
 
 var (
-	rpcScrape      = rpc[scrapeRequest, Report]{"report"}
-	rpcAssign      = rpc[AssignRequest, AssignResponse]{"assign"}
-	rpcLease       = rpc[LeaseRequest, LeaseResponse]{"lease"}
 	rpcRegister    = rpc[RegisterRequest, RegisterResponse]{"register"}
 	rpcVote        = rpc[VoteRequest, VoteResponse]{"vote"}
 	rpcBatchScrape = rpc[BatchScrapeRequest, BatchScrapeResponse]{"batch-report"}
@@ -259,35 +257,4 @@ func send[Req validator, Resp any](ctx context.Context, t *binaryTransport, base
 	return t.inj.Do(ctx, host, m.kind, func() error {
 		return deliver(ctx, t, host, req, resp)
 	})
-}
-
-// Client is a bare frame client for agent endpoints: one attempt per
-// call over pooled conns, with none of the coordinator's retries,
-// breakers or telemetry — what drills and ad-hoc tooling hold to send a
-// hand-built grant, renewal or scrape.
-type Client struct{ bin *binaryTransport }
-
-// NewClient builds a client; Close releases its pooled conns.
-func NewClient() *Client { return &Client{bin: newBinaryTransport(nil, nil)} }
-
-func (c *Client) Close() { c.bin.Close() }
-
-// Assign, Renew and Scrape send one frame to the listener at base (a
-// tcp:// URL) and return the agent's reply or its error frame.
-func (c *Client) Assign(ctx context.Context, base string, req AssignRequest) (resp AssignResponse, err error) {
-	err = send(ctx, c.bin, base, rpcAssign, req, &resp)
-	return resp, err
-}
-
-func (c *Client) Renew(ctx context.Context, base string, req LeaseRequest) (resp LeaseResponse, err error) {
-	err = send(ctx, c.bin, base, rpcLease, req, &resp)
-	return resp, err
-}
-
-func (c *Client) Scrape(ctx context.Context, base string, server int, t float64, hasT bool) (Report, error) {
-	var rep Report
-	if err := send(ctx, c.bin, base, rpcScrape, scrapeRequest{server, t, hasT}, &rep); err != nil {
-		return Report{}, err
-	}
-	return rep, nil
 }

@@ -9,9 +9,11 @@ import (
 	"time"
 )
 
-// CtrlEndpoint is the server-side surface one agent exposes to the
-// wire — *Agent, for replay fleets and live daemons alike. Methods
-// mirror the three agent RPCs; all must be safe for concurrent use.
+// CtrlEndpoint is the surface one agent exposes — *Agent, for replay
+// fleets and live daemons alike. The listener calls it once per batch
+// slot (Scrape for a scrape slot, Renew and then Assign for a grant
+// entry, see grantOne); in-process callers use it directly. All methods
+// must be safe for concurrent use.
 type CtrlEndpoint interface {
 	Assign(req AssignRequest) (AssignResponse, error)
 	Renew(req LeaseRequest) (LeaseResponse, error)
@@ -26,7 +28,6 @@ type BinaryServerConfig struct {
 	Endpoints map[int]CtrlEndpoint
 	Register  func(req RegisterRequest) RegisterResponse
 	Vote      func(req VoteRequest) VoteResponse
-	Leader    func() LeaderStatus
 	// ShardReport and ShardBudget are the trunk surface a shard
 	// coordinator exposes to the global apportioner; nil on servers that
 	// are not shard coordinators (the frames then answer FrameError).
@@ -35,9 +36,9 @@ type BinaryServerConfig struct {
 }
 
 // BinaryServer serves the control protocol's frames on one TCP
-// listener: many agents (and optionally a coordinator's
-// register/vote/leader surface) behind a single addr, one goroutine
-// per conn, frames answered in arrival order per conn.
+// listener: many agents (and optionally a coordinator's register/vote
+// surface) behind a single addr, one goroutine per conn, frames
+// answered in arrival order per conn.
 type BinaryServer struct {
 	cfg BinaryServerConfig
 	ln  net.Listener
@@ -184,9 +185,9 @@ func reply(hdr []byte, m any, err error) []byte {
 	return finishFrame(encode(hdr, m))
 }
 
-// answer is one unary frame: decode the request, run its handler, reply.
-// A malformed payload inside a well-framed message answers FrameError
-// and keeps the conn, like a handler's own error.
+// answer is one non-batch frame: decode the request, run its handler,
+// reply. A malformed payload inside a well-framed message answers
+// FrameError and keeps the conn, like a handler's own error.
 func answer[Req, Resp any](hdr, payload []byte, handler func(Req) (Resp, error)) []byte {
 	var req Req
 	var resp Resp
@@ -206,26 +207,6 @@ func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []by
 	cfg := &s.cfg
 	unhosted := func(why string) []byte { return reply(hdr, nil, errors.New(why)) }
 	switch ftype {
-	case FrameScrapeReq:
-		return answer(hdr, payload, func(req scrapeRequest) (Report, error) {
-			return s.scrape(req.server, req.t, req.hasT)
-		})
-	case FrameAssignReq:
-		return answer(hdr, payload, func(req AssignRequest) (AssignResponse, error) {
-			ep, err := s.endpoint(req.Server)
-			if err != nil {
-				return AssignResponse{}, err
-			}
-			return ep.Assign(req)
-		})
-	case FrameLeaseReq:
-		return answer(hdr, payload, func(req LeaseRequest) (LeaseResponse, error) {
-			ep, err := s.endpoint(req.Server)
-			if err != nil {
-				return LeaseResponse{}, err
-			}
-			return ep.Renew(req)
-		})
 	case FrameRegisterReq:
 		if cfg.Register == nil {
 			return unhosted("not a coordinator: no register endpoint")
@@ -239,13 +220,6 @@ func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []by
 		}
 		return answer(hdr, payload, func(req VoteRequest) (VoteResponse, error) {
 			return cfg.Vote(req), nil
-		})
-	case FrameLeaderReq:
-		if cfg.Leader == nil {
-			return unhosted("not a coordinator: no leader endpoint")
-		}
-		return answer(hdr, payload, func(leaderRequest) (LeaderStatus, error) {
-			return cfg.Leader(), nil
 		})
 	case FrameShardReportReq:
 		if cfg.ShardReport == nil {
@@ -269,8 +243,11 @@ func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []by
 		w.slotCount(len(req.Servers), "batch scrape response")
 		for _, server := range req.Servers {
 			res := ScrapeResult{Server: server}
-			var err error
-			if res.Report, err = s.scrape(server, req.T, req.HasT); err != nil {
+			ep, err := s.endpoint(server)
+			if err == nil {
+				res.Report, err = ep.Scrape(req.T, req.HasT)
+			}
+			if err != nil {
 				res.Err = err.Error() // the slot then carries no report
 			}
 			res.wire(&w)
@@ -292,18 +269,9 @@ func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []by
 	return reply(hdr, nil, fmt.Errorf("frame type %#02x is not a request", ftype))
 }
 
-// scrape answers one agent's scrape, unary or as a batch slot.
-func (s *BinaryServer) scrape(server int, t float64, hasT bool) (Report, error) {
-	ep, err := s.endpoint(server)
-	if err != nil {
-		return Report{}, err
-	}
-	return ep.Scrape(t, hasT)
-}
-
-// LeaderStatus answers the leader frame: which candidate this
-// coordinator believes leads, under which epoch, and whether it is that
-// candidate itself.
+// LeaderStatus is a coordinator's leadership view, as pscoord renders
+// it on GET /ctrl/leader: which candidate it believes leads, under which
+// epoch, and whether it is that candidate itself.
 type LeaderStatus struct {
 	V         int    `json:"v"`
 	ID        string `json:"id"`
@@ -313,10 +281,10 @@ type LeaderStatus struct {
 	Failovers int    `json:"failovers"`
 }
 
-// coordStatus builds a coordinator's leadership view. ha may be nil for
+// CoordStatus builds a coordinator's leadership view. ha may be nil for
 // a plain single coordinator — it then reports itself leader of its own
 // epoch with no election behind it.
-func coordStatus(c *Coordinator, ha *HA) LeaderStatus {
+func CoordStatus(c *Coordinator, ha *HA) LeaderStatus {
 	st := LeaderStatus{V: ProtocolV, Epoch: c.Epoch(), Leader: true}
 	if ha != nil {
 		term, lead := ha.Leader()
@@ -329,21 +297,20 @@ func coordStatus(c *Coordinator, ha *HA) LeaderStatus {
 	return st
 }
 
-// NewCoordinatorBinaryConfig exposes a coordinator's register/vote/
-// leader surface: agent registration, the leadership probe, and — when
-// voter is non-nil — this pool member's quorum voter. ha may be nil
-// (see coordStatus). Merge the result with agent endpoints to co-host
+// NewCoordinatorBinaryConfig exposes a coordinator's register/vote
+// surface: agent registration, answered with the leadership view, and —
+// when voter is non-nil — this pool member's quorum voter. ha may be nil
+// (see CoordStatus). Merge the result with agent endpoints to co-host
 // both on one listener.
 func NewCoordinatorBinaryConfig(c *Coordinator, ha *HA, voter *QuorumVoter) BinaryServerConfig {
 	cfg := BinaryServerConfig{
 		Register: func(req RegisterRequest) RegisterResponse {
 			resp := c.Register(req)
-			st := coordStatus(c, ha)
+			st := CoordStatus(c, ha)
 			resp.Leader = st.Leader
 			resp.LeaderID = st.LeaderID
 			return resp
 		},
-		Leader: func() LeaderStatus { return coordStatus(c, ha) },
 	}
 	if voter != nil {
 		cfg.Vote = voter.Vote

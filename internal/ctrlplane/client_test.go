@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -65,23 +67,30 @@ func serveEndpoints(t *testing.T, eps map[int]CtrlEndpoint) string {
 }
 
 // The client must absorb transient failures within its retry budget and
-// surface the last error once the budget is exhausted.
+// surface the last error once the budget is exhausted. A failed agent
+// is a batch reply's slot, not a failed frame, so the frame that fails
+// here is a shard budget, whose handler's error is the whole reply.
 func TestClientRetries(t *testing.T) {
 	var calls atomic.Int64
-	url := serveEndpoints(t, map[int]CtrlEndpoint{0: scriptedEndpoint{
-		renew: func(req LeaseRequest) (LeaseResponse, error) {
+	srv, err := StartBinaryServer("127.0.0.1:0", BinaryServerConfig{
+		ShardBudget: func(req ShardBudgetRequest) (ShardBudgetResponse, error) {
 			if calls.Add(1) <= 2 {
-				return LeaseResponse{}, errors.New("not yet")
+				return ShardBudgetResponse{}, errors.New("not yet")
 			}
-			return LeaseResponse{V: ProtocolV, Epoch: 1, CapW: 50, ExpiresIv: 10}, nil
+			return ShardBudgetResponse{V: ProtocolV, Epoch: 1, Seq: 1, Applied: true, CapW: 50, Iv: 1}, nil
 		},
-	}})
-	req := LeaseRequest{V: ProtocolV, Epoch: 1, Iv: 1, LeaseIv: 1, IvS: 5}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	url := srv.URL()
+	req := ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 1, CapW: 50, Iv: 1, LeaseIv: 1, IvS: 5}
 
 	c := testClient(2)
 	defer c.close()
-	var resp LeaseResponse
-	err := call(context.Background(), c, rpcLease, c.retries, 0, url, req, &resp)
+	var resp ShardBudgetResponse
+	err = call(context.Background(), c, rpcShardBudget, c.retries, 0, url, req, &resp)
 	if err != nil {
 		t.Fatalf("2 retries should absorb 2 failures: %v", err)
 	}
@@ -95,7 +104,7 @@ func TestClientRetries(t *testing.T) {
 	calls.Store(-100) // next hundred attempts all fail
 	c1 := testClient(1)
 	defer c1.close()
-	err = call(context.Background(), c1, rpcLease, c1.retries, 0, url, req, &resp)
+	err = call(context.Background(), c1, rpcShardBudget, c1.retries, 0, url, req, &resp)
 	if err == nil || !strings.Contains(err.Error(), "not yet") {
 		t.Fatalf("exhausted retries: %v", err)
 	}
@@ -172,7 +181,7 @@ func TestClientRejectsInvalidReport(t *testing.T) {
 	}})
 	c := testClient(0)
 	defer c.close()
-	err := call(context.Background(), c, rpcScrape, 0, 0, url, scrapeRequest{server: 0}, new(Report))
+	err := call(context.Background(), c, rpcBatchScrape, 0, 0, url, BatchScrapeRequest{V: ProtocolV, Servers: []int{0}}, new(BatchScrapeResponse))
 	if err == nil || !strings.Contains(err.Error(), "soc") {
 		t.Fatalf("soc=7 report accepted (err %v)", err)
 	}
@@ -190,11 +199,11 @@ func dialRaw(t *testing.T, url string) net.Conn {
 }
 
 // sendRaw writes one hand-built payload as a frame on c and reads the
-// reply frame, discarding its payload unless it is an error frame. It
-// skips the client-side Validate, so the listener's own decoder is what
-// refuses a bad message — and a refusal that cost the conn fails the next
-// sendRaw on it.
-func sendRaw(c net.Conn, reqType byte, payload []byte) error {
+// reply frame, decoding its payload into resp (nil discards it) unless it
+// is an error frame. It skips the client-side Validate, so the listener's
+// own decoder is what refuses a bad message — and a refusal that cost the
+// conn fails the next sendRaw on it.
+func sendRaw(c net.Conn, reqType byte, payload []byte, resp any) error {
 	if _, err := c.Write(EncodeFrame(reqType, payload)); err != nil {
 		return err
 	}
@@ -213,11 +222,15 @@ func sendRaw(c net.Conn, reqType byte, payload []byte) error {
 	if ftype != reqType+1 {
 		return fmt.Errorf("frame type %#02x in reply to %#02x", ftype, reqType)
 	}
+	if resp != nil {
+		return decode(reply, resp)
+	}
 	return nil
 }
 
-// The listener must refuse misdirected and malformed control messages
-// with error frames that keep the conn, and answer good ones.
+// The listener must refuse malformed control messages with error frames
+// that keep the conn, answer a misdirected batch entry with an error slot
+// beside its well-directed neighbours, and answer good ones.
 func TestHandlerRouting(t *testing.T) {
 	a, err := NewAgent(AgentConfig{ID: 3, Backend: &fakeBackend{}})
 	if err != nil {
@@ -228,7 +241,9 @@ func TestHandlerRouting(t *testing.T) {
 	defer bin.Close()
 	ctx := context.Background()
 	raw := dialRaw(t, url)
-	rawAssign := func(payload []byte) error { return sendRaw(raw, FrameAssignReq, payload) }
+	rawGrant := func(payload []byte, resp *BatchGrantResponse) error {
+		return sendRaw(raw, FrameBatchGrantReq, payload, resp)
+	}
 	refused := func(what string, err error) {
 		t.Helper()
 		var remote *frameRemoteError
@@ -236,48 +251,118 @@ func TestHandlerRouting(t *testing.T) {
 			t.Fatalf("%s: got %v, want an error frame", what, err)
 		}
 	}
-	good := AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, Server: 3, CapW: 40, Iv: 1, LeaseIv: 1, IvS: 5}
-	if err := rawAssign(wireBytes(&good)); err != nil {
-		t.Fatalf("good assign: %v", err)
+	good := BatchGrantRequest{V: ProtocolV, Epoch: 1, Seq: 1, Iv: 1, LeaseIv: 1, IvS: 5,
+		Entries: []GrantEntry{{Server: 9, CapW: 30}, {Server: 3, CapW: 40}}}
+	var resp BatchGrantResponse
+	if err := rawGrant(wireBytes(&good), &resp); err != nil {
+		t.Fatalf("good grant: %v", err)
+	}
+	if len(resp.Results) != 2 || !strings.Contains(resp.Results[0].Err, "no agent 9") ||
+		resp.Results[1].Err != "" || !resp.Results[1].Resp.Applied {
+		t.Fatalf("grant to agents 9 and 3 answered %+v", resp.Results)
 	}
 	if got := a.CapW(); got != 40 {
-		t.Fatalf("cap %g after assign", got)
+		t.Fatalf("cap %g after grant", got)
 	}
-	for what, mut := range map[string]func(*AssignRequest){
-		"misdirected assign": func(r *AssignRequest) { r.Server = 9 },
-		"epochless assign":   func(r *AssignRequest) { r.Epoch = 0 },
-		"leaseless assign":   func(r *AssignRequest) { r.LeaseIv = 0 },
+	for what, mut := range map[string]func(*BatchGrantRequest){
+		"epochless grant":  func(r *BatchGrantRequest) { r.Epoch = 0 },
+		"leaseless grant":  func(r *BatchGrantRequest) { r.LeaseIv = 0 },
+		"negative server":  func(r *BatchGrantRequest) { r.Entries = []GrantEntry{{Server: -3, CapW: 50}} },
+		"entryless grant":  func(r *BatchGrantRequest) { r.Entries = nil },
+		"NaN-capped grant": func(r *BatchGrantRequest) { r.Entries = []GrantEntry{{Server: 3, CapW: math.NaN()}} },
 	} {
-		bad := good
-		bad.Seq = 2
-		mut(&bad)
-		refused(what, rawAssign(wireBytes(&bad)))
+		refused(what, rawGrant(wireBytes(with(&good, func(r *BatchGrantRequest) { r.Seq = 2; mut(r) })), nil))
 	}
-	refused("garbage assign", rawAssign([]byte("garbage")))
+	refused("garbage grant", rawGrant([]byte("garbage"), nil))
 	if got := a.CapW(); got != 40 {
-		t.Fatalf("cap %g after refused assigns, want 40", got)
+		t.Fatalf("cap %g after refused grants, want 40", got)
 	}
 	// A scrape with a bad clock is refused too — on the conn every refusal
 	// above was answered on: the listener keeps a conn it answered with an
 	// error frame.
-	refused("negative scrape clock", sendRaw(raw, FrameScrapeReq, wireBytes(&scrapeRequest{3, -1, true})))
+	refused("negative scrape clock", sendRaw(raw, FrameBatchScrapeReq,
+		wireBytes(&BatchScrapeRequest{V: ProtocolV, T: -1, HasT: true, Servers: []int{3}}), nil))
 
-	// So does the client: a refusal and two good exchanges cost one dial.
-	misdirected := good
-	misdirected.Server = 9
-	refused("misdirected assign through the client", send(ctx, bin, url, rpcAssign, misdirected, new(AssignResponse)))
-	if err := send(ctx, bin, url, rpcLease, LeaseRequest{V: ProtocolV, Epoch: 1, Server: 3, T: 1, Iv: 1, LeaseIv: 1, IvS: 5}, new(LeaseResponse)); err != nil {
-		t.Fatalf("good lease: %v", err)
+	// So does the client: an error frame — a vote to a listener that hosts
+	// no voter — and two good exchanges cost one dial.
+	refused("vote to an agent listener", send(ctx, bin, url, rpcVote, VoteRequest{V: ProtocolV, Phase: VotePrepare, Ballot: 1}, new(VoteResponse)))
+	renew := BatchGrantRequest{V: ProtocolV, Epoch: 1, Seq: 2, T: 1, Iv: 1, LeaseIv: 1, IvS: 5,
+		Entries: []GrantEntry{{Server: 3, CapW: 40, Renew: true}}}
+	if err := send(ctx, bin, url, rpcBatchGrant, renew, &resp); err != nil || !resp.Results[0].Renewed {
+		t.Fatalf("good renewal: %+v, %v", resp.Results, err)
 	}
-	var rep Report
-	if err := send(ctx, bin, url, rpcScrape, scrapeRequest{3, 100, true}, &rep); err != nil {
+	var rep BatchScrapeResponse
+	if err := send(ctx, bin, url, rpcBatchScrape, BatchScrapeRequest{V: ProtocolV, T: 100, HasT: true, Servers: []int{3}}, &rep); err != nil {
 		t.Fatalf("good scrape: %v", err)
 	}
 	if d := bin.dials.Load(); d != 1 {
 		t.Fatalf("%d dials; error frames must not cost the conn", d)
 	}
-	if !rep.Fenced {
+	if !rep.Results[0].Report.Fenced {
 		t.Fatal("lease granted at t=0 for 5s must have fenced by t=100")
+	}
+}
+
+// wantDropped fails t unless the listener closes c, unanswered, within
+// five seconds of what was just written to it.
+func wantDropped(t *testing.T, c net.Conn, what string) {
+	t.Helper()
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("%s: the listener answered or held the conn (read %d bytes, err %v); want it dropped", what, n, err)
+	}
+}
+
+// TestRetiredFrameTypesRefused: a v4 listener speaks no frame v4
+// retired and no v3 frame at all. Each is refused at the header — by
+// DecodeFrame, and by a listener that drops the conn unanswered — while
+// the batch frames that replaced them are answered on that same conn
+// until then.
+func TestRetiredFrameTypesRefused(t *testing.T) {
+	retired := []byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x0b, 0x0c}
+	for _, ftype := range retired {
+		if _, _, _, err := DecodeFrame(EncodeFrame(ftype, nil)); err == nil || !strings.Contains(err.Error(), "unknown frame type") {
+			t.Errorf("retired frame %#02x: DecodeFrame says %v", ftype, err)
+		}
+	}
+	msgs := canonicalMessages()
+	for ftype, payload := range msgs {
+		if _, _, _, err := DecodeFrame(mutate(EncodeFrame(ftype, payload), 2, 3)); err == nil || !strings.Contains(err.Error(), "protocol v3") {
+			t.Errorf("v3 frame %#02x: DecodeFrame says %v", ftype, err)
+		}
+	}
+
+	a, err := NewAgent(AgentConfig{ID: 0, Backend: &fakeBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := serveEndpoints(t, map[int]CtrlEndpoint{0: a})
+	grant := BatchGrantRequest{V: ProtocolV, Epoch: 1, Iv: 1, LeaseIv: 1, IvS: 5, Entries: []GrantEntry{{CapW: 40}}}
+	var frames [][]byte
+	for _, ftype := range retired {
+		frames = append(frames, EncodeFrame(ftype, nil))
+	}
+	// A v3 peer's scrape and grant: well-formed but for the version byte.
+	frames = append(frames, mutate(EncodeFrame(FrameBatchScrapeReq, msgs[FrameBatchScrapeReq]), 2, 3),
+		mutate(EncodeFrame(FrameBatchGrantReq, wireBytes(with(&grant, func(r *BatchGrantRequest) { r.Seq = 99 }))), 2, 3))
+	for i, frame := range frames {
+		raw := dialRaw(t, url)
+		grant.Seq = uint64(i + 1)
+		var scraped BatchScrapeResponse
+		var granted BatchGrantResponse
+		if err := sendRaw(raw, FrameBatchScrapeReq, wireBytes(&BatchScrapeRequest{V: ProtocolV, Servers: []int{0}}), &scraped); err != nil || scraped.Results[0].Err != "" {
+			t.Fatalf("scrape before frame %x: %+v, %v", frame[:4], scraped.Results, err)
+		}
+		if err := sendRaw(raw, FrameBatchGrantReq, wireBytes(&grant), &granted); err != nil || !granted.Results[0].Resp.Applied {
+			t.Fatalf("grant before frame %x: %+v, %v", frame[:4], granted.Results, err)
+		}
+		if _, err := raw.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		wantDropped(t, raw, fmt.Sprintf("frame %x", frame[:4]))
+	}
+	if got := a.Assigns(); got != len(frames) {
+		t.Errorf("agent applied %d grants, want the %d sent as v4 batch frames", got, len(frames))
 	}
 }
 
@@ -287,7 +372,7 @@ func TestHandlerRouting(t *testing.T) {
 // blackholed host is never dialed.
 func TestInjectorWrapsFrameExchange(t *testing.T) {
 	ctx := context.Background()
-	grant := AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, CapW: 40, Iv: 1, LeaseIv: 1, IvS: 5}
+	grant := BatchGrantRequest{V: ProtocolV, Epoch: 1, Seq: 1, Iv: 1, LeaseIv: 1, IvS: 5, Entries: []GrantEntry{{CapW: 40}}}
 	run := func(cfg faults.NetConfig, down bool) (*Agent, *binaryTransport, AssignResponse, error) {
 		t.Helper()
 		a, err := NewAgent(AgentConfig{ID: 0, Backend: &fakeBackend{}})
@@ -302,9 +387,12 @@ func TestInjectorWrapsFrameExchange(t *testing.T) {
 		inj.SetDown(binaryHost(url), down)
 		bin := newBinaryTransport(nil, inj)
 		t.Cleanup(bin.Close)
-		var resp AssignResponse
-		err = send(ctx, bin, url, rpcAssign, grant, &resp)
-		return a, bin, resp, err
+		var resp BatchGrantResponse
+		err = send(ctx, bin, url, rpcBatchGrant, grant, &resp)
+		if err != nil {
+			return a, bin, AssignResponse{}, err
+		}
+		return a, bin, resp.Results[0].Resp, nil
 	}
 
 	a, _, _, err := run(faults.NetConfig{DropReqP: 1}, false)
@@ -327,7 +415,7 @@ func TestInjectorWrapsFrameExchange(t *testing.T) {
 
 // A conn's frame buffers are reused frame after frame, which must not
 // turn one near-limit frame into memory pinned for the conn's idle
-// lifetime: a pooled conn that carried one 900 KiB report and then
+// lifetime: a pooled conn that carried one 900 KiB scrape reply and then
 // small ones gives the big buffer back, while a conn that keeps
 // alternating a large reply with a small one — every interval's scrape
 // and grant — keeps its buffer instead of regrowing it each time.
@@ -343,19 +431,20 @@ func TestConnBufferBound(t *testing.T) {
 			return Report{V: ProtocolV, SoC: 0.5, UtilityCurve: *curve.Load()}, nil
 		},
 	}})
-	c := NewClient()
-	defer c.Close()
+	bin := newBinaryTransport(nil, nil)
+	defer bin.Close()
 	scrape := func() {
 		t.Helper()
-		if _, err := c.Scrape(context.Background(), url, 0, 0, false); err != nil {
-			t.Fatal(err)
+		var resp BatchScrapeResponse
+		if err := send(context.Background(), bin, url, rpcBatchScrape, BatchScrapeRequest{V: ProtocolV, Servers: []int{0}}, &resp); err != nil || resp.Results[0].Err != "" {
+			t.Fatalf("scrape: %+v, %v", resp.Results, err)
 		}
 	}
 	pooled := func() *bconn {
 		t.Helper()
-		c.bin.mu.Lock()
-		defer c.bin.mu.Unlock()
-		if idle := c.bin.idle[binaryHost(url)]; len(idle) == 1 {
+		bin.mu.Lock()
+		defer bin.mu.Unlock()
+		if idle := bin.idle[binaryHost(url)]; len(idle) == 1 {
 			return idle[0]
 		}
 		t.Fatal("want exactly one pooled conn")
@@ -372,7 +461,7 @@ func TestConnBufferBound(t *testing.T) {
 	if got := cap(pooled().in.b); got > 4*minFrameBuf {
 		t.Errorf("%d small frames later the conn still pins a %d-byte read buffer", 2*frameBufWindow, got)
 	}
-	if d := c.bin.dials.Load(); d != 1 {
+	if d := bin.dials.Load(); d != 1 {
 		t.Errorf("%d dials: the buffer must go, not the conn", d)
 	}
 

@@ -9,7 +9,7 @@ import (
 	"powerstruggle/internal/cluster"
 )
 
-// Binary framing of the v3 control protocol (see docs/WIRE.md).
+// Binary framing of the v4 control protocol (see docs/WIRE.md).
 //
 // Every frame is:
 //
@@ -28,20 +28,14 @@ import (
 
 // Frame types. Requests are odd and a request's response is the next,
 // even, type (exchange relies on it); FrameError is the out-of-band
-// failure answer to any request.
+// failure answer to any request. v4 retired 0x01–0x06 (the one-agent
+// scrape, assign and lease frames) and 0x0b/0x0c (the leader probe): an
+// agent speaks only batch frames, and the numbers are not reused.
 const (
-	FrameAssignReq       byte = 0x01
-	FrameAssignResp      byte = 0x02
-	FrameScrapeReq       byte = 0x03
-	FrameReportResp      byte = 0x04
-	FrameLeaseReq        byte = 0x05
-	FrameLeaseResp       byte = 0x06
 	FrameRegisterReq     byte = 0x07
 	FrameRegisterResp    byte = 0x08
 	FrameVoteReq         byte = 0x09
 	FrameVoteResp        byte = 0x0a
-	FrameLeaderReq       byte = 0x0b
-	FrameLeaderResp      byte = 0x0c
 	FrameBatchScrapeReq  byte = 0x0d
 	FrameBatchScrapeResp byte = 0x0e
 	FrameBatchGrantReq   byte = 0x0f
@@ -66,29 +60,53 @@ const (
 // chunked by the coordinator.
 const maxBatchEntries = 4096
 
-// maxBodyBytes bounds a unary frame's payload. The largest legitimate
-// one is a report carrying a cap-utility curve (a few hundred points);
-// a megabyte is two orders of magnitude of headroom.
+// maxBodyBytes bounds every request frame's payload and every reply
+// that does not carry curves. The largest legitimate requests are a full
+// batch grant (4 096 entries of 17 bytes, about 70 KB) and a full batch
+// scrape (about 33 KB); a megabyte is an order of magnitude of headroom.
 const maxBodyBytes = 1 << 20
 
-// maxBatchPayload bounds batch frames, which may carry a whole fleet's
-// reports (curves included) in one payload.
+// maxBatchPayload bounds the replies that carry curves: a batch scrape
+// reply holds a whole listener's reports, a shard report a whole shard's
+// aggregate curve, and a batch grant reply takes the same bound.
 const maxBatchPayload = 16 << 20
 
 // framePayloadLimit returns the payload bound for a frame type.
 func framePayloadLimit(ftype byte) int {
 	switch ftype {
-	case FrameBatchScrapeReq, FrameBatchScrapeResp, FrameBatchGrantReq, FrameBatchGrantResp,
-		FrameShardReportResp:
-		// Shard report responses carry a whole shard's aggregate curve,
-		// so they take the batch bound, not the unary one.
+	case FrameBatchScrapeResp, FrameBatchGrantResp, FrameShardReportResp:
 		return maxBatchPayload
 	}
 	return maxBodyBytes
 }
 
 func validFrameType(ftype byte) bool {
-	return (ftype >= FrameAssignReq && ftype <= FrameShardBudgetResp) || ftype == FrameError
+	return (ftype >= FrameRegisterReq && ftype <= FrameVoteResp) ||
+		(ftype >= FrameBatchScrapeReq && ftype <= FrameShardBudgetResp) || ftype == FrameError
+}
+
+// parseHeader checks a frame header — magic, version, type, and the
+// payload length against the type's bound — and returns the type and
+// length. DecodeFrame and readFrame both call it before they touch a
+// payload byte; it allocates only to report an error.
+func parseHeader(hdr []byte) (ftype byte, n int, err error) {
+	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
+		return 0, 0, fmt.Errorf("ctrlplane: bad frame magic %#02x%02x", hdr[0], hdr[1])
+	}
+	if hdr[2] != ProtocolV {
+		return 0, 0, fmt.Errorf("ctrlplane: frame protocol v%d, want v%d", hdr[2], ProtocolV)
+	}
+	ftype = hdr[3]
+	if !validFrameType(ftype) {
+		return 0, 0, fmt.Errorf("ctrlplane: unknown frame type %#02x", ftype)
+	}
+	// Compared as a u32: on a 32-bit int a length past 2³¹ would turn
+	// negative and pass.
+	length, limit := binary.BigEndian.Uint32(hdr[4:8]), framePayloadLimit(ftype)
+	if length > uint32(limit) {
+		return 0, 0, fmt.Errorf("ctrlplane: frame payload %d bytes exceeds %d", length, limit)
+	}
+	return ftype, int(length), nil
 }
 
 // appendFrameHeader appends a frame header whose type and payload
@@ -121,19 +139,9 @@ func DecodeFrame(data []byte) (ftype byte, payload, rest []byte, err error) {
 	if len(data) < frameHeaderLen {
 		return 0, nil, nil, fmt.Errorf("ctrlplane: frame truncated at %d bytes (want %d-byte header)", len(data), frameHeaderLen)
 	}
-	if data[0] != frameMagic0 || data[1] != frameMagic1 {
-		return 0, nil, nil, fmt.Errorf("ctrlplane: bad frame magic %#02x%02x", data[0], data[1])
-	}
-	if data[2] != ProtocolV {
-		return 0, nil, nil, fmt.Errorf("ctrlplane: frame protocol v%d, want v%d", data[2], ProtocolV)
-	}
-	ftype = data[3]
-	if !validFrameType(ftype) {
-		return 0, nil, nil, fmt.Errorf("ctrlplane: unknown frame type %#02x", ftype)
-	}
-	n := int(binary.BigEndian.Uint32(data[4:8]))
-	if n > framePayloadLimit(ftype) {
-		return 0, nil, nil, fmt.Errorf("ctrlplane: frame payload %d bytes exceeds %d", n, framePayloadLimit(ftype))
+	ftype, n, err := parseHeader(data)
+	if err != nil {
+		return 0, nil, nil, err
 	}
 	if len(data)-frameHeaderLen < n {
 		return 0, nil, nil, fmt.Errorf("ctrlplane: frame payload truncated (%d of %d bytes)", len(data)-frameHeaderLen, n)
@@ -154,19 +162,9 @@ func readFrame(r io.Reader, buf *[]byte) (ftype byte, payload []byte, err error)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
-		return 0, nil, fmt.Errorf("ctrlplane: bad frame magic %#02x%02x", hdr[0], hdr[1])
-	}
-	if hdr[2] != ProtocolV {
-		return 0, nil, fmt.Errorf("ctrlplane: frame protocol v%d, want v%d", hdr[2], ProtocolV)
-	}
-	ftype = hdr[3]
-	if !validFrameType(ftype) {
-		return 0, nil, fmt.Errorf("ctrlplane: unknown frame type %#02x", ftype)
-	}
-	n := int(binary.BigEndian.Uint32(hdr[4:8]))
-	if n > framePayloadLimit(ftype) {
-		return 0, nil, fmt.Errorf("ctrlplane: frame payload %d bytes exceeds %d", n, framePayloadLimit(ftype))
+	ftype, n, err := parseHeader(hdr)
+	if err != nil {
+		return 0, nil, err
 	}
 	if cap(*buf) < n {
 		*buf = make([]byte, n)
@@ -179,7 +177,8 @@ func readFrame(r io.Reader, buf *[]byte) (ftype byte, payload []byte, err error)
 }
 
 // minFrameBuf is the smallest frame buffer a connection keeps: every
-// unary frame fits, so only batch and trunk frames ever grow one.
+// register, vote and shard-budget frame fits, and so does a batch frame
+// for a handful of members; larger batches and shard reports grow it.
 const minFrameBuf = 1024
 
 // frameBuf is a frame buffer its connection owns across frames, with a
@@ -470,8 +469,9 @@ func (w *wire) end(validate func() error) {
 
 // walk is the table of the wire: every message's Go type, its frame
 // type, the walk that lists its fields in wire order and — for what
-// crosses a trust boundary on decode: every request, reports and vote
-// replies — its Validate. The cases call concrete methods on purpose:
+// crosses a trust boundary on decode: every request, shard reports and
+// vote replies — its Validate (a batch scrape reply validates each
+// report as its slot is decoded). The cases call concrete methods on purpose:
 // through an interface m and w would both escape, and every decode into
 // a stack destination would move to the heap. Validate reaches end in a
 // func literal, not as the method value: a bound value receiver copies
@@ -479,28 +479,6 @@ func (w *wire) end(validate func() error) {
 // fan-out goroutine's stack growing.
 func walk(w *wire, m any) (ftype byte) {
 	switch m := m.(type) {
-	case *AssignRequest:
-		m.wire(w)
-		w.end(func() error { return m.Validate() })
-		return FrameAssignReq
-	case *AssignResponse:
-		m.wire(w)
-		return FrameAssignResp
-	case *scrapeRequest:
-		m.wire(w)
-		w.end(func() error { return m.Validate() })
-		return FrameScrapeReq
-	case *Report:
-		m.wire(w)
-		w.end(func() error { return m.Validate() })
-		return FrameReportResp
-	case *LeaseRequest:
-		m.wire(w)
-		w.end(func() error { return m.Validate() })
-		return FrameLeaseReq
-	case *LeaseResponse:
-		m.wire(w)
-		return FrameLeaseResp
 	case *RegisterRequest:
 		m.wire(w)
 		w.end(func() error { return m.Validate() })
@@ -516,11 +494,6 @@ func walk(w *wire, m any) (ftype byte) {
 		m.wire(w)
 		w.end(func() error { return m.Validate() })
 		return FrameVoteResp
-	case *leaderRequest:
-		return FrameLeaderReq
-	case *LeaderStatus:
-		m.wire(w)
-		return FrameLeaderResp
 	case *BatchScrapeRequest:
 		m.wire(w)
 		w.end(func() error { return m.Validate() })
@@ -579,37 +552,8 @@ func decode(p []byte, m any) error {
 	return w.err
 }
 
-// --- agent messages (the types are wire.go's) ---
-
-// scrapeRequest asks one agent for its report, ticking its replay
-// clock to t first when hasT is set. server names the agent on a shared
-// listener.
-type scrapeRequest struct {
-	server int
-	t      float64
-	hasT   bool
-}
-
-// Validate enforces the scrape invariants, the unary twin of
-// BatchScrapeRequest.Validate.
-func (r scrapeRequest) Validate() error {
-	if r.server < 0 {
-		return fmt.Errorf("ctrlplane: scrape server %d", r.server)
-	}
-	if r.hasT && (!finite(r.t) || r.t < 0) {
-		return fmt.Errorf("ctrlplane: scrape time %g", r.t)
-	}
-	if !r.hasT && r.t != 0 {
-		return fmt.Errorf("ctrlplane: scrape time %g without hasT", r.t)
-	}
-	return nil
-}
-
-func (m *scrapeRequest) wire(w *wire) {
-	w.integer(&m.server)
-	w.boolean(&m.hasT)
-	w.f64(&m.t)
-}
+// --- agent slots (the types are wire.go's): a report rides a batch
+// scrape reply, an acknowledgement a batch grant reply ---
 
 // curveMetaFlag is the high bit of the report's curve-count u32: set
 // when the curve carries learning metadata (confidence + observed
@@ -658,18 +602,6 @@ func (m *Report) wire(w *wire) {
 	w.u64(&m.Iv)
 }
 
-func (m *AssignRequest) wire(w *wire) {
-	w.version(&m.V)
-	w.u64(&m.Epoch)
-	w.u64(&m.Seq)
-	w.integer(&m.Server)
-	w.f64(&m.T)
-	w.f64(&m.CapW)
-	w.u64(&m.Iv)
-	w.u64(&m.LeaseIv)
-	w.f64(&m.IvS)
-}
-
 func (m *AssignResponse) wire(w *wire) {
 	w.version(&m.V)
 	w.integer(&m.Server)
@@ -685,27 +617,7 @@ func (m *AssignResponse) wire(w *wire) {
 	w.u64(&m.Iv)
 }
 
-func (m *LeaseRequest) wire(w *wire) {
-	w.version(&m.V)
-	w.u64(&m.Epoch)
-	w.integer(&m.Server)
-	w.f64(&m.T)
-	w.u64(&m.Iv)
-	w.u64(&m.LeaseIv)
-	w.f64(&m.IvS)
-}
-
-func (m *LeaseResponse) wire(w *wire) {
-	w.version(&m.V)
-	w.u64(&m.Epoch)
-	w.integer(&m.Server)
-	w.f64(&m.CapW)
-	w.u64(&m.ExpiresIv)
-	w.boolean(&m.Fenced)
-	w.u64(&m.Iv)
-}
-
-// --- coordinator messages: registration, votes, the leader probe ---
+// --- coordinator messages: registration and votes ---
 
 func (m *RegisterRequest) wire(w *wire) {
 	w.version(&m.V)
@@ -753,19 +665,6 @@ func (m *VoteResponse) wire(w *wire) {
 	w.u64(&m.Promise)
 	w.u64(&m.AcceptedBallot)
 	w.term(&m.Term)
-}
-
-// leaderRequest asks a coordinator for its LeaderStatus; it has no
-// fields, so any payload byte is a trailing one.
-type leaderRequest struct{}
-
-func (m *LeaderStatus) wire(w *wire) {
-	w.version(&m.V)
-	w.str(&m.ID)
-	w.str(&m.LeaderID)
-	w.u64(&m.Epoch)
-	w.boolean(&m.Leader)
-	w.integer(&m.Failovers)
 }
 
 // --- batch messages (see docs/WIRE.md §5) ---
@@ -900,9 +799,8 @@ type GrantEntry struct {
 	Renew  bool
 }
 
-// Validate enforces the batch-grant invariants (the per-entry fields
-// feed AssignRequest/LeaseRequest validation server-side, so the same
-// bounds apply here).
+// Validate enforces the batch-grant invariants, the bounds every grant
+// and renewal an agent applies has passed.
 func (r BatchGrantRequest) Validate() error {
 	if r.V != ProtocolV {
 		return fmt.Errorf("ctrlplane: batch grant protocol v%d, want v%d", r.V, ProtocolV)

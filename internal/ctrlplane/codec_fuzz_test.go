@@ -21,8 +21,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte("PW"))
 	f.Add([]byte("GET /ctrl/report HTTP/1.1\r\n\r\n"))
 	f.Add(EncodeFrame(FrameError, nil))
-	f.Add(append(EncodeFrame(FrameLeaderReq, nil), EncodeFrame(FrameLeaderReq, nil)...))
-	f.Add([]byte{frameMagic0, frameMagic1, ProtocolV, FrameAssignReq, 0xff, 0xff, 0xff, 0xff})
+	f.Add(append(EncodeFrame(FrameError, nil), EncodeFrame(FrameError, nil)...))
+	f.Add([]byte{frameMagic0, frameMagic1, ProtocolV, FrameBatchGrantReq, 0xff, 0xff, 0xff, 0xff})
+	// A v3 peer's frames: its version byte, and a type v4 retired.
+	f.Add(mutate(EncodeFrame(FrameRegisterReq, canonicalMessages()[FrameRegisterReq]), 2, 3))
+	f.Add(EncodeFrame(0x01, nil))
 	for _, lying := range lyingBatchResponses() {
 		f.Add(lying)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math"
 	"os"
 	"reflect"
 	"regexp"
@@ -39,25 +40,6 @@ func canonicalValues() []any {
 	learned.CurveCells = 9
 	term := WireTerm{Epoch: 4, Leader: "coord-a", ExpiresUnixNano: 1700000000000000000}
 	return []any{
-		&scrapeRequest{3, 1200.5, true},
-		&rep,
-		&AssignRequest{
-			V: ProtocolV, Epoch: 2, Seq: 9, Server: 3, T: 1200.5, CapW: 85.5,
-			Iv: 42, LeaseIv: 3, IvS: 1.5,
-		},
-		&AssignResponse{
-			V: ProtocolV, Server: 3, Epoch: 2, Seq: 9, Applied: true,
-			CapW: 85.5, PerfN: 0.92, GridW: 80.25, SoC: 0.5, Fenced: false, SafeMode: false,
-			Iv: 42,
-		},
-		&LeaseRequest{
-			V: ProtocolV, Epoch: 2, Server: 3, T: 1200.5,
-			Iv: 42, LeaseIv: 3, IvS: 1.5,
-		},
-		&LeaseResponse{
-			V: ProtocolV, Epoch: 2, Server: 3, CapW: 85.5, ExpiresIv: 45, Fenced: false,
-			Iv: 42,
-		},
 		&RegisterRequest{
 			V: ProtocolV, Server: 3, URL: "tcp://10.0.0.7:9000", NameplateW: 120,
 		},
@@ -69,9 +51,6 @@ func canonicalValues() []any {
 		},
 		&VoteResponse{
 			V: ProtocolV, Granted: true, Promise: 7, AcceptedBallot: 7, Term: &term,
-		},
-		&LeaderStatus{
-			V: ProtocolV, ID: "coord-a", LeaderID: "coord-a", Epoch: 2, Leader: true, Failovers: 1,
 		},
 		&BatchScrapeRequest{
 			V: ProtocolV, T: 1200.5, HasT: true, Servers: []int{0, 1, 2},
@@ -118,7 +97,6 @@ func canonicalValues() []any {
 		&ShardBudgetResponse{
 			V: ProtocolV, Shard: 2, Epoch: 2, Seq: 9, Applied: true, CapW: 6500, Iv: 42,
 		},
-		&leaderRequest{},
 		&frameRemoteError{msg: "agent 3: no such server"},
 	}
 }
@@ -176,15 +154,12 @@ func dirtyReport() Report {
 		CurveConf: 0.33, CurveCells: 44, Version: "dirty-build", Iv: 55}
 }
 
-// dirtyMessage is the dirty destination of the six messages that decode
+// dirtyMessage is the dirty destination of the five messages that decode
 // into a reusable one, nil for the rest.
 func dirtyMessage(ftype byte) any {
 	dirtyAck := AssignResponse{V: 99, Server: 77, Epoch: 88, Seq: 99, Applied: true, CapW: 11, PerfN: 12,
 		GridW: 13, SoC: 0.9, Fenced: true, SafeMode: true, Iv: 55}
 	switch ftype {
-	case FrameReportResp:
-		rep := dirtyReport()
-		return &rep
 	case FrameBatchScrapeReq:
 		return &BatchScrapeRequest{V: 99, T: 77, HasT: true, Servers: []int{9, 8, 7, 6, 5, 4, 3, 2, 1}}
 	case FrameBatchScrapeResp:
@@ -325,9 +300,7 @@ func TestTypedRoundTrips(t *testing.T) {
 	learned := rep
 	learned.CurveConf, learned.CurveCells = 0.375, 3
 	for _, want := range []any{
-		&rep,
-		&learned,
-		&AssignRequest{V: ProtocolV, Epoch: 1, Seq: 4, Server: 0, T: 300, CapW: 75, Iv: 7, LeaseIv: 2, IvS: 0.5},
+		&BatchScrapeResponse{V: ProtocolV, Results: []ScrapeResult{{Server: 5, Report: rep}, {Server: 6, Report: learned}}},
 		&VoteRequest{V: ProtocolV, Phase: VotePrepare, Ballot: 3},
 		&ShardReport{
 			V: ProtocolV, Shard: 4, Epoch: 2, Seq: 33, T: 900, Leading: true,
@@ -371,7 +344,7 @@ func roundTripAllocs[M any](t *testing.T, p []byte) {
 	}
 }
 
-// goldenLine is one line of testdata/wire_v3.golden.
+// goldenLine is one line of testdata/wire_v4.golden.
 type goldenLine struct {
 	name    string
 	ftype   byte
@@ -381,7 +354,7 @@ type goldenLine struct {
 
 func readGolden(t *testing.T) []goldenLine {
 	t.Helper()
-	data, err := os.ReadFile("testdata/wire_v3.golden")
+	data, err := os.ReadFile("testdata/wire_v4.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,12 +383,15 @@ func readGolden(t *testing.T) []goldenLine {
 // TestWireGolden holds the walks to the bytes the hand-written encoders
 // they replaced produced, and to those decoders' verdicts. One walk
 // drives both directions, so a round trip cannot see two same-width
-// fields transposed; the golden file can: it was generated at the parent
-// of the walk (PR 20's codec) from canonicalMessages and edgeSeeds, in
-// this order. Every payload the old decoders accepted must decode and
-// re-encode to the same bytes under the same frame type, everything they
-// refused must still be refused, and a canonical payload must decode to
-// the literal it was built from, field by field.
+// fields transposed; the golden file can. It was generated by those
+// encoders from canonicalMessages and edgeSeeds; v4 dropped the lines of
+// the retired frame types and kept every other line byte for byte, so
+// its canonical lines are one per frame type and its edge lines are, in
+// order, the leading seeds of edgeSeeds (registration and votes). Every
+// payload the old decoders accepted must decode and re-encode to the
+// same bytes under the same frame type, everything they refused must
+// still be refused, and a canonical payload must decode to the literal
+// it was built from, field by field.
 func TestWireGolden(t *testing.T) {
 	lines := readGolden(t)
 	canonical := map[byte]any{}
@@ -424,24 +400,29 @@ func TestWireGolden(t *testing.T) {
 		canonical[ftype] = m
 	}
 	seeds := edgeSeeds()
-	if want := len(canonical) + len(seeds); len(lines) != want {
-		t.Fatalf("golden file has %d payloads, the corpora %d", len(lines), want)
-	}
-	for i, g := range lines {
+	nCanonical, nEdge := 0, 0
+	for _, g := range lines {
+		isCanonical := strings.HasPrefix(g.name, "canonical/")
 		var source []byte
-		if i < len(canonical) {
-			source = wireBytes(canonical[g.ftype])
-		} else if s := seeds[i-len(canonical)]; s.ftype == g.ftype {
-			source = s.payload
+		if m, ok := canonical[g.ftype]; isCanonical && ok {
+			source = wireBytes(m)
+			nCanonical++
+		} else if !isCanonical && nEdge < len(seeds) && seeds[nEdge].ftype == g.ftype {
+			source = seeds[nEdge].payload
+			nEdge++
 		}
 		if !bytes.Equal(source, g.payload) {
 			t.Errorf("%s: the corpus now encodes %x, the golden file holds %x", g.name, source, g.payload)
 		}
 		m := newMessage(g.ftype)
+		if m == nil {
+			t.Errorf("%s: no message has frame type %#02x", g.name, g.ftype)
+			continue
+		}
 		err := decode(g.payload, m)
 		// The verdicts were recorded with a 64-bit int. A 32-bit decoder
 		// may refuse more — a cell count past its int — never accept more.
-		if (err == nil) != g.ok && (err == nil || strconv.IntSize == 64 || i < len(canonical)) {
+		if (err == nil) != g.ok && (err == nil || strconv.IntSize == 64 || isCanonical) {
 			t.Errorf("%s: decode says %v, the hand-written decoder said ok=%v", g.name, err, g.ok)
 		}
 		if err != nil {
@@ -450,9 +431,12 @@ func TestWireGolden(t *testing.T) {
 		if re, ftype := encode(nil, m); ftype != g.ftype || !bytes.Equal(re, g.payload) {
 			t.Errorf("%s: re-encoded as frame %#02x %x, want %#02x %x", g.name, ftype, re, g.ftype, g.payload)
 		}
-		if i < len(canonical) && !reflect.DeepEqual(m, canonical[g.ftype]) {
+		if isCanonical && !reflect.DeepEqual(m, canonical[g.ftype]) {
 			t.Errorf("%s decoded as\n %+v, built from\n %+v", g.name, m, canonical[g.ftype])
 		}
+	}
+	if nCanonical != len(canonical) {
+		t.Errorf("golden file pins %d canonical payloads, the corpus has %d frame types", nCanonical, len(canonical))
 	}
 }
 
@@ -483,12 +467,8 @@ func TestWireSpecTable(t *testing.T) {
 			t.Errorf("%s answers frame %#02x as %#02x, not the next frame type", reply, pair[0], pair[1])
 		}
 	}
-	add(framePair(rpcScrape))
-	add(framePair(rpcAssign))
-	add(framePair(rpcLease))
 	add(framePair(rpcRegister))
 	add(framePair(rpcVote))
-	add(framePair(rpcLeader))
 	add(framePair(rpcBatchScrape))
 	add(framePair(rpcBatchGrant))
 	add(framePair(rpcShardReport))
@@ -544,17 +524,12 @@ func TestWireSpecTable(t *testing.T) {
 // destination to the heap. And the panic is what an unknown type gets.
 func TestCodecWalkAllocs(t *testing.T) {
 	msgs := canonicalMessages()
-	roundTripAllocs[AssignRequest](t, msgs[FrameAssignReq])
-	roundTripAllocs[AssignResponse](t, msgs[FrameAssignResp])
-	roundTripAllocs[scrapeRequest](t, msgs[FrameScrapeReq])
-	roundTripAllocs[LeaseRequest](t, msgs[FrameLeaseReq])
-	roundTripAllocs[LeaseResponse](t, msgs[FrameLeaseResp])
 	roundTripAllocs[ShardReportRequest](t, msgs[FrameShardReportReq])
 	roundTripAllocs[ShardBudgetRequest](t, msgs[FrameShardBudgetReq])
 	roundTripAllocs[ShardBudgetResponse](t, msgs[FrameShardBudgetResp])
 
 	var buf []byte
-	for _, warm := range []any{new(BatchScrapeResponse), new(BatchGrantResponse), new(BatchScrapeRequest), new(BatchGrantRequest), new(ShardReport), new(Report)} {
+	for _, warm := range []any{new(BatchScrapeResponse), new(BatchGrantResponse), new(BatchScrapeRequest), new(BatchGrantRequest), new(ShardReport)} {
 		_, ftype := encode(nil, warm)
 		if allocs := testing.AllocsPerRun(20, func() {
 			if err := decode(msgs[ftype], warm); err != nil {
@@ -578,12 +553,15 @@ func TestCodecWalkAllocs(t *testing.T) {
 // TestDecodeFrameErrors is the malformed-frame table: truncation,
 // garbage, oversize, and foreign versions must all be refused.
 func TestDecodeFrameErrors(t *testing.T) {
-	ok := EncodeFrame(FrameLeaseReq, wireBytes(&LeaseRequest{
-		V: ProtocolV, Epoch: 1, Server: 0, T: 0, Iv: 1, LeaseIv: 1, IvS: 1,
+	ok := EncodeFrame(FrameBatchGrantReq, wireBytes(&BatchGrantRequest{
+		V: ProtocolV, Epoch: 1, Seq: 1, Iv: 1, LeaseIv: 1, IvS: 1, Entries: []GrantEntry{{CapW: 1}},
 	}))
 	oversize := make([]byte, frameHeaderLen)
-	oversize[0], oversize[1], oversize[2], oversize[3] = frameMagic0, frameMagic1, ProtocolV, FrameAssignReq
+	oversize[0], oversize[1], oversize[2], oversize[3] = frameMagic0, frameMagic1, ProtocolV, FrameRegisterReq
 	binary.BigEndian.PutUint32(oversize[4:8], maxBodyBytes+1)
+	// A length past 2³¹ is a negative int on a 32-bit platform.
+	huge := mutate(oversize, 3, FrameBatchScrapeResp)
+	binary.BigEndian.PutUint32(huge[4:8], math.MaxUint32)
 	cases := []struct {
 		name string
 		data []byte
@@ -593,12 +571,14 @@ func TestDecodeFrameErrors(t *testing.T) {
 		{"short header", ok[:frameHeaderLen-1], "truncated"},
 		{"bad magic", append([]byte("XX"), ok[2:]...), "bad frame magic"},
 		{"garbage", []byte("GET /ctrl/report HTTP/1.1\r\n"), "bad frame magic"},
-		{"foreign version", mutate(ok, 2, ProtocolV+1), "protocol v4"},
+		{"foreign version", mutate(ok, 2, ProtocolV+1), "protocol v5"},
+		{"v3 frame", mutate(ok, 2, 3), "protocol v3"},
 		{"zero version", mutate(ok, 2, 0), "protocol v0"},
 		{"unknown type 0x00", mutate(ok, 3, 0x00), "unknown frame type"},
 		{"unknown type 0x15", mutate(ok, 3, 0x15), "unknown frame type"},
 		{"unknown type 0x80", mutate(ok, 3, 0x80), "unknown frame type"},
 		{"oversize payload", oversize, "exceeds"},
+		{"length past 2^31", huge, "exceeds"},
 		{"truncated payload", ok[:len(ok)-4], "payload truncated"},
 	}
 	for _, tc := range cases {
@@ -700,31 +680,31 @@ func TestPayloadStrictness(t *testing.T) {
 			t.Errorf("%s: got %v, want an error containing %q", what, err, want)
 		}
 	}
-	lease := wireBytes(&LeaseRequest{V: ProtocolV, Epoch: 1, Server: 0, T: 0, Iv: 1, LeaseIv: 1, IvS: 1})
-	refused("trailing byte", new(LeaseRequest), append(lease, 0), "trailing")
-	refused("truncated payload", new(LeaseRequest), lease[:len(lease)-1], "truncated")
-	// The leader request has no fields: any byte is a trailing one.
-	refused("leader request with a payload", new(leaderRequest), []byte{0}, "trailing")
+	grant := BatchGrantRequest{V: ProtocolV, Epoch: 1, Seq: 1, Iv: 1, LeaseIv: 1, IvS: 1, Entries: []GrantEntry{{CapW: 1}}}
+	p := wireBytes(&grant)
+	refused("trailing byte", new(BatchGrantRequest), append(p, 0), "trailing")
+	refused("truncated entry", new(BatchGrantRequest), p[:len(p)-1], "exceeds payload")
+	budget := wireBytes(&ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 1, CapW: 1, Iv: 1, LeaseIv: 1, IvS: 1})
+	refused("truncated payload", new(ShardBudgetRequest), budget[:len(budget)-1], "truncated")
 
 	// Bool byte 2 would decode true but re-encode as 1 — refused.
-	scrape := wireBytes(&scrapeRequest{1, 5, true})
+	scrape := wireBytes(&BatchScrapeRequest{V: ProtocolV, T: 5, HasT: true, Servers: []int{1}})
 	scrape[8] = 2
-	refused("bool byte 2", new(scrapeRequest), scrape, "0|1")
+	refused("bool byte 2", new(BatchScrapeRequest), scrape, "0|1")
 
-	// A clock reading the hasT flag disowns is refused by the unary
-	// decoder exactly as BatchScrapeRequest.Validate refuses it.
-	refused("unary scrape time without hasT", new(scrapeRequest), wireBytes(&scrapeRequest{1, 5, false}), "without hasT")
+	// A clock reading the hasT flag disowns is refused.
 	refused("batch scrape time without hasT", new(BatchScrapeRequest),
 		wireBytes(&BatchScrapeRequest{V: ProtocolV, T: 5, Servers: []int{1}}), "without hasT")
 
 	// A curve count past the remaining payload must fail fast, not
-	// allocate. With an empty curve the count u32 sits just before the
-	// trailing interval-counter u64. The second count is the one whose
-	// byte size (×24) wraps a 32-bit int to exactly the 8 bytes left.
+	// allocate. A report is the last thing in a one-slot scrape reply, and
+	// with an empty curve its count u32 sits just before the trailing
+	// interval-counter u64. The second count is the one whose byte size
+	// (×24) wraps a 32-bit int to exactly the 8 bytes left.
 	for _, count := range []uint32{1 << 30, 0x0AAAAAAB} {
-		rep := wireBytes(&Report{V: ProtocolV, Server: 0, SoC: 0.5, Version: ""})
+		rep := reportSlot(Report{V: ProtocolV, Server: 0, SoC: 0.5, Version: ""})
 		binary.BigEndian.PutUint32(rep[len(rep)-12:len(rep)-8], count)
-		refused("lying curve count", new(Report), rep, "curve count")
+		refused("lying curve count", new(BatchScrapeResponse), rep, "curve count")
 	}
 
 	// Same for batch entry counts.
@@ -756,7 +736,7 @@ func TestPayloadStrictness(t *testing.T) {
 
 	// The curve-meta flag over all-zero meta would re-encode without
 	// the flag; the non-canonical form is refused.
-	withCurve := wireBytes(&Report{
+	withCurve := reportSlot(Report{
 		V: ProtocolV, Server: 0, SoC: 0.5,
 		UtilityCurve: []cluster.CapPoint{{CapW: 25, Perf: 1, GridW: 25}},
 	})
@@ -770,39 +750,83 @@ func TestPayloadStrictness(t *testing.T) {
 	flagged = binary.BigEndian.AppendUint64(flagged, 0) // zero conf f64
 	flagged = binary.BigEndian.AppendUint32(flagged, 0) // zero cells u32
 	flagged = append(flagged, withCurve[len(withCurve)-8:]...)
-	refused("flagged zero curve meta", new(Report), flagged, "zero meta")
+	refused("flagged zero curve meta", new(BatchScrapeResponse), flagged, "zero meta")
 
 	// And a legacy frame — flag never set — still decodes.
-	if err := decode(withCurve, new(Report)); err != nil {
+	if err := decode(withCurve, new(BatchScrapeResponse)); err != nil {
 		t.Errorf("legacy meta-less report: %v", err)
 	}
 
 	// Semantic validation runs behind structural decode: epoch 0 is a
 	// clean payload but an invalid request.
-	good := AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0, CapW: 1, Iv: 1, LeaseIv: 1, IvS: 300}
-	bad := good
-	bad.Epoch = 0
-	refused("epoch 0 assign", new(AssignRequest), wireBytes(&bad), "epoch 0")
+	refused("epoch 0 grant", new(BatchGrantRequest), wireBytes(with(&grant, func(r *BatchGrantRequest) { r.Epoch = 0 })), "epoch 0")
 
 	// Every grant carries a whole lease clock: a zero mint interval,
 	// lease length, or interval length would mint a budget that never
 	// lapses, and the decoder refuses it.
-	for name, mut := range map[string]func(*AssignRequest){
-		"leaseIv 0": func(r *AssignRequest) { r.LeaseIv = 0 },
-		"iv 0":      func(r *AssignRequest) { r.Iv = 0 },
-		"ivS 0":     func(r *AssignRequest) { r.IvS = 0 },
-		"all zero":  func(r *AssignRequest) { r.Iv, r.LeaseIv, r.IvS = 0, 0, 0 },
+	for name, mut := range map[string]func(*BatchGrantRequest){
+		"leaseIv 0": func(r *BatchGrantRequest) { r.LeaseIv = 0 },
+		"iv 0":      func(r *BatchGrantRequest) { r.Iv = 0 },
+		"ivS 0":     func(r *BatchGrantRequest) { r.IvS = 0 },
+		"all zero":  func(r *BatchGrantRequest) { r.Iv, r.LeaseIv, r.IvS = 0, 0, 0 },
 	} {
-		bad := good
-		mut(&bad)
-		refused("binary assign with "+name, new(AssignRequest), wireBytes(&bad), "lease clock")
+		refused("batch grant with "+name, new(BatchGrantRequest), wireBytes(with(&grant, mut)), "lease clock")
 	}
-	refused("renewal with leaseIv 0", new(LeaseRequest),
-		wireBytes(&LeaseRequest{V: ProtocolV, Epoch: 1, Iv: 1, IvS: 300}), "lease clock")
 	refused("shard budget with leaseIv 0", new(ShardBudgetRequest),
 		wireBytes(&ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 1, CapW: 1, Iv: 1, IvS: 300}), "lease clock")
-	refused("batch grant with leaseIv 0", new(BatchGrantRequest),
-		wireBytes(&BatchGrantRequest{V: ProtocolV, Epoch: 1, Seq: 1, Iv: 1, IvS: 300, Entries: []GrantEntry{{Server: 0, CapW: 1}}}), "lease clock")
+}
+
+// reportSlot is the payload of a scrape reply whose one slot carries r:
+// the report is the payload's tail.
+func reportSlot(r Report) []byte {
+	return wireBytes(&BatchScrapeResponse{V: ProtocolV, Results: []ScrapeResult{{Server: r.Server, Report: r}}})
+}
+
+// TestBatchRequestBound: a batch request is held to the request bound,
+// not the reply one, and the header alone is refused — a peer's lying
+// length must not size a conn's buffer. A full batch grant is about
+// 70 KB; a 2 MiB claim fits the 16 MiB reply bound but no request.
+func TestBatchRequestBound(t *testing.T) {
+	claim := func(ftype byte, n uint32) []byte {
+		hdr := finishFrame(appendFrameHeader(nil), ftype)
+		binary.BigEndian.PutUint32(hdr[4:8], n)
+		return hdr
+	}
+	for _, ftype := range []byte{FrameBatchGrantReq, FrameBatchScrapeReq} {
+		buf := make([]byte, minFrameBuf)
+		_, _, err := readFrame(bytes.NewReader(claim(ftype, 2<<20)), &buf)
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("frame %#02x claiming 2 MiB: readFrame says %v, want a refusal", ftype, err)
+		}
+		if cap(buf) != minFrameBuf {
+			t.Errorf("frame %#02x claiming 2 MiB grew the conn's buffer to %d bytes", ftype, cap(buf))
+		}
+		if _, _, _, err := DecodeFrame(claim(ftype, 2<<20)); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("frame %#02x claiming 2 MiB: DecodeFrame says %v", ftype, err)
+		}
+	}
+	// The largest legal requests fit with room to spare.
+	full := BatchGrantRequest{V: ProtocolV, Epoch: 1, Seq: 1, Iv: 1, LeaseIv: 1, IvS: 1, Entries: make([]GrantEntry, maxBatchEntries)}
+	if n := len(wireBytes(&full)); n > maxBodyBytes/8 {
+		t.Errorf("a full batch grant is %d bytes, close to the %d-byte request bound", n, maxBodyBytes)
+	}
+	// Replies keep the batch bound: the header of a 2 MiB scrape reply
+	// passes, and only the missing payload stops it.
+	if _, _, _, err := DecodeFrame(claim(FrameBatchScrapeResp, 2<<20)); err == nil || !strings.Contains(err.Error(), "payload truncated") {
+		t.Errorf("2 MiB scrape reply header: %v, want it past the header check", err)
+	}
+
+	// A listener drops the conn on the header, before reading or
+	// buffering a payload byte.
+	a, err := NewAgent(AgentConfig{ID: 0, Backend: &fakeBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := dialRaw(t, serveEndpoints(t, map[int]CtrlEndpoint{0: a}))
+	if _, err := raw.Write(claim(FrameBatchGrantReq, 2<<20)); err != nil {
+		t.Fatal(err)
+	}
+	wantDropped(t, raw, "2 MiB grant header")
 }
 
 // BenchmarkCodecBatchReply is the codec's own cost outside psperf: a

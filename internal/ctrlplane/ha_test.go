@@ -596,13 +596,7 @@ func TestStorePartitionFailsOver(t *testing.T) {
 	}
 }
 
-// rpcLeader is the leader probe's client half (operators use pscoord's
-// GET /ctrl/leader rendering; only this test sends the frame).
-var rpcLeader = rpc[leaderRequest, LeaderStatus]{"leader"}
-
-func (leaderRequest) Validate() error { return nil }
-
-// serveCoordinator hosts c's register/leader frames on a loopback
+// serveCoordinator hosts c's register/vote frames on a loopback
 // listener for the test's lifetime.
 func serveCoordinator(t *testing.T, c *Coordinator) *BinaryServer {
 	t.Helper()
@@ -685,13 +679,10 @@ func TestRegisterGrowsFleet(t *testing.T) {
 		t.Fatalf("re-announcement grew the fleet: %d budgets, %d registrations", len(res.Budgets), coord.Stats().Registrations)
 	}
 
-	// The leadership probe answers on the same listener.
-	bin := newBinaryTransport(nil, nil)
-	defer bin.Close()
-	var st LeaderStatus
-	err = send(context.Background(), bin, srvURL, rpcLeader, leaderRequest{}, &st)
-	if err != nil || !st.Leader || st.Epoch != coord.Epoch() {
-		t.Fatalf("leader probe: %+v, %v", st, err)
+	// The leadership view pscoord renders on GET /ctrl/leader: a plain
+	// coordinator leads its own epoch.
+	if st := CoordStatus(coord, nil); !st.Leader || st.Epoch != coord.Epoch() {
+		t.Fatalf("leadership view %+v", st)
 	}
 
 	// A static fleet refuses registrations.

@@ -80,7 +80,7 @@ func (k *kept) check(t *testing.T, when string) {
 // buffers the conns and the coordinator reuse, so nothing an interval
 // hands out or stores may alias them. A fleet whose members change
 // curve, version and error state every interval — six behind one
-// listener (batch frames), two on their own (unary) — runs under a
+// listener, two on their own (one-entry batch frames) — runs under a
 // fault injector that drops and duplicates exchanges; while interval
 // k+1 overwrites every buffer, a reader walks everything interval k
 // left behind. Run under -race in CI.

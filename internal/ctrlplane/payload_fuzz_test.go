@@ -14,6 +14,7 @@ import (
 // edge: the smallest valid form, or a mutation its Validate must refuse.
 type edgeSeed struct {
 	ftype   byte
+	lease   bool // a renewal on the grant frame: FuzzDecodeLease's seed, not FuzzDecodeAssign's
 	payload []byte
 }
 
@@ -24,62 +25,20 @@ func with[T any](v *T, mut func(*T)) *T {
 	return &c
 }
 
-// edgeSeeds are the seeds the JSON decoders' fuzzers carried, re-encoded
-// as payloads: FuzzDecodeFrame frames them, the per-message fuzzers feed
-// them to their decoder bare. The order is fixed so corpus ids are.
+// edgeSeeds are hand-written payloads on the decoders' edges:
+// FuzzDecodeFrame frames them, the per-message fuzzers feed them to their
+// decoder bare. The order is fixed so corpus ids are, and the register
+// and vote seeds lead: they are the edge lines of the golden file.
 func edgeSeeds() []edgeSeed {
 	var out []edgeSeed
 	add := func(ftype byte, payloads ...[]byte) {
 		for _, p := range payloads {
-			out = append(out, edgeSeed{ftype, p})
+			out = append(out, edgeSeed{ftype: ftype, payload: p})
 		}
 	}
 	structural := func(ftype byte, good []byte) {
 		add(ftype, append(append([]byte{}, good...), 1), good[:len(good)-1], []byte("not a payload"), nil)
 	}
-
-	assign := AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, CapW: 1, Iv: 1, LeaseIv: 1, IvS: 300}
-	for _, mut := range []func(*AssignRequest){
-		func(r *AssignRequest) { r.LeaseIv = 0 },
-		func(r *AssignRequest) { r.Epoch = 0 },
-		func(r *AssignRequest) { r.Seq, r.Server, r.T, r.CapW, r.IvS = 0, -1, -5, -1, -1 },
-		func(r *AssignRequest) { r.T = math.Inf(1) },
-		func(r *AssignRequest) { r.CapW = math.NaN() },
-		func(r *AssignRequest) { *r = AssignRequest{} },
-	} {
-		add(FrameAssignReq, wireBytes(with(&assign, mut)))
-	}
-	structural(FrameAssignReq, wireBytes(&assign))
-
-	point := func(capW float64) cluster.CapPoint {
-		return cluster.CapPoint{CapW: capW, Perf: capW / 10, GridW: capW / 2}
-	}
-	rep := Report{V: ProtocolV, Seq: 1, CapW: 1, PerfN: 1, GridW: 1, SoC: 0.5, IdleFloorW: 1, NameplateW: 2}
-	for _, mut := range []func(*Report){
-		func(r *Report) { *r = Report{V: ProtocolV, Fenced: true} },
-		func(r *Report) { r.UtilityCurve = []cluster.CapPoint{point(2), point(4)} },
-		func(r *Report) { r.UtilityCurve = []cluster.CapPoint{point(4), point(2)} },
-		func(r *Report) { r.SoC = 1.5 },
-		func(r *Report) { r.SoC = -0.1 },
-		func(r *Report) { r.Server = -1 },
-		func(r *Report) { r.UtilityCurve, r.CurveConf, r.CurveCells = []cluster.CapPoint{point(2)}, 0.5, 3 },
-		func(r *Report) { r.UtilityCurve, r.CurveConf, r.CurveCells = []cluster.CapPoint{point(2)}, 1.5, 3 },
-		func(r *Report) { r.CurveConf, r.CurveCells = 0.5, 3 },
-		func(r *Report) { r.UtilityCurve, r.CurveCells = []cluster.CapPoint{point(2)}, -1 },
-	} {
-		add(FrameReportResp, wireBytes(with(&rep, mut)))
-	}
-
-	lease := LeaseRequest{V: ProtocolV, Epoch: 1, Iv: 1, LeaseIv: 2, IvS: 5}
-	for _, mut := range []func(*LeaseRequest){
-		func(*LeaseRequest) {},
-		func(r *LeaseRequest) { r.Epoch = 0 },
-		func(r *LeaseRequest) { r.IvS = -1 },
-		func(r *LeaseRequest) { r.LeaseIv = 0 },
-	} {
-		add(FrameLeaseReq, wireBytes(with(&lease, mut)))
-	}
-	structural(FrameLeaseReq, wireBytes(&lease))
 
 	reg := RegisterRequest{V: ProtocolV, URL: "tcp://localhost:1", NameplateW: 100}
 	for _, mut := range []func(*RegisterRequest){
@@ -130,25 +89,103 @@ func edgeSeeds() []edgeSeed {
 	}
 	structural(FrameVoteResp, wireBytes(&granted))
 
+	// Every bound a grant or a renewal once had a frame of its own to
+	// enforce, now on the one grant frame. A grant's seeds carry one
+	// plain entry and each mutation must be refused; a renewal's carry
+	// one Renew entry and lead with the valid renewal.
+	grant := BatchGrantRequest{V: ProtocolV, Epoch: 1, Seq: 1, Iv: 1, LeaseIv: 1, IvS: 300,
+		Entries: []GrantEntry{{CapW: 1}}}
+	entry := func(mut func(*GrantEntry)) func(*BatchGrantRequest) {
+		return func(r *BatchGrantRequest) {
+			r.Entries = []GrantEntry{r.Entries[0]}
+			mut(&r.Entries[0])
+		}
+	}
+	for _, mut := range []func(*BatchGrantRequest){
+		func(r *BatchGrantRequest) { r.LeaseIv = 0 },
+		func(r *BatchGrantRequest) { r.Epoch = 0 },
+		func(r *BatchGrantRequest) { r.Seq = 0 },
+		entry(func(e *GrantEntry) { e.Server = -1 }),
+		func(r *BatchGrantRequest) { r.T = math.Inf(1) },
+		entry(func(e *GrantEntry) { e.CapW = math.NaN() }),
+		func(r *BatchGrantRequest) { *r = BatchGrantRequest{} },
+		func(r *BatchGrantRequest) { r.IvS = -1 },
+		func(r *BatchGrantRequest) { r.T = -5 },
+		entry(func(e *GrantEntry) { e.CapW = -1 }),
+	} {
+		add(FrameBatchGrantReq, wireBytes(with(&grant, mut)))
+	}
+	structural(FrameBatchGrantReq, wireBytes(&grant))
+
+	renew := BatchGrantRequest{V: ProtocolV, Epoch: 1, Seq: 1, Iv: 1, LeaseIv: 2, IvS: 5,
+		Entries: []GrantEntry{{CapW: 1, Renew: true}}}
+	leases := len(out)
+	for _, mut := range []func(*BatchGrantRequest){
+		func(*BatchGrantRequest) {},
+		func(r *BatchGrantRequest) { r.Epoch = 0 },
+		func(r *BatchGrantRequest) { r.IvS = -1 },
+		func(r *BatchGrantRequest) { r.LeaseIv = 0 },
+	} {
+		add(FrameBatchGrantReq, wireBytes(with(&renew, mut)))
+	}
+	structural(FrameBatchGrantReq, wireBytes(&renew))
+	for i := leases; i < len(out); i++ {
+		out[i].lease = true
+	}
+
+	scrape := BatchScrapeRequest{V: ProtocolV, T: 5, HasT: true, Servers: []int{0}}
+	for _, mut := range []func(*BatchScrapeRequest){
+		func(r *BatchScrapeRequest) { r.HasT = false },
+		func(r *BatchScrapeRequest) { r.T, r.HasT = 0, false },
+		func(r *BatchScrapeRequest) { r.T = -1 },
+		func(r *BatchScrapeRequest) { r.T = math.NaN() },
+		func(r *BatchScrapeRequest) { r.Servers = []int{0, -1} },
+		func(r *BatchScrapeRequest) { r.Servers = nil },
+	} {
+		add(FrameBatchScrapeReq, wireBytes(with(&scrape, mut)))
+	}
+	structural(FrameBatchScrapeReq, wireBytes(&scrape))
+
+	// Reports reach the coordinator only as scrape reply slots; each seed
+	// is a one-slot reply, so the report is the payload's tail.
+	point := func(capW float64) cluster.CapPoint {
+		return cluster.CapPoint{CapW: capW, Perf: capW / 10, GridW: capW / 2}
+	}
+	rep := Report{V: ProtocolV, Seq: 1, CapW: 1, PerfN: 1, GridW: 1, SoC: 0.5, IdleFloorW: 1, NameplateW: 2}
+	for _, mut := range []func(*Report){
+		func(r *Report) { *r = Report{V: ProtocolV, Fenced: true} },
+		func(r *Report) { r.UtilityCurve = []cluster.CapPoint{point(2), point(4)} },
+		func(r *Report) { r.UtilityCurve = []cluster.CapPoint{point(4), point(2)} },
+		func(r *Report) { r.SoC = 1.5 },
+		func(r *Report) { r.SoC = -0.1 },
+		func(r *Report) { r.Server = -1 },
+		func(r *Report) { r.UtilityCurve, r.CurveConf, r.CurveCells = []cluster.CapPoint{point(2)}, 0.5, 3 },
+		func(r *Report) { r.UtilityCurve, r.CurveConf, r.CurveCells = []cluster.CapPoint{point(2)}, 1.5, 3 },
+		func(r *Report) { r.CurveConf, r.CurveCells = 0.5, 3 },
+		func(r *Report) { r.UtilityCurve, r.CurveCells = []cluster.CapPoint{point(2)}, -1 },
+	} {
+		add(FrameBatchScrapeResp, reportSlot(*with(&rep, mut)))
+	}
 	// A curve count whose size in bytes (×24) wraps a 32-bit int to the 8
 	// bytes that follow it: a guard that multiplies lets it through to
 	// the allocation.
-	wrap := wireBytes(&Report{V: ProtocolV, SoC: 0.5})
+	wrap := reportSlot(Report{V: ProtocolV, SoC: 0.5})
 	binary.BigEndian.PutUint32(wrap[len(wrap)-12:], 0x0AAAAAAB)
-	add(FrameReportResp, wrap)
+	add(FrameBatchScrapeResp, wrap)
 	return out
 }
 
 // fuzzPayload hammers decode of one message with arbitrary payload
 // bytes: it must never panic, and anything it accepts must satisfy the
-// message's validated invariants and re-encode to the very bytes it was
-// decoded from — one byte representation per value. A report, the one of
-// the six with a reusable destination, takes decodeReused's equivalence
-// check on the way.
-func fuzzPayload(f *testing.F, ftype byte) {
+// message's validated invariants — a scrape reply's, each report it
+// carries — and re-encode to the very bytes it was decoded from: one
+// byte representation per value. A message with a reusable destination
+// takes decodeReused's equivalence check on the way. The grant frame
+// has two seed sets: lease picks the renewals' over the grants'.
+func fuzzPayload(f *testing.F, ftype byte, lease bool) {
 	f.Add(canonicalMessages()[ftype])
 	for _, s := range edgeSeeds() {
-		if s.ftype == ftype {
+		if s.ftype == ftype && s.lease == lease {
 			f.Add(s.payload)
 		}
 	}
@@ -159,7 +196,17 @@ func fuzzPayload(f *testing.F, ftype byte) {
 		}
 		// Value receivers: the method set of the pointer decodeReused
 		// returns includes them.
-		if err := m.(validator).Validate(); err != nil {
+		switch m := m.(type) {
+		case validator:
+			err = m.Validate()
+		case *BatchScrapeResponse:
+			for i := 0; i < len(m.Results) && err == nil; i++ {
+				if m.Results[i].Err == "" {
+					err = m.Results[i].Report.Validate()
+				}
+			}
+		}
+		if err != nil {
 			t.Fatalf("accepted message fails validation: %v", err)
 		}
 		if re := wireBytes(m); !bytes.Equal(re, data) {
@@ -168,14 +215,17 @@ func fuzzPayload(f *testing.F, ftype byte) {
 	})
 }
 
-// The six decoders an untrusted peer reaches first — grants, reports
-// (whose curves feed the apportioning DP), renewals, registrations (whose
-// URL the coordinator dials every interval) and both halves of a quorum
-// vote — each get the bare-payload treatment; FuzzDecodeFrame covers
-// every frame type behind the header.
-func FuzzDecodeAssign(f *testing.F)    { fuzzPayload(f, FrameAssignReq) }
-func FuzzDecodeReport(f *testing.F)    { fuzzPayload(f, FrameReportResp) }
-func FuzzDecodeLease(f *testing.F)     { fuzzPayload(f, FrameLeaseReq) }
-func FuzzDecodeRegister(f *testing.F)  { fuzzPayload(f, FrameRegisterReq) }
-func FuzzDecodeVote(f *testing.F)      { fuzzPayload(f, FrameVoteReq) }
-func FuzzDecodeVoteReply(f *testing.F) { fuzzPayload(f, FrameVoteResp) }
+// The decoders an untrusted peer reaches first each get the bare-payload
+// treatment: the grant frame twice (seeded with grants, then with
+// renewals, the two messages it carries), the scrape request, the scrape
+// reply whose reports (and curves) feed the apportioning DP, the
+// registration whose URL the coordinator dials every interval, and both
+// halves of a quorum vote. FuzzDecodeFrame covers every frame type
+// behind the header.
+func FuzzDecodeAssign(f *testing.F)      { fuzzPayload(f, FrameBatchGrantReq, false) }
+func FuzzDecodeLease(f *testing.F)       { fuzzPayload(f, FrameBatchGrantReq, true) }
+func FuzzDecodeBatchScrape(f *testing.F) { fuzzPayload(f, FrameBatchScrapeReq, false) }
+func FuzzDecodeReport(f *testing.F)      { fuzzPayload(f, FrameBatchScrapeResp, false) }
+func FuzzDecodeRegister(f *testing.F)    { fuzzPayload(f, FrameRegisterReq, false) }
+func FuzzDecodeVote(f *testing.F)        { fuzzPayload(f, FrameVoteReq, false) }
+func FuzzDecodeVoteReply(f *testing.F)   { fuzzPayload(f, FrameVoteResp, false) }

@@ -82,7 +82,7 @@ func TestVoterHandlerRejectsBadTraffic(t *testing.T) {
 		"accept of epoch 0":    wireBytes(&VoteRequest{Phase: VoteAccept, Ballot: 1, Term: term(0)}),
 		"trailing bogus bytes": append(append([]byte{}, prepare...), 1),
 	} {
-		err := sendRaw(raw, FrameVoteReq, payload)
+		err := sendRaw(raw, FrameVoteReq, payload, nil)
 		var remote *frameRemoteError
 		if !errors.As(err, &remote) {
 			t.Fatalf("%s: got %v, want an error frame", what, err)

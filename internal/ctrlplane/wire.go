@@ -15,8 +15,11 @@ import (
 // fencing) and agent registration; the strict decoders mean a v1 peer
 // rejects the new fields rather than silently ignoring them. v3 made
 // the protocol clock the only lease: grants lost their seconds lease
-// and LeaseResponse reports the lapse boundary in intervals.
-const ProtocolV = 3
+// and LeaseResponse reports the lapse boundary in intervals. v4 retired
+// the one-agent scrape, assign and lease frames and the leader probe:
+// every agent scrape and grant rides a batch frame, so a v3 peer that
+// still sends them is refused at the header.
+const ProtocolV = 4
 
 // Vote phases. A campaign is one prepare round (claim a ballot, learn
 // the newest accepted term) followed by one accept round (write the
@@ -29,7 +32,9 @@ const (
 // AssignRequest grants one server a power budget. The grant is also a
 // lease renewal: the agent may draw up to CapW until its effective
 // protocol-clock interval reaches Iv+LeaseIv, after which it fences
-// itself.
+// itself. It never crosses the wire: the listener builds one per batch
+// grant entry (BinaryServer.grantOne) from a BatchGrantRequest that has
+// passed Validate.
 type AssignRequest struct {
 	V int `json:"v"`
 	// Epoch is the granting coordinator's leadership epoch. Agents
@@ -59,32 +64,6 @@ type AssignRequest struct {
 	IvS float64 `json:"ivS"`
 }
 
-// Validate enforces the assign invariants the replay depends on.
-func (r AssignRequest) Validate() error {
-	if r.V != ProtocolV {
-		return fmt.Errorf("ctrlplane: assign protocol v%d, want v%d", r.V, ProtocolV)
-	}
-	if r.Epoch == 0 {
-		return fmt.Errorf("ctrlplane: assign epoch 0 (epochs start at 1)")
-	}
-	if r.Seq == 0 {
-		return fmt.Errorf("ctrlplane: assign seq 0 (sequence numbers start at 1)")
-	}
-	if r.Server < 0 {
-		return fmt.Errorf("ctrlplane: assign server %d", r.Server)
-	}
-	if !finite(r.T) || r.T < 0 {
-		return fmt.Errorf("ctrlplane: assign time %g", r.T)
-	}
-	if !finite(r.CapW) || r.CapW < 0 {
-		return fmt.Errorf("ctrlplane: assign cap %g W", r.CapW)
-	}
-	if err := validateClockFields(r.Iv, r.LeaseIv, r.IvS); err != nil {
-		return fmt.Errorf("ctrlplane: assign %w", err)
-	}
-	return nil
-}
-
 // validateClockFields enforces the protocol-clock triple every grant,
 // renewal and shard budget carries: a mint interval, a lease length in
 // intervals, and a nominal interval length to age the lease against. A
@@ -97,7 +76,7 @@ func validateClockFields(iv, leaseIv uint64, ivS float64) error {
 }
 
 // AssignResponse acknowledges a budget grant with the agent's state
-// after applying it.
+// after applying it; on the wire it is a batch grant reply's slot.
 type AssignResponse struct {
 	V      int `json:"v"`
 	Server int `json:"server"`
@@ -126,7 +105,8 @@ type AssignResponse struct {
 
 // Report is one telemetry scrape: the agent's enforced cap, draw,
 // battery state, and (optionally) its cap-utility curve for the
-// coordinator's apportioning DP.
+// coordinator's apportioning DP. On the wire it is a batch scrape
+// reply's slot.
 type Report struct {
 	V      int `json:"v"`
 	Server int `json:"server"`
@@ -219,7 +199,8 @@ func (r Report) Validate() error {
 // LeaseRequest renews an agent's draw lease without changing its
 // budget. Only the epoch that granted the in-force budget may renew
 // it: a renewal from any other epoch is answered with current state
-// but does not move the lease clock.
+// but does not move the lease clock. Like AssignRequest it never
+// crosses the wire: a batch grant entry marked Renew becomes one.
 type LeaseRequest struct {
 	V      int     `json:"v"`
 	Epoch  uint64  `json:"epoch"`
@@ -230,26 +211,6 @@ type LeaseRequest struct {
 	Iv      uint64  `json:"iv"`
 	LeaseIv uint64  `json:"leaseIv"`
 	IvS     float64 `json:"ivS"`
-}
-
-// Validate enforces the lease-renewal invariants.
-func (r LeaseRequest) Validate() error {
-	if r.V != ProtocolV {
-		return fmt.Errorf("ctrlplane: lease protocol v%d, want v%d", r.V, ProtocolV)
-	}
-	if r.Epoch == 0 {
-		return fmt.Errorf("ctrlplane: lease epoch 0 (epochs start at 1)")
-	}
-	if r.Server < 0 {
-		return fmt.Errorf("ctrlplane: lease server %d", r.Server)
-	}
-	if !finite(r.T) || r.T < 0 {
-		return fmt.Errorf("ctrlplane: lease time %g", r.T)
-	}
-	if err := validateClockFields(r.Iv, r.LeaseIv, r.IvS); err != nil {
-		return fmt.Errorf("ctrlplane: lease %w", err)
-	}
-	return nil
 }
 
 // LeaseResponse acknowledges a renewal. Epoch is the agent's highest

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"context"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -10,26 +9,13 @@ import (
 	"powerstruggle/internal/ctrlplane"
 )
 
-// ctrlWire is a daemon's control plane as a coordinator reaches it: the
-// frame listener over its CtrlEndpoint, and a bare client for the
-// hand-built grants these tests send.
-type ctrlWire struct {
-	url string
-	cl  *ctrlplane.Client
-}
-
-func (w ctrlWire) assign(req ctrlplane.AssignRequest) (ctrlplane.AssignResponse, error) {
-	return w.cl.Assign(context.Background(), w.url, req)
-}
-
-func (w ctrlWire) renew(req ctrlplane.LeaseRequest) (ctrlplane.LeaseResponse, error) {
-	return w.cl.Renew(context.Background(), w.url, req)
-}
-
 // ctrlDaemon boots a control-plane daemon (fleet index 0) on an injected
 // wall clock (drillClock.set moves it), so lease arithmetic in these
-// tests is exact instead of sleep-and-hope.
-func ctrlDaemon(t *testing.T, cfg CtrlConfig) (*Daemon, ctrlWire, *drillClock) {
+// tests is exact instead of sleep-and-hope, and returns its CtrlEndpoint:
+// the surface a listener calls once per batch slot, which these tests
+// call in-process with hand-built grants. A daemon over the real wire is
+// TestMixedFleetClockParity's and TestMixedFleetLearnedCurveParity's.
+func ctrlDaemon(t *testing.T, cfg CtrlConfig) (*Daemon, ctrlplane.CtrlEndpoint, *drillClock) {
 	t.Helper()
 	d, err := New(Config{Version: "test-build"})
 	if err != nil {
@@ -44,15 +30,7 @@ func ctrlDaemon(t *testing.T, cfg CtrlConfig) (*Daemon, ctrlWire, *drillClock) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ctrlplane.StartBinaryServer("127.0.0.1:0", ctrlplane.BinaryServerConfig{
-		Endpoints: map[int]ctrlplane.CtrlEndpoint{0: ep},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := ctrlWire{url: srv.URL(), cl: ctrlplane.NewClient()}
-	t.Cleanup(func() { w.cl.Close(); srv.Close() })
-	return d, w, clk
+	return d, ep, clk
 }
 
 // grant builds an epoch-1 assign minted in interval iv on a 10 s
@@ -68,13 +46,14 @@ func renewal(iv, leaseIv uint64) ctrlplane.LeaseRequest {
 }
 
 // The daemon's control surface: assigns apply the cap and dedup by
-// sequence, scrapes report the wire schema with the build version, and
-// misdirected messages bounce with an error frame.
+// sequence, and scrapes report the wire schema with the build version.
+// (A listener answers a misdirected entry with an error slot before any
+// endpoint sees it: ctrlplane's TestHandlerRouting.)
 func TestDaemonCtrlEndpoints(t *testing.T) {
-	d, w, _ := ctrlDaemon(t, CtrlConfig{})
+	d, ep, _ := ctrlDaemon(t, CtrlConfig{})
 
 	req := grant(1, 1, 2, 70)
-	ack, err := w.assign(req)
+	ack, err := ep.Assign(req)
 	if err != nil {
 		t.Fatalf("assign: %v", err)
 	}
@@ -90,27 +69,19 @@ func TestDaemonCtrlEndpoints(t *testing.T) {
 
 	// Duplicate sequence: acknowledged, not applied.
 	req.CapW = 30
-	if ack, err = w.assign(req); err != nil {
-		t.Fatalf("duplicate assign rejected at transport: %v", err)
+	if ack, err = ep.Assign(req); err != nil {
+		t.Fatalf("duplicate assign rejected: %v", err)
 	}
 	if ack.Applied {
 		t.Fatal("duplicate assign applied")
 	}
 
-	// Misdirected assign and lease.
-	req.Seq, req.Server = 2, 5
-	if _, err := w.assign(req); err == nil {
-		t.Fatal("misdirected assign answered")
-	}
-	lease := renewal(1, 2)
-	lease.Server = 5
-	if _, err := w.renew(lease); err == nil {
-		t.Fatal("misdirected lease answered")
-	}
-
-	// Scrape: wire-valid (the client's decoder validates it), versioned,
+	// Scrape: wire-valid (what a coordinator's decoder checks), versioned,
 	// curveless (a live daemon cannot pre-characterize its churning mix).
-	rep, err := w.cl.Scrape(context.Background(), w.url, 0, 42, true)
+	rep, err := ep.Scrape(42, true)
+	if err == nil {
+		err = rep.Validate()
+	}
 	if err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
@@ -127,15 +98,15 @@ func TestDaemonCtrlEndpoints(t *testing.T) {
 
 // A failed cap application must not consume the sequence number. A 0 W
 // cap is wire-valid (replay agents accept it) but the daemon's
-// simulation rejects it, so the coordinator gets an error frame and
+// simulation rejects it, so the coordinator gets an error slot and
 // retries the same seq — and the retry must apply rather than be
 // dropped as stale, or the wrong cap would persist for the rest of the
 // run.
 func TestDaemonCtrlFailedAssignKeepsSeq(t *testing.T) {
-	d, w, _ := ctrlDaemon(t, CtrlConfig{})
+	d, ep, _ := ctrlDaemon(t, CtrlConfig{})
 	req := grant(1, 1, 1, 0)
-	if _, err := w.assign(req); err == nil {
-		t.Fatal("0 W assign acknowledged, want an error frame")
+	if _, err := ep.Assign(req); err == nil {
+		t.Fatal("0 W assign acknowledged, want an error")
 	}
 	h := d.health()
 	if h.CtrlStaleDrops != 0 {
@@ -144,7 +115,7 @@ func TestDaemonCtrlFailedAssignKeepsSeq(t *testing.T) {
 
 	// The coordinator's retry carries the same seq with a fixed cap.
 	req.CapW = 70
-	ack, err := w.assign(req)
+	ack, err := ep.Assign(req)
 	if err != nil {
 		t.Fatalf("retried assign: %v", err)
 	}
@@ -165,16 +136,16 @@ func TestDaemonCtrlFailedAssignKeepsSeq(t *testing.T) {
 // including renewals, which must not keep a deposed leader's budget
 // alive.
 func TestDaemonCtrlEpochFencing(t *testing.T) {
-	d, w, _ := ctrlDaemon(t, CtrlConfig{})
+	d, ep, _ := ctrlDaemon(t, CtrlConfig{})
 
 	req := grant(9, 1, 10, 70)
 	req.Epoch = 2
-	if ack, err := w.assign(req); err != nil || !ack.Applied {
+	if ack, err := ep.Assign(req); err != nil || !ack.Applied {
 		t.Fatalf("epoch-2 grant: %+v, %v", ack, err)
 	}
 
 	// A delayed epoch-1 grant with a huge seq bounces.
-	ack, err := w.assign(grant(999, 1, 10, 95))
+	ack, err := ep.Assign(grant(999, 1, 10, 95))
 	if err != nil {
 		t.Fatalf("stale-epoch grant: %v", err)
 	}
@@ -188,7 +159,7 @@ func TestDaemonCtrlEpochFencing(t *testing.T) {
 
 	// An old epoch's renewal answers with the live epoch and extends
 	// nothing.
-	lr, err := w.renew(renewal(2, 10))
+	lr, err := ep.Renew(renewal(2, 10))
 	if err != nil {
 		t.Fatalf("stale renewal: %v", err)
 	}
@@ -203,7 +174,7 @@ func TestDaemonCtrlEpochFencing(t *testing.T) {
 	// ordering applies it anyway.
 	next := grant(1, 3, 10, 60)
 	next.Epoch = 3
-	if ack, err := w.assign(next); err != nil || !ack.Applied {
+	if ack, err := ep.Assign(next); err != nil || !ack.Applied {
 		t.Fatalf("epoch-3 grant: %+v, %v", ack, err)
 	}
 	if err := d.Advance(0.5); err != nil {
@@ -217,7 +188,7 @@ func TestDaemonCtrlEpochFencing(t *testing.T) {
 // A lease that lapses on the daemon's wall clock without renewal must
 // fence it to its fail-safe cap on the next advance.
 func TestDaemonCtrlLeaseFence(t *testing.T) {
-	d, w, clk := ctrlDaemon(t, CtrlConfig{})
+	d, ep, clk := ctrlDaemon(t, CtrlConfig{})
 	advance := func(ts float64) Health {
 		t.Helper()
 		clk.set(ts)
@@ -227,7 +198,7 @@ func TestDaemonCtrlLeaseFence(t *testing.T) {
 		return d.health()
 	}
 	// One 10 s interval of lease, minted in interval 1 at wall time 0.
-	if _, err := w.assign(grant(1, 1, 1, 90)); err != nil {
+	if _, err := ep.Assign(grant(1, 1, 1, 90)); err != nil {
 		t.Fatalf("assign: %v", err)
 	}
 	if h := advance(9.9); h.CtrlFenced {
@@ -236,7 +207,7 @@ func TestDaemonCtrlLeaseFence(t *testing.T) {
 
 	// A renewal from interval 2 pushes the lapse out to interval 3.
 	clk.set(10)
-	if lr, err := w.renew(renewal(2, 1)); err != nil || lr.Fenced || lr.ExpiresIv != 3 {
+	if lr, err := ep.Renew(renewal(2, 1)); err != nil || lr.Fenced || lr.ExpiresIv != 3 {
 		t.Fatalf("renew: %+v, %v", lr, err)
 	}
 	if h := advance(19.9); h.CtrlFenced {
@@ -252,7 +223,7 @@ func TestDaemonCtrlLeaseFence(t *testing.T) {
 	}
 
 	// Only a fresh assign unfences.
-	if ack, err := w.assign(grant(2, 3, 1, 80)); err != nil || !ack.Applied {
+	if ack, err := ep.Assign(grant(2, 3, 1, 80)); err != nil || !ack.Applied {
 		t.Fatalf("re-assign: %+v, %v", ack, err)
 	}
 	if h := advance(20); h.CtrlFenced || h.CapW != 80 {
@@ -265,7 +236,7 @@ func TestDaemonCtrlLeaseFence(t *testing.T) {
 // wall clock, surface the degradation on /healthz, and clear on a fresh
 // assign — never cliff to the fence cap.
 func TestDaemonCtrlSafeModeDecay(t *testing.T) {
-	d, w, clk := ctrlDaemon(t, CtrlConfig{
+	d, ep, clk := ctrlDaemon(t, CtrlConfig{
 		SafeMode: ctrlplane.SafeModeConfig{HoldS: 10, DecayWPerS: 1, FloorW: 66},
 	})
 	// Two advances per instant: the tick at the end of the first
@@ -280,7 +251,7 @@ func TestDaemonCtrlSafeModeDecay(t *testing.T) {
 		}
 		return d.health()
 	}
-	if _, err := w.assign(grant(1, 1, 1, 90)); err != nil {
+	if _, err := ep.Assign(grant(1, 1, 1, 90)); err != nil {
 		t.Fatalf("assign: %v", err)
 	}
 	h := advance(0)
@@ -319,7 +290,7 @@ func TestDaemonCtrlSafeModeDecay(t *testing.T) {
 	}
 
 	// A fresh assign restores normal operation and re-arms the lease.
-	ack, err := w.assign(grant(2, 21, 1, 80))
+	ack, err := ep.Assign(grant(2, 21, 1, 80))
 	if err != nil || !ack.Applied {
 		t.Fatalf("re-assign: %+v, %v", ack, err)
 	}
@@ -339,7 +310,7 @@ func TestDaemonCtrlSafeModeDecay(t *testing.T) {
 // enforces the fence cap — counted by nobody's apportioning, so it must
 // be the floor — until the first grant lifts it.
 func TestDaemonCtrlBootsFenced(t *testing.T) {
-	d, w, _ := ctrlDaemon(t, CtrlConfig{})
+	d, ep, _ := ctrlDaemon(t, CtrlConfig{})
 	if err := d.Advance(0.1); err != nil {
 		t.Fatal(err)
 	}
@@ -350,9 +321,9 @@ func TestDaemonCtrlBootsFenced(t *testing.T) {
 	if h.CapW != d.hw.PIdleWatts {
 		t.Fatalf("fresh daemon enforces %g W, want the %g W fence cap", h.CapW, d.hw.PIdleWatts)
 	}
-	// The report says so on the wire, and so does its read-only JSON
+	// The report says so, and so does its read-only JSON
 	// rendering on the daemon's HTTP mux (a tickless scrape).
-	rep, err := w.cl.Scrape(context.Background(), w.url, 0, 0, false)
+	rep, err := ep.Scrape(0, false)
 	if err != nil || !rep.Fenced || rep.CapW != d.hw.PIdleWatts {
 		t.Fatalf("fresh daemon's report: %+v, %v", rep, err)
 	}
@@ -361,10 +332,10 @@ func TestDaemonCtrlBootsFenced(t *testing.T) {
 	var rendered ctrlplane.Report
 	get(t, srv.URL+"/ctrl/report", &rendered)
 	if rendered.V != ctrlplane.ProtocolV || !rendered.Fenced || rendered.CapW != rep.CapW {
-		t.Fatalf("GET /ctrl/report rendered %+v, the frame says %+v", rendered, rep)
+		t.Fatalf("GET /ctrl/report rendered %+v, the endpoint says %+v", rendered, rep)
 	}
 
-	if ack, err := w.assign(grant(1, 1, 2, 85)); err != nil || !ack.Applied || ack.Fenced {
+	if ack, err := ep.Assign(grant(1, 1, 2, 85)); err != nil || !ack.Applied || ack.Fenced {
 		t.Fatalf("first grant: %+v, %v", ack, err)
 	}
 	if err := d.Advance(0.1); err != nil {
@@ -386,11 +357,7 @@ func TestStaleIvRenewalKeepsLeaseBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, clk := ctrlDaemon(t, CtrlConfig{})
-	live, err := d.CtrlEndpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, live, clk := ctrlDaemon(t, CtrlConfig{})
 	for _, m := range []struct {
 		name string
 		ep   ctrlplane.CtrlEndpoint
