@@ -143,8 +143,10 @@ type Agent struct {
 	safeMode    bool
 	safeEntries int
 	heldW       float64
-	curve       []cluster.CapPoint
 	curveBuilt  bool
+	// curve is the curve last reported and its version: the static
+	// curve, hashed once, or the learner's, hashed again per rebuild.
+	curve curveMemo
 	// Online-learning state (cfg.Learn): est learns the cap→utility
 	// curve from enforced caps, grantW remembers the full grant so a
 	// probing agent can restore it, and lastProbeIv rate-limits probe
@@ -409,33 +411,31 @@ func (a *Agent) Refresh() error {
 	return nil
 }
 
-// Report snapshots the agent for a telemetry scrape. A pre-characterized
-// agent builds its cap-utility curve lazily on first use (the curve is a
-// property of the hosted mix and does not change); a learning agent
-// reports its current learned curve with CurveConf/CurveCells meta
-// instead, or no curve at all before the first accepted observation.
+// Report snapshots the agent for a telemetry scrape: its whole curve and
+// that curve's version (the listener leaves out the points of a version
+// the scraper holds). A pre-characterized agent builds its cap-utility
+// curve lazily on first use and reports that one curve from then on; a
+// learning agent reports its current learned curve with
+// CurveConf/CurveCells meta instead, or no curve at all before the first
+// accepted observation.
 func (a *Agent) Report() (Report, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.est != nil {
-		rep := a.reportLocked()
-		if curve, ok := a.est.Curve(); ok {
-			rep.UtilityCurve = curve
-			rep.CurveConf = a.est.Confidence()
-			rep.CurveCells = a.est.ObservedCells()
-		}
-		return rep, nil
-	}
-	if !a.curveBuilt {
+	if a.est == nil && !a.curveBuilt {
 		curve, err := a.cfg.Backend.UtilityCurve()
 		if err != nil {
 			return Report{}, err
 		}
-		a.curve = curve
+		a.curve.version(curve)
 		a.curveBuilt = true
 	}
 	rep := a.reportLocked()
-	rep.UtilityCurve = a.curve
+	if a.est == nil {
+		rep.UtilityCurve, rep.CurveVer = a.curve.curve, a.curve.ver
+	} else if curve, ok := a.est.Curve(); ok {
+		rep.UtilityCurve, rep.CurveConf, rep.CurveCells = curve, a.est.Confidence(), a.est.ObservedCells()
+		rep.CurveVer = a.curve.version(curve)
+	}
 	return rep, nil
 }
 

@@ -241,7 +241,7 @@ func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []by
 		}
 		w := wire{enc: true, b: hdr}
 		w.slotCount(len(req.Servers), "batch scrape response")
-		for _, server := range req.Servers {
+		for j, server := range req.Servers {
 			res := ScrapeResult{Server: server}
 			ep, err := s.endpoint(server)
 			if err == nil {
@@ -249,6 +249,8 @@ func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []by
 			}
 			if err != nil {
 				res.Err = err.Error() // the slot then carries no report
+			} else if ver := res.Report.CurveVer; ver != 0 && j < len(req.Held) && req.Held[j] == ver {
+				res.Report.UtilityCurve = nil // the scraper holds this curve
 			}
 			res.wire(&w)
 		}

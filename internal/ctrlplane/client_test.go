@@ -428,7 +428,8 @@ func TestConnBufferBound(t *testing.T) {
 	curve.Store(&big)
 	url := serveEndpoints(t, map[int]CtrlEndpoint{0: scriptedEndpoint{
 		scrape: func(float64, bool) (Report, error) {
-			return Report{V: ProtocolV, SoC: 0.5, UtilityCurve: *curve.Load()}, nil
+			c := *curve.Load()
+			return Report{V: ProtocolV, SoC: 0.5, UtilityCurve: c, CurveVer: curveVersion(c)}, nil
 		},
 	}})
 	bin := newBinaryTransport(nil, nil)

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"powerstruggle/internal/cluster"
 )
 
-// Binary framing of the v4 control protocol (see docs/WIRE.md).
+// Binary framing of the v5 control protocol (see docs/WIRE.md).
 //
 // Every frame is:
 //
@@ -397,12 +398,9 @@ func (w *wire) fits(n uint32, elemBytes int, what string) int {
 	return int(n)
 }
 
-// points carries n cap points. Decoding keeps the curve *c already holds
-// when the wire repeats it point for point — a static curve costs a
-// comparison and stays pointer-stable for whoever kept it — and otherwise
-// lands the points in a fresh slice, never in the held one's backing
-// array: a member, an apportioner snapshot or a caller may still be
-// reading it.
+// points carries n cap points. Decoding lands them in a fresh slice, never
+// in the held one's backing array: a member, an apportioner snapshot or a
+// caller may still be reading it.
 func (w *wire) points(c *[]cluster.CapPoint, n uint32, what string) {
 	if w.enc {
 		for _, p := range *c {
@@ -412,22 +410,14 @@ func (w *wire) points(c *[]cluster.CapPoint, n uint32, what string) {
 		}
 		return
 	}
-	held := *c
-	*c = nil
+	if *c = nil; n == 0 {
+		return
+	}
 	p := w.take(24 * w.fits(n, 24, what))
 	if len(p) == 0 {
 		return
 	}
 	u64 := binary.BigEndian.Uint64
-	same := 24*len(held) == len(p)
-	for i := 0; same && i < len(held); i++ {
-		q, h := p[24*i:], held[i]
-		same = u64(q) == math.Float64bits(h.CapW) && u64(q[8:]) == math.Float64bits(h.Perf) && u64(q[16:]) == math.Float64bits(h.GridW)
-	}
-	if same {
-		*c = held
-		return
-	}
 	out := make([]cluster.CapPoint, len(p)/24)
 	for i := range out {
 		q := p[24*i:]
@@ -438,6 +428,41 @@ func (w *wire) points(c *[]cluster.CapPoint, n uint32, what string) {
 		}
 	}
 	*c = out
+}
+
+// A curve's count u32 carries two flag bits above its point count, each
+// set if and only if its field is non-zero — one byte representation per
+// value, enforced both ways: curveVerFlag, the version, which follows the
+// count, and (reports only) curveMetaFlag, the learning meta — confidence
+// and observed cells — which follows the points.
+const (
+	curveMetaFlag = uint32(1) << 31
+	curveVerFlag  = uint32(1) << 30
+)
+
+// curve carries one curve: its count u32, its version behind curveVerFlag
+// and its points. meta is the report's curveMetaFlag; a shard report
+// passes nil, and a set high bit then reads as a count no payload holds.
+func (w *wire) curve(c *[]cluster.CapPoint, ver *uint64, meta *bool, what string) {
+	count := uint32(len(*c))
+	if *ver != 0 {
+		count |= curveVerFlag
+	}
+	if meta != nil && *meta {
+		count |= curveMetaFlag
+	}
+	w.u32(&count)
+	if meta != nil {
+		*meta, count = count&curveMetaFlag != 0, count&^curveMetaFlag
+	}
+	if count&curveVerFlag == 0 {
+		if !w.enc {
+			*ver = 0
+		}
+	} else if w.u64(ver); *ver == 0 { // would re-encode without the flag
+		w.fail("%s version flag set over version 0", what)
+	}
+	w.points(c, count&^curveVerFlag, what)
 }
 
 // slots resizes a decode destination's slice to n elements, reusing its
@@ -555,15 +580,6 @@ func decode(p []byte, m any) error {
 // --- agent slots (the types are wire.go's): a report rides a batch
 // scrape reply, an acknowledgement a batch grant reply ---
 
-// curveMetaFlag is the high bit of the report's curve-count u32: set
-// when the curve carries learning metadata (confidence + observed
-// cells), which then follows the curve points. Legacy encoders never
-// set the bit, so frames without meta decode unchanged; the canonical
-// rule — bit set if and only if the meta is non-zero, enforced both
-// ways — keeps one byte representation per value even for reports
-// embedded mid-stream in batch responses.
-const curveMetaFlag = uint32(1) << 31
-
 func (m *Report) wire(w *wire) {
 	w.version(&m.V)
 	w.integer(&m.Server)
@@ -578,13 +594,9 @@ func (m *Report) wire(w *wire) {
 	w.f64(&m.IdleFloorW)
 	w.f64(&m.NameplateW)
 	w.str(&m.Version)
-	count := uint32(len(m.UtilityCurve))
-	if m.CurveConf != 0 || m.CurveCells != 0 {
-		count |= curveMetaFlag
-	}
-	w.u32(&count)
-	w.points(&m.UtilityCurve, count&^curveMetaFlag, "curve")
-	if count&curveMetaFlag != 0 {
+	meta := m.CurveConf != 0 || m.CurveCells != 0
+	w.curve(&m.UtilityCurve, &m.CurveVer, &meta, "curve")
+	if meta {
 		cells := uint32(m.CurveCells)
 		w.f64(&m.CurveConf)
 		w.u32(&cells)
@@ -677,6 +689,10 @@ type BatchScrapeRequest struct {
 	T       float64
 	HasT    bool
 	Servers []int
+	// Held is the curve version the scraper holds for each of Servers (0:
+	// none), or empty — never all 0. A slot whose curve has the held
+	// version answers with the version and no points.
+	Held []uint64
 }
 
 // Validate enforces the batch-scrape invariants.
@@ -698,6 +714,9 @@ func (r BatchScrapeRequest) Validate() error {
 			return fmt.Errorf("ctrlplane: batch scrape server %d", s)
 		}
 	}
+	if n := len(r.Held); n != 0 && (n != len(r.Servers) || slices.Max(r.Held) == 0) {
+		return fmt.Errorf("ctrlplane: batch scrape holds %d curve versions for %d servers (want none, or one each and not all 0)", n, len(r.Servers))
+	}
 	return nil
 }
 
@@ -712,6 +731,12 @@ func (m *BatchScrapeRequest) wire(w *wire) {
 	}
 	for i := range m.Servers {
 		w.integer(&m.Servers[i])
+	}
+	if n := w.count(len(m.Held), 8, "batch scrape held"); !w.enc {
+		m.Held = slots(m.Held, n)
+	}
+	for i := range m.Held {
+		w.u64(&m.Held[i])
 	}
 }
 
@@ -899,6 +924,7 @@ func (m *ShardReportRequest) wire(w *wire) {
 	w.boolean(&m.HasT)
 	w.f64(&m.T)
 	w.u64(&m.Iv)
+	w.u64(&m.Held)
 }
 
 func (m *ShardReport) wire(w *wire) {
@@ -915,9 +941,7 @@ func (m *ShardReport) wire(w *wire) {
 	w.f64(&m.CapW)
 	w.f64(&m.BudgetW)
 	w.boolean(&m.Starved)
-	count := uint32(len(m.Curve))
-	w.u32(&count)
-	w.points(&m.Curve, count, "shard curve")
+	w.curve(&m.Curve, &m.CurveVer, nil, "shard curve")
 	w.u64(&m.GEpoch)
 	w.u64(&m.GSeq)
 	w.u64(&m.GIv)

@@ -32,12 +32,20 @@ func canonicalValues() []any {
 			{CapW: 120, Perf: 1, GridW: 110},
 		},
 	}
+	rep.CurveVer = curveVersion(rep.UtilityCurve)
 	// learned is a live daemon's report: the curve came from the online
 	// estimator, so the count u32's meta flag is set and confidence +
-	// observed cells trail the points.
+	// observed cells trail the points. Its scraper held this version, so
+	// the slot carries the version and the meta but no points.
 	learned := rep2(rep, 5)
 	learned.CurveConf = 0.75
 	learned.CurveCells = 9
+	learned.UtilityCurve = nil
+	rollup := []cluster.CapPoint{
+		{CapW: 5625, Perf: 0, GridW: 5625},
+		{CapW: 6500, Perf: 61.5, GridW: 6400},
+		{CapW: 7500, Perf: 125, GridW: 7400},
+	}
 	term := WireTerm{Epoch: 4, Leader: "coord-a", ExpiresUnixNano: 1700000000000000000}
 	return []any{
 		&RegisterRequest{
@@ -53,7 +61,8 @@ func canonicalValues() []any {
 			V: ProtocolV, Granted: true, Promise: 7, AcceptedBallot: 7, Term: &term,
 		},
 		&BatchScrapeRequest{
-			V: ProtocolV, T: 1200.5, HasT: true, Servers: []int{0, 1, 2},
+			V: ProtocolV, T: 1200.5, HasT: true, Servers: []int{0, 1, 5},
+			Held: []uint64{0, 0, rep.CurveVer},
 		},
 		&BatchScrapeResponse{
 			V: ProtocolV, Results: []ScrapeResult{
@@ -77,17 +86,13 @@ func canonicalValues() []any {
 			},
 		},
 		&ShardReportRequest{
-			V: ProtocolV, Shard: 2, T: 1200.5, HasT: true, Iv: 42,
+			V: ProtocolV, Shard: 2, T: 1200.5, HasT: true, Iv: 42, Held: 0x5eed,
 		},
 		&ShardReport{
 			V: ProtocolV, Shard: 2, Epoch: 3, Seq: 11, T: 1200.5, Leading: true,
 			Agents: 125, FloorW: 5625, DemandW: 7500, UsedW: 6200.5, CapW: 6450,
 			BudgetW: 6500, Starved: false,
-			Curve: []cluster.CapPoint{
-				{CapW: 5625, Perf: 0, GridW: 5625},
-				{CapW: 6500, Perf: 61.5, GridW: 6400},
-				{CapW: 7500, Perf: 125, GridW: 7400},
-			},
+			Curve: rollup, CurveVer: curveVersion(rollup),
 			GEpoch: 3, GSeq: 11, GIv: 42,
 		},
 		&ShardBudgetRequest{
@@ -108,6 +113,28 @@ func canonicalMessages() map[byte][]byte {
 		out[ftype] = p
 	}
 	return out
+}
+
+// heldCurves is the canonical payload of frame type ftype as a steady
+// interval sends it: every curve's version, none of its points.
+func heldCurves(ftype byte) []byte {
+	for _, m := range canonicalValues() {
+		switch m := m.(type) {
+		case *BatchScrapeResponse:
+			if ftype == FrameBatchScrapeResp {
+				for i := range m.Results {
+					m.Results[i].Report.UtilityCurve = nil
+				}
+				return wireBytes(m)
+			}
+		case *ShardReport:
+			if ftype == FrameShardReportResp {
+				m.Curve = nil
+				return wireBytes(m)
+			}
+		}
+	}
+	return canonicalMessages()[ftype]
 }
 
 func rep2(r Report, server int) Report {
@@ -296,19 +323,26 @@ func TestTypedRoundTrips(t *testing.T) {
 		Version:      "dev",
 		UtilityCurve: []cluster.CapPoint{{CapW: 25, Perf: 0, GridW: 25}, {CapW: 120, Perf: 1, GridW: 110}},
 	}
-	// A learned curve's meta fields survive the flag-bit encoding.
+	rep.CurveVer = curveVersion(rep.UtilityCurve)
+	// A learned curve's meta fields survive the flag-bit encoding, with
+	// and without the points beside the version.
 	learned := rep
 	learned.CurveConf, learned.CurveCells = 0.375, 3
+	elided := learned
+	elided.UtilityCurve = nil
+	shardCurve := []cluster.CapPoint{{CapW: 720, Perf: 0, GridW: 720}, {CapW: 960, Perf: 16, GridW: 950}}
 	for _, want := range []any{
-		&BatchScrapeResponse{V: ProtocolV, Results: []ScrapeResult{{Server: 5, Report: rep}, {Server: 6, Report: learned}}},
+		&BatchScrapeResponse{V: ProtocolV, Results: []ScrapeResult{{Server: 5, Report: rep}, {Server: 6, Report: learned}, {Server: 7, Report: elided}}},
+		&BatchScrapeRequest{V: ProtocolV, Servers: []int{5, 6}, Held: []uint64{0, rep.CurveVer}},
 		&VoteRequest{V: ProtocolV, Phase: VotePrepare, Ballot: 3},
 		&ShardReport{
 			V: ProtocolV, Shard: 4, Epoch: 2, Seq: 33, T: 900, Leading: true,
 			Agents: 16, FloorW: 720, DemandW: 960, UsedW: 801.5, CapW: 850, BudgetW: 860,
 			Starved: true,
-			Curve:   []cluster.CapPoint{{CapW: 720, Perf: 0, GridW: 720}, {CapW: 960, Perf: 16, GridW: 950}},
-			GEpoch:  1, GSeq: 8, GIv: 7,
+			Curve:   shardCurve, CurveVer: curveVersion(shardCurve),
+			GEpoch: 1, GSeq: 8, GIv: 7,
 		},
+		&ShardReport{V: ProtocolV, Shard: 4, T: 900, CurveVer: curveVersion(shardCurve)},
 		&ShardBudgetRequest{V: ProtocolV, Epoch: 3, Seq: 5, Shard: 1, T: 600, CapW: 512.5, Iv: 7, LeaseIv: 2, IvS: 0.5},
 		&BatchGrantRequest{
 			V: ProtocolV, Epoch: 2, Seq: 7, T: 600,
@@ -344,7 +378,7 @@ func roundTripAllocs[M any](t *testing.T, p []byte) {
 	}
 }
 
-// goldenLine is one line of testdata/wire_v4.golden.
+// goldenLine is one line of testdata/wire_v5.golden.
 type goldenLine struct {
 	name    string
 	ftype   byte
@@ -354,7 +388,7 @@ type goldenLine struct {
 
 func readGolden(t *testing.T) []goldenLine {
 	t.Helper()
-	data, err := os.ReadFile("testdata/wire_v4.golden")
+	data, err := os.ReadFile("testdata/wire_v5.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +419,11 @@ func readGolden(t *testing.T) []goldenLine {
 // drives both directions, so a round trip cannot see two same-width
 // fields transposed; the golden file can. It was generated by those
 // encoders from canonicalMessages and edgeSeeds; v4 dropped the lines of
-// the retired frame types and kept every other line byte for byte, so
-// its canonical lines are one per frame type and its edge lines are, in
-// order, the leading seeds of edgeSeeds (registration and votes). Every
+// the retired frame types and kept every other line byte for byte, and
+// v5 re-derived the canonical lines of the four frame types whose layout
+// it changed from the v5 walks, so its canonical lines are one per frame
+// type and its edge lines are, in order, the leading seeds of edgeSeeds
+// (registration and votes). Every
 // payload the old decoders accepted must decode and re-encode to the
 // same bytes under the same frame type, everything they refused must
 // still be refused, and a canonical payload must decode to the literal
@@ -518,7 +554,8 @@ func TestWireSpecTable(t *testing.T) {
 
 // TestCodecWalkAllocs: the walk does not escape. Encoding into a reused
 // buffer and decoding into a stack destination allocates nothing for a
-// fixed-size message, nor does a batch reply into a warm destination —
+// fixed-size message, nor does a steady interval's batch reply (every
+// curve held, see heldCurves) into a warm destination —
 // calling a walk through an interface, formatting the message in walk's
 // panic or validating through an interface each moved every decode
 // destination to the heap. And the panic is what an unknown type gets.
@@ -531,8 +568,9 @@ func TestCodecWalkAllocs(t *testing.T) {
 	var buf []byte
 	for _, warm := range []any{new(BatchScrapeResponse), new(BatchGrantResponse), new(BatchScrapeRequest), new(BatchGrantRequest), new(ShardReport)} {
 		_, ftype := encode(nil, warm)
+		p := heldCurves(ftype)
 		if allocs := testing.AllocsPerRun(20, func() {
-			if err := decode(msgs[ftype], warm); err != nil {
+			if err := decode(p, warm); err != nil {
 				t.Fatal(err)
 			}
 			buf, _ = encode(buf[:0], warm)
@@ -571,7 +609,8 @@ func TestDecodeFrameErrors(t *testing.T) {
 		{"short header", ok[:frameHeaderLen-1], "truncated"},
 		{"bad magic", append([]byte("XX"), ok[2:]...), "bad frame magic"},
 		{"garbage", []byte("GET /ctrl/report HTTP/1.1\r\n"), "bad frame magic"},
-		{"foreign version", mutate(ok, 2, ProtocolV+1), "protocol v5"},
+		{"foreign version", mutate(ok, 2, ProtocolV+1), "protocol v6"},
+		{"v4 frame", mutate(ok, 2, 4), "protocol v4"},
 		{"v3 frame", mutate(ok, 2, 3), "protocol v3"},
 		{"zero version", mutate(ok, 2, 0), "protocol v0"},
 		{"unknown type 0x00", mutate(ok, 3, 0x00), "unknown frame type"},
@@ -615,11 +654,11 @@ func lyingBatchResponses() [][]byte {
 }
 
 // TestDecodeIntoReusesDestination pins what reuse buys and what it may
-// not cost: a destination decoded into again keeps its result slab, its
-// version strings and its static curves (the very slices — a member and
-// the apportioner snapshot hold them), a changed curve lands in a fresh
-// slice with the held one untouched, and a fresh decode reserves exactly
-// what it needs.
+// not cost: a destination decoded into again keeps its result slab and
+// its version strings, a steady reply — every curve held, so only
+// versions ride — costs nothing, points always land in a fresh slice
+// with the held one untouched, and a fresh decode reserves exactly what
+// it needs.
 func TestDecodeIntoReusesDestination(t *testing.T) {
 	msgs := canonicalMessages()
 	var resp BatchScrapeResponse
@@ -631,41 +670,51 @@ func TestDecodeIntoReusesDestination(t *testing.T) {
 	}
 	slab, curve := &resp.Results[0], resp.Results[0].Report.UtilityCurve
 	kept := append([]cluster.CapPoint(nil), curve...)
+	steady := heldCurves(FrameBatchScrapeResp)
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := decode(msgs[FrameBatchScrapeResp], &resp); err != nil {
+		if err := decode(steady, &resp); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("decoding an unchanged reply into its own destination allocates %v objects", allocs)
+		t.Errorf("decoding a steady reply into its own destination allocates %v objects", allocs)
 	}
-	if &resp.Results[0] != slab || &resp.Results[0].Report.UtilityCurve[0] != &curve[0] {
-		t.Error("decoding an unchanged reply moved the result slab or a static curve")
+	if got := resp.Results[0].Report; &resp.Results[0] != slab || got.UtilityCurve != nil || got.CurveVer != curveVersion(kept) {
+		t.Errorf("steady reply: slab moved %v, slot 0 holds %d points under version %#x", &resp.Results[0] != slab, len(got.UtilityCurve), got.CurveVer)
 	}
 
-	moved := resp.Results[0].Report
-	moved.UtilityCurve = append([]cluster.CapPoint(nil), curve...)
-	moved.UtilityCurve[1].Perf += 0.125
-	changed := wireBytes(&BatchScrapeResponse{Results: []ScrapeResult{{Server: 0, Report: moved}}})
-	if err := decode(changed, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resp.Results[0].Report, moved) {
-		t.Errorf("changed curve decoded as %+v, want %+v", resp.Results[0].Report, moved)
+	// The same points again are not compared with anything held: they
+	// land in a fresh slice, as changed points do, and the held slice is
+	// never written.
+	for _, perf := range []float64{0, 0.125} {
+		moved := resp.Results[0].Report
+		moved.UtilityCurve = append([]cluster.CapPoint(nil), kept...)
+		moved.UtilityCurve[1].Perf += perf
+		moved.CurveVer = curveVersion(moved.UtilityCurve)
+		if err := decode(wireBytes(&BatchScrapeResponse{Results: []ScrapeResult{{Server: 0, Report: moved}}}), &resp); err != nil {
+			t.Fatal(err)
+		}
+		got := resp.Results[0].Report.UtilityCurve
+		if !reflect.DeepEqual(resp.Results[0].Report, moved) || &got[0] == &curve[0] {
+			t.Errorf("perf +%g: decoded %+v into the held slice %v, want %+v in a fresh one", perf, resp.Results[0].Report, &got[0] == &curve[0], moved)
+		}
 	}
 	if !reflect.DeepEqual(curve, kept) {
-		t.Errorf("decoding a changed curve wrote the held slice in place: %+v, was %+v", curve, kept)
+		t.Errorf("decoding points wrote the held slice in place: %+v, was %+v", curve, kept)
 	}
 
 	var srep ShardReport
-	for i := 0; i < 2; i++ {
-		if err := decode(msgs[FrameShardReportResp], &srep); err != nil {
+	if err := decode(msgs[FrameShardReportResp], &srep); err != nil {
+		t.Fatal(err)
+	}
+	ver := srep.CurveVer
+	steady = heldCurves(FrameShardReportResp)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := decode(steady, &srep); err != nil {
 			t.Fatal(err)
 		}
-	}
-	first := &srep.Curve[0]
-	if err := decode(msgs[FrameShardReportResp], &srep); err != nil || &srep.Curve[0] != first {
-		t.Errorf("decoding an unchanged shard report moved its curve (err %v)", err)
+	}); allocs != 0 || srep.Curve != nil || srep.CurveVer != ver {
+		t.Errorf("steady shard report: %v allocations, %d points under version %#x (want none under %#x)", allocs, len(srep.Curve), srep.CurveVer, ver)
 	}
 }
 
@@ -701,7 +750,7 @@ func TestPayloadStrictness(t *testing.T) {
 	// with an empty curve its count u32 sits just before the trailing
 	// interval-counter u64. The second count is the one whose byte size
 	// (×24) wraps a 32-bit int to exactly the 8 bytes left.
-	for _, count := range []uint32{1 << 30, 0x0AAAAAAB} {
+	for _, count := range []uint32{1 << 29, 0x0AAAAAAB} {
 		rep := reportSlot(Report{V: ProtocolV, Server: 0, SoC: 0.5, Version: ""})
 		binary.BigEndian.PutUint32(rep[len(rep)-12:len(rep)-8], count)
 		refused("lying curve count", new(BatchScrapeResponse), rep, "curve count")
@@ -736,26 +785,48 @@ func TestPayloadStrictness(t *testing.T) {
 
 	// The curve-meta flag over all-zero meta would re-encode without
 	// the flag; the non-canonical form is refused.
-	withCurve := reportSlot(Report{
-		V: ProtocolV, Server: 0, SoC: 0.5,
-		UtilityCurve: []cluster.CapPoint{{CapW: 25, Perf: 1, GridW: 25}},
-	})
-	// For a one-point meta-less curve the count u32 sits before 24 point
-	// bytes and the trailing u64. Rebuild with the flag set and zero meta
-	// spliced in after the points.
-	cntOff := len(withCurve) - 8 - 24 - 4
+	one := []cluster.CapPoint{{CapW: 25, Perf: 1, GridW: 25}}
+	withCurve := reportSlot(Report{V: ProtocolV, Server: 0, SoC: 0.5, UtilityCurve: one, CurveVer: curveVersion(one)})
+	// For a one-point meta-less curve the count u32 sits before the
+	// version u64, 24 point bytes and the trailing u64. Rebuild with the
+	// flag set and zero meta spliced in after the points.
+	cntOff := len(withCurve) - 8 - 24 - 8 - 4
 	flagged := append([]byte{}, withCurve[:cntOff]...)
-	flagged = binary.BigEndian.AppendUint32(flagged, 1|curveMetaFlag)
+	flagged = binary.BigEndian.AppendUint32(flagged, 1|curveVerFlag|curveMetaFlag)
 	flagged = append(flagged, withCurve[cntOff+4:len(withCurve)-8]...)
 	flagged = binary.BigEndian.AppendUint64(flagged, 0) // zero conf f64
 	flagged = binary.BigEndian.AppendUint32(flagged, 0) // zero cells u32
 	flagged = append(flagged, withCurve[len(withCurve)-8:]...)
 	refused("flagged zero curve meta", new(BatchScrapeResponse), flagged, "zero meta")
 
-	// And a legacy frame — flag never set — still decodes.
+	// And a report without meta — flag never set — still decodes.
 	if err := decode(withCurve, new(BatchScrapeResponse)); err != nil {
-		t.Errorf("legacy meta-less report: %v", err)
+		t.Errorf("meta-less report: %v", err)
 	}
+
+	// v5's curve versions: the flag over version 0 would re-encode
+	// without it; points must hash to the version beside them; meta needs
+	// points or a version; a shard report has no meta flag to set.
+	zeroVer := append([]byte{}, withCurve...)
+	clear(zeroVer[cntOff+4 : cntOff+12])
+	refused("version flag over version 0", new(BatchScrapeResponse), zeroVer, "version flag set over version 0")
+	refused("points under another version", new(BatchScrapeResponse),
+		reportSlot(Report{V: ProtocolV, SoC: 0.5, UtilityCurve: one, CurveVer: 7}), "hash to")
+	refused("points without a version", new(BatchScrapeResponse),
+		reportSlot(Report{V: ProtocolV, SoC: 0.5, UtilityCurve: one}), "hash to")
+	refused("curve meta without points or version", new(BatchScrapeResponse),
+		reportSlot(Report{V: ProtocolV, SoC: 0.5, CurveConf: 0.5, CurveCells: 3}), "without a curve")
+	if err := decode(reportSlot(Report{V: ProtocolV, SoC: 0.5, CurveVer: 7, CurveConf: 0.5, CurveCells: 3}), new(BatchScrapeResponse)); err != nil {
+		t.Errorf("curve meta beside a held version: %v", err)
+	}
+	shard := wireBytes(&ShardReport{V: ProtocolV, Curve: one, CurveVer: curveVersion(one)})
+	shardCnt := len(shard) - 24 - 8 - 4 - 24 // the count word, before version, points and the three trailing u64s
+	binary.BigEndian.PutUint32(shard[shardCnt:], 1|curveVerFlag|curveMetaFlag)
+	refused("shard report with the meta flag", new(ShardReport), shard, "shard curve count")
+	refused("held list shorter than the servers", new(BatchScrapeRequest),
+		wireBytes(&BatchScrapeRequest{V: ProtocolV, Servers: []int{0, 1}, Held: []uint64{7}}), "holds 1 curve versions for 2 servers")
+	refused("all-zero held list", new(BatchScrapeRequest),
+		wireBytes(&BatchScrapeRequest{V: ProtocolV, Servers: []int{0, 1}, Held: []uint64{0, 0}}), "not all 0")
 
 	// Semantic validation runs behind structural decode: epoch 0 is a
 	// clean payload but an invalid request.
@@ -774,6 +845,28 @@ func TestPayloadStrictness(t *testing.T) {
 	}
 	refused("shard budget with leaseIv 0", new(ShardBudgetRequest),
 		wireBytes(&ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 1, CapW: 1, Iv: 1, IvS: 300}), "lease clock")
+}
+
+// TestCurveCellsFitTheWire: a report's observed-cell count crosses the
+// wire as a u32, so Validate refuses a count the u32 would turn into a
+// different number, and the largest it accepts arrives intact.
+func TestCurveCellsFitTheWire(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("a 32-bit int cannot hold a count past the u32")
+	}
+	one := []cluster.CapPoint{{CapW: 25, Perf: 1, GridW: 25}}
+	widest := uint64(math.MaxUint32)
+	rep := Report{V: ProtocolV, SoC: 0.5, UtilityCurve: one, CurveVer: curveVersion(one), CurveConf: 0.5, CurveCells: int(widest)}
+	var got BatchScrapeResponse
+	if err := decode(reportSlot(rep), &got); err != nil || got.Results[0].Report.CurveCells != rep.CurveCells {
+		t.Fatalf("%d cells: decoded %+v, %v", rep.CurveCells, got.Results, err)
+	}
+	for _, cells := range []uint64{widest + 1, widest + 5, 1 << 40} {
+		rep.CurveCells = int(cells)
+		if err := rep.Validate(); err == nil || !strings.Contains(err.Error(), "curveCells") {
+			t.Errorf("%d cells would cross the wire as %d: Validate says %v", cells, uint32(cells), err)
+		}
+	}
 }
 
 // reportSlot is the payload of a scrape reply whose one slot carries r:
@@ -831,17 +924,18 @@ func TestBatchRequestBound(t *testing.T) {
 
 // BenchmarkCodecBatchReply is the codec's own cost outside psperf: a
 // 1 000-slot batch reply encoded into a reused buffer and decoded into a
-// warm destination, as a steady-state interval does.
+// warm destination. scrape-curves ships every curve (a first interval),
+// scrape-held none of them (a steady one: versions only).
 func BenchmarkCodecBatchReply(b *testing.B) {
 	curve := make([]cluster.CapPoint, 9)
 	for i := range curve {
 		curve[i] = cluster.CapPoint{CapW: 25 + 10*float64(i), Perf: float64(i) / 8, GridW: 24 + 9*float64(i)}
 	}
-	scrape := func(curve []cluster.CapPoint) *BatchScrapeResponse {
+	scrape := func(curve []cluster.CapPoint, ver uint64) *BatchScrapeResponse {
 		resp := &BatchScrapeResponse{V: ProtocolV, Results: make([]ScrapeResult, 1000)}
 		for i := range resp.Results {
 			resp.Results[i] = ScrapeResult{Server: i, Report: Report{V: ProtocolV, Server: i, Epoch: 1, Seq: 9, CapW: 80, PerfN: 0.9,
-				GridW: 75.5, SoC: 0.5, IdleFloorW: 25, NameplateW: 120, Version: "v1.2.3", UtilityCurve: curve, Iv: 9}}
+				GridW: 75.5, SoC: 0.5, IdleFloorW: 25, NameplateW: 120, Version: "v1.2.3", UtilityCurve: curve, CurveVer: ver, Iv: 9}}
 		}
 		return resp
 	}
@@ -854,8 +948,9 @@ func BenchmarkCodecBatchReply(b *testing.B) {
 		name      string
 		src, warm any
 	}{
-		{"scrape", scrape(nil), new(BatchScrapeResponse)},
-		{"scrape-curves", scrape(curve), new(BatchScrapeResponse)},
+		{"scrape", scrape(nil, 0), new(BatchScrapeResponse)},
+		{"scrape-curves", scrape(curve, curveVersion(curve)), new(BatchScrapeResponse)},
+		{"scrape-held", scrape(nil, curveVersion(curve)), new(BatchScrapeResponse)},
 		{"grant", grant, new(BatchGrantResponse)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -201,13 +201,15 @@ type member struct {
 	// enforces until its lease lapses).
 	grantedW float64
 	granted  bool
-	// Scraped state. curveConf/curveCells mirror the report's curve
-	// meta: both zero for a pre-characterized (fully trusted) curve,
+	// Scraped state. curveVer is curve's version, scraped back so an
+	// unchanged curve stays home. curveConf/curveCells mirror the report's
+	// curve meta: both zero for a pre-characterized (fully trusted) curve,
 	// non-zero for a learned one the apportioner weighs against the
 	// confidence floor.
 	scraped    bool
 	floorW     float64
 	curve      []cluster.CapPoint
+	curveVer   uint64
 	curveConf  float64
 	curveCells int
 	gridW      float64
@@ -494,7 +496,7 @@ func (c *Coordinator) Observe(ctx context.Context, t, capW float64) (StepResult,
 // apportioner's inputs. None of it is handed to a caller: what a caller
 // keeps (StepResult's slices, errors, fault events) is allocated fresh.
 // The one thing a member retains out of it is a report's curve, and a
-// decoder never writes a held curve in place (see wire.points).
+// decoder lands every curve in a fresh slice (see wire.points).
 type stepScratch struct {
 	reports               []*Report
 	errs                  []error
@@ -557,10 +559,13 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 			m.gridW, m.perfN, m.soc, m.fenced = rep.GridW, rep.PerfN, rep.SoC, rep.Fenced
 			m.floorW = rep.IdleFloorW
 			m.version = rep.Version
+			// Points replace the held curve, a version keeps it (and
+			// brings the meta), and version 0 — no curve — keeps it too.
 			if len(rep.UtilityCurve) > 0 {
-				m.curve = rep.UtilityCurve
-				m.curveConf = rep.CurveConf
-				m.curveCells = rep.CurveCells
+				m.curve, m.curveVer = rep.UtilityCurve, rep.CurveVer
+			}
+			if rep.CurveVer != 0 {
+				m.curveConf, m.curveCells = rep.CurveConf, rep.CurveCells
 			}
 			m.tel.soc.Set(rep.SoC)
 		} else {
@@ -709,6 +714,9 @@ func (c *Coordinator) step(ctx context.Context, t, capW float64, lead bool) (Ste
 func (c *Coordinator) scrapeGroup(ctx context.Context, t float64, g *batchGroup) {
 	sc := &c.scratch
 	req := BatchScrapeRequest{V: ProtocolV, T: t, HasT: true, Servers: g.ids}
+	if slices.Max(g.held) != 0 { // an all-zero list is sent empty
+		req.Held = g.held
+	}
 	if err := call(ctx, c.client, rpcBatchScrape, g.retries, g.ids[0], g.url, req, &g.scrape); err != nil {
 		for _, i := range g.idx {
 			sc.errs[i] = err
@@ -730,6 +738,12 @@ func (c *Coordinator) scrapeGroup(ctx context.Context, t float64, g *batchGroup)
 		if r.Report.Server != r.Server {
 			sc.errs[i] = fmt.Errorf("ctrlplane: scrape of agent %d answered as %d", r.Server, r.Report.Server)
 			continue
+		}
+		if v := r.Report.CurveVer; v != 0 && r.Report.UtilityCurve == nil && v != g.held[j] {
+			sc.errs[i] = fmt.Errorf("ctrlplane: agent %d kept back curve %#x, held %#x", r.Server, v, g.held[j])
+			continue
+		} else if len(r.Report.UtilityCurve) > 0 {
+			g.held[j] = v // as step's harvest sets the member's curveVer
 		}
 		c.noteEpoch(r.Report.Epoch)
 		sc.reports[i] = &r.Report
@@ -825,6 +839,9 @@ type batchGroup struct {
 	// retries is the frame's retry budget: the client's, or none for a
 	// half-open breaker's probe.
 	retries int
+	// held mirrors the members' curveVer, parallel to ids: seeded when
+	// the plan is built and kept by scrapeGroup as curves arrive.
+	held    []uint64
 	entries []GrantEntry
 	scrape  BatchScrapeResponse
 	grant   BatchGrantResponse
@@ -851,9 +868,9 @@ func (c *Coordinator) plan(p *batchPlan, alive []bool) *batchPlan {
 	clear(p.groups) // drop the old groups' slabs
 	p.groups = p.groups[:0]
 	group := func(url string, idx []int, retries int) {
-		g := batchGroup{url: url, idx: idx, ids: make([]int, len(idx)), retries: retries}
+		g := batchGroup{url: url, idx: idx, ids: make([]int, len(idx)), held: make([]uint64, len(idx)), retries: retries}
 		for j, i := range idx {
-			g.ids[j] = c.members[i].ref.ID
+			g.ids[j], g.held[j] = c.members[i].ref.ID, c.members[i].curveVer
 		}
 		p.groups = append(p.groups, g)
 	}

@@ -289,7 +289,8 @@ func (g *Global) Close() { g.client.close() }
 func (g *Global) scrapeShard(ctx context.Context, s *globalShard, t float64) error {
 	// The trunk scrape carries the global interval counter so shards
 	// keep aging their budgets even across deadband-skipped re-grants.
-	req := ShardReportRequest{V: ProtocolV, Shard: s.ref.ID, T: t, HasT: true, Iv: g.iv.Load()}
+	// It also names the rollup version report holds, which then stays home.
+	req := ShardReportRequest{V: ProtocolV, Shard: s.ref.ID, T: t, HasT: true, Iv: g.iv.Load(), Held: s.report.CurveVer}
 	var lastErr error
 	n := len(s.ref.URLs)
 	for k := 0; k < n; k++ {
@@ -304,6 +305,10 @@ func (g *Global) scrapeShard(ctx context.Context, s *globalShard, t float64) err
 		}
 		if !s.rx.Leading {
 			lastErr = fmt.Errorf("ctrlplane: shard %d coordinator at %s is a standby", s.ref.ID, s.ref.URLs[idx])
+			continue
+		}
+		if v := s.rx.CurveVer; v != 0 && s.rx.Curve == nil && v != req.Held {
+			lastErr = fmt.Errorf("ctrlplane: shard %d kept back rollup %#x, held %#x", s.ref.ID, v, req.Held)
 			continue
 		}
 		s.urlIdx = idx
@@ -351,7 +356,11 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 			continue
 		}
 		s.misses = 0
+		held := s.report.Curve
 		s.report = s.rx
+		if s.rx.CurveVer != 0 && s.rx.Curve == nil {
+			s.report.Curve = held // the version scrapeShard held
+		}
 		scrapedOK++
 		s.tel.skewIv.Set(float64(g.harvest(epoch, s.report.GIv, s.report.GEpoch, s.report.GSeq)))
 	}

@@ -36,7 +36,7 @@ func (e churnEndpoint) Scrape(t float64, hasT bool) (Report, error) {
 	for i := range curve {
 		curve[i].Perf *= 1 + 0.01*float64(k%5)
 	}
-	rep.UtilityCurve = curve
+	rep.UtilityCurve, rep.CurveVer = curve, curveVersion(curve)
 	return rep, nil
 }
 

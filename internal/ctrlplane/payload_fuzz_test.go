@@ -151,18 +151,20 @@ func edgeSeeds() []edgeSeed {
 	point := func(capW float64) cluster.CapPoint {
 		return cluster.CapPoint{CapW: capW, Perf: capW / 10, GridW: capW / 2}
 	}
+	// curved gives a report points and their own version.
+	curved := func(r *Report, pts ...cluster.CapPoint) { r.UtilityCurve, r.CurveVer = pts, curveVersion(pts) }
 	rep := Report{V: ProtocolV, Seq: 1, CapW: 1, PerfN: 1, GridW: 1, SoC: 0.5, IdleFloorW: 1, NameplateW: 2}
 	for _, mut := range []func(*Report){
 		func(r *Report) { *r = Report{V: ProtocolV, Fenced: true} },
-		func(r *Report) { r.UtilityCurve = []cluster.CapPoint{point(2), point(4)} },
-		func(r *Report) { r.UtilityCurve = []cluster.CapPoint{point(4), point(2)} },
+		func(r *Report) { curved(r, point(2), point(4)) },
+		func(r *Report) { curved(r, point(4), point(2)) },
 		func(r *Report) { r.SoC = 1.5 },
 		func(r *Report) { r.SoC = -0.1 },
 		func(r *Report) { r.Server = -1 },
-		func(r *Report) { r.UtilityCurve, r.CurveConf, r.CurveCells = []cluster.CapPoint{point(2)}, 0.5, 3 },
-		func(r *Report) { r.UtilityCurve, r.CurveConf, r.CurveCells = []cluster.CapPoint{point(2)}, 1.5, 3 },
+		func(r *Report) { curved(r, point(2)); r.CurveConf, r.CurveCells = 0.5, 3 },
+		func(r *Report) { curved(r, point(2)); r.CurveConf, r.CurveCells = 1.5, 3 },
 		func(r *Report) { r.CurveConf, r.CurveCells = 0.5, 3 },
-		func(r *Report) { r.UtilityCurve, r.CurveCells = []cluster.CapPoint{point(2)}, -1 },
+		func(r *Report) { curved(r, point(2)); r.CurveCells = -1 },
 	} {
 		add(FrameBatchScrapeResp, reportSlot(*with(&rep, mut)))
 	}
@@ -172,7 +174,63 @@ func edgeSeeds() []edgeSeed {
 	wrap := reportSlot(Report{V: ProtocolV, SoC: 0.5})
 	binary.BigEndian.PutUint32(wrap[len(wrap)-12:], 0x0AAAAAAB)
 	add(FrameBatchScrapeResp, wrap)
+
+	// v5's curve versions, each rule once per message that carries a
+	// curve or a held list: the version without its points (and with the
+	// meta), points under another version, the version flag over version
+	// 0, meta with neither points nor version; a held list of the wrong
+	// length, and one of zeros that should have been sent empty.
+	for _, mut := range []func(*Report){
+		func(r *Report) { r.CurveVer, r.CurveConf, r.CurveCells = 7, 0.5, 3 },
+		func(r *Report) { r.UtilityCurve, r.CurveVer = []cluster.CapPoint{point(2)}, 7 },
+	} {
+		add(FrameBatchScrapeResp, reportSlot(*with(&rep, mut)))
+	}
+	add(FrameBatchScrapeResp, zeroCurveVersion(reportSlot(*with(&rep, func(r *Report) { curved(r, point(2)) })), 1, 8))
+	for _, held := range [][]uint64{{7}, {7, 0}, {0}} {
+		add(FrameBatchScrapeReq, wireBytes(with(&scrape, func(r *BatchScrapeRequest) { r.Held = held })))
+	}
+	roll := []cluster.CapPoint{point(10), point(20)}
+	srep := ShardReport{V: ProtocolV, Shard: 1, T: 5, Leading: true, Agents: 2, FloorW: 10, Curve: roll, CurveVer: curveVersion(roll)}
+	for _, mut := range []func(*ShardReport){
+		func(*ShardReport) {},
+		func(r *ShardReport) { r.Curve = nil },
+		func(r *ShardReport) { r.Curve, r.CurveVer = nil, 0 },
+		func(r *ShardReport) { r.CurveVer = 7 },
+		func(r *ShardReport) { r.Curve = []cluster.CapPoint{point(20), point(10)} },
+		func(r *ShardReport) { r.Shard = -1 },
+		func(r *ShardReport) { r.Agents = -1 },
+		func(r *ShardReport) { r.UsedW = math.NaN() },
+	} {
+		add(FrameShardReportResp, wireBytes(with(&srep, mut)))
+	}
+	add(FrameShardReportResp, zeroCurveVersion(wireBytes(&srep), len(roll), 24))
+	metaBit := wireBytes(&srep)
+	binary.BigEndian.PutUint32(metaBit[len(metaBit)-24-24*len(roll)-8-4:], uint32(len(roll))|curveVerFlag|curveMetaFlag)
+	add(FrameShardReportResp, metaBit)
+	structural(FrameShardReportResp, wireBytes(&srep))
+	sreq := ShardReportRequest{V: ProtocolV, Shard: 1, T: 5, HasT: true, Iv: 3, Held: 7}
+	for _, mut := range []func(*ShardReportRequest){
+		func(*ShardReportRequest) {},
+		func(r *ShardReportRequest) { r.Held = 0 },
+		func(r *ShardReportRequest) { r.Shard = -1 },
+		func(r *ShardReportRequest) { r.HasT = false },
+		func(r *ShardReportRequest) { r.T = math.NaN() },
+	} {
+		add(FrameShardReportReq, wireBytes(with(&sreq, mut)))
+	}
+	structural(FrameShardReportReq, wireBytes(&sreq))
 	return out
+}
+
+// zeroCurveVersion zeroes the version word of the one versioned curve in
+// payload p, whose n points and tail bytes of fields end the payload: the
+// version flag is left set over version 0.
+func zeroCurveVersion(p []byte, n, tail int) []byte {
+	p = append([]byte(nil), p...)
+	off := len(p) - tail - 24*n - 8
+	clear(p[off : off+8])
+	return p
 }
 
 // fuzzPayload hammers decode of one message with arbitrary payload
@@ -220,8 +278,9 @@ func fuzzPayload(f *testing.F, ftype byte, lease bool) {
 // renewals, the two messages it carries), the scrape request, the scrape
 // reply whose reports (and curves) feed the apportioning DP, the
 // registration whose URL the coordinator dials every interval, and both
-// halves of a quorum vote. FuzzDecodeFrame covers every frame type
-// behind the header.
+// halves of a quorum vote, and both halves of the trunk scrape, whose
+// reply carries the rollup the global DP prices. FuzzDecodeFrame covers
+// every frame type behind the header.
 func FuzzDecodeAssign(f *testing.F)      { fuzzPayload(f, FrameBatchGrantReq, false) }
 func FuzzDecodeLease(f *testing.F)       { fuzzPayload(f, FrameBatchGrantReq, true) }
 func FuzzDecodeBatchScrape(f *testing.F) { fuzzPayload(f, FrameBatchScrapeReq, false) }
@@ -229,3 +288,6 @@ func FuzzDecodeReport(f *testing.F)      { fuzzPayload(f, FrameBatchScrapeResp, 
 func FuzzDecodeRegister(f *testing.F)    { fuzzPayload(f, FrameRegisterReq, false) }
 func FuzzDecodeVote(f *testing.F)        { fuzzPayload(f, FrameVoteReq, false) }
 func FuzzDecodeVoteReply(f *testing.F)   { fuzzPayload(f, FrameVoteResp, false) }
+
+func FuzzDecodeShardReport(f *testing.F)    { fuzzPayload(f, FrameShardReportResp, false) }
+func FuzzDecodeShardReportReq(f *testing.F) { fuzzPayload(f, FrameShardReportReq, false) }

@@ -68,8 +68,10 @@ type ShardCoordinator struct {
 	// coordinator's memoized rollup, shared with every Report caller and
 	// with the next step: read-only to all of them (see ShardReport).
 	report ShardReport
-	// curves is refreshReport's scratch list of live effective curves.
+	// curves is refreshReport's scratch list of live effective curves,
+	// rollup the served rollup's version.
 	curves [][]cluster.CapPoint
+	rollup curveMemo
 }
 
 // NewShardCoordinator wraps a coordinator as one shard of the tree.
@@ -226,6 +228,7 @@ func (s *ShardCoordinator) refreshReport(t, budget float64) {
 		rep.Curve = s.c.dp.Rollup(floor, curves, rollupPoints)
 		s.c.tel.noteDP(s.c.dp.LastRecomputed(), false)
 	}
+	rep.CurveVer = s.rollup.version(rep.Curve)
 	s.curves = curves
 	s.mu.Lock()
 	rep.Starved = s.starved
@@ -239,7 +242,8 @@ func (s *ShardCoordinator) refreshReport(t, budget float64) {
 
 // Report answers the global apportioner's trunk scrape with the last
 // step's snapshot. The snapshot carries Leading, so a standby's answer
-// tells the global to try the peer URL.
+// tells the global to try the peer URL; it leaves out a rollup the
+// global holds.
 func (s *ShardCoordinator) Report(req ShardReportRequest) (ShardReport, error) {
 	if err := req.Validate(); err != nil {
 		return ShardReport{}, err
@@ -259,6 +263,9 @@ func (s *ShardCoordinator) Report(req ShardReportRequest) (ShardReport, error) {
 	}
 	rep := s.report
 	rep.GIv = s.clk.seenIv
+	if rep.CurveVer != 0 && rep.CurveVer == req.Held {
+		rep.Curve = nil
+	}
 	return rep, nil
 }
 

@@ -54,7 +54,7 @@ func (m *rollupMember) Scrape(t float64, hasT bool) (Report, error) {
 	}
 	return Report{V: ProtocolV, Server: m.id, Epoch: m.epoch, Seq: m.seq, CapW: m.capW,
 		GridW: rollupFloorW + 1, SoC: 0.5, IdleFloorW: rollupFloorW, NameplateW: 61,
-		UtilityCurve: m.curve, CurveConf: m.conf, CurveCells: m.cells, Iv: m.seenIv}, nil
+		UtilityCurve: m.curve, CurveVer: curveVersion(m.curve), CurveConf: m.conf, CurveCells: m.cells, Iv: m.seenIv}, nil
 }
 
 func (m *rollupMember) Assign(req AssignRequest) (AssignResponse, error) {

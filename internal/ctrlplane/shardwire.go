@@ -52,8 +52,12 @@ type ShardReport struct {
 	// curveless, which sends the global to its even-share fallback for
 	// this shard. Read-only: a ShardCoordinator hands every Report caller
 	// the same memoized slice, interval after interval, until a member
-	// curve changes — copy before editing.
+	// curve changes — copy before editing. Report leaves it out when the
+	// request holds CurveVer.
 	Curve []cluster.CapPoint `json:"curve,omitempty"`
+	// CurveVer is the rollup's content digest (curveVersion), 0 for none:
+	// a shard's leader and standby agree on it when their rollups agree.
+	CurveVer uint64 `json:"curveVer,omitempty"`
 	// GEpoch/GSeq/GIv are the global-tier fencing epoch, sequence, and
 	// protocol-clock interval of the last applied budget grant (all 0
 	// before the first). A restarting global apportioner rehydrates its
@@ -89,17 +93,7 @@ func (r ShardReport) Validate() error {
 			return fmt.Errorf("ctrlplane: shard report %s %g W", f.name, f.v)
 		}
 	}
-	prev := -1.0
-	for i, p := range r.Curve {
-		if !finite(p.CapW) || !finite(p.Perf) || !finite(p.GridW) || p.CapW < 0 || p.Perf < 0 || p.GridW < 0 {
-			return fmt.Errorf("ctrlplane: shard report curve point %d: %+v", i, p)
-		}
-		if p.CapW <= prev {
-			return fmt.Errorf("ctrlplane: shard report curve caps not strictly increasing at %d", i)
-		}
-		prev = p.CapW
-	}
-	return nil
+	return validateCurve(r.Curve, r.CurveVer, "shard report")
 }
 
 // ShardReportRequest asks one shard coordinator for its trunk summary.
@@ -113,6 +107,8 @@ type ShardReportRequest struct {
 	// interval even when the grant deadband skips a re-grant, so the
 	// shard's clock keeps advancing.
 	Iv uint64 `json:"iv,omitempty"`
+	// Held is the rollup version the global holds (0: none).
+	Held uint64 `json:"held,omitempty"`
 }
 
 // Validate enforces the request invariants.

@@ -18,8 +18,10 @@ import (
 // and LeaseResponse reports the lapse boundary in intervals. v4 retired
 // the one-agent scrape, assign and lease frames and the leader probe:
 // every agent scrape and grant rides a batch frame, so a v3 peer that
-// still sends them is refused at the header.
-const ProtocolV = 4
+// still sends them is refused at the header. v5 gave every curve a
+// version, its content digest, and scrapes the versions the scraper
+// holds: an unchanged curve stays home.
+const ProtocolV = 5
 
 // Vote phases. A campaign is one prepare round (claim a ballot, learn
 // the newest accepted term) followed by one accept round (write the
@@ -128,8 +130,11 @@ type Report struct {
 	// UtilityCurve samples cap → (perf, grid) on the shared
 	// ServerCapStepW grid. Agents that cannot characterize themselves
 	// yet (a live daemon still learning its mix) omit it; the
-	// coordinator then falls back to even apportioning for them.
+	// coordinator then falls back to even apportioning for them. A scrape
+	// slot leaves it out when the scraper holds CurveVer.
 	UtilityCurve []cluster.CapPoint `json:"utilityCurve,omitempty"`
+	// CurveVer is the curve's content digest (curveVersion), 0 for none.
+	CurveVer uint64 `json:"curveVer,omitempty"`
 	// CurveConf and CurveCells qualify an online-learned UtilityCurve:
 	// the estimator's coverage confidence in [0, 1] and the number of
 	// cap cells actually observed. Pre-characterized curves (trace
@@ -173,27 +178,73 @@ func (r Report) Validate() error {
 	if !finite(r.SoC) || r.SoC < 0 || r.SoC > 1 {
 		return fmt.Errorf("ctrlplane: report soc = %g outside [0, 1]", r.SoC)
 	}
-	prev := math.Inf(-1)
-	for i, p := range r.UtilityCurve {
-		if !finite(p.CapW) || !finite(p.Perf) || !finite(p.GridW) ||
-			p.CapW < 0 || p.Perf < 0 || p.GridW < 0 {
-			return fmt.Errorf("ctrlplane: report curve point %d = %+v", i, p)
-		}
-		if p.CapW <= prev {
-			return fmt.Errorf("ctrlplane: report curve caps must increase (%g after %g)", p.CapW, prev)
-		}
-		prev = p.CapW
+	if err := validateCurve(r.UtilityCurve, r.CurveVer, "report"); err != nil {
+		return err
 	}
 	if !finite(r.CurveConf) || r.CurveConf < 0 || r.CurveConf > 1 {
 		return fmt.Errorf("ctrlplane: report curveConf = %g outside [0, 1]", r.CurveConf)
 	}
-	if r.CurveCells < 0 {
-		return fmt.Errorf("ctrlplane: report curveCells = %d", r.CurveCells)
+	if r.CurveCells < 0 || uint64(r.CurveCells) > math.MaxUint32 {
+		return fmt.Errorf("ctrlplane: report curveCells = %d outside the wire's u32", r.CurveCells)
 	}
-	if (r.CurveConf != 0 || r.CurveCells != 0) && len(r.UtilityCurve) == 0 {
+	if (r.CurveConf != 0 || r.CurveCells != 0) && r.CurveVer == 0 {
 		return fmt.Errorf("ctrlplane: report curve meta (conf %g, %d cells) without a curve", r.CurveConf, r.CurveCells)
 	}
 	return nil
+}
+
+// validateCurve enforces what the apportioning DP needs of a curve —
+// finite, non-negative points on strictly increasing caps — and that
+// points on the wire carry their own version.
+func validateCurve(c []cluster.CapPoint, ver uint64, what string) error {
+	prev := math.Inf(-1)
+	for i, p := range c {
+		if !finite(p.CapW) || !finite(p.Perf) || !finite(p.GridW) ||
+			p.CapW < 0 || p.Perf < 0 || p.GridW < 0 {
+			return fmt.Errorf("ctrlplane: %s curve point %d = %+v", what, i, p)
+		}
+		if p.CapW <= prev {
+			return fmt.Errorf("ctrlplane: %s curve caps must increase (%g after %g)", what, p.CapW, prev)
+		}
+		prev = p.CapW
+	}
+	if len(c) > 0 && ver != curveVersion(c) {
+		return fmt.Errorf("ctrlplane: %s curve version %#x, its points hash to %#x", what, ver, curveVersion(c))
+	}
+	return nil
+}
+
+// curveVersion is a curve's version: the 64-bit FNV-1a digest of its
+// points' wire encoding, or 1 if that is 0, which means no curve. Two
+// processes agree on it exactly when their curves agree.
+func curveVersion(c []cluster.CapPoint) uint64 {
+	if len(c) == 0 {
+		return 0
+	}
+	h := uint64(14695981039346656037) // the FNV-1a offset basis
+	for _, p := range c {
+		for _, f := range [3]float64{p.CapW, p.Perf, p.GridW} {
+			for bits, shift := math.Float64bits(f), 56; shift >= 0; shift -= 8 {
+				h = (h ^ (bits >> shift & 0xff)) * 1099511628211 // the FNV prime
+			}
+		}
+	}
+	return max(h, 1)
+}
+
+// curveMemo holds the version of the last curve slice it was shown:
+// curves are replaced, never written in place, so only a new slice is
+// hashed — a static curve once, a learned or rolled-up one per rebuild.
+type curveMemo struct {
+	curve []cluster.CapPoint
+	ver   uint64
+}
+
+func (m *curveMemo) version(c []cluster.CapPoint) uint64 {
+	if len(c) != len(m.curve) || (len(c) > 0 && &c[0] != &m.curve[0]) {
+		m.curve, m.ver = c, curveVersion(c)
+	}
+	return m.ver
 }
 
 // LeaseRequest renews an agent's draw lease without changing its
