@@ -16,13 +16,12 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"powerstruggle/internal/buildinfo"
 	"powerstruggle/internal/cluster"
 	"powerstruggle/internal/ctrlplane"
 	"powerstruggle/internal/exp"
+	"powerstruggle/internal/scenario"
 	"powerstruggle/internal/trace"
 	"powerstruggle/internal/workload"
 )
@@ -65,7 +64,7 @@ func main() {
 	}
 
 	if *shards > 0 {
-		err := runTwoTier(ctrlplane.TwoTierOptions{
+		err := runTwoTier(scenario.TwoTierOptions{
 			Shards:            *shards,
 			AgentsPerShard:    *shardAgents,
 			Intervals:         *intervals,
@@ -180,12 +179,7 @@ func fleet(servers int) (*cluster.Evaluator, float64, error) {
 // replayCapFile evaluates every strategy against a user-supplied cap
 // schedule.
 func replayCapFile(path string, servers int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	caps, err := trace.ReadCSV(f)
+	caps, err := readCaps(path)
 	if err != nil {
 		return err
 	}
@@ -223,13 +217,7 @@ func runAgents(servers int, strategyName, capFile string, shavePcts string, step
 	}
 	var caps []trace.Point
 	if capFile != "" {
-		f, err := os.Open(capFile)
-		if err != nil {
-			return err
-		}
-		caps, err = trace.ReadCSV(f)
-		f.Close()
-		if err != nil {
+		if caps, err = readCaps(capFile); err != nil {
 			return err
 		}
 	} else {
@@ -256,6 +244,9 @@ func runAgents(servers int, strategyName, capFile string, shavePcts string, step
 		}
 	}
 
+	if killStep >= 0 {
+		return runHADrill(ev, caps, strat, servers, killStep, members)
+	}
 	flt, err := ctrlplane.StartSimFleetOpts(ev, ctrlplane.FleetOptions{
 		Version: buildinfo.Version(), SharedListener: true,
 	})
@@ -266,9 +257,6 @@ func runAgents(servers int, strategyName, capFile string, shavePcts string, step
 	interval := stepS
 	if len(caps) > 1 {
 		interval = caps[1].T - caps[0].T
-	}
-	if killStep >= 0 {
-		return runHADrill(ev, flt, caps, strat, servers, interval, killStep, members)
 	}
 	coord, err := ctrlplane.New(ctrlplane.Config{
 		Agents:   flt.Refs(),
@@ -323,173 +311,33 @@ func runAgents(servers int, strategyName, capFile string, shavePcts string, step
 	return nil
 }
 
-// drillClock is a settable clock for the failover drill: trace time
-// drives both coordinators' campaign timestamps, so the leadership TTL
-// lapses in trace seconds rather than wall-clock seconds.
-type drillClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *drillClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *drillClock) Set(t time.Time) {
-	c.mu.Lock()
-	c.t = t
-	c.mu.Unlock()
-}
-
-// runHADrill replays the cap schedule through a leader-elected pool of
-// coordinators sharing one fleet, kills the leader (member 0) at
-// killStep, and reports how many intervals the fleet spent leaderless
-// plus budget parity on every interval somebody granted. A pair shares
-// an in-memory term; three or more members elect through a replicated
-// quorum store served on loopback voter endpoints, with priority-
-// ordered takeover (member i holds rank i).
-func runHADrill(ev *cluster.Evaluator, flt *ctrlplane.SimFleet, caps []trace.Point, strat ctrlplane.Strategy, servers int, interval float64, killStep, members int) error {
-	if killStep >= len(caps)-1 {
-		return fmt.Errorf("-ha-kill-step %d too late to observe a takeover in a %d-step trace", killStep, len(caps))
-	}
-	if members < 2 {
-		return fmt.Errorf("-ha-members %d: a takeover drill needs at least a pair", members)
-	}
-	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	wallAt := func(t float64) time.Time { return t0.Add(time.Duration(t * float64(time.Second))) }
-	ttl := time.Duration(1.5 * interval * float64(time.Second))
-
-	// The election store: one shared in-memory term for a pair, a
-	// quorum pool (each member proposing to every loopback voter) from
-	// three members up.
-	storeName := "shared-memory term"
-	mkStore := func(i int) (ctrlplane.Election, error) { return nil, nil }
-	if members >= 3 {
-		pool, err := ctrlplane.StartVoterPool(members, nil)
-		if err != nil {
-			return err
-		}
-		defer pool.Close()
-		storeName = fmt.Sprintf("%d-voter quorum store (majority %d)", members, members/2+1)
-		mkStore = func(int) (ctrlplane.Election, error) {
-			return ctrlplane.NewQuorumElection(ctrlplane.QuorumConfig{Voters: pool.URLs()})
-		}
-	} else {
-		shared := ctrlplane.NewMemElection()
-		mkStore = func(int) (ctrlplane.Election, error) { return shared, nil }
-	}
-
-	has := make([]*ctrlplane.HA, members)
-	clks := make([]*drillClock, members)
-	for i := range has {
-		c, err := ctrlplane.New(ctrlplane.Config{
-			Agents:   flt.Refs(),
-			Strategy: strat,
-			// Exactly one interval: whatever grant a dead leader left
-			// behind lapses before the next interval's cap could shrink
-			// under it, so the blackout is fenced, not over-budget.
-			LeaseIv:   1,
-			IntervalS: interval,
-		})
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		store, err := mkStore(i)
-		if err != nil {
-			return err
-		}
-		clks[i] = &drillClock{}
-		has[i], err = ctrlplane.NewHA(c, ctrlplane.HAConfig{
-			ID: fmt.Sprintf("drill-%d", i), Election: store, TermTTL: ttl,
-			Clock: clks[i].Now, Priority: i,
-		})
-		if err != nil {
-			return err
-		}
-	}
-
-	fmt.Printf("HA drill: %d cap steps over %d networked agents (%v), %d members on a %s, leader killed at step %d\n",
-		len(caps), servers, strat, members, storeName, killStep)
-	ctx := context.Background()
-	granted := make([]ctrlplane.StepResult, len(caps))
-	ledStep := make([]bool, len(caps))
-	blackout, capViolations := 0, 0
-	takeoverStep := -1
-	for s, p := range caps {
-		for _, clk := range clks {
-			clk.Set(wallAt(p.T))
-		}
-		leaders := 0
-		for i, ha := range has {
-			if i == 0 && s >= killStep {
-				continue
-			}
-			res, err := ha.Step(ctx, p.T, p.V)
-			if err != nil {
-				return err
-			}
-			if res.Leading {
-				leaders++
-				granted[s], ledStep[s] = res, true
-			}
-		}
-		if leaders > 1 {
-			return fmt.Errorf("step %d: %d members granted in one interval", s, leaders)
-		}
-		if s >= killStep {
-			if !ledStep[s] {
-				blackout++
-			} else if takeoverStep < 0 {
-				takeoverStep = s
-			}
-		}
-		if err := flt.Tick(p.T); err != nil {
-			return err
-		}
-		if flt.FleetGridW() > p.V+1e-6 {
-			capViolations++
-		}
-	}
-
-	oracleStrat := cluster.EqualOurs
-	if strat == ctrlplane.StrategyUtility {
-		oracleStrat = cluster.UtilityOurs
-	}
-	oracle, err := ev.Evaluate(caps, oracleStrat)
+// runHADrill runs the failover drill (scenario.RunHADrill), prints its
+// leaderless intervals and budget parity, and fails on a slow or
+// out-of-rank takeover, any budget divergence or any cap violation.
+func runHADrill(ev *cluster.Evaluator, caps []trace.Point, strat ctrlplane.Strategy, servers, killStep, members int) error {
+	res, err := scenario.RunHADrill(scenario.HADrillOptions{
+		Eval: ev, Caps: caps, Strategy: strat, KillStep: killStep, Members: members,
+	})
 	if err != nil {
 		return err
 	}
-	var maxDelta float64
-	grantedSteps := 0
-	for s := range caps {
-		if !ledStep[s] {
-			continue
-		}
-		grantedSteps++
-		for j, b := range granted[s].Budgets {
-			maxDelta = math.Max(maxDelta, math.Abs(b-oracle.BudgetSeries[s][j]))
-		}
-	}
-	next := has[1]
-	termN, leadN := next.Leader()
+	fmt.Printf("HA drill: %d cap steps over %d networked agents (%v), %d members on a %s, leader killed at step %d\n",
+		len(caps), servers, strat, members, res.Store, killStep)
 	fmt.Printf("  failover: %d leaderless interval(s); standby led from step %d under epoch %d (%d failover, %d holdoffs down-pool)\n",
-		blackout, takeoverStep, termN.Epoch, next.Failovers(), has[members-1].Holdoffs())
+		res.Leaderless, res.TakeoverStep, res.Epoch, res.Failovers, res.Holdoffs)
 	fmt.Printf("  budget parity vs %v on %d granted steps: max |Δ| = %g W; cap violations %d\n",
-		oracleStrat, grantedSteps, maxDelta, capViolations)
+		res.Oracle, res.GrantedSteps, res.MaxDeltaW, res.CapViolations)
 	switch {
-	case takeoverStep < 0:
+	case res.TakeoverStep < 0:
 		return fmt.Errorf("standby never took over after the kill at step %d", killStep)
-	case blackout > 1:
-		return fmt.Errorf("fleet leaderless for %d intervals, want at most one", blackout)
-	case !leadN || next.Failovers() != 1:
-		return fmt.Errorf("takeover skipped rank 1: member 1 leading=%v with %d failovers", leadN, next.Failovers())
-	case maxDelta != 0:
-		return fmt.Errorf("HA replay diverged from the simulation by %g W", maxDelta)
-	case capViolations > 0:
-		return fmt.Errorf("%d cap violations during the drill", capViolations)
+	case res.Leaderless > 1:
+		return fmt.Errorf("fleet leaderless for %d intervals, want at most one", res.Leaderless)
+	case !res.Leading || res.Failovers != 1:
+		return fmt.Errorf("takeover skipped rank 1: member 1 leading=%v with %d failovers", res.Leading, res.Failovers)
+	case res.MaxDeltaW != 0:
+		return fmt.Errorf("HA replay diverged from the simulation by %g W", res.MaxDeltaW)
+	case res.CapViolations > 0:
+		return fmt.Errorf("%d cap violations during the drill", res.CapViolations)
 	}
 	return nil
 }
@@ -499,7 +347,7 @@ func runHADrill(ev *cluster.Evaluator, flt *ctrlplane.SimFleet, caps []trace.Poi
 // prints every interval's budget ledger. Any broken cap invariant is a
 // non-zero exit: the drill is the CLI face of the two-tier safety
 // argument, so a violation is a failure, not a statistic.
-func runTwoTier(opts ctrlplane.TwoTierOptions) error {
+func runTwoTier(opts scenario.TwoTierOptions) error {
 	fmt.Printf("two-tier drill: %d shards x %d agents (%d total), %d intervals, seed %d\n",
 		opts.Shards, opts.AgentsPerShard, opts.Shards*opts.AgentsPerShard, opts.Intervals, opts.Seed)
 	switch {
@@ -514,7 +362,7 @@ func runTwoTier(opts ctrlplane.TwoTierOptions) error {
 		fmt.Printf("  chaos: shard %d saturates to nameplate at interval %d\n",
 			opts.SaturateShard, opts.SaturateStep)
 	}
-	res, err := ctrlplane.RunTwoTierDrill(opts)
+	res, err := scenario.RunTwoTierDrill(opts)
 	if err != nil {
 		return err
 	}
@@ -541,6 +389,16 @@ func runTwoTier(opts ctrlplane.TwoTierOptions) error {
 	}
 	fmt.Println("  all cap invariants held")
 	return nil
+}
+
+// readCaps loads a cap schedule from a (seconds,value) CSV.
+func readCaps(path string) ([]trace.Point, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return trace.ReadCSV(f)
 }
 
 // dumpDemand writes the synthetic demand trace as CSV.

@@ -26,11 +26,11 @@
 //	psd -listen 127.0.0.1:8081 -ctrl-server 0 -ctrl-binary-listen 127.0.0.1:9081 \
 //	    -ctrl-announce 127.0.0.1:7070,127.0.0.1:7071
 //
-// Or drop the shared filesystem entirely: a -ha-members pool
+// Or drop the shared filesystem: a -ha-members pool of three or more
 // replicates the term across the coordinators themselves (each serves
 // a voter at its -binary-listen address; campaigns commit on a
-// majority), and -ha-priority orders who takes over a lapsed term
-// first:
+// majority, and a pair's majority is both, so a pair uses -ha-store),
+// and -ha-priority orders who takes over a lapsed term first:
 //
 //	M=127.0.0.1:7070,127.0.0.1:7071,127.0.0.1:7072
 //	pscoord -binary-listen 127.0.0.1:7070 -ha-members $M -ha-priority 0 -cap 240 &
@@ -268,13 +268,7 @@ func main() {
 
 	var caps []trace.Point
 	if *capFile != "" {
-		f, err := os.Open(*capFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		caps, err = trace.ReadCSV(f)
-		f.Close()
-		if err != nil {
+		if caps, err = readCaps(*capFile); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("replaying %d cap steps over %d agents (%v, lease %d intervals)", len(caps), len(refs), strat, *leaseIv)
@@ -285,22 +279,9 @@ func main() {
 		log.Printf("driving %d agents at %.0f W cluster cap every %v (%v, lease %d intervals)", len(refs), *capW, *interval, strat, *leaseIv)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	ticker := time.NewTicker(*interval)
-	defer ticker.Stop()
-	step, expired := 0, 0
-	t := 0.0
+	expired := 0
 	wasLeading := ha == nil
-	for {
-		cap := *capW
-		if caps != nil {
-			if step >= len(caps) {
-				break
-			}
-			t, cap = caps[step].T, caps[step].V
-		}
+	step := func(ctx context.Context, t, cap float64) error {
 		var res ctrlplane.StepResult
 		var err error
 		switch {
@@ -314,14 +295,7 @@ func main() {
 			res, err = coord.Step(ctx, t, cap)
 		}
 		if err != nil {
-			// A canceled step is an orderly shutdown (SIGINT/SIGTERM
-			// mid-fan-out), not a failure: resign and summarize instead
-			// of dying with the stats unreported.
-			if ctx.Err() != nil {
-				summarize(coord, ha, sc)
-				return
-			}
-			log.Fatal(err)
+			return err
 		}
 		if res.Leading != wasLeading {
 			if res.Leading {
@@ -351,18 +325,50 @@ func main() {
 		} else {
 			expired = 0
 		}
-		step++
+		return nil
+	}
+	if err := run(caps, *capW, *interval, step, func() { summarize(coord, ha, sc) }); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is every tier's control loop: each interval it hands step the
+// interval's trace time and cap (the schedule's next point, or capW
+// with time advancing by interval), then waits for the ticker. It ends
+// after the schedule's last point or on SIGINT/SIGTERM and then prints
+// the summary; a step canceled by the signal mid-fan-out is an orderly
+// shutdown, not a failure. Any other step error ends the loop at once.
+func run(caps []trace.Point, capW float64, interval time.Duration,
+	step func(ctx context.Context, t, cap float64) error, summary func()) error {
+
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	t := 0.0
+loop:
+	for i := 0; caps == nil || i < len(caps); i++ {
+		cap := capW
+		if caps != nil {
+			t, cap = caps[i].T, caps[i].V
+		}
+		if err := step(ctx, t, cap); err != nil {
+			if ctx.Err() != nil {
+				break loop
+			}
+			return err
+		}
 		if caps == nil {
 			t += interval.Seconds()
 		}
 		select {
 		case <-ctx.Done():
-			summarize(coord, ha, sc)
-			return
+			break loop
 		case <-ticker.C:
 		}
 	}
-	summarize(coord, ha, sc)
+	summary()
+	return nil
 }
 
 func reapNote(res ctrlplane.StepResult) string {
@@ -445,13 +451,7 @@ func runGlobal(set string, capW float64, capFile string, interval time.Duration,
 
 	var caps []trace.Point
 	if capFile != "" {
-		f, err := os.Open(capFile)
-		if err != nil {
-			return err
-		}
-		caps, err = trace.ReadCSV(f)
-		f.Close()
-		if err != nil {
+		if caps, err = readCaps(capFile); err != nil {
 			return err
 		}
 		log.Printf("global: replaying %d cap steps over %d shards (lease %d intervals)", len(caps), len(shards), leaseIv)
@@ -460,34 +460,9 @@ func runGlobal(set string, capW float64, capFile string, interval time.Duration,
 			len(shards), capW, interval, leaseIv)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	step := 0
-	t := 0.0
-	summarizeGlobal := func() {
-		st := global.Stats()
-		log.Printf("global done: %d steps, %d shard expiries, %d rejoins, %d reclaims, %d scrape failures, %d grant failures",
-			st.Steps, st.ShardExpiries, st.ShardRejoins, st.Reclaims, st.ScrapeFailures, st.GrantFailures)
-		for _, ev := range global.FaultEvents() {
-			log.Printf("  event t=%.0fs %s %s: %s", ev.T, ev.Kind, ev.Target, ev.Detail)
-		}
-	}
-	for {
-		cap := capW
-		if caps != nil {
-			if step >= len(caps) {
-				break
-			}
-			t, cap = caps[step].T, caps[step].V
-		}
+	step := func(ctx context.Context, t, cap float64) error {
 		res, err := global.Step(ctx, t, cap)
 		if err != nil {
-			if ctx.Err() != nil {
-				summarizeGlobal()
-				return nil
-			}
 			return err
 		}
 		alive := 0
@@ -505,19 +480,26 @@ func runGlobal(set string, capW float64, capFile string, interval time.Duration,
 				res.T, res.CapW, granted, res.ReservedW, res.RebalancedW, alive, len(shards),
 				res.ScrapeErrs, res.GrantErrs, errNote(res.Err))
 		}
-		step++
-		if caps == nil {
-			t += interval.Seconds()
-		}
-		select {
-		case <-ctx.Done():
-			summarizeGlobal()
-			return nil
-		case <-ticker.C:
-		}
+		return nil
 	}
-	summarizeGlobal()
-	return nil
+	return run(caps, capW, interval, step, func() {
+		st := global.Stats()
+		log.Printf("global done: %d steps, %d shard expiries, %d rejoins, %d reclaims, %d scrape failures, %d grant failures",
+			st.Steps, st.ShardExpiries, st.ShardRejoins, st.Reclaims, st.ScrapeFailures, st.GrantFailures)
+		for _, ev := range global.FaultEvents() {
+			log.Printf("  event t=%.0fs %s %s: %s", ev.T, ev.Kind, ev.Target, ev.Detail)
+		}
+	})
+}
+
+// readCaps loads a cap schedule from a (seconds,value) CSV.
+func readCaps(path string) ([]trace.Point, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return trace.ReadCSV(f)
 }
 
 // parseShardRefs accepts "id=url[+url...],..." — one entry per shard,
@@ -560,9 +542,6 @@ func parseShardRefs(s string) ([]ctrlplane.ShardRef, error) {
 // parseAgents accepts "addr,addr,..." (IDs follow list order) or
 // "id=addr,id=addr" pairs; scheme-less addresses become tcp://.
 func parseAgents(s string) ([]ctrlplane.AgentRef, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("no agents: pass -agents addr[,addr...]")
-	}
 	var refs []ctrlplane.AgentRef
 	for i, tok := range strings.Split(s, ",") {
 		tok = strings.TrimSpace(tok)

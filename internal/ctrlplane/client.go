@@ -10,7 +10,8 @@ import (
 // conns live in binaryTransport; this layer owns per-attempt timeouts
 // and bounded retries under jittered exponential backoff (the same
 // hardening pattern internal/coordinator applies to knob writes, moved
-// up to the network), plus RPC telemetry.
+// up to the network), plus RPC telemetry. The backoff runs from 10 ms
+// to 160 ms; tests shorten it on the client after construction.
 type rpcClient struct {
 	bin         *binaryTransport
 	timeout     time.Duration
@@ -27,8 +28,8 @@ func newRPCClient(cfg Config, tel *ctrlTel) *rpcClient {
 		bin:         newBinaryTransport(tel, cfg.Transport),
 		timeout:     cfg.rpcTimeout(),
 		retries:     cfg.rpcRetries(),
-		backoffBase: cfg.backoffBase(),
-		backoffMax:  cfg.backoffMax(),
+		backoffBase: 10 * time.Millisecond,
+		backoffMax:  160 * time.Millisecond,
 		seed:        cfg.Seed,
 		tel:         tel,
 	}

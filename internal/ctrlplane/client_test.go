@@ -17,12 +17,9 @@ import (
 )
 
 func testClient(retries int) *rpcClient {
-	return newRPCClient(Config{
-		RPCTimeout:  time.Second,
-		Retries:     retries,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-	}, newCtrlTel(nil))
+	c := newRPCClient(Config{RPCTimeout: time.Second, Retries: retries}, newCtrlTel(nil))
+	c.backoffBase, c.backoffMax = time.Millisecond, 4*time.Millisecond
+	return c
 }
 
 // scriptedEndpoint is a CtrlEndpoint whose answers a test scripts; nil
@@ -119,11 +116,9 @@ func TestClientRetries(t *testing.T) {
 // lands in the intended [d/2, d) window.
 func TestJitterDeterministicAndBounded(t *testing.T) {
 	mk := func(seed int64) *rpcClient {
-		return newRPCClient(Config{
-			BackoffBase: 10 * time.Millisecond,
-			BackoffMax:  80 * time.Millisecond,
-			Seed:        seed,
-		}, newCtrlTel(nil))
+		c := newRPCClient(Config{Seed: seed}, newCtrlTel(nil))
+		c.backoffMax = 80 * time.Millisecond
+		return c
 	}
 	a, b, c := mk(42), mk(42), mk(43)
 	varies := false

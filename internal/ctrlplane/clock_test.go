@@ -377,33 +377,3 @@ func TestClockChaosKillRestartSoak(t *testing.T) {
 		t.Fatal("soak never minted an interval — clock mode was off")
 	}
 }
-
-// TestTwoTierClockDrill: the two-tier tree under protocol-clock leases
-// survives a global apportioner crash-restart and a shard-leader kill
-// with zero invariant violations and no duplicated global intervals
-// (the drill itself checks uniqueness and the cap invariant).
-func TestTwoTierClockDrill(t *testing.T) {
-	res, err := RunTwoTierDrill(TwoTierOptions{
-		Shards:            2,
-		AgentsPerShard:    3,
-		Intervals:         14,
-		IntervalS:         300,
-		LeaseIv:           2,
-		RestartGlobalStep: 6,
-		KillLeaderStep:    10,
-		KillShard:         1,
-		Seed:              31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	if res.Stats.Rehydrations != 1 {
-		t.Fatalf("restarted global rehydrated %d times, want 1", res.Stats.Rehydrations)
-	}
-	if res.Failovers == 0 {
-		t.Fatal("shard-leader kill produced no failover")
-	}
-}

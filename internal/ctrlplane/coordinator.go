@@ -94,11 +94,9 @@ type Config struct {
 	// RPCTimeout bounds each RPC attempt (default 2s).
 	RPCTimeout time.Duration
 	// Retries is the per-RPC retry budget beyond the first attempt
-	// (default 2), under jittered exponential backoff bounded by
-	// BackoffBase and BackoffMax (defaults 10ms, 160ms).
-	Retries     int
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	// (default 2), under jittered exponential backoff from 10 ms to
+	// 160 ms.
+	Retries int
 	// BreakerFails, when positive, arms a per-agent circuit breaker:
 	// after that many consecutive failed scrapes the coordinator stops
 	// dialing the agent for BreakerOpenIntervals control intervals
@@ -176,20 +174,6 @@ func (c Config) rpcRetries() int {
 		return c.Retries
 	}
 	return 2
-}
-
-func (c Config) backoffBase() time.Duration {
-	if c.BackoffBase > 0 {
-		return c.BackoffBase
-	}
-	return 10 * time.Millisecond
-}
-
-func (c Config) backoffMax() time.Duration {
-	if c.BackoffMax > 0 {
-		return c.BackoffMax
-	}
-	return 160 * time.Millisecond
 }
 
 // member is the coordinator's view of one agent.

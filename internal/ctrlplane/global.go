@@ -43,8 +43,7 @@ type GlobalConfig struct {
 	ReclaimS float64
 	// MaxInFlight bounds trunk fan-out concurrency (default 8).
 	MaxInFlight int
-	// RPCTimeout, Retries, Seed: as Config (the retry backoff is
-	// Config's default too).
+	// RPCTimeout, Retries, Seed: as Config.
 	RPCTimeout time.Duration
 	Retries    int
 	Seed       int64

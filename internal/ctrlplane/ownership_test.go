@@ -120,13 +120,13 @@ func TestStepOutputsSurviveBufferReuse(t *testing.T) {
 		Agents: refs, Strategy: StrategyUtility, FloorW: 10,
 		LeaseIv: 2, IntervalS: interval, MissK: 2,
 		RPCTimeout: 250 * time.Millisecond, Retries: 1,
-		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
 		Seed: 5, Transport: net,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	coord.client.backoffBase, coord.client.backoffMax = time.Millisecond, 2*time.Millisecond
 	shard, err := NewShardCoordinator(coord, ShardConfig{Shard: 0, InitialBudgetW: 500})
 	if err != nil {
 		t.Fatal(err)

@@ -50,20 +50,19 @@ func TestCtrlPlaneSoak(t *testing.T) {
 				Strategy: StrategyUtility,
 				// The lease equals the control interval — the longest
 				// lease that still guarantees the cap invariant.
-				LeaseIv:     1,
-				IntervalS:   interval,
-				MissK:       2,
-				RPCTimeout:  250 * time.Millisecond,
-				Retries:     1,
-				BackoffBase: time.Millisecond,
-				BackoffMax:  4 * time.Millisecond,
-				Seed:        99,
-				Transport:   net,
-				Telemetry:   hub,
+				LeaseIv:    1,
+				IntervalS:  interval,
+				MissK:      2,
+				RPCTimeout: 250 * time.Millisecond,
+				Retries:    1,
+				Seed:       99,
+				Transport:  net,
+				Telemetry:  hub,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			coord.client.backoffBase, coord.client.backoffMax = time.Millisecond, 4*time.Millisecond
 
 			// A sawtooth cap: decreases are the dangerous direction (a
 			// stale larger budget must die before the smaller total

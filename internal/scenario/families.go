@@ -118,7 +118,7 @@ func genHierarchyShardLoss(c *Campaign, rng *rand.Rand) {
 	agents := 6 + rng.Intn(7)
 	capW := 52 * float64(shards*agents)
 	c.Caps = capSchedule(cfg, capW)
-	tt := &ctrlplane.TwoTierOptions{
+	tt := &TwoTierOptions{
 		Shards: shards, AgentsPerShard: agents,
 		Intervals: cfg.Steps, IntervalS: cfg.StepS,
 		ClusterCapW: capW, Seed: cfg.Seed,

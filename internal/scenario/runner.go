@@ -50,7 +50,7 @@ func runHier(c Campaign) (*Result, error) {
 		return nil, fmt.Errorf("scenario: family %s has no two-tier setup", c.Config.Family)
 	}
 	r := &Result{Campaign: c, LeaderlessMinCapW: math.Inf(1)}
-	res, err := ctrlplane.RunTwoTierDrill(*c.TwoTier)
+	res, err := RunTwoTierDrill(*c.TwoTier)
 	if err != nil {
 		return r, err
 	}

@@ -9,12 +9,12 @@
 // Families split along the two subsystems they stress:
 //
 //   - Control-plane families (cap-drop, rolling-restart,
-//     partition-emergency) drive a real coordinator over loopback HTTP
-//     against in-process agents, with scripted blackholes and leader
-//     outages. Faults are scripted — deterministic SetDown windows and
-//     epoch bumps — never probabilistic, because dice rolled under
-//     concurrent fan-out are consumed in scheduler order and would
-//     break replay.
+//     partition-emergency) drive a real coordinator over loopback
+//     binary frames against in-process agents, with scripted blackholes
+//     and leader outages. Faults are scripted — deterministic SetDown
+//     windows and epoch bumps — never probabilistic, because dice
+//     rolled under concurrent fan-out are consumed in scheduler order
+//     and would break replay.
 //
 //   - ESD families (flash-crowd, price-schedule, battery-fleet) drive
 //     the cluster-scale battery planner (the paper's Fig. 12 extended
@@ -247,7 +247,7 @@ type Campaign struct {
 	// even-share fallback instead of entering the utility DP.
 	LearnConfFloor float64
 	// TwoTier sizes the hierarchical drill (hierarchy families only).
-	TwoTier *ctrlplane.TwoTierOptions
+	TwoTier *TwoTierOptions
 }
 
 // Generate expands a config into a campaign. Same config, same

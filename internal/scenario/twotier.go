@@ -1,13 +1,15 @@
-package ctrlplane
+package scenario
 
 import (
 	"context"
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"powerstruggle/internal/cluster"
+	"powerstruggle/internal/ctrlplane"
 )
 
 // This file is the two-tier drill harness behind the hierarchy tests,
@@ -77,44 +79,35 @@ func (b *demandBackend) UtilityCurve() ([]cluster.CapPoint, error) {
 	return pts, nil
 }
 
-// drillClock is the drill's shared wall clock for HA elections,
-// advanced in lockstep with trace time so the leadership TTLs are
-// deterministic under -race and fast regardless of interval length.
-type drillClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
+// drillClock is the settable wall clock both fleet drills hand their
+// HA elections: trace time drives every coordinator's campaign
+// timestamps, so leadership TTLs lapse in trace seconds — deterministic
+// under -race and fast whatever the interval length.
+type drillClock struct{ ns atomic.Int64 }
 
-func (c *drillClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
+func (c *drillClock) Now() time.Time { return time.Unix(0, c.ns.Load()) }
 
-func (c *drillClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
+// Set moves the clock to d past the Unix epoch.
+func (c *drillClock) Set(d time.Duration) { c.ns.Store(int64(d)) }
 
 // shardNode is one shard coordinator process: a coordinator (in an HA
 // pair), its ShardCoordinator wrapper, and the trunk server the global
 // dials. alive=false models a crashed process — it is not stepped and
 // its trunk server is closed.
 type shardNode struct {
-	coord *Coordinator
-	ha    *HA
-	sc    *ShardCoordinator
-	trunk *BinaryServer
+	coord *ctrlplane.Coordinator
+	ha    *ctrlplane.HA
+	sc    *ctrlplane.ShardCoordinator
+	trunk *ctrlplane.BinaryServer
 	alive bool
 }
 
 // drillShard is one shard of the tree: its fleet slice behind one
 // binary listener, and its HA pair of coordinator nodes.
 type drillShard struct {
-	agents   []*Agent
+	agents   []*ctrlplane.Agent
 	backends []*demandBackend
-	agentSrv *BinaryServer
+	agentSrv *ctrlplane.BinaryServer
 	nodes    []*shardNode
 }
 
@@ -158,7 +151,7 @@ type TwoTierOptions struct {
 
 func (o *TwoTierOptions) defaults() error {
 	if o.Shards <= 0 || o.AgentsPerShard <= 0 || o.Intervals <= 0 {
-		return fmt.Errorf("ctrlplane: two-tier drill needs shards, agents, and intervals")
+		return fmt.Errorf("scenario: two-tier drill needs shards, agents, and intervals")
 	}
 	if o.IntervalS <= 0 {
 		o.IntervalS = 300
@@ -170,7 +163,7 @@ func (o *TwoTierOptions) defaults() error {
 		o.LeaseIv = 2
 	}
 	if o.KillShard < 0 || o.KillShard >= o.Shards || o.SaturateShard < 0 || o.SaturateShard >= o.Shards {
-		return fmt.Errorf("ctrlplane: drill shard target out of range")
+		return fmt.Errorf("scenario: drill shard target out of range")
 	}
 	return nil
 }
@@ -206,7 +199,7 @@ type TwoTierResult struct {
 	ShardBudgetW []float64
 	// Failovers counts shard-tier leadership takeovers.
 	Failovers int
-	Stats     GlobalStats
+	Stats     ctrlplane.GlobalStats
 }
 
 // capEps absorbs float accumulation across a fleet-wide sum.
@@ -220,7 +213,8 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 		return nil, err
 	}
 	ctx := context.Background()
-	clock := &drillClock{t: time.Unix(0, 0)}
+	clock := &drillClock{}
+	ivDur := time.Duration(opts.IntervalS * float64(time.Second))
 	termTTL := time.Duration(1.5 * opts.IntervalS * float64(time.Second))
 
 	shards := make([]*drillShard, opts.Shards)
@@ -242,17 +236,17 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 		}
 	}()
 
-	refs := make([]ShardRef, opts.Shards)
+	refs := make([]ctrlplane.ShardRef, opts.Shards)
 	for s := 0; s < opts.Shards; s++ {
 		sh := &drillShard{}
 		shards[s] = sh
-		eps := make(map[int]CtrlEndpoint, opts.AgentsPerShard)
+		eps := make(map[int]ctrlplane.CtrlEndpoint, opts.AgentsPerShard)
 		for j := 0; j < opts.AgentsPerShard; j++ {
 			id := s*opts.AgentsPerShard + j
 			// Idle-but-alive demand just above the floor; saturation is
 			// scripted per shard.
 			b := newDemandBackend(47)
-			a, err := NewAgent(AgentConfig{ID: id, Backend: b, Version: "2tier"})
+			a, err := ctrlplane.NewAgent(ctrlplane.AgentConfig{ID: id, Backend: b, Version: "2tier"})
 			if err != nil {
 				return nil, err
 			}
@@ -260,22 +254,22 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 			sh.backends = append(sh.backends, b)
 			eps[id] = a
 		}
-		srv, err := StartBinaryServer("127.0.0.1:0", BinaryServerConfig{Endpoints: eps})
+		srv, err := ctrlplane.StartBinaryServer("127.0.0.1:0", ctrlplane.BinaryServerConfig{Endpoints: eps})
 		if err != nil {
 			return nil, err
 		}
 		sh.agentSrv = srv
-		agentRefs := make([]AgentRef, 0, opts.AgentsPerShard)
+		agentRefs := make([]ctrlplane.AgentRef, 0, opts.AgentsPerShard)
 		for _, a := range sh.agents {
-			agentRefs = append(agentRefs, AgentRef{ID: a.ID(), URL: srv.URL()})
+			agentRefs = append(agentRefs, ctrlplane.AgentRef{ID: a.ID(), URL: srv.URL()})
 		}
 
-		elect := NewMemElection()
-		ref := ShardRef{ID: s}
+		elect := ctrlplane.NewMemElection()
+		ref := ctrlplane.ShardRef{ID: s}
 		for r := 0; r < 2; r++ {
-			coord, err := New(Config{
+			coord, err := ctrlplane.New(ctrlplane.Config{
 				Agents:    agentRefs,
-				Strategy:  StrategyUtility,
+				Strategy:  ctrlplane.StrategyUtility,
 				FloorW:    45,
 				LeaseIv:   opts.LeaseIv,
 				IntervalS: opts.IntervalS,
@@ -284,21 +278,21 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			ha, err := NewHA(coord, HAConfig{
+			ha, err := ctrlplane.NewHA(coord, ctrlplane.HAConfig{
 				ID:       fmt.Sprintf("shard%d-%s", s, string(rune('a'+r))),
 				Election: elect,
 				TermTTL:  termTTL,
-				Clock:    clock.now,
+				Clock:    clock.Now,
 				Priority: r,
 			})
 			if err != nil {
 				return nil, err
 			}
-			sc, err := NewShardCoordinatorHA(ha, ShardConfig{Shard: s, InitialBudgetW: evenBudget})
+			sc, err := ctrlplane.NewShardCoordinatorHA(ha, ctrlplane.ShardConfig{Shard: s, InitialBudgetW: evenBudget})
 			if err != nil {
 				return nil, err
 			}
-			trunk, err := StartBinaryServer("127.0.0.1:0", sc.ShardBinaryConfig(BinaryServerConfig{}))
+			trunk, err := ctrlplane.StartBinaryServer("127.0.0.1:0", sc.ShardBinaryConfig(ctrlplane.BinaryServerConfig{}))
 			if err != nil {
 				return nil, err
 			}
@@ -310,13 +304,13 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 
 	// The default reclaim window is the budget lease, LeaseIv+1
 	// intervals: it covers the agents' own LeaseIv-interval leases.
-	gcfg := GlobalConfig{
+	gcfg := ctrlplane.GlobalConfig{
 		Shards:    refs,
 		LeaseIv:   opts.LeaseIv + 1,
 		IntervalS: opts.IntervalS,
 		Seed:      opts.Seed,
 	}
-	global, err := NewGlobal(gcfg)
+	global, err := ctrlplane.NewGlobal(gcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -330,13 +324,13 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 	var lastGIv uint64
 	for iv := 1; iv <= opts.Intervals; iv++ {
 		now += opts.IntervalS
-		clock.advance(time.Duration(opts.IntervalS * float64(time.Second)))
+		clock.Set(time.Duration(iv) * ivDur)
 
 		if iv == opts.RestartGlobalStep {
 			// Crash-restart the apex: the replacement boots with a zero
 			// interval counter and must recover it from the shards.
 			global.Close()
-			if global, err = NewGlobal(gcfg); err != nil {
+			if global, err = ctrlplane.NewGlobal(gcfg); err != nil {
 				return nil, err
 			}
 		}

@@ -1,9 +1,6 @@
-package ctrlplane
+package scenario
 
 import (
-	"context"
-	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -190,167 +187,32 @@ func TestTwoTierDrill1000Agents(t *testing.T) {
 	}
 }
 
-// Direct trunk-unit coverage: ShardBudget fencing mirrors agent
-// assignment fencing.
-func TestShardBudgetFencing(t *testing.T) {
-	b := newDemandBackend(47)
-	a, err := NewAgent(AgentConfig{ID: 0, Backend: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := StartBinaryServer("127.0.0.1:0", BinaryServerConfig{Endpoints: map[int]CtrlEndpoint{0: a}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: srv.URL()}}, IntervalS: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	sc, err := NewShardCoordinator(coord, ShardConfig{Shard: 4, InitialBudgetW: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	grant := func(epoch, seq uint64, capW float64) ShardBudgetResponse {
-		resp, err := sc.ApplyBudget(ShardBudgetRequest{
-			V: ProtocolV, Epoch: epoch, Seq: seq, Shard: 4, T: 300, CapW: capW,
-			Iv: seq, LeaseIv: 3, IvS: 300,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	if resp := grant(2, 5, 80); !resp.Applied || sc.BudgetW() != 80 {
-		t.Fatalf("fresh grant not applied: %+v (budget %g)", resp, sc.BudgetW())
-	}
-	// A stale seq from the same epoch is refused with the ledger echoed.
-	if resp := grant(2, 4, 200); resp.Applied || resp.Epoch != 2 || resp.Seq != 5 || resp.CapW != 80 {
-		t.Fatalf("stale grant handled wrong: %+v", resp)
-	}
-	// A duplicate of the in-force grant satisfies the global's granted
-	// criterion without Applied.
-	if resp := grant(2, 5, 80); resp.Applied || resp.Epoch != 2 || resp.CapW != 80 {
-		t.Fatalf("duplicate grant handled wrong: %+v", resp)
-	}
-	// An older epoch is fenced outright.
-	if resp := grant(1, 99, 500); resp.Applied || sc.BudgetW() != 80 {
-		t.Fatalf("old-epoch grant landed: %+v (budget %g)", resp, sc.BudgetW())
-	}
-	// A newer epoch takes over.
-	if resp := grant(3, 1, 90); !resp.Applied || sc.BudgetW() != 90 {
-		t.Fatalf("new-epoch grant refused: %+v (budget %g)", resp, sc.BudgetW())
-	}
-	if sc.Starved() {
-		t.Fatal("freshly granted shard reports starved")
-	}
-
-	// A mismatched shard id is an error, not a silent ack.
-	if _, err := sc.ApplyBudget(ShardBudgetRequest{V: ProtocolV, Epoch: 9, Seq: 9, Shard: 0, T: 1, CapW: 1, Iv: 9, LeaseIv: 1, IvS: 1}); err == nil {
-		t.Fatal("grant for another shard accepted")
-	}
-	// Report before the first step is refused (nothing to summarize).
-	if _, err := sc.Report(ShardReportRequest{V: ProtocolV, Shard: 4}); err == nil {
-		t.Fatal("report served before the first control interval")
-	}
-}
-
-// A shard whose budget lease lapses must hold its last budget and
-// report itself starved — never grow.
-func TestShardBudgetLeaseLapse(t *testing.T) {
-	b := newDemandBackend(47)
-	a, err := NewAgent(AgentConfig{ID: 0, Backend: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := StartBinaryServer("127.0.0.1:0", BinaryServerConfig{Endpoints: map[int]CtrlEndpoint{0: a}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: srv.URL()}}, LeaseIv: 20, IntervalS: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	sc, err := NewShardCoordinator(coord, ShardConfig{Shard: 0, InitialBudgetW: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sc.ApplyBudget(ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 1, Shard: 0, T: 300, CapW: 90, Iv: 1, LeaseIv: 2, IvS: 300}); err != nil {
-		t.Fatal(err)
-	}
-	ctx := t.Context()
-	if _, err := sc.Step(ctx, 600); err != nil {
-		t.Fatal(err)
-	}
-	if sc.Starved() {
-		t.Fatal("starved inside the lease window")
-	}
-	// Two whole intervals past the grant with no fresh one: starved,
-	// budget held.
-	if _, err := sc.Step(ctx, 1200); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.Starved() {
-		t.Fatal("lapsed budget lease not reported starved")
-	}
-	if sc.BudgetW() != 90 {
-		t.Fatalf("starved shard moved its budget to %g W", sc.BudgetW())
-	}
-	rep, err := sc.Report(ShardReportRequest{V: ProtocolV, Shard: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Starved {
-		t.Fatal("trunk report does not carry the starved flag")
-	}
-	// A fresh grant clears starvation.
-	if _, err := sc.ApplyBudget(ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: 2, Shard: 0, T: 1200, CapW: 95, Iv: 4, LeaseIv: 2, IvS: 300}); err != nil {
-		t.Fatal(err)
-	}
-	if sc.Starved() || sc.BudgetW() != 95 {
-		t.Fatalf("fresh grant did not clear starvation (starved=%v budget=%g)", sc.Starved(), sc.BudgetW())
-	}
-}
-
-// GlobalConfig's RPC fields behave as Config's: left zero, the trunk
-// retry budget is Config's default of 2, so one failed shard scrape
-// costs a retry, not a missed heartbeat.
-func TestGlobalRetriesByDefault(t *testing.T) {
-	var reports atomic.Int64
-	srv, err := StartBinaryServer("127.0.0.1:0", BinaryServerConfig{
-		ShardReport: func(req ShardReportRequest) (ShardReport, error) {
-			if reports.Add(1) == 1 {
-				return ShardReport{}, errors.New("transient")
-			}
-			return ShardReport{V: ProtocolV, Shard: req.Shard, Epoch: 1, Leading: true, Agents: 1,
-				FloorW: 50, DemandW: 100, UsedW: 80, CapW: 100, BudgetW: 100}, nil
-		},
-		ShardBudget: func(req ShardBudgetRequest) (ShardBudgetResponse, error) {
-			return ShardBudgetResponse{V: ProtocolV, Shard: req.Shard, Epoch: req.Epoch, Seq: req.Seq,
-				Applied: true, CapW: req.CapW, Iv: req.Iv}, nil
-		},
+// TestTwoTierClockDrill: the two-tier tree under protocol-clock leases
+// survives a global apportioner crash-restart and a shard-leader kill
+// with zero invariant violations and no duplicated global intervals
+// (the drill itself checks uniqueness and the cap invariant).
+func TestTwoTierClockDrill(t *testing.T) {
+	res, err := RunTwoTierDrill(TwoTierOptions{
+		Shards:            2,
+		AgentsPerShard:    3,
+		Intervals:         14,
+		IntervalS:         300,
+		LeaseIv:           2,
+		RestartGlobalStep: 6,
+		KillLeaderStep:    10,
+		KillShard:         1,
+		Seed:              31,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	g, err := NewGlobal(GlobalConfig{Shards: []ShardRef{{ID: 0, URLs: []string{srv.URL()}}}, IntervalS: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range res.Violations {
+		t.Errorf("violation: %s", v)
 	}
-	defer g.Close()
-	res, err := g.Step(context.Background(), 0, 200)
-	if err != nil {
-		t.Fatal(err)
+	if res.Stats.Rehydrations != 1 {
+		t.Fatalf("restarted global rehydrated %d times, want 1", res.Stats.Rehydrations)
 	}
-	if res.ScrapeErrs != 0 || !res.Alive[0] {
-		t.Fatalf("one failed trunk scrape under the default retry budget: %d scrape errors (%v)", res.ScrapeErrs, res.Err)
-	}
-	if got := reports.Load(); got != 2 {
-		t.Fatalf("%d shard-report attempts, want 2 (one failure, one retry)", got)
+	if res.Failovers == 0 {
+		t.Fatal("shard-leader kill produced no failover")
 	}
 }
