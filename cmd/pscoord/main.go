@@ -12,7 +12,8 @@
 //	pscoord -agents 127.0.0.1:9081,127.0.0.1:9082,127.0.0.1:9083 \
 //	        -cap 240 -interval 2s -lease-iv 2
 //
-// Replay a peak-shaving cap schedule instead of a constant cap:
+// Replay a peak-shaving cap schedule instead of a constant cap, one
+// line per control interval:
 //
 //	pscoord -agents ... -capfile caps.csv -interval 1s
 //
@@ -69,7 +70,7 @@ func main() {
 		agents     = flag.String("agents", "", "comma-separated agent frame-listener addresses, host:port or tcp://host:port (fleet index follows list order), or id=addr pairs")
 		strategy   = flag.String("strategy", "equal", "apportioning strategy: equal or utility")
 		capW       = flag.Float64("cap", 240, "cluster power cap in watts (constant-cap mode)")
-		capFile    = flag.String("capfile", "", "replay a cluster cap schedule from this CSV (seconds,value) instead of a constant cap")
+		capFile    = flag.String("capfile", "", "replay a cluster cap schedule from this CSV (seconds,value) instead of a constant cap: one cap per control interval, in file order")
 		interval   = flag.Duration("interval", 2*time.Second, "control interval between fan-outs")
 		leaseIv    = flag.Int("lease-iv", 2, "draw lease granted with each assignment, in control intervals: short enough that a partitioned agent fences within that many intervals, long enough (at 2) that one dropped fan-out does not fence the whole fleet; every grant carries the minting interval counter and the -interval length, and a restarted coordinator rehydrates the counter from fleet scrapes before granting")
 		missK      = flag.Int("missk", 3, "consecutive failed scrapes before an agent's membership lease expires")
@@ -333,8 +334,11 @@ func main() {
 }
 
 // run is every tier's control loop: each interval it hands step the
-// interval's trace time and cap (the schedule's next point, or capW
-// with time advancing by interval), then waits for the ticker. It ends
+// loop's clock, which starts at 0 and advances by interval in every
+// mode, and the interval's cap (the schedule's next point in file
+// order, or capW), then waits for the ticker. The schedule's own times
+// are not the clock: leases and reclaim windows count in -interval
+// seconds, so a step must advance t by exactly that much. It ends
 // after the schedule's last point or on SIGINT/SIGTERM and then prints
 // the summary; a step canceled by the signal mid-fan-out is an orderly
 // shutdown, not a failure. Any other step error ends the loop at once.
@@ -350,7 +354,7 @@ loop:
 	for i := 0; caps == nil || i < len(caps); i++ {
 		cap := capW
 		if caps != nil {
-			t, cap = caps[i].T, caps[i].V
+			cap = caps[i].V
 		}
 		if err := step(ctx, t, cap); err != nil {
 			if ctx.Err() != nil {
@@ -358,9 +362,7 @@ loop:
 			}
 			return err
 		}
-		if caps == nil {
-			t += interval.Seconds()
-		}
+		t += interval.Seconds()
 		select {
 		case <-ctx.Done():
 			break loop

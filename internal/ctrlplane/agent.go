@@ -482,10 +482,17 @@ func (a *Agent) stateLocked(applied bool) AssignResponse {
 }
 
 // AgentStatus is one consistent snapshot of an agent's protocol state:
-// what a daemon serves on /healthz.
+// what a daemon serves on /healthz, and the one way tests and harnesses
+// read an agent.
 type AgentStatus struct {
-	CapW     float64
-	Epoch    uint64
+	// CapW is the enforced cap; GridW the draw it settles at, the ground
+	// truth a cap check sums.
+	CapW  float64
+	GridW float64
+	// Epoch is the highest coordinator epoch a grant was applied from.
+	Epoch uint64
+	// Fenced reports the fail-safe cap in force; SafeMode that the agent
+	// is fenced but holding/decaying its last grant instead of cliffing.
 	Fenced   bool
 	SafeMode bool
 	// Leased reports an unlapsed draw lease; LeaseExpiresInS is the local
@@ -495,28 +502,38 @@ type AgentStatus struct {
 	Leased          bool
 	LeaseExpiresInS float64
 	LeaseExpired    bool
-	Iv              uint64
-	ClockSkewIv     float64
+	// Iv is the highest protocol-clock interval observed. ClockSkewIv is
+	// the last measured coordinator skew in intervals: positive when the
+	// coordinator minted fewer intervals than the local clock counted.
+	Iv          uint64
+	ClockSkewIv float64
+	// Assigns counts applied grants, renewals excluded. Fences counts
+	// lease lapses, SafeModeEntries the subset that entered safe mode.
+	// StaleDrops counts assigns refused by the sequence check,
+	// EpochDrops grants and renewals refused for an older epoch.
+	Assigns         int
 	Fences          int
 	SafeModeEntries int
 	StaleDrops      int
 	EpochDrops      int
-	// Learning, CurveConf and CurveCells describe the online estimator
-	// (zero without one).
+	// Learning, CurveConf, CurveCells and Converged describe the online
+	// estimator (zero without one).
 	Learning   bool
 	CurveConf  float64
 	CurveCells int
+	Converged  bool
 }
 
-// Status snapshots the agent under one lock acquisition.
+// Status snapshots the agent under one lock acquisition. On an agent
+// without a Clock it has no side effect.
 func (a *Agent) Status() AgentStatus {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := AgentStatus{
-		CapW: a.capW, Epoch: a.lastEpoch, Fenced: a.fenced, SafeMode: a.safeMode,
+		CapW: a.capW, GridW: a.gridW, Epoch: a.lastEpoch, Fenced: a.fenced, SafeMode: a.safeMode,
 		Leased: !a.fenced, LeaseExpired: a.fenced && a.clk.leaseIv > 0,
 		Iv: a.clk.seenIv, ClockSkewIv: a.clk.skewIv,
-		Fences: a.fences, SafeModeEntries: a.safeEntries,
+		Assigns: a.assigns, Fences: a.fences, SafeModeEntries: a.safeEntries,
 		StaleDrops: a.staleDrops, EpochDrops: a.epochDrops,
 	}
 	if st.Leased {
@@ -524,6 +541,7 @@ func (a *Agent) Status() AgentStatus {
 	}
 	if a.est != nil {
 		st.Learning, st.CurveConf, st.CurveCells = true, a.est.Confidence(), a.est.ObservedCells()
+		st.Converged = a.est.Converged()
 	}
 	return st
 }
@@ -535,101 +553,11 @@ func (a *Agent) CapW() float64 {
 	return a.capW
 }
 
-// GridW returns the grid draw the enforced cap settles at — the ground
-// truth the soak test sums against the cluster cap.
-func (a *Agent) GridW() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.gridW
-}
-
 // PerfN returns the delivered normalized performance.
 func (a *Agent) PerfN() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.perfN
-}
-
-// Fenced reports whether the fail-safe cap is in force.
-func (a *Agent) Fenced() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.fenced
-}
-
-// SafeMode reports whether the agent is degrading leaderless — fenced,
-// but holding/decaying the last granted cap instead of cliffing.
-func (a *Agent) SafeMode() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.safeMode
-}
-
-// SafeModeEntries counts lease lapses that entered safe-mode
-// degradation (a subset of Fences).
-func (a *Agent) SafeModeEntries() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.safeEntries
-}
-
-// Assigns counts applied budget grants — renewals excluded, so a
-// steady-state fleet shows one assign followed by renewals only.
-func (a *Agent) Assigns() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.assigns
-}
-
-// Fences counts lease lapses that forced the fail-safe cap.
-func (a *Agent) Fences() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.fences
-}
-
-// StaleDrops counts stale or duplicated assigns refused by sequence
-// check.
-func (a *Agent) StaleDrops() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.staleDrops
-}
-
-// EpochDrops counts grants and renewals refused for carrying an epoch
-// older than the newest one applied — a deposed leader's traffic.
-func (a *Agent) EpochDrops() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.epochDrops
-}
-
-// LastEpoch is the highest coordinator epoch the agent has applied a
-// grant from (0 before the first grant).
-func (a *Agent) LastEpoch() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastEpoch
-}
-
-// LastIv is the highest protocol-clock interval the agent has observed
-// from any grant or renewal (0 before the first).
-func (a *Agent) LastIv() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.clk.seenIv
-}
-
-// Learning reports whether the agent characterizes its utility curve
-// online instead of trusting a pre-characterized backend curve.
-func (a *Agent) Learning() bool { return a.est != nil }
-
-// LearnConverged reports whether the online estimator has sampled every
-// cap cell often enough to stop probing (false when not learning).
-func (a *Agent) LearnConverged() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.est != nil && a.est.Converged()
 }
 
 // LearnConfidence is the learned curve's coverage fraction (0 when not
@@ -641,14 +569,4 @@ func (a *Agent) LearnConfidence() float64 {
 		return 0
 	}
 	return a.est.Confidence()
-}
-
-// ClockSkewIv is the last measured coordinator skew in intervals:
-// positive when the coordinator minted fewer intervals than the
-// agent's local clock counted over the same span (the coordinator runs
-// slow or stalls), negative when it minted faster.
-func (a *Agent) ClockSkewIv() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.clk.skewIv
 }

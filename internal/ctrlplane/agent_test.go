@@ -87,8 +87,8 @@ func TestAgentSeqDedup(t *testing.T) {
 	if got := be.applyCount() - boot; got != 1 {
 		t.Fatalf("backend applied %d times, want 1", got)
 	}
-	if a.StaleDrops() != 3 {
-		t.Fatalf("staleDrops = %d, want 3", a.StaleDrops())
+	if a.Status().StaleDrops != 3 {
+		t.Fatalf("staleDrops = %d, want 3", a.Status().StaleDrops)
 	}
 
 	// A misdirected assign is refused outright.
@@ -107,20 +107,20 @@ func TestAgentLeaseFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Fenced() {
+	if !a.Status().Fenced {
 		t.Fatal("agent must boot fenced")
 	}
 	if _, err := a.Assign(assign(1, 100, 80, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if a.Fenced() || a.GridW() != 72 {
-		t.Fatalf("after grant: fenced=%v grid=%g", a.Fenced(), a.GridW())
+	if a.Status().Fenced || a.Status().GridW != 72 {
+		t.Fatalf("after grant: fenced=%v grid=%g", a.Status().Fenced, a.Status().GridW)
 	}
 	// Within the lease: no fence.
 	if err := a.Tick(109.9); err != nil {
 		t.Fatal(err)
 	}
-	if a.Fenced() {
+	if a.Status().Fenced {
 		t.Fatal("fenced before the lease lapsed")
 	}
 	// A renewal from the next interval extends the lease past the
@@ -131,18 +131,18 @@ func TestAgentLeaseFence(t *testing.T) {
 	if err := a.Tick(119.9); err != nil {
 		t.Fatal(err)
 	}
-	if a.Fenced() {
+	if a.Status().Fenced {
 		t.Fatal("fenced despite renewal")
 	}
 	// Lapse: fence to the zero-watt fail-safe.
 	if err := a.Tick(120); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Fenced() || a.CapW() != 0 || a.GridW() != 0 {
-		t.Fatalf("after lapse: fenced=%v cap=%g grid=%g", a.Fenced(), a.CapW(), a.GridW())
+	if !a.Status().Fenced || a.CapW() != 0 || a.Status().GridW != 0 {
+		t.Fatalf("after lapse: fenced=%v cap=%g grid=%g", a.Status().Fenced, a.CapW(), a.Status().GridW)
 	}
-	if a.Fences() != 1 {
-		t.Fatalf("fences = %d, want 1", a.Fences())
+	if a.Status().Fences != 1 {
+		t.Fatalf("fences = %d, want 1", a.Status().Fences)
 	}
 	// A renewal cannot resurrect a fenced agent.
 	resp, err := a.Renew(renew(13, 121, 10))
@@ -155,15 +155,15 @@ func TestAgentLeaseFence(t *testing.T) {
 	if err := a.Tick(200); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Fenced() {
+	if !a.Status().Fenced {
 		t.Fatal("agent unfenced without an assign")
 	}
 	// Only an assign restores a budget.
 	if _, err := a.Assign(assign(2, 200, 40, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if a.Fenced() || a.CapW() != 40 {
-		t.Fatalf("after re-assign: fenced=%v cap=%g", a.Fenced(), a.CapW())
+	if a.Status().Fenced || a.CapW() != 40 {
+		t.Fatalf("after re-assign: fenced=%v cap=%g", a.Status().Fenced, a.CapW())
 	}
 }
 
@@ -193,7 +193,7 @@ func TestAgentStaleRenewalIgnored(t *testing.T) {
 	if err := a.Tick(108); err != nil {
 		t.Fatal(err)
 	}
-	if a.Fenced() {
+	if a.Status().Fenced {
 		t.Fatal("stale renewal rewound the lease clock and fenced a healthy agent")
 	}
 }

@@ -125,10 +125,10 @@ func TestBinaryCoalescedRenewals(t *testing.T) {
 		}
 	}
 	for i, a := range flt.Agents {
-		if n := a.Assigns(); n != 1 {
+		if n := a.Status().Assigns; n != 1 {
 			t.Errorf("agent %d applied %d assigns; steady state should renew inside the batch frame", i, n)
 		}
-		if a.Fences() != 0 || a.Fenced() {
+		if a.Status().Fences != 0 || a.Status().Fenced {
 			t.Errorf("agent %d fenced under steady renewal", i)
 		}
 	}

@@ -356,7 +356,7 @@ func TestRetiredFrameTypesRefused(t *testing.T) {
 		}
 		wantDropped(t, raw, fmt.Sprintf("frame %x", frame[:4]))
 	}
-	if got := a.Assigns(); got != len(frames) {
+	if got := a.Status().Assigns; got != len(frames) {
 		t.Errorf("agent applied %d grants, want the %d sent as v4 batch frames", got, len(frames))
 	}
 }
@@ -391,20 +391,20 @@ func TestInjectorWrapsFrameExchange(t *testing.T) {
 	}
 
 	a, _, _, err := run(faults.NetConfig{DropReqP: 1}, false)
-	if !errors.Is(err, faults.ErrNetDrop) || a.Assigns() != 0 {
-		t.Fatalf("dropped request: err %v, agent applied %d assigns", err, a.Assigns())
+	if !errors.Is(err, faults.ErrNetDrop) || a.Status().Assigns != 0 {
+		t.Fatalf("dropped request: err %v, agent applied %d assigns", err, a.Status().Assigns)
 	}
 	a, _, _, err = run(faults.NetConfig{DropRespP: 1}, false)
-	if !errors.Is(err, faults.ErrNetDrop) || a.Assigns() != 1 || a.CapW() != 40 {
-		t.Fatalf("dropped response: err %v, agent applied %d assigns (cap %g W)", err, a.Assigns(), a.CapW())
+	if !errors.Is(err, faults.ErrNetDrop) || a.Status().Assigns != 1 || a.CapW() != 40 {
+		t.Fatalf("dropped response: err %v, agent applied %d assigns (cap %g W)", err, a.Status().Assigns, a.CapW())
 	}
 	a, _, resp, err := run(faults.NetConfig{DupP: 1}, false)
-	if err != nil || a.Assigns() != 1 || a.StaleDrops() != 1 || resp.Applied || resp.CapW != 40 {
-		t.Fatalf("duplicate: err %v, %d assigns, %d stale drops, second reply %+v", err, a.Assigns(), a.StaleDrops(), resp)
+	if err != nil || a.Status().Assigns != 1 || a.Status().StaleDrops != 1 || resp.Applied || resp.CapW != 40 {
+		t.Fatalf("duplicate: err %v, %d assigns, %d stale drops, second reply %+v", err, a.Status().Assigns, a.Status().StaleDrops, resp)
 	}
 	a, bin, _, err := run(faults.NetConfig{}, true)
-	if !errors.Is(err, faults.ErrNetDrop) || a.Assigns() != 0 || bin.dials.Load() != 0 {
-		t.Fatalf("blackhole: err %v, %d assigns, %d dials", err, a.Assigns(), bin.dials.Load())
+	if !errors.Is(err, faults.ErrNetDrop) || a.Status().Assigns != 0 || bin.dials.Load() != 0 {
+		t.Fatalf("blackhole: err %v, %d assigns, %d dials", err, a.Status().Assigns, bin.dials.Load())
 	}
 }
 

@@ -37,13 +37,13 @@ func TestAgentClockLeaseLapse(t *testing.T) {
 	if err := a.Tick(19.9); err != nil {
 		t.Fatal(err)
 	}
-	if a.Fenced() {
+	if a.Status().Fenced {
 		t.Fatal("interval lease lapsed before the boundary")
 	}
 	if err := a.Tick(20); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Fenced() {
+	if !a.Status().Fenced {
 		t.Fatal("interval lease still live at the grant boundary")
 	}
 
@@ -61,17 +61,17 @@ func TestAgentClockLeaseLapse(t *testing.T) {
 	if err := b.Tick(29.9); err != nil {
 		t.Fatal(err)
 	}
-	if b.Fenced() {
+	if b.Status().Fenced {
 		t.Fatal("renewed interval lease lapsed early")
 	}
 	if err := b.Tick(30); err != nil {
 		t.Fatal(err)
 	}
-	if !b.Fenced() {
+	if !b.Status().Fenced {
 		t.Fatal("renewed interval lease outlived its boundary")
 	}
-	if b.LastIv() != 2 {
-		t.Fatalf("observed interval %d, want 2", b.LastIv())
+	if b.Status().Iv != 2 {
+		t.Fatalf("observed interval %d, want 2", b.Status().Iv)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestAgentClockSkew(t *testing.T) {
 		Iv: 2, LeaseIv: 2, IvS: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.ClockSkewIv(); got != 0.5 {
+	if got := a.Status().ClockSkewIv; got != 0.5 {
 		t.Fatalf("skew %g intervals, want 0.5", got)
 	}
 	// Two minted intervals over 15 further seconds: now it runs fast.
@@ -98,7 +98,7 @@ func TestAgentClockSkew(t *testing.T) {
 		Iv: 4, LeaseIv: 2, IvS: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.ClockSkewIv(); got != -0.5 {
+	if got := a.Status().ClockSkewIv; got != -0.5 {
 		t.Fatalf("skew %g intervals, want -0.5", got)
 	}
 }
@@ -265,7 +265,7 @@ func TestCoordinatorClockRestartRehydration(t *testing.T) {
 		}
 	}
 	for _, a := range flt.Agents {
-		if a.StaleDrops() != 0 {
+		if a.Status().StaleDrops != 0 {
 			t.Fatalf("agent %d stale-dropped a post-restart grant: sequence not rehydrated", a.ID())
 		}
 	}

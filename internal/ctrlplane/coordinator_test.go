@@ -141,7 +141,7 @@ func TestRenewalOfFencedAgentFallsThroughToAssign(t *testing.T) {
 	if _, err := coord.Step(context.Background(), 0, 60); err != nil {
 		t.Fatal(err)
 	}
-	if a.Fenced() {
+	if a.Status().Fenced {
 		t.Fatal("agent fenced after a successful grant")
 	}
 	// Same budget at t=100: the scrape sees a healthy agent, so the
@@ -153,8 +153,8 @@ func TestRenewalOfFencedAgentFallsThroughToAssign(t *testing.T) {
 	if !res.Granted[0] {
 		t.Fatal("budget not re-granted after the fence")
 	}
-	if a.Fenced() || a.CapW() != 60 {
-		t.Fatalf("after re-grant: fenced=%v cap=%g, want an unfenced 60 W", a.Fenced(), a.CapW())
+	if a.Status().Fenced || a.CapW() != 60 {
+		t.Fatalf("after re-grant: fenced=%v cap=%g, want an unfenced 60 W", a.Status().Fenced, a.CapW())
 	}
 }
 

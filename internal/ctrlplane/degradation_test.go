@@ -31,15 +31,15 @@ func TestAgentSafeModeHoldAndDecay(t *testing.T) {
 	if err := a.Tick(200); err != nil {
 		t.Fatal(err)
 	}
-	if a.Fenced() || a.SafeMode() {
+	if a.Status().Fenced || a.Status().SafeMode {
 		t.Fatal("degraded inside a live lease")
 	}
 	// Lapse lands in the hold window: the cap must hold, not cliff.
 	if err := a.Tick(450); err != nil {
 		t.Fatal(err)
 	}
-	if !a.SafeMode() || !a.Fenced() {
-		t.Fatalf("safeMode=%v fenced=%v after lapse", a.SafeMode(), a.Fenced())
+	if !a.Status().SafeMode || !a.Status().Fenced {
+		t.Fatalf("safeMode=%v fenced=%v after lapse", a.Status().SafeMode, a.Status().Fenced)
 	}
 	if got := a.CapW(); got != 100 {
 		t.Fatalf("cap %g W in the hold window, want the held 100 W", got)
@@ -66,8 +66,8 @@ func TestAgentSafeModeHoldAndDecay(t *testing.T) {
 	if got := a.CapW(); got != 20 {
 		t.Fatalf("cap %g W at the end of decay, want the 20 W floor", got)
 	}
-	if a.SafeModeEntries() != 1 || a.Fences() != 1 {
-		t.Fatalf("entries=%d fences=%d, want 1 and 1", a.SafeModeEntries(), a.Fences())
+	if a.Status().SafeModeEntries != 1 || a.Status().Fences != 1 {
+		t.Fatalf("entries=%d fences=%d, want 1 and 1", a.Status().SafeModeEntries, a.Status().Fences)
 	}
 	rep, err := a.Report()
 	if err != nil {
@@ -81,8 +81,8 @@ func TestAgentSafeModeHoldAndDecay(t *testing.T) {
 	if err != nil || !resp.Applied {
 		t.Fatalf("re-grant: %+v, %v", resp, err)
 	}
-	if resp.SafeMode || a.SafeMode() || a.Fenced() || a.CapW() != 90 {
-		t.Fatalf("after re-grant: safeMode=%v fenced=%v cap=%g", a.SafeMode(), a.Fenced(), a.CapW())
+	if resp.SafeMode || a.Status().SafeMode || a.Status().Fenced || a.CapW() != 90 {
+		t.Fatalf("after re-grant: safeMode=%v fenced=%v cap=%g", a.Status().SafeMode, a.Status().Fenced, a.CapW())
 	}
 }
 
@@ -124,7 +124,7 @@ func TestAgentSafeModeRefusesRenewal(t *testing.T) {
 	if err := a.Tick(50); err != nil {
 		t.Fatal(err)
 	}
-	if !a.SafeMode() {
+	if !a.Status().SafeMode {
 		t.Fatal("not in safe mode after lapse")
 	}
 	resp, err := a.Renew(renew(7, 60, 10))
@@ -137,7 +137,7 @@ func TestAgentSafeModeRefusesRenewal(t *testing.T) {
 	if err := a.Tick(70); err != nil {
 		t.Fatal(err)
 	}
-	if !a.SafeMode() {
+	if !a.Status().SafeMode {
 		t.Fatal("renewal cleared safe mode")
 	}
 }

@@ -111,7 +111,7 @@ func TestHAFailoverSoak(t *testing.T) {
 		clkB.Set(wallAt(cp.T))
 		epochsBefore := make([]uint64, servers)
 		for i, ag := range flt.Agents {
-			epochsBefore[i] = ag.LastEpoch()
+			epochsBefore[i] = ag.Status().Epoch
 		}
 
 		var results []StepResult
@@ -173,7 +173,7 @@ func TestHAFailoverSoak(t *testing.T) {
 		// No agent applies two epochs' grants in one interval, and
 		// applied epochs never move backward.
 		for i, ag := range flt.Agents {
-			after := ag.LastEpoch()
+			after := ag.Status().Epoch
 			if after < epochsBefore[i] {
 				t.Fatalf("step %d: agent %d's applied epoch went backward (%d → %d)", s, i, epochsBefore[i], after)
 			}
@@ -210,8 +210,8 @@ func TestHAFailoverSoak(t *testing.T) {
 		t.Fatalf("old leader observed peak epoch %d, want 2", a.Coordinator().PeakEpoch())
 	}
 	for i, ag := range flt.Agents {
-		if ag.LastEpoch() != 2 {
-			t.Fatalf("agent %d finished at epoch %d, want 2", i, ag.LastEpoch())
+		if ag.Status().Epoch != 2 {
+			t.Fatalf("agent %d finished at epoch %d, want 2", i, ag.Status().Epoch)
 		}
 	}
 	if st := b.Coordinator().Stats(); st.Steps == 0 || st.Observes == 0 {
@@ -262,8 +262,8 @@ func TestSplitBrainEpochFencing(t *testing.T) {
 	}
 	want := 300.0 / servers
 	for i, ag := range flt.Agents {
-		if ag.CapW() != want || ag.LastEpoch() != 2 {
-			t.Fatalf("agent %d: cap %g W epoch %d after takeover, want %g W epoch 2", i, ag.CapW(), ag.LastEpoch(), want)
+		if ag.CapW() != want || ag.Status().Epoch != 2 {
+			t.Fatalf("agent %d: cap %g W epoch %d after takeover, want %g W epoch 2", i, ag.CapW(), ag.Status().Epoch, want)
 		}
 	}
 
@@ -286,10 +286,10 @@ func TestSplitBrainEpochFencing(t *testing.T) {
 		}
 	}
 	for i, ag := range flt.Agents {
-		if ag.LastEpoch() != 2 {
-			t.Fatalf("agent %d regressed to epoch %d", i, ag.LastEpoch())
+		if ag.Status().Epoch != 2 {
+			t.Fatalf("agent %d regressed to epoch %d", i, ag.Status().Epoch)
 		}
-		if ag.EpochDrops() == 0 {
+		if ag.Status().EpochDrops == 0 {
 			t.Fatalf("agent %d counted no epoch drops", i)
 		}
 	}
@@ -305,8 +305,8 @@ func TestSplitBrainEpochFencing(t *testing.T) {
 		}
 	}
 	for i, ag := range flt.Agents {
-		if ag.Fenced() || ag.CapW() != want {
-			t.Fatalf("agent %d: fenced=%v cap=%g after recovery, want an unfenced %g W", i, ag.Fenced(), ag.CapW(), want)
+		if ag.Status().Fenced || ag.CapW() != want {
+			t.Fatalf("agent %d: fenced=%v cap=%g after recovery, want an unfenced %g W", i, ag.Status().Fenced, ag.CapW(), want)
 		}
 	}
 }
@@ -377,8 +377,8 @@ func TestClockSkewTakeover(t *testing.T) {
 		t.Fatalf("skewed winner lost its own term: %+v", resB)
 	}
 	for i, ag := range flt.Agents {
-		if ag.LastEpoch() != 2 {
-			t.Fatalf("agent %d at epoch %d, want 2", i, ag.LastEpoch())
+		if ag.Status().Epoch != 2 {
+			t.Fatalf("agent %d at epoch %d, want 2", i, ag.Status().Epoch)
 		}
 	}
 	if err := flt.Tick(interval); err != nil {
@@ -474,7 +474,7 @@ func TestPartitionedLeaderKeepsCapSafe(t *testing.T) {
 		// budgets.
 		if s >= 3 && s < 6 {
 			for i, ag := range flt.Agents {
-				if !ag.Fenced() {
+				if !ag.Status().Fenced {
 					t.Fatalf("step %d: agent %d unfenced %g s into the partition", s, i, ts-2*interval)
 				}
 			}
@@ -801,8 +801,8 @@ func TestRenewalUnderDelayDuplication(t *testing.T) {
 		}
 	}
 	for i, ag := range flt.Agents {
-		if ag.Fences() != 0 || ag.Fenced() {
-			t.Fatalf("agent %d fenced %d times under a steadily renewed lease", i, ag.Fences())
+		if ag.Status().Fences != 0 || ag.Status().Fenced {
+			t.Fatalf("agent %d fenced %d times under a steadily renewed lease", i, ag.Status().Fences)
 		}
 		if ag.CapW() != 150 {
 			t.Fatalf("agent %d enforces %g W, want 150 W", i, ag.CapW())
@@ -839,8 +839,8 @@ func TestAgentEpochFencingRules(t *testing.T) {
 	if resp := grant(2, 1, 10, 70); !resp.Applied {
 		t.Fatal("new epoch's first grant (lower seq) refused")
 	}
-	if a.CapW() != 70 || a.LastEpoch() != 2 {
-		t.Fatalf("cap %g epoch %d after takeover", a.CapW(), a.LastEpoch())
+	if a.CapW() != 70 || a.Status().Epoch != 2 {
+		t.Fatalf("cap %g epoch %d after takeover", a.CapW(), a.Status().Epoch)
 	}
 
 	// A duplicated epoch-2 grant is a stale drop; a delayed epoch-1
@@ -854,8 +854,8 @@ func TestAgentEpochFencingRules(t *testing.T) {
 	if a.CapW() != 70 {
 		t.Fatalf("cap %g after stale traffic, want 70", a.CapW())
 	}
-	if a.StaleDrops() != 1 || a.EpochDrops() != 1 {
-		t.Fatalf("staleDrops=%d epochDrops=%d, want 1 and 1", a.StaleDrops(), a.EpochDrops())
+	if a.Status().StaleDrops != 1 || a.Status().EpochDrops != 1 {
+		t.Fatalf("staleDrops=%d epochDrops=%d, want 1 and 1", a.Status().StaleDrops, a.Status().EpochDrops)
 	}
 
 	// Renewals: only the granting epoch extends the lease. An old
@@ -875,8 +875,8 @@ func TestAgentEpochFencingRules(t *testing.T) {
 	if resp := renewAt(1, 30); resp.Epoch != 2 {
 		t.Fatalf("old-epoch renewal: %+v", resp)
 	}
-	if a.EpochDrops() != 2 {
-		t.Fatalf("old-epoch renewal not counted: %d", a.EpochDrops())
+	if a.Status().EpochDrops != 2 {
+		t.Fatalf("old-epoch renewal not counted: %d", a.Status().EpochDrops)
 	}
 	before := renewAt(2, 40)
 	after := renewAt(3, 90)
@@ -890,7 +890,7 @@ func TestAgentEpochFencingRules(t *testing.T) {
 	if err := a.Tick(139); err != nil {
 		t.Fatal(err)
 	}
-	if a.Fenced() {
+	if a.Status().Fenced {
 		t.Fatal("reordered renewal pulled the lease backward and fenced the agent")
 	}
 }

@@ -91,7 +91,7 @@ func TestLearningProbeNoFlapWithinInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Learning() {
+	if !a.Status().Learning {
 		t.Fatal("agent with Learn config reports Learning() == false")
 	}
 	_, err = a.Assign(AssignRequest{V: ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0,

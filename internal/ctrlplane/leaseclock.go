@@ -3,7 +3,7 @@ package ctrlplane
 // leaseClock is one member's reading of the protocol clock of the tier
 // that grants it watts — an Agent's of its coordinator, a
 // ShardCoordinator's of the global apportioner — and the only lease
-// arithmetic in the control plane (docs/CONTROL_PLANE.md "Leases"). The
+// arithmetic in the control plane (docs/CONTROL_PLANE.md §Leases). The
 // owner supplies its own clock reading (now, in seconds) and guards the
 // value with its own mutex.
 type leaseClock struct {

@@ -130,7 +130,7 @@ func (f *SimFleet) Tick(t float64) error {
 func (f *SimFleet) FleetGridW() float64 {
 	var sum float64
 	for _, a := range f.Agents {
-		sum += a.GridW()
+		sum += a.Status().GridW
 	}
 	return sum
 }

@@ -9,8 +9,9 @@ import "sync/atomic"
 // restarted granter must hear a majority of its members' report echoes
 // and adopt the highest interval and same-epoch sequence among them
 // before it mints, so a crash–restart cannot re-issue a number an
-// earlier grant already carries (docs/CONTROL_PLANE.md "Protocol
-// clock"). Fault-log text, telemetry and stats stay with the owner.
+// earlier grant already carries
+// (docs/CONTROL_PLANE.md §Restart recovery). Fault-log text, telemetry
+// and stats stay with the owner.
 //
 // epoch, seenEpoch and iv are atomics because fan-out goroutines and
 // handlers read them concurrently with the control loop; everything

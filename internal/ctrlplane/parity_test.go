@@ -182,7 +182,7 @@ func TestDropoutLeaseExpiryParity(t *testing.T) {
 				// The blackholed agent must also stop drawing within one
 				// control interval: its draw lease lapses and it fences.
 				if cp.T >= window.FromT+300 && cp.T < window.ToT {
-					if !flt.Agents[lost].Fenced() {
+					if !flt.Agents[lost].Status().Fenced {
 						t.Fatalf("t=%g: blackholed agent still unfenced past one interval", cp.T)
 					}
 				}
@@ -222,10 +222,10 @@ func TestCoordinatorRenewsUnchangedBudgets(t *testing.T) {
 		}
 	}
 	for i, a := range flt.Agents {
-		if a.Fences() != 0 {
-			t.Errorf("agent %d fenced %d times under steady renewal", i, a.Fences())
+		if a.Status().Fences != 0 {
+			t.Errorf("agent %d fenced %d times under steady renewal", i, a.Status().Fences)
 		}
-		if a.Fenced() {
+		if a.Status().Fenced {
 			t.Errorf("agent %d fenced", i)
 		}
 	}

@@ -277,7 +277,7 @@ func TestQuorumFailoverSoak(t *testing.T) {
 		}
 		epochsBefore := make([]uint64, servers)
 		for i, ag := range flt.Agents {
-			epochsBefore[i] = ag.LastEpoch()
+			epochsBefore[i] = ag.Status().Epoch
 		}
 
 		leaders := 0
@@ -320,7 +320,7 @@ func TestQuorumFailoverSoak(t *testing.T) {
 
 		// Applied epochs never move backward or skip at any agent.
 		for i, ag := range flt.Agents {
-			after := ag.LastEpoch()
+			after := ag.Status().Epoch
 			if after < epochsBefore[i] {
 				t.Fatalf("step %d: agent %d's applied epoch went backward (%d -> %d)", s, i, epochsBefore[i], after)
 			}
@@ -357,8 +357,8 @@ func TestQuorumFailoverSoak(t *testing.T) {
 		t.Fatalf("returned old leader still believes it leads: %+v", term)
 	}
 	for i, ag := range flt.Agents {
-		if ag.LastEpoch() != 2 {
-			t.Fatalf("agent %d finished at epoch %d, want 2", i, ag.LastEpoch())
+		if ag.Status().Epoch != 2 {
+			t.Fatalf("agent %d finished at epoch %d, want 2", i, ag.Status().Epoch)
 		}
 	}
 	// The replicated term itself converged on every voter.

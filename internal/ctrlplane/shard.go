@@ -50,9 +50,10 @@ type ShardCoordinator struct {
 	mu sync.Mutex
 	// budgetW is the shard budget in force. Once its lease lapses the
 	// shard holds the budget — never grows it — and reports itself
-	// starved; this is cap-safe because the silent global has reserved
-	// the shard's last grant until its reclaim window passes. The
-	// bootstrap budget, granted by nobody, carries no lease.
+	// starved. That is cap-safe only while the global still reserves
+	// the shard's last grant: a trunk-only partition outlives the
+	// reclaim window (docs/CONTROL_PLANE.md §Hierarchy). The bootstrap
+	// budget, granted by nobody, carries no lease.
 	budgetW float64
 	starved bool
 	// lastEpoch/lastSeq fence budget grants: the shard's mirror of
@@ -60,9 +61,13 @@ type ShardCoordinator struct {
 	lastEpoch uint64
 	lastSeq   uint64
 	// clk is the budget lease and the shard's reading of the global
-	// protocol clock, fed by trunk scrapes and grants and read at the
-	// shard's own step time.
+	// protocol clock, fed by trunk scrapes and grants. Both are anchored
+	// on the shard's own clock, its latest step time now, never on the T
+	// a trunk frame carries (the global's clock); the first step
+	// re-anchors what was observed before it.
 	clk     leaseClock
+	now     float64
+	clocked bool
 	stepped bool
 	// report is the last step's snapshot. Its Curve is the wrapped
 	// coordinator's memoized rollup, shared with every Report caller and
@@ -126,6 +131,10 @@ func (s *ShardCoordinator) Starved() bool {
 // refresh the trunk report snapshot from the post-step member state.
 func (s *ShardCoordinator) Step(ctx context.Context, t float64) (StepResult, error) {
 	s.mu.Lock()
+	if !s.clocked {
+		s.clk.seenT, s.clocked = t, true
+	}
+	s.now = t
 	if s.clk.lapsed(t) {
 		// The budget lease lapsed without a fresh grant: hold the last
 		// budget (never grow it) and say so in the next report.
@@ -256,7 +265,7 @@ func (s *ShardCoordinator) Report(req ShardReportRequest) (ShardReport, error) {
 	// The trunk scrape broadcasts the global clock even when the grant
 	// deadband skips a re-grant, so the shard keeps counting intervals.
 	if req.HasT {
-		s.clk.observe(req.Iv, s.clk.ivS, req.T)
+		s.clk.observe(req.Iv, s.clk.ivS, s.now)
 	}
 	if !s.stepped {
 		return ShardReport{}, fmt.Errorf("ctrlplane: shard %d has not completed a control interval yet", s.cfg.Shard)
@@ -290,7 +299,7 @@ func (s *ShardCoordinator) ApplyBudget(req ShardBudgetRequest) (ShardBudgetRespo
 	}
 	s.lastEpoch, s.lastSeq = req.Epoch, req.Seq
 	s.budgetW = req.CapW
-	s.clk.observe(req.Iv, req.IvS, req.T)
+	s.clk.observe(req.Iv, req.IvS, s.now)
 	s.clk.grant(req.Iv, req.LeaseIv, req.IvS)
 	s.starved = false
 	resp.Epoch, resp.Seq, resp.Applied, resp.CapW, resp.Iv = req.Epoch, req.Seq, true, req.CapW, s.clk.seenIv

@@ -3,6 +3,7 @@ package ctrlplane
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -169,5 +170,51 @@ func TestGlobalRetriesByDefault(t *testing.T) {
 	}
 	if got := reports.Load(); got != 2 {
 		t.Fatalf("%d shard-report attempts, want 2 (one failure, one retry)", got)
+	}
+}
+
+// The budget lease runs on the shard's own clock: however far the
+// global's clock is from the shard's, the shard is starved exactly when
+// LeaseIv of its own intervals pass without a grant.
+func TestShardBudgetLeaseOnShardClock(t *testing.T) {
+	const ivS, leaseIv, lastGrant = 300, 2, 2
+	for _, off := range []float64{-1000, 0, 1000} {
+		t.Run(fmt.Sprintf("global%+.0fs", off), func(t *testing.T) {
+			a, err := NewAgent(AgentConfig{ID: 0, Backend: newDemandBackend(47)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := StartBinaryServer("127.0.0.1:0", BinaryServerConfig{Endpoints: map[int]CtrlEndpoint{0: a}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: srv.URL()}}, LeaseIv: 20, IntervalS: ivS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			sc, err := NewShardCoordinator(coord, ShardConfig{Shard: 0, InitialBudgetW: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k <= lastGrant+leaseIv+1; k++ {
+				now := 5000 + float64(k)*ivS
+				if _, err := sc.Step(t.Context(), now); err != nil {
+					t.Fatal(err)
+				}
+				if want := k >= lastGrant+leaseIv; sc.Starved() != want {
+					t.Fatalf("step %d: starved=%v, want %v", k, sc.Starved(), want)
+				}
+				if k > lastGrant {
+					continue
+				}
+				iv := uint64(k + 1)
+				if _, err := sc.ApplyBudget(ShardBudgetRequest{V: ProtocolV, Epoch: 1, Seq: iv, Shard: 0,
+					T: now + off, CapW: 90, Iv: iv, LeaseIv: leaseIv, IvS: ivS}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -140,8 +140,8 @@ type Report struct {
 	// cap cells actually observed. Pre-characterized curves (trace
 	// replay agents) omit both — absence means full trust. The
 	// coordinator treats a learned curve below its confidence floor as
-	// no curve at all (docs/CONTROL_PLANE.md "Online utility
-	// learning").
+	// no curve at all
+	// (docs/CONTROL_PLANE.md §Online utility learning).
 	CurveConf  float64 `json:"curveConf,omitempty"`
 	CurveCells int     `json:"curveCells,omitempty"`
 	// Version is the agent's build version, surfaced so a fleet

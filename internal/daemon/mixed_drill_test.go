@@ -234,14 +234,14 @@ func TestMixedFleetClockParity(t *testing.T) {
 		if h.CtrlClockSkewIv != 0 {
 			t.Fatalf("daemon %d skew %g intervals under a lockstep clock", 2+i, h.CtrlClockSkewIv)
 		}
-		if h.CtrlIv == 0 || h.CtrlIv != oracle.Agents[2+i].LastIv() {
-			t.Fatalf("daemon %d tracked interval %d, oracle %d", 2+i, h.CtrlIv, oracle.Agents[2+i].LastIv())
+		if h.CtrlIv == 0 || h.CtrlIv != oracle.Agents[2+i].Status().Iv {
+			t.Fatalf("daemon %d tracked interval %d, oracle %d", 2+i, h.CtrlIv, oracle.Agents[2+i].Status().Iv)
 		}
 	}
 	for i, a := range agents {
-		if a.SafeModeEntries() != 1 || oracle.Agents[i].SafeModeEntries() != 1 {
+		if a.Status().SafeModeEntries != 1 || oracle.Agents[i].Status().SafeModeEntries != 1 {
 			t.Fatalf("replay agent %d safe-mode entries %d (oracle %d), want exactly 1 from the stall",
-				i, a.SafeModeEntries(), oracle.Agents[i].SafeModeEntries())
+				i, a.Status().SafeModeEntries, oracle.Agents[i].Status().SafeModeEntries)
 		}
 	}
 }

@@ -103,13 +103,16 @@ func (ck *ctrlChecker) check(r *Result, step int, t, capW float64, led bool,
 
 	var capSum, gridSum float64
 	safe, fenced := 0, 0
-	for _, a := range agents {
-		capSum += a.CapW()
-		gridSum += a.GridW()
-		if a.SafeMode() {
+	sts := make([]ctrlplane.AgentStatus, len(agents))
+	for i, a := range agents {
+		st := a.Status()
+		sts[i] = st
+		capSum += st.CapW
+		gridSum += st.GridW
+		if st.SafeMode {
 			safe++
 		}
-		if a.Fenced() {
+		if st.Fenced {
 			fenced++
 		}
 	}
@@ -133,14 +136,14 @@ func (ck *ctrlChecker) check(r *Result, step int, t, capW float64, led bool,
 			granted++
 			// No lease honored across epochs: a grant acknowledged this
 			// interval must have been applied under the current epoch.
-			if got := agents[i].LastEpoch(); got != epoch {
+			if got := sts[i].Epoch; got != epoch {
 				r.violatef("step=%03d agent %d granted under epoch %d but applied epoch %d",
 					step, i, epoch, got)
 			}
 		}
 	}
-	for i, a := range agents {
-		if got := a.LastEpoch(); got > epoch {
+	for i, st := range sts {
+		if got := st.Epoch; got > epoch {
 			r.violatef("step=%03d agent %d at epoch %d ahead of coordinator epoch %d",
 				step, i, got, epoch)
 		}
@@ -159,20 +162,20 @@ func (ck *ctrlChecker) check(r *Result, step int, t, capW float64, led bool,
 	if ck.learn {
 		unconv := 0
 		minConf := 1.0
-		for i, a := range agents {
-			if !a.Learning() {
+		for i, st := range sts {
+			if !st.Learning {
 				continue
 			}
-			if v := a.LearnConfidence(); v < minConf {
+			if v := st.CurveConf; v < minConf {
 				minConf = v
 			}
-			if a.LearnConverged() {
+			if st.Converged {
 				continue
 			}
 			unconv++
-			if led && i < len(res.Budgets) && res.Granted[i] && a.CapW() > res.Budgets[i]+1e-9 {
+			if led && i < len(res.Budgets) && res.Granted[i] && st.CapW > res.Budgets[i]+1e-9 {
 				r.violatef("step=%03d learning agent %d enforces %.3f W over its %.3f W grant with a partial curve",
-					step, i, a.CapW(), res.Budgets[i])
+					step, i, st.CapW, res.Budgets[i])
 			}
 		}
 		learn = fmt.Sprintf(" unconv=%d minconf=%.3f", unconv, minConf)

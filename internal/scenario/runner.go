@@ -224,7 +224,7 @@ func runCtrl(c Campaign) (*Result, error) {
 	r.FinalEpoch = coord.Epoch()
 	maxSkew := 0.0
 	for _, a := range flt.Agents {
-		if sk := math.Abs(a.ClockSkewIv()); sk > maxSkew {
+		if sk := math.Abs(a.Status().ClockSkewIv); sk > maxSkew {
 			maxSkew = sk
 		}
 	}
@@ -234,10 +234,11 @@ func runCtrl(c Campaign) (*Result, error) {
 		unconv := 0
 		minConf := 1.0
 		for _, a := range flt.Agents {
-			if !a.LearnConverged() {
+			st := a.Status()
+			if !st.Converged {
 				unconv++
 			}
-			if v := a.LearnConfidence(); v < minConf {
+			if v := st.CurveConf; v < minConf {
 				minConf = v
 			}
 		}
