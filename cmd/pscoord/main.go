@@ -397,7 +397,7 @@ func deposedNote(res ctrlplane.StepResult) string {
 
 func summarize(coord *ctrlplane.Coordinator, ha *ctrlplane.HA, sc *ctrlplane.ShardCoordinator) {
 	if sc != nil {
-		log.Printf("shard budget in force at exit: %.1f W (starved=%v)", sc.BudgetW(), sc.Starved())
+		log.Printf("last granted shard budget at exit: %.1f W (starved=%v)", sc.BudgetW(), sc.Starved())
 	}
 	if ha != nil {
 		if err := ha.Resign(); err != nil {

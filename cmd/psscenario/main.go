@@ -18,6 +18,10 @@
 //
 //	psscenario -family rolling-restart -seed 11 -replay
 //
+// Run a pinned drill the same way; -seed is its only input:
+//
+//	psscenario -drill two-tier-chaos -seed 7 -replay
+//
 // The exit status is 0 only if every invariant held (and, with
 // -replay, the two runs matched).
 package main
@@ -28,6 +32,7 @@ import (
 	"hash/fnv"
 	"log"
 	"os"
+	"strings"
 
 	"powerstruggle/internal/buildinfo"
 	"powerstruggle/internal/scenario"
@@ -37,9 +42,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("psscenario: ")
 	var (
-		list    = flag.Bool("list", false, "list campaign families and exit")
+		list    = flag.Bool("list", false, "list campaign families and drills and exit")
 		family  = flag.String("family", "", "campaign family to run (see -list)")
-		seed    = flag.Int64("seed", 1, "campaign seed; (family, seed) names the campaign")
+		drill   = flag.String("drill", "", "pinned drill to run instead of a family (see -list); takes no size flag")
+		seed    = flag.Int64("seed", 1, "campaign seed; (family or drill, seed) names the campaign")
 		servers = flag.Int("servers", 0, "fleet size (default 4)")
 		steps   = flag.Int("steps", 0, "control intervals to run (default 24)")
 		stepS   = flag.Float64("step", 0, "control interval length in trace seconds (default 300)")
@@ -56,19 +62,21 @@ func main() {
 		for _, f := range scenario.Families() {
 			fmt.Printf("%-22s %s\n", f, f.Description())
 		}
+		fmt.Println("drills (-drill NAME):")
+		for _, d := range scenario.Drills() {
+			fmt.Printf("%-22s %s\n", d, scenario.DrillDescription(d))
+		}
 		return
 	}
-	if *family == "" {
-		log.Fatal("no campaign: pass -family (see -list) or -list")
+	if *family == "" && *drill == "" {
+		log.Fatal("no campaign: pass -family or -drill (see -list), or -list")
 	}
-	fam, err := scenario.ParseFamily(*family)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := scenario.Config{Family: fam, Seed: *seed, Servers: *servers, Steps: *steps, StepS: *stepS}
+	cfg := scenario.Config{Family: scenario.Family(*family), Drill: *drill, Seed: *seed,
+		Servers: *servers, Steps: *steps, StepS: *stepS}
 	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)
 	}
+	name := *family + *drill
 
 	res, err := scenario.Run(cfg)
 	if err != nil {
@@ -78,7 +86,7 @@ func main() {
 		fmt.Print(res.LogText())
 	}
 	log.Printf("campaign %s seed=%d: %d steps, %d events, log digest %s",
-		fam, *seed, len(res.Campaign.Caps), len(res.Campaign.Events), digest(res.LogText()))
+		name, *seed, len(res.Campaign.Caps), len(res.Campaign.Events), digest(res.LogText()))
 	if res.SafeModeSteps > 0 {
 		log.Printf("  %d steps rode a lost leader in safe mode (min leaderless fleet cap %.1f W)",
 			res.SafeModeSteps, res.LeaderlessMinCapW)
@@ -93,6 +101,25 @@ func main() {
 	if res.DischargedJ+res.ChargedJ > 0 {
 		log.Printf("  fleet moved %.0f J out, %.0f J in; %.0f J shortfall",
 			res.DischargedJ, res.ChargedJ, res.ShortfallJ)
+	}
+	if h := res.HADrill; h != nil {
+		if ha := res.Campaign.HA; ha.KillStep >= 0 {
+			log.Printf("  %d members on a %s, leader killed at step %d: %d leaderless interval(s); standby led from step %d under epoch %d (%d failover, %d holdoffs down-pool)",
+				ha.Members, h.Store, ha.KillStep, h.Leaderless, h.TakeoverStep, h.Epoch, h.Failovers, h.Holdoffs)
+		}
+		log.Printf("  budget parity vs %v on %d granted steps x %d servers: max |Δ| = %g W; cap violations %d",
+			h.Oracle, h.GrantedSteps, res.Campaign.Config.Servers, h.MaxDeltaW, h.CapViolations)
+	}
+	if tt := res.TwoTier; tt != nil {
+		log.Printf("  %4s %9s %9s %9s %9s %9s %6s", "iv", "capW", "grantedW", "reservedW", "rebalW", "capsumW", "alive")
+		for i, iv := range tt.Intervals {
+			log.Printf("  %4d %9.1f %9.1f %9.1f %9.1f %9.1f %6d",
+				i+1, iv.CapW, iv.SumBudgetsW, iv.ReservedW, iv.RebalancedW, iv.AgentCapSumW, iv.GlobalAlive)
+		}
+		log.Printf("  final shard budgets (W): %s", strings.Trim(fmt.Sprintf("%.1f", tt.ShardBudgetW), "[]"))
+		log.Printf("  failovers %d, shard expiries %d, rejoins %d, reclaims %d, scrape failures %d, grant failures %d",
+			tt.Failovers, tt.Stats.ShardExpiries, tt.Stats.ShardRejoins, tt.Stats.Reclaims,
+			tt.Stats.ScrapeFailures, tt.Stats.GrantFailures)
 	}
 
 	ok := true

@@ -37,7 +37,7 @@ func TestCtrlPlaneParityBinary(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer coord.Close()
-			results, err := coord.Replay(context.Background(), caps, func(res StepResult) {
+			results, err := replay(coord, caps, func(res StepResult) {
 				if err := flt.Tick(res.T); err != nil {
 					t.Errorf("tick %g: %v", res.T, err)
 				}

@@ -11,7 +11,6 @@ import (
 	"powerstruggle/internal/cluster"
 	"powerstruggle/internal/faults"
 	"powerstruggle/internal/telemetry"
-	"powerstruggle/internal/trace"
 )
 
 // Strategy selects how the coordinator apportions the cluster cap.
@@ -991,26 +990,4 @@ func (c *Coordinator) effectiveCurve(m *member) []cluster.CapPoint {
 		return nil
 	}
 	return m.curve
-}
-
-// Replay drives the coordinator through a cap schedule, one control
-// interval per point, as fast as the fleet acknowledges. onStep, when
-// non-nil, observes every interval (the harness uses it to advance
-// in-process agent clocks).
-func (c *Coordinator) Replay(ctx context.Context, caps []trace.Point, onStep func(StepResult)) ([]StepResult, error) {
-	if len(caps) == 0 {
-		return nil, fmt.Errorf("ctrlplane: empty cap schedule")
-	}
-	out := make([]StepResult, 0, len(caps))
-	for _, cp := range caps {
-		res, err := c.Step(ctx, cp.T, cp.V)
-		if err != nil {
-			return out, err
-		}
-		if onStep != nil {
-			onStep(res)
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }

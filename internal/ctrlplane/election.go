@@ -83,8 +83,8 @@ func validCampaign(id string, ttl time.Duration) error {
 
 // MemElection is an in-process election store: a mutex-guarded term
 // shared by every coordinator holding the same pointer. It backs the
-// chaos suite and single-process multi-coordinator setups (pscluster's
-// HA replay runs two coordinators over one MemElection).
+// chaos suite and single-process multi-coordinator setups (the ha-pair
+// drill runs two coordinators over one MemElection).
 type MemElection struct {
 	mu   sync.Mutex
 	term Term

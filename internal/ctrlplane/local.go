@@ -9,7 +9,7 @@ import (
 
 // SimFleet is N in-process agents served over real loopback TCP, each
 // backed by one server of a shared cluster evaluator. It is the harness
-// behind pscluster -agents and the parity/soak tests: the coordinator
+// behind the parity and HA drills and the parity/soak tests: the coordinator
 // talks to it over the same wire it would use against remote psd
 // daemons, but every agent's planning is the pure simulation — so a
 // zero-fault replay must reproduce the simulation's budget sequence

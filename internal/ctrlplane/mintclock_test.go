@@ -9,8 +9,8 @@ type echo struct{ iv, epoch, seq uint64 }
 
 // TestMintClock holds the minting rule to its contract over tables of
 // report echoes — the behaviour only the multi-second restart drills
-// (TestCoordinatorClockRestartRehydration, pscluster
-// -restart-global-step) otherwise reach.
+// (TestCoordinatorClockRestartRehydration, the two-tier-restart
+// drill) otherwise reach.
 func TestMintClock(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

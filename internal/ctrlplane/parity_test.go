@@ -78,7 +78,7 @@ func TestCtrlPlaneParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := coord.Replay(context.Background(), caps, func(res StepResult) {
+			results, err := replay(coord, caps, func(res StepResult) {
 				if err := flt.Tick(res.T); err != nil {
 					t.Errorf("tick %g: %v", res.T, err)
 				}
@@ -229,4 +229,21 @@ func TestCoordinatorRenewsUnchangedBudgets(t *testing.T) {
 			t.Errorf("agent %d fenced", i)
 		}
 	}
+}
+
+// replay drives the coordinator through a cap schedule, one control
+// interval per point, as fast as the fleet acknowledges; onStep
+// observes every interval (the parity suites advance in-process agent
+// clocks there).
+func replay(c *Coordinator, caps []trace.Point, onStep func(StepResult)) ([]StepResult, error) {
+	out := make([]StepResult, 0, len(caps))
+	for _, cp := range caps {
+		res, err := c.Step(context.Background(), cp.T, cp.V)
+		if err != nil {
+			return out, err
+		}
+		onStep(res)
+		out = append(out, res)
+	}
+	return out, nil
 }

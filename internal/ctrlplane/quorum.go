@@ -336,7 +336,7 @@ func (v *QuorumVoter) Accepted() (Term, uint64) {
 
 // VoterPool is n quorum voters on loopback listeners — the in-process
 // stand-in for a coordinator pool's voter endpoints, behind the
-// conformance and chaos suites and pscluster's -ha-members drill.
+// conformance and chaos suites and the ha-quorum drill.
 type VoterPool struct {
 	Voters []*QuorumVoter
 

@@ -16,7 +16,8 @@ type ShardConfig struct {
 	// InitialBudgetW is the bootstrap budget the shard enforces before
 	// its first ShardBudget grant arrives. The deployment invariant is
 	// that the initial budgets across all shards sum to at most the
-	// cluster cap (pscluster bootstraps every shard at cap/shards).
+	// cluster cap (the two-tier drill bootstraps every shard at
+	// cap/shards).
 	InitialBudgetW float64
 }
 
@@ -48,12 +49,12 @@ type ShardCoordinator struct {
 	ha  *HA
 
 	mu sync.Mutex
-	// budgetW is the shard budget in force. Once its lease lapses the
-	// shard holds the budget — never grows it — and reports itself
-	// starved. That is cap-safe only while the global still reserves
-	// the shard's last grant: a trunk-only partition outlives the
-	// reclaim window (docs/CONTROL_PLANE.md §Hierarchy). The bootstrap
-	// budget, granted by nobody, carries no lease.
+	// budgetW is the last granted shard budget. Once its lease lapses
+	// the shard is starved and steps under 0 W: the global reserves a
+	// silent shard's last grant only until its reclaim window passes,
+	// then hands the watts to another shard (docs/CONTROL_PLANE.md
+	// §Hierarchy). The bootstrap budget, granted by nobody, carries no
+	// lease.
 	budgetW float64
 	starved bool
 	// lastEpoch/lastSeq fence budget grants: the shard's mirror of
@@ -112,7 +113,8 @@ func NewShardCoordinatorHA(ha *HA, cfg ShardConfig) (*ShardCoordinator, error) {
 // Coordinator returns the wrapped coordinator.
 func (s *ShardCoordinator) Coordinator() *Coordinator { return s.c }
 
-// BudgetW returns the shard budget currently in force.
+// BudgetW returns the last granted shard budget; a starved shard steps
+// under 0 W instead.
 func (s *ShardCoordinator) BudgetW() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -136,11 +138,14 @@ func (s *ShardCoordinator) Step(ctx context.Context, t float64) (StepResult, err
 	}
 	s.now = t
 	if s.clk.lapsed(t) {
-		// The budget lease lapsed without a fresh grant: hold the last
-		// budget (never grow it) and say so in the next report.
+		// The budget lease lapsed without a fresh grant: stop spending
+		// and say so in the next report.
 		s.starved = true
 	}
 	budget := s.budgetW
+	if s.starved {
+		budget = 0
+	}
 	s.mu.Unlock()
 
 	var res StepResult

@@ -75,8 +75,8 @@ func TestShardBudgetFencing(t *testing.T) {
 	}
 }
 
-// A shard whose budget lease lapses must hold its last budget and
-// report itself starved — never grow.
+// A shard whose budget lease lapses must report itself starved and
+// stop spending: it steps under 0 W, its last grant kept on the ledger.
 func TestShardBudgetLeaseLapse(t *testing.T) {
 	b := newDemandBackend(47)
 	a, err := NewAgent(AgentConfig{ID: 0, Backend: b})
@@ -108,12 +108,16 @@ func TestShardBudgetLeaseLapse(t *testing.T) {
 		t.Fatal("starved inside the lease window")
 	}
 	// Two whole intervals past the grant with no fresh one: starved,
-	// budget held.
-	if _, err := sc.Step(ctx, 1200); err != nil {
+	// nothing granted.
+	res, err := sc.Step(ctx, 1200)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !sc.Starved() {
 		t.Fatal("lapsed budget lease not reported starved")
+	}
+	if res.CapW != 0 || res.Budgets[0] != 0 {
+		t.Fatalf("starved shard stepped under %g W and granted %g W", res.CapW, res.Budgets[0])
 	}
 	if sc.BudgetW() != 90 {
 		t.Fatalf("starved shard moved its budget to %g W", sc.BudgetW())

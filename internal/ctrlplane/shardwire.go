@@ -42,10 +42,11 @@ type ShardReport struct {
 	UsedW   float64 `json:"usedW"`
 	CapW    float64 `json:"capW"`
 	// BudgetW is the shard budget in force (the last applied
-	// ShardBudget grant; the bootstrap budget before the first).
+	// ShardBudget grant; the bootstrap budget before the first; 0 while
+	// starved).
 	BudgetW float64 `json:"budgetW"`
-	// Starved reports the shard's budget lease has lapsed — it is
-	// holding its last budget and granting nothing larger.
+	// Starved reports the shard's budget lease has lapsed: it steps
+	// under 0 W until a fresh grant.
 	Starved bool `json:"starved,omitempty"`
 	// Curve is the shard's aggregate cap-utility rollup
 	// (cluster.Apportioner.Rollup); empty when any live member is
@@ -140,8 +141,8 @@ type ShardBudgetRequest struct {
 	CapW  float64 `json:"capW"`
 	// Iv/LeaseIv/IvS mirror AssignRequest's protocol-clock triple: the
 	// shard's budget lease lapses once its effective global interval
-	// reaches Iv+LeaseIv; past that the shard holds its last budget and
-	// reports itself starved.
+	// reaches Iv+LeaseIv; past that the shard is starved and steps under
+	// 0 W.
 	Iv      uint64  `json:"iv"`
 	LeaseIv uint64  `json:"leaseIv"`
 	IvS     float64 `json:"ivS"`

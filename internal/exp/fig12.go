@@ -52,33 +52,57 @@ func (c Fig12Config) withDefaults() Fig12Config {
 	return c
 }
 
-// Fig12 regenerates Fig. 12: dynamic peak-shaving caps derived from a
-// diurnal cluster trace (12a) replayed over the fleet under the three
-// cluster strategies (12b).
-func Fig12(env *Env, cfg Fig12Config) (*Fig12Result, error) {
-	cfg = cfg.withDefaults()
+// Fig12Strategies are the cluster strategies Fig. 12b compares, in
+// report order.
+var Fig12Strategies = []cluster.Strategy{cluster.EqualRAPL, cluster.EqualOurs, cluster.ConsolidateMigrate}
+
+// Fleet builds the cluster simulation over n servers, one workload mix
+// per server in rotation, and returns it with the fleet's uncapped draw.
+func Fleet(env *Env, n int) (*cluster.Evaluator, float64, error) {
 	mixes := workload.Mixes()
-	assign := make([]workload.Mix, cfg.Servers)
+	assign := make([]workload.Mix, n)
 	for i := range assign {
 		assign[i] = mixes[i%len(mixes)]
 	}
 	ev, err := cluster.NewEvaluator(cluster.Config{HW: env.HW, Library: env.Lib, Mixes: assign})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	uncapped, err := ev.UncappedClusterW()
 	if err != nil {
+		return nil, 0, err
+	}
+	return ev, uncapped, nil
+}
+
+// DiurnalDemand is Fig. 12a's demand trace: the synthetic diurnal load
+// scaled by the fleet's uncapped draw.
+func DiurnalDemand(uncappedW float64, cfg trace.Config) ([]trace.Point, error) {
+	load, err := trace.DiurnalLoad(cfg)
+	if err != nil {
 		return nil, err
 	}
-	load, err := trace.DiurnalLoad(trace.Config{Seed: cfg.Seed, StepSeconds: cfg.StepSeconds, Days: cfg.Days})
+	demand := make([]trace.Point, len(load))
+	for i, p := range load {
+		demand[i] = trace.Point{T: p.T, V: p.V * uncappedW}
+	}
+	return demand, nil
+}
+
+// Fig12 regenerates Fig. 12: dynamic peak-shaving caps derived from a
+// diurnal cluster trace (12a) replayed over the fleet under the three
+// cluster strategies (12b).
+func Fig12(env *Env, cfg Fig12Config) (*Fig12Result, error) {
+	cfg = cfg.withDefaults()
+	ev, uncapped, err := Fleet(env, cfg.Servers)
 	if err != nil {
 		return nil, err
 	}
 	// The cap trace is external (a connection-intensive service's power
 	// draw); scale its peak to the fleet's unconstrained draw.
-	demand := make([]trace.Point, len(load))
-	for i, p := range load {
-		demand[i] = trace.Point{T: p.T, V: p.V * uncapped}
+	demand, err := DiurnalDemand(uncapped, trace.Config{Seed: cfg.Seed, StepSeconds: cfg.StepSeconds, Days: cfg.Days})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Fig12Result{
@@ -98,7 +122,6 @@ func Fig12(env *Env, cfg Fig12Config) (*Fig12Result, error) {
 			sh*100, (1-sh)*trace.Peak(demand), trace.EventFraction(caps, uncapped)*100)
 	}
 	res.Report.addf("(b) aggregate performance (fraction of uncapped):")
-	strategies := []cluster.Strategy{cluster.EqualRAPL, cluster.EqualOurs, cluster.ConsolidateMigrate}
 	for _, sh := range cfg.ShaveFracs {
 		level := Fig12Level{
 			ShaveFrac:     sh,
@@ -106,7 +129,7 @@ func Fig12(env *Env, cfg Fig12Config) (*Fig12Result, error) {
 			EventFraction: trace.EventFraction(res.Caps[sh], uncapped),
 			Results:       make(map[cluster.Strategy]cluster.Result),
 		}
-		for _, s := range strategies {
+		for _, s := range Fig12Strategies {
 			r, err := ev.Evaluate(res.Caps[sh], s)
 			if err != nil {
 				return nil, err
@@ -131,9 +154,9 @@ func Fig12(env *Env, cfg Fig12Config) (*Fig12Result, error) {
 		res.Report.addf("caps @%2.0f%%:   %s", sh*100, sparkline(downsample(capsV, 72)))
 	}
 	for _, lv := range res.Levels {
-		labels := make([]string, 0, len(strategies))
-		values := make([]float64, 0, len(strategies))
-		for _, st := range strategies {
+		labels := make([]string, 0, len(Fig12Strategies))
+		values := make([]float64, 0, len(Fig12Strategies))
+		for _, st := range Fig12Strategies {
 			labels = append(labels, st.String())
 			values = append(values, lv.Results[st].AvgPerfFrac*100)
 		}

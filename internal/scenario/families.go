@@ -104,44 +104,62 @@ func genPartitionEmergency(c *Campaign, rng *rand.Rand) {
 	}
 }
 
-// genHierarchyShardLoss sizes a two-tier drill: Servers becomes the
-// shard count, each shard gets a drawn fleet slice, and mid-run one
-// shard loses its leading coordinator (warm standby promotes) or both
-// coordinator nodes (the global reserves its budget until the reclaim
-// window passes). A surviving shard saturates afterward, so the run
+// genHierarchyShardLoss sizes a two-tier drill (treeCampaign), and
+// mid-run one shard loses its leading coordinator (warm standby
+// promotes) or both coordinator nodes (the global reserves its budget
+// until the reclaim window passes). A surviving shard saturates afterward, so the run
 // also witnesses headroom flowing across the trunk under degraded
 // membership. Event steps are 0-based like every family; the drill's
 // own step numbering is 1-based, hence the +1 when sizing it.
 func genHierarchyShardLoss(c *Campaign, rng *rand.Rand) {
 	cfg := c.Config
-	shards := cfg.Servers
-	agents := 6 + rng.Intn(7)
-	capW := 52 * float64(shards*agents)
-	c.Caps = capSchedule(cfg, capW)
-	tt := &TwoTierOptions{
-		Shards: shards, AgentsPerShard: agents,
-		Intervals: cfg.Steps, IntervalS: cfg.StepS,
-		ClusterCapW: capW, Seed: cfg.Seed,
-	}
+	tt := treeCampaign(c, rng)
 	kill0 := 3 + rng.Intn(cfg.Steps/3)
-	tt.KillShard = rng.Intn(shards)
+	tt.KillShard = rng.Intn(tt.Shards)
 	if rng.Intn(2) == 1 {
 		tt.KillShardStep = kill0 + 1
-		c.Events = append(c.Events, Event{Step: kill0, Kind: "shard-loss", Agent: tt.KillShard,
-			Detail: fmt.Sprintf("both coordinators of shard %d go dark; budget reserved until reclaim", tt.KillShard)})
 	} else {
 		tt.KillLeaderStep = kill0 + 1
-		c.Events = append(c.Events, Event{Step: kill0, Kind: "shard-leader-down", Agent: tt.KillShard,
-			Detail: fmt.Sprintf("shard %d leader dies; the warm standby promotes", tt.KillShard)})
 	}
-	tt.SaturateShard = (tt.KillShard + 1 + rng.Intn(shards-1)) % shards
+	tt.SaturateShard = (tt.KillShard + 1 + rng.Intn(tt.Shards-1)) % tt.Shards
 	sat0 := kill0 + 2 + rng.Intn(3)
 	if sat0 > cfg.Steps-4 {
 		sat0 = cfg.Steps - 4
 	}
 	tt.SaturateStep = sat0 + 1
-	c.Events = append(c.Events, Event{Step: sat0, Kind: "saturate", Agent: tt.SaturateShard,
-		Detail: fmt.Sprintf("shard %d demand jumps to nameplate; headroom must flow to it", tt.SaturateShard)})
+	c.Events = tt.events()
+	c.TwoTier = tt
+}
+
+// treeCampaign sizes a two-tier drill for a hierarchy family: Servers
+// becomes the shard count and each shard gets a drawn fleet slice,
+// under a cap of 52 W per agent.
+func treeCampaign(c *Campaign, rng *rand.Rand) *TwoTierOptions {
+	cfg := c.Config
+	agents := 6 + rng.Intn(7)
+	capW := 52 * float64(cfg.Servers*agents)
+	c.Caps = capSchedule(cfg, capW)
+	return &TwoTierOptions{
+		Shards: cfg.Servers, AgentsPerShard: agents,
+		Intervals: cfg.Steps, IntervalS: cfg.StepS,
+		ClusterCapW: capW, Seed: cfg.Seed,
+	}
+}
+
+// genTrunkPartition sizes a two-tier drill (treeCampaign), saturates one shard and cuts another's trunk: both of the
+// cut shard's coordinators keep stepping, but no budget grant reaches
+// them. The global expires the shard and, once the reclaim window
+// passes, hands its reserved budget to the others, so the cut shard
+// must have stopped spending by then.
+func genTrunkPartition(c *Campaign, rng *rand.Rand) {
+	cfg := c.Config
+	tt := treeCampaign(c, rng)
+	tt.KillShard = rng.Intn(tt.Shards)
+	tt.SaturateShard = (tt.KillShard + 1 + rng.Intn(tt.Shards-1)) % tt.Shards
+	sat0 := 1 + rng.Intn(cfg.Steps/4)
+	tt.SaturateStep = sat0 + 1
+	tt.CutTrunkStep = sat0 + 2 + rng.Intn(cfg.Steps/4)
+	c.Events = tt.events()
 	c.TwoTier = tt
 }
 

@@ -42,12 +42,10 @@ type Result struct {
 	LearnMinConfidence float64
 	// FinalEpoch is the leadership epoch the run ended under.
 	FinalEpoch uint64
-	// Failovers, ShardExpiries, and ShardReclaims count the hierarchy
-	// family's shard-tier leadership takeovers, global-membership
-	// expiries, and reservation reclaims.
-	Failovers     int
-	ShardExpiries int
-	ShardReclaims int
+	// TwoTier and HADrill are the drill outcomes behind a two-tier or a
+	// flat drill run (nil otherwise).
+	TwoTier *TwoTierResult
+	HADrill *HADrillResult
 	// ShortfallJ, DischargedJ, ChargedJ total the ESD families' energy
 	// movement over the run.
 	ShortfallJ  float64
@@ -65,6 +63,19 @@ func (r *Result) LogText() string {
 
 func (r *Result) logf(format string, args ...any) {
 	r.Log = append(r.Log, fmt.Sprintf(format, args...))
+}
+
+func (r *Result) logEvent(ev Event) {
+	r.logf("event step=%03d kind=%s agent=%d %s", ev.Step, ev.Kind, ev.Agent, ev.Detail)
+}
+
+// eventsByStep groups a campaign's events by the step they fire at.
+func eventsByStep(events []Event) map[int][]Event {
+	at := make(map[int][]Event)
+	for _, ev := range events {
+		at[ev.Step] = append(at[ev.Step], ev)
+	}
+	return at
 }
 
 func (r *Result) violatef(format string, args ...any) {

@@ -7,12 +7,10 @@ import (
 	"strings"
 	"time"
 
-	"powerstruggle/internal/cluster"
 	"powerstruggle/internal/ctrlplane"
 	"powerstruggle/internal/esd"
+	"powerstruggle/internal/exp"
 	"powerstruggle/internal/faults"
-	"powerstruggle/internal/simhw"
-	"powerstruggle/internal/workload"
 )
 
 // Run generates and executes the campaign a config names.
@@ -29,8 +27,11 @@ func RunCampaign(c Campaign) (*Result, error) {
 	if len(c.Caps) != c.Config.Steps {
 		return nil, fmt.Errorf("scenario: %d cap points for %d steps", len(c.Caps), c.Config.Steps)
 	}
-	if c.Config.Family == FamilyHierarchyShardLoss {
+	if c.TwoTier != nil {
 		return runHier(c)
+	}
+	if c.HA != nil {
+		return runHA(c)
 	}
 	if c.Config.Family.controlPlane() {
 		return runCtrl(c)
@@ -40,27 +41,22 @@ func RunCampaign(c Campaign) (*Result, error) {
 
 // runHier drives a two-tier campaign through the hierarchical drill:
 // per-shard coordinator pairs over loopback trunks under the global
-// apportioner, with the scripted shard loss and saturation the
-// generator sized. The drill audits the cap invariants itself; the
-// runner renders its per-interval outcomes as the canonical log. Wall
-// time is deliberately excluded from the log — replay is a byte
-// comparison.
+// apportioner, with the scripted shard loss, trunk cut, saturation or
+// restart the generator sized. The drill audits the cap invariants
+// itself; the runner renders its per-interval outcomes as the
+// canonical log. Wall time is deliberately excluded from the log —
+// replay is a byte comparison.
 func runHier(c Campaign) (*Result, error) {
-	if c.TwoTier == nil {
-		return nil, fmt.Errorf("scenario: family %s has no two-tier setup", c.Config.Family)
-	}
 	r := &Result{Campaign: c, LeaderlessMinCapW: math.Inf(1)}
 	res, err := RunTwoTierDrill(*c.TwoTier)
 	if err != nil {
 		return r, err
 	}
-	eventsAt := make(map[int][]Event)
-	for _, ev := range c.Events {
-		eventsAt[ev.Step] = append(eventsAt[ev.Step], ev)
-	}
+	r.TwoTier = res
+	eventsAt := eventsByStep(c.Events)
 	for s, iv := range res.Intervals {
 		for _, ev := range eventsAt[s] {
-			r.logf("event step=%03d kind=%s agent=%d %s", ev.Step, ev.Kind, ev.Agent, ev.Detail)
+			r.logEvent(ev)
 		}
 		r.logf("step=%03d t=%.0f cap=%.3f granted=%.3f reserved=%.3f rebalanced=%.3f capsum=%.3f alive=%d",
 			s, iv.T, iv.CapW, iv.SumBudgetsW, iv.ReservedW, iv.RebalancedW, iv.AgentCapSumW, iv.GlobalAlive)
@@ -68,29 +64,9 @@ func runHier(c Campaign) (*Result, error) {
 	for _, v := range res.Violations {
 		r.violatef("%s", v)
 	}
-	r.Failovers = res.Failovers
-	r.ShardExpiries = res.Stats.ShardExpiries
-	r.ShardReclaims = res.Stats.Reclaims
 	r.logf("summary steps=%d failovers=%d shardExpiries=%d reclaims=%d",
-		c.Config.Steps, r.Failovers, r.ShardExpiries, r.ShardReclaims)
+		c.Config.Steps, res.Failovers, res.Stats.ShardExpiries, res.Stats.Reclaims)
 	return r, nil
-}
-
-// evaluator builds the shared cluster simulation the control-plane
-// families' agents are backed by — the same construction the parity
-// suites use, one workload mix per server in rotation.
-func evaluator(servers int) (*cluster.Evaluator, error) {
-	hw := simhw.DefaultConfig()
-	lib, err := workload.NewLibrary(hw)
-	if err != nil {
-		return nil, err
-	}
-	mixes := workload.Mixes()
-	assign := make([]workload.Mix, servers)
-	for i := range assign {
-		assign[i] = mixes[i%len(mixes)]
-	}
-	return cluster.NewEvaluator(cluster.Config{HW: hw, Library: lib, Mixes: assign})
 }
 
 // runCtrl drives a control-plane campaign: a real coordinator over
@@ -98,7 +74,11 @@ func evaluator(servers int) (*cluster.Evaluator, error) {
 // and leader outages. Only deterministic faults are scripted, so the
 // invariant log replays byte-identically.
 func runCtrl(c Campaign) (*Result, error) {
-	ev, err := evaluator(c.Config.Servers)
+	env, err := exp.NewEnv()
+	if err != nil {
+		return nil, err
+	}
+	ev, _, err := exp.Fleet(env, c.Config.Servers)
 	if err != nil {
 		return nil, err
 	}
@@ -147,10 +127,7 @@ func runCtrl(c Campaign) (*Result, error) {
 	for _, ref := range flt.Refs() {
 		hosts = append(hosts, strings.TrimPrefix(ref.URL, "tcp://"))
 	}
-	eventsAt := make(map[int][]Event)
-	for _, ev := range c.Events {
-		eventsAt[ev.Step] = append(eventsAt[ev.Step], ev)
-	}
+	eventsAt := eventsByStep(c.Events)
 
 	r := &Result{Campaign: c, LeaderlessMinCapW: math.Inf(1)}
 	ck := ctrlChecker{learn: c.Learn != nil}
@@ -160,7 +137,7 @@ func runCtrl(c Campaign) (*Result, error) {
 	var accExpiries, accRejoins, accRehyd int
 	for s := 0; s < c.Config.Steps; s++ {
 		for _, ev := range eventsAt[s] {
-			r.logf("event step=%03d kind=%s agent=%d %s", ev.Step, ev.Kind, ev.Agent, ev.Detail)
+			r.logEvent(ev)
 			switch ev.Kind {
 			case "partition":
 				inj.SetDown(hosts[ev.Agent], true)
@@ -269,16 +246,13 @@ func runESD(c Campaign) (*Result, error) {
 		}
 		devs[i] = d
 	}
-	eventsAt := make(map[int][]Event)
-	for _, ev := range c.Events {
-		eventsAt[ev.Step] = append(eventsAt[ev.Step], ev)
-	}
+	eventsAt := eventsByStep(c.Events)
 	spec := c.Battery.Spec
 	r := &Result{Campaign: c, LeaderlessMinCapW: math.Inf(1)}
 	dt := c.Config.StepS
 	for s := 0; s < c.Config.Steps; s++ {
 		for _, ev := range eventsAt[s] {
-			r.logf("event step=%03d kind=%s agent=%d %s", ev.Step, ev.Kind, ev.Agent, ev.Detail)
+			r.logEvent(ev)
 		}
 		capW := c.Caps[s].V
 		var demand float64

@@ -22,6 +22,11 @@
 //     schedules, and staggered state-of-charge fleets. The planner is a
 //     pure function, so these replay trivially.
 //
+// The budget-tree families (hierarchy-shard-loss, trunk-partition) run
+// the two-tier drill harness (RunTwoTierDrill). Pinned drills (Drills)
+// are campaigns too: each name fixes a fleet and a fault script, and
+// the seed is its only input.
+//
 // Invariants checked every step: the cluster cap is never exceeded
 // (with one lease of grace after a cap change, and a leaderless fleet
 // held to the last granted cap), state of charge stays inside every
@@ -71,6 +76,11 @@ const (
 	// invariant: the cluster cap is never exceeded, not even during the
 	// failover or the dead shard's reservation window.
 	FamilyHierarchyShardLoss Family = "hierarchy-shard-loss"
+	// FamilyTrunkPartition cuts one shard's trunk while both of its
+	// coordinators live, after another shard saturates. The invariant:
+	// the cut shard stops spending before the global hands its budget
+	// to the others.
+	FamilyTrunkPartition Family = "trunk-partition"
 	// FamilyClockChaos drives a protocol-clock fleet through clock
 	// trouble: agents whose local clocks run fast, a coordinator stall
 	// spanning a cap emergency (leases age out on the agents' own
@@ -107,6 +117,8 @@ func (f Family) Description() string {
 		return "network partition during a cap emergency; fencing holds the line"
 	case FamilyHierarchyShardLoss:
 		return "two-tier budget tree loses a shard coordinator; the cap holds through failover"
+	case FamilyTrunkPartition:
+		return "two-tier budget tree loses a live shard's trunk; the starved shard stops spending"
 	case FamilyClockChaos:
 		return "skewed agent clocks, a coordinator stall, and a crash-restart under protocol-clock leases"
 	case FamilyLearningColdStart:
@@ -122,6 +134,7 @@ func Families() []Family {
 		FamilyCapDrop, FamilyFlashCrowd, FamilyPriceSchedule,
 		FamilyBatteryFleet, FamilyRollingRestart, FamilyPartitionEmergency,
 		FamilyHierarchyShardLoss, FamilyClockChaos, FamilyLearningColdStart,
+		FamilyTrunkPartition,
 	}
 }
 
@@ -149,7 +162,10 @@ func (f Family) controlPlane() bool {
 // Config selects and sizes one campaign. The zero values of Servers,
 // Steps, and StepS take the defaults (4 servers, 24 steps of 300 s).
 type Config struct {
-	Family  Family
+	Family Family
+	// Drill names a pinned drill (see Drills) instead of a family. A
+	// drill fixes its own size, so Servers, Steps and StepS stay zero.
+	Drill   string
 	Seed    int64
 	Servers int
 	Steps   int
@@ -172,6 +188,15 @@ func (c Config) withDefaults() Config {
 
 // Validate reports whether the config is runnable.
 func (c Config) Validate() error {
+	if c.Drill != "" {
+		if c.Family != "" || c.Servers != 0 || c.Steps != 0 || c.StepS != 0 {
+			return fmt.Errorf("scenario: drill %q takes no family and no size", c.Drill)
+		}
+		if DrillDescription(c.Drill) == "" {
+			return fmt.Errorf("scenario: unknown drill %q (%v)", c.Drill, Drills())
+		}
+		return nil
+	}
 	if _, err := ParseFamily(string(c.Family)); err != nil {
 		return err
 	}
@@ -246,8 +271,11 @@ type Campaign struct {
 	// curves: a member reporting coverage below it takes the curveless
 	// even-share fallback instead of entering the utility DP.
 	LearnConfFloor float64
-	// TwoTier sizes the hierarchical drill (hierarchy families only).
+	// TwoTier sizes the hierarchical drill (hierarchy families and
+	// two-tier drills only).
 	TwoTier *TwoTierOptions
+	// HA sets up the flat failover or parity drill (flat drills only).
+	HA *HADrillOptions
 }
 
 // Generate expands a config into a campaign. Same config, same
@@ -256,6 +284,10 @@ type Campaign struct {
 func Generate(cfg Config) (Campaign, error) {
 	if err := cfg.Validate(); err != nil {
 		return Campaign{}, err
+	}
+	if cfg.Drill != "" {
+		c := Campaign{Config: cfg}
+		return c, genDrill(&c)
 	}
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -275,6 +307,8 @@ func Generate(cfg Config) (Campaign, error) {
 		genPartitionEmergency(&c, rng)
 	case FamilyHierarchyShardLoss:
 		genHierarchyShardLoss(&c, rng)
+	case FamilyTrunkPartition:
+		genTrunkPartition(&c, rng)
 	case FamilyClockChaos:
 		genClockChaos(&c, rng)
 	case FamilyLearningColdStart:

@@ -152,10 +152,11 @@ func TestCampaignPartitionEmergency(t *testing.T) {
 // flows to the saturating survivor over the trunk.
 func TestCampaignHierarchyShardLoss(t *testing.T) {
 	r := mustRun(t, Config{Family: FamilyHierarchyShardLoss, Seed: 7})
-	if r.Failovers == 0 && r.ShardExpiries == 0 {
+	st := r.TwoTier.Stats
+	if r.TwoTier.Failovers == 0 && st.ShardExpiries == 0 {
 		t.Fatal("the scripted shard loss left no failover and no expiry")
 	}
-	if r.ShardExpiries > 0 && r.ShardReclaims == 0 {
+	if st.ShardExpiries > 0 && st.Reclaims == 0 {
 		t.Fatal("dead shard expired but its reserved budget was never reclaimed")
 	}
 	tt := r.Campaign.TwoTier
@@ -164,6 +165,37 @@ func TestCampaignHierarchyShardLoss(t *testing.T) {
 	}
 	if tt.KillLeaderStep == 0 && tt.KillShardStep == 0 {
 		t.Fatal("no shard loss was scripted")
+	}
+}
+
+// Trunk partition: a live shard loses its trunk after another
+// saturates. It starves, stops spending, and the global reclaims its
+// budget for the others without Σ enforced caps passing the cap.
+func TestCampaignTrunkPartition(t *testing.T) {
+	r := mustRun(t, Config{Family: FamilyTrunkPartition, Seed: 7})
+	if st := r.TwoTier.Stats; st.ShardExpiries != 1 || st.Reclaims != 1 {
+		t.Fatalf("%d shard expiries and %d reclaims, want the cut shard expired and reclaimed once",
+			st.ShardExpiries, st.Reclaims)
+	}
+}
+
+// A drill is sized by its table entry: a size flag alongside it, or a
+// family, is refused.
+func TestDrillConfigRefusesSizes(t *testing.T) {
+	for _, cfg := range []Config{
+		{Drill: "parity", Servers: 8},
+		{Drill: "parity", Steps: 10},
+		{Drill: "ha-pair", Family: FamilyCapDrop},
+		{Drill: "no-such-drill"},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%+v validated", cfg)
+		}
+	}
+	for _, d := range Drills() {
+		if err := (Config{Drill: d, Seed: 7}).Validate(); err != nil {
+			t.Errorf("drill %s: %v", d, err)
+		}
 	}
 }
 
@@ -261,9 +293,12 @@ func TestReplayDeterminism(t *testing.T) {
 		{Family: FamilyHierarchyShardLoss, Seed: 7},
 		{Family: FamilyClockChaos, Seed: 7},
 		{Family: FamilyLearningColdStart, Seed: 7},
+		{Family: FamilyTrunkPartition, Seed: 7},
+		{Drill: "ha-pair", Seed: 7},
+		{Drill: "two-tier-restart", Seed: 7},
 	} {
 		cfg := cfg
-		t.Run(string(cfg.Family), func(t *testing.T) {
+		t.Run(string(cfg.Family)+cfg.Drill, func(t *testing.T) {
 			a, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

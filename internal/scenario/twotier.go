@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +14,7 @@ import (
 )
 
 // This file is the two-tier drill harness behind the hierarchy tests,
-// pscluster -shards and the hierarchy-shard-loss scenario family: a
+// the two-tier drills and the hierarchy scenario families: a
 // sharded fleet of demand-driven agents, each shard run by an HA pair
 // of shard coordinators over the binary wire, with a global apportioner
 // splitting the cluster cap across the shards each interval. The drill
@@ -130,7 +131,12 @@ type TwoTierOptions struct {
 	// KillShard: the global expires the shard and reserves its budget
 	// until the reclaim window passes.
 	KillShardStep int
-	KillShard     int
+	// CutTrunkStep, when > 0, closes KillShard's trunk servers while
+	// both of its coordinator nodes keep stepping: the shard is alive
+	// but the global can reach it no more.
+	CutTrunkStep int
+	// KillShard is the shard the kill steps and the trunk cut target.
+	KillShard int
 	// SaturateStep, when > 0, raises SaturateShard's agents to
 	// nameplate demand at that interval: the following global interval
 	// must move headroom toward it.
@@ -166,6 +172,24 @@ func (o *TwoTierOptions) defaults() error {
 		return fmt.Errorf("scenario: drill shard target out of range")
 	}
 	return nil
+}
+
+// events lists the drill's scripted faults as campaign events, in step
+// order: event steps are 0-based, the drill's intervals 1-based.
+func (o *TwoTierOptions) events() []Event {
+	var evs []Event
+	add := func(iv int, kind string, target int, format string, args ...any) {
+		if iv > 0 {
+			evs = append(evs, Event{Step: iv - 1, Kind: kind, Agent: target, Detail: fmt.Sprintf(format, args...)})
+		}
+	}
+	add(o.KillLeaderStep, "shard-leader-down", o.KillShard, "shard %d leader dies; the warm standby promotes", o.KillShard)
+	add(o.KillShardStep, "shard-loss", o.KillShard, "both coordinators of shard %d go dark; budget reserved until reclaim", o.KillShard)
+	add(o.CutTrunkStep, "trunk-cut", o.KillShard, "shard %d's trunk servers close; both of its coordinators keep stepping", o.KillShard)
+	add(o.SaturateStep, "saturate", o.SaturateShard, "shard %d demand jumps to nameplate; headroom must flow to it", o.SaturateShard)
+	add(o.RestartGlobalStep, "global-restart", -1, "the global apportioner crash-restarts; it rehydrates its interval counter from the shards")
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Step < evs[j].Step })
+	return evs
 }
 
 // TwoTierIntervalStat is one interval's measured outcome.
@@ -350,6 +374,11 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 					nd.alive = false
 					nd.trunk.Close()
 				}
+			}
+		}
+		if iv == opts.CutTrunkStep {
+			for _, nd := range shards[opts.KillShard].nodes {
+				nd.trunk.Close()
 			}
 		}
 		if iv == opts.SaturateStep {

@@ -154,18 +154,19 @@ func TestTwoTierWholeShardLoss(t *testing.T) {
 	}
 }
 
-// The CI-gated scale drill: 1000 agents across 8 shards, with a shard
-// leader killed and a shard saturated mid-run, under -race. Asserts
-// the cap invariant every interval and a bounded interval latency.
+// The CI-gated scale drill, the two-tier-chaos table entry: 1000
+// agents across 8 shards, with shard 3's leader killed, then the whole
+// of shard 3, and shard 6 saturated, under -race. Asserts the cap
+// invariant every interval and a bounded interval latency.
 func TestTwoTierDrill1000Agents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale drill skipped in -short")
 	}
-	res, err := RunTwoTierDrill(TwoTierOptions{
-		Shards: 8, AgentsPerShard: 125, Intervals: 16, Seed: 7,
-		KillLeaderStep: 5, KillShard: 3,
-		SaturateStep: 6, SaturateShard: 6,
-	})
+	c, err := Generate(Config{Drill: "two-tier-chaos", Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunTwoTierDrill(*c.TwoTier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,5 +215,33 @@ func TestTwoTierClockDrill(t *testing.T) {
 	}
 	if res.Failovers == 0 {
 		t.Fatal("shard-leader kill produced no failover")
+	}
+}
+
+// A trunk cut with the shard alive: shard 1's trunk servers close at
+// interval 4 while both of its coordinators keep stepping, after shard
+// 2 saturated at interval 2. The global expires shard 1, reserves its
+// budget through the reclaim window and then hands it to the others,
+// so shard 1 must have stopped spending by then. A shard that held its
+// last budget instead put Σ enforced caps at 5 864 W against the
+// 5 200 W cap from t = 3 000 on.
+func TestTwoTierTrunkCutShardStopsSpending(t *testing.T) {
+	res, err := RunTwoTierDrill(TwoTierOptions{
+		Shards: 4, AgentsPerShard: 25, Intervals: 16, Seed: 7,
+		SaturateStep: 2, SaturateShard: 2,
+		CutTrunkStep: 4, KillShard: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Violations {
+		t.Error(v)
+	}
+	if res.Stats.ShardExpiries != 1 || res.Stats.Reclaims != 1 {
+		t.Fatalf("%d shard expiries and %d reclaims, want the cut shard expired and reclaimed once",
+			res.Stats.ShardExpiries, res.Stats.Reclaims)
+	}
+	if last := res.Intervals[len(res.Intervals)-1]; last.GlobalAlive != 3 {
+		t.Fatalf("%d shards alive at the end, want 3", last.GlobalAlive)
 	}
 }
