@@ -72,8 +72,8 @@ func main() {
 		capW       = flag.Float64("cap", 240, "cluster power cap in watts (constant-cap mode)")
 		capFile    = flag.String("capfile", "", "replay a cluster cap schedule from this CSV (seconds,value) instead of a constant cap: one cap per control interval, in file order")
 		interval   = flag.Duration("interval", 2*time.Second, "control interval between fan-outs")
-		leaseIv    = flag.Int("lease-iv", 2, "draw lease granted with each assignment, in control intervals: short enough that a partitioned agent fences within that many intervals, long enough (at 2) that one dropped fan-out does not fence the whole fleet; every grant carries the minting interval counter and the -interval length, and a restarted coordinator rehydrates the counter from fleet scrapes before granting")
-		missK      = flag.Int("missk", 3, "consecutive failed scrapes before an agent's membership lease expires")
+		leaseIv    = flag.Int("lease-iv", ctrlplane.DefaultLeaseIv, "draw lease granted with each assignment, in control intervals; under -global, the budget lease granted to each shard and the time a silent shard's budget stays reserved after it expires. At most -missk, so a silent member's lease lapses before its watts are re-apportioned; at 2 one dropped fan-out fences nobody. Every grant carries the minting interval counter and the -interval length, and a restarted coordinator rehydrates the counter from fleet scrapes before granting")
+		missK      = flag.Int("missk", ctrlplane.DefaultMissK, "consecutive failed scrapes before an agent's membership lease expires")
 		inflight   = flag.Int("max-inflight", 8, "fan-out concurrency bound")
 		timeout    = flag.Duration("timeout", 2*time.Second, "per-RPC attempt timeout")
 		retries    = flag.Int("retries", 2, "per-RPC retries beyond the first attempt")
@@ -87,10 +87,8 @@ func main() {
 		haMembers  = flag.String("ha-members", "", "run leader-elected on a replicated quorum store: comma-separated voter addresses of the whole coordinator pool, this member's -binary-listen address included (no shared filesystem needed)")
 		haPriority = flag.Int("ha-priority", 0, "takeover rank in the pool: 0 steals a lapsed term first, higher ranks hold off longer")
 		haID       = flag.String("ha-id", "", "candidate identity in the election (default hostname-pid)")
-		haTTL      = flag.Duration("ha-ttl", 0, "leadership term length (default 3x the control interval)")
 		shardID    = flag.Int("shard", -1, "run as shard coordinator <id> in a two-tier tree: serve the ShardReport/ShardBudget trunk on -binary-listen and enforce the budget the global grants; -cap only bootstraps the budget until the first grant")
 		globalSet  = flag.String("global", "", "run as the global apportioner over these shard trunks: comma-separated id=url[+url...] entries, the +-separated URLs one shard's coordinator set (leader plus standbys); -cap/-capfile drive the cluster cap")
-		reclaim    = flag.Float64("reclaim", 0, "in -global mode, seconds a silent shard's last budget stays reserved after its membership expires (0: the budget lease)")
 		verbose    = flag.Bool("v", false, "log every control interval, not just membership changes")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
@@ -104,7 +102,7 @@ func main() {
 		if *shardID >= 0 {
 			log.Fatal("-shard and -global are mutually exclusive (one tier per process)")
 		}
-		if err := runGlobal(*globalSet, *capW, *capFile, *interval, *leaseIv, *reclaim, *missK,
+		if err := runGlobal(*globalSet, *capW, *capFile, *interval, *leaseIv, *missK,
 			*inflight, *timeout, *retries, *verbose); err != nil {
 			log.Fatal(err)
 		}
@@ -167,11 +165,6 @@ func main() {
 		}
 		id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	ttl := *haTTL
-	if ttl == 0 {
-		ttl = 3 * *interval
-	}
-
 	var ha *ctrlplane.HA
 	var voter *ctrlplane.QuorumVoter
 	switch {
@@ -182,13 +175,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ha, err = ctrlplane.NewHA(coord, ctrlplane.HAConfig{
-			ID: id, Election: store, TermTTL: ttl, Priority: *haPriority,
-		})
+		ha, err = ctrlplane.NewHA(coord, ctrlplane.HAConfig{ID: id, Election: store, Priority: *haPriority})
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("leader election on %s as %q (term %v, priority %d)", *haStore, id, ttl, *haPriority)
+		log.Printf("leader election on %s as %q (term %v, priority %d)", *haStore, id, ha.TermTTL(), *haPriority)
 	case *haMembers != "":
 		if *binListen == "" {
 			log.Fatal("-ha-members needs -binary-listen: the pool reaches this member's voter there")
@@ -208,14 +199,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ha, err = ctrlplane.NewHA(coord, ctrlplane.HAConfig{
-			ID: id, Election: store, TermTTL: ttl, Priority: *haPriority,
-		})
+		ha, err = ctrlplane.NewHA(coord, ctrlplane.HAConfig{ID: id, Election: store, Priority: *haPriority})
 		if err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("quorum election across %d voters as %q (majority %d, term %v, priority %d)",
-			len(voters), id, store.Quorum(), ttl, *haPriority)
+			len(voters), id, store.Quorum(), ha.TermTTL(), *haPriority)
 	}
 
 	var sc *ctrlplane.ShardCoordinator
@@ -423,7 +412,7 @@ func summarize(coord *ctrlplane.Coordinator, ha *ctrlplane.HA, sc *ctrlplane.Sha
 // splits the cluster cap across the live shards, rebalances unused
 // headroom, and fans the budgets out as epoch-fenced leased grants.
 func runGlobal(set string, capW float64, capFile string, interval time.Duration,
-	leaseIv int, reclaim float64, missK, inflight int,
+	leaseIv, missK, inflight int,
 	timeout time.Duration, retries int, verbose bool) error {
 
 	shards, err := parseShardRefs(set)
@@ -439,7 +428,6 @@ func runGlobal(set string, capW float64, capFile string, interval time.Duration,
 		LeaseIv:     leaseIv,
 		IntervalS:   interval.Seconds(),
 		MissK:       missK,
-		ReclaimS:    reclaim,
 		MaxInFlight: inflight,
 		RPCTimeout:  timeout,
 		Retries:     retries,

@@ -71,22 +71,21 @@ type Config struct {
 	// Strategy picks the apportioning scheme (default equal).
 	Strategy Strategy
 	// LeaseIv is the draw lease granted with every assignment, in
-	// control intervals (default 2): every grant carries the minting
-	// interval and is valid for LeaseIv intervals, identically for
-	// trace-replay agents and wall-clock daemons. A lease of one
-	// interval gives the hard cap guarantee (a stale agent fences before
-	// it can draw against an old budget); longer leases bound any breach
-	// by their length. A coordinator refuses to grant until it has
-	// rehydrated its interval counter from a majority of scrape
-	// responses, so a crash–restart cannot re-issue interval numbers.
+	// control intervals (default DefaultLeaseIv, at most MissK: see New):
+	// every grant carries the minting interval and is valid for LeaseIv
+	// intervals, identically for trace-replay agents and wall-clock
+	// daemons. One interval is the hard cap guarantee; longer leases
+	// bound a breach by their length. A coordinator refuses to grant
+	// until it has rehydrated its interval counter from a majority of
+	// scrape responses, so a crash–restart cannot re-issue intervals.
 	LeaseIv int
 	// IntervalS is the nominal control-interval length in seconds
 	// (required), stamped on every grant so agents can age the protocol
 	// clock locally when the coordinator stalls.
 	IntervalS float64
 	// MissK is how many consecutive failed scrapes expire an agent's
-	// membership lease (default 3; the parity tests use 1 so expiry
-	// lands in the same control interval as the outage).
+	// membership lease (default DefaultMissK; the parity tests use 1 so
+	// expiry lands in the same control interval as the outage).
 	MissK int
 	// MaxInFlight bounds fan-out concurrency (default 8).
 	MaxInFlight int
@@ -127,6 +126,14 @@ type Config struct {
 	Telemetry *telemetry.Hub
 }
 
+// DefaultLeaseIv and DefaultMissK are the lease and the missed scrapes
+// that expire a member, in intervals, at every tier: Config and
+// GlobalConfig both read them.
+const (
+	DefaultLeaseIv = 2
+	DefaultMissK   = 3
+)
+
 // DefaultCurveConfFloor is the coverage confidence a learned curve
 // must reach before the utility DP trusts it: three quarters of the
 // cap grid observed or filled-and-verified. Below it the even-share
@@ -144,14 +151,14 @@ func (c Config) leaseIv() uint64 {
 	if c.LeaseIv > 0 {
 		return uint64(c.LeaseIv)
 	}
-	return 2
+	return DefaultLeaseIv
 }
 
 func (c Config) missK() int {
 	if c.MissK > 0 {
 		return c.MissK
 	}
-	return 3
+	return DefaultMissK
 }
 
 func (c Config) maxInFlight() int {
@@ -323,7 +330,14 @@ type Coordinator struct {
 	pending []AgentRef
 }
 
-// New builds a coordinator over a static fleet.
+// New builds a coordinator over a static fleet. It refuses a LeaseIv
+// longer than MissK: a silent member's watts go to the survivors after
+// MissK missed scrapes, so its lease must have lapsed by then. Shard
+// coordinators are Coordinators, so the rule binds members at both
+// tiers; with one LeaseIv and MissK at every tier it covers the tree
+// too. A shard cut off its trunk starves when its budget lease lapses,
+// and its agents lapse within LeaseIv ≤ MissK more intervals: before
+// the global's expiry plus reclaim window (the budget lease) pass.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Agents) == 0 && !cfg.Dynamic {
 		return nil, fmt.Errorf("ctrlplane: coordinator needs at least one agent (or Config.Dynamic for a registration-built fleet)")
@@ -343,6 +357,9 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.LeaseIv < 0 {
 		return nil, fmt.Errorf("ctrlplane: lease of %d intervals", cfg.LeaseIv)
+	}
+	if l, k := cfg.leaseIv(), cfg.missK(); l > uint64(k) {
+		return nil, fmt.Errorf("ctrlplane: a lease of %d intervals outlives MissK %d: a partitioned member would keep its lease after its watts were re-apportioned", l, k)
 	}
 	if !finite(cfg.IntervalS) || cfg.IntervalS <= 0 {
 		return nil, fmt.Errorf("ctrlplane: coordinator needs IntervalS > 0, got %g", cfg.IntervalS)

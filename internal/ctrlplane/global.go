@@ -23,23 +23,23 @@ type GlobalConfig struct {
 	// Shards is the static shard set.
 	Shards []ShardRef
 	// LeaseIv is the budget lease granted with every ShardBudget, in
-	// global intervals (default 2): each grant carries the global
-	// interval counter, which shards age by IntervalS regardless of
-	// their local clock rate. Anything past one interval bounds how long
-	// a partitioned shard keeps its stale budget.
+	// global intervals (default DefaultLeaseIv): each grant carries the
+	// global interval counter, which shards age by IntervalS regardless
+	// of their local clock rate. Anything past one interval bounds how
+	// long a partitioned shard keeps its stale budget.
 	LeaseIv int
 	// IntervalS is the nominal length of one global interval in trace
 	// seconds (required).
 	IntervalS float64
 	// MissK is how many consecutive failed trunk scrapes expire a
-	// shard's membership (default 3).
+	// shard's membership (default DefaultMissK).
 	MissK int
 	// ReclaimS is how long a silent shard's last budget stays reserved
 	// after its membership expires (default the budget lease, LeaseIv ×
-	// IntervalS). It must cover the shard's own agent-lease length: only
-	// after budget lease plus agent leases have all lapsed can the
-	// silent shard's fleet slice be drawing nothing above its floors,
-	// making the watts safe to re-apportion.
+	// IntervalS). The default is safe whenever the shards run the
+	// global's LeaseIv and MissK (see New): the shard's agent leases then
+	// lapse within MissK intervals of its budget lease, before expiry
+	// plus reclaim have passed.
 	ReclaimS float64
 	// MaxInFlight bounds trunk fan-out concurrency (default 8).
 	MaxInFlight int
@@ -56,14 +56,14 @@ func (c GlobalConfig) missK() int {
 	if c.MissK > 0 {
 		return c.MissK
 	}
-	return 3
+	return DefaultMissK
 }
 
 func (c GlobalConfig) leaseIv() uint64 {
 	if c.LeaseIv > 0 {
 		return uint64(c.LeaseIv)
 	}
-	return 2
+	return DefaultLeaseIv
 }
 
 func (c GlobalConfig) reclaimS() float64 {

@@ -15,26 +15,23 @@ type HAConfig struct {
 	// Election is the shared store (required). Every coordinator of
 	// the cluster must campaign on the same store.
 	Election Election
-	// TermTTL is the leadership lease length. The leader renews it
-	// every control interval, so anything comfortably above the
-	// interval works; the standby takes over one campaign after the
-	// TTL lapses, so a short TTL shrinks the failover window. pscoord
-	// defaults to 3 × the control interval.
+	// TermTTL is the leadership lease length (default 1.5 × the
+	// wrapped coordinator's IntervalS). The leader renews it every
+	// control interval; the standby takes over one campaign after the
+	// TTL lapses, so rank 1 leads within one interval of the leader's
+	// silence. A longer TTL trades failover time for slack against a
+	// slow step.
 	TermTTL time.Duration
 	// Clock supplies the campaign timestamps (default time.Now). The
 	// chaos suite injects skewed and frozen clocks here.
 	Clock func() time.Time
 	// Priority ranks this member in the takeover order: rank 0
 	// campaigns for a lapsed term immediately, rank k observes for
-	// k × PriorityHoldoff past the observed expiry first, so the
-	// preferred standby wins the steal uncontested. Renewals, terms
-	// still in force, and a member with no observed term yet are never
-	// held off — priorities only order who steals a lapsed term.
+	// k × TermTTL/4 past the observed expiry first, so the preferred
+	// standby wins the steal uncontested. Renewals, terms still in
+	// force, and a member with no observed term yet are never held off
+	// — priorities only order who steals a lapsed term.
 	Priority int
-	// PriorityHoldoff is the per-rank takeover delay (default
-	// TermTTL/4 — with the default TTL of 1.5 control intervals, rank
-	// 1 still steals within one interval of observable silence).
-	PriorityHoldoff time.Duration
 }
 
 // HA runs one coordinator as a member of a leader-elected pair (or
@@ -73,14 +70,14 @@ func NewHA(c *Coordinator, cfg HAConfig) (*HA, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("ctrlplane: HA needs a candidate id")
 	}
+	if cfg.TermTTL == 0 {
+		cfg.TermTTL = time.Duration(1.5 * c.cfg.IntervalS * float64(time.Second))
+	}
 	if cfg.TermTTL <= 0 {
 		return nil, fmt.Errorf("ctrlplane: HA term ttl %v", cfg.TermTTL)
 	}
 	if cfg.Priority < 0 {
 		return nil, fmt.Errorf("ctrlplane: HA priority %d", cfg.Priority)
-	}
-	if cfg.PriorityHoldoff <= 0 {
-		cfg.PriorityHoldoff = cfg.TermTTL / 4
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -90,6 +87,9 @@ func NewHA(c *Coordinator, cfg HAConfig) (*HA, error) {
 
 // Coordinator returns the wrapped coordinator.
 func (h *HA) Coordinator() *Coordinator { return h.c }
+
+// TermTTL returns the leadership lease length in force.
+func (h *HA) TermTTL() time.Duration { return h.cfg.TermTTL }
 
 // heldOff reports whether the takeover priority says to sit this
 // campaign out: the last observed term has lapsed — a steal is on the
@@ -112,7 +112,7 @@ func (h *HA) heldOff(now time.Time) bool {
 		// observing keeps the expiry we hold off against fresh.
 		return false
 	}
-	return now.Before(term.Expires.Add(time.Duration(h.cfg.Priority) * h.cfg.PriorityHoldoff))
+	return now.Before(term.Expires.Add(time.Duration(h.cfg.Priority) * (h.cfg.TermTTL / 4)))
 }
 
 // Step campaigns, then leads or observes one control interval.

@@ -38,7 +38,7 @@ func wallAt(traceT float64) time.Time {
 
 // haPair builds two HA coordinators over one shared election store and
 // one fleet, each with its own fake clock.
-func haPair(t *testing.T, refs []AgentRef, store Election, ttl time.Duration, cfg Config) (a, b *HA, clkA, clkB *fakeClock) {
+func haPair(t *testing.T, refs []AgentRef, store Election, cfg Config) (a, b *HA, clkA, clkB *fakeClock) {
 	t.Helper()
 	mk := func(id string) (*HA, *fakeClock) {
 		c := cfg
@@ -48,7 +48,7 @@ func haPair(t *testing.T, refs []AgentRef, store Election, ttl time.Duration, cf
 			t.Fatal(err)
 		}
 		clk := &fakeClock{t: t0}
-		ha, err := NewHA(coord, HAConfig{ID: id, Election: store, TermTTL: ttl, Clock: clk.Now})
+		ha, err := NewHA(coord, HAConfig{ID: id, Election: store, Clock: clk.Now})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,8 +94,7 @@ func TestHAFailoverSoak(t *testing.T) {
 	defer flt.Close()
 
 	store := NewMemElection()
-	ttl := time.Duration(1.5 * interval * float64(time.Second))
-	a, b, clkA, clkB := haPair(t, flt.Refs(), store, ttl, Config{
+	a, b, clkA, clkB := haPair(t, flt.Refs(), store, Config{
 		Strategy: StrategyUtility,
 		// The lease equals the control interval: the longest lease that
 		// still guarantees the cap structurally, and what bounds the
@@ -324,13 +323,12 @@ func TestClockSkewTakeover(t *testing.T) {
 	}
 	defer flt.Close()
 	store := NewMemElection()
-	ttl := time.Duration(1.5 * interval * float64(time.Second))
-	a, b, clkA, clkB := haPair(t, flt.Refs(), store, ttl, Config{
+	a, b, clkA, clkB := haPair(t, flt.Refs(), store, Config{
 		Strategy:  StrategyEqual,
 		LeaseIv:   1,
 		IntervalS: interval,
 	})
-	skew := 2 * ttl
+	skew := 2 * a.TermTTL()
 
 	// Interval 0: A bootstraps epoch 1; B, skewed ahead, sees that term
 	// as already lapsed and takes epoch 2 within the same interval.
@@ -408,7 +406,6 @@ func TestPartitionedLeaderKeepsCapSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewMemElection()
-	ttl := time.Duration(1.5 * interval * float64(time.Second))
 
 	coordA, err := New(Config{
 		Agents: refs, Strategy: StrategyEqual, LeaseIv: 1, IntervalS: interval,
@@ -419,7 +416,7 @@ func TestPartitionedLeaderKeepsCapSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	clkA := &fakeClock{t: t0}
-	a, err := NewHA(coordA, HAConfig{ID: "coord-a", Election: store, TermTTL: ttl, Clock: clkA.Now})
+	a, err := NewHA(coordA, HAConfig{ID: "coord-a", Election: store, Clock: clkA.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +425,7 @@ func TestPartitionedLeaderKeepsCapSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	clkB := &fakeClock{t: t0}
-	b, err := NewHA(coordB, HAConfig{ID: "coord-b", Election: store, TermTTL: ttl, Clock: clkB.Now})
+	b, err := NewHA(coordB, HAConfig{ID: "coord-b", Election: store, Clock: clkB.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +533,6 @@ func TestStorePartitionFailsOver(t *testing.T) {
 	defer flt.Close()
 	store := NewMemElection()
 	flaky := &flakyElection{inner: store}
-	ttl := time.Duration(1.5 * interval * float64(time.Second))
 
 	mk := func(id string, e Election) (*HA, *fakeClock) {
 		c, err := New(Config{Agents: flt.Refs(), Strategy: StrategyEqual, LeaseIv: 1, IntervalS: interval})
@@ -544,7 +540,7 @@ func TestStorePartitionFailsOver(t *testing.T) {
 			t.Fatal(err)
 		}
 		clk := &fakeClock{t: t0}
-		ha, err := NewHA(c, HAConfig{ID: id, Election: e, TermTTL: ttl, Clock: clk.Now})
+		ha, err := NewHA(c, HAConfig{ID: id, Election: e, Clock: clk.Now})
 		if err != nil {
 			t.Fatal(err)
 		}

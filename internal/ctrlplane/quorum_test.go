@@ -252,7 +252,6 @@ func TestQuorumFailoverSoak(t *testing.T) {
 	// liveness — contended campaigns error and retry next interval —
 	// never safety.)
 	ids := []string{"qa", "qb", "qc"}
-	ttl := time.Duration(1.5 * interval * float64(time.Second))
 	has := make([]*HA, len(ids))
 	clks := make([]*fakeClock, len(ids))
 	for i, id := range ids {
@@ -265,7 +264,7 @@ func TestQuorumFailoverSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		clks[i] = &fakeClock{t: t0}
-		has[i], err = NewHA(coord, HAConfig{ID: id, Election: e, TermTTL: ttl, Clock: clks[i].Now, Priority: i})
+		has[i], err = NewHA(coord, HAConfig{ID: id, Election: e, Clock: clks[i].Now, Priority: i})
 		if err != nil {
 			t.Fatal(err)
 		}

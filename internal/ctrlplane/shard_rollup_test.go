@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"powerstruggle/internal/cluster"
 )
@@ -163,7 +162,7 @@ func haShardPair(t *testing.T, sh *rollupShard) (nodes [2]*ShardCoordinator, clk
 	store := NewMemElection()
 	for r := range nodes {
 		ha, err := NewHA(sh.coordinator(t), HAConfig{ID: fmt.Sprintf("node-%d", r), Election: store,
-			TermTTL: 450 * time.Second, Clock: clk.Now, Priority: r})
+			Clock: clk.Now, Priority: r})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,7 +88,7 @@ func TestShardBudgetLeaseLapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: srv.URL()}}, LeaseIv: 20, IntervalS: 300})
+	coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: srv.URL()}}, LeaseIv: 20, MissK: 20, IntervalS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestShardBudgetLeaseOnShardClock(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: srv.URL()}}, LeaseIv: 20, IntervalS: ivS})
+			coord, err := New(Config{Agents: []AgentRef{{ID: 0, URL: srv.URL()}}, LeaseIv: 20, MissK: 20, IntervalS: ivS})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,8 +71,9 @@ type HADrillResult struct {
 // coordinators sharing one fleet, kills the leader (member 0) at
 // KillStep if there is one, and measures how many intervals the fleet
 // spent leaderless plus budget parity on every interval somebody
-// granted. Member i holds takeover rank i. Two members granting in one
-// interval is an error.
+// granted. Member i holds takeover rank i and runs pscoord's shipped
+// timing: the default lease, MissK and term TTL. Two members granting
+// in one interval is an error.
 func RunHADrill(opts HADrillOptions) (*HADrillResult, error) {
 	caps, members := opts.Caps, opts.Members
 	if len(caps) < 2 {
@@ -92,7 +93,6 @@ func RunHADrill(opts HADrillOptions) (*HADrillResult, error) {
 	}
 	defer flt.Close()
 	interval := caps[1].T - caps[0].T
-	ttl := time.Duration(1.5 * interval * float64(time.Second))
 
 	res := &HADrillResult{Store: "shared-memory term", TakeoverStep: -1}
 	var pool *ctrlplane.VoterPool
@@ -108,12 +108,8 @@ func RunHADrill(opts HADrillOptions) (*HADrillResult, error) {
 	has := make([]*ctrlplane.HA, members)
 	for i := range has {
 		c, err := ctrlplane.New(ctrlplane.Config{
-			Agents:   flt.Refs(),
-			Strategy: opts.Strategy,
-			// Exactly one interval: whatever grant a dead leader left
-			// behind lapses before the next interval's cap could shrink
-			// under it, so the blackout is fenced, not over-budget.
-			LeaseIv:   1,
+			Agents:    flt.Refs(),
+			Strategy:  opts.Strategy,
 			IntervalS: interval,
 		})
 		if err != nil {
@@ -130,8 +126,7 @@ func RunHADrill(opts HADrillOptions) (*HADrillResult, error) {
 			store = q
 		}
 		has[i], err = ctrlplane.NewHA(c, ctrlplane.HAConfig{
-			ID: fmt.Sprintf("drill-%d", i), Election: store, TermTTL: ttl,
-			Clock: clock.Now, Priority: i,
+			ID: fmt.Sprintf("drill-%d", i), Election: store, Clock: clock.Now, Priority: i,
 		})
 		if err != nil {
 			return nil, err

@@ -95,15 +95,16 @@ func runCtrl(c Campaign) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	lease := max(c.LeaseIv, 1)
 	ccfg := ctrlplane.Config{
 		Agents: flt.Refs(),
 		// The legacy families run on one step of lease: a partitioned
 		// agent fences (or enters safe mode) within the interval after
-		// its last grant, and MissK=1 expires its membership in the same
-		// interval the outage lands.
-		LeaseIv:    max(c.LeaseIv, 1),
+		// its last grant. MissK is the lease, the shortest membership New
+		// accepts, so expiry lands in the interval the lease lapses.
+		LeaseIv:    lease,
 		IntervalS:  c.Config.StepS,
-		MissK:      1,
+		MissK:      lease,
 		Retries:    1,
 		RPCTimeout: 5 * time.Second,
 		Transport:  inj,

@@ -142,10 +142,10 @@ type TwoTierOptions struct {
 	// must move headroom toward it.
 	SaturateStep  int
 	SaturateShard int
-	// LeaseIv is the draw lease shard coordinators grant, in their own
-	// intervals (default 2); the global grants shard budget leases of
-	// LeaseIv+1 global intervals, the reclaim window covers both, and
-	// everything ages at IntervalS.
+	// LeaseIv is the lease at both tiers, as pscoord's one -lease-iv
+	// sets it: the draw lease shard coordinators grant and the budget
+	// lease the global grants, which is also the reclaim window
+	// (default ctrlplane.DefaultLeaseIv). Everything ages at IntervalS.
 	LeaseIv int
 	// RestartGlobalStep, when > 0, discards the global apportioner at
 	// the start of that interval (1-based) and boots a fresh one with a
@@ -166,7 +166,7 @@ func (o *TwoTierOptions) defaults() error {
 		o.ClusterCapW = 52 * float64(o.Shards*o.AgentsPerShard)
 	}
 	if o.LeaseIv <= 0 {
-		o.LeaseIv = 2
+		o.LeaseIv = ctrlplane.DefaultLeaseIv
 	}
 	if o.KillShard < 0 || o.KillShard >= o.Shards || o.SaturateShard < 0 || o.SaturateShard >= o.Shards {
 		return fmt.Errorf("scenario: drill shard target out of range")
@@ -239,7 +239,6 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 	ctx := context.Background()
 	clock := &drillClock{}
 	ivDur := time.Duration(opts.IntervalS * float64(time.Second))
-	termTTL := time.Duration(1.5 * opts.IntervalS * float64(time.Second))
 
 	shards := make([]*drillShard, opts.Shards)
 	evenBudget := opts.ClusterCapW / float64(opts.Shards)
@@ -305,7 +304,6 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 			ha, err := ctrlplane.NewHA(coord, ctrlplane.HAConfig{
 				ID:       fmt.Sprintf("shard%d-%s", s, string(rune('a'+r))),
 				Election: elect,
-				TermTTL:  termTTL,
 				Clock:    clock.Now,
 				Priority: r,
 			})
@@ -326,11 +324,9 @@ func RunTwoTierDrill(opts TwoTierOptions) (*TwoTierResult, error) {
 		refs[s] = ref
 	}
 
-	// The default reclaim window is the budget lease, LeaseIv+1
-	// intervals: it covers the agents' own LeaseIv-interval leases.
 	gcfg := ctrlplane.GlobalConfig{
 		Shards:    refs,
-		LeaseIv:   opts.LeaseIv + 1,
+		LeaseIv:   opts.LeaseIv,
 		IntervalS: opts.IntervalS,
 		Seed:      opts.Seed,
 	}
