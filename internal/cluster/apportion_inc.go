@@ -8,14 +8,17 @@ import (
 
 // Apportioner is the one incremental forward DP table a coordinator
 // owns. It caches the ApportionCurves DP's per-member prefix layers
-// between calls and has two readers over that one table:
+// between calls and has three readers over that one table:
 //
 //   - Apportion backtracks from a single budget level to per-member
 //     budgets — ApportionCurves with the cache.
 //   - Rollup reads every level out as the shard-level aggregate curve a
 //     tier above apportions against.
+//   - Shards is the global tier's reader: the members are shard
+//     rollups, whose points are priced by their watts above the
+//     shard's first point on the 2 W grid instead of one level apiece.
 //
-// Both go through sync, which owns change detection and replays only
+// All go through sync, which owns change detection and replays only
 // the layers at and after the first position that changed.
 //
 // The cache exploits two structural properties of the DP. First, the
@@ -56,6 +59,11 @@ import (
 // The zero value is ready to use. Not safe for concurrent use.
 type Apportioner struct {
 	floorW float64
+	// priced is whether points cost their watts (Shards) rather than
+	// their index (Apportion, Rollup); costs[p] is then position p's
+	// cost table.
+	priced bool
+	costs  [][]int
 	// order[p] is the member whose layer sits at position p, pos its
 	// inverse; curves[p] is a defensive snapshot of that member's curve
 	// as of the last DP run, for change detection, perfs[p] its perf
@@ -81,12 +89,15 @@ type Apportioner struct {
 	// table: scratch knapsack.Layer reads, grown on demand and kept
 	// across calls. next, dirty and choice are per-call scratch too: the
 	// order being laid out, which members changed, and the point each
-	// member takes.
-	zeros  []float64
-	unit   []int
-	next   []int
-	dirty  []bool
-	choice []int
+	// member takes; curved and shardPts are Shards' curve-bearing shards
+	// and their rollups.
+	zeros    []float64
+	unit     []int
+	next     []int
+	dirty    []bool
+	choice   []int
+	curved   []int
+	shardPts [][]CapPoint
 	// recomputed counts the layers rebuilt by the last call, fellBack
 	// whether its certificate failed.
 	recomputed int
@@ -139,21 +150,32 @@ func resize[T any](s []T, n int) []T {
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
-// sync brings the table up to date with curves priced from floorW for
-// a reader of budget levels [readLo, readHi], laid out in volatility
-// order if reorder is set and in member order otherwise: afterwards
-// position p's layer is valid from max(0, readLo-S_p) through readHi. It
-// is the one place curve changes are detected: layers before the first
-// position whose member moved or changed are kept and extended where the
-// reader's cone leaves their span, layers from it on are rebuilt over
-// exactly the cone — a position past a rebuilt one chains off its
-// output, so it is rebuilt too.
-func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, readLo, readHi int, reorder bool) {
+// levelSpan is the most levels curve c can spend: its last point's
+// cost, priced by watts or by index.
+func levelSpan(c []CapPoint, priced bool) int {
+	if priced && len(c) > 0 {
+		return costSteps(c[len(c)-1].CapW-c[0].CapW, serverCapStepW)
+	}
+	return curveSpan(c)
+}
+
+// sync brings the table up to date with curves priced from floorW (by
+// watts above their first point if priced) for a reader of budget
+// levels [readLo, readHi], laid out in volatility order if reorder is
+// set and in member order otherwise: afterwards position p's layer is
+// valid from max(0, readLo-S_p) through readHi. It is the one place
+// curve changes are detected: layers before the first position whose
+// member moved or changed are kept and extended where the reader's cone
+// leaves their span, layers from it on are rebuilt over exactly the
+// cone — a position past a rebuilt one chains off its output, so it is
+// rebuilt too.
+func (a *Apportioner) sync(floorW float64, priced bool, curves [][]CapPoint, readLo, readHi int, reorder bool) {
 	n := len(curves)
-	// A floor change reprices every curve point; drop the whole cache.
-	if floorW != a.floorW {
+	// A floor or pricing change reprices every curve point; drop the
+	// whole cache.
+	if floorW != a.floorW || priced != a.priced {
 		a.order = a.order[:0]
-		a.floorW = floorW
+		a.floorW, a.priced = floorW, priced
 	}
 	had := len(a.order)
 	a.dirty = resize(a.dirty, n)
@@ -195,11 +217,12 @@ func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, readLo, readHi i
 	a.layers = resize(a.layers, n)
 	a.t = resize(a.t, n)
 	a.los = resize(a.los, n)
+	a.costs = resize(a.costs, n)
 
 	hi := readHi + 1
 	after, longest := 0, 0
 	for _, c := range curves {
-		after += curveSpan(c)
+		after += levelSpan(c, priced)
 		longest = max(longest, len(c))
 	}
 	if longest > len(a.unit) {
@@ -215,11 +238,14 @@ func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, readLo, readHi i
 	prev, sat := a.zeros, 0
 	for p, mem := range a.order {
 		c := curves[mem]
-		after -= curveSpan(c)
-		sat += curveSpan(c)
+		span := levelSpan(c, priced)
+		after -= span
+		sat += span
 		lo := max(0, readLo-after)
 		m := &a.t[p]
-		m.Cost = a.unit[:len(c)]
+		if !priced {
+			m.Cost = a.unit[:len(c)]
+		}
 		if p >= first {
 			a.recomputed++
 			a.snapshot(p, c)
@@ -242,9 +268,17 @@ func (a *Apportioner) sync(floorW float64, curves [][]CapPoint, readLo, readHi i
 	}
 }
 
-// snapshot keeps curve c as position p's.
+// snapshot keeps curve c as position p's, and prices its points if the
+// table is priced.
 func (a *Apportioner) snapshot(p int, c []CapPoint) {
 	a.curves[p] = append(a.curves[p][:0], c...)
+	if a.priced {
+		cost := resize(a.costs[p], len(c))
+		for k := range c {
+			cost[k] = costSteps(c[k].CapW-c[0].CapW, serverCapStepW)
+		}
+		a.costs[p], a.t[p].Cost = cost, cost
+	}
 	a.perfs[p] = resize(a.perfs[p], len(c))
 	top := 0.0
 	for k := range c {
@@ -331,11 +365,11 @@ func (a *Apportioner) Apportion(clusterCapW, floorW float64, curves [][]CapPoint
 		}
 	}
 	top := levels - 1
-	a.sync(floorW, curves, top, top, a.reorder && !a.rolls)
+	a.sync(floorW, false, curves, top, top, a.reorder && !a.rolls)
 	a.reorder = a.certify(top, !a.rolls)
 	if !a.reorder && !a.inMemberOrder() {
 		a.fellBack = true
-		a.sync(floorW, curves, top, top, false)
+		a.sync(floorW, false, curves, top, top, false)
 		a.certify(top, false)
 	}
 	return spend(a.choice, floorW, curves, budgets)
@@ -372,7 +406,7 @@ func (a *Apportioner) Rollup(floorW float64, curves [][]CapPoint, maxPoints int)
 		levels += len(c) - 1
 	}
 	a.rolls = true
-	a.sync(floorW, curves, 0, levels-1, false)
+	a.sync(floorW, false, curves, 0, levels-1, false)
 	if a.rollup != nil && a.rollupPoints == maxPoints {
 		return a.rollup
 	}

@@ -173,7 +173,7 @@ func TestCertificateRefusesReorderedTieBreaks(t *testing.T) {
 			curves[m] = fleetCurve(rng, kind, floorW, 2+rng.Intn(12), curves)
 		}
 		var inc Apportioner
-		inc.sync(floorW, curves, 0, 0, false)
+		inc.sync(floorW, false, curves, 0, 0, false)
 		for _, m := range dirtySet("spread", n, 1+rng.Intn(6)) {
 			curves[m] = fleetCurve(rng, kind, floorW, 2+rng.Intn(12), curves)
 		}
@@ -182,7 +182,7 @@ func TestCertificateRefusesReorderedTieBreaks(t *testing.T) {
 			spans += curveSpan(c)
 		}
 		top := 1 + rng.Intn(spans)
-		inc.sync(floorW, curves, top, top, true)
+		inc.sync(floorW, false, curves, top, top, true)
 		ok := inc.certify(top, true)
 		wantB, _, _ := ApportionCurves(floorW*n+float64(top)*ServerCapStepW, floorW, curves)
 		for m, k := range inc.choice {

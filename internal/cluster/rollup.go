@@ -14,13 +14,14 @@ import (
 // curves ApportionCurves consumes, so every tier of the budget tree
 // prices watts identically.
 
-// DefaultShardLevels bounds the grid the cluster-level DP runs on.
-// The flat DP's level count grows with the spare watts of the whole
-// fleet — O(fleet-watts) levels at 2 W per level — which is exactly
-// the per-interval cost the hierarchy exists to avoid; coarsening the
-// grid to at most this many levels keeps the global tier's work
-// O(shards × levels × curve points) regardless of fleet size (FastCap's
-// scalability argument applied to the DP itself).
+// DefaultShardLevels bounds the grid ApportionShards runs on: it
+// coarsens its grid to at most this many levels, so its per-call cost
+// stays O(shards × levels × curve points), at some loss of the split's
+// perf (TestShardSplitMatchesFlatDP shows one). The global apportioner
+// no longer calls either: it keeps an Apportioner on the 2 W grid and
+// reads the cap's level out of it (Apportioner.Shards). Both remain as
+// the coarse split the benchmark's shadow row times, until that row is
+// rewritten (ROADMAP item 5).
 const DefaultShardLevels = 2048
 
 // RollupCurves aggregates a shard's member cap-utility curves into one
@@ -72,10 +73,11 @@ func costSteps(deltaW, stepW float64) int {
 
 // ApportionShards splits clusterCapW across shards to maximize summed
 // performance: the multiple-choice knapsack over each shard's rollup,
-// run on a grid coarsened to at most maxLevels levels (0 takes
-// DefaultShardLevels) so the global tier's work stays O(shards), not
-// O(fleet watts). Shards with empty curves (or ones too long for the
-// uint16 choice table, maxCurvePoints) take an even share of the cap,
+// solved cold on a grid coarsened to at most maxLevels levels (0 takes
+// DefaultShardLevels); Apportioner.Shards is the same split on the 2 W
+// grid, with the table kept between calls. Shards with empty curves (or
+// ones too long for the uint16 choice table, maxCurvePoints) take an
+// even share of the cap,
 // mirroring the flat coordinator's curveless-member fallback; the DP
 // apportions the remainder across the curve-bearing shards, each owed
 // at least its own floor (heterogeneous floors are fine here — every
@@ -85,47 +87,17 @@ func costSteps(deltaW, stepW float64) int {
 // (costs are quantized upward, never down), which is the invariant the
 // two-tier drills assert every interval.
 func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (budgets []float64, perf float64) {
-	n := len(shards)
-	budgets = make([]float64, n)
-	if n == 0 || clusterCapW <= 0 {
+	budgets, curved, spare := floorShards(clusterCapW, shards, nil)
+	if spare < 0 {
 		return budgets, 0
 	}
 	if maxLevels <= 0 {
 		maxLevels = DefaultShardLevels
 	}
-	per := clusterCapW / float64(n)
-	remainW := clusterCapW
-	var curved []int
 	points := 0
-	for i, s := range shards {
-		if len(s.Points) == 0 || len(s.Points) > maxCurvePoints {
-			budgets[i] = per
-			remainW -= per
-		} else {
-			curved = append(curved, i)
-			points += len(s.Points)
-		}
-	}
-	if len(curved) == 0 {
-		return budgets, 0
-	}
-	var baseSum float64
 	for _, i := range curved {
-		baseSum += shards[i].Points[0].CapW
+		points += len(shards[i].Points)
 	}
-	capQ := math.Floor(remainW/serverCapStepW) * serverCapStepW
-	if capQ < baseSum {
-		// Not even the shard floors fit; pro-rate what there is.
-		for _, i := range curved {
-			if baseSum > 0 {
-				budgets[i] = capQ * shards[i].Points[0].CapW / baseSum
-			} else {
-				budgets[i] = capQ / float64(len(curved))
-			}
-		}
-		return budgets, 0
-	}
-	spare := capQ - baseSum
 	stepW := serverCapStepW
 	if int(spare/stepW)+1 > maxLevels {
 		stepW = spare / float64(maxLevels-1)
@@ -155,6 +127,86 @@ func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (b
 		perf += p.Perf
 	})
 	return budgets, perf
+}
+
+// Shards is ApportionShards on the 2 W grid, read out of the kept
+// table: the same even shares, pro-rating and guarantee, and bit for
+// bit the split a cold solve over every level up to the quantized spare
+// watts chooses. Its members are the curve-bearing shards in order, each
+// point priced at its watts above the shard's first point. A move of the
+// cap alone only backtracks; a changed rollup rebuilds the layers from
+// its position on, over the cone of the one level read: the spare
+// watts', or the summed spans if lower, past which the split no longer
+// changes. Rollup caps must be strictly increasing, as the wire
+// enforces. The returned budgets are the call's only allocation.
+func (a *Apportioner) Shards(clusterCapW float64, shards []ShardCurve) (budgets []float64, perf float64) {
+	a.recomputed, a.fellBack = 0, false
+	var spare float64
+	budgets, a.curved, spare = floorShards(clusterCapW, shards, a.curved[:0])
+	if spare < 0 {
+		return budgets, 0
+	}
+	curves, top := a.shardPts[:0], 0
+	for _, i := range a.curved {
+		curves = append(curves, shards[i].Points)
+		top += levelSpan(shards[i].Points, true)
+	}
+	a.shardPts = curves
+	top = min(top, int(spare/serverCapStepW+1e-9))
+	a.sync(0, true, curves, top, top, false)
+	a.certify(top, false)
+	for j := len(curves) - 1; j >= 0; j-- {
+		p := curves[j][a.choice[j]]
+		budgets[a.curved[j]] = p.CapW
+		perf += p.Perf
+	}
+	return budgets, perf
+}
+
+// floorShards is the front half of every split of a cap across shards.
+// Shards with empty curves, or ones too long for the uint16 choice table
+// (maxCurvePoints), take an even share of clusterCapW; the others'
+// indices are appended to curved, and each is owed its first point's
+// CapW out of the rest, quantized down to the grid. It returns the spare
+// watts above those floors, or -1 when no DP is left to run: no shard
+// bears a curve, or not even their floors fit, and what there is has
+// been pro-rated over them.
+func floorShards(clusterCapW float64, shards []ShardCurve, curved []int) (budgets []float64, _ []int, spare float64) {
+	n := len(shards)
+	budgets = make([]float64, n)
+	if n == 0 || clusterCapW <= 0 {
+		return budgets, curved, -1
+	}
+	per := clusterCapW / float64(n)
+	remainW := clusterCapW
+	for i, s := range shards {
+		if len(s.Points) == 0 || len(s.Points) > maxCurvePoints {
+			budgets[i] = per
+			remainW -= per
+		} else {
+			curved = append(curved, i)
+		}
+	}
+	if len(curved) == 0 {
+		return budgets, curved, -1
+	}
+	var baseSum float64
+	for _, i := range curved {
+		baseSum += shards[i].Points[0].CapW
+	}
+	capQ := math.Floor(remainW/serverCapStepW) * serverCapStepW
+	if capQ < baseSum {
+		// Not even the shard floors fit; pro-rate what there is.
+		for _, i := range curved {
+			if baseSum > 0 {
+				budgets[i] = capQ * shards[i].Points[0].CapW / baseSum
+			} else {
+				budgets[i] = capQ / float64(len(curved))
+			}
+		}
+		return budgets, curved, -1
+	}
+	return budgets, curved, capQ - baseSum
 }
 
 // RebalanceHeadroom moves unused headroom between shards: a shard

@@ -355,31 +355,10 @@ func TestApportionShardsMatchesReference(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(7)
 		shards := make([]ShardCurve, n)
-		var floorSum, satSum float64
 		for i := range shards {
-			floorW := 30 + float64(rng.Intn(10))*2
-			members := 1 + rng.Intn(6)
-			shards[i].FloorW = floorW * float64(members)
-			if rng.Intn(5) == 0 {
-				floorSum += shards[i].FloorW
-				satSum += shards[i].FloorW
-				continue // curveless: even share
-			}
-			curves := make([][]CapPoint, members)
-			for m := range curves {
-				switch rng.Intn(4) {
-				case 0:
-					curves[m] = stepCurve(rng, floorW)
-				case 1:
-					curves[m] = wildCurve(rng, floorW)
-				default:
-					curves[m] = randCurve(rng, floorW)
-				}
-			}
-			shards[i].Points = DownsampleCurve(RollupCurves(floorW, curves), 2+rng.Intn(42))
-			floorSum += shards[i].Points[0].CapW
-			satSum += shards[i].Points[len(shards[i].Points)-1].CapW
+			shards[i] = randShard(rng)
 		}
+		floorSum, satSum := shardBounds(shards)
 		natural := int((satSum-floorSum)/ServerCapStepW) + 1
 		for _, capW := range []float64{
 			floorSum * (0.8 + 0.2*rng.Float64()),       // below (or just at) the floors
@@ -440,22 +419,13 @@ func TestApportionShardsOverlongCurveEvenShare(t *testing.T) {
 	}
 }
 
-// BenchmarkApportionShards is the global step's DP at the tree-1k-8
-// shape: eight shards of 125 nine-point members, each rolled up and
-// thinned to 256 points, split on the 2048-level coarse grid.
+// BenchmarkApportionShards is the coarse-grid split at the tree-1k-8
+// shape (benchShards), on the 2048-level grid.
 func BenchmarkApportionShards(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	shards := make([]ShardCurve, 8)
-	for s := range shards {
-		curves := make([][]CapPoint, 125)
-		for m := range curves {
-			curves[m] = lineCurve(45, 9, 0.01+0.01*rng.Float64())
-		}
-		shards[s] = ShardCurve{FloorW: 45 * 125, Points: DownsampleCurve(RollupCurves(45, curves), 256)}
-	}
+	shards := benchShards(rand.New(rand.NewSource(8)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ApportionShards(8*125*52*0.98, shards, 0)
+		ApportionShards(benchShardCapW, shards, 0)
 	}
 }

@@ -186,9 +186,11 @@ type GlobalStepResult struct {
 // Global is the apex of the two-tier budget tree: each interval it
 // scrapes every shard coordinator's ShardReport over the trunk (the
 // shard-tier membership heartbeat), splits the cluster cap across the
-// live shards with the cluster.ApportionShards DP over their rolled-up
-// curves, shifts unused headroom toward saturated shards, and fans the
-// budgets out as epoch-fenced ShardBudget grants.
+// live shards by reading it out of one cluster.Apportioner over their
+// rolled-up curves on the 2 W grid (Apportioner.Shards: a cap move only
+// backtracks, a changed rollup rebuilds from its position on), shifts
+// unused headroom toward saturated shards, and fans the budgets out as
+// epoch-fenced ShardBudget grants.
 //
 // Safety is the same invariant at a coarser grain: the sum of granted
 // shard budgets plus the reserved budgets of silent shards never
@@ -204,6 +206,8 @@ type Global struct {
 
 	shards []*globalShard
 	stats  GlobalStats
+	// dp is the shard split's DP table, kept across intervals.
+	dp cluster.Apportioner
 	// scratch is Step's working set, reset every interval instead of
 	// reallocated; none of it is handed to a caller.
 	scratch struct {
@@ -425,7 +429,7 @@ func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, e
 			usedW, demandW = append(usedW, rep.UsedW), append(demandW, rep.DemandW)
 		}
 		sc.curves, sc.usedW, sc.demandW = curves, usedW, demandW
-		budgets, perf := cluster.ApportionShards(available*(1-grantSlackFrac), curves, cluster.DefaultShardLevels)
+		budgets, perf := g.dp.Shards(available*(1-grantSlackFrac), curves)
 		budgets, res.RebalancedW = cluster.RebalanceHeadroom(budgets, usedW, demandW, headroomGuardFrac)
 		res.PerfN = perf
 		// Decrease-before-increase: a granted decrease takes effect at
