@@ -71,10 +71,10 @@ func curveSpan(c []CapPoint) int {
 // cap-utility curves: it splits clusterCapW across the curves' servers
 // to maximize summed performance and returns the chosen per-server
 // budgets alongside the performance and grid draw those choices
-// deliver. The cap is quantized to the curve grid (ServerCapStepW) and
-// every server is owed at least floorW (its idle floor) before the DP
-// distributes the spare watts; curve point k is priced at k steps above
-// the floor, exactly as the curves are sampled. A server with an empty
+// deliver. Every server is owed at least floorW (its idle floor) before
+// the DP distributes the spare watts in whole steps of the curve grid
+// (ServerCapStepW); curve point k is priced at k steps above the floor,
+// exactly as the curves are sampled. A server with an empty
 // curve is granted floorW and adds nothing to either sum.
 //
 // This one function is shared by the in-process evaluator and the
@@ -94,27 +94,30 @@ func ApportionCurves(clusterCapW, floorW float64, curves [][]CapPoint) (budgets 
 	return apportionCone[uint16](floorW, curves, levels, budgets)
 }
 
-// floorsFirst quantizes clusterCapW to the DP grid and owes each of n
-// servers floorW before any DP runs. It returns the budget vector and
-// the number of spare levels above the floors; with no servers, or when
-// not even the floors fit, it returns 0 levels and the whole answer: an
-// even share of the quantized cap, which is then the grid draw.
+// floorsFirst owes each of n servers floorW before any DP runs and
+// counts the whole grid steps left above the floors. It returns the
+// budget vector and that number of spare levels, level l being the
+// floors plus l steps — the watts a rollup prices its point l at, even
+// when the floors' sum is off the grid. With no servers, or when not
+// even the floors fit, it returns 0 levels and the whole answer: an
+// even share of the cap quantized to the grid, which is then the grid
+// draw.
 func floorsFirst(clusterCapW, floorW float64, n int) (budgets []float64, gridW float64, levels int) {
 	budgets = make([]float64, n)
 	if n == 0 {
 		return budgets, 0, 0
 	}
-	capQ := math.Floor(clusterCapW/serverCapStepW) * serverCapStepW
-	if capQ < floorW*float64(n) {
+	floors := floorW * float64(n)
+	if clusterCapW < floors {
 		// Not even the idle floors fit; the fleet draws what it may.
+		capQ := math.Floor(clusterCapW/serverCapStepW) * serverCapStepW
 		per := capQ / float64(n)
 		for i := range budgets {
 			budgets[i] = per
 		}
 		return budgets, capQ, 0
 	}
-	spare := capQ - floorW*float64(n)
-	return budgets, 0, int(spare/serverCapStepW) + 1
+	return budgets, 0, int((clusterCapW-floors)/serverCapStepW) + 1
 }
 
 // apportionCone is ApportionCurves' DP over the budget above the idle

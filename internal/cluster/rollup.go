@@ -167,10 +167,10 @@ func (a *Apportioner) Shards(clusterCapW float64, shards []ShardCurve) (budgets 
 // Shards with empty curves, or ones too long for the uint16 choice table
 // (maxCurvePoints), take an even share of clusterCapW; the others'
 // indices are appended to curved, and each is owed its first point's
-// CapW out of the rest, quantized down to the grid. It returns the spare
-// watts above those floors, or -1 when no DP is left to run: no shard
-// bears a curve, or not even their floors fit, and what there is has
-// been pro-rated over them.
+// CapW out of the rest. It returns the spare watts above those floors,
+// unquantized as floorsFirst counts them, or -1 when no DP is left to
+// run: no shard bears a curve, or not even their floors fit, and what
+// there is, quantized down to the grid, has been pro-rated over them.
 func floorShards(clusterCapW float64, shards []ShardCurve, curved []int) (budgets []float64, _ []int, spare float64) {
 	n := len(shards)
 	budgets = make([]float64, n)
@@ -194,9 +194,9 @@ func floorShards(clusterCapW float64, shards []ShardCurve, curved []int) (budget
 	for _, i := range curved {
 		baseSum += shards[i].Points[0].CapW
 	}
-	capQ := math.Floor(remainW/serverCapStepW) * serverCapStepW
-	if capQ < baseSum {
+	if remainW < baseSum {
 		// Not even the shard floors fit; pro-rate what there is.
+		capQ := math.Floor(remainW/serverCapStepW) * serverCapStepW
 		for _, i := range curved {
 			if baseSum > 0 {
 				budgets[i] = capQ * shards[i].Points[0].CapW / baseSum
@@ -206,7 +206,7 @@ func floorShards(clusterCapW float64, shards []ShardCurve, curved []int) (budget
 		}
 		return budgets, curved, -1
 	}
-	return budgets, curved, capQ - baseSum
+	return budgets, curved, remainW - baseSum
 }
 
 // RebalanceHeadroom moves unused headroom between shards: a shard

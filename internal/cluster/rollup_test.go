@@ -65,6 +65,44 @@ func TestRollupMatchesFlatDP(t *testing.T) {
 	}
 }
 
+// TestRollupPointIsDelivered holds a rollup to its promise: a shard
+// granted rollup point k's CapW, apportioning it across its members as
+// its own coordinator does, delivers point k's Perf. Floor sums that are
+// odd or fractional (n·floorW off the 2 W grid) are the case a shard
+// that re-quantized its budget to absolute 2 W steps would spend one
+// level short of.
+func TestRollupPointIsDelivered(t *testing.T) {
+	rng := rand.New(rand.NewSource(2300))
+	points, short := 0, 0
+	for _, floorW := range []float64{45, 45.5, 50, 37.25} {
+		for trial := 0; trial < 4; trial++ {
+			curves := make([][]CapPoint, 3+rng.Intn(20))
+			for i := range curves {
+				curves[i] = randCurve(rng, floorW)
+			}
+			roll := RollupCurves(floorW, curves)
+			var a Apportioner
+			for k, p := range roll {
+				if rng.Intn(4) != 0 && k != 0 && k != len(roll)-1 {
+					continue
+				}
+				points++
+				budgets, perf, _ := a.Apportion(p.CapW, floorW, curves)
+				if sum(budgets) > p.CapW+1e-9 {
+					t.Fatalf("floor %g W, %d members, point %d: budgets sum to %g W over the grant %g W", floorW, len(curves), k, sum(budgets), p.CapW)
+				}
+				if math.Abs(perf-p.Perf) > 1e-9*max(1, p.Perf) {
+					short++
+					t.Errorf("floor %g W, %d members, point %d (%g W): promised perf %g, delivered %g", floorW, len(curves), k, p.CapW, p.Perf, perf)
+				}
+			}
+		}
+	}
+	if short > 0 {
+		t.Fatalf("%d of %d rollup points not delivered", short, points)
+	}
+}
+
 func TestRollupRejectsEmptyMemberCurve(t *testing.T) {
 	if got := RollupCurves(40, nil); got != nil {
 		t.Fatalf("rollup of no curves = %v, want nil", got)
@@ -261,7 +299,9 @@ func TestRebalanceHeadroomMalformedInput(t *testing.T) {
 // referenceApportionShards is ApportionShards' DP as it first stood —
 // every shard's layer swept over every level, costSteps called for every
 // (level, point) pair, one int choice row per shard — retained as the
-// oracle for budgets, tie-breaks and perf.
+// oracle for budgets, tie-breaks and perf. Like floorShards, it counts
+// the spare watts from the cap left above the floors, quantizing the cap
+// only to pro-rate it when the floors do not fit.
 func referenceApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (budgets []float64, perf float64) {
 	n := len(shards)
 	budgets = make([]float64, n)
@@ -289,8 +329,8 @@ func referenceApportionShards(clusterCapW float64, shards []ShardCurve, maxLevel
 	for _, i := range curved {
 		baseSum += shards[i].Points[0].CapW
 	}
-	capQ := math.Floor(remainW/serverCapStepW) * serverCapStepW
-	if capQ < baseSum {
+	if remainW < baseSum {
+		capQ := math.Floor(remainW/serverCapStepW) * serverCapStepW
 		for _, i := range curved {
 			if baseSum > 0 {
 				budgets[i] = capQ * shards[i].Points[0].CapW / baseSum
@@ -300,7 +340,7 @@ func referenceApportionShards(clusterCapW float64, shards []ShardCurve, maxLevel
 		}
 		return budgets, 0
 	}
-	spare := capQ - baseSum
+	spare := remainW - baseSum
 	stepW := serverCapStepW
 	if int(spare/stepW)+1 > maxLevels {
 		stepW = spare / float64(maxLevels-1)

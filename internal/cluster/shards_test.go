@@ -248,12 +248,15 @@ func treePerf(budgets []float64, floorW float64, fleet [][][]CapPoint) float64 {
 //   - with rollups thinned to 256 points, as the trunk carries them,
 //     it stays within thinnedBound of it.
 //
-// Floors are even so a shard's budget, its floors plus whole 2 W steps,
-// sits on its own grid. At 1 000 members the spare watts exceed
+// Member floors of 45 and 45.5 W put a shard's floor sum off the 2 W
+// grid (odd or fractional), as tree-1k-8's 125 × 45 W shards are: its
+// budget, the floors plus whole 2 W steps, must still buy the levels
+// its rollup priced. At 1 000 members the spare watts exceed
 // DefaultShardLevels, and ApportionShards' coarse grid misses the
 // un-thinned equality.
 func TestShardSplitMatchesFlatDP(t *testing.T) {
-	const floorW, thinnedBound = 40.0, 0.9997
+	const thinnedBound = 0.9997
+	floorW := 40.0
 	rng := rand.New(rand.NewSource(1700))
 	worst := 1.0
 	check := func(what string, fleet [][][]CapPoint, fine, thin []ShardCurve, capW float64) {
@@ -297,6 +300,7 @@ func TestShardSplitMatchesFlatDP(t *testing.T) {
 		return fleet, fine, thin, floorSum, satSum
 	}
 	for trial := 0; trial < 30; trial++ {
+		floorW = []float64{40, 45, 45.5}[trial%3]
 		fleet, fine, thin, floorSum, satSum := build(1+rng.Intn(8), func() int { return 1 + rng.Intn(60) })
 		for _, capW := range []float64{
 			floorSum * 0.9, // the floors do not fit
@@ -310,8 +314,9 @@ func TestShardSplitMatchesFlatDP(t *testing.T) {
 		}
 	}
 
-	// The tree-1k-8 shape: 8 × 125 members, ~4 000 spare levels at a
-	// binding cap.
+	// The tree-1k-8 shape: 8 × 125 members at 45 W, ~4 000 spare levels
+	// at a binding cap.
+	floorW = 45
 	fleet, fine, thin, floorSum, satSum := build(8, func() int { return 125 })
 	capW := floorSum + 0.5*(satSum-floorSum)
 	check("1 000 members", fleet, fine, thin, capW)

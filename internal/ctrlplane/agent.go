@@ -216,22 +216,24 @@ func (a *Agent) ID() int { return a.cfg.ID }
 // epochs it fences a deposed leader — once any grant from epoch E has
 // been applied, every in-flight or retried grant from an older epoch
 // is refused, no matter how it was delayed or duplicated.
-func (a *Agent) Assign(req AssignRequest) (AssignResponse, error) {
+func (a *Agent) Assign(req AssignRequest) (resp AssignResponse, err error) {
 	if req.Server != a.cfg.ID {
-		return AssignResponse{}, fmt.Errorf("ctrlplane: assign for server %d reached agent %d", req.Server, a.cfg.ID)
+		return resp, fmt.Errorf("ctrlplane: assign for server %d reached agent %d", req.Server, a.cfg.ID)
 	}
 	if err := validateClockFields(req.Iv, req.LeaseIv, req.IvS); err != nil {
-		return AssignResponse{}, fmt.Errorf("ctrlplane: assign %w", err)
+		return resp, fmt.Errorf("ctrlplane: assign %w", err)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if req.Epoch < a.lastEpoch {
 		a.epochDrops++
-		return a.stateLocked(false), nil
+		a.stateLocked(&resp, false)
+		return resp, nil
 	}
 	if req.Epoch == a.lastEpoch && req.Seq <= a.lastSeq {
 		a.staleDrops++
-		return a.stateLocked(false), nil
+		a.stateLocked(&resp, false)
+		return resp, nil
 	}
 	capW := req.CapW
 	if a.est != nil {
@@ -244,7 +246,7 @@ func (a *Agent) Assign(req AssignRequest) (AssignResponse, error) {
 	}
 	perf, grid, err := a.cfg.Backend.Apply(capW)
 	if err != nil {
-		return AssignResponse{}, err
+		return resp, err
 	}
 	a.capW, a.perfN, a.gridW = capW, perf, grid
 	a.lastEpoch = req.Epoch
@@ -257,7 +259,8 @@ func (a *Agent) Assign(req AssignRequest) (AssignResponse, error) {
 	if a.est != nil {
 		a.est.Observe(a.capW, a.perfN)
 	}
-	return a.stateLocked(true), nil
+	a.stateLocked(&resp, true)
+	return resp, nil
 }
 
 // Renew extends the draw lease without changing the budget. A fenced
@@ -318,6 +321,10 @@ func (a *Agent) nowLocked(t float64) float64 {
 func (a *Agent) Tick(t float64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.tickLocked(t)
+}
+
+func (a *Agent) tickLocked(t float64) error {
 	now := a.nowLocked(t)
 	if a.safeMode {
 		// Already degrading leaderless: continue the decay.
@@ -418,67 +425,64 @@ func (a *Agent) Refresh() error {
 // learning agent reports its current learned curve with
 // CurveConf/CurveCells meta instead, or no curve at all before the first
 // accepted observation.
-func (a *Agent) Report() (Report, error) {
+func (a *Agent) Report() (rep Report, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	err = a.reportLocked(&rep)
+	return rep, err
+}
+
+// reportLocked fills rep, which must be zero, field by field rather
+// than building a report aside and copying it. On error rep is left
+// zero.
+func (a *Agent) reportLocked(rep *Report) error {
 	if a.est == nil && !a.curveBuilt {
 		curve, err := a.cfg.Backend.UtilityCurve()
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		a.curve.version(curve)
 		a.curveBuilt = true
 	}
-	rep := a.reportLocked()
+	rep.V, rep.Server = ProtocolV, a.cfg.ID
+	rep.Epoch, rep.Seq = a.lastEpoch, a.lastSeq
+	rep.CapW, rep.PerfN, rep.GridW = a.capW, a.perfN, a.gridW
+	rep.SoC = a.cfg.Backend.SoC()
+	rep.Fenced, rep.SafeMode = a.fenced, a.safeMode
+	rep.IdleFloorW, rep.NameplateW = a.cfg.Backend.IdleFloorW(), a.cfg.Backend.NameplateW()
+	rep.Version, rep.Iv = a.cfg.Version, a.clk.seenIv
 	if a.est == nil {
 		rep.UtilityCurve, rep.CurveVer = a.curve.curve, a.curve.ver
 	} else if curve, ok := a.est.Curve(); ok {
 		rep.UtilityCurve, rep.CurveConf, rep.CurveCells = curve, a.est.Confidence(), a.est.ObservedCells()
 		rep.CurveVer = a.curve.version(curve)
 	}
-	return rep, nil
+	return nil
 }
 
-// reportLocked builds the curveless part of a scrape report.
-func (a *Agent) reportLocked() Report {
-	return Report{
-		V:        ProtocolV,
-		Server:   a.cfg.ID,
-		Epoch:    a.lastEpoch,
-		Seq:      a.lastSeq,
-		CapW:     a.capW,
-		PerfN:    a.perfN,
-		GridW:    a.gridW,
-		SoC:      a.cfg.Backend.SoC(),
-		Fenced:   a.fenced,
-		SafeMode: a.safeMode,
-
-		IdleFloorW: a.cfg.Backend.IdleFloorW(),
-		NameplateW: a.cfg.Backend.NameplateW(),
-		Version:    a.cfg.Version,
-		Iv:         a.clk.seenIv,
-	}
-}
-
-// Scrape is Tick-then-Report in one call: the server side of a scrape
-// frame. hasT is false when the scrape carries no coordinator clock.
-func (a *Agent) Scrape(t float64, hasT bool) (Report, error) {
+// Scrape is Tick-then-Report under one lock: the server side of a scrape
+// frame, and one consistent snapshot — no grant lands between the tick
+// and the report. hasT is false when the scrape carries no coordinator
+// clock.
+func (a *Agent) Scrape(t float64, hasT bool) (rep Report, err error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if hasT {
-		if err := a.Tick(t); err != nil {
-			return Report{}, err
+		if err = a.tickLocked(t); err != nil {
+			return rep, err
 		}
 	}
-	return a.Report()
+	err = a.reportLocked(&rep)
+	return rep, err
 }
 
-// stateLocked builds an AssignResponse from the current state.
-func (a *Agent) stateLocked(applied bool) AssignResponse {
-	return AssignResponse{
-		V: ProtocolV, Server: a.cfg.ID, Epoch: a.lastEpoch, Seq: a.lastSeq, Applied: applied,
-		CapW: a.capW, PerfN: a.perfN, GridW: a.gridW,
-		SoC: a.cfg.Backend.SoC(), Fenced: a.fenced, SafeMode: a.safeMode,
-		Iv: a.clk.seenIv,
-	}
+// stateLocked fills resp from the current state.
+func (a *Agent) stateLocked(resp *AssignResponse, applied bool) {
+	resp.V, resp.Server = ProtocolV, a.cfg.ID
+	resp.Epoch, resp.Seq, resp.Applied = a.lastEpoch, a.lastSeq, applied
+	resp.CapW, resp.PerfN, resp.GridW = a.capW, a.perfN, a.gridW
+	resp.SoC, resp.Fenced, resp.SafeMode = a.cfg.Backend.SoC(), a.fenced, a.safeMode
+	resp.Iv = a.clk.seenIv
 }
 
 // AgentStatus is one consistent snapshot of an agent's protocol state:

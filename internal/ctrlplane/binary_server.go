@@ -22,8 +22,10 @@ type CtrlEndpoint interface {
 
 // BinaryServerConfig wires endpoints into a BinaryServer. Endpoints
 // maps server id → agent; many agents share one listener, which is
-// what makes batch frames possible. The coordinator hooks are nil on
-// agent-only servers — the matching frames then answer FrameError.
+// what makes batch frames possible. It is fixed once the server starts:
+// each conn resolves a batch's ids once and keeps the answer while the
+// ids repeat. The coordinator hooks are nil on agent-only servers — the
+// matching frames then answer FrameError.
 type BinaryServerConfig struct {
 	Endpoints map[int]CtrlEndpoint
 	Register  func(req RegisterRequest) RegisterResponse
@@ -133,13 +135,29 @@ func (s *BinaryServer) serve() {
 }
 
 // serverConn is what one connection owns across frames: the buffer
-// requests are read into, the buffer responses are built in, and the
-// decoded form of the two batch requests. A steady-state interval
-// reuses all four; nothing in them outlives the frame they serve.
+// requests are read into, the buffer responses are built in, the
+// decoded form of the two batch requests, the reply slot each batch
+// entry is answered into, and the endpoints of the last batch's ids. A
+// steady-state interval reuses all of them; nothing in the buffers,
+// requests or slots outlives the frame they serve.
 type serverConn struct {
-	in, out frameBuf
-	scrape  BatchScrapeRequest
-	grant   BatchGrantRequest
+	in, out    frameBuf
+	scrape     BatchScrapeRequest
+	grant      BatchGrantRequest
+	scrapeSlot ScrapeResult
+	grantSlot  GrantResult
+	// eps[j] is what slot j of the last batch resolved to. Scrape and
+	// grant frames share it: a coordinator sends the same ids in the
+	// same order every interval.
+	eps []resolved
+}
+
+// resolved is one batch slot's server id and its endpoint or, when none
+// is behind this listener, the error the slot answers.
+type resolved struct {
+	server int
+	ep     CtrlEndpoint
+	err    error
 }
 
 func (s *BinaryServer) handle(c net.Conn) {
@@ -168,12 +186,24 @@ func (s *BinaryServer) handle(c net.Conn) {
 	}
 }
 
-func (s *BinaryServer) endpoint(server int) (CtrlEndpoint, error) {
-	ep, ok := s.cfg.Endpoints[server]
-	if !ok {
-		return nil, fmt.Errorf("no agent %d behind this listener", server)
+// endpoint resolves slot j of a batch addressed to server: from the
+// conn's cache when the last batch had the same id there, else from
+// Endpoints, which then becomes slot j's cached answer. Slots are
+// resolved in order, so j never exceeds the cache's length.
+func (s *BinaryServer) endpoint(sc *serverConn, j, server int) (CtrlEndpoint, error) {
+	if j < len(sc.eps) && sc.eps[j].server == server {
+		return sc.eps[j].ep, sc.eps[j].err
 	}
-	return ep, nil
+	r := resolved{server: server}
+	var ok bool
+	if r.ep, ok = s.cfg.Endpoints[server]; !ok {
+		r.err = fmt.Errorf("no agent %d behind this listener", server)
+	}
+	if j == len(sc.eps) {
+		sc.eps = append(sc.eps, resolved{})
+	}
+	sc.eps[j] = r
+	return r.ep, r.err
 }
 
 // reply completes the response frame begun at hdr: m's payload under
@@ -233,7 +263,9 @@ func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []by
 		return answer(hdr, payload, cfg.ShardBudget)
 
 	// The two batch responses are encoded slot by slot as the agents
-	// answer, so the server never holds a fleet's worth of results.
+	// answer into the conn's one reply slot, so the server never holds a
+	// fleet's worth of results. A slot's report or acknowledgement is
+	// encoded only under an empty error: an earlier slot's never crosses.
 	case FrameBatchScrapeReq:
 		req := &sc.scrape
 		if err := decode(payload, req); err != nil {
@@ -241,9 +273,10 @@ func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []by
 		}
 		w := wire{enc: true, b: hdr}
 		w.slotCount(len(req.Servers), "batch scrape response")
+		res := &sc.scrapeSlot
 		for j, server := range req.Servers {
-			res := ScrapeResult{Server: server}
-			ep, err := s.endpoint(server)
+			res.Server, res.Err = server, ""
+			ep, err := s.endpoint(sc, j, server)
 			if err == nil {
 				res.Report, err = ep.Scrape(req.T, req.HasT)
 			}
@@ -262,8 +295,11 @@ func (s *BinaryServer) dispatch(sc *serverConn, ftype byte, payload []byte) []by
 		}
 		w := wire{enc: true, b: hdr}
 		w.slotCount(len(req.Entries), "batch grant response")
-		for _, e := range req.Entries {
-			res := s.grantOne(req, e)
+		res := &sc.grantSlot
+		for j := range req.Entries {
+			e := &req.Entries[j]
+			ep, err := s.endpoint(sc, j, e.Server)
+			grantOne(req, e, ep, err, res)
 			res.wire(&w)
 		}
 		return finishFrame(w.b, FrameBatchGrantResp)
@@ -320,14 +356,14 @@ func NewCoordinatorBinaryConfig(c *Coordinator, ha *HA, voter *QuorumVoter) Bina
 	return cfg
 }
 
-// grantOne applies one batch-grant entry and returns its response slot:
-// a coalesced renewal first when asked, falling through to a fresh
+// grantOne applies one batch-grant entry through ep, the endpoint its
+// slot resolved to (or err, when none did), and writes the response into
+// res: a coalesced renewal first when asked, falling through to a fresh
 // assign under the frame's (Epoch, Seq) when the renewal did not hold
 // the requested budget. It is the one home of the renew-else-assign
 // rule: every coordinator grant rides a batch frame.
-func (s *BinaryServer) grantOne(req *BatchGrantRequest, e GrantEntry) (res GrantResult) {
-	res.Server = e.Server
-	ep, err := s.endpoint(e.Server)
+func grantOne(req *BatchGrantRequest, e *GrantEntry, ep CtrlEndpoint, err error, res *GrantResult) {
+	res.Server, res.Err, res.Renewed = e.Server, "", false
 	if err == nil && e.Renew {
 		lr := LeaseRequest{V: ProtocolV, Epoch: req.Epoch, Server: e.Server, T: req.T,
 			Iv: req.Iv, LeaseIv: req.LeaseIv, IvS: req.IvS}
@@ -335,7 +371,7 @@ func (s *BinaryServer) grantOne(req *BatchGrantRequest, e GrantEntry) (res Grant
 		if err == nil && !resp.Fenced && resp.Epoch == req.Epoch && resp.CapW == e.CapW {
 			res.Renewed = true
 			res.Resp = AssignResponse{V: ProtocolV, Server: e.Server, Epoch: resp.Epoch, CapW: resp.CapW, Fenced: resp.Fenced, Iv: resp.Iv}
-			return res
+			return
 		}
 	}
 	if err == nil {
@@ -346,5 +382,4 @@ func (s *BinaryServer) grantOne(req *BatchGrantRequest, e GrantEntry) (res Grant
 	if err != nil {
 		res.Err = err.Error() // the slot then carries no acknowledgement
 	}
-	return res
 }

@@ -31,9 +31,9 @@ const (
 	breakerHalfOpen
 )
 
-func (c Config) breakerEnabled() bool { return c.BreakerFails > 0 }
+func (c *Config) breakerEnabled() bool { return c.BreakerFails > 0 }
 
-func (c Config) breakerOpenIntervals() int {
+func (c *Config) breakerOpenIntervals() int {
 	if c.BreakerOpenIntervals > 0 {
 		return c.BreakerOpenIntervals
 	}

@@ -140,42 +140,42 @@ const (
 // fallback is safer than a curve that is mostly extrapolation.
 const DefaultCurveConfFloor = 0.75
 
-func (c Config) curveConfFloor() float64 {
+func (c *Config) curveConfFloor() float64 {
 	if c.CurveConfFloor != 0 {
 		return c.CurveConfFloor
 	}
 	return DefaultCurveConfFloor
 }
 
-func (c Config) leaseIv() uint64 {
+func (c *Config) leaseIv() uint64 {
 	if c.LeaseIv > 0 {
 		return uint64(c.LeaseIv)
 	}
 	return DefaultLeaseIv
 }
 
-func (c Config) missK() int {
+func (c *Config) missK() int {
 	if c.MissK > 0 {
 		return c.MissK
 	}
 	return DefaultMissK
 }
 
-func (c Config) maxInFlight() int {
+func (c *Config) maxInFlight() int {
 	if c.MaxInFlight > 0 {
 		return c.MaxInFlight
 	}
 	return 8
 }
 
-func (c Config) rpcTimeout() time.Duration {
+func (c *Config) rpcTimeout() time.Duration {
 	if c.RPCTimeout > 0 {
 		return c.RPCTimeout
 	}
 	return 2 * time.Second
 }
 
-func (c Config) rpcRetries() int {
+func (c *Config) rpcRetries() int {
 	if c.Retries > 0 {
 		return c.Retries
 	}
@@ -764,7 +764,7 @@ type grantRound struct {
 
 // renewable reports that member i's acknowledged budget already equals
 // this interval's, so the grant can ride a lease renewal.
-func (r grantRound) renewable(m *member, i int) bool {
+func (r *grantRound) renewable(m *member, i int) bool {
 	return m.granted && m.grantedW == r.budgets[i] && m.scraped && !m.fenced
 }
 

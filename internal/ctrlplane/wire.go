@@ -157,7 +157,7 @@ type Report struct {
 // Validate enforces the report invariants the apportioning DP depends
 // on: finite non-negative power figures and a strictly increasing,
 // finite utility curve.
-func (r Report) Validate() error {
+func (r *Report) Validate() error {
 	if r.V != ProtocolV {
 		return fmt.Errorf("ctrlplane: report protocol v%d, want v%d", r.V, ProtocolV)
 	}
